@@ -5,11 +5,12 @@ of orthogonality and the two generating functions, all in exact arithmetic.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .classical import jacobi_coeffs
 from .numeric import (
+    EpsFrac,
     Rat,
     _poly_mul,
     _poly_trim,
@@ -43,12 +44,56 @@ class UniParams:
         }
 
 
-def _poch_generic(a, n: int):
-    """Rising factorial over any ring element supporting + and * with ints."""
-    out = None
-    for j in range(n):
-        out = (a + j) if out is None else out * (a + j)
-    return out if out is not None else Rat(1)
+def _cleared(*values):
+    """A common denominator q of rational values, and the integers q*v.
+
+    Infinitesimal fractions have no denominator to clear: with one among
+    the arguments, q is 1 and every argument passes through unchanged, so
+    the kernel runs over that ring instead of over the integers.
+    """
+    if any(isinstance(v, EpsFrac) for v in values):
+        return 1, values
+    q = math.lcm(*(int(v.denominator) for v in values))
+    return q, [int(v.numerator) * (q // int(v.denominator)) for v in values]
+
+
+def _coefficients(n: int, q: int, A, B, K) -> list:
+    """The point-independent part c_0..c_n of the cleared Hahn sum.
+
+    With A = q*alpha, B = q*beta and K = q*M, every factor of the sum below
+    is linear in j, so q clears all of them at once:
+
+        c_j = prod_{i<j} (i-n) (q(n+1+i) + A + B)
+              * prod_{j<=i<n} (i+1) (A + q(i+1)) (q*i - K)
+
+    The first product is a prefix, (-n)_j (n+a+b+1)_j; the second a suffix,
+    (n!/j!) (a+j+1)_{n-j} (-M+j)_{n-j}.  Each term carries q^(2n) in all.
+    """
+    suffix = [1] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix[i] = suffix[i + 1] * ((i + 1) * (A + q * (i + 1)) * (q * i - K))
+    coeffs = []
+    prefix = 1
+    for j in range(n + 1):
+        coeffs.append(prefix * suffix[j])
+        prefix = prefix * ((j - n) * (q * (n + 1 + j) + A + B))
+    return coeffs
+
+
+def _point_sum(coeffs: list, q: int, X):
+    """sum_j c_j prod_{i<j} (q*i - X), the point part being (-x)_j cleared by q^j."""
+    total = 0
+    point = 1
+    for j, c in enumerate(coeffs):
+        total = total + c * point
+        point = point * (q * j - X)
+        if point == 0:  # x is a grid point below j: every later term vanishes
+            break
+    return total
+
+
+def _denominator(n: int, q: int) -> int:
+    return math.factorial(n) * q ** (2 * n)
 
 
 def eval_total(n: int, x, alpha, beta, M):
@@ -60,36 +105,47 @@ def eval_total(n: int, x, alpha, beta, M):
     parameter Pochhammers in the denominator are absorbed via the splits
     (a+1)_n = (a+1)_j (a+j+1)_{n-j} and (-M)_n = (-M)_j (-M+j)_{n-j}), but
     stays meaningful for n > M and for level shifts below zero, which the
-    bivariate chain needs.  Works over rationals and over the infinitesimal
-    fractions used for removable-singularity limits.
+    bivariate chain needs.
+
+    Rational arguments are cleared to a common denominator q, the sum of
+    n!/j! times each term runs over Python ints with prefix and suffix
+    products (O(n) multiplications), and the one division is by n! q^(2n).
+    Infinitesimal fractions take the same loop with q = 1.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    total = None
-    for j in range(n + 1):
-        term = (
-            pochhammer(-n, j)
-            / factorial(j)
-            * _poch_generic(x - j + 1, j)  # (-x)_j = (-1)^j x(x-1)...(x-j+1)
-            * (Rat(-1) ** j)
-        )
-        term = term * _poch_generic(n + alpha + beta + 1, j)
-        term = term * _poch_generic(alpha + j + 1, n - j)
-        term = term * _poch_generic(-M + j, n - j)
-        total = term if total is None else total + term
-    return total
-
-
-@lru_cache(maxsize=200_000)
-def _eval_cached(n: int, x, alpha, beta, M: int):
-    return eval_total(n, x, alpha, beta, M)
+    q, (X, A, B, K) = _cleared(x, alpha, beta, M)
+    total = _point_sum(_coefficients(n, q, A, B, K), q, X)
+    if isinstance(total, int):
+        return Rat(total, _denominator(n, q))
+    return total / _denominator(n, q)
 
 
 def hahn_eval(n: int, x, p: UniParams):
-    """h_n(x) for 0 <= n <= N; x may sit off the grid (polynomial extension)."""
+    """h_n(x) for 0 <= n <= N; x may sit off the grid (polynomial extension).
+
+    One call of the kernel: nothing is cached, so a sweep over the grid
+    should read hahn_table instead.
+    """
     if not 0 <= n <= p.N:
         raise ValueError(f"degree {n} outside 0..{p.N}")
-    return _eval_cached(n, Rat(x), p.alpha, p.beta, p.N)
+    return eval_total(n, Rat(x), p.alpha, p.beta, p.N)
+
+
+def hahn_table(p: UniParams) -> tuple:
+    """Every grid value, as one (numerators, denominator) pair per degree.
+
+    Row n holds the integers t_0..t_N with h_n(x) = t_x / d_n; the
+    coefficients of the sum are built once per degree and shared by all
+    N+1 points.
+    """
+    q, (A, B, K) = _cleared(p.alpha, p.beta, p.N)
+    rows = []
+    for n in range(p.N + 1):
+        coeffs = _coefficients(n, q, A, B, K)
+        nums = tuple(_point_sum(coeffs, q, q * x) for x in range(p.N + 1))
+        rows.append((nums, _denominator(n, q)))
+    return tuple(rows)
 
 
 def hahn_weight(x: int, p: UniParams):
@@ -130,14 +186,21 @@ def _pad(p, length):
 
 
 def _check_orthogonality(p: UniParams) -> CheckResult:
+    """Gram sums on integer numerators over one common weight denominator.
+
+    With w_x = omega_x / W and h_n(x) = t_{n,x} / d_n, the pair (n, m) sums
+    sum_x omega_x t_{n,x} t_{m,x} over ints and becomes one rational by a
+    single division by W d_n d_m.
+    """
     N = p.N
-    weights = [hahn_weight(x, p) for x in range(N + 1)]
-    values = [[hahn_eval(n, x, p) for x in range(N + 1)] for n in range(N + 1)]
+    W, omega = _cleared(*(hahn_weight(x, p) for x in range(N + 1)))
+    table = hahn_table(p)
     for n in range(N + 1):
+        nums_n, den_n = table[n]
+        weighted = [o * t for o, t in zip(omega, nums_n)]
         for m in range(n + 1):
-            got = sum(
-                (weights[x] * values[n][x] * values[m][x] for x in range(N + 1)), Rat(0)
-            )
+            nums_m, den_m = table[m]
+            got = Rat(sum(v * t for v, t in zip(weighted, nums_m)), W * den_n * den_m)
             want = hahn_norm(n, p) if n == m else Rat(0)
             if got != want:
                 return CheckResult.failure(
@@ -153,6 +216,7 @@ def _check_orthogonality(p: UniParams) -> CheckResult:
 def _check_genfun(p: UniParams) -> CheckResult:
     """1F1(-x; a+1; -t) 1F1(x-N; b+1; t) against sum_n h_n t^n / ((a+1)_n (b+1)_n n!)."""
     a, b, N = p.alpha, p.beta, p.N
+    table = hahn_table(p)
     for x in range(N + 1):
         left_one = tuple(
             pochhammer(-x, j) * Rat(-1) ** j / (pochhammer(a + 1, j) * factorial(j))
@@ -164,8 +228,8 @@ def _check_genfun(p: UniParams) -> CheckResult:
         )
         lhs = _pad(_poly_mul(left_one, left_two), N + 1)
         rhs = tuple(
-            hahn_eval(n, x, p) / (pochhammer(a + 1, n) * pochhammer(b + 1, n) * factorial(n))
-            for n in range(N + 1)
+            Rat(nums[x], den) / (pochhammer(a + 1, n) * pochhammer(b + 1, n) * factorial(n))
+            for n, (nums, den) in enumerate(table)
         )
         for n in range(N + 1):
             if lhs[n] != rhs[n]:
@@ -190,7 +254,7 @@ def _check_dual_genfun(p: UniParams) -> CheckResult:
     for _ in range(N):
         plus.append(_poly_mul(plus[-1], (Rat(1), Rat(1))))
         minus.append(_poly_mul(minus[-1], (Rat(1), Rat(-1))))
-    for n in range(N + 1):
+    for n, (nums, den) in enumerate(hahn_table(p)):
         coeffs = jacobi_coeffs(n, a, b)
         lhs = (Rat(0),)
         for i, c in enumerate(coeffs):
@@ -204,7 +268,7 @@ def _check_dual_genfun(p: UniParams) -> CheckResult:
                 )
         scale = pochhammer(-N, n) * factorial(n)
         lhs = _pad(tuple(scale * c for c in lhs), N + 1)
-        rhs = tuple(multinomial(N, [x]) * hahn_eval(n, x, p) for x in range(N + 1))
+        rhs = tuple(multinomial(N, [x]) * Rat(t, den) for x, t in enumerate(nums))
         for x in range(N + 1):
             if lhs[x] != rhs[x]:
                 return CheckResult.failure(

@@ -126,6 +126,10 @@ def pfq_terminating(numerators: Iterable, denominators: Iterable, arg):
     wherever the latter is defined and is 0 once j > x.  A denominator whose
     Pochhammer vanishes inside the truncated range with no such partner makes
     the sum undefined and is rejected.
+
+    The package evaluates Hahn values by the division-free kernel in
+    hahn_uni, not through this sum; the tests hold that kernel against the
+    prefactored 3F2 computed here, an independent route.
     """
     nums = [Rat(a) for a in numerators]
     dens = [Rat(b) for b in denominators]

@@ -1,24 +1,70 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import hahnkit.hahn_uni as uni_mod
 from hahnkit.hahn_uni import (
     UniParams,
     eval_total,
     hahn_eval,
     hahn_norm,
+    hahn_table,
     hahn_weight,
     verify_uni,
 )
-from hahnkit.numeric import EpsFrac, Rat, factorial, pfq_terminating, pochhammer
+from hahnkit.numeric import (
+    EpsFrac,
+    Rat,
+    _poly_mul,
+    factorial,
+    format_rational,
+    pfq_terminating,
+    pochhammer,
+)
 
 PARAM_SAMPLE = [Rat(-1, 2), Rat(0), Rat(1, 2), Rat(3), Rat(7, 3)]
 
+rationals = st.fractions(min_value=-8, max_value=8, max_denominator=9).map(
+    lambda f: Rat(f.numerator, f.denominator)
+)
+# alpha > -1 keeps (alpha+1)_j nonzero, so the prefactored series is defined
+alphas = st.fractions(min_value=-1, max_value=8, max_denominator=9).filter(lambda f: f > -1).map(
+    lambda f: Rat(f.numerator, f.denominator)
+)
+degrees = st.integers(0, 9)
 
-def hahn_via_prefactored_series(n, x, p):
+
+def _poch_retired(a, n):
+    out = None
+    for j in range(n):
+        out = (a + j) if out is None else out * (a + j)
+    return out if out is not None else Rat(1)
+
+
+def eval_total_retired(n, x, alpha, beta, M):
+    """The O(n^2) ring-generic form the kernel replaced: every Pochhammer of
+    every term rebuilt from scratch, one rational division per term."""
+    total = None
+    for j in range(n + 1):
+        term = pochhammer(-n, j) / factorial(j) * _poch_retired(x - j + 1, j) * (Rat(-1) ** j)
+        term = term * _poch_retired(n + alpha + beta + 1, j)
+        term = term * _poch_retired(alpha + j + 1, n - j)
+        term = term * _poch_retired(-M + j, n - j)
+        total = term if total is None else total + term
+    return total
+
+
+def same_rational_function(u, v):
+    """u == v as rational functions of the infinitesimal (EpsFrac has no __eq__)."""
+    u = u if isinstance(u, EpsFrac) else EpsFrac.const(u)
+    v = v if isinstance(v, EpsFrac) else EpsFrac.const(v)
+    return _poly_mul(u.num, v.den) == _poly_mul(v.num, u.den)
+
+
+def hahn_via_prefactored_series(n, x, alpha, beta, M):
     """Independent route: prefactor times the 3F2 with pair cancellation."""
-    pre = pochhammer(p.alpha + 1, n) * pochhammer(-p.N, n)
-    return pre * pfq_terminating(
-        [-n, n + p.alpha + p.beta + 1, -x], [p.alpha + 1, -p.N], 1
-    )
+    pre = pochhammer(alpha + 1, n) * pochhammer(-M, n)
+    return pre * pfq_terminating([-n, n + alpha + beta + 1, -x], [alpha + 1, -M], 1)
 
 
 def norm_verbatim(n, p):
@@ -89,7 +135,7 @@ class TestEval:
             p = UniParams(alpha, Rat(7, 3), N)
             for n in range(N + 1):
                 for x in range(-2, N + 3):
-                    assert hahn_eval(n, x, p) == hahn_via_prefactored_series(n, x, p)
+                    assert hahn_eval(n, x, p) == hahn_via_prefactored_series(n, x, alpha, p.beta, N)
 
     def test_total_form_handles_degree_above_level(self):
         # the prefactored route is undefined here; the total form is not
@@ -108,6 +154,107 @@ class TestEval:
         vals = [hahn_eval(n, x, p) for x in pts]
         for x in range(7):
             assert lagrange_extend(pts, vals, x) == hahn_eval(n, x, p)
+
+
+class TestKernelDifferential:
+    """eval_total against the retired O(n^2) sum and against the 3F2 route."""
+
+    @given(degrees, rationals, rationals, rationals, rationals)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_retired_sum_anywhere(self, n, x, alpha, beta, M):
+        # off-grid x, rational M, n > M and negative levels included
+        assert eval_total(n, x, alpha, beta, M) == eval_total_retired(n, x, alpha, beta, M)
+
+    @given(degrees, rationals, st.integers(-4, 12), alphas, rationals)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_retired_sum_on_integer_levels(self, n, x, M, alpha, beta):
+        assert eval_total(n, x, alpha, beta, Rat(M)) == eval_total_retired(n, x, alpha, beta, Rat(M))
+
+    @given(degrees, rationals, alphas, rationals, st.one_of(rationals, st.integers(-4, 12).map(Rat)))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_prefactored_series_where_defined(self, n, x, alpha, beta, M):
+        # the 3F2 denominator (-M)_j vanishes only for integer 0 <= M < n
+        assume(not (M.denominator == 1 and 0 <= M < n))
+        assert eval_total(n, x, alpha, beta, M) == hahn_via_prefactored_series(n, x, alpha, beta, M)
+
+    @given(
+        st.integers(0, 6),
+        st.integers(-3, 9),
+        rationals,
+        st.integers(1, 5),
+        rationals,
+        st.integers(-3, 5),
+        st.integers(-3, 9),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_infinitesimal_parameters(self, n, x, a0, a_slope, b0, b_slope, M):
+        alpha = EpsFrac.linear(a0, a_slope)
+        beta = EpsFrac.linear(b0, b_slope)
+        got = eval_total(n, Rat(x), alpha, beta, Rat(M))
+        assert same_rational_function(got, eval_total_retired(n, Rat(x), alpha, beta, Rat(M)))
+
+    @pytest.mark.parametrize("N", range(13))
+    def test_table_rows_equal_eval_on_lattice(self, N):
+        for alpha in PARAM_SAMPLE:
+            for beta in PARAM_SAMPLE:
+                p = UniParams(alpha, beta, N)
+                table = hahn_table(p)
+                assert len(table) == N + 1
+                for n, (nums, den) in enumerate(table):
+                    assert len(nums) == N + 1
+                    for x, t in enumerate(nums):
+                        assert isinstance(t, int) and isinstance(den, int)
+                        assert Rat(t, den) == hahn_eval(n, x, p)
+
+
+def expected_orthogonality_failure(p, table, norm):
+    """First failing (n, m) of the Fraction Gram sum the cleared check replaced."""
+    N = p.N
+    weights = [hahn_weight(x, p) for x in range(N + 1)]
+    values = [[Rat(t, den) for t in nums] for nums, den in table]
+    for n in range(N + 1):
+        for m in range(n + 1):
+            got = sum((weights[x] * values[n][x] * values[m][x] for x in range(N + 1)), Rat(0))
+            want = norm(n, p) if n == m else Rat(0)
+            if got != want:
+                return {
+                    "residual": f"{abs(float(got - want)):.17g}",
+                    "indices": [n, m],
+                    "lhs": format_rational(got),
+                    "rhs": format_rational(want),
+                }
+    return None
+
+
+class TestOrthogonalityFailurePath:
+    P = UniParams(Rat(1, 2), Rat(7, 3), 6)
+
+    def reported(self):
+        check = verify_uni("orthogonality", self.P).checks[0]
+        assert not check.passed
+        return {"residual": check.max_residual, **check.counterexample}
+
+    def test_tampered_norm(self, monkeypatch):
+        honest = hahn_norm
+
+        def tampered(n, p):
+            return honest(n, p) + (Rat(1, 3) if n == 4 else 0)
+
+        monkeypatch.setattr(uni_mod, "hahn_norm", tampered)
+        expected = expected_orthogonality_failure(self.P, hahn_table(self.P), tampered)
+        assert expected["indices"] == [4, 4]
+        assert self.reported() == expected
+
+    def test_tampered_table_entry(self, monkeypatch):
+        honest = hahn_table(self.P)
+        nums, den = honest[3]
+        rows = list(honest)
+        rows[3] = (nums[:2] + (nums[2] + 1,) + nums[3:], den)
+        tampered = tuple(rows)
+        monkeypatch.setattr(uni_mod, "hahn_table", lambda p: tampered)
+        expected = expected_orthogonality_failure(self.P, tampered, hahn_norm)
+        assert expected["indices"] == [3, 0]
+        assert self.reported() == expected
 
 
 class TestWeight:
