@@ -8,12 +8,15 @@ relations whose coefficients carry square roots; those are checked in
 floating point at 1e-10 because sums of mixed radicands are not closed.
 
 Rational relation coefficients can hit removable 0/0 at special parameter
-points (2m + a12 = 0 and friends).  Exact sweeps therefore run with every
-parameter shifted by an independent multiple of one formal infinitesimal
-and demand that the residual vanish identically as a rational function of
-it, which subsumes the base-point identity.  Float coefficients take the
-directional limit instead; the direction is fixed per relation so all its
-coefficients extend consistently.
+points (2m + a12 = 0 and friends).  The nine-point recurrences and the
+level-raising structure relations are therefore checked cleared of their
+denominators, as polynomial identities in the parameters: along the line
+(alpha1 + t, alpha2 + 3t, alpha3 + 5t) the residual is a polynomial in t of
+a degree D computed from the coefficient formulas, so vanishing at the
+D + 1 rational points t = 0..D proves it vanishes identically, which
+subsumes the base-point identity t = 0.  Float coefficients take the
+directional limit along the same line through a formal infinitesimal; the
+direction is fixed per relation so all its coefficients extend consistently.
 """
 from __future__ import annotations
 
@@ -109,7 +112,6 @@ def amplitude(g, p: BiParams) -> RadicalScalar:
 def _chain(m: int, n: int, i, k, a1, a2, a3, level):
     """Nested product h_m(i; a1, a2; i+k) h_n(i+k-m; 2m+a1+a2+1, a3; level-m).
 
-    Ring-generic: works over rationals and over infinitesimal fractions.
     The inner level i+k depends on the grid point, which is what makes the
     product a genuine bivariate polynomial of total degree m + n.
     """
@@ -254,7 +256,7 @@ def overlap2(p: BiParams, mode: str = "float") -> OverlapMatrix:
 
 
 class _PTable:
-    """Memoized P values in a fixed coefficient ring for one sweep."""
+    """Memoized P values at one parameter triple, for one sweep."""
 
     def __init__(self, a1, a2, a3):
         self.a1, self.a2, self.a3 = a1, a2, a3
@@ -275,12 +277,6 @@ def _on_simplex(a: int, b: int, level: int) -> bool:
     return a >= 0 and b >= 0 and a + b <= level
 
 
-def _eps_zero(value) -> bool:
-    if isinstance(value, EpsFrac):
-        return all(c == 0 for c in value.num)
-    return value == 0
-
-
 def _eps_params(p: BiParams):
     # Slopes 1, 3, 5: no integer combination of parameter sums that appears
     # in a denominator has zero slope, so perturbed denominators never
@@ -292,17 +288,75 @@ def _eps_params(p: BiParams):
     )
 
 
-def _fmt(value) -> str:
-    if isinstance(value, EpsFrac):
-        try:
-            return format_rational(value.limit())
-        except ArithmeticError:
-            return "pole"
-    return format_rational(value)
+def _sweep_points(p: BiParams, D: int) -> list:
+    """The triples (alpha1 + t, alpha2 + 3t, alpha3 + 5t) for t = 0..D: the
+    line of _eps_params, sampled at D + 1 rational points."""
+    return [(p.alpha1 + t, p.alpha2 + 3 * t, p.alpha3 + 5 * t) for t in range(D + 1)]
+
+
+class _Degree:
+    """Degree stand-in for a parameter in a coefficient formula.
+
+    Along the sweep line every parameter has degree 1 in t and an integer
+    degree 0; a sum has degree at most the larger of its terms', a product
+    the sum of its factors'.  Run through a formula, it yields an upper bound
+    on the degree of the formula's value in t.
+    """
+
+    __slots__ = ("d",)
+
+    def __init__(self, d: int):
+        self.d = d
+
+    def __add__(self, other):
+        return _Degree(max(self.d, _deg(other)))
+
+    __radd__ = __sub__ = __rsub__ = __add__
+
+    def __mul__(self, other):
+        return _Degree(self.d + _deg(other))
+
+    __rmul__ = __mul__
+
+
+def _deg(value) -> int:
+    return value.d if isinstance(value, _Degree) else 0
+
+
+def _sweep_degree(coeff_fn, targets, m: int, n: int, N: int) -> int:
+    """D_{m,n}: a bound on the degree in t of every quantity the sweep of
+    instance (m, n) tests.
+
+    P_{m',n'} has degree at most m' + n' in t: each eval_total factor of the
+    chain has degree in the parameters equal to its own index.  So the
+    cleared residual has degree at most deg(denom) + m + n on the left and
+    deg(cf) + m' + n' per target on the right, and an off-simplex coefficient,
+    which must vanish by itself, at most deg(cf).
+    """
+    x = _Degree(1)
+    coeffs, denom = coeff_fn(m, n, N, x, x, x)
+    return max(
+        _deg(denom) + m + n,
+        *(_deg(cf) + max(m + dm + n + dn, 0) for (dm, dn), cf in zip(targets, coeffs)),
+    )
+
+
+def _swept_coeffs(coeff_fn, points, m: int, n: int, N: int, swap: bool) -> list:
+    """coeff_fn's (coeffs, denom) at each sample point; swap exchanges the
+    first two parameters, as the second-variable forms of a relation do."""
+    return [
+        coeff_fn(m, n, N, a2, a1, a3) if swap else coeff_fn(m, n, N, a1, a2, a3)
+        for a1, a2, a3 in points
+    ]
+
+
+def _at(indices: dict, t: int) -> dict:
+    """Indices of a failure at sample point t; the base point adds nothing."""
+    return {**indices, "t": t} if t else indices
 
 
 def _exact_fail(name, indices, lhs, rhs) -> CheckResult:
-    return CheckResult.failure(name, "nonzero", indices, _fmt(lhs), _fmt(rhs))
+    return CheckResult.failure(name, "nonzero", indices, format_rational(lhs), format_rational(rhs))
 
 
 class _FloatTally:
@@ -383,7 +437,7 @@ def _rec_coeffs_cleared(m: int, n: int, N: int, a1, a2, a3):
 
     Returns (coeffs, D) with D = prod of the six linear denominator factors;
     each entry is the printed coefficient times D, assembled without any
-    division so the sweep stays polynomial in the infinitesimal.
+    division so each stays polynomial in the parameters.
     """
     s = a1 + a2
     sig = s + a3
@@ -411,34 +465,37 @@ def _rec_coeffs_cleared(m: int, n: int, N: int, a1, a2, a3):
 
 def _check_recurrence(p: BiParams, which: str) -> list[CheckResult]:
     name = f"recurrence-{which}"
-    ea1, ea2, ea3 = _eps_params(p)
-    table = _PTable(ea1, ea2, ea3)
-    carg = (ea1, ea2, ea3) if which == "x1" else (ea2, ea1, ea3)
-    signs = _REC_SIGNS[which]
     N = p.N
+    bounds = {d: _sweep_degree(_rec_coeffs_cleared, _REC_TARGETS, *d, N) for d in degree_pairs(N)}
+    points = _sweep_points(p, max(bounds.values()))
+    tables = [_PTable(*pt) for pt in points]
+    signs = _REC_SIGNS[which]
     for m, n in degree_pairs(N):
-        coeffs, denom = _rec_coeffs_cleared(m, n, N, *carg)
+        cleared = _swept_coeffs(
+            _rec_coeffs_cleared, points[: bounds[(m, n)] + 1], m, n, N, which == "x2"
+        )
+        live = []
+        for idx, (dm, dn) in enumerate(_REC_TARGETS):
+            mm, nn = m + dm, n + dn
+            if _on_simplex(mm, nn, N):
+                live.append((idx, mm, nn))
+                continue
+            for t, (coeffs, _) in enumerate(cleared):
+                if coeffs[idx] != 0:
+                    indices = {"degree": (m, n), "point": (0, 0), "target": (mm, nn)}
+                    return [_exact_fail(name, _at(indices, t), coeffs[idx], Rat(0))]
+        folded = [(tuple(sg * cf for sg, cf in zip(signs, coeffs)), denom) for coeffs, denom in cleared]
         for i, k in grid_points(N):
             x = i if which == "x1" else k
-            lhs = table.value(m, n, i, k, N) * denom * x
-            acc = None
-            for (dm, dn), sign, cf in zip(_REC_TARGETS, signs, coeffs):
-                mm, nn = m + dm, n + dn
-                if not _on_simplex(mm, nn, N):
-                    if not _eps_zero(cf):
-                        return [
-                            _exact_fail(
-                                name,
-                                {"degree": (m, n), "point": (i, k), "target": (mm, nn)},
-                                cf,
-                                Rat(0),
-                            )
-                        ]
-                    continue
-                term = table.value(mm, nn, i, k, N) * cf * sign
-                acc = term if acc is None else acc + term
-            if not _eps_zero(lhs - acc):
-                return [_exact_fail(name, {"degree": (m, n), "point": (i, k)}, lhs, acc)]
+            for t, (coeffs, denom) in enumerate(folded):
+                table = tables[t]
+                lhs = table.value(m, n, i, k, N) * denom * x
+                acc = None
+                for idx, mm, nn in live:
+                    term = table.value(mm, nn, i, k, N) * coeffs[idx]
+                    acc = term if acc is None else acc + term
+                if lhs != acc:
+                    return [_exact_fail(name, _at({"degree": (m, n), "point": (i, k)}, t), lhs, acc)]
     return [CheckResult.exact_pass(name)]
 
 
@@ -622,48 +679,55 @@ _STRUCT_LOWER_TARGETS = ((0, 0), (1, 0), (0, 1), (1, -1))
 _STRUCT_RAISE_SIGNS = {"i": (1, -1, -1, 1), "k": (1, 1, -1, -1)}
 
 
+def _sweep_raise(xvar: str, N: int, bounds: dict, points: list, base_tables: list):
+    """First failure of the level-raising relation in grid variable xvar over
+    the sample points, or None."""
+    name = f"structure[raise-{xvar}]"
+    signs = _STRUCT_RAISE_SIGNS[xvar]
+    shift = (1, 0) if xvar == "i" else (0, 1)
+    shift_tables = [_PTable(a1 + shift[0], a2 + shift[1], a3) for a1, a2, a3 in points]
+    for m, n in degree_pairs(N - 1):
+        cleared = _swept_coeffs(
+            _structure_raise_terms, points[: bounds[(m, n)] + 1], m, n, N, xvar == "k"
+        )
+        folded = [(tuple(sg * cf for sg, cf in zip(signs, terms)), denom) for terms, denom in cleared]
+        live = []
+        for idx, (dm, dn) in enumerate(_STRUCT_RAISE_TARGETS):
+            mm, nn = m + dm, n + dn
+            if _on_simplex(mm, nn, N - 1):
+                live.append((idx, mm, nn))
+                continue
+            for t, (terms, _) in enumerate(folded):
+                if terms[idx] != 0:
+                    return _exact_fail(name, _at({"degree": (m, n), "target": (mm, nn)}, t), terms[idx], Rat(0))
+        for i, k in grid_points(N - 1):
+            gi, gk = (i + 1, k) if xvar == "i" else (i, k + 1)
+            for t, (terms, denom) in enumerate(folded):
+                lhs = N * base_tables[t].value(m, n, gi, gk, N) * denom
+                acc = None
+                for idx, mm, nn in live:
+                    term = shift_tables[t].value(mm, nn, i, k, N - 1) * terms[idx]
+                    acc = term if acc is None else acc + term
+                if lhs != acc:
+                    return _exact_fail(name, _at({"degree": (m, n), "point": (i, k)}, t), lhs, acc)
+    return None
+
+
 def _check_structure(p: BiParams) -> list[CheckResult]:
-    """All four level-shift structure relations; the raising pair runs in the
-    infinitesimal ring (its denominator can vanish), the lowering pair is
-    denominator-safe and runs over plain rationals."""
+    """All four level-shift structure relations; the raising pair is swept
+    over the sample points (its denominator can vanish), the lowering pair
+    is denominator-safe and runs at the base point."""
     out = []
     N = p.N
-    ea1, ea2, ea3 = _eps_params(p)
-    base_eps = _PTable(ea1, ea2, ea3)
-    for tag, carg, shift_table, xvar in (
-        ("raise-i", (ea1, ea2, ea3), _PTable(ea1 + 1, ea2, ea3), "i"),
-        ("raise-k", (ea2, ea1, ea3), _PTable(ea1, ea2 + 1, ea3), "k"),
-    ):
-        name = f"structure[{tag}]"
-        signs = _STRUCT_RAISE_SIGNS[xvar]
-        failure = None
-        for m, n in degree_pairs(N):
-            if m + n > N - 1 or failure:
-                continue
-            terms, denom = _structure_raise_terms(m, n, N, *carg)
-            terms = tuple(sg * t for sg, t in zip(signs, terms))
-            for i, k in grid_points(N):
-                if i + k > N - 1:
-                    continue
-                gi, gk = (i + 1, k) if xvar == "i" else (i, k + 1)
-                lhs = N * base_eps.value(m, n, gi, gk, N) * denom
-                acc = None
-                for (dm, dn), cf in zip(_STRUCT_RAISE_TARGETS, terms):
-                    mm, nn = m + dm, n + dn
-                    if not _on_simplex(mm, nn, N - 1):
-                        if not _eps_zero(cf):
-                            failure = _exact_fail(
-                                name, {"degree": (m, n), "target": (mm, nn)}, cf, Rat(0)
-                            )
-                            break
-                        continue
-                    term = shift_table.value(mm, nn, i, k, N - 1) * cf
-                    acc = term if acc is None else acc + term
-                if failure is None and not _eps_zero(lhs - acc):
-                    failure = _exact_fail(name, {"degree": (m, n), "point": (i, k)}, lhs, acc)
-                if failure:
-                    break
-        out.append(failure or CheckResult.exact_pass(name))
+    bounds = {
+        d: _sweep_degree(_structure_raise_terms, _STRUCT_RAISE_TARGETS, *d, N)
+        for d in degree_pairs(N - 1)
+    }
+    points = _sweep_points(p, max(bounds.values(), default=0))
+    base_tables = [_PTable(*pt) for pt in points]
+    for xvar in ("i", "k"):
+        failure = _sweep_raise(xvar, N, bounds, points, base_tables)
+        out.append(failure or CheckResult.exact_pass(f"structure[raise-{xvar}]"))
 
     base = _PTable(p.alpha1, p.alpha2, p.alpha3)
     for tag, aux, shift_table, xvar in (

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 from .classical import jacobi_coeffs
 from .numeric import (
-    EpsFrac,
     Rat,
     _poly_mul,
     _poly_trim,
@@ -45,14 +44,7 @@ class UniParams:
 
 
 def _cleared(*values):
-    """A common denominator q of rational values, and the integers q*v.
-
-    Infinitesimal fractions have no denominator to clear: with one among
-    the arguments, q is 1 and every argument passes through unchanged, so
-    the kernel runs over that ring instead of over the integers.
-    """
-    if any(isinstance(v, EpsFrac) for v in values):
-        return 1, values
+    """A common denominator q of rational values, and the integers q*v."""
     q = math.lcm(*(int(v.denominator) for v in values))
     return q, [int(v.numerator) * (q // int(v.denominator)) for v in values]
 
@@ -110,15 +102,12 @@ def eval_total(n: int, x, alpha, beta, M):
     Rational arguments are cleared to a common denominator q, the sum of
     n!/j! times each term runs over Python ints with prefix and suffix
     products (O(n) multiplications), and the one division is by n! q^(2n).
-    Infinitesimal fractions take the same loop with q = 1.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
     q, (X, A, B, K) = _cleared(x, alpha, beta, M)
     total = _point_sum(_coefficients(n, q, A, B, K), q, X)
-    if isinstance(total, int):
-        return Rat(total, _denominator(n, q))
-    return total / _denominator(n, q)
+    return Rat(total, _denominator(n, q))
 
 
 def hahn_eval(n: int, x, p: UniParams):

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import hahnkit.hahn_bi as bi_mod
 from hahnkit.hahn_bi import (
     BI_CHECK_NAMES,
     BiParams,
@@ -22,6 +23,7 @@ from hahnkit.numeric import (
     Rat,
     binomial_general,
     factorial,
+    format_rational,
     pochhammer,
 )
 
@@ -440,3 +442,174 @@ class TestLadderCoefficientConsistency:
         assert al(m, n) ** 2 + be(m, n) ** 2 + ga(m, n) ** 2 + de(m, n + 1) ** 2 == pytest.approx(
             explicit(_coef_rec_e, m, n), rel=1e-12
         )
+
+
+# Triples at which a cleared denominator vanishes at the base point:
+# 2m + a12 = 0 at m = 0, and 2m + a12 + 1 = 0 at m = 0.
+DEGENERATE_TRIPLES = [
+    (Rat(1, 2), Rat(-1, 2), Rat(3)),
+    (Rat(-1, 2), Rat(-1, 2), Rat(-1, 2)),
+]
+
+
+class TestSweepDegreeBound:
+    """The two facts behind checking the cleared identities at D + 1 points."""
+
+    def test_sample_points_lie_on_the_infinitesimal_line(self):
+        p = BiParams(Rat(1, 2), Rat(-1, 2), Rat(3), 2)
+        line = bi_mod._eps_params(p)
+        for t, point in enumerate(bi_mod._sweep_points(p, 4)):
+            assert point == tuple(e.num[0] + e.num[1] * t for e in line)
+
+    @pytest.mark.parametrize("triple", DEGENERATE_TRIPLES)
+    @pytest.mark.parametrize("N", range(6))
+    def test_p_has_degree_at_most_m_plus_n_along_the_line(self, triple, N):
+        base = BiParams(*triple, N)
+        for m, n in degree_pairs(N):
+            order = m + n + 1
+            line = [BiParams(*pt, N) for pt in bi_mod._sweep_points(base, order)]
+            for g in grid_points(N):
+                diff = sum(
+                    (
+                        (-1) ** (order - t) * math.comb(order, t) * p2_eval((m, n), g, q)
+                        for t, q in enumerate(line)
+                    ),
+                    Rat(0),
+                )
+                assert diff == 0, ((m, n), g)
+
+    @pytest.mark.parametrize("fn_name", ["_rec_coeffs_cleared", "_structure_raise_terms"])
+    @pytest.mark.parametrize("triple", DEGENERATE_TRIPLES)
+    @pytest.mark.parametrize("N", range(6))
+    def test_stand_in_bounds_true_degree(self, fn_name, triple, N):
+        fn = getattr(bi_mod, fn_name)
+        e1, e2, e3 = bi_mod._eps_params(BiParams(*triple, N))
+        x = bi_mod._Degree(1)
+        for m, n in degree_pairs(N):
+            bounds, bound_den = fn(m, n, N, x, x, x)
+            for args in ((e1, e2, e3), (e2, e1, e3)):
+                values, den = fn(m, n, N, *args)
+                for value, bound in zip(values + (den,), bounds + (bound_den,)):
+                    assert len(value.den) == 1
+                    assert len(value.num) - 1 <= bi_mod._deg(bound), ((m, n), args)
+
+
+# Swept checks: verify_bi name, the coefficient function, and the slot of
+# the target (0, 0) and of a target that is off the simplex at degree (0, 1).
+SWEPT_CHECKS = {
+    "recurrence-x1": ("recurrence-x1", "_rec_coeffs_cleared", 4, 2),
+    "recurrence-x2": ("recurrence-x2", "_rec_coeffs_cleared", 4, 2),
+    "structure[raise-i]": ("structure", "_structure_raise_terms", 0, 1),
+    "structure[raise-k]": ("structure", "_structure_raise_terms", 0, 1),
+}
+TAMPERED_DEGREE = (0, 1)
+
+
+def _second_variable(name):
+    return name.endswith("x2") or name.endswith("k]")
+
+
+def _tamper(honest, slot, extra):
+    """honest with extra(first parameter) added to one coefficient at TAMPERED_DEGREE."""
+
+    def fn(m, n, N, a1, a2, a3):
+        coeffs, denom = honest(m, n, N, a1, a2, a3)
+        if (m, n) == TAMPERED_DEGREE:
+            coeffs = coeffs[:slot] + (coeffs[slot] + extra(a1),) + coeffs[slot + 1 :]
+        return coeffs, denom
+
+    return fn
+
+
+def base_point_failure(name, p, coeff_fn):
+    """First instance at which the cleared identity fails at the base
+    parameters, from p2_eval values: (indices, lhs, rhs), or None.
+
+    At the base point the infinitesimal ring's limits were these plain
+    values, so this is the report the ring gave for an instance that fails
+    there.  Targets off the simplex are skipped.
+    """
+    N = p.N
+    a1, a2, a3 = p.alpha1, p.alpha2, p.alpha3
+    second = _second_variable(name)
+    args = (a2, a1, a3) if second else (a1, a2, a3)
+    if name.startswith("recurrence"):
+        targets, signs, rhs_params = bi_mod._REC_TARGETS, bi_mod._REC_SIGNS[name[-2:]], p
+
+        def lhs_of(m, n, i, k, denom):
+            return p2_eval((m, n), (i, k), p) * denom * (k if second else i)
+
+    else:
+        targets = bi_mod._STRUCT_RAISE_TARGETS
+        signs = bi_mod._STRUCT_RAISE_SIGNS["k" if second else "i"]
+        rhs_params = BiParams(a1, a2 + 1, a3, N - 1) if second else BiParams(a1 + 1, a2, a3, N - 1)
+
+        def lhs_of(m, n, i, k, denom):
+            return N * p2_eval((m, n), (i, k + 1) if second else (i + 1, k), p) * denom
+
+    level = rhs_params.N
+    for m, n in degree_pairs(level):
+        coeffs, denom = coeff_fn(m, n, N, *args)
+        for i, k in grid_points(level):
+            lhs = lhs_of(m, n, i, k, denom)
+            rhs = Rat(0)
+            for (dm, dn), sign, cf in zip(targets, signs, coeffs):
+                mm, nn = m + dm, n + dn
+                if mm >= 0 and nn >= 0 and mm + nn <= level:
+                    rhs += sign * cf * p2_eval((mm, nn), (i, k), rhs_params)
+            if lhs != rhs:
+                return {"degree": (m, n), "point": (i, k)}, format_rational(lhs), format_rational(rhs)
+    return None
+
+
+class TestSweepFaultInjection:
+    """Tampered coefficient formulas must fail the swept checks, and a
+    base-point failure must keep the report the infinitesimal ring gave."""
+
+    N = 3
+
+    def run(self, monkeypatch, name, p, slot, extra):
+        check, fn_name, _, _ = SWEPT_CHECKS[name]
+        fn = _tamper(getattr(bi_mod, fn_name), slot, extra)
+        monkeypatch.setattr(bi_mod, fn_name, fn)
+        result = next(c for c in verify_bi(check, p).checks if c.name == name)
+        assert not result.passed
+        assert result.max_residual == "nonzero"
+        return result.counterexample, fn
+
+    @pytest.mark.parametrize("triple", DEGENERATE_TRIPLES)
+    @pytest.mark.parametrize("name", SWEPT_CHECKS)
+    def test_tamper_vanishing_at_base_point_fails_at_positive_t(self, monkeypatch, name, triple):
+        p = BiParams(*triple, self.N)
+        first = p.alpha2 if _second_variable(name) else p.alpha1
+        slot = SWEPT_CHECKS[name][2]
+        report, fn = self.run(monkeypatch, name, p, slot, lambda a: 7 * (a - first))
+        # a sweep of the base point alone would pass
+        assert base_point_failure(name, p, fn) is None
+        assert report["indices"]["degree"] == TAMPERED_DEGREE
+        assert report["indices"]["t"] >= 1
+
+    @pytest.mark.parametrize("triple", DEGENERATE_TRIPLES)
+    @pytest.mark.parametrize("name", SWEPT_CHECKS)
+    def test_off_simplex_coefficient_tested_at_every_point(self, monkeypatch, name, triple):
+        p = BiParams(*triple, self.N)
+        first = p.alpha2 if _second_variable(name) else p.alpha1
+        slot = SWEPT_CHECKS[name][3]
+        report, _ = self.run(monkeypatch, name, p, slot, lambda a: 7 * (a - first))
+        indices = report["indices"]
+        assert indices["degree"] == TAMPERED_DEGREE
+        assert indices["t"] == 1
+        assert "target" in indices
+        assert report["lhs"] != "0" and report["rhs"] == "0"
+
+    @pytest.mark.parametrize("triple", DEGENERATE_TRIPLES)
+    @pytest.mark.parametrize("name", SWEPT_CHECKS)
+    def test_tamper_at_base_point_keeps_report(self, monkeypatch, name, triple):
+        p = BiParams(*triple, self.N)
+        slot = SWEPT_CHECKS[name][2]
+        report, fn = self.run(monkeypatch, name, p, slot, lambda a: Rat(1, 7))
+        expected = base_point_failure(name, p, fn)
+        assert expected is not None
+        indices, lhs, rhs = expected
+        assert indices["degree"] == TAMPERED_DEGREE
+        assert report == {"indices": indices, "lhs": lhs, "rhs": rhs}
