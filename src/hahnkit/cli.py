@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .classical import RELATION_NAMES, verify_classical
 from .hahn_bi import BI_CHECK_NAMES, BiParams, degree_pairs, grid_points, overlap2, p2_eval, verify_bi
@@ -26,16 +25,6 @@ from .reports import CheckResult, VerificationReport
 
 SUITES = ("uni", "bi", "mv", "oracle", "classical", "all")
 DEFAULT_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    params: object
-    mode: str
-    tol: float
-    format: str
-    out: str | None
 
 
 def _fmt_float(value) -> str:

@@ -7,6 +7,17 @@ Q = (h.h)/sqrt(Lambda) obeys ladder, structure, recurrence, and difference
 relations whose coefficients carry square roots; those are checked in
 floating point at 1e-10 because sums of mixed radicands are not closed.
 
+Relations are data.  Each shift, recurrence, difference and structure
+relation is one row (_Relation): its degree and grid domains as level
+offsets, and its lhs and rhs terms, each a coefficient times the value at
+a shifted degree, grid point, parameter triple and level.  One exact
+runner checks the rows on the P plane to literal zero, one float runner
+those on the Q plane at 1e-10.  Both read values from tables (_Values), one
+per parameter triple, that a check fills as it reads and drops when it
+ends.  A term whose target leaves the simplex must have a zero
+coefficient; that proof obligation is checked like the residual, and a
+nonzero coefficient is reported as a failure naming the target.
+
 Rational relation coefficients can hit removable 0/0 at special parameter
 points (2m + a12 = 0 and friends).  The nine-point recurrences and the
 level-raising structure relations are therefore checked cleared of their
@@ -22,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from typing import Callable, NamedTuple
 
 from .classical import jacobi_coeffs
 from .hahn_uni import eval_total
@@ -109,28 +120,11 @@ def amplitude(g, p: BiParams) -> RadicalScalar:
     return RadicalScalar.sqrt(weight2(g, p))
 
 
-def _chain(m: int, n: int, i, k, a1, a2, a3, level):
-    """Nested product h_m(i; a1, a2; i+k) h_n(i+k-m; 2m+a1+a2+1, a3; level-m).
-
-    The inner level i+k depends on the grid point, which is what makes the
-    product a genuine bivariate polynomial of total degree m + n.
-    """
-    first = eval_total(m, i, a1, a2, i + k)
-    second = eval_total(n, i + k - m, 2 * m + a1 + a2 + 1, a3, level - m)
-    return first * second
-
-
-@lru_cache(maxsize=200_000)
-def _chain_cached(m, n, i, k, a1, a2, a3, level):
-    return _chain(m, n, i, k, a1, a2, a3, level)
-
-
 def p2_eval(d, g, p: BiParams):
     """Unnormalized bivariate value, prefactor 1/(-N)_{m+n}."""
     m, n = _require_pair(d, p.N, "degree pair")
     i, k = _require_pair(g, p.N, "grid point")
-    hh = _chain_cached(m, n, i, k, p.alpha1, p.alpha2, p.alpha3, p.N)
-    return hh / pochhammer(-p.N, m + n)
+    return _Values(p.alpha1, p.alpha2, p.alpha3).p(m, n, i, k, p.N)
 
 
 def h2_eval(d, g, p: BiParams):
@@ -168,35 +162,74 @@ def lambda2(d, p: BiParams):
     )
 
 
-@lru_cache(maxsize=100_000)
-def _big_lambda_cached(m, n, a1, a2, a3, N):
-    return (
-        factorial(N)
-        * factorial(m)
-        * factorial(n)
-        / factorial(N - m - n)
-        * _lambda_core(m, n, a1, a2, a3, N)
-    )
-
-
 def bigLambda(d, p: BiParams):
     """Squared norm of the bare product chain; equals lambda2 * ((-N)_{m+n})^2."""
     m, n = _require_pair(d, p.N, "degree pair")
-    return _big_lambda_cached(m, n, p.alpha1, p.alpha2, p.alpha3, p.N)
+    return (
+        factorial(p.N)
+        * factorial(m)
+        * factorial(n)
+        / factorial(p.N - m - n)
+        * _lambda_core(m, n, p.alpha1, p.alpha2, p.alpha3, p.N)
+    )
 
 
 def q2_eval(d, g, p: BiParams) -> RadicalScalar:
     """Orthonormal value (h.h)/sqrt(Lambda), exact radical form."""
     m, n = _require_pair(d, p.N, "degree pair")
     i, k = _require_pair(g, p.N, "grid point")
-    hh = _chain_cached(m, n, i, k, p.alpha1, p.alpha2, p.alpha3, p.N)
+    hh = _Values(p.alpha1, p.alpha2, p.alpha3).chain(m, n, i, k, p.N)
     return RadicalScalar(hh, 1 / bigLambda(d, p))
 
 
-@lru_cache(maxsize=200_000)
-def _q_float(m, n, i, k, a1, a2, a3, level) -> float:
-    hh = _chain_cached(m, n, i, k, a1, a2, a3, level)
-    return float(hh) / math.sqrt(float(_big_lambda_cached(m, n, a1, a2, a3, level)))
+class _Values:
+    """Values of the family at one parameter triple, filled as they are read.
+
+    chain is the nested product h_m(i; a1, a2; i+k) h_n(i+k-m; 2m+a1+a2+1,
+    a3; level-m).  Its inner level i+k depends on the grid point, which is
+    what makes it a genuine bivariate polynomial of total degree m + n.  The
+    first factor depends on (m, i, i + k) alone and the second on (m, n,
+    i + k, level), so each is computed once and shared by every value that
+    contains it.  p gives exact P values, q float Q values.
+    """
+
+    def __init__(self, a1, a2, a3):
+        self.a1, self.a2, self.a3 = a1, a2, a3
+        self._first = {}
+        self._second = {}
+        self._p = {}
+        self._q = {}
+        self._roots = {}
+
+    def chain(self, m, n, i, k, level):
+        s = i + k
+        first = self._first.get((m, i, s))
+        if first is None:
+            first = self._first[(m, i, s)] = eval_total(m, i, self.a1, self.a2, s)
+        second = self._second.get((m, n, s, level))
+        if second is None:
+            second = self._second[(m, n, s, level)] = eval_total(
+                n, s - m, 2 * m + self.a1 + self.a2 + 1, self.a3, level - m
+            )
+        return first * second
+
+    def p(self, m, n, i, k, level):
+        key = (m, n, i, k, level)
+        out = self._p.get(key)
+        if out is None:
+            out = self._p[key] = self.chain(m, n, i, k, level) / pochhammer(-level, m + n)
+        return out
+
+    def q(self, m, n, i, k, level) -> float:
+        key = (m, n, i, k, level)
+        out = self._q.get(key)
+        if out is None:
+            root = self._roots.get((m, n, level))
+            if root is None:
+                params = BiParams(self.a1, self.a2, self.a3, level)
+                root = self._roots[(m, n, level)] = math.sqrt(float(bigLambda((m, n), params)))
+            out = self._q[key] = float(self.chain(m, n, i, k, level)) / root
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -230,17 +263,14 @@ def overlap2(p: BiParams, mode: str = "float") -> OverlapMatrix:
         raise ValueError(f"unknown overlap mode {mode!r}")
     rows = tuple(grid_points(p.N))
     cols = tuple(degree_pairs(p.N))
-    inv_lambda = {
-        d: 1 / _big_lambda_cached(d[0], d[1], p.alpha1, p.alpha2, p.alpha3, p.N)
-        for d in cols
-    }
+    inv_lambda = {d: 1 / bigLambda(d, p) for d in cols}
+    table = _Values(p.alpha1, p.alpha2, p.alpha3)
     entries = []
     for i, k in rows:
         w = weight2((i, k), p)
         line = []
         for m, n in cols:
-            hh = _chain_cached(m, n, i, k, p.alpha1, p.alpha2, p.alpha3, p.N)
-            value = RadicalScalar(hh, w * inv_lambda[(m, n)])
+            value = RadicalScalar(table.chain(m, n, i, k, p.N), w * inv_lambda[(m, n)])
             if mode == "float":
                 line.append(float(value))
             elif mode == "radical":
@@ -252,29 +282,90 @@ def overlap2(p: BiParams, mode: str = "float") -> OverlapMatrix:
 
 
 # ---------------------------------------------------------------------------
-# shared sweep machinery
+# the three checks that are not linear relations
 
 
-class _PTable:
-    """Memoized P values at one parameter triple, for one sweep."""
+def _check_orthogonality(p: BiParams) -> list[CheckResult]:
+    name = "orthogonality"
+    degs = tuple(degree_pairs(p.N))
+    pts = tuple(grid_points(p.N))
+    w = {g: weight2(g, p) for g in pts}
+    table = _Values(p.alpha1, p.alpha2, p.alpha3)
+    vals = {(d, g): table.p(*d, *g, p.N) for d in degs for g in pts}
+    for a, d in enumerate(degs):
+        for d2 in degs[a:]:
+            acc = Rat(0)
+            for g in pts:
+                acc += w[g] * vals[(d, g)] * vals[(d2, g)]
+            expected = lambda2(d, p) if d == d2 else Rat(0)
+            if acc != expected:
+                return [
+                    CheckResult.failure(
+                        name,
+                        format_rational(acc - expected),
+                        {"degrees": [d, d2]},
+                        format_rational(acc),
+                        format_rational(expected),
+                    )
+                ]
+    return [CheckResult.exact_pass(name)]
 
-    def __init__(self, a1, a2, a3):
-        self.a1, self.a2, self.a3 = a1, a2, a3
-        self._memo = {}
 
-    def value(self, m, n, i, k, level):
-        key = (m, n, i, k, level)
-        out = self._memo.get(key)
-        if out is None:
-            out = _chain(m, n, i, k, self.a1, self.a2, self.a3, level) / pochhammer(
-                -level, m + n
-            )
-            self._memo[key] = out
-        return out
+def _check_symmetry(p: BiParams) -> list[CheckResult]:
+    name = "symmetry"
+    table = _Values(p.alpha1, p.alpha2, p.alpha3)
+    swapped = _Values(p.alpha2, p.alpha1, p.alpha3)
+    for m, n in degree_pairs(p.N):
+        sign = Rat(-1) ** m
+        for i, k in grid_points(p.N):
+            lhs = table.p(m, n, i, k, p.N)
+            rhs = sign * swapped.p(m, n, k, i, p.N)
+            if lhs != rhs:
+                return [_exact_fail(name, {"degree": (m, n), "point": (i, k)}, lhs, rhs)]
+    return [CheckResult.exact_pass(name)]
 
 
-def _on_simplex(a: int, b: int, level: int) -> bool:
-    return a >= 0 and b >= 0 and a + b <= level
+def _check_genfun(p: BiParams) -> list[CheckResult]:
+    """Bivariate generating function, cleared of denominators: both sides are
+    polynomials in (z1, z2) compared coefficientwise."""
+    name = "genfun"
+    N = p.N
+    z1 = BiPoly.monomial(1, 0)
+    z2 = BiPoly.monomial(0, 1)
+    one = BiPoly.constant(1)
+    diff = z2 - z1
+    plus = z1 + z2
+    inner_lo = one - z1 - z2
+    inner_hi = one + z1 + z2
+    table = _Values(p.alpha1, p.alpha2, p.alpha3)
+    for m, n in degree_pairs(N):
+        first = BiPoly.zero()
+        for idx, c in enumerate(jacobi_coeffs(m, p.alpha1, p.alpha2)):
+            first = first + diff**idx * plus ** (m - idx) * c
+        second = BiPoly.zero()
+        for idx, c in enumerate(jacobi_coeffs(n, 2 * m + p.a12 + 1, p.alpha3)):
+            second = second + inner_lo**idx * inner_hi ** (N - m - idx) * c
+        lhs = first * second
+        rhs = BiPoly.zero()
+        scale = factorial(m) * factorial(n)
+        for i, k in grid_points(N):
+            coeff = multinomial(N, [i, k]) * table.p(m, n, i, k, N) / scale
+            rhs = rhs + BiPoly.monomial(i, k, coeff)
+        if lhs != rhs:
+            return [
+                CheckResult.failure(
+                    name,
+                    "nonzero",
+                    {"degree": (m, n)},
+                    "cleared product form",
+                    "grid expansion",
+                )
+            ]
+    return [CheckResult.exact_pass(name)]
+
+
+# ---------------------------------------------------------------------------
+# sweep lines and their degree bound
 
 
 def _eps_params(p: BiParams):
@@ -323,107 +414,8 @@ def _deg(value) -> int:
     return value.d if isinstance(value, _Degree) else 0
 
 
-def _sweep_degree(coeff_fn, targets, m: int, n: int, N: int) -> int:
-    """D_{m,n}: a bound on the degree in t of every quantity the sweep of
-    instance (m, n) tests.
-
-    P_{m',n'} has degree at most m' + n' in t: each eval_total factor of the
-    chain has degree in the parameters equal to its own index.  So the
-    cleared residual has degree at most deg(denom) + m + n on the left and
-    deg(cf) + m' + n' per target on the right, and an off-simplex coefficient,
-    which must vanish by itself, at most deg(cf).
-    """
-    x = _Degree(1)
-    coeffs, denom = coeff_fn(m, n, N, x, x, x)
-    return max(
-        _deg(denom) + m + n,
-        *(_deg(cf) + max(m + dm + n + dn, 0) for (dm, dn), cf in zip(targets, coeffs)),
-    )
-
-
-def _swept_coeffs(coeff_fn, points, m: int, n: int, N: int, swap: bool) -> list:
-    """coeff_fn's (coeffs, denom) at each sample point; swap exchanges the
-    first two parameters, as the second-variable forms of a relation do."""
-    return [
-        coeff_fn(m, n, N, a2, a1, a3) if swap else coeff_fn(m, n, N, a1, a2, a3)
-        for a1, a2, a3 in points
-    ]
-
-
-def _at(indices: dict, t: int) -> dict:
-    """Indices of a failure at sample point t; the base point adds nothing."""
-    return {**indices, "t": t} if t else indices
-
-
-def _exact_fail(name, indices, lhs, rhs) -> CheckResult:
-    return CheckResult.failure(name, "nonzero", indices, format_rational(lhs), format_rational(rhs))
-
-
-class _FloatTally:
-    """Running max of scale-normalized residuals for one float check."""
-
-    def __init__(self, name: str):
-        self.name = name
-        self.worst = 0.0
-        self.counterexample = None
-
-    def record(self, lhs: float, rhs: float, indices) -> None:
-        scaled = abs(lhs - rhs) / (1.0 + max(abs(lhs), abs(rhs)))
-        if scaled > self.worst:
-            self.worst = scaled
-            self.counterexample = (indices, lhs, rhs)
-
-    def result(self) -> CheckResult:
-        if self.worst <= FLOAT_TOL:
-            return CheckResult.float_pass(self.name, self.worst)
-        indices, lhs, rhs = self.counterexample
-        return CheckResult.failure(
-            self.name, f"{self.worst:.17g}", indices, f"{lhs:.17g}", f"{rhs:.17g}"
-        )
-
-
 # ---------------------------------------------------------------------------
-# exact checks on the P plane
-
-
-def _check_orthogonality(p: BiParams) -> list[CheckResult]:
-    name = "orthogonality"
-    degs = tuple(degree_pairs(p.N))
-    pts = tuple(grid_points(p.N))
-    w = {g: weight2(g, p) for g in pts}
-    vals = {(d, g): p2_eval(d, g, p) for d in degs for g in pts}
-    for a, d in enumerate(degs):
-        for d2 in degs[a:]:
-            acc = Rat(0)
-            for g in pts:
-                acc += w[g] * vals[(d, g)] * vals[(d2, g)]
-            expected = lambda2(d, p) if d == d2 else Rat(0)
-            if acc != expected:
-                return [
-                    CheckResult.failure(
-                        name,
-                        format_rational(acc - expected),
-                        {"degrees": [d, d2]},
-                        format_rational(acc),
-                        format_rational(expected),
-                    )
-                ]
-    return [CheckResult.exact_pass(name)]
-
-
-def _check_symmetry(p: BiParams) -> list[CheckResult]:
-    name = "symmetry"
-    swapped = BiParams(p.alpha2, p.alpha1, p.alpha3, p.N)
-    for d in degree_pairs(p.N):
-        m = d[0]
-        sign = Rat(-1) ** m
-        for i, k in grid_points(p.N):
-            lhs = p2_eval(d, (i, k), p)
-            rhs = sign * p2_eval(d, (k, i), swapped)
-            if lhs != rhs:
-                return [_exact_fail(name, {"degree": d, "point": (i, k)}, lhs, rhs)]
-    return [CheckResult.exact_pass(name)]
-
+# coefficient formulas of the exact relations
 
 # Targets of the nine-point recurrences, in display order; the variable-i
 # relation uses all-plus signs on the first six and minus on the last three,
@@ -463,66 +455,6 @@ def _rec_coeffs_cleared(m: int, n: int, N: int, a1, a2, a3):
     return coeffs, u0 * u1 * u2 * v1 * v2 * v3
 
 
-def _check_recurrence(p: BiParams, which: str) -> list[CheckResult]:
-    name = f"recurrence-{which}"
-    N = p.N
-    bounds = {d: _sweep_degree(_rec_coeffs_cleared, _REC_TARGETS, *d, N) for d in degree_pairs(N)}
-    points = _sweep_points(p, max(bounds.values()))
-    tables = [_PTable(*pt) for pt in points]
-    signs = _REC_SIGNS[which]
-    for m, n in degree_pairs(N):
-        cleared = _swept_coeffs(
-            _rec_coeffs_cleared, points[: bounds[(m, n)] + 1], m, n, N, which == "x2"
-        )
-        live = []
-        for idx, (dm, dn) in enumerate(_REC_TARGETS):
-            mm, nn = m + dm, n + dn
-            if _on_simplex(mm, nn, N):
-                live.append((idx, mm, nn))
-                continue
-            for t, (coeffs, _) in enumerate(cleared):
-                if coeffs[idx] != 0:
-                    indices = {"degree": (m, n), "point": (0, 0), "target": (mm, nn)}
-                    return [_exact_fail(name, _at(indices, t), coeffs[idx], Rat(0))]
-        folded = [(tuple(sg * cf for sg, cf in zip(signs, coeffs)), denom) for coeffs, denom in cleared]
-        for i, k in grid_points(N):
-            x = i if which == "x1" else k
-            for t, (coeffs, denom) in enumerate(folded):
-                table = tables[t]
-                lhs = table.value(m, n, i, k, N) * denom * x
-                acc = None
-                for idx, mm, nn in live:
-                    term = table.value(mm, nn, i, k, N) * coeffs[idx]
-                    acc = term if acc is None else acc + term
-                if lhs != acc:
-                    return [_exact_fail(name, _at({"degree": (m, n), "point": (i, k)}, t), lhs, acc)]
-    return [CheckResult.exact_pass(name)]
-
-
-def _check_diff_l1(p: BiParams) -> list[CheckResult]:
-    name = "diff-L1"
-    a1, a2 = p.alpha1, p.alpha2
-    table = _PTable(a1, a2, p.alpha3)
-    N = p.N
-    for m, n in degree_pairs(N):
-        eig = -m * (m + p.a12 + 1)
-        for i, k in grid_points(N):
-            y1 = i * (k + a2 + 1)
-            y2 = k * (i + a1 + 1)
-            acc = -(y1 + y2) * table.value(m, n, i, k, N)
-            if i >= 1:
-                acc += y1 * table.value(m, n, i - 1, k + 1, N)
-            if k >= 1:
-                acc += y2 * table.value(m, n, i + 1, k - 1, N)
-            if acc != eig * table.value(m, n, i, k, N):
-                return [
-                    _exact_fail(
-                        name, {"degree": (m, n), "point": (i, k)}, acc, eig * table.value(m, n, i, k, N)
-                    )
-                ]
-    return [CheckResult.exact_pass(name)]
-
-
 def _l2_shift_coeffs(i, k, a1, a2, a3, N):
     """The six off-diagonal coefficients of the second difference operator,
     keyed by grid displacement."""
@@ -534,127 +466,6 @@ def _l2_shift_coeffs(i, k, a1, a2, a3, N):
         (1, -1): k * (i + a1 + 1),
         (-1, 1): i * (k + a2 + 1),
     }
-
-
-def _check_diff_l2(p: BiParams) -> list[CheckResult]:
-    name = "diff-L2"
-    table = _PTable(p.alpha1, p.alpha2, p.alpha3)
-    N = p.N
-    for m, n in degree_pairs(N):
-        eig = -(m + n) * (m + n + p.a123 + 2)
-        for i, k in grid_points(N):
-            omega = _l2_shift_coeffs(i, k, p.alpha1, p.alpha2, p.alpha3, N)
-            acc = -sum(omega.values()) * table.value(m, n, i, k, N)
-            for (di, dk), cf in omega.items():
-                if _on_simplex(i + di, k + dk, N):
-                    acc += cf * table.value(m, n, i + di, k + dk, N)
-                elif cf != 0:
-                    return [
-                        _exact_fail(name, {"point": (i, k), "shift": (di, dk)}, cf, Rat(0))
-                    ]
-            if acc != eig * table.value(m, n, i, k, N):
-                return [
-                    _exact_fail(
-                        name, {"degree": (m, n), "point": (i, k)}, acc, eig * table.value(m, n, i, k, N)
-                    )
-                ]
-    return [CheckResult.exact_pass(name)]
-
-
-def _check_forward_shift_m(p: BiParams) -> list[CheckResult]:
-    name = "forward-shift-m"
-    N = p.N
-    a1, a2 = p.alpha1, p.alpha2
-    base = _PTable(a1, a2, p.alpha3)
-    up = _PTable(a1 + 1, a2 + 1, p.alpha3)  # both first parameters move
-    for m, n in degree_pairs(N):
-        if m + n > N - 1:
-            continue
-        for i, k in grid_points(N):
-            lhs = -N * base.value(m + 1, n, i, k, N)
-            acc = Rat(0)
-            if i >= 1:
-                acc += i * (k + a2 + 1) * up.value(m, n, i - 1, k, N - 1)
-            if k >= 1:
-                acc -= k * (i + a1 + 1) * up.value(m, n, i, k - 1, N - 1)
-            if lhs != acc:
-                return [_exact_fail(name, {"degree": (m, n), "point": (i, k)}, lhs, acc)]
-    return [CheckResult.exact_pass(name)]
-
-
-def _check_forward_shift_n(p: BiParams) -> list[CheckResult]:
-    name = "forward-shift-n"
-    N = p.N
-    a1, a2, a3 = p.alpha1, p.alpha2, p.alpha3
-    base = _PTable(a1, a2, a3)
-    up = _PTable(a1, a2, a3 + 2)  # third parameter jumps by two
-    for m, n in degree_pairs(N):
-        if m + n > N - 1:
-            continue
-        for i, k in grid_points(N):
-            lhs = -N * (n + a3 + 2) * base.value(m, n + 1, i, k, N)
-            r = N - i - k
-            acc = Rat(0)
-            if r >= 2:
-                acc += (i + a1 + 1) * r * (r - 1) * up.value(m, n, i + 1, k, N - 1)
-                acc += (k + a2 + 1) * r * (r - 1) * up.value(m, n, i, k + 1, N - 1)
-            if i >= 1:
-                acc += i * (r + a3 + 1) * (r + a3 + 2) * up.value(m, n, i - 1, k, N - 1)
-            if k >= 1:
-                acc += k * (r + a3 + 1) * (r + a3 + 2) * up.value(m, n, i, k - 1, N - 1)
-            if r >= 1:
-                acc -= r * (r + a3 + 1) * (2 * i + 2 * k + p.a12 + 2) * up.value(m, n, i, k, N - 1)
-            if lhs != acc:
-                return [_exact_fail(name, {"degree": (m, n), "point": (i, k)}, lhs, acc)]
-    return [CheckResult.exact_pass(name)]
-
-
-def _check_backward_shift_m(p: BiParams) -> list[CheckResult]:
-    name = "backward-shift-m"
-    N = p.N
-    base = _PTable(p.alpha1, p.alpha2, p.alpha3)
-    up = _PTable(p.alpha1 + 1, p.alpha2 + 1, p.alpha3)
-    for m, n in degree_pairs(N):
-        for i, k in grid_points(N):
-            # m = 0 keeps the sweep honest: the right side must cancel.
-            lhs = Rat(0)
-            if m >= 1:
-                lhs = -m * (m + p.a12 + 1) / (N + 1) * up.value(m - 1, n, i, k, N)
-            rhs = base.value(m, n, i + 1, k, N + 1) - base.value(m, n, i, k + 1, N + 1)
-            if lhs != rhs:
-                return [_exact_fail(name, {"degree": (m, n), "point": (i, k)}, lhs, rhs)]
-    return [CheckResult.exact_pass(name)]
-
-
-def _check_backward_shift_n(p: BiParams) -> list[CheckResult]:
-    name = "backward-shift-n"
-    N = p.N
-    a1, a2 = p.alpha1, p.alpha2
-    base = _PTable(a1, a2, p.alpha3)
-    up = _PTable(a1, a2, p.alpha3 + 2)
-    for m, n in degree_pairs(N):
-        for i, k in grid_points(N):
-            lhs = Rat(0)
-            if n >= 1:
-                lhs = (
-                    -n
-                    * (2 * m + n + p.a12 + 1)
-                    * (2 * m + n + p.a123 + 2)
-                    / (N + 1)
-                    * up.value(m, n - 1, i, k, N)
-                )
-            rhs = (
-                (i + a1 + 1) * base.value(m, n, i + 1, k, N + 1)
-                + (k + a2 + 1) * base.value(m, n, i, k + 1, N + 1)
-                - (2 * i + 2 * k + p.a12 + 2) * base.value(m, n, i, k, N + 1)
-            )
-            if i >= 1:
-                rhs += i * base.value(m, n, i - 1, k, N + 1)
-            if k >= 1:
-                rhs += k * base.value(m, n, i, k - 1, N + 1)
-            if lhs != rhs:
-                return [_exact_fail(name, {"degree": (m, n), "point": (i, k)}, lhs, rhs)]
-    return [CheckResult.exact_pass(name)]
 
 
 def _structure_raise_terms(m, n, N, a1, a2, a3):
@@ -679,143 +490,8 @@ _STRUCT_LOWER_TARGETS = ((0, 0), (1, 0), (0, 1), (1, -1))
 _STRUCT_RAISE_SIGNS = {"i": (1, -1, -1, 1), "k": (1, 1, -1, -1)}
 
 
-def _sweep_raise(xvar: str, N: int, bounds: dict, points: list, base_tables: list):
-    """First failure of the level-raising relation in grid variable xvar over
-    the sample points, or None."""
-    name = f"structure[raise-{xvar}]"
-    signs = _STRUCT_RAISE_SIGNS[xvar]
-    shift = (1, 0) if xvar == "i" else (0, 1)
-    shift_tables = [_PTable(a1 + shift[0], a2 + shift[1], a3) for a1, a2, a3 in points]
-    for m, n in degree_pairs(N - 1):
-        cleared = _swept_coeffs(
-            _structure_raise_terms, points[: bounds[(m, n)] + 1], m, n, N, xvar == "k"
-        )
-        folded = [(tuple(sg * cf for sg, cf in zip(signs, terms)), denom) for terms, denom in cleared]
-        live = []
-        for idx, (dm, dn) in enumerate(_STRUCT_RAISE_TARGETS):
-            mm, nn = m + dm, n + dn
-            if _on_simplex(mm, nn, N - 1):
-                live.append((idx, mm, nn))
-                continue
-            for t, (terms, _) in enumerate(folded):
-                if terms[idx] != 0:
-                    return _exact_fail(name, _at({"degree": (m, n), "target": (mm, nn)}, t), terms[idx], Rat(0))
-        for i, k in grid_points(N - 1):
-            gi, gk = (i + 1, k) if xvar == "i" else (i, k + 1)
-            for t, (terms, denom) in enumerate(folded):
-                lhs = N * base_tables[t].value(m, n, gi, gk, N) * denom
-                acc = None
-                for idx, mm, nn in live:
-                    term = shift_tables[t].value(mm, nn, i, k, N - 1) * terms[idx]
-                    acc = term if acc is None else acc + term
-                if lhs != acc:
-                    return _exact_fail(name, _at({"degree": (m, n), "point": (i, k)}, t), lhs, acc)
-    return None
-
-
-def _check_structure(p: BiParams) -> list[CheckResult]:
-    """All four level-shift structure relations; the raising pair is swept
-    over the sample points (its denominator can vanish), the lowering pair
-    is denominator-safe and runs at the base point."""
-    out = []
-    N = p.N
-    bounds = {
-        d: _sweep_degree(_structure_raise_terms, _STRUCT_RAISE_TARGETS, *d, N)
-        for d in degree_pairs(N - 1)
-    }
-    points = _sweep_points(p, max(bounds.values(), default=0))
-    base_tables = [_PTable(*pt) for pt in points]
-    for xvar in ("i", "k"):
-        failure = _sweep_raise(xvar, N, bounds, points, base_tables)
-        out.append(failure or CheckResult.exact_pass(f"structure[raise-{xvar}]"))
-
-    base = _PTable(p.alpha1, p.alpha2, p.alpha3)
-    for tag, aux, shift_table, xvar in (
-        ("lower-i", p.alpha1, _PTable(p.alpha1 + 1, p.alpha2, p.alpha3), "i"),
-        ("lower-k", p.alpha2, _PTable(p.alpha1, p.alpha2 + 1, p.alpha3), "k"),
-    ):
-        name = f"structure[{tag}]"
-        failure = None
-        if N == 0:
-            out.append(CheckResult.exact_pass(name))
-            continue
-        s, sig = p.a12, p.a123
-        for m, n in degree_pairs(N):
-            if m + n > N - 1 or failure:
-                continue
-            d2 = (2 * m + s + 2) * (2 * m + 2 * n + sig + 3)  # never vanishes
-            flip = 1 if xvar == "i" else -1
-            terms = (
-                (m + aux + 1) * (2 * m + n + s + 2),
-                -flip * (2 * m + n + sig + 3),
-                -(m + aux + 1),
-                flip * n * (n + p.alpha3),
-            )
-            for i, k in grid_points(N):
-                x = i if xvar == "i" else k
-                if x == 0:
-                    lhs = Rat(0)
-                else:
-                    gi, gk = (i - 1, k) if xvar == "i" else (i, k - 1)
-                    lhs = Rat(x, N) * shift_table.value(m, n, gi, gk, N - 1)
-                acc = Rat(0)
-                for (dm, dn), cf in zip(_STRUCT_LOWER_TARGETS, terms):
-                    mm, nn = m + dm, n + dn
-                    if _on_simplex(mm, nn, N):
-                        acc += cf * base.value(mm, nn, i, k, N)
-                    elif cf != 0:
-                        failure = _exact_fail(
-                            name, {"degree": (m, n), "target": (mm, nn)}, cf, Rat(0)
-                        )
-                        break
-                if failure is None and lhs * d2 != acc:
-                    failure = _exact_fail(name, {"degree": (m, n), "point": (i, k)}, lhs * d2, acc)
-                if failure:
-                    break
-        out.append(failure or CheckResult.exact_pass(name))
-    return out
-
-
-def _check_genfun(p: BiParams) -> list[CheckResult]:
-    """Bivariate generating function, cleared of denominators: both sides are
-    polynomials in (z1, z2) compared coefficientwise."""
-    name = "genfun"
-    N = p.N
-    z1 = BiPoly.monomial(1, 0)
-    z2 = BiPoly.monomial(0, 1)
-    one = BiPoly.constant(1)
-    diff = z2 - z1
-    plus = z1 + z2
-    inner_lo = one - z1 - z2
-    inner_hi = one + z1 + z2
-    for m, n in degree_pairs(N):
-        first = BiPoly.zero()
-        for idx, c in enumerate(jacobi_coeffs(m, p.alpha1, p.alpha2)):
-            first = first + diff**idx * plus ** (m - idx) * c
-        second = BiPoly.zero()
-        for idx, c in enumerate(jacobi_coeffs(n, 2 * m + p.a12 + 1, p.alpha3)):
-            second = second + inner_lo**idx * inner_hi ** (N - m - idx) * c
-        lhs = first * second
-        rhs = BiPoly.zero()
-        scale = factorial(m) * factorial(n)
-        for i, k in grid_points(N):
-            coeff = multinomial(N, [i, k]) * p2_eval((m, n), (i, k), p) / scale
-            rhs = rhs + BiPoly.monomial(i, k, coeff)
-        if lhs != rhs:
-            return [
-                CheckResult.failure(
-                    name,
-                    "nonzero",
-                    {"degree": (m, n)},
-                    "cleared product form",
-                    "grid expansion",
-                )
-            ]
-    return [CheckResult.exact_pass(name)]
-
-
 # ---------------------------------------------------------------------------
-# float checks on the orthonormal plane
+# coefficient formulas of the orthonormal relations
 
 # Coefficient evaluation below returns (sign, squared magnitude) pairs with
 # the squared magnitude exact; a removable 0/0 in a radicand is resolved by
@@ -887,75 +563,6 @@ def _coef_delta(m, n, N, a1, a2, a3):
         / ((2 * m + s) * (2 * m + s + 1) * (2 * n + 2 * m + sig) * (2 * n + 2 * m + sig + 1))
     )
     return 1, rad.limit()
-
-
-def _check_normalized_structure(p: BiParams) -> list[CheckResult]:
-    out = []
-    N = p.N
-    shifted = {
-        "i": (p.alpha1 + 1, p.alpha2, p.alpha3),
-        "k": (p.alpha1, p.alpha2 + 1, p.alpha3),
-    }
-    base = (p.alpha1, p.alpha2, p.alpha3)
-    for var in ("i", "k"):
-        eps = _eps_params(p)
-        carg = eps if var == "i" else (eps[1], eps[0], eps[2])
-        signs = (1, 1, 1, 1) if var == "i" else (1, -1, 1, -1)
-        aux = p.alpha1 if var == "i" else p.alpha2
-        prefactor = math.sqrt(float(N * (aux + 1) / (p.a123 + 3))) if N else 0.0
-
-        # forward: value at a raised grid point expands over one level down
-        tally = _FloatTally(f"normalized-structure-float[forward-{var}]")
-        for m, n in degree_pairs(N):
-            coefs = (
-                _coef_alpha(m, n, N, *carg),
-                _coef_beta(m, n, N, *carg),
-                _coef_gamma(m, n, N, *carg),
-                _coef_delta(m, n + 1, N, *carg),
-            )
-            targets = ((m, n), (m - 1, n), (m, n - 1), (m - 1, n + 1))
-            for i, k in grid_points(N):
-                if i + k > N - 1:
-                    continue
-                gi, gk = (i + 1, k) if var == "i" else (i, k + 1)
-                lhs = prefactor * _q_float(m, n, gi, gk, *base, N)
-                rhs = 0.0
-                for (mm, nn), sign, (csign, csq) in zip(targets, signs, coefs):
-                    if not _on_simplex(mm, nn, N - 1):
-                        assert csq == 0, "inadmissible target with nonzero coefficient"
-                        continue
-                    rhs += sign * _sq(csign, csq) * _q_float(mm, nn, i, k, *shifted[var], N - 1)
-                tally.record(lhs, rhs, {"degree": (m, n), "point": (i, k)})
-        out.append(tally.result())
-
-        # backward: value at a lowered grid point one level down expands upward
-        tally = _FloatTally(f"normalized-structure-float[backward-{var}]")
-        for m, n in degree_pairs(N):
-            if m + n > N - 1:
-                continue
-            coefs = (
-                _coef_alpha(m, n, N, *carg),
-                _coef_beta(m + 1, n, N, *carg),
-                _coef_gamma(m, n + 1, N, *carg),
-                _coef_delta(m + 1, n, N, *carg),
-            )
-            targets = ((m, n), (m + 1, n), (m, n + 1), (m + 1, n - 1))
-            for i, k in grid_points(N):
-                x = i if var == "i" else k
-                if x == 0:
-                    lhs = 0.0
-                else:
-                    gi, gk = (i - 1, k) if var == "i" else (i, k - 1)
-                    lhs = x / prefactor * _q_float(m, n, gi, gk, *shifted[var], N - 1)
-                rhs = 0.0
-                for (mm, nn), sign, (csign, csq) in zip(targets, signs, coefs):
-                    if not _on_simplex(mm, nn, N):
-                        assert csq == 0, "inadmissible target with nonzero coefficient"
-                        continue
-                    rhs += sign * _sq(csign, csq) * _q_float(mm, nn, i, k, *base, N)
-                tally.record(lhs, rhs, {"degree": (m, n), "point": (i, k)})
-        out.append(tally.result())
-    return out
 
 
 def _coef_rec_a(m, n, N, a1, a2, a3):
@@ -1081,201 +688,469 @@ _NINE_POINT = (
 _NINE_SIGNS = {"i": (1, 1, 1, 1, 1, 1, 1, 1), "k": (-1, -1, 1, 1, -1, -1, -1, -1)}
 
 
-def _check_normalized_recurrence(p: BiParams) -> list[CheckResult]:
-    out = []
-    N = p.N
-    base = (p.alpha1, p.alpha2, p.alpha3)
-    for var in ("i", "k"):
-        eps = _eps_params(p)
-        carg = eps if var == "i" else (eps[1], eps[0], eps[2])
-        signs = _NINE_SIGNS[var]
-        tally = _FloatTally(f"normalized-recurrence-float[{var}]")
-        for m, n in degree_pairs(N):
-            coefs = []
-            for (dm, dn), fn, (em, en) in _NINE_POINT:
-                mm, nn = m + dm, n + dn
-                if not _on_simplex(mm, nn, N):
-                    csign, csq = fn(m + em, n + en, N, *carg)
-                    assert csq == 0, "inadmissible target with nonzero coefficient"
-                    coefs.append(None)
-                else:
-                    coefs.append(fn(m + em, n + en, N, *carg))
-            diag = _coef_rec_e(m, n, N, *carg)
-            for i, k in grid_points(N):
-                x = i if var == "i" else k
-                center = _q_float(m, n, i, k, *base, N)
-                lhs = x * center
-                rhs = diag * center
-                for ((dm, dn), _, _), sign, cs in zip(_NINE_POINT, signs, coefs):
-                    if cs is None:
-                        continue
-                    rhs += sign * _sq(*cs) * _q_float(m + dm, n + dn, i, k, *base, N)
-                tally.record(lhs, rhs, {"degree": (m, n), "point": (i, k)})
-        out.append(tally.result())
-    return out
+# ---------------------------------------------------------------------------
+# relations as rows
 
 
-def _check_normalized_difference(p: BiParams) -> list[CheckResult]:
-    N = p.N
-    a1, a2, a3 = p.alpha1, p.alpha2, p.alpha3
-    base = (a1, a2, a3)
+class _Term(NamedTuple):
+    """coef(d, x) times the value at degree pair (m, n) + degree, grid point
+    (i, k) + point, the parameters shifted by params and level N + level;
+    d and x are the row's per-degree and per-point coefficient parts."""
 
-    tally = _FloatTally("normalized-difference-float[first]")
-    for m, n in degree_pairs(N):
-        eig = float(m * (m + p.a12 + 1))
-        for i, k in grid_points(N):
-            y1 = float(i * (k + a2 + 1))
-            y2 = float(k * (i + a1 + 1))
-            lhs = eig * _q_float(m, n, i, k, *base, N)
-            rhs = (y1 + y2) * _q_float(m, n, i, k, *base, N)
-            if i >= 1:
-                rhs -= y1 * _q_float(m, n, i - 1, k + 1, *base, N)
-            if k >= 1:
-                rhs -= y2 * _q_float(m, n, i + 1, k - 1, *base, N)
-            tally.record(lhs, rhs, {"degree": (m, n), "point": (i, k)})
-    first = tally.result()
-
-    tally = _FloatTally("normalized-difference-float[second]")
-    for m, n in degree_pairs(N):
-        eig = -(m + n) * (m + n + p.a123 + 2)
-        for i, k in grid_points(N):
-            kappa = (
-                i * (a2 + a3)
-                + k * (a1 + a3)
-                + (N - i - k) * p.a12
-                - 2 * (i * i + k * k + i * k - i * N - k * N - N)
-            )
-            lhs = float(eig) * _q_float(m, n, i, k, *base, N)
-            rhs = -float(kappa) * _q_float(m, n, i, k, *base, N)
-            omega = _l2_shift_coeffs(i, k, a1, a2, a3, N)
-            for (di, dk), cf in omega.items():
-                if _on_simplex(i + di, k + dk, N):
-                    rhs += float(cf) * _q_float(m, n, i + di, k + dk, *base, N)
-                else:
-                    assert cf == 0
-            tally.record(lhs, rhs, {"degree": (m, n), "point": (i, k)})
-    return [first, tally.result()]
+    coef: Callable
+    degree: tuple = (0, 0)
+    point: tuple = (0, 0)
+    params: tuple = (0, 0, 0)
+    level: int = 0
 
 
-def _check_normalized_lowering(p: BiParams) -> list[CheckResult]:
-    """The four contiguity ladders of the orthonormal family; their
-    coefficients have strictly positive denominators, so plain square roots
-    suffice."""
-    out = []
-    N = p.N
-    a1, a2, a3 = p.alpha1, p.alpha2, p.alpha3
-    s, sig = p.a12, p.a123
-    base = (a1, a2, a3)
+class _Relation(NamedTuple):
+    """lhs = rhs at every degree pair of level N + degrees and every grid
+    point of level N + grid.
 
-    tally = _FloatTally("normalized-lowering-float[raise-m]")
-    for m, n in degree_pairs(N):
-        if m + n > N - 1:
-            continue
-        c = math.sqrt(
-            float(N * (a1 + 1) * (a2 + 1) * (N + sig + 3) * (m + 1) * (m + s + 2) / ((sig + 3) * (sig + 4)))
+    per_degree(c, m, n) and per_point(c, i, k) make the coefficient parts
+    that depend on the degree pair alone or the grid point alone, once
+    each; c is an _At.  Plane "P" rows are exact, plane "Q" rows float.  A
+    swept row has its denominators cleared and is checked at the D + 1
+    points of the sweep line; every other row at the base point.
+    """
+
+    name: str
+    plane: str
+    degrees: int
+    grid: int
+    lhs: tuple
+    rhs: tuple
+    per_degree: Callable = lambda c, m, n: None
+    per_point: Callable = lambda c, i, k: None
+    swept: bool = False
+
+
+def _degree_part(d, x):
+    return d
+
+
+def _point_part(d, x):
+    return x
+
+
+def _degree_terms(targets, params=(0, 0, 0), level=0) -> tuple:
+    """Terms at shifted degree pairs; term j's coefficient is d[j]."""
+    return tuple(_Term(lambda d, x, j=j: d[j], dg, (0, 0), params, level) for j, dg in enumerate(targets))
+
+
+def _point_terms(points, params=(0, 0, 0), level=0) -> tuple:
+    """Terms at shifted grid points; term j's coefficient is x[j]."""
+    return tuple(_Term(lambda d, x, j=j: x[j], (0, 0), g, params, level) for j, g in enumerate(points))
+
+
+def _signed(signs, cleared) -> tuple:
+    """Cleared coefficients with their signs folded in, then the denominator."""
+    coeffs, denom = cleared
+    return tuple(sg * cf for sg, cf in zip(signs, coeffs)) + (denom,)
+
+
+def _floats(point_part):
+    return lambda c, i, k: tuple(map(float, point_part(c, i, k)))
+
+
+def _first_difference(c, i, k):
+    """The two off-diagonal coefficients of the first difference operator."""
+    return i * (k + c.a2 + 1), k * (i + c.a1 + 1)
+
+
+def _ladder_n(c, i, k):
+    r = c.N - i - k
+    return (
+        (i + c.a1 + 1) * r * (r - 1),
+        (k + c.a2 + 1) * r * (r - 1),
+        i * (r + c.a3 + 1) * (r + c.a3 + 2),
+        k * (r + c.a3 + 1) * (r + c.a3 + 2),
+        -(r * (r + c.a3 + 1) * (2 * i + 2 * k + c.s + 2)),
+    )
+
+
+def _lowering_n(c, i, k):
+    return i + c.a1 + 1, k + c.a2 + 1, -(2 * i + 2 * k + c.s + 2), i, k
+
+
+_L2_SHIFTS = ((1, 0), (0, 1), (-1, 0), (0, -1), (1, -1), (-1, 1))
+
+
+def _second_difference(c, i, k):
+    omega = _l2_shift_coeffs(i, k, c.a1, c.a2, c.a3, c.N)
+    return (-sum(omega.values()),) + tuple(omega[s] for s in _L2_SHIFTS)
+
+
+def _second_difference_float(c, i, k):
+    a1, a2, a3, N = c.a1, c.a2, c.a3, c.N
+    kappa = (
+        i * (a2 + a3) + k * (a1 + a3) + (N - i - k) * c.s - 2 * (i * i + k * k + i * k - i * N - k * N - N)
+    )
+    omega = _l2_shift_coeffs(i, k, a1, a2, a3, N)
+    return (-float(kappa),) + tuple(float(omega[s]) for s in _L2_SHIFTS)
+
+
+_UP_M = (1, 1, 0)  # both first parameters move
+_UP_N = (0, 0, 2)  # the third parameter jumps by two
+_LADDER_M = (
+    _Term(lambda d, x: x[0], point=(-1, 0), params=_UP_M, level=-1),
+    _Term(lambda d, x: -x[1], point=(0, -1), params=_UP_M, level=-1),
+)
+_LADDER_N = _point_terms(((1, 0), (0, 1), (-1, 0), (0, -1), (0, 0)), _UP_N, -1)
+_LOWER_M = (_Term(lambda d, x: 1, point=(1, 0), level=1), _Term(lambda d, x: -1, point=(0, 1), level=1))
+_LOWER_N = _point_terms(((1, 0), (0, 1), (0, 0), (-1, 0), (0, -1)), level=1)
+_SECOND_DIFFERENCE = _point_terms(((0, 0),) + _L2_SHIFTS)
+
+
+def _recurrence(which: str) -> _Relation:
+    second = which == "x2"
+    return _Relation(
+        f"recurrence-{which}", "P", 0, 0, lhs=(_Term(lambda d, x: d[-1] * x),), rhs=_degree_terms(_REC_TARGETS),
+        per_degree=lambda c, m, n: _signed(
+            _REC_SIGNS[which], _rec_coeffs_cleared(m, n, c.N, *c.triple(second))
+        ),
+        per_point=lambda c, i, k: k if second else i, swept=True,
+    )
+
+
+def _structure(var: str, raising: bool) -> _Relation:
+    second = var == "k"
+    shift, step = ((0, 1, 0), (0, 1)) if second else ((1, 0, 0), (1, 0))
+    if raising:
+        return _Relation(
+            f"structure[raise-{var}]", "P", -1, -1,
+            lhs=(_Term(lambda d, x: d[-1] * x, point=step),),
+            rhs=_degree_terms(_STRUCT_RAISE_TARGETS, shift, -1),
+            per_degree=lambda c, m, n: _signed(
+                _STRUCT_RAISE_SIGNS[var], _structure_raise_terms(m, n, c.N, *c.triple(second))
+            ),
+            per_point=lambda c, i, k: c.N, swept=True,
         )
-        for i, k in grid_points(N):
-            lhs = c * _q_float(m + 1, n, i, k, *base, N)
-            rhs = 0.0
-            if i >= 1:
-                rhs += float(i * (k + a2 + 1)) * _q_float(m, n, i - 1, k, a1 + 1, a2 + 1, a3, N - 1)
-            if k >= 1:
-                rhs -= float(k * (i + a1 + 1)) * _q_float(m, n, i, k - 1, a1 + 1, a2 + 1, a3, N - 1)
-            tally.record(lhs, rhs, {"degree": (m, n), "point": (i, k)})
-    out.append(tally.result())
+    flip = -1 if second else 1
 
-    tally = _FloatTally("normalized-lowering-float[raise-n]")
-    for m, n in degree_pairs(N):
-        if m + n > N - 1:
-            continue
-        d = math.sqrt(
-            float(
-                N
-                * (N + sig + 3)
-                * (a3 + 1)
-                * (a3 + 2)
-                * (n + 1)
-                * (n + a3 + 2)
-                * (n + 2 * m + s + 2)
-                * (n + 2 * m + sig + 3)
-                / ((sig + 3) * (sig + 4))
-            )
+    def per_degree(c, m, n):
+        aux = c.a2 if second else c.a1
+        return (
+            (m + aux + 1) * (2 * m + n + c.s + 2),
+            -flip * (2 * m + n + c.sig + 3),
+            -(m + aux + 1),
+            flip * n * (n + c.a3),
+            (2 * m + c.s + 2) * (2 * m + 2 * n + c.sig + 3),  # never vanishes
         )
-        for i, k in grid_points(N):
-            r = N - i - k
-            lhs = d * _q_float(m, n + 1, i, k, *base, N)
-            rhs = 0.0
-            if r >= 2:
-                rhs += float((i + a1 + 1) * r * (r - 1)) * _q_float(m, n, i + 1, k, a1, a2, a3 + 2, N - 1)
-                rhs += float((k + a2 + 1) * r * (r - 1)) * _q_float(m, n, i, k + 1, a1, a2, a3 + 2, N - 1)
-            if i >= 1:
-                rhs += float(i * (r + a3 + 1) * (r + a3 + 2)) * _q_float(m, n, i - 1, k, a1, a2, a3 + 2, N - 1)
-            if k >= 1:
-                rhs += float(k * (r + a3 + 1) * (r + a3 + 2)) * _q_float(m, n, i, k - 1, a1, a2, a3 + 2, N - 1)
-            if r >= 1:
-                rhs -= float(r * (r + a3 + 1) * (2 * i + 2 * k + s + 2)) * _q_float(
-                    m, n, i, k, a1, a2, a3 + 2, N - 1
-                )
-            tally.record(lhs, rhs, {"degree": (m, n), "point": (i, k)})
-    out.append(tally.result())
 
-    tally = _FloatTally("normalized-lowering-float[lower-m]")
-    for m, n in degree_pairs(N):
-        e = math.sqrt(
-            float(m * (m + s + 1) * (sig + 3) * (sig + 4) / ((a1 + 1) * (a2 + 1) * (N + 1) * (N + sig + 4)))
+    return _Relation(
+        f"structure[lower-{var}]", "P", -1, 0,
+        lhs=(_Term(lambda d, x: x * d[-1], point=(-step[0], -step[1]), params=shift, level=-1),),
+        rhs=_degree_terms(_STRUCT_LOWER_TARGETS), per_degree=per_degree,
+        per_point=lambda c, i, k: Rat(k if second else i, c.N),
+    )
+
+
+def _prefactor(c, second: bool) -> float:
+    return math.sqrt(float(c.N * ((c.a2 if second else c.a1) + 1) / (c.sig + 3))) if c.N else 0.0
+
+
+def _normalized_structure(var: str, forward: bool) -> _Relation:
+    """Forward: the value at a raised grid point expands over one level down.
+    Backward: the value at a lowered grid point one level down expands upward."""
+    second = var == "k"
+    signs = (1, -1, 1, -1) if second else (1, 1, 1, 1)
+    shift, step = ((0, 1, 0), (0, 1)) if second else ((1, 0, 0), (1, 0))
+    # the degree shifts at which alpha, beta, gamma and delta are taken
+    shifts = ((0, 0), (0, 0), (0, 0), (0, 1)) if forward else ((0, 0), (1, 0), (0, 1), (1, 0))
+
+    def per_degree(c, m, n):
+        fns = (_coef_alpha, _coef_beta, _coef_gamma, _coef_delta)
+        signed = tuple(sg * c.root(fn, m + dm, n + dn, second) for sg, fn, (dm, dn) in zip(signs, fns, shifts))
+        return signed + (_prefactor(c, second),) if forward else signed
+
+    if forward:
+        return _Relation(
+            f"normalized-structure-float[forward-{var}]", "Q", 0, -1,
+            lhs=(_Term(lambda d, x: d[-1], point=step),),
+            rhs=_degree_terms(((0, 0), (-1, 0), (0, -1), (-1, 1)), shift, -1), per_degree=per_degree,
         )
-        for i, k in grid_points(N):
-            lhs = e * _q_float(m - 1, n, i, k, a1 + 1, a2 + 1, a3, N) if m >= 1 else 0.0
-            rhs = _q_float(m, n, i + 1, k, *base, N + 1) - _q_float(m, n, i, k + 1, *base, N + 1)
-            tally.record(lhs, rhs, {"degree": (m, n), "point": (i, k)})
-    out.append(tally.result())
-
-    tally = _FloatTally("normalized-lowering-float[lower-n]")
-    for m, n in degree_pairs(N):
-        f = math.sqrt(
-            float(
-                n
-                * (n + a3 + 1)
-                * (n + 2 * m + s + 1)
-                * (n + 2 * m + sig + 2)
-                * (sig + 3)
-                * (sig + 4)
-                / ((a3 + 1) * (a3 + 2) * (N + 1) * (N + sig + 4))
-            )
-        )
-        for i, k in grid_points(N):
-            lhs = f * _q_float(m, n - 1, i, k, a1, a2, a3 + 2, N) if n >= 1 else 0.0
-            rhs = (
-                float(i + a1 + 1) * _q_float(m, n, i + 1, k, *base, N + 1)
-                + float(k + a2 + 1) * _q_float(m, n, i, k + 1, *base, N + 1)
-                - float(2 * i + 2 * k + s + 2) * _q_float(m, n, i, k, *base, N + 1)
-            )
-            if i >= 1:
-                rhs += i * _q_float(m, n, i - 1, k, *base, N + 1)
-            if k >= 1:
-                rhs += k * _q_float(m, n, i, k - 1, *base, N + 1)
-            tally.record(lhs, rhs, {"degree": (m, n), "point": (i, k)})
-    out.append(tally.result())
-    return out
+    return _Relation(
+        f"normalized-structure-float[backward-{var}]", "Q", -1, 0,
+        lhs=(_Term(_point_part, point=(-step[0], -step[1]), params=shift, level=-1),),
+        rhs=_degree_terms(((0, 0), (1, 0), (0, 1), (1, -1))), per_degree=per_degree,
+        per_point=lambda c, i, k: (k if second else i) / _prefactor(c, second),
+    )
 
 
+def _normalized_recurrence(var: str) -> _Relation:
+    second = var == "k"
+    return _Relation(
+        f"normalized-recurrence-float[{var}]", "Q", 0, 0,
+        lhs=(_Term(_point_part),), rhs=_degree_terms(((0, 0),) + tuple(tg for tg, _, _ in _NINE_POINT)),
+        per_degree=lambda c, m, n: (c.limit(_coef_rec_e, m, n, second),) + tuple(
+            sg * c.root(fn, m + em, n + en, second)
+            for sg, (_, fn, (em, en)) in zip(_NINE_SIGNS[var], _NINE_POINT)
+        ),
+        per_point=lambda c, i, k: k if second else i,
+    )
+
+
+def _sqrt_float(value) -> float:
+    return math.sqrt(float(value))
+
+
+# The 24 relation rows, in report order.  m = 0 and n = 0 keep the backward
+# sweeps honest: there the right side must cancel by itself.
+_RELATIONS = {row.name: row for row in (
+    _recurrence("x1"),
+    _recurrence("x2"),
+    _Relation(
+        "diff-L1", "P", 0, 0,
+        lhs=(_Term(lambda d, x: -(x[0] + x[1])),) + _point_terms(((-1, 1), (1, -1))),
+        rhs=(_Term(_degree_part),),
+        per_degree=lambda c, m, n: -m * (m + c.s + 1), per_point=_first_difference,
+    ),
+    _Relation(
+        "diff-L2", "P", 0, 0, lhs=_SECOND_DIFFERENCE, rhs=(_Term(_degree_part),),
+        per_degree=lambda c, m, n: -(m + n) * (m + n + c.sig + 2), per_point=_second_difference,
+    ),
+    _Relation(
+        "forward-shift-m", "P", -1, 0, lhs=(_Term(_degree_part, (1, 0)),), rhs=_LADDER_M,
+        per_degree=lambda c, m, n: -c.N, per_point=_first_difference,
+    ),
+    _Relation(
+        "forward-shift-n", "P", -1, 0, lhs=(_Term(_degree_part, (0, 1)),), rhs=_LADDER_N,
+        per_degree=lambda c, m, n: -c.N * (n + c.a3 + 2), per_point=_ladder_n,
+    ),
+    _Relation(
+        "backward-shift-m", "P", 0, 0, lhs=(_Term(_degree_part, (-1, 0), params=_UP_M),), rhs=_LOWER_M,
+        per_degree=lambda c, m, n: -m * (m + c.s + 1) / (c.N + 1),
+    ),
+    _Relation(
+        "backward-shift-n", "P", 0, 0, lhs=(_Term(_degree_part, (0, -1), params=_UP_N),), rhs=_LOWER_N,
+        per_degree=lambda c, m, n: -n * (2 * m + n + c.s + 1) * (2 * m + n + c.sig + 2) / (c.N + 1),
+        per_point=_lowering_n,
+    ),
+    _structure("i", True),
+    _structure("k", True),
+    _structure("i", False),
+    _structure("k", False),
+    _normalized_structure("i", True),
+    _normalized_structure("i", False),
+    _normalized_structure("k", True),
+    _normalized_structure("k", False),
+    _normalized_recurrence("i"),
+    _normalized_recurrence("k"),
+    _Relation(
+        "normalized-difference-float[first]", "Q", 0, 0, lhs=(_Term(_degree_part),),
+        rhs=(_Term(lambda d, x: x[0] + x[1]), _Term(lambda d, x: -x[0], point=(-1, 1)),
+             _Term(lambda d, x: -x[1], point=(1, -1))),
+        per_degree=lambda c, m, n: float(m * (m + c.s + 1)), per_point=_floats(_first_difference),
+    ),
+    _Relation(
+        "normalized-difference-float[second]", "Q", 0, 0, lhs=(_Term(_degree_part),), rhs=_SECOND_DIFFERENCE,
+        per_degree=lambda c, m, n: float(-(m + n) * (m + n + c.sig + 2)), per_point=_second_difference_float,
+    ),
+    _Relation(
+        "normalized-lowering-float[raise-m]", "Q", -1, 0, lhs=(_Term(_degree_part, (1, 0)),), rhs=_LADDER_M,
+        per_degree=lambda c, m, n: _sqrt_float(
+            c.N * (c.a1 + 1) * (c.a2 + 1) * (c.N + c.sig + 3) * (m + 1) * (m + c.s + 2)
+            / ((c.sig + 3) * (c.sig + 4))
+        ),
+        per_point=_floats(_first_difference),
+    ),
+    _Relation(
+        "normalized-lowering-float[raise-n]", "Q", -1, 0, lhs=(_Term(_degree_part, (0, 1)),), rhs=_LADDER_N,
+        per_degree=lambda c, m, n: _sqrt_float(
+            c.N * (c.N + c.sig + 3) * (c.a3 + 1) * (c.a3 + 2) * (n + 1) * (n + c.a3 + 2)
+            * (n + 2 * m + c.s + 2) * (n + 2 * m + c.sig + 3) / ((c.sig + 3) * (c.sig + 4))
+        ),
+        per_point=_floats(_ladder_n),
+    ),
+    _Relation(
+        "normalized-lowering-float[lower-m]", "Q", 0, 0, lhs=(_Term(_degree_part, (-1, 0), params=_UP_M),),
+        rhs=_LOWER_M,
+        per_degree=lambda c, m, n: _sqrt_float(
+            m * (m + c.s + 1) * (c.sig + 3) * (c.sig + 4)
+            / ((c.a1 + 1) * (c.a2 + 1) * (c.N + 1) * (c.N + c.sig + 4))
+        ),
+    ),
+    _Relation(
+        "normalized-lowering-float[lower-n]", "Q", 0, 0, lhs=(_Term(_degree_part, (0, -1), params=_UP_N),),
+        rhs=_LOWER_N,
+        per_degree=lambda c, m, n: _sqrt_float(
+            n * (n + c.a3 + 1) * (n + 2 * m + c.s + 1) * (n + 2 * m + c.sig + 2) * (c.sig + 3) * (c.sig + 4)
+            / ((c.a3 + 1) * (c.a3 + 2) * (c.N + 1) * (c.N + c.sig + 4))
+        ),
+        per_point=_floats(_lowering_n),
+    ),
+)}
+
+
+# ---------------------------------------------------------------------------
+# the two runners: exact and float
+
+
+class _Check:
+    """What one verify_bi call shares among its rows: the points of its
+    sweep line, one value table per parameter triple, and the float
+    coefficient limits, each made once and dropped with the call."""
+
+    def __init__(self, p: BiParams):
+        self.p = p
+        self.points = []
+        self.tables = {}
+        self.limits = {}
+
+    def at(self, t: int) -> "_At":
+        new = _sweep_points(self.p, t)[len(self.points) :]
+        self.points += [_At(self.p.N, *point, self.p, self.limits) for point in new]
+        return self.points[t]
+
+    def values(self, a1, a2, a3) -> _Values:
+        if (a1, a2, a3) not in self.tables:
+            self.tables[(a1, a2, a3)] = _Values(a1, a2, a3)
+        return self.tables[(a1, a2, a3)]
+
+
+class _At:
+    """The level and parameter triple at one point of a check's sweep line,
+    with the check's base parameters and its table of float limits.  It
+    holds no reference to the check, so a check's tables are freed as soon
+    as the check returns."""
+
+    def __init__(self, N, a1, a2, a3, base=None, limits=None):
+        self.N, self.a1, self.a2, self.a3 = N, a1, a2, a3
+        self.s = a1 + a2
+        self.sig = self.s + a3
+        self.base, self.limits = base, limits
+
+    def triple(self, swap: bool) -> tuple:
+        return (self.a2, self.a1, self.a3) if swap else (self.a1, self.a2, self.a3)
+
+    def limit(self, fn, m, n, swap: bool):
+        """fn's coefficient limit along the sweep line, made once per check;
+        swap exchanges the first two parameters, as the second-variable
+        forms do."""
+        key = (fn, m, n, swap)
+        if key not in self.limits:
+            e1, e2, e3 = _eps_params(self.base)
+            self.limits[key] = fn(m, n, self.N, *((e2, e1, e3) if swap else (e1, e2, e3)))
+        return self.limits[key]
+
+    def root(self, fn, m, n, swap: bool) -> float:
+        return _sq(*self.limit(fn, m, n, swap))
+
+
+def _sweep_degree(row: _Relation, m: int, n: int, N: int) -> int:
+    """D_{m,n}: a bound on the degree in t of every quantity the sweep of
+    instance (m, n) tests.
+
+    P_{m',n'} has degree at most m' + n' in t: each eval_total factor of the
+    chain has degree in the parameters equal to its own index.  So a term
+    has degree at most deg(coefficient) + m' + n', and an off-simplex
+    coefficient, which must vanish by itself, at most deg(coefficient).
+    """
+    x = _Degree(1)
+    at = _At(N, x, x, x)
+    d, point = row.per_degree(at, m, n), row.per_point(at, 0, 0)
+    return max(
+        _deg(term.coef(d, point)) + max(m + term.degree[0] + n + term.degree[1], 0)
+        for term in row.lhs + row.rhs
+    )
+
+
+def _instances(row: _Relation, check: _Check):
+    """Every instance of row, degree pair outermost, then grid point, then
+    sample point, as (m, n, i, k, t, lhs, rhs, target).
+
+    target is None when both sides were summed.  Otherwise a term whose
+    target {"degree", "point"} is off the simplex has a nonzero
+    coefficient, given as lhs against rhs = 0, and the instances end.
+    """
+    N = check.p.N
+    terms = [(side, term, N + term.level) for side, part in enumerate((row.lhs, row.rhs)) for term in part]
+    grid = tuple(grid_points(N + row.grid))
+    read = "p" if row.plane == "P" else "q"
+    zero = Rat(0) if row.plane == "P" else 0.0
+    samples = []  # per sample point: its _At, its per-point parts, one value reader per term
+    for m, n in degree_pairs(N + row.degrees):
+        top = _sweep_degree(row, m, n, N) if row.swept else 0
+        for t in range(len(samples), top + 1):
+            at = check.at(t)
+            readers = [
+                getattr(check.values(*(a + s for a, s in zip(at.triple(False), term.params))), read)
+                for _, term, _ in terms
+            ]
+            samples.append((at, [row.per_point(at, i, k) for i, k in grid], readers))
+        sweep = [(t, xs, rd, row.per_degree(at, m, n)) for t, (at, xs, rd) in enumerate(samples[: top + 1])]
+        for g, (i, k) in enumerate(grid):
+            for t, xs, readers, d in sweep:
+                sums = [None, None]
+                for (side, term, level), value in zip(terms, readers):
+                    cf = term.coef(d, xs[g])
+                    mm, nn = m + term.degree[0], n + term.degree[1]
+                    ii, kk = i + term.point[0], k + term.point[1]
+                    if 0 <= mm and 0 <= nn and mm + nn <= level and 0 <= ii and 0 <= kk and ii + kk <= level:
+                        v = cf * value(mm, nn, ii, kk, level)
+                        sums[side] = v if sums[side] is None else sums[side] + v
+                    elif cf:
+                        yield m, n, i, k, t, cf, zero, {"degree": (mm, nn), "point": (ii, kk)}
+                        return
+                yield (m, n, i, k, t, *(zero if v is None else v for v in sums), None)
+
+
+def _indices(m, n, i, k, t, target=None) -> dict:
+    indices = {"degree": (m, n), "point": (i, k)}
+    if target is not None:
+        indices["target"] = target
+    if t:
+        indices["t"] = t
+    return indices
+
+
+def _exact_fail(name, indices, lhs, rhs) -> CheckResult:
+    return CheckResult.failure(name, "nonzero", indices, format_rational(lhs), format_rational(rhs))
+
+
+def _exact_check(row: _Relation, check: _Check) -> CheckResult:
+    for m, n, i, k, t, lhs, rhs, target in _instances(row, check):
+        if target is not None or lhs != rhs:
+            return _exact_fail(row.name, _indices(m, n, i, k, t, target), lhs, rhs)
+    return CheckResult.exact_pass(row.name)
+
+
+def _float_check(row: _Relation, check: _Check) -> CheckResult:
+    """The largest scale-normalized residual |lhs - rhs| / (1 + max(|lhs|, |rhs|))."""
+    worst, example = 0.0, None
+    for m, n, i, k, t, lhs, rhs, target in _instances(row, check):
+        if target is not None:
+            return CheckResult.failure(row.name, "nonzero", _indices(m, n, i, k, t, target), f"{lhs:.17g}", "0")
+        scaled = abs(lhs - rhs) / (1.0 + max(abs(lhs), abs(rhs)))
+        if scaled > worst:
+            worst, example = scaled, (m, n, i, k, lhs, rhs)
+    if worst <= FLOAT_TOL:
+        return CheckResult.float_pass(row.name, worst)
+    m, n, i, k, lhs, rhs = example
+    return CheckResult.failure(row.name, f"{worst:.17g}", _indices(m, n, i, k, 0), f"{lhs:.17g}", f"{rhs:.17g}")
+
+
+def _relations(check_name: str):
+    """The check that runs, in order, every row named check_name or check_name[...]."""
+
+    def run(p: BiParams) -> list[CheckResult]:
+        check = _Check(p)
+        rows = [row for name, row in _RELATIONS.items() if name.split("[")[0] == check_name]
+        return [(_exact_check if row.plane == "P" else _float_check)(row, check) for row in rows]
+
+    return run
+
+
+# Relation checks in row order, the exact ones before genfun as they always were.
+_RELATION_CHECKS = {name.split("[")[0]: row.plane for name, row in _RELATIONS.items()}
 _BI_CHECKS = {
     "orthogonality": _check_orthogonality,
     "symmetry": _check_symmetry,
-    "recurrence-x1": lambda p: _check_recurrence(p, "x1"),
-    "recurrence-x2": lambda p: _check_recurrence(p, "x2"),
-    "diff-L1": _check_diff_l1,
-    "diff-L2": _check_diff_l2,
-    "forward-shift-m": _check_forward_shift_m,
-    "forward-shift-n": _check_forward_shift_n,
-    "backward-shift-m": _check_backward_shift_m,
-    "backward-shift-n": _check_backward_shift_n,
-    "structure": _check_structure,
+    **{name: _relations(name) for name, plane in _RELATION_CHECKS.items() if plane == "P"},
     "genfun": _check_genfun,
-    "normalized-structure-float": _check_normalized_structure,
-    "normalized-recurrence-float": _check_normalized_recurrence,
-    "normalized-difference-float": _check_normalized_difference,
-    "normalized-lowering-float": _check_normalized_lowering,
+    **{name: _relations(name) for name, plane in _RELATION_CHECKS.items() if plane == "Q"},
 }
 
 BI_CHECK_NAMES = tuple(_BI_CHECKS)

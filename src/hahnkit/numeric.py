@@ -59,17 +59,6 @@ def format_rational(value) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def rat_is_integer(value) -> bool:
-    return Rat(value).denominator == 1
-
-
-def rat_to_int(value) -> int:
-    value = Rat(value)
-    if value.denominator != 1:
-        raise ValueError(f"not an integer: {value}")
-    return int(value.numerator)
-
-
 def pochhammer(a, n: int):
     """Rising factorial a(a+1)...(a+n-1); empty product is 1."""
     if n < 0:

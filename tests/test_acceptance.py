@@ -27,6 +27,7 @@ from hahnkit.hahn_multi import MultiParams, mv_lambda, mv_p_eval, mv_weight, ver
 from hahnkit.hahn_uni import UniParams, hahn_eval, hahn_norm, hahn_weight, verify_uni
 from hahnkit.numeric import Rat, RationalMatrix, pochhammer
 from hahnkit.oracle import chain_matrices, su11_build, su11_spectrum_check, verify_oracle
+from test_golden import assert_battery_matches
 
 LATTICE = [Rat(-1, 2), Rat(0), Rat(1, 2), Rat(3), Rat(7, 3)]
 
@@ -226,4 +227,5 @@ class TestAcceptance:
         capsys.readouterr()
         assert code == 0
         assert '"status": "pass"' in out.read_text()
+        assert_battery_matches(out.read_text())
         finish(11, "full verify battery", started, budget=120.0)

@@ -1,0 +1,92 @@
+"""Golden outputs: every bivariate report, byte for byte.
+
+tests/data/bi_reports.json holds verify_bi(...).to_dict() for all sixteen
+checks on the four PARAM_TRIPLES at N = 0..3, made on the fractions
+backend.  Run this file as a script to write it again:
+
+    PYTHONPATH=src python tests/test_golden.py
+
+The battery's bytes (tests/data/verify_all.json) are compared inside
+criterion 11 of the acceptance tests, which already runs the battery.
+
+Float residual digits rest on float() of an exact rational, which the
+fractions backend rounds correctly; no other backend is known to round
+the same here, so elsewhere float checks are compared by status only.
+"""
+import json
+import pathlib
+import sys
+
+import pytest
+
+from hahnkit.hahn_bi import BI_CHECK_NAMES, BiParams, verify_bi
+from hahnkit.numeric import Rat, Rational, format_rational
+
+DATA = pathlib.Path(__file__).parent / "data"
+BI_REPORTS = DATA / "bi_reports.json"
+BATTERY = DATA / "verify_all.json"
+
+TRIPLES = [
+    (Rat(0), Rat(0), Rat(0)),
+    (Rat(1, 2), Rat(-1, 2), Rat(3)),
+    (Rat(-1, 2), Rat(-1, 2), Rat(-1, 2)),
+    (Rat(7, 3), Rat(1), Rat(1, 2)),
+]
+LEVELS = range(4)
+
+ON_FRACTIONS = Rational.__module__ == "fractions"
+
+
+def case_key(check, triple, N) -> str:
+    return f"{check} {','.join(format_rational(a) for a in triple)} N={N}"
+
+
+def bi_reports() -> dict:
+    return {
+        case_key(check, triple, N): json.loads(json.dumps(verify_bi(check, BiParams(*triple, N)).to_dict()))
+        for check in BI_CHECK_NAMES
+        for triple in TRIPLES
+        for N in LEVELS
+    }
+
+
+def comparable(payload):
+    """The payload as compared on this backend: float checks by status
+    only, unless the backend is fractions."""
+    if ON_FRACTIONS:
+        return payload
+    if isinstance(payload, list):
+        return [comparable(v) for v in payload]
+    if not isinstance(payload, dict):
+        return payload
+    if "-float" in payload.get("name", "") or payload.get("name", "").startswith("chain-"):
+        return {"name": payload["name"], "status": payload["status"]}
+    return {key: comparable(value) for key, value in payload.items()}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(BI_REPORTS.read_text())
+
+
+@pytest.mark.parametrize("check", BI_CHECK_NAMES)
+def test_bi_reports_match_golden(golden, check):
+    for triple in TRIPLES:
+        for N in LEVELS:
+            key = case_key(check, triple, N)
+            got = json.loads(json.dumps(verify_bi(check, BiParams(*triple, N)).to_dict()))
+            assert json.dumps(comparable(got)) == json.dumps(comparable(golden[key])), key
+
+
+def assert_battery_matches(text: str) -> None:
+    want = BATTERY.read_text()
+    if ON_FRACTIONS:
+        assert text == want
+    else:
+        assert comparable(json.loads(text)) == comparable(json.loads(want))
+
+
+if __name__ == "__main__":
+    if not ON_FRACTIONS:
+        sys.exit("golden files are made on the fractions backend")
+    BI_REPORTS.write_text(json.dumps(bi_reports(), indent=1) + "\n")

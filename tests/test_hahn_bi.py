@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -494,13 +499,67 @@ class TestSweepDegreeBound:
                     assert len(value.num) - 1 <= bi_mod._deg(bound), ((m, n), args)
 
 
-# Swept checks: verify_bi name, the coefficient function, and the slot of
-# the target (0, 0) and of a target that is off the simplex at degree (0, 1).
-SWEPT_CHECKS = {
-    "recurrence-x1": ("recurrence-x1", "_rec_coeffs_cleared", 4, 2),
-    "recurrence-x2": ("recurrence-x2", "_rec_coeffs_cleared", 4, 2),
-    "structure[raise-i]": ("structure", "_structure_raise_terms", 0, 1),
-    "structure[raise-k]": ("structure", "_structure_raise_terms", 0, 1),
+def check_of(row_name):
+    """The verify_bi check that runs a relation row."""
+    return row_name.split("[")[0]
+
+
+def term_target(term, m, n, i, k, N):
+    """(degree pair, grid point, level) a term reads, and whether it is on the simplex."""
+    level = N + term.level
+    mm, nn = m + term.degree[0], n + term.degree[1]
+    ii, kk = i + term.point[0], k + term.point[1]
+    on = min(mm, nn, ii, kk) >= 0 and mm + nn <= level and ii + kk <= level
+    return (mm, nn), (ii, kk), level, on
+
+
+def reference_terms(row, p):
+    """Each instance of row at the base point, as ((m, n), (i, k), lhs, rhs),
+    each side the list of its terms' contributions computed from p2_eval (or
+    q2_eval on the float plane), with None for a target off the simplex."""
+    c = bi_mod._Check(p).at(0)
+    for m, n in degree_pairs(p.N + row.degrees):
+        d = row.per_degree(c, m, n)
+        for i, k in grid_points(p.N + row.grid):
+            x = row.per_point(c, i, k)
+            sides = []
+            for terms in (row.lhs, row.rhs):
+                values = []
+                for term in terms:
+                    degree, point, level, on = term_target(term, m, n, i, k, p.N)
+                    if not on:
+                        values.append(None)
+                        continue
+                    q = BiParams(*(a + s for a, s in zip((p.alpha1, p.alpha2, p.alpha3), term.params)), level)
+                    value = p2_eval(degree, point, q) if row.plane == "P" else float(q2_eval(degree, point, q))
+                    values.append(term.coef(d, x) * value)
+                sides.append(values)
+            yield (m, n), (i, k), sides[0], sides[1]
+
+
+def base_point_failure(row, p):
+    """First instance at which an exact row fails at the base parameters,
+    from p2_eval values: (indices, lhs, rhs), or None.  Targets off the
+    simplex are skipped.
+
+    At the base point the infinitesimal ring's limits were these plain
+    values, so this is the report the ring gave for an instance that fails
+    there.
+    """
+    for degree, point, lhs, rhs in reference_terms(row, p):
+        lhs, rhs = (sum((v for v in side if v is not None), Rat(0)) for side in (lhs, rhs))
+        if lhs != rhs:
+            return {"degree": degree, "point": point}, format_rational(lhs), format_rational(rhs)
+    return None
+
+
+# Swept rows: the slot of the target (0, 0), and of a target that is off the
+# simplex at degree (0, 1), among the row's per-degree coefficients.
+SWEPT_ROWS = {
+    "recurrence-x1": (4, 2),
+    "recurrence-x2": (4, 2),
+    "structure[raise-i]": (0, 1),
+    "structure[raise-k]": (0, 1),
 }
 TAMPERED_DEGREE = (0, 1)
 
@@ -509,93 +568,53 @@ def _second_variable(name):
     return name.endswith("x2") or name.endswith("k]")
 
 
-def _tamper(honest, slot, extra):
-    """honest with extra(first parameter) added to one coefficient at TAMPERED_DEGREE."""
+def tampered_row(name, slot, extra):
+    """The row with extra(first parameter) added to one per-degree
+    coefficient at TAMPERED_DEGREE; the second-variable forms take alpha2
+    as their first parameter."""
+    row = bi_mod._RELATIONS[name]
 
-    def fn(m, n, N, a1, a2, a3):
-        coeffs, denom = honest(m, n, N, a1, a2, a3)
-        if (m, n) == TAMPERED_DEGREE:
-            coeffs = coeffs[:slot] + (coeffs[slot] + extra(a1),) + coeffs[slot + 1 :]
-        return coeffs, denom
+    def per_degree(c, m, n):
+        d = row.per_degree(c, m, n)
+        if (m, n) != TAMPERED_DEGREE:
+            return d
+        first = c.a2 if _second_variable(name) else c.a1
+        return d[:slot] + (d[slot] + extra(first),) + d[slot + 1 :]
 
-    return fn
-
-
-def base_point_failure(name, p, coeff_fn):
-    """First instance at which the cleared identity fails at the base
-    parameters, from p2_eval values: (indices, lhs, rhs), or None.
-
-    At the base point the infinitesimal ring's limits were these plain
-    values, so this is the report the ring gave for an instance that fails
-    there.  Targets off the simplex are skipped.
-    """
-    N = p.N
-    a1, a2, a3 = p.alpha1, p.alpha2, p.alpha3
-    second = _second_variable(name)
-    args = (a2, a1, a3) if second else (a1, a2, a3)
-    if name.startswith("recurrence"):
-        targets, signs, rhs_params = bi_mod._REC_TARGETS, bi_mod._REC_SIGNS[name[-2:]], p
-
-        def lhs_of(m, n, i, k, denom):
-            return p2_eval((m, n), (i, k), p) * denom * (k if second else i)
-
-    else:
-        targets = bi_mod._STRUCT_RAISE_TARGETS
-        signs = bi_mod._STRUCT_RAISE_SIGNS["k" if second else "i"]
-        rhs_params = BiParams(a1, a2 + 1, a3, N - 1) if second else BiParams(a1 + 1, a2, a3, N - 1)
-
-        def lhs_of(m, n, i, k, denom):
-            return N * p2_eval((m, n), (i, k + 1) if second else (i + 1, k), p) * denom
-
-    level = rhs_params.N
-    for m, n in degree_pairs(level):
-        coeffs, denom = coeff_fn(m, n, N, *args)
-        for i, k in grid_points(level):
-            lhs = lhs_of(m, n, i, k, denom)
-            rhs = Rat(0)
-            for (dm, dn), sign, cf in zip(targets, signs, coeffs):
-                mm, nn = m + dm, n + dn
-                if mm >= 0 and nn >= 0 and mm + nn <= level:
-                    rhs += sign * cf * p2_eval((mm, nn), (i, k), rhs_params)
-            if lhs != rhs:
-                return {"degree": (m, n), "point": (i, k)}, format_rational(lhs), format_rational(rhs)
-    return None
+    return row._replace(per_degree=per_degree)
 
 
 class TestSweepFaultInjection:
-    """Tampered coefficient formulas must fail the swept checks, and a
-    base-point failure must keep the report the infinitesimal ring gave."""
+    """Tampered coefficients must fail the swept rows, and a base-point
+    failure must keep the report the infinitesimal ring gave."""
 
     N = 3
 
     def run(self, monkeypatch, name, p, slot, extra):
-        check, fn_name, _, _ = SWEPT_CHECKS[name]
-        fn = _tamper(getattr(bi_mod, fn_name), slot, extra)
-        monkeypatch.setattr(bi_mod, fn_name, fn)
-        result = next(c for c in verify_bi(check, p).checks if c.name == name)
+        row = tampered_row(name, slot, extra)
+        monkeypatch.setitem(bi_mod._RELATIONS, name, row)
+        result = next(c for c in verify_bi(check_of(name), p).checks if c.name == name)
         assert not result.passed
         assert result.max_residual == "nonzero"
-        return result.counterexample, fn
+        return result.counterexample, row
 
     @pytest.mark.parametrize("triple", DEGENERATE_TRIPLES)
-    @pytest.mark.parametrize("name", SWEPT_CHECKS)
+    @pytest.mark.parametrize("name", SWEPT_ROWS)
     def test_tamper_vanishing_at_base_point_fails_at_positive_t(self, monkeypatch, name, triple):
         p = BiParams(*triple, self.N)
         first = p.alpha2 if _second_variable(name) else p.alpha1
-        slot = SWEPT_CHECKS[name][2]
-        report, fn = self.run(monkeypatch, name, p, slot, lambda a: 7 * (a - first))
+        report, row = self.run(monkeypatch, name, p, SWEPT_ROWS[name][0], lambda a: 7 * (a - first))
         # a sweep of the base point alone would pass
-        assert base_point_failure(name, p, fn) is None
+        assert base_point_failure(row, p) is None
         assert report["indices"]["degree"] == TAMPERED_DEGREE
         assert report["indices"]["t"] >= 1
 
     @pytest.mark.parametrize("triple", DEGENERATE_TRIPLES)
-    @pytest.mark.parametrize("name", SWEPT_CHECKS)
+    @pytest.mark.parametrize("name", SWEPT_ROWS)
     def test_off_simplex_coefficient_tested_at_every_point(self, monkeypatch, name, triple):
         p = BiParams(*triple, self.N)
         first = p.alpha2 if _second_variable(name) else p.alpha1
-        slot = SWEPT_CHECKS[name][3]
-        report, _ = self.run(monkeypatch, name, p, slot, lambda a: 7 * (a - first))
+        report, _ = self.run(monkeypatch, name, p, SWEPT_ROWS[name][1], lambda a: 7 * (a - first))
         indices = report["indices"]
         assert indices["degree"] == TAMPERED_DEGREE
         assert indices["t"] == 1
@@ -603,13 +622,110 @@ class TestSweepFaultInjection:
         assert report["lhs"] != "0" and report["rhs"] == "0"
 
     @pytest.mark.parametrize("triple", DEGENERATE_TRIPLES)
-    @pytest.mark.parametrize("name", SWEPT_CHECKS)
+    @pytest.mark.parametrize("name", SWEPT_ROWS)
     def test_tamper_at_base_point_keeps_report(self, monkeypatch, name, triple):
         p = BiParams(*triple, self.N)
-        slot = SWEPT_CHECKS[name][2]
-        report, fn = self.run(monkeypatch, name, p, slot, lambda a: Rat(1, 7))
-        expected = base_point_failure(name, p, fn)
+        report, row = self.run(monkeypatch, name, p, SWEPT_ROWS[name][0], lambda a: Rat(1, 7))
+        expected = base_point_failure(row, p)
         assert expected is not None
         indices, lhs, rhs = expected
         assert indices["degree"] == TAMPERED_DEGREE
         assert report == {"indices": indices, "lhs": lhs, "rhs": rhs}
+
+
+def first_live_degree(row, j, p):
+    """The first degree pair at which rhs term j reads a value on the simplex
+    that moves its side: nonzero on the P plane, at least 1e-2 on the Q plane."""
+    for degree, _, _, rhs in reference_terms(row, p):
+        v = rhs[j]
+        if v is not None and (v != 0 if row.plane == "P" else abs(v) >= 1e-2):
+            return degree
+    raise AssertionError(f"{row.name}: rhs term {j} is never live")
+
+
+def tamper_live_term(row, term, at_degree, N):
+    """The row with `term` perturbed wherever it is live at at_degree:
+    Rat(1, 7) added to its coefficient on the P plane, its coefficient
+    scaled by 1 + 1e-6 on the Q plane."""
+
+    def wrap(t):
+        def coef(d, x):
+            (m, n), d_part = d
+            (i, k), x_part = x
+            value = t.coef(d_part, x_part)
+            if t is not term or (m, n) != at_degree or not term_target(t, m, n, i, k, N)[3]:
+                return value
+            return value + Rat(1, 7) if row.plane == "P" else value * (1 + 1e-6)
+
+        return t._replace(coef=coef)
+
+    return row._replace(
+        lhs=tuple(map(wrap, row.lhs)),
+        rhs=tuple(map(wrap, row.rhs)),
+        per_degree=lambda c, m, n: ((m, n), row.per_degree(c, m, n)),
+        per_point=lambda c, i, k: ((i, k), row.per_point(c, i, k)),
+    )
+
+
+@pytest.mark.parametrize("name", list(bi_mod._RELATIONS))
+def test_every_row_reports_a_perturbed_term(monkeypatch, name):
+    """Perturbing one live term of one row fails exactly that row's
+    sub-check, at the first degree pair where the term is live."""
+    p = BiParams(Rat(1, 2), Rat(-1, 2), Rat(3), 3)
+    row = bi_mod._RELATIONS[name]
+    at_degree = first_live_degree(row, 0, p)
+    monkeypatch.setitem(bi_mod._RELATIONS, name, tamper_live_term(row, row.rhs[0], at_degree, p.N))
+    failed = [c for c in verify_bi(check_of(name), p).checks if not c.passed]
+    assert [c.name for c in failed] == [name]
+    assert failed[0].counterexample["indices"]["degree"] == at_degree
+
+
+def test_float_obligation_reported_under_optimization(tmp_path):
+    """A nonzero float coefficient on a target off the simplex is a reported
+    failure, also under python -O, where an assert would vanish."""
+    script = tmp_path / "tamper.py"
+    script.write_text(
+        "import json\n"
+        "import hahnkit.hahn_bi as bi\n"
+        "from hahnkit.numeric import Rat\n"
+        "honest = bi._coef_delta\n"
+        "def tampered(m, n, N, a1, a2, a3):\n"
+        "    sign, sq = honest(m, n, N, a1, a2, a3)\n"
+        "    return (sign, sq + 1) if m == 0 else (sign, sq)\n"
+        "bi._coef_delta = tampered\n"
+        "p = bi.BiParams(Rat(1, 2), Rat(-1, 2), Rat(3), 3)\n"
+        "rep = bi.verify_bi('normalized-structure-float', p)\n"
+        "print(json.dumps([c.to_dict() for c in rep.checks]))\n"
+    )
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    command = [sys.executable, "-O", str(script)]
+    done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    checks = {c["name"]: c for c in json.loads(done.stdout)}
+    for var in ("i", "k"):
+        forward = checks[f"normalized-structure-float[forward-{var}]"]
+        assert forward["status"] == "fail"
+        assert forward["max_residual"] == "nonzero"
+        indices = forward["counterexample"]["indices"]
+        assert indices["degree"] == [0, 0]
+        assert indices["target"] == {"degree": [-1, 1], "point": [0, 0]}
+        assert forward["counterexample"]["rhs"] == "0"
+        assert checks[f"normalized-structure-float[backward-{var}]"]["status"] == "pass"
+
+
+def test_exact_obligation_report_shape(monkeypatch):
+    """One report shape for a nonzero coefficient on an off-simplex target."""
+    row = bi_mod._RELATIONS["diff-L2"]
+    honest = row.per_point
+    monkeypatch.setitem(
+        bi_mod._RELATIONS,
+        "diff-L2",
+        row._replace(per_point=lambda c, i, k: honest(c, i, k)[:3] + (Rat(1, 7),) + honest(c, i, k)[4:]),
+    )
+    (result,) = verify_bi("diff-L2", BiParams(Rat(1, 2), Rat(-1, 2), Rat(3), 2)).checks
+    assert result.to_dict()["counterexample"] == {
+        "indices": {"degree": (0, 0), "point": (0, 0), "target": {"degree": (0, 0), "point": (-1, 0)}},
+        "lhs": "1/7",
+        "rhs": "0",
+    }

@@ -247,3 +247,27 @@ class TestVerifyMv:
         check = rep.checks[0]
         assert check.passed and check.max_residual == "0"
         assert rep.params == p.echo()
+
+    def test_negated_weights_fail_the_diagonal(self, monkeypatch):
+        # With every weight negated the off-diagonal entries stay 0; only the
+        # positivity of the diagonal can catch it.
+        import hahnkit.hahn_multi as mv_mod
+
+        honest = mv_mod.mv_weight
+        monkeypatch.setattr(mv_mod, "mv_weight", lambda g, p: -honest(g, p))
+        rep = verify_mv(MultiParams((Rat(1, 2), 0, 3, Rat(7, 3)), 3))
+        check = rep.checks[0]
+        assert not check.passed
+        assert check.max_residual == "nonpositive"
+        assert check.counterexample["indices"] == {"degrees": [[0, 0, 0], [0, 0, 0]]}
+        assert check.counterexample["lhs"] == "-1" and check.counterexample["rhs"] == "0"
+
+    def test_off_diagonal_failure_report(self, monkeypatch):
+        import hahnkit.hahn_multi as mv_mod
+
+        honest = mv_mod.mv_weight
+        monkeypatch.setattr(mv_mod, "mv_weight", lambda g, p: honest(g, p) * (2 if g[0] == 1 else 1))
+        check = verify_mv(MultiParams((Rat(1, 2), 0, 3), 2)).checks[0]
+        assert not check.passed
+        assert check.max_residual == check.counterexample["lhs"] != "0"
+        assert check.counterexample["rhs"] == "0"
