@@ -6,7 +6,6 @@ floating-point one for the normalized families, checked to tight tolerances.
 """
 from .numeric import (
     BiPoly,
-    EpsFrac,
     Rat,
     Rational,
     RationalMatrix,
@@ -22,7 +21,6 @@ from .numeric import (
 
 __all__ = [
     "BiPoly",
-    "EpsFrac",
     "Rat",
     "Rational",
     "RationalMatrix",

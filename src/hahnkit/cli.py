@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .classical import RELATION_NAMES, verify_classical
@@ -352,8 +353,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as err:
         return 0 if err.code in (0, None) else 2
-    if args.tol <= 0:
-        print("error: --tol must be positive", file=sys.stderr)
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        print("error: --tol must be finite and positive", file=sys.stderr)
         return 2
     try:
         return _DISPATCH[args.command](args)

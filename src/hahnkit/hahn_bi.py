@@ -26,8 +26,9 @@ denominators, as polynomial identities in the parameters: along the line
 a degree D computed from the coefficient formulas, so vanishing at the
 D + 1 rational points t = 0..D proves it vanishes identically, which
 subsumes the base-point identity t = 0.  Float coefficients take the
-directional limit along the same line through a formal infinitesimal; the
-direction is fixed per relation so all its coefficients extend consistently.
+limit t -> 0+ along the same line.  Their formulas return factors linear in
+the parameters, so two exact evaluations, at t = 0 and t = 1, give each
+factor's value and slope, and from those the limit.
 """
 from __future__ import annotations
 
@@ -39,7 +40,6 @@ from .classical import jacobi_coeffs
 from .hahn_uni import eval_total
 from .numeric import (
     BiPoly,
-    EpsFrac,
     Rat,
     RadicalScalar,
     factorial,
@@ -368,20 +368,12 @@ def _check_genfun(p: BiParams) -> list[CheckResult]:
 # sweep lines and their degree bound
 
 
-def _eps_params(p: BiParams):
-    # Slopes 1, 3, 5: no integer combination of parameter sums that appears
-    # in a denominator has zero slope, so perturbed denominators never
-    # degenerate to the zero polynomial.
-    return (
-        EpsFrac.linear(p.alpha1, 1),
-        EpsFrac.linear(p.alpha2, 3),
-        EpsFrac.linear(p.alpha3, 5),
-    )
-
-
 def _sweep_points(p: BiParams, D: int) -> list:
-    """The triples (alpha1 + t, alpha2 + 3t, alpha3 + 5t) for t = 0..D: the
-    line of _eps_params, sampled at D + 1 rational points."""
+    """The triples (alpha1 + t, alpha2 + 3t, alpha3 + 5t) for t = 0..D.
+
+    Slopes 1, 3, 5: no integer combination of parameter sums that appears
+    in a denominator has zero slope, so no denominator factor is constant
+    zero along the line."""
     return [(p.alpha1 + t, p.alpha2 + 3 * t, p.alpha3 + 5 * t) for t in range(D + 1)]
 
 
@@ -493,44 +485,38 @@ _STRUCT_RAISE_SIGNS = {"i": (1, -1, -1, 1), "k": (1, 1, -1, -1)}
 # ---------------------------------------------------------------------------
 # coefficient formulas of the orthonormal relations
 
-# Coefficient evaluation below returns (sign, squared magnitude) pairs with
-# the squared magnitude exact; a removable 0/0 in a radicand is resolved by
-# the infinitesimal limit, and a bracket that vanishes while its radicand
-# diverges is folded in as sign * sqrt(radicand * bracket^2).
+# Each orthonormal coefficient formula returns a tuple of values, each given
+# by its factors, all linear in (m, n, N, alpha): a value is a tuple of
+# summands, each a pair (numerator factors, denominator factors), and a
+# square is a repeated factor.  The square-root coefficients return
+# (radicand, bracket) and stand for sign(bracket) * sqrt(radicand *
+# bracket^2): a bracket that vanishes while its radicand diverges is folded
+# in.  A removable 0/0 is resolved by the limit along the sweep line (_leads).
+
+_UNIT = (((), ()),)  # the bracket of a plain square root
 
 
-def _sq(sign: int, squared) -> float:
-    if squared < 0:
-        raise ArithmeticError("negative squared coefficient; transcription error")
-    return sign * math.sqrt(float(squared))
+def _root(numerators: tuple, denominators: tuple, bracket=_UNIT):
+    """(radicand, bracket) of a coefficient whose radicand is one product."""
+    return ((numerators, denominators),), bracket
 
 
 def _coef_alpha(m, n, N, a1, a2, a3):
     s = a1 + a2
     sig = s + a3
-    rad = (
-        (m + a1 + 1)
-        * (m + s + 1)
-        * (n + 2 * m + s + 2)
-        * (n + 2 * m + sig + 2)
-        * (N - m - n)
-        / ((2 * m + s + 1) * (2 * m + s + 2) * (2 * n + 2 * m + sig + 2) * (2 * n + 2 * m + sig + 3))
+    return _root(
+        (m + a1 + 1, m + s + 1, n + 2 * m + s + 2, n + 2 * m + sig + 2, N - m - n),
+        (2 * m + s + 1, 2 * m + s + 2, 2 * n + 2 * m + sig + 2, 2 * n + 2 * m + sig + 3),
     )
-    return 1, rad.limit()
 
 
 def _coef_beta(m, n, N, a1, a2, a3):
     s = a1 + a2
     sig = s + a3
-    rad = (
-        m
-        * (m + a2)
-        * (n + 2 * m + s + 1)
-        * (n + 2 * m + sig + 1)
-        * (N + m + n + sig + 2)
-        / ((2 * m + s) * (2 * m + s + 1) * (2 * n + 2 * m + sig + 1) * (2 * n + 2 * m + sig + 2))
+    return _root(
+        (m, m + a2, n + 2 * m + s + 1, n + 2 * m + sig + 1, N + m + n + sig + 2),
+        (2 * m + s, 2 * m + s + 1, 2 * n + 2 * m + sig + 1, 2 * n + 2 * m + sig + 2),
     )
-    return 1, rad.limit()
 
 
 def _coef_gamma(m, n, N, a1, a2, a3):
@@ -540,137 +526,157 @@ def _coef_gamma(m, n, N, a1, a2, a3):
     # numerically at generic parameters.
     s = a1 + a2
     sig = s + a3
-    rad = (
-        n
-        * (n + a3)
-        * (m + a1 + 1)
-        * (m + s + 1)
-        * (N + m + n + sig + 2)
-        / ((2 * m + s + 1) * (2 * m + s + 2) * (2 * n + 2 * m + sig + 1) * (2 * n + 2 * m + sig + 2))
+    return _root(
+        (n, n + a3, m + a1 + 1, m + s + 1, N + m + n + sig + 2),
+        (2 * m + s + 1, 2 * m + s + 2, 2 * n + 2 * m + sig + 1, 2 * n + 2 * m + sig + 2),
     )
-    return 1, rad.limit()
 
 
 def _coef_delta(m, n, N, a1, a2, a3):
     s = a1 + a2
     sig = s + a3
-    rad = (
-        m
-        * n
-        * (m + a2)
-        * (n + a3)
-        * (N - m - n + 1)
-        / ((2 * m + s) * (2 * m + s + 1) * (2 * n + 2 * m + sig) * (2 * n + 2 * m + sig + 1))
+    return _root(
+        (m, n, m + a2, n + a3, N - m - n + 1),
+        (2 * m + s, 2 * m + s + 1, 2 * n + 2 * m + sig, 2 * n + 2 * m + sig + 1),
     )
-    return 1, rad.limit()
 
 
 def _coef_rec_a(m, n, N, a1, a2, a3):
     s = a1 + a2
     sig = s + a3
-    rad = (
-        m
-        * (m + a1)
-        * (m + a2)
-        * (m + s)
-        * (n + 2 * m + s)
-        * (n + 2 * m + s + 1)
-        * (n + 2 * m + sig)
-        * (n + 2 * m + sig + 1)
-        * (N + m + n + sig + 2)
-        * (N - m - n + 1)
-        / (
-            (2 * m + s - 1)
-            * (2 * m + s) ** 2
-            * (2 * m + s + 1)
-            * (2 * n + 2 * m + sig)
-            * (2 * n + 2 * m + sig + 1) ** 2
-            * (2 * n + 2 * m + sig + 2)
-        )
+    return _root(
+        (
+            m, m + a1, m + a2, m + s, n + 2 * m + s, n + 2 * m + s + 1, n + 2 * m + sig,
+            n + 2 * m + sig + 1, N + m + n + sig + 2, N - m - n + 1,
+        ),
+        (
+            2 * m + s - 1, 2 * m + s, 2 * m + s, 2 * m + s + 1,
+            2 * n + 2 * m + sig, 2 * n + 2 * m + sig + 1, 2 * n + 2 * m + sig + 1, 2 * n + 2 * m + sig + 2,
+        ),
     )
-    return 1, rad.limit()
 
 
 def _coef_rec_c(m, n, N, a1, a2, a3):
     s = a1 + a2
     sig = s + a3
-    rad = (
-        m
-        * n
-        * (n - 1)
-        * (m + a1)
-        * (m + a2)
-        * (m + s)
-        * (n + a3 - 1)
-        * (n + a3)
-        * (N + m + n + sig + 1)
-        * (N - m - n + 2)
-        / (
-            (2 * m + s - 1)
-            * (2 * m + s) ** 2
-            * (2 * m + s + 1)
-            * (2 * n + 2 * m + sig - 2)
-            * (2 * n + 2 * m + sig - 1) ** 2
-            * (2 * n + 2 * m + sig)
-        )
+    return _root(
+        (m, n, n - 1, m + a1, m + a2, m + s, n + a3 - 1, n + a3, N + m + n + sig + 1, N - m - n + 2),
+        (
+            2 * m + s - 1, 2 * m + s, 2 * m + s, 2 * m + s + 1,
+            2 * n + 2 * m + sig - 2, 2 * n + 2 * m + sig - 1, 2 * n + 2 * m + sig - 1, 2 * n + 2 * m + sig,
+        ),
     )
-    return 1, rad.limit()
 
 
 def _coef_rec_b(m, n, N, a1, a2, a3):
     s = a1 + a2
     sig = s + a3
-    rad = (
-        n
-        * (n + a3)
-        * (n + 2 * m + s + 1)
-        * (n + 2 * m + sig + 1)
-        * (N + m + n + sig + 2)
-        * (N - m - n + 1)
-        / (
-            (2 * m + s + 1) ** 2
-            * (2 * m + 2 * n + sig)
-            * (2 * m + 2 * n + sig + 1) ** 2
-            * (2 * m + 2 * n + sig + 2)
-        )
+    bracket = (
+        ((m, m + a2), (2 * m + s,)),
+        ((m + a1 + 1, m + s + 1), (2 * m + s + 2,)),
     )
-    bracket = m * (m + a2) / (2 * m + s) + (m + a1 + 1) * (m + s + 1) / (2 * m + s + 2)
-    return bracket.sign_at_zero(), (rad * bracket * bracket).limit()
+    return _root(
+        (n, n + a3, n + 2 * m + s + 1, n + 2 * m + sig + 1, N + m + n + sig + 2, N - m - n + 1),
+        (
+            2 * m + s + 1, 2 * m + s + 1,
+            2 * m + 2 * n + sig, 2 * m + 2 * n + sig + 1, 2 * m + 2 * n + sig + 1, 2 * m + 2 * n + sig + 2,
+        ),
+        bracket,
+    )
 
 
 def _coef_rec_d(m, n, N, a1, a2, a3):
     s = a1 + a2
     sig = s + a3
-    rad = (
-        m
-        * n
-        * (m + a1)
-        * (m + a2)
-        * (m + s)
-        * (n + a3)
-        * (n + 2 * m + s)
-        * (n + 2 * m + sig)
-        / ((2 * m + s - 1) * (2 * m + s) ** 2 * (2 * m + s + 1))
+    bracket = (((2 * N + sig + 3,), (2 * n + 2 * m + sig - 1, 2 * n + 2 * m + sig + 1)),)
+    return _root(
+        (m, n, m + a1, m + a2, m + s, n + a3, n + 2 * m + s, n + 2 * m + sig),
+        (2 * m + s - 1, 2 * m + s, 2 * m + s, 2 * m + s + 1),
+        bracket,
     )
-    bracket = (2 * N + sig + 3) / ((2 * n + 2 * m + sig - 1) * (2 * n + 2 * m + sig + 1))
-    return bracket.sign_at_zero(), (rad * bracket * bracket).limit()
 
 
 def _coef_rec_e(m, n, N, a1, a2, a3):
+    """The diagonal recurrence coefficient itself: one value, of four summands."""
     s = a1 + a2
     sig = s + a3
     big = N + m + n + sig + 2
     value = (
-        (m + a1 + 1) * (m + s + 1) * n * (n + a3) * big
-        / ((2 * m + s + 1) * (2 * m + s + 2) * (2 * n + 2 * m + sig + 1) * (2 * n + 2 * m + sig + 2))
-        + m * (m + a2) * (n + 1) * (n + a3 + 1) * (N - m - n)
-        / ((2 * m + s) * (2 * m + s + 1) * (2 * n + 2 * m + sig + 2) * (2 * n + 2 * m + sig + 3))
-        + m * (m + a2) * (n + 2 * m + s + 1) * (n + 2 * m + sig + 1) * big
-        / ((2 * m + s) * (2 * m + s + 1) * (2 * m + 2 * n + sig + 1) * (2 * m + 2 * n + sig + 2))
-        + (m + a1 + 1) * (m + s + 1) * (n + 2 * m + s + 2) * (n + 2 * m + sig + 2) * (N - m - n)
-        / ((2 * m + s + 1) * (2 * m + s + 2) * (2 * n + 2 * m + sig + 2) * (2 * n + 2 * m + sig + 3))
+        (
+            (m + a1 + 1, m + s + 1, n, n + a3, big),
+            (2 * m + s + 1, 2 * m + s + 2, 2 * n + 2 * m + sig + 1, 2 * n + 2 * m + sig + 2),
+        ),
+        (
+            (m, m + a2, n + 1, n + a3 + 1, N - m - n),
+            (2 * m + s, 2 * m + s + 1, 2 * n + 2 * m + sig + 2, 2 * n + 2 * m + sig + 3),
+        ),
+        (
+            (m, m + a2, n + 2 * m + s + 1, n + 2 * m + sig + 1, big),
+            (2 * m + s, 2 * m + s + 1, 2 * m + 2 * n + sig + 1, 2 * m + 2 * n + sig + 2),
+        ),
+        (
+            (m + a1 + 1, m + s + 1, n + 2 * m + s + 2, n + 2 * m + sig + 2, N - m - n),
+            (2 * m + s + 1, 2 * m + s + 2, 2 * n + 2 * m + sig + 2, 2 * n + 2 * m + sig + 3),
+        ),
     )
-    return float(value.limit())
+    return (value,)
+
+
+def _product(low: tuple, high: tuple):
+    """Lowest-order term (c, order) of a product of affine factors, each
+    given at t = 0 and t = 1."""
+    coef, order = Rat(1), 0
+    for f0, f1 in zip(low, high):
+        if f0:
+            coef *= f0
+        else:
+            coef, order = coef * (f1 - f0), order + 1
+    return coef, order
+
+
+def _leads(probe, low, high) -> list:
+    """The lowest-order term c * eps^order of each summand of a value at the
+    parameters t = eps of the sweep line, as eps -> 0+, as (c, order) pairs.
+
+    low and high are the value at t = 0 and t = 1, probe the same formula
+    run on the _Degree stand-in.  A factor f affine in t is f(0) + l eps
+    with l = f(1) - f(0): it gives f(0), or l and one order when f(0) = 0.
+    A summand with a numerator factor that vanishes identically is dropped.
+    """
+    out = []
+    for summand, lo, hi in zip(probe, low, high):
+        if any(_deg(f) > 1 for factors in summand for f in factors):
+            raise ArithmeticError("a coefficient factor is not affine along the sweep line")
+        (num, up), (den, down) = _product(lo[0], hi[0]), _product(lo[1], hi[1])
+        if not den:
+            raise ArithmeticError("a denominator factor vanishes identically")
+        if num:
+            out.append((num / den, up - down))
+    return out
+
+
+def _limit(leads):
+    """The value at eps = 0 of a sum with the given lowest-order terms."""
+    if any(order < 0 for _, order in leads):
+        raise ArithmeticError("pole at the evaluation point; identity is ill-formed here")
+    return sum((c for c, order in leads if order == 0), Rat(0))
+
+
+def _signed_square(radicand, bracket):
+    """(sign, squared) of sign(bracket) * sqrt(radicand * bracket^2) at
+    eps = 0, from the lowest-order terms of both.  The lowest-order part of
+    the bracket decides its sign; if it is zero, nothing here can."""
+    low = min((order for _, order in bracket), default=0)
+    b = sum((c for c, order in bracket if order == low), Rat(0))
+    if not b:
+        raise ArithmeticError("the bracket vanishes at its lowest order; its sign is undecided")
+    return (1 if b > 0 else -1), _limit([(c * b * b, order + 2 * low) for c, order in radicand])
+
+
+def _sq(sign: int, squared) -> float:
+    if squared < 0:
+        raise ArithmeticError("negative squared coefficient; transcription error")
+    return sign * math.sqrt(float(squared))
 
 
 # Nine-point targets paired with their explicit coefficient evaluators;
@@ -892,10 +898,6 @@ def _normalized_recurrence(var: str) -> _Relation:
     )
 
 
-def _sqrt_float(value) -> float:
-    return math.sqrt(float(value))
-
-
 # The 24 relation rows, in report order.  m = 0 and n = 0 keep the backward
 # sweeps honest: there the right side must cancel by itself.
 _RELATIONS = {row.name: row for row in (
@@ -950,16 +952,16 @@ _RELATIONS = {row.name: row for row in (
     ),
     _Relation(
         "normalized-lowering-float[raise-m]", "Q", -1, 0, lhs=(_Term(_degree_part, (1, 0)),), rhs=_LADDER_M,
-        per_degree=lambda c, m, n: _sqrt_float(
-            c.N * (c.a1 + 1) * (c.a2 + 1) * (c.N + c.sig + 3) * (m + 1) * (m + c.s + 2)
+        per_degree=lambda c, m, n: _sq(
+            1, c.N * (c.a1 + 1) * (c.a2 + 1) * (c.N + c.sig + 3) * (m + 1) * (m + c.s + 2)
             / ((c.sig + 3) * (c.sig + 4))
         ),
         per_point=_floats(_first_difference),
     ),
     _Relation(
         "normalized-lowering-float[raise-n]", "Q", -1, 0, lhs=(_Term(_degree_part, (0, 1)),), rhs=_LADDER_N,
-        per_degree=lambda c, m, n: _sqrt_float(
-            c.N * (c.N + c.sig + 3) * (c.a3 + 1) * (c.a3 + 2) * (n + 1) * (n + c.a3 + 2)
+        per_degree=lambda c, m, n: _sq(
+            1, c.N * (c.N + c.sig + 3) * (c.a3 + 1) * (c.a3 + 2) * (n + 1) * (n + c.a3 + 2)
             * (n + 2 * m + c.s + 2) * (n + 2 * m + c.sig + 3) / ((c.sig + 3) * (c.sig + 4))
         ),
         per_point=_floats(_ladder_n),
@@ -967,16 +969,16 @@ _RELATIONS = {row.name: row for row in (
     _Relation(
         "normalized-lowering-float[lower-m]", "Q", 0, 0, lhs=(_Term(_degree_part, (-1, 0), params=_UP_M),),
         rhs=_LOWER_M,
-        per_degree=lambda c, m, n: _sqrt_float(
-            m * (m + c.s + 1) * (c.sig + 3) * (c.sig + 4)
+        per_degree=lambda c, m, n: _sq(
+            1, m * (m + c.s + 1) * (c.sig + 3) * (c.sig + 4)
             / ((c.a1 + 1) * (c.a2 + 1) * (c.N + 1) * (c.N + c.sig + 4))
         ),
     ),
     _Relation(
         "normalized-lowering-float[lower-n]", "Q", 0, 0, lhs=(_Term(_degree_part, (0, -1), params=_UP_N),),
         rhs=_LOWER_N,
-        per_degree=lambda c, m, n: _sqrt_float(
-            n * (n + c.a3 + 1) * (n + 2 * m + c.s + 1) * (n + 2 * m + c.sig + 2) * (c.sig + 3) * (c.sig + 4)
+        per_degree=lambda c, m, n: _sq(
+            1, n * (n + c.a3 + 1) * (n + 2 * m + c.s + 1) * (n + 2 * m + c.sig + 2) * (c.sig + 3) * (c.sig + 4)
             / ((c.a3 + 1) * (c.a3 + 2) * (c.N + 1) * (c.N + c.sig + 4))
         ),
         per_point=_floats(_lowering_n),
@@ -998,10 +1000,11 @@ class _Check:
         self.points = []
         self.tables = {}
         self.limits = {}
+        self.line = _sweep_points(p, 1)
 
     def at(self, t: int) -> "_At":
         new = _sweep_points(self.p, t)[len(self.points) :]
-        self.points += [_At(self.p.N, *point, self.p, self.limits) for point in new]
+        self.points += [_At(self.p.N, *point, self.line, self.limits) for point in new]
         return self.points[t]
 
     def values(self, a1, a2, a3) -> _Values:
@@ -1012,31 +1015,35 @@ class _Check:
 
 class _At:
     """The level and parameter triple at one point of a check's sweep line,
-    with the check's base parameters and its table of float limits.  It
-    holds no reference to the check, so a check's tables are freed as soon
-    as the check returns."""
+    with the first two points of the line and the check's table of float
+    limits.  It holds no reference to the check, so a check's tables are
+    freed as soon as the check returns."""
 
-    def __init__(self, N, a1, a2, a3, base=None, limits=None):
+    def __init__(self, N, a1, a2, a3, line=None, limits=None):
         self.N, self.a1, self.a2, self.a3 = N, a1, a2, a3
         self.s = a1 + a2
         self.sig = self.s + a3
-        self.base, self.limits = base, limits
+        self.line, self.limits = line, limits
 
     def triple(self, swap: bool) -> tuple:
         return (self.a2, self.a1, self.a3) if swap else (self.a1, self.a2, self.a3)
 
-    def limit(self, fn, m, n, swap: bool):
-        """fn's coefficient limit along the sweep line, made once per check;
-        swap exchanges the first two parameters, as the second-variable
-        forms do."""
+    def leads(self, fn, m, n, swap: bool) -> list:
+        """The lowest-order terms (_leads) of each value fn returns at (m, n)
+        along the sweep line, made once per check; swap exchanges the first
+        two parameters, as the second-variable forms do."""
         key = (fn, m, n, swap)
         if key not in self.limits:
-            e1, e2, e3 = _eps_params(self.base)
-            self.limits[key] = fn(m, n, self.N, *((e2, e1, e3) if swap else (e1, e2, e3)))
+            x = _Degree(1)
+            points = [(x, x, x)] + [(b, a, c) if swap else (a, b, c) for a, b, c in self.line]
+            self.limits[key] = [_leads(*values) for values in zip(*(fn(m, n, self.N, *pt) for pt in points))]
         return self.limits[key]
 
     def root(self, fn, m, n, swap: bool) -> float:
-        return _sq(*self.limit(fn, m, n, swap))
+        return _sq(*_signed_square(*self.leads(fn, m, n, swap)))
+
+    def limit(self, fn, m, n, swap: bool) -> float:
+        return float(_limit(*self.leads(fn, m, n, swap)))
 
 
 def _sweep_degree(row: _Relation, m: int, n: int, N: int) -> int:
@@ -1132,13 +1139,25 @@ def _float_check(row: _Relation, check: _Check) -> CheckResult:
     return CheckResult.failure(row.name, f"{worst:.17g}", _indices(m, n, i, k, 0), f"{lhs:.17g}", f"{rhs:.17g}")
 
 
+def _guarded(name: str, run, *args) -> CheckResult:
+    """run(*args), or a failure with residual "inf" if it cannot be
+    evaluated: a pole, a negative radicand, an undecided sign, or a
+    coefficient factor that is not affine along the sweep line."""
+    try:
+        return run(*args)
+    except ArithmeticError as err:
+        return CheckResult.failure(name, "inf", {}, str(err), "")
+
+
 def _relations(check_name: str):
     """The check that runs, in order, every row named check_name or check_name[...]."""
 
     def run(p: BiParams) -> list[CheckResult]:
         check = _Check(p)
         rows = [row for name, row in _RELATIONS.items() if name.split("[")[0] == check_name]
-        return [(_exact_check if row.plane == "P" else _float_check)(row, check) for row in rows]
+        return [
+            _guarded(row.name, _exact_check if row.plane == "P" else _float_check, row, check) for row in rows
+        ]
 
     return run
 

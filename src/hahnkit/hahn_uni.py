@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from .classical import jacobi_coeffs
 from .numeric import (
     Rat,
+    _poly_add,
     _poly_mul,
-    _poly_trim,
     factorial,
     format_rational,
     multinomial,
@@ -248,13 +248,7 @@ def _check_dual_genfun(p: UniParams) -> CheckResult:
         lhs = (Rat(0),)
         for i, c in enumerate(coeffs):
             if c != 0:
-                term = _poly_mul(minus[i], plus[N - i])
-                lhs = _poly_trim(
-                    tuple(
-                        (lhs[k] if k < len(lhs) else Rat(0)) + c * term[k]
-                        for k in range(max(len(lhs), len(term)))
-                    )
-                )
+                lhs = _poly_add(lhs, tuple(c * x for x in _poly_mul(minus[i], plus[N - i])))
         scale = pochhammer(-N, n) * factorial(n)
         lhs = _pad(tuple(scale * c for c in lhs), N + 1)
         rhs = tuple(multinomial(N, [x]) * Rat(t, den) for x, t in enumerate(nums))

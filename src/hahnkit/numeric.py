@@ -1,9 +1,8 @@
 """Exact arithmetic substrate.
 
 Rationals, radical scalars r*sqrt(s), combinatorial factors, terminating
-hypergeometric sums, dense bivariate polynomial algebra, fraction-free
-kernels, and a one-infinitesimal rational-function type used to evaluate
-coefficient formulas through removable 0/0 points.
+hypergeometric sums, dense univariate and bivariate polynomial algebra, and
+fraction-free kernels.  Rationals are the only exact number type.
 
 Everything in this module is pure and immutable.  The rational backend is
 gmpy2.mpq when importable and fractions.Fraction otherwise; both keep
@@ -542,119 +541,3 @@ def _poly_mul(p: tuple, q: tuple) -> tuple:
             if b != 0:
                 out[i + j] += a * b
     return _poly_trim(tuple(out))
-
-
-class EpsFrac:
-    """Rational function of one formal infinitesimal.
-
-    Coefficient formulas in this package can hit removable 0/0 at special
-    parameter points.  Substituting alpha -> alpha + c*eps turns each such
-    formula into an exact rational function of eps; limit() reads off the
-    value at eps = 0 and raises if the point is a genuine pole instead.
-    Polynomials are stored as ascending rational coefficient tuples, never
-    reduced: order bookkeeping at 0 is all limit() needs.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=(Rat(1),)):
-        num = _poly_trim(tuple(Rat(c) for c in num))
-        den = _poly_trim(tuple(Rat(c) for c in den))
-        if all(c == 0 for c in den):
-            raise ZeroDivisionError("denominator is the zero polynomial")
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EpsFrac is immutable")
-
-    @classmethod
-    def const(cls, value) -> "EpsFrac":
-        return cls((Rat(value),))
-
-    @classmethod
-    def linear(cls, value, slope) -> "EpsFrac":
-        return cls((Rat(value), Rat(slope)))
-
-    @staticmethod
-    def _coerce(value) -> "EpsFrac":
-        if isinstance(value, EpsFrac):
-            return value
-        return EpsFrac.const(value)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return EpsFrac(
-            _poly_add(_poly_mul(self.num, other.den), _poly_mul(other.num, self.den)),
-            _poly_mul(self.den, other.den),
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return EpsFrac(tuple(-c for c in self.num), self.den)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return EpsFrac(_poly_mul(self.num, other.num), _poly_mul(self.den, other.den))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        return EpsFrac(_poly_mul(self.num, other.den), _poly_mul(self.den, other.num))
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("nonnegative integer powers only")
-        out = EpsFrac.const(1)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    @staticmethod
-    def _order(coeffs: tuple) -> int | None:
-        for i, c in enumerate(coeffs):
-            if c != 0:
-                return i
-        return None
-
-    def limit(self):
-        """Value at the infinitesimal -> 0; raises on a genuine pole."""
-        n_ord = self._order(self.num)
-        if n_ord is None:
-            return _ZERO
-        d_ord = self._order(self.den)
-        assert d_ord is not None
-        if n_ord > d_ord:
-            return _ZERO
-        if n_ord == d_ord:
-            return self.num[n_ord] / self.den[d_ord]
-        raise ArithmeticError("pole at the evaluation point; identity is ill-formed here")
-
-    def sign_at_zero(self) -> int:
-        """Sign of the value for a small positive infinitesimal.
-
-        Well-defined even when limit() is 0 or a pole: the lowest-order
-        coefficients decide.  Needed where a vanishing factor carries the
-        sign of a product whose magnitude survives the limit.
-        """
-        n_ord = self._order(self.num)
-        if n_ord is None:
-            return 0
-        sign = 1 if self.num[n_ord] > 0 else -1
-        if self.den[self._order(self.den)] < 0:
-            sign = -sign
-        return sign
-
-    def __repr__(self):
-        return f"EpsFrac(num={self.num}, den={self.den})"

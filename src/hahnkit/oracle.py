@@ -293,10 +293,6 @@ def _check_joint_eigenvectors(p: BiParams) -> CheckResult:
     return CheckResult.exact_pass(name)
 
 
-def _max_abs(rows) -> float:
-    return max((abs(x) for row in rows for x in row), default=0.0)
-
-
 def _identity_defect(entries) -> float:
     side = len(entries[0]) if entries else 0
     worst = 0.0

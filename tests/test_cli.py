@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import hahnkit.hahn_bi as bi_mod
 import hahnkit.oracle as oracle_mod
 from hahnkit.cli import main
 from hahnkit.hahn_bi import BiParams, overlap2, p2_eval
@@ -225,6 +226,30 @@ class TestVerify:
         assert payload["status"] == "fail"
         assert "counterexample" in payload["checks"][0]
 
+    def test_unevaluable_coefficient_is_a_reported_failure(self, capsys, monkeypatch):
+        """A coefficient that cannot be evaluated (here a negative radicand)
+        fails its rows with residual "inf"; the other rows still run."""
+        honest = bi_mod._coef_alpha
+
+        def tampered(m, n, N, a1, a2, a3):
+            ((numerators, denominators),), bracket = honest(m, n, N, a1, a2, a3)
+            return (((-1,) + numerators, denominators),), bracket
+
+        monkeypatch.setattr(bi_mod, "_coef_alpha", tampered)
+        code, out, _ = run(capsys, "verify", "--suite", "bi", "--alpha", "1/2,-1/2,3", "--N", "3")
+        assert code == 1
+        checks = json.loads(out)["checks"]
+        failed = [c for c in checks if c["status"] == "fail"]
+        assert [c["name"] for c in failed] == [
+            f"normalized-structure-float[{way}-{var}]" for var in ("i", "k") for way in ("forward", "backward")
+        ]
+        for c in failed:
+            assert c["max_residual"] == "inf"
+            assert c["counterexample"] == {
+                "indices": {}, "lhs": "negative squared coefficient; transcription error", "rhs": "",
+            }
+        assert len(checks) > len(failed)
+
 
 class TestPlumbing:
     def test_missing_level(self, capsys):
@@ -234,6 +259,11 @@ class TestPlumbing:
     def test_nonpositive_tol(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "all", "--tol", "0")
         assert code == 2 and "tol" in err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+    def test_nonfinite_tol(self, capsys, tol):
+        code, out, err = run(capsys, "verify", "--suite", "uni", "--alpha", "0,0", "--N", "2", "--tol", tol)
+        assert code == 2 and "tol" in err and out == ""
 
     def test_unknown_suite_is_usage_error(self, capsys):
         assert main(["verify", "--suite", "nope", "--alpha", "0,0", "--N", "1"]) == 2

@@ -19,12 +19,14 @@ import sys
 
 import pytest
 
+import hahnkit.hahn_bi as bi_mod
 from hahnkit.hahn_bi import BI_CHECK_NAMES, BiParams, verify_bi
-from hahnkit.numeric import Rat, Rational, format_rational
+from hahnkit.numeric import Rat, Rational, format_rational, parse_rational
 
 DATA = pathlib.Path(__file__).parent / "data"
 BI_REPORTS = DATA / "bi_reports.json"
 BATTERY = DATA / "verify_all.json"
+FLOAT_LIMITS = DATA / "float_limits.json"
 
 TRIPLES = [
     (Rat(0), Rat(0), Rat(0)),
@@ -76,6 +78,30 @@ def test_bi_reports_match_golden(golden, check):
             key = case_key(check, triple, N)
             got = json.loads(json.dumps(verify_bi(check, BiParams(*triple, N)).to_dict()))
             assert json.dumps(comparable(got)) == json.dumps(comparable(golden[key])), key
+
+
+def test_float_limits_match_golden():
+    """Exact limits of the float coefficient formulas, on either backend.
+
+    tests/data/float_limits.json holds, for every _coef_* formula, both
+    parameter orders (swap), the four TRIPLES, N = 0..3 and every m + n <= N + 2,
+    the entry [formula, swap, triple, N, m, n, sign, value]: value is
+    format_rational of the squared magnitude, or of the value itself for
+    _coef_rec_e, and sign its sign.  It was made by the one-infinitesimal
+    rational-function ring that the factor lists replaced.  That ring no
+    longer exists, so the file cannot be regenerated.
+    """
+    entries = json.loads(FLOAT_LIMITS.read_text())["entries"]
+    assert len(entries) == 9 * 2 * len(TRIPLES) * sum((N + 3) * (N + 4) // 2 for N in LEVELS)
+    for name, swap, triple, N, m, n, sign, value in entries:
+        at = bi_mod._Check(BiParams(*map(parse_rational, triple.split(",")), N)).at(0)
+        leads = at.leads(getattr(bi_mod, name), m, n, bool(swap))
+        if name == "_coef_rec_e":
+            got = bi_mod._limit(*leads)
+            got = ((got > 0) - (got < 0), got)
+        else:
+            got = bi_mod._signed_square(*leads)
+        assert (got[0], format_rational(got[1])) == (sign, value), (name, swap, triple, N, m, n)
 
 
 def assert_battery_matches(text: str) -> None:

@@ -24,7 +24,6 @@ from hahnkit.hahn_bi import (
     weight2,
 )
 from hahnkit.numeric import (
-    EpsFrac,
     Rat,
     binomial_general,
     factorial,
@@ -383,29 +382,17 @@ class TestLadderCoefficientConsistency:
     transition amplitudes; the explicit displays must agree with them."""
 
     @staticmethod
-    def _amps(N, a1, a2, a3):
+    def _amps(at):
         from hahnkit.hahn_bi import _coef_alpha, _coef_beta, _coef_delta, _coef_gamma
 
-        args = (EpsFrac.linear(a1, 1), EpsFrac.linear(a2, 3), EpsFrac.linear(a3, 5))
-
-        def ev(fn, mm, nn):
-            sign, sq = fn(mm, nn, N, *args)
-            return sign * math.sqrt(float(sq))
-
-        return (
-            lambda mm, nn: ev(_coef_alpha, mm, nn),
-            lambda mm, nn: ev(_coef_beta, mm, nn),
-            lambda mm, nn: ev(_coef_gamma, mm, nn),
-            lambda mm, nn: ev(_coef_delta, mm, nn),
+        return tuple(
+            lambda mm, nn, fn=fn: at.root(fn, mm, nn, False)
+            for fn in (_coef_alpha, _coef_beta, _coef_gamma, _coef_delta)
         )
 
     @staticmethod
-    def _explicit(fn, m, n, N, a1, a2, a3):
-        args = (EpsFrac.linear(a1, 1), EpsFrac.linear(a2, 3), EpsFrac.linear(a3, 5))
-        out = fn(m, n, N, *args)
-        if isinstance(out, tuple):
-            return out[0] * math.sqrt(float(out[1]))
-        return out
+    def _explicit(at, fn, m, n):
+        return at.limit(fn, m, n, False) if fn is bi_mod._coef_rec_e else at.root(fn, m, n, False)
 
     @pytest.mark.parametrize("mn", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1)])
     def test_grouped_products_match_explicit(self, mn):
@@ -418,11 +405,11 @@ class TestLadderCoefficientConsistency:
         )
 
         m, n = mn
-        N, a1, a2, a3 = 6, Rat(1, 2), Rat(3), Rat(7, 3)
-        al, be, ga, de = self._amps(N, a1, a2, a3)
+        at = bi_mod._Check(BiParams(Rat(1, 2), Rat(3), Rat(7, 3), 6)).at(0)
+        al, be, ga, de = self._amps(at)
 
         def explicit(fn, mm, nn):
-            return self._explicit(fn, mm, nn, N, a1, a2, a3)
+            return self._explicit(at, fn, mm, nn)
 
         assert al(m, n) * be(m + 1, n) == pytest.approx(explicit(_coef_rec_a, m + 1, n), rel=1e-12)
         assert al(m - 1, n) * be(m, n) == pytest.approx(explicit(_coef_rec_a, m, n), rel=1e-12)
@@ -449,6 +436,57 @@ class TestLadderCoefficientConsistency:
         )
 
 
+class TestDirectionalLimit:
+    """The limit rules of the float coefficients, on hand-made factor lists
+    at the base parameters 0, where the line is a1 = t, a2 = 3t, a3 = 5t."""
+
+    @staticmethod
+    def leads(fn):
+        return bi_mod._Check(BiParams(0, 0, 0, 0)).at(0).leads(fn, 0, 0, False)
+
+    def limit(self, value):
+        return bi_mod._limit(*self.leads(lambda *args: (value(*args),)))
+
+    def root(self, fn):
+        return bi_mod._signed_square(*self.leads(fn))
+
+    def test_removable_zero_over_zero(self):
+        assert self.limit(lambda m, n, N, a1, a2, a3: (((2 * a1, 1 + a1), (a2,)),)) == Rat(2, 3)
+        assert self.limit(lambda m, n, N, a1, a2, a3: (((a1, a2), (a3,)),)) == 0
+
+    def test_summands_add(self):
+        assert self.limit(lambda m, n, N, a1, a2, a3: (((a1,), (a3,)), ((1 + a2,), (2,)))) == Rat(7, 10)
+
+    def test_pole_raises(self):
+        with pytest.raises(ArithmeticError, match="pole"):
+            self.limit(lambda m, n, N, a1, a2, a3: (((1,), (a1,)), ((2,), ())))
+
+    def test_identically_zero_numerator_drops_its_summand(self):
+        assert self.limit(lambda m, n, N, a1, a2, a3: (((m, 1), (a1,)), ((3,), ()))) == 3
+
+    def test_identically_zero_denominator_raises(self):
+        with pytest.raises(ArithmeticError, match="vanishes identically"):
+            self.limit(lambda m, n, N, a1, a2, a3: (((m,), (N,)),))
+
+    def test_bracket_gives_sign_and_order(self):
+        assert self.root(lambda m, n, N, a1, a2, a3: ((((2,), (a1, a1)),), (((a1,), ()),))) == (1, 2)
+
+        def negative(m, n, N, a1, a2, a3):
+            return (((2,), (a1, a1)),), (((-1, a2), ()), ((a1, a1), ()))
+
+        assert self.root(negative) == (-1, 18)
+
+    def test_cancelling_or_zero_bracket_raises(self):
+        with pytest.raises(ArithmeticError, match="bracket"):
+            self.root(lambda m, n, N, a1, a2, a3: ((((1,), ()),), (((a2,), ()), ((-3, a1), ()))))
+        with pytest.raises(ArithmeticError, match="bracket"):
+            self.root(lambda m, n, N, a1, a2, a3: ((((2,), ()),), (((m,), ()),)))
+
+    def test_non_affine_factor_raises(self):
+        with pytest.raises(ArithmeticError, match="not affine"):
+            self.limit(lambda m, n, N, a1, a2, a3: (((1 + a1 * a2,), ()),))
+
+
 # Triples at which a cleared denominator vanishes at the base point:
 # 2m + a12 = 0 at m = 0, and 2m + a12 + 1 = 0 at m = 0.
 DEGENERATE_TRIPLES = [
@@ -460,11 +498,11 @@ DEGENERATE_TRIPLES = [
 class TestSweepDegreeBound:
     """The two facts behind checking the cleared identities at D + 1 points."""
 
-    def test_sample_points_lie_on_the_infinitesimal_line(self):
+    def test_sample_points_lie_on_one_line(self):
         p = BiParams(Rat(1, 2), Rat(-1, 2), Rat(3), 2)
-        line = bi_mod._eps_params(p)
+        base = (p.alpha1, p.alpha2, p.alpha3)
         for t, point in enumerate(bi_mod._sweep_points(p, 4)):
-            assert point == tuple(e.num[0] + e.num[1] * t for e in line)
+            assert point == tuple(a + slope * t for a, slope in zip(base, (1, 3, 5)))
 
     @pytest.mark.parametrize("triple", DEGENERATE_TRIPLES)
     @pytest.mark.parametrize("N", range(6))
@@ -487,16 +525,24 @@ class TestSweepDegreeBound:
     @pytest.mark.parametrize("triple", DEGENERATE_TRIPLES)
     @pytest.mark.parametrize("N", range(6))
     def test_stand_in_bounds_true_degree(self, fn_name, triple, N):
+        """Every cleared coefficient and denominator, a polynomial in t along
+        the line, has a vanishing finite difference of order one more than
+        its stand-in degree."""
         fn = getattr(bi_mod, fn_name)
-        e1, e2, e3 = bi_mod._eps_params(BiParams(*triple, N))
         x = bi_mod._Degree(1)
         for m, n in degree_pairs(N):
             bounds, bound_den = fn(m, n, N, x, x, x)
-            for args in ((e1, e2, e3), (e2, e1, e3)):
-                values, den = fn(m, n, N, *args)
-                for value, bound in zip(values + (den,), bounds + (bound_den,)):
-                    assert len(value.den) == 1
-                    assert len(value.num) - 1 <= bi_mod._deg(bound), ((m, n), args)
+            order = max(map(bi_mod._deg, bounds + (bound_den,))) + 1
+            for swap in (False, True):
+                line = []
+                for a1, a2, a3 in bi_mod._sweep_points(BiParams(*triple, N), order):
+                    values, den = fn(m, n, N, *((a2, a1, a3) if swap else (a1, a2, a3)))
+                    line.append(values + (den,))
+                for j, bound in enumerate(bounds + (bound_den,)):
+                    top = bi_mod._deg(bound) + 1
+                    terms = ((-1) ** (top - t) * math.comb(top, t) * v[j] for t, v in enumerate(line[: top + 1]))
+                    diff = sum(terms, Rat(0))
+                    assert diff == 0, ((m, n), swap, j)
 
 
 def check_of(row_name):
@@ -690,8 +736,8 @@ def test_float_obligation_reported_under_optimization(tmp_path):
         "from hahnkit.numeric import Rat\n"
         "honest = bi._coef_delta\n"
         "def tampered(m, n, N, a1, a2, a3):\n"
-        "    sign, sq = honest(m, n, N, a1, a2, a3)\n"
-        "    return (sign, sq + 1) if m == 0 else (sign, sq)\n"
+        "    radicand, bracket = honest(m, n, N, a1, a2, a3)\n"
+        "    return (radicand + (((1,), ()),) if m == 0 else radicand), bracket\n"
         "bi._coef_delta = tampered\n"
         "p = bi.BiParams(Rat(1, 2), Rat(-1, 2), Rat(3), 3)\n"
         "rep = bi.verify_bi('normalized-structure-float', p)\n"
@@ -712,6 +758,36 @@ def test_float_obligation_reported_under_optimization(tmp_path):
         assert indices["target"] == {"degree": [-1, 1], "point": [0, 0]}
         assert forward["counterexample"]["rhs"] == "0"
         assert checks[f"normalized-structure-float[backward-{var}]"]["status"] == "pass"
+
+
+def test_non_affine_factor_reported_under_optimization(tmp_path):
+    """A coefficient factor that is not affine along the sweep line makes
+    the two-point limit unsound; it is a reported failure, also under
+    python -O, where an assert would vanish."""
+    script = tmp_path / "tamper.py"
+    script.write_text(
+        "import json\n"
+        "import hahnkit.hahn_bi as bi\n"
+        "from hahnkit.numeric import Rat\n"
+        "honest = bi._coef_alpha\n"
+        "def tampered(m, n, N, a1, a2, a3):\n"
+        "    ((num, den),), bracket = honest(m, n, N, a1, a2, a3)\n"
+        "    return (((a1 * a2, a1 * a2) + num, den),), bracket\n"
+        "bi._coef_alpha = tampered\n"
+        "p = bi.BiParams(Rat(1, 2), Rat(-1, 2), Rat(3), 3)\n"
+        "rep = bi.verify_bi('normalized-structure-float', p)\n"
+        "print(json.dumps([c.to_dict() for c in rep.checks]))\n"
+    )
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    command = [sys.executable, "-O", str(script)]
+    done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    checks = json.loads(done.stdout)
+    assert len(checks) == 4
+    for c in checks:
+        assert c["status"] == "fail" and c["max_residual"] == "inf", c["name"]
+        assert "not affine" in c["counterexample"]["lhs"]
 
 
 def test_exact_obligation_report_shape(monkeypatch):

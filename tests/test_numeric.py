@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from hahnkit.numeric import (
     BiPoly,
-    EpsFrac,
     Rat,
     RationalMatrix,
     RadicalScalar,
@@ -242,42 +241,3 @@ class TestRationalMatrix:
         a = RationalMatrix([[1, 2]])
         b = RationalMatrix([[3, 4]])
         assert a.stack(b) == RationalMatrix([[1, 2], [3, 4]])
-
-
-class TestEpsFrac:
-    def test_plain_constant(self):
-        assert EpsFrac.const(Rat(3, 7)).limit() == Rat(3, 7)
-
-    def test_removable_zero_over_zero(self):
-        eps = EpsFrac.linear(0, 1)
-        assert ((2 * eps) / eps).limit() == 2
-        assert ((eps * eps) / eps).limit() == 0
-
-    def test_pole_raises(self):
-        eps = EpsFrac.linear(0, 1)
-        with pytest.raises(ArithmeticError):
-            (1 / eps).limit()
-        with pytest.raises(ArithmeticError):
-            (eps / (eps * eps)).limit()
-
-    def test_zero_numerator(self):
-        eps = EpsFrac.linear(0, 1)
-        assert ((eps - eps) / eps).limit() == 0
-
-    def test_field_arithmetic(self):
-        eps = EpsFrac.linear(0, 1)
-        x = (2 + eps) / (1 + eps)
-        assert x.limit() == 2
-        assert (x - 2).limit() == 0
-        assert ((x - 2) / eps).limit() == -1  # first-order behavior
-        with pytest.raises(ZeroDivisionError):
-            x / (eps - eps)
-
-    def test_sign_at_zero(self):
-        eps = EpsFrac.linear(0, 1)
-        assert eps.sign_at_zero() == 1
-        assert (-3 * eps).sign_at_zero() == -1
-        assert (eps - eps).sign_at_zero() == 0
-        assert (eps / (eps * eps)).sign_at_zero() == 1  # pole, still signed
-        assert ((2 - eps) / (-1 + eps)).sign_at_zero() == -1
-        assert EpsFrac.const(Rat(-2, 5)).sign_at_zero() == -1
