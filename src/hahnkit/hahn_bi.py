@@ -18,6 +18,14 @@ ends.  A term whose target leaves the simplex must have a zero
 coefficient; that proof obligation is checked like the residual, and a
 nonzero coefficient is reported as a failure naming the target.
 
+The exact plane runs on Python ints.  A table holds the P values of a
+degree pair and level as integer numerators over one denominator.  The
+exact runner clears each instance's coefficients and those denominators
+to one common scale, compares two integer sums at every grid point, and
+makes rationals only to report a failure; orthogonality and symmetry do
+the same.  Every scale a comparison is multiplied by is shown nonzero
+first, since a zero one would make any identity hold.
+
 Rational relation coefficients can hit removable 0/0 at special parameter
 points (2m + a12 = 0 and friends).  The nine-point recurrences and the
 level-raising structure relations are therefore checked cleared of their
@@ -37,7 +45,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .classical import jacobi_coeffs
-from .hahn_uni import eval_total
+from .hahn_uni import _cleared, _coefficients, _point_sum
 from .numeric import (
     BiPoly,
     Rat,
@@ -182,53 +190,97 @@ def q2_eval(d, g, p: BiParams) -> RadicalScalar:
     return RadicalScalar(hh, 1 / bigLambda(d, p))
 
 
+def _rising(x: int, j: int) -> int:
+    """The Pochhammer symbol (x)_j of an integer x, as an int."""
+    return math.prod(range(x, x + j))
+
+
+def _nonzero(scale: int, what: str) -> int:
+    """scale, once it is shown nonzero: an identity multiplied through by a
+    zero scale holds vacuously, so a zero one is a failure, not a pass."""
+    if not scale:
+        raise ArithmeticError(f"{what} vanishes; the cleared comparison would hold vacuously")
+    return scale
+
+
 class _Values:
     """Values of the family at one parameter triple, filled as they are read.
 
     chain is the nested product h_m(i; a1, a2; i+k) h_n(i+k-m; 2m+a1+a2+1,
     a3; level-m).  Its inner level i+k depends on the grid point, which is
-    what makes it a genuine bivariate polynomial of total degree m + n.  The
-    first factor depends on (m, i, i + k) alone and the second on (m, n,
-    i + k, level), so each is computed once and shared by every value that
-    contains it.  p gives exact P values, q float Q values.
+    what makes it a genuine bivariate polynomial of total degree m + n.
+
+    Both factors are eval_total sums cleared by the triple's common
+    denominator Q: the first is F/(m! Q^2m), with coefficients made once
+    per (m, i + k), the second G/(n! Q^2n), with coefficients made once per
+    (m, n, level).  F and G are integers, each made once and shared by
+    every value that contains it.  So chain = F G / (m! n! Q^(2(m+n))) and
+    P = F G / sigma, with one denominator sigma = m! n! Q^(2(m+n))
+    (-level)_{m+n} per degree pair and level.  row holds the integers F G
+    over a whole grid, p and chain make single rationals, qrow the float Q
+    values of a whole grid.
     """
 
     def __init__(self, a1, a2, a3):
         self.a1, self.a2, self.a3 = a1, a2, a3
+        self.Q, (self.A1, self.A2, self.A3) = _cleared(a1, a2, a3)
+        self._first_coeffs = {}
+        self._second_coeffs = {}
         self._first = {}
         self._second = {}
-        self._p = {}
-        self._q = {}
-        self._roots = {}
+        self._rows = {}
+        self._qrows = {}
 
-    def chain(self, m, n, i, k, level):
-        s = i + k
+    def _num(self, m, n, i, k, level) -> int:
+        """F G, the numerator of both chain and P."""
+        Q, s = self.Q, i + k
         first = self._first.get((m, i, s))
         if first is None:
-            first = self._first[(m, i, s)] = eval_total(m, i, self.a1, self.a2, s)
+            coeffs = self._first_coeffs.get((m, s))
+            if coeffs is None:
+                coeffs = self._first_coeffs[(m, s)] = _coefficients(m, Q, self.A1, self.A2, Q * s)
+            first = self._first[(m, i, s)] = _point_sum(coeffs, Q, Q * i)
         second = self._second.get((m, n, s, level))
         if second is None:
-            second = self._second[(m, n, s, level)] = eval_total(
-                n, s - m, 2 * m + self.a1 + self.a2 + 1, self.a3, level - m
-            )
+            coeffs = self._second_coeffs.get((m, n, level))
+            if coeffs is None:
+                alpha = Q * (2 * m + 1) + self.A1 + self.A2
+                coeffs = self._second_coeffs[(m, n, level)] = _coefficients(n, Q, alpha, self.A3, Q * (level - m))
+            second = self._second[(m, n, s, level)] = _point_sum(coeffs, Q, Q * (s - m))
         return first * second
 
-    def p(self, m, n, i, k, level):
-        key = (m, n, i, k, level)
-        out = self._p.get(key)
+    def _chain_den(self, m, n) -> int:
+        return math.factorial(m) * math.factorial(n) * self.Q ** (2 * (m + n))
+
+    def den(self, m, n, level) -> int:
+        """sigma: the P values of degree pair (m, n) at level are row / sigma."""
+        return _nonzero(self._chain_den(m, n) * _rising(-level, m + n), "the denominator of a P value")
+
+    def row(self, m, n, level) -> tuple:
+        """The P numerators of degree pair (m, n) over grid_points(level)."""
+        key = (m, n, level)
+        out = self._rows.get(key)
         if out is None:
-            out = self._p[key] = self.chain(m, n, i, k, level) / pochhammer(-level, m + n)
+            out = self._rows[key] = tuple(self._num(m, n, i, k, level) for i, k in grid_points(level))
         return out
 
-    def q(self, m, n, i, k, level) -> float:
-        key = (m, n, i, k, level)
-        out = self._q.get(key)
+    def p(self, m, n, i, k, level):
+        return Rat(self._num(m, n, i, k, level), self.den(m, n, level))
+
+    def chain(self, m, n, i, k, level):
+        return Rat(self._num(m, n, i, k, level), self._chain_den(m, n))
+
+    def qrow(self, m, n, level) -> tuple:
+        """The float Q values of degree pair (m, n) over grid_points(level).
+
+        An int quotient is correctly rounded, as float() of the reduced
+        rational chain value is, so each value is the same float."""
+        key = (m, n, level)
+        out = self._qrows.get(key)
         if out is None:
-            root = self._roots.get((m, n, level))
-            if root is None:
-                params = BiParams(self.a1, self.a2, self.a3, level)
-                root = self._roots[(m, n, level)] = math.sqrt(float(bigLambda((m, n), params)))
-            out = self._q[key] = float(self.chain(m, n, i, k, level)) / root
+            root = math.sqrt(float(bigLambda((m, n), BiParams(self.a1, self.a2, self.a3, level))))
+            den = self._chain_den(m, n)
+            out = self._qrows[key] = tuple(self._num(m, n, i, k, level) / den / root for i, k in grid_points(level))
         return out
 
 
@@ -285,44 +337,53 @@ def overlap2(p: BiParams, mode: str = "float") -> OverlapMatrix:
 # the three checks that are not linear relations
 
 
-def _check_orthogonality(p: BiParams) -> list[CheckResult]:
+def _check_orthogonality(p: BiParams) -> CheckResult:
+    """Gram sums on integer numerators over one common weight denominator.
+
+    With w_g = omega_g / W and P_d(g) = r_d(g) / sigma_d, the pair (d, d2)
+    sums omega_g r_d(g) r_d2(g) over ints; an off-diagonal sum must be the
+    integer 0, and a diagonal one becomes one rational, by a single division
+    by W sigma_d^2, to compare with lambda2."""
     name = "orthogonality"
     degs = tuple(degree_pairs(p.N))
-    pts = tuple(grid_points(p.N))
-    w = {g: weight2(g, p) for g in pts}
+    W, omega = _cleared(*(weight2(g, p) for g in grid_points(p.N)))
+    W = _nonzero(W, "the weight denominator")
     table = _Values(p.alpha1, p.alpha2, p.alpha3)
-    vals = {(d, g): table.p(*d, *g, p.N) for d in degs for g in pts}
+    rows = [table.row(*d, p.N) for d in degs]
+    dens = [table.den(*d, p.N) for d in degs]
     for a, d in enumerate(degs):
-        for d2 in degs[a:]:
-            acc = Rat(0)
-            for g in pts:
-                acc += w[g] * vals[(d, g)] * vals[(d2, g)]
-            expected = lambda2(d, p) if d == d2 else Rat(0)
-            if acc != expected:
-                return [
-                    CheckResult.failure(
+        weighted = [o * r for o, r in zip(omega, rows[a])]
+        for b in range(a, len(degs)):
+            acc = sum(v * r for v, r in zip(weighted, rows[b]))
+            if a == b or acc:
+                got = Rat(acc, W * dens[a] * dens[b])
+                expected = lambda2(d, p) if a == b else Rat(0)
+                if got != expected:
+                    return CheckResult.failure(
                         name,
-                        format_rational(acc - expected),
-                        {"degrees": [d, d2]},
-                        format_rational(acc),
+                        format_rational(got - expected),
+                        {"degrees": [d, degs[b]]},
+                        format_rational(got),
                         format_rational(expected),
                     )
-                ]
-    return [CheckResult.exact_pass(name)]
+    return CheckResult.exact_pass(name)
 
 
-def _check_symmetry(p: BiParams) -> list[CheckResult]:
+def _check_symmetry(p: BiParams) -> CheckResult:
+    """P at (i, k) against (-1)^m times the parameter-swapped P at (k, i).
+    Both triples clear to the same Q, so the two values share their
+    denominator and the numerators are compared."""
     name = "symmetry"
     table = _Values(p.alpha1, p.alpha2, p.alpha3)
     swapped = _Values(p.alpha2, p.alpha1, p.alpha3)
     for m, n in degree_pairs(p.N):
-        sign = Rat(-1) ** m
-        for i, k in grid_points(p.N):
-            lhs = table.p(m, n, i, k, p.N)
-            rhs = sign * swapped.p(m, n, k, i, p.N)
-            if lhs != rhs:
-                return [_exact_fail(name, {"degree": (m, n), "point": (i, k)}, lhs, rhs)]
-    return [CheckResult.exact_pass(name)]
+        sign, den = (-1) ** m, table.den(m, n, p.N)
+        lhs, rhs = table.row(m, n, p.N), swapped.row(m, n, p.N)
+        for g, (i, k) in enumerate(grid_points(p.N)):
+            twin = sign * rhs[_index(k, i, p.N)]
+            if lhs[g] != twin:
+                return _exact_fail(name, {"degree": (m, n), "point": (i, k)}, Rat(lhs[g], den), Rat(twin, den))
+    return CheckResult.exact_pass(name)
 
 
 def _check_genfun(p: BiParams) -> list[CheckResult]:
@@ -346,11 +407,11 @@ def _check_genfun(p: BiParams) -> list[CheckResult]:
         for idx, c in enumerate(jacobi_coeffs(n, 2 * m + p.a12 + 1, p.alpha3)):
             second = second + inner_lo**idx * inner_hi ** (N - m - idx) * c
         lhs = first * second
-        rhs = BiPoly.zero()
-        scale = factorial(m) * factorial(n)
-        for i, k in grid_points(N):
-            coeff = multinomial(N, [i, k]) * table.p(m, n, i, k, N) / scale
-            rhs = rhs + BiPoly.monomial(i, k, coeff)
+        row, den = table.row(m, n, N), table.den(m, n, N) * math.factorial(m) * math.factorial(n)
+        coeffs = [[0] * (N + 1) for _ in range(N + 1)]
+        for g, (i, k) in enumerate(grid_points(N)):
+            coeffs[i][k] = Rat(multinomial(N, [i, k]) * row[g], den)
+        rhs = BiPoly(coeffs)
         if lhs != rhs:
             return [
                 CheckResult.failure(
@@ -732,8 +793,18 @@ class _Relation(NamedTuple):
     swept: bool = False
 
 
-def _degree_part(d, x):
-    return d
+class _FromDegree(NamedTuple):
+    """The coefficient d[slot], or d itself when slot is None: read from the
+    per-degree part alone, so the runner takes it once per degree pair and
+    sample point.  Any other coefficient is taken at each grid point."""
+
+    slot: int | None = None
+
+    def __call__(self, d, x):
+        return d if self.slot is None else d[self.slot]
+
+
+_degree_part = _FromDegree()
 
 
 def _point_part(d, x):
@@ -742,7 +813,7 @@ def _point_part(d, x):
 
 def _degree_terms(targets, params=(0, 0, 0), level=0) -> tuple:
     """Terms at shifted degree pairs; term j's coefficient is d[j]."""
-    return tuple(_Term(lambda d, x, j=j: d[j], dg, (0, 0), params, level) for j, dg in enumerate(targets))
+    return tuple(_Term(_FromDegree(j), dg, (0, 0), params, level) for j, dg in enumerate(targets))
 
 
 def _point_terms(points, params=(0, 0, 0), level=0) -> tuple:
@@ -874,7 +945,7 @@ def _normalized_structure(var: str, forward: bool) -> _Relation:
     if forward:
         return _Relation(
             f"normalized-structure-float[forward-{var}]", "Q", 0, -1,
-            lhs=(_Term(lambda d, x: d[-1], point=step),),
+            lhs=(_Term(_FromDegree(-1), point=step),),
             rhs=_degree_terms(((0, 0), (-1, 0), (0, -1), (-1, 1)), shift, -1), per_degree=per_degree,
         )
     return _Relation(
@@ -1064,44 +1135,104 @@ def _sweep_degree(row: _Relation, m: int, n: int, N: int) -> int:
     )
 
 
+def _index(i: int, k: int, level: int) -> int:
+    """The position of (i, k) in grid_points(level), or -1 off the simplex."""
+    if i < 0 or k < 0 or i + k > level:
+        return -1
+    return k * (level + 1) - k * (k - 1) // 2 + i
+
+
+def _add(total: list, part: list) -> list:
+    """Pointwise sum of two lists of side sums, None being the empty sum."""
+    return [b if a is None else a if b is None else a + b for a, b in zip(total, part)]
+
+
+def _block(row: _Relation, terms: list, grid: tuple, m: int, n: int, at: _At, xs: list, tables: list):
+    """Instance (m, n) of row at one sample point, at every grid point.
+
+    Returns (lhs, rhs, scale, off): the two sides at each grid point, and
+    the first term per grid point whose target is off the simplex while
+    its coefficient is not zero, as {g: (coefficient, target)}.
+
+    On the P plane the sides are integers, scale times their values: a
+    term reads the integer row of its target, of denominator sigma, and
+    its coefficient c becomes the integer weight c * scale / sigma, with
+    scale the least common multiple of every sigma times the denominators
+    of that term's coefficients.  On the Q plane the weights are the
+    coefficients, the values floats and scale 1.
+    """
+    exact = row.plane == "P"
+    d = row.per_degree(at, m, n)
+    parts, off = [], {}
+    for (side, term, level, where, outside), table in zip(terms, tables):
+        const = isinstance(term.coef, _FromDegree)
+        cfs = term.coef(d, None) if const else [term.coef(d, x) for x in xs]
+        mm, nn = m + term.degree[0], n + term.degree[1]
+        if 0 <= mm and 0 <= nn and mm + nn <= level:
+            values = (*(table.row if exact else table.qrow)(mm, nn, level), None)
+            values, sigma = [values[w] for w in where], table.den(mm, nn, level) if exact else 1
+        else:
+            values, sigma, outside = [None] * len(grid), 1, range(len(grid))
+        for g in outside:
+            cf = cfs if const else cfs[g]
+            if cf and g not in off:
+                i, k = grid[g]
+                off[g] = (cf, {"degree": (mm, nn), "point": (i + term.point[0], k + term.point[1])})
+        parts.append((side, cfs, const, sigma, values))
+    scale = 1
+    if exact:
+        scale = _nonzero(math.lcm(*(
+            sigma * (int(cfs.denominator) if const else math.lcm(*(int(c.denominator) for c in cfs)))
+            for _, cfs, const, sigma, _ in parts
+        )), "the common denominator of an instance")
+    sides = [[None] * len(grid), [None] * len(grid)]
+    for side, cfs, const, sigma, values in parts:
+        if not exact:
+            weights = [cfs] * len(grid) if const else cfs
+        elif const:
+            weights = [int(cfs.numerator) * (scale // (sigma * int(cfs.denominator)))] * len(grid)
+        else:
+            ratio = scale // sigma
+            weights = [int(c.numerator) * (ratio // int(c.denominator)) for c in cfs]
+        sides[side] = _add(sides[side], [None if v is None else w * v for w, v in zip(weights, values)])
+    zero = 0 if exact else 0.0
+    lhs, rhs = ([zero if v is None else v for v in values] for values in sides)
+    return lhs, rhs, scale, off
+
+
 def _instances(row: _Relation, check: _Check):
     """Every instance of row, degree pair outermost, then grid point, then
-    sample point, as (m, n, i, k, t, lhs, rhs, target).
+    sample point, as (m, n, i, k, t, lhs, rhs, target, scale).
 
-    target is None when both sides were summed.  Otherwise a term whose
-    target {"degree", "point"} is off the simplex has a nonzero
-    coefficient, given as lhs against rhs = 0, and the instances end.
+    Each degree pair is summed at all grid points of a sample point at
+    once (_block); lhs and rhs are scale times the two sides.  target is
+    None when both sides were summed.  Otherwise a term whose target
+    {"degree", "point"} is off the simplex has a nonzero coefficient,
+    given as lhs against rhs = 0, and the instances end.
     """
     N = check.p.N
-    terms = [(side, term, N + term.level) for side, part in enumerate((row.lhs, row.rhs)) for term in part]
     grid = tuple(grid_points(N + row.grid))
-    read = "p" if row.plane == "P" else "q"
+    terms = []  # (side, term, level, where it reads per grid point, the grid points where it reads nothing)
+    for side, part in enumerate((row.lhs, row.rhs)):
+        for term in part:
+            level = N + term.level
+            where = [_index(i + term.point[0], k + term.point[1], level) for i, k in grid]
+            terms.append((side, term, level, where, [g for g, w in enumerate(where) if w < 0]))
     zero = Rat(0) if row.plane == "P" else 0.0
-    samples = []  # per sample point: its _At, its per-point parts, one value reader per term
+    samples = []  # per sample point: its _At, its per-point parts, one value table per term
     for m, n in degree_pairs(N + row.degrees):
         top = _sweep_degree(row, m, n, N) if row.swept else 0
         for t in range(len(samples), top + 1):
             at = check.at(t)
-            readers = [
-                getattr(check.values(*(a + s for a, s in zip(at.triple(False), term.params))), read)
-                for _, term, _ in terms
-            ]
-            samples.append((at, [row.per_point(at, i, k) for i, k in grid], readers))
-        sweep = [(t, xs, rd, row.per_degree(at, m, n)) for t, (at, xs, rd) in enumerate(samples[: top + 1])]
+            tables = [check.values(*(a + s for a, s in zip(at.triple(False), term.params))) for _, term, *_ in terms]
+            samples.append((at, [row.per_point(at, i, k) for i, k in grid], tables))
+        blocks = [_block(row, terms, grid, m, n, *sample) for sample in samples[: top + 1]]
         for g, (i, k) in enumerate(grid):
-            for t, xs, readers, d in sweep:
-                sums = [None, None]
-                for (side, term, level), value in zip(terms, readers):
-                    cf = term.coef(d, xs[g])
-                    mm, nn = m + term.degree[0], n + term.degree[1]
-                    ii, kk = i + term.point[0], k + term.point[1]
-                    if 0 <= mm and 0 <= nn and mm + nn <= level and 0 <= ii and 0 <= kk and ii + kk <= level:
-                        v = cf * value(mm, nn, ii, kk, level)
-                        sums[side] = v if sums[side] is None else sums[side] + v
-                    elif cf:
-                        yield m, n, i, k, t, cf, zero, {"degree": (mm, nn), "point": (ii, kk)}
-                        return
-                yield (m, n, i, k, t, *(zero if v is None else v for v in sums), None)
+            for t, (lhs, rhs, scale, off) in enumerate(blocks):
+                if g in off:
+                    yield m, n, i, k, t, off[g][0], zero, off[g][1], 1
+                    return
+                yield m, n, i, k, t, lhs[g], rhs[g], None, scale
 
 
 def _indices(m, n, i, k, t, target=None) -> dict:
@@ -1118,16 +1249,19 @@ def _exact_fail(name, indices, lhs, rhs) -> CheckResult:
 
 
 def _exact_check(row: _Relation, check: _Check) -> CheckResult:
-    for m, n, i, k, t, lhs, rhs, target in _instances(row, check):
-        if target is not None or lhs != rhs:
+    """Integer sides compared; the rationals are made only for a report."""
+    for m, n, i, k, t, lhs, rhs, target, scale in _instances(row, check):
+        if target is not None:
             return _exact_fail(row.name, _indices(m, n, i, k, t, target), lhs, rhs)
+        if lhs != rhs:
+            return _exact_fail(row.name, _indices(m, n, i, k, t), Rat(lhs, scale), Rat(rhs, scale))
     return CheckResult.exact_pass(row.name)
 
 
 def _float_check(row: _Relation, check: _Check) -> CheckResult:
     """The largest scale-normalized residual |lhs - rhs| / (1 + max(|lhs|, |rhs|))."""
     worst, example = 0.0, None
-    for m, n, i, k, t, lhs, rhs, target in _instances(row, check):
+    for m, n, i, k, t, lhs, rhs, target, _ in _instances(row, check):
         if target is not None:
             return CheckResult.failure(row.name, "nonzero", _indices(m, n, i, k, t, target), f"{lhs:.17g}", "0")
         scaled = abs(lhs - rhs) / (1.0 + max(abs(lhs), abs(rhs)))
@@ -1141,8 +1275,9 @@ def _float_check(row: _Relation, check: _Check) -> CheckResult:
 
 def _guarded(name: str, run, *args) -> CheckResult:
     """run(*args), or a failure with residual "inf" if it cannot be
-    evaluated: a pole, a negative radicand, an undecided sign, or a
-    coefficient factor that is not affine along the sweep line."""
+    evaluated: a pole, a negative radicand, an undecided sign, a
+    coefficient factor that is not affine along the sweep line, or a zero
+    scale under an integer comparison."""
     try:
         return run(*args)
     except ArithmeticError as err:
@@ -1165,8 +1300,8 @@ def _relations(check_name: str):
 # Relation checks in row order, the exact ones before genfun as they always were.
 _RELATION_CHECKS = {name.split("[")[0]: row.plane for name, row in _RELATIONS.items()}
 _BI_CHECKS = {
-    "orthogonality": _check_orthogonality,
-    "symmetry": _check_symmetry,
+    "orthogonality": lambda p: [_guarded("orthogonality", _check_orthogonality, p)],
+    "symmetry": lambda p: [_guarded("symmetry", _check_symmetry, p)],
     **{name: _relations(name) for name, plane in _RELATION_CHECKS.items() if plane == "P"},
     "genfun": _check_genfun,
     **{name: _relations(name) for name, plane in _RELATION_CHECKS.items() if plane == "Q"},

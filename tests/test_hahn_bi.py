@@ -6,6 +6,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hahnkit.hahn_bi as bi_mod
 from hahnkit.hahn_bi import (
@@ -23,6 +25,7 @@ from hahnkit.hahn_bi import (
     verify_bi,
     weight2,
 )
+from hahnkit.hahn_uni import eval_total
 from hahnkit.numeric import (
     Rat,
     binomial_general,
@@ -37,6 +40,15 @@ PARAM_TRIPLES = [
     (Rat(-1, 2), Rat(-1, 2), Rat(-1, 2)),
     (Rat(7, 3), Rat(1), Rat(1, 2)),
 ]
+
+
+def p_reference(d, g, a1, a2, a3, level):
+    """P by the route the integer table replaced: the chain of two
+    eval_total values, divided by (-level)_{m+n}."""
+    (m, n), (i, k) = d, g
+    s = i + k
+    chain = eval_total(m, i, a1, a2, s) * eval_total(n, s - m, 2 * m + a1 + a2 + 1, a3, level - m)
+    return chain / pochhammer(-level, m + n)
 
 
 def weight_via_binomials(g, p):
@@ -197,6 +209,49 @@ class TestEvaluation:
         order = m + n
         assert all(diff(a, order + 1 - a) == 0 for a in range(order + 2))
         assert any(diff(a, order - a) != 0 for a in range(order + 1))
+
+
+# Parameters above -1 with small denominators, so that a triple's common
+# denominator Q is often above 1.
+PARAMS = st.builds(Rat, st.integers(-5, 12), st.sampled_from([1, 2, 3, 4, 6])).filter(lambda a: a > -1)
+
+
+class TestIntegerTable:
+    """The integer rows of _Values against the retired rational route."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        triple=st.tuples(PARAMS, PARAMS, PARAMS),
+        N=st.integers(1, 5),
+        t=st.integers(0, 4),
+        down=st.sampled_from([0, 1]),
+        shift=st.sampled_from([(0, 0, 0), bi_mod._UP_M, bi_mod._UP_N]),
+        data=st.data(),
+    )
+    def test_rows_match_the_chain_over_the_pochhammer(self, triple, N, t, down, shift, data):
+        base = BiParams(*triple, N)
+        point = bi_mod._sweep_points(base, t)[t]
+        a1, a2, a3 = (a + s for a, s in zip(point, shift))
+        level = N - down
+        m = data.draw(st.integers(0, level), label="m")
+        n = data.draw(st.integers(0, level - m), label="n")
+        table = bi_mod._Values(a1, a2, a3)
+        row, den = table.row(m, n, level), table.den(m, n, level)
+        assert len(row) == (level + 1) * (level + 2) // 2
+        for g, (i, k) in enumerate(grid_points(level)):
+            want = p_reference((m, n), (i, k), a1, a2, a3, level)
+            assert Rat(row[g], den) == want, ((m, n), (i, k))
+            assert table.p(m, n, i, k, level) == want
+            assert bi_mod._index(i, k, level) == g
+
+    @pytest.mark.parametrize("triple", PARAM_TRIPLES)
+    def test_float_rows_are_the_rounded_chain_over_the_root(self, triple):
+        p = BiParams(*triple, 4)
+        table = bi_mod._Values(*triple)
+        for d in degree_pairs(4):
+            root = math.sqrt(float(bigLambda(d, p)))
+            want = tuple(float(p_reference(d, g, *triple, 4) * pochhammer(-4, sum(d))) / root for g in grid_points(4))
+            assert table.qrow(*d, 4) == want
 
 
 class TestNorms:
@@ -559,11 +614,12 @@ def term_target(term, m, n, i, k, N):
     return (mm, nn), (ii, kk), level, on
 
 
-def reference_terms(row, p):
-    """Each instance of row at the base point, as ((m, n), (i, k), lhs, rhs),
-    each side the list of its terms' contributions computed from p2_eval (or
-    q2_eval on the float plane), with None for a target off the simplex."""
-    c = bi_mod._Check(p).at(0)
+def reference_terms(row, p, t=0):
+    """Each instance of row at sample point t, as ((m, n), (i, k), lhs, rhs),
+    each side the list of its terms' contributions computed from
+    p_reference (or q2_eval on the float plane), with None for a target off
+    the simplex."""
+    c = bi_mod._Check(p).at(t)
     for m, n in degree_pairs(p.N + row.degrees):
         d = row.per_degree(c, m, n)
         for i, k in grid_points(p.N + row.grid):
@@ -576,16 +632,28 @@ def reference_terms(row, p):
                     if not on:
                         values.append(None)
                         continue
-                    q = BiParams(*(a + s for a, s in zip((p.alpha1, p.alpha2, p.alpha3), term.params)), level)
-                    value = p2_eval(degree, point, q) if row.plane == "P" else float(q2_eval(degree, point, q))
+                    triple = tuple(a + s for a, s in zip(c.triple(False), term.params))
+                    if row.plane == "P":
+                        value = p_reference(degree, point, *triple, level)
+                    else:
+                        value = float(q2_eval(degree, point, BiParams(*triple, level)))
                     values.append(term.coef(d, x) * value)
                 sides.append(values)
             yield (m, n), (i, k), sides[0], sides[1]
 
 
+def sides_at(row, p, t, degree, point):
+    """The two sides of one instance of row at sample point t, as the
+    strings an exact report gives them."""
+    for d, g, lhs, rhs in reference_terms(row, p, t):
+        if (d, g) == (degree, point):
+            return tuple(format_rational(sum((v for v in side if v is not None), Rat(0))) for side in (lhs, rhs))
+    raise AssertionError(f"no instance {degree} {point}")
+
+
 def base_point_failure(row, p):
     """First instance at which an exact row fails at the base parameters,
-    from p2_eval values: (indices, lhs, rhs), or None.  Targets off the
+    from p_reference values: (indices, lhs, rhs), or None.  Targets off the
     simplex are skipped.
 
     At the base point the infinitesimal ring's limits were these plain
@@ -652,8 +720,12 @@ class TestSweepFaultInjection:
         report, row = self.run(monkeypatch, name, p, SWEPT_ROWS[name][0], lambda a: 7 * (a - first))
         # a sweep of the base point alone would pass
         assert base_point_failure(row, p) is None
-        assert report["indices"]["degree"] == TAMPERED_DEGREE
-        assert report["indices"]["t"] >= 1
+        indices = report["indices"]
+        assert indices["degree"] == TAMPERED_DEGREE
+        assert indices["t"] >= 1
+        # the sides are those of the reference at that sample triple
+        assert (report["lhs"], report["rhs"]) == sides_at(row, p, indices["t"], indices["degree"], indices["point"])
+        assert report["lhs"] != report["rhs"]
 
     @pytest.mark.parametrize("triple", DEGENERATE_TRIPLES)
     @pytest.mark.parametrize("name", SWEPT_ROWS)
@@ -805,3 +877,30 @@ def test_exact_obligation_report_shape(monkeypatch):
         "lhs": "1/7",
         "rhs": "0",
     }
+
+
+def test_zero_scale_reported_under_optimization(tmp_path):
+    """A zero denominator under an integer comparison would make every
+    cleared identity hold vacuously.  It is a reported failure with residual
+    "inf", also under python -O, where an assert would vanish."""
+    script = tmp_path / "zero_scale.py"
+    script.write_text(
+        "import json\n"
+        "import hahnkit.hahn_bi as bi\n"
+        "from hahnkit.numeric import Rat\n"
+        "bi._rising = lambda x, j: 0\n"
+        "p = bi.BiParams(Rat(1, 2), Rat(-1, 2), Rat(3), 2)\n"
+        "checks = [c for name in ('orthogonality', 'symmetry', 'recurrence-x1', 'structure')\n"
+        "          for c in bi.verify_bi(name, p).checks]\n"
+        "print(json.dumps([c.to_dict() for c in checks]))\n"
+    )
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    command = [sys.executable, "-O", str(script)]
+    done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    checks = json.loads(done.stdout)
+    assert len(checks) == 7
+    for c in checks:
+        assert c["status"] == "fail" and c["max_residual"] == "inf", c["name"]
+        assert "vanishes" in c["counterexample"]["lhs"], c["name"]
