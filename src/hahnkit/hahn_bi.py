@@ -19,12 +19,13 @@ coefficient; that proof obligation is checked like the residual, and a
 nonzero coefficient is reported as a failure naming the target.
 
 The exact plane runs on Python ints.  A table holds the P values of a
-degree pair and level as integer numerators over one denominator.  The
-exact runner clears each instance's coefficients and those denominators
-to one common scale, compares two integer sums at every grid point, and
-makes rationals only to report a failure; orthogonality and symmetry do
-the same.  Every scale a comparison is multiplied by is shown nonzero
-first, since a zero one would make any identity hold.
+degree pair and level as integer numerators, hahn_multi's d = 2 chain,
+over one denominator.  The exact runner clears each instance's
+coefficients and those denominators to one common scale, compares two
+integer sums at every grid point, and makes rationals only to report a
+failure; orthogonality (hahn_multi's Gram sums) and symmetry do the same.
+Every scale a comparison is multiplied by is shown nonzero first, since a
+zero one would make any identity hold.
 
 Rational relation coefficients can hit removable 0/0 at special parameter
 points (2m + a12 = 0 and friends).  The nine-point recurrences and the
@@ -42,10 +43,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
 from typing import Callable, NamedTuple
 
 from .classical import jacobi_coeffs
-from .hahn_uni import _cleared, _coefficients, _point_sum
+from .hahn_multi import ChainTable, gram_entries
 from .numeric import (
     BiPoly,
     Rat,
@@ -87,17 +90,14 @@ class BiParams:
 
 
 def grid_points(N: int):
-    """Simplex points (i, k) with i + k <= N, colex: k major, i minor."""
+    """Simplex points (i, k) with i + k <= N, colex: k major, i minor; the
+    degree pairs (m, n) run in the same order, so degree_pairs is this."""
     for k in range(N + 1):
         for i in range(N - k + 1):
             yield (i, k)
 
 
-def degree_pairs(N: int):
-    """Degree pairs (m, n) with m + n <= N, same colex ordering as the grid."""
-    for n in range(N + 1):
-        for m in range(N - n + 1):
-            yield (m, n)
+degree_pairs = grid_points
 
 
 def _require_pair(pair, N: int, what: str) -> tuple[int, int]:
@@ -207,68 +207,31 @@ class _Values:
     """Values of the family at one parameter triple, filled as they are read.
 
     chain is the nested product h_m(i; a1, a2; i+k) h_n(i+k-m; 2m+a1+a2+1,
-    a3; level-m).  Its inner level i+k depends on the grid point, which is
-    what makes it a genuine bivariate polynomial of total degree m + n.
-
-    Both factors are eval_total sums cleared by the triple's common
-    denominator Q: the first is F/(m! Q^2m), with coefficients made once
-    per (m, i + k), the second G/(n! Q^2n), with coefficients made once per
-    (m, n, level).  F and G are integers, each made once and shared by
-    every value that contains it.  So chain = F G / (m! n! Q^(2(m+n))) and
-    P = F G / sigma, with one denominator sigma = m! n! Q^(2(m+n))
-    (-level)_{m+n} per degree pair and level.  row holds the integers F G
-    over a whole grid, p and chain make single rationals, qrow the float Q
-    values of a whole grid.
+    a3; level-m), the d = 2 ChainTable: a genuine bivariate polynomial of
+    total degree m + n, as the inner level i+k depends on the grid point.
+    P is the same integers over sigma = chains.den (-level)_{m+n}.  row
+    holds them over a whole grid, p and chain make single rationals, qrow
+    the float Q values of a whole grid.
     """
 
     def __init__(self, a1, a2, a3):
         self.a1, self.a2, self.a3 = a1, a2, a3
-        self.Q, (self.A1, self.A2, self.A3) = _cleared(a1, a2, a3)
-        self._first_coeffs = {}
-        self._second_coeffs = {}
-        self._first = {}
-        self._second = {}
-        self._rows = {}
+        self.chains = ChainTable((a1, a2, a3))
         self._qrows = {}
-
-    def _num(self, m, n, i, k, level) -> int:
-        """F G, the numerator of both chain and P."""
-        Q, s = self.Q, i + k
-        first = self._first.get((m, i, s))
-        if first is None:
-            coeffs = self._first_coeffs.get((m, s))
-            if coeffs is None:
-                coeffs = self._first_coeffs[(m, s)] = _coefficients(m, Q, self.A1, self.A2, Q * s)
-            first = self._first[(m, i, s)] = _point_sum(coeffs, Q, Q * i)
-        second = self._second.get((m, n, s, level))
-        if second is None:
-            coeffs = self._second_coeffs.get((m, n, level))
-            if coeffs is None:
-                alpha = Q * (2 * m + 1) + self.A1 + self.A2
-                coeffs = self._second_coeffs[(m, n, level)] = _coefficients(n, Q, alpha, self.A3, Q * (level - m))
-            second = self._second[(m, n, s, level)] = _point_sum(coeffs, Q, Q * (s - m))
-        return first * second
-
-    def _chain_den(self, m, n) -> int:
-        return math.factorial(m) * math.factorial(n) * self.Q ** (2 * (m + n))
 
     def den(self, m, n, level) -> int:
         """sigma: the P values of degree pair (m, n) at level are row / sigma."""
-        return _nonzero(self._chain_den(m, n) * _rising(-level, m + n), "the denominator of a P value")
+        return _nonzero(self.chains.den((m, n)) * _rising(-level, m + n), "the denominator of a P value")
 
     def row(self, m, n, level) -> tuple:
         """The P numerators of degree pair (m, n) over grid_points(level)."""
-        key = (m, n, level)
-        out = self._rows.get(key)
-        if out is None:
-            out = self._rows[key] = tuple(self._num(m, n, i, k, level) for i, k in grid_points(level))
-        return out
+        return self.chains.row((m, n), level)
 
     def p(self, m, n, i, k, level):
-        return Rat(self._num(m, n, i, k, level), self.den(m, n, level))
+        return Rat(self.chains.num((m, n), (i, k), level), self.den(m, n, level))
 
     def chain(self, m, n, i, k, level):
-        return Rat(self._num(m, n, i, k, level), self._chain_den(m, n))
+        return Rat(self.chains.num((m, n), (i, k), level), self.chains.den((m, n)))
 
     def qrow(self, m, n, level) -> tuple:
         """The float Q values of degree pair (m, n) over grid_points(level).
@@ -279,8 +242,9 @@ class _Values:
         out = self._qrows.get(key)
         if out is None:
             root = math.sqrt(float(bigLambda((m, n), BiParams(self.a1, self.a2, self.a3, level))))
-            den = self._chain_den(m, n)
-            out = self._qrows[key] = tuple(self._num(m, n, i, k, level) / den / root for i, k in grid_points(level))
+            den = self.chains.den((m, n))
+            grid = self.chains.points(level)  # not row: the float plane keeps no integer rows
+            out = self._qrows[key] = tuple(self.chains.num((m, n), g, level) / den / root for g in grid)
         return out
 
 
@@ -338,34 +302,18 @@ def overlap2(p: BiParams, mode: str = "float") -> OverlapMatrix:
 
 
 def _check_orthogonality(p: BiParams) -> CheckResult:
-    """Gram sums on integer numerators over one common weight denominator.
-
-    With w_g = omega_g / W and P_d(g) = r_d(g) / sigma_d, the pair (d, d2)
-    sums omega_g r_d(g) r_d2(g) over ints; an off-diagonal sum must be the
-    integer 0, and a diagonal one becomes one rational, by a single division
-    by W sigma_d^2, to compare with lambda2."""
+    """The integer Gram sums of the P numerators (gram_entries): an
+    off-diagonal entry must be the integer 0, a diagonal one lambda2."""
     name = "orthogonality"
     degs = tuple(degree_pairs(p.N))
-    W, omega = _cleared(*(weight2(g, p) for g in grid_points(p.N)))
-    W = _nonzero(W, "the weight denominator")
     table = _Values(p.alpha1, p.alpha2, p.alpha3)
-    rows = [table.row(*d, p.N) for d in degs]
-    dens = [table.den(*d, p.N) for d in degs]
-    for a, d in enumerate(degs):
-        weighted = [o * r for o, r in zip(omega, rows[a])]
-        for b in range(a, len(degs)):
-            acc = sum(v * r for v, r in zip(weighted, rows[b]))
-            if a == b or acc:
-                got = Rat(acc, W * dens[a] * dens[b])
-                expected = lambda2(d, p) if a == b else Rat(0)
-                if got != expected:
-                    return CheckResult.failure(
-                        name,
-                        format_rational(got - expected),
-                        {"degrees": [d, degs[b]]},
-                        format_rational(got),
-                        format_rational(expected),
-                    )
+    weights = [weight2(g, p) for g in grid_points(p.N)]
+    entries = gram_entries(weights, [table.row(*d, p.N) for d in degs], [table.den(*d, p.N) for d in degs])
+    for a, b, got in entries:
+        want = lambda2(degs[a], p) if a == b else Rat(0)
+        if got != want:
+            lhs, rhs = format_rational(got), format_rational(want)
+            return CheckResult.failure(name, format_rational(got - want), {"degrees": [degs[a], degs[b]]}, lhs, rhs)
     return CheckResult.exact_pass(name)
 
 
@@ -394,18 +342,18 @@ def _check_genfun(p: BiParams) -> list[CheckResult]:
     z1 = BiPoly.monomial(1, 0)
     z2 = BiPoly.monomial(0, 1)
     one = BiPoly.constant(1)
-    diff = z2 - z1
-    plus = z1 + z2
-    inner_lo = one - z1 - z2
-    inner_hi = one + z1 + z2
+    # the powers 0..N of z2 - z1, z1 + z2, 1 - z1 - z2 and 1 + z1 + z2
+    diff, plus, inner_lo, inner_hi = (
+        list(accumulate([base] * N, mul, initial=one)) for base in (z2 - z1, z1 + z2, one - z1 - z2, one + z1 + z2)
+    )
     table = _Values(p.alpha1, p.alpha2, p.alpha3)
     for m, n in degree_pairs(N):
         first = BiPoly.zero()
         for idx, c in enumerate(jacobi_coeffs(m, p.alpha1, p.alpha2)):
-            first = first + diff**idx * plus ** (m - idx) * c
+            first = first + diff[idx] * plus[m - idx] * c
         second = BiPoly.zero()
         for idx, c in enumerate(jacobi_coeffs(n, 2 * m + p.a12 + 1, p.alpha3)):
-            second = second + inner_lo**idx * inner_hi ** (N - m - idx) * c
+            second = second + inner_lo[idx] * inner_hi[N - m - idx] * c
         lhs = first * second
         row, den = table.row(m, n, N), table.den(m, n, N) * math.factorial(m) * math.factorial(n)
         coeffs = [[0] * (N + 1) for _ in range(N + 1)]

@@ -3,43 +3,44 @@
 The d-variable family is a chain of univariate Hahn factors: factor k sees
 the partial sum of the first k grid coordinates, shifted by the partial sum
 of the first k-1 degrees, at an effective level that again depends on both.
-For d = 1 and d = 2 the chain collapses to the objects of the univariate
-and bivariate modules, and the tests pin those reductions exactly.
+One integer table (ChainTable) evaluates the chain for every d; the
+bivariate module's P values are its d = 2 rows over (-level)_{m+n}.
 
 No closed form is offered for the normalization: Lambda is the weighted
 sum of squares by definition.  Orthogonality is checked as literal rational
-identity: every off-diagonal Gram entry is zero, and every diagonal entry,
-a Lambda, is positive.
+identity on integer Gram sums (gram_entries, shared with the bivariate
+check): every off-diagonal entry is zero, and every diagonal entry, a
+Lambda, is positive.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
 
-from .hahn_uni import eval_total
+from .hahn_uni import _cleared, _coefficients, _denominator, _point_sum
 from .numeric import Rat, binomial_general, format_rational
 from .reports import CheckResult, VerificationReport
 
 MAX_DIMENSION = 6
 MAX_LEVEL = 12
+# The largest simplex verify_mv takes: the Gram sums cost about the cube of
+# the point count, 49 s at 1001 points on the fractions backend.
+MAX_GRAM_POINTS = 1001
 
 
 @dataclass(frozen=True)
 class MultiParams:
     alphas: tuple
     N: int
-    d: int | None = None
 
     def __post_init__(self):
         alphas = tuple(Rat(a) for a in self.alphas)
         object.__setattr__(self, "alphas", alphas)
         if len(alphas) < 2:
             raise ValueError("need at least two parameters (d >= 1)")
-        d = len(alphas) - 1
-        if self.d is None:
-            object.__setattr__(self, "d", d)
-        elif self.d != d:
-            raise ValueError("d must match len(alphas) - 1")
-        if d > MAX_DIMENSION:
+        if self.d > MAX_DIMENSION:
             raise ValueError(f"dimension capped at {MAX_DIMENSION} for exact sweeps")
         if not isinstance(self.N, int) or self.N < 0:
             raise ValueError("N must be a nonnegative integer")
@@ -48,10 +49,11 @@ class MultiParams:
         if min(alphas) <= -1:
             raise ValueError("parameters must exceed -1")
         # partial[k] = alpha_1 + ... + alpha_k, partial[0] = 0
-        partial = [Rat(0)]
-        for a in alphas:
-            partial.append(partial[-1] + a)
-        object.__setattr__(self, "apartial", tuple(partial))
+        object.__setattr__(self, "apartial", tuple(accumulate(alphas, initial=Rat(0))))
+
+    @property
+    def d(self) -> int:
+        return len(self.alphas) - 1
 
     @property
     def asum(self):
@@ -83,6 +85,76 @@ def simplex_points(N: int, d: int):
             yield head + (last,)
 
 
+class ChainTable:
+    """Chain values at one parameter tuple, as integers, filled as they are read.
+
+    Factor k (from 1) is h_{n_k}(|i_<=k| - |n_<k|) with parameters
+    (2|n_<k| + alpha_1 + ... + alpha_k + k - 1, alpha_{k+1}) and level
+    |i_<=k+1| - |n_<k|, where |i_<=d+1| is the level the value is read at;
+    arguments and levels can leave the classical range.  The tuple is
+    cleared to one denominator Q, and factor k built with the univariate
+    kernel: a coefficient list once per (k, n_k, |n_<k|, level_k), one
+    integer per point of that list and |i_<=k|, shared by every degree tuple
+    with the same prefix.  num(degs, pts, level) / den(degs) is the value.
+    """
+
+    def __init__(self, alphas):
+        self.d = len(alphas) - 1
+        self.Q, cleared = _cleared(*alphas)
+        self._partial = list(accumulate(cleared, initial=0))
+        self._beta = cleared[1:]
+        self._coeffs, self._factors, self._points, self._rows = {}, {}, {}, {}
+
+    def points(self, level: int) -> tuple:
+        if level not in self._points:
+            self._points[level] = tuple(simplex_points(level, self.d))
+        return self._points[level]
+
+    def den(self, degs) -> int:
+        return math.prod(_denominator(n, self.Q) for n in degs)
+
+    def num(self, degs, pts, level: int) -> int:
+        Q, factors, last = self.Q, self._factors, self.d - 1
+        out, isum, nsum = 1, 0, 0
+        for k, n in enumerate(degs):
+            isum += pts[k]
+            top = level if k == last else isum + pts[k + 1]
+            key = (k, n, nsum, top, isum)
+            value = factors.get(key)
+            if value is None:
+                coeffs = self._coeffs.get(key[:4])
+                if coeffs is None:
+                    alpha = Q * (2 * nsum + k) + self._partial[k + 1]
+                    coeffs = self._coeffs[key[:4]] = _coefficients(n, Q, alpha, self._beta[k], Q * (top - nsum))
+                value = factors[key] = _point_sum(coeffs, Q, Q * (isum - nsum))
+            out *= value
+            nsum += n
+        return out
+
+    def row(self, degs, level: int) -> tuple:
+        """The numerators of degree tuple degs over simplex_points(level, d)."""
+        if (degs, level) not in self._rows:
+            self._rows[(degs, level)] = tuple(self.num(degs, pts, level) for pts in self.points(level))
+        return self._rows[(degs, level)]
+
+
+def gram_entries(weights, rows, dens):
+    """Gram entries of values rows[a][g] / dens[a] under weights w_g, a <= b.
+
+    With w_g = omega_g / W, entry (a, b) sums omega_g rows[a][g] rows[b][g]
+    over ints and becomes one rational by one division by W dens[a] dens[b].
+    Yields (a, b, entry) for every diagonal and every nonzero off-diagonal
+    entry, a major and b minor.
+    """
+    W, omega = _cleared(*weights)
+    for a, row in enumerate(rows):
+        weighted = [o * r for o, r in zip(omega, row)]
+        for b in range(a, len(rows)):
+            acc = sum(map(mul, weighted, rows[b]))
+            if a == b or acc:
+                yield a, b, Rat(acc, W * dens[a] * dens[b])
+
+
 def _require_index(entries, p: MultiParams, what: str) -> tuple[int, ...]:
     entries = tuple(entries)
     ok = len(entries) == p.d and all(isinstance(e, int) and e >= 0 for e in entries)
@@ -102,38 +174,20 @@ def mv_weight(i, p: MultiParams):
 
 
 def mv_p_eval(n, i, p: MultiParams):
-    """Chain product of d univariate Hahn factors, exact rational value.
-
-    Factor k evaluates degree n_k at |i_k| - |n_{k-1}| with parameters
-    (2|n_{k-1}| + |alpha_k| + k - 1, alpha_{k+1}) and level
-    |i_{k+1}| - |n_{k-1}|, where |i_{d+1}| = N.  Arguments and levels can
-    leave the classical range, which is why the total evaluator is used.
-    """
+    """Chain product of d univariate Hahn factors, exact rational value."""
     degs = _require_index(n, p, "degree tuple")
     pts = _require_index(i, p, "grid point")
-    return _chain(degs, pts, p)
-
-
-def _chain(degs: tuple, pts: tuple, p: MultiParams):
-    isum = 0
-    nsum = 0
-    out = Rat(1)
-    for k in range(1, p.d + 1):
-        isum += pts[k - 1]
-        a_k = 2 * nsum + p.apartial[k] + (k - 1)
-        level = (isum + pts[k] if k < p.d else p.N) - nsum
-        out *= eval_total(degs[k - 1], isum - nsum, a_k, p.alphas[k], level)
-        nsum += degs[k - 1]
-    return out
+    table = ChainTable(p.alphas)
+    return Rat(table.num(degs, pts, p.N), table.den(degs))
 
 
 def mv_lambda(n, p: MultiParams):
     """Normalization sum_i w_i P_n(i)^2; positive by construction."""
     degs = _require_index(n, p, "degree tuple")
-    acc = Rat(0)
-    for g in simplex_points(p.N, p.d):
-        acc += mv_weight(g, p) * _chain(degs, g, p) ** 2
-    return acc
+    table = ChainTable(p.alphas)
+    weights = [mv_weight(g, p) for g in table.points(p.N)]
+    _, _, value = next(gram_entries(weights, (table.row(degs, p.N),), (table.den(degs),)))
+    return value
 
 
 def verify_mv(p: MultiParams) -> VerificationReport:
@@ -142,24 +196,19 @@ def verify_mv(p: MultiParams) -> VerificationReport:
     Off the diagonal each Gram entry must be exactly 0; on it each entry must
     be positive, so the weights and values in use define a true norm.  A
     diagonal failure reports the entry against 0 with residual "nonpositive".
+    A simplex of more than MAX_GRAM_POINTS points is refused.
     """
-    name = "orthogonality"
-    idx = tuple(simplex_points(p.N, p.d))
-    w = [mv_weight(g, p) for g in idx]
-    vals = {d: [_chain(d, g, p) for g in idx] for d in idx}
-    check = None
-    for a, d in enumerate(idx):
-        for d2 in idx[a:]:
-            acc = Rat(0)
-            for wg, x, y in zip(w, vals[d], vals[d2]):
-                acc += wg * x * y
-            if (acc <= 0) if d == d2 else (acc != 0):
-                residual = "nonpositive" if d == d2 else format_rational(acc)
-                indices = {"degrees": [list(d), list(d2)]}
-                check = CheckResult.failure(name, residual, indices, format_rational(acc), "0")
-                break
-        if check is not None:
+    size = math.comb(p.N + p.d, p.d)
+    if size > MAX_GRAM_POINTS:
+        raise ValueError(f"the Gram check over {size} simplex points is refused; the cap is {MAX_GRAM_POINTS}")
+    table = ChainTable(p.alphas)
+    idx = table.points(p.N)
+    rows, dens = [table.row(d, p.N) for d in idx], [table.den(d) for d in idx]
+    check = CheckResult.exact_pass("orthogonality")
+    for a, b, entry in gram_entries([mv_weight(g, p) for g in idx], rows, dens):
+        if a != b or entry <= 0:
+            residual = "nonpositive" if a == b else format_rational(entry)
+            indices = {"degrees": [list(idx[a]), list(idx[b])]}
+            check = CheckResult.failure("orthogonality", residual, indices, format_rational(entry), "0")
             break
-    if check is None:
-        check = CheckResult.exact_pass(name)
     return VerificationReport(suite="mv", params=p.echo(), checks=(check,))

@@ -1,13 +1,20 @@
 """d-variable family: reductions to the d=1,2 modules pin the chain exactly."""
 import itertools
+import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hahnkit.hahn_bi import BiParams, bigLambda, degree_pairs, grid_points, p2_eval, weight2
+import hahnkit.hahn_bi as bi_mod
+from hahnkit.cli import main
+from hahnkit.hahn_bi import BiParams, bigLambda, degree_pairs, grid_points, p2_eval, verify_bi, weight2
 from hahnkit.hahn_multi import (
     MAX_DIMENSION,
+    MAX_GRAM_POINTS,
     MAX_LEVEL,
+    ChainTable,
     MultiParams,
     mv_lambda,
     mv_p_eval,
@@ -15,14 +22,29 @@ from hahnkit.hahn_multi import (
     simplex_points,
     verify_mv,
 )
-from hahnkit.hahn_uni import UniParams, hahn_eval, hahn_norm, hahn_weight, verify_uni
-from hahnkit.numeric import Rat, factorial, pochhammer
+from hahnkit.hahn_uni import UniParams, eval_total, hahn_eval, hahn_norm, hahn_table, hahn_weight, verify_uni
+from hahnkit.numeric import Rat, factorial, format_rational, pochhammer
 
 LATTICE = [Rat(-1, 2), Rat(0), Rat(1, 2), Rat(3), Rat(7, 3)]
 
 
 def lattice_tuple(count, offset=0):
     return tuple(LATTICE[(offset + j) % len(LATTICE)] for j in range(count))
+
+
+def chain_reference(degs, pts, p):
+    """The chain by the route the integer table replaced: one rational
+    eval_total value per factor."""
+    isum = 0
+    nsum = 0
+    out = Rat(1)
+    for k in range(1, p.d + 1):
+        isum += pts[k - 1]
+        a_k = 2 * nsum + p.apartial[k] + (k - 1)
+        level = (isum + pts[k] if k < p.d else p.N) - nsum
+        out *= eval_total(degs[k - 1], isum - nsum, a_k, p.alphas[k], level)
+        nsum += degs[k - 1]
+    return out
 
 
 class TestMultiParams:
@@ -32,11 +54,6 @@ class TestMultiParams:
         assert p.asum == Rat(35, 6)
         assert p.apartial == (Rat(0), Rat(1, 2), Rat(1, 2), Rat(7, 2), Rat(35, 6))
         assert p.echo() == {"alphas": ["1/2", "0", "3", "7/3"], "N": 4, "d": 3}
-
-    def test_explicit_dimension_must_match(self):
-        assert MultiParams((0, 0, 0), 3, d=2).d == 2
-        with pytest.raises(ValueError):
-            MultiParams((0, 0, 0), 3, d=1)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -192,6 +209,31 @@ class TestEvaluation:
         assert any(diff(o) != 0 for o in splits_at)
 
 
+class TestChainTable:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.integers(1, 4),
+        N=st.integers(0, 4),
+        alphas=st.lists(st.sampled_from(LATTICE), min_size=5, max_size=5),
+        data=st.data(),
+    )
+    def test_matches_chain_reference(self, d, N, alphas, data):
+        p = MultiParams(tuple(alphas[: d + 1]), N)
+        table = ChainTable(p.alphas)
+        pts = table.points(N)
+        assert pts == tuple(simplex_points(N, d))
+        degs = data.draw(st.sampled_from(pts), label="degrees")
+        den = table.den(degs)
+        for g, num in zip(pts, table.row(degs, N)):
+            assert Rat(num, den) == chain_reference(degs, g, p), (degs, g)
+
+    @pytest.mark.parametrize("a,b", [(0, 0), (Rat(1, 2), Rat(7, 3)), (Rat(-1, 2), 3)])
+    def test_univariate_rows_are_hahn_table(self, a, b):
+        for N in range(7):
+            table = ChainTable((Rat(a), Rat(b)))
+            assert tuple((table.row((n,), N), table.den((n,))) for n in range(N + 1)) == hahn_table(UniParams(a, b, N))
+
+
 class TestLambda:
     def test_zero_degrees_unit(self):
         for d, N in [(1, 5), (2, 4), (4, 2)]:
@@ -271,3 +313,35 @@ class TestVerifyMv:
         assert not check.passed
         assert check.max_residual == check.counterexample["lhs"] != "0"
         assert check.counterexample["rhs"] == "0"
+
+    def test_oversized_simplex_is_refused(self):
+        # d = 6, N = 7 has C(13, 6) = 1716 points: refused before any value
+        # is made, and the CLI turns that into exit code 2.
+        d, N = 6, 7
+        assert math.comb(N + d, d) > MAX_GRAM_POINTS
+        with pytest.raises(ValueError, match="refused"):
+            verify_mv(MultiParams((0,) * (d + 1), N))
+        assert main(["verify", "--suite", "mv", "--alpha", ",".join(["0"] * (d + 1)), "--N", str(N)]) == 2
+
+
+class TestBivariateGramReport:
+    """The bivariate orthogonality check reads the same integer Gram sums;
+    its failure report is pinned against strings made from weight2 and
+    p2_eval directly."""
+
+    @pytest.mark.parametrize("tampered", [(0, 0), (1, 0), (1, 1)])
+    def test_tampered_lambda_report(self, monkeypatch, tampered):
+        p = BiParams(Rat(1, 2), Rat(-1, 2), 3, 3)
+        honest = bi_mod.lambda2
+        monkeypatch.setattr(bi_mod, "lambda2", lambda d, p: honest(d, p) * (3 if tuple(d) == tampered else 1))
+        check = verify_bi("orthogonality", p).checks[0]
+        got = sum(weight2(g, p) * p2_eval(tampered, g, p) ** 2 for g in grid_points(p.N))
+        want = 3 * honest(tampered, p)
+        assert not check.passed
+        assert check.max_residual == format_rational(got - want)
+        out = json.loads(json.dumps(check.to_dict()))["counterexample"]
+        assert out == {
+            "indices": {"degrees": [list(tampered), list(tampered)]},
+            "lhs": format_rational(got),
+            "rhs": format_rational(want),
+        }
