@@ -49,6 +49,7 @@ from typing import Callable, NamedTuple
 
 from .classical import jacobi_coeffs
 from .hahn_multi import ChainTable, gram_entries
+from .hahn_uni import _cleared
 from .numeric import (
     BiPoly,
     Rat,
@@ -56,9 +57,10 @@ from .numeric import (
     factorial,
     format_rational,
     multinomial,
-    pochhammer,
+    nonzero,
+    rising,
 )
-from .reports import CheckResult, VerificationReport
+from .reports import CheckResult, VerificationReport, _guarded
 
 FLOAT_TOL = 1e-10
 
@@ -112,14 +114,22 @@ def _require_pair(pair, N: int, what: str) -> tuple[int, int]:
 
 
 def weight2(g, p: BiParams):
-    """Simplex weight w_{i,k;N}; a negative-multinomial style distribution."""
+    """Simplex weight w_{i,k;N}; a negative-multinomial style distribution,
+
+        N! / (i! k! (N-i-k)!) (a1+1)_i (a2+1)_k (a3+1)_{N-i-k} / (a1+a2+a3+3)_N,
+
+    one rational of cleared integer products: the q^N above and below cancel.
+    """
     i, k = _require_pair(g, p.N, "grid point")
-    return (
-        multinomial(p.N, [i, k])
-        * pochhammer(p.alpha1 + 1, i)
-        * pochhammer(p.alpha2 + 1, k)
-        * pochhammer(p.alpha3 + 1, p.N - i - k)
-        / pochhammer(p.a123 + 3, p.N)
+    N = p.N
+    q, (A1, A2, A3) = _cleared(p.alpha1, p.alpha2, p.alpha3)
+    return Rat(
+        math.comb(N, i)
+        * math.comb(N - i, k)
+        * rising(A1 + q, i, q)
+        * rising(A2 + q, k, q)
+        * rising(A3 + q, N - i - k, q),
+        rising(A1 + A2 + A3 + 3 * q, N, q),
     )
 
 
@@ -141,45 +151,45 @@ def h2_eval(d, g, p: BiParams):
     return p2_eval(d, g, p) / (factorial(m) * factorial(n))
 
 
-def _lambda_core(m: int, n: int, a1, a2, a3, N: int):
-    # Cancellation-safe arrangement: every ratio (a)_{2m}/(a)_m collapsed to
-    # (a+m)_m, so nothing here divides by a quantity that can vanish.
-    s = a1 + a2
-    sig = s + a3
-    return (
-        pochhammer(a1 + 1, m)
-        * pochhammer(a2 + 1, m)
-        * pochhammer(a3 + 1, n)
-        * pochhammer(m + s + 1, m)
-        * pochhammer(2 * m + s + 2, n)
-        * pochhammer(2 * m + n + sig + 2, n)
-        * pochhammer(2 * m + 2 * n + sig + 3, N - m - n)
-        / pochhammer(sig + 3, N)
+def _lambda_core(m: int, n: int, a1, a2, a3, N: int) -> tuple[int, int]:
+    """(a1+1)_m (a2+1)_m (a3+1)_n (m+s+1)_m (2m+s+2)_n (2m+n+sig+2)_n
+    (2m+2n+sig+3)_{N-m-n} / (sig+3)_N, with s = a1+a2 and sig = s+a3, as
+    one integer numerator and denominator.
+
+    Cancellation-safe arrangement: every ratio (a)_{2m}/(a)_m collapsed to
+    (a+m)_m, so nothing here divides by a quantity that can vanish.  The
+    triple is cleared to one denominator q; the rising products above carry
+    q^(2m+2n+N) and the one below q^N, so q^(2m+2n) is left below.
+    """
+    q, (A1, A2, A3) = _cleared(a1, a2, a3)
+    S = A1 + A2
+    T = S + A3
+    num = (
+        rising(A1 + q, m, q)
+        * rising(A2 + q, m, q)
+        * rising(A3 + q, n, q)
+        * rising(S + (m + 1) * q, m, q)
+        * rising(S + (2 * m + 2) * q, n, q)
+        * rising(T + (2 * m + n + 2) * q, n, q)
+        * rising(T + (2 * m + 2 * n + 3) * q, N - m - n, q)
     )
+    return num, q ** (2 * (m + n)) * rising(T + 3 * q, N, q)
 
 
 def lambda2(d, p: BiParams):
     """Norm of P_{m,n} under the simplex weight."""
     m, n = _require_pair(d, p.N, "degree pair")
-    return (
-        factorial(m)
-        * factorial(n)
-        * factorial(p.N - m - n)
-        / factorial(p.N)
-        * _lambda_core(m, n, p.alpha1, p.alpha2, p.alpha3, p.N)
-    )
+    num, den = _lambda_core(m, n, p.alpha1, p.alpha2, p.alpha3, p.N)
+    f = math.factorial
+    return Rat(f(m) * f(n) * f(p.N - m - n) * num, f(p.N) * den)
 
 
 def bigLambda(d, p: BiParams):
     """Squared norm of the bare product chain; equals lambda2 * ((-N)_{m+n})^2."""
     m, n = _require_pair(d, p.N, "degree pair")
-    return (
-        factorial(p.N)
-        * factorial(m)
-        * factorial(n)
-        / factorial(p.N - m - n)
-        * _lambda_core(m, n, p.alpha1, p.alpha2, p.alpha3, p.N)
-    )
+    num, den = _lambda_core(m, n, p.alpha1, p.alpha2, p.alpha3, p.N)
+    f = math.factorial
+    return Rat(math.perm(p.N, m + n) * f(m) * f(n) * num, den)
 
 
 def q2_eval(d, g, p: BiParams) -> RadicalScalar:
@@ -188,19 +198,6 @@ def q2_eval(d, g, p: BiParams) -> RadicalScalar:
     i, k = _require_pair(g, p.N, "grid point")
     hh = _Values(p.alpha1, p.alpha2, p.alpha3).chain(m, n, i, k, p.N)
     return RadicalScalar(hh, 1 / bigLambda(d, p))
-
-
-def _rising(x: int, j: int) -> int:
-    """The Pochhammer symbol (x)_j of an integer x, as an int."""
-    return math.prod(range(x, x + j))
-
-
-def _nonzero(scale: int, what: str) -> int:
-    """scale, once it is shown nonzero: an identity multiplied through by a
-    zero scale holds vacuously, so a zero one is a failure, not a pass."""
-    if not scale:
-        raise ArithmeticError(f"{what} vanishes; the cleared comparison would hold vacuously")
-    return scale
 
 
 class _Values:
@@ -221,7 +218,7 @@ class _Values:
 
     def den(self, m, n, level) -> int:
         """sigma: the P values of degree pair (m, n) at level are row / sigma."""
-        return _nonzero(self.chains.den((m, n)) * _rising(-level, m + n), "the denominator of a P value")
+        return nonzero(self.chains.den((m, n)) * rising(-level, m + n), "the denominator of a P value")
 
     def row(self, m, n, level) -> tuple:
         """The P numerators of degree pair (m, n) over grid_points(level)."""
@@ -1129,7 +1126,7 @@ def _block(row: _Relation, terms: list, grid: tuple, m: int, n: int, at: _At, xs
         parts.append((side, cfs, const, sigma, values))
     scale = 1
     if exact:
-        scale = _nonzero(math.lcm(*(
+        scale = nonzero(math.lcm(*(
             sigma * (int(cfs.denominator) if const else math.lcm(*(int(c.denominator) for c in cfs)))
             for _, cfs, const, sigma, _ in parts
         )), "the common denominator of an instance")
@@ -1219,17 +1216,6 @@ def _float_check(row: _Relation, check: _Check) -> CheckResult:
         return CheckResult.float_pass(row.name, worst)
     m, n, i, k, lhs, rhs = example
     return CheckResult.failure(row.name, f"{worst:.17g}", _indices(m, n, i, k, 0), f"{lhs:.17g}", f"{rhs:.17g}")
-
-
-def _guarded(name: str, run, *args) -> CheckResult:
-    """run(*args), or a failure with residual "inf" if it cannot be
-    evaluated: a pole, a negative radicand, an undecided sign, a
-    coefficient factor that is not affine along the sweep line, or a zero
-    scale under an integer comparison."""
-    try:
-        return run(*args)
-    except ArithmeticError as err:
-        return CheckResult.failure(name, "inf", {}, str(err), "")
 
 
 def _relations(check_name: str):

@@ -2,6 +2,14 @@
 
 Evaluation, hypergeometric-distribution weight, norm, and mechanical checks
 of orthogonality and the two generating functions, all in exact arithmetic.
+
+Values and normalizations are integer-cleared.  The parameters are cleared
+to one common denominator q; a value is one integer sum over n! q^(2n)
+(eval_total, hahn_table), and the weight and the norm are each one rational
+of integer rising products (numeric.rising).  The orthogonality check sums
+integer Gram numerators and compares them with the norms by cross
+multiplication, after showing its scale nonzero; it makes a rational only to
+report a failure.
 """
 from __future__ import annotations
 
@@ -11,14 +19,17 @@ from dataclasses import dataclass
 from .classical import jacobi_coeffs
 from .numeric import (
     Rat,
+    _ZERO,
     _poly_add,
     _poly_mul,
     factorial,
     format_rational,
     multinomial,
+    nonzero,
     pochhammer,
+    rising,
 )
-from .reports import CheckResult, VerificationReport
+from .reports import CheckResult, VerificationReport, _guarded
 
 
 @dataclass(frozen=True)
@@ -138,13 +149,19 @@ def hahn_table(p: UniParams) -> tuple:
 
 
 def hahn_weight(x: int, p: UniParams):
+    """The hypergeometric-distribution weight C(N, x) (a+1)_x (b+1)_{N-x} / (a+b+2)_N.
+
+    With a = A/q and b = B/q, each rising factorial is a cleared integer
+    product over q^(its length); the q^N above and below cancel, so the
+    weight is one rational of two integer products.
+    """
     if not 0 <= x <= p.N:
         raise ValueError(f"grid point {x} outside 0..{p.N}")
-    return (
-        multinomial(p.N, [x])
-        * pochhammer(p.alpha + 1, x)
-        * pochhammer(p.beta + 1, p.N - x)
-        / pochhammer(p.alpha + p.beta + 2, p.N)
+    N = p.N
+    q, (A, B) = _cleared(p.alpha, p.beta)
+    return Rat(
+        math.comb(N, x) * rising(A + q, x, q) * rising(B + q, N - x, q),
+        rising(A + B + 2 * q, N, q),
     )
 
 
@@ -152,21 +169,26 @@ def hahn_norm(n: int, p: UniParams):
     """Norm of h_n under the weight, in the cancellation-safe arrangement.
 
     The textbook prefactor (a+b+1)/(a+b+1)_n is 0/0 at a+b+1 = 0; for n >= 1
-    it equals 1/(a+b+2)_{n-1}, which is what gets evaluated here.
+    it equals 1/(a+b+2)_{n-1}, which is what gets evaluated here:
+
+        N! n! / (N-n)! (a+1)_n (b+1)_n (N+a+b+2)_n / ((2n+a+b+1) (a+b+2)_{n-1}),
+
+    as one rational of cleared integer products, the q^(3n) above against
+    the q^n below leaving q^(2n) in the denominator.
     """
     if not 0 <= n <= p.N:
         raise ValueError(f"degree {n} outside 0..{p.N}")
     if n == 0:
         return Rat(1)
-    a, b, N = p.alpha, p.beta, p.N
-    return (
-        factorial(N)
-        * factorial(n)
-        / factorial(N - n)
-        * pochhammer(a + 1, n)
-        * pochhammer(b + 1, n)
-        * pochhammer(N + a + b + 2, n)
-        / ((2 * n + a + b + 1) * pochhammer(a + b + 2, n - 1))
+    N = p.N
+    q, (A, B) = _cleared(p.alpha, p.beta)
+    return Rat(
+        math.perm(N, n)
+        * math.factorial(n)
+        * rising(A + q, n, q)
+        * rising(B + q, n, q)
+        * rising(A + B + (N + 2) * q, n, q),
+        q ** (2 * n) * (A + B + (2 * n + 1) * q) * rising(A + B + 2 * q, n - 1, q),
     )
 
 
@@ -178,8 +200,10 @@ def _check_orthogonality(p: UniParams) -> CheckResult:
     """Gram sums on integer numerators over one common weight denominator.
 
     With w_x = omega_x / W and h_n(x) = t_{n,x} / d_n, the pair (n, m) sums
-    sum_x omega_x t_{n,x} t_{m,x} over ints and becomes one rational by a
-    single division by W d_n d_m.
+    acc = sum_x omega_x t_{n,x} t_{m,x} over ints.  Once the scale
+    W d_n d_m is shown nonzero, an off-diagonal pair passes when acc is 0
+    and a diagonal one when acc den(norm) = num(norm) W d_n d_m; rationals
+    are made only to report a failure.
     """
     N = p.N
     W, omega = _cleared(*(hahn_weight(x, p) for x in range(N + 1)))
@@ -189,9 +213,11 @@ def _check_orthogonality(p: UniParams) -> CheckResult:
         weighted = [o * t for o, t in zip(omega, nums_n)]
         for m in range(n + 1):
             nums_m, den_m = table[m]
-            got = Rat(sum(v * t for v, t in zip(weighted, nums_m)), W * den_n * den_m)
-            want = hahn_norm(n, p) if n == m else Rat(0)
-            if got != want:
+            scale = nonzero(W * den_n * den_m, "the Gram scale W d_n d_m")
+            acc = sum(v * t for v, t in zip(weighted, nums_m))
+            want = hahn_norm(n, p) if n == m else _ZERO
+            if acc * int(want.denominator) != int(want.numerator) * scale:
+                got = Rat(acc, scale)
                 return CheckResult.failure(
                     "orthogonality",
                     residual=f"{abs(float(got - want)):.17g}",
@@ -276,4 +302,4 @@ UNI_CHECK_NAMES = tuple(_CHECKS)
 def verify_uni(check: str, p: UniParams) -> VerificationReport:
     if check not in _CHECKS:
         raise ValueError(f"unknown check: {check}")
-    return VerificationReport(suite="uni", params=p.echo(), checks=(_CHECKS[check](p),))
+    return VerificationReport(suite="uni", params=p.echo(), checks=(_guarded(check, _CHECKS[check], p),))

@@ -58,15 +58,36 @@ def format_rational(value) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def rising(x: int, n: int, q: int = 1) -> int:
+    """The integer rising product x (x+q) (x+2q) ... (x+(n-1)q), for q >= 1;
+    the empty product is 1.
+
+    At q = 1 it is the Pochhammer symbol (x)_n of an integer x.  For a
+    rational a = x/q it is q^n (a)_n: the n rational factors of a rising
+    factorial, cleared by their one denominator.
+    """
+    return math.prod(range(x, x + n * q, q))
+
+
+def nonzero(scale: int, what: str) -> int:
+    """scale, once it is shown nonzero: an identity multiplied through by a
+    zero scale holds vacuously, so a zero one is a failure, not a pass."""
+    if not scale:
+        raise ArithmeticError(f"{what} vanishes; the cleared comparison would hold vacuously")
+    return scale
+
+
 def pochhammer(a, n: int):
-    """Rising factorial a(a+1)...(a+n-1); empty product is 1."""
+    """Rising factorial a(a+1)...(a+n-1); empty product is 1.
+
+    With a = p/q in lowest terms, (a)_n = rising(p, n, q) / q^n: the n
+    factors multiply as Python ints and one rational is made at the end.
+    """
     if n < 0:
         raise ValueError("pochhammer needs a nonnegative length")
     a = Rat(a)
-    out = _ONE
-    for j in range(n):
-        out = out * (a + j)
-    return out
+    q = int(a.denominator)
+    return Rat(rising(int(a.numerator), n, q), q**n)
 
 
 def factorial(n: int):

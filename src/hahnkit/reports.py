@@ -75,3 +75,14 @@ class VerificationReport:
             params=dict(self.params),
             checks=tuple(self.checks) + tuple(other.checks),
         )
+
+
+def _guarded(name: str, run, *args) -> CheckResult:
+    """run(*args), or a failure with residual "inf" if it cannot be
+    evaluated: a pole, a negative radicand, an undecided sign, a
+    coefficient factor that is not affine along the sweep line, or a zero
+    scale under an integer comparison."""
+    try:
+        return run(*args)
+    except ArithmeticError as err:
+        return CheckResult.failure(name, "inf", {}, str(err), "")

@@ -28,9 +28,11 @@ from hahnkit.hahn_bi import (
 from hahnkit.hahn_uni import eval_total
 from hahnkit.numeric import (
     Rat,
+    Rational,
     binomial_general,
     factorial,
     format_rational,
+    multinomial,
     pochhammer,
 )
 
@@ -84,6 +86,61 @@ def norm_verbatim(d, p):
         / pochhammer(m + n + sig + 3, m + n)
         / pochhammer(sig + 3, N)
     )
+
+
+def _poch_retired(a, n):
+    out = Rat(1)
+    for j in range(n):
+        out = out * (a + j)
+    return out
+
+
+def weight2_retired(g, p):
+    """The simplex weight as the Fraction product it was, one factor at a time."""
+    i, k = g
+    return (
+        multinomial(p.N, [i, k])
+        * _poch_retired(p.alpha1 + 1, i)
+        * _poch_retired(p.alpha2 + 1, k)
+        * _poch_retired(p.alpha3 + 1, p.N - i - k)
+        / _poch_retired(p.a123 + 3, p.N)
+    )
+
+
+def lambda_core_retired(m, n, a1, a2, a3, N):
+    """The cancellation-safe core of lambda2 and bigLambda as the Fraction
+    product it was."""
+    s = a1 + a2
+    sig = s + a3
+    return (
+        _poch_retired(a1 + 1, m)
+        * _poch_retired(a2 + 1, m)
+        * _poch_retired(a3 + 1, n)
+        * _poch_retired(m + s + 1, m)
+        * _poch_retired(2 * m + s + 2, n)
+        * _poch_retired(2 * m + n + sig + 2, n)
+        * _poch_retired(2 * m + 2 * n + sig + 3, N - m - n)
+        / _poch_retired(sig + 3, N)
+    )
+
+
+def lambda2_retired(d, p):
+    m, n = d
+    core = lambda_core_retired(m, n, p.alpha1, p.alpha2, p.alpha3, p.N)
+    return factorial(m) * factorial(n) * factorial(p.N - m - n) / factorial(p.N) * core
+
+
+def bigLambda_retired(d, p):
+    m, n = d
+    core = lambda_core_retired(m, n, p.alpha1, p.alpha2, p.alpha3, p.N)
+    return factorial(p.N) * factorial(m) * factorial(n) / factorial(p.N - m - n) * core
+
+
+def sweep_line(triple, top):
+    """The sample triples (alpha1 + t, alpha2 + 3t, alpha3 + 5t), t = 0..top,
+    at which the swept checks read their tables."""
+    a1, a2, a3 = triple
+    return [(a1 + t, a2 + 3 * t, a3 + 5 * t) for t in range(top + 1)]
 
 
 class TestBiParams:
@@ -289,6 +346,46 @@ class TestNorms:
                     for g in grid_points(3)
                 )
                 assert acc == (lambda2(d, p) if d == d2 else 0)
+
+
+class TestClearedNormalizations:
+    """weight2, lambda2 and bigLambda, one rational of cleared integer
+    products each, against the retired factor-by-factor Fraction products."""
+
+    @given(
+        st.tuples(*[st.fractions(min_value=-1, max_value=6, max_denominator=12).filter(lambda f: f > -1)] * 3),
+        st.integers(0, 6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_match_retired_products(self, triple, N):
+        p = BiParams(*(Rat(f.numerator, f.denominator) for f in triple), N)
+        for g in grid_points(N):
+            values = weight2(g, p), lambda2(g, p), bigLambda(g, p)
+            assert all(isinstance(v, Rational) for v in values)
+            assert values == (weight2_retired(g, p), lambda2_retired(g, p), bigLambda_retired(g, p))
+
+    @pytest.mark.parametrize("triple", PARAM_TRIPLES)
+    def test_sweep_line_triples(self, triple):
+        for swept in sweep_line(triple, 8):
+            for N in (0, 3, 6):
+                p = BiParams(*swept, N)
+                for g in grid_points(N):
+                    assert weight2(g, p) == weight2_retired(g, p)
+                    assert lambda2(g, p) == lambda2_retired(g, p)
+                    assert bigLambda(g, p) == bigLambda_retired(g, p)
+            for a in swept:
+                for i in range(8):
+                    got = binomial_general(a + i, i)
+                    assert isinstance(got, Rational)
+                    assert got == _poch_retired(a + 1, i) / factorial(i)
+
+    def test_where_a_pochhammer_base_vanishes(self):
+        # alpha1 + alpha2 + 1 = 0, where the textbook ratio (s+1)_{2m} / (s+1)_m
+        # is 0/0; the collapsed (m+s+1)_m divides by nothing
+        p = BiParams(Rat(-1, 2), Rat(-1, 2), Rat(-2, 3), 5)
+        for d in degree_pairs(5):
+            assert lambda2(d, p) == lambda2_retired(d, p) > 0
+            assert bigLambda(d, p) == bigLambda_retired(d, p) > 0
 
 
 class TestOrthonormal:
@@ -888,7 +985,7 @@ def test_zero_scale_reported_under_optimization(tmp_path):
         "import json\n"
         "import hahnkit.hahn_bi as bi\n"
         "from hahnkit.numeric import Rat\n"
-        "bi._rising = lambda x, j: 0\n"
+        "bi.ChainTable.den = lambda self, degs: 0\n"
         "p = bi.BiParams(Rat(1, 2), Rat(-1, 2), Rat(3), 2)\n"
         "checks = [c for name in ('orthogonality', 'symmetry', 'recurrence-x1', 'structure')\n"
         "          for c in bi.verify_bi(name, p).checks]\n"

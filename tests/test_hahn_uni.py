@@ -1,3 +1,9 @@
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -14,8 +20,10 @@ from hahnkit.hahn_uni import (
 )
 from hahnkit.numeric import (
     Rat,
+    Rational,
     factorial,
     format_rational,
+    multinomial,
     pfq_terminating,
     pochhammer,
 )
@@ -50,6 +58,32 @@ def eval_total_retired(n, x, alpha, beta, M):
         term = term * _poch_retired(-M + j, n - j)
         total = term if total is None else total + term
     return total
+
+
+def hahn_weight_retired(x, p):
+    """The weight as the Fraction product it was, one factor at a time."""
+    return (
+        multinomial(p.N, [x])
+        * _poch_retired(p.alpha + 1, x)
+        * _poch_retired(p.beta + 1, p.N - x)
+        / _poch_retired(p.alpha + p.beta + 2, p.N)
+    )
+
+
+def hahn_norm_retired(n, p):
+    """The cancellation-safe norm as the Fraction product it was."""
+    if n == 0:
+        return Rat(1)
+    a, b, N = p.alpha, p.beta, p.N
+    return (
+        factorial(N)
+        * factorial(n)
+        / factorial(N - n)
+        * _poch_retired(a + 1, n)
+        * _poch_retired(b + 1, n)
+        * _poch_retired(N + a + b + 2, n)
+        / ((2 * n + a + b + 1) * _poch_retired(a + b + 2, n - 1))
+    )
 
 
 def hahn_via_prefactored_series(n, x, alpha, beta, M):
@@ -177,10 +211,10 @@ class TestKernelDifferential:
                         assert Rat(t, den) == hahn_eval(n, x, p)
 
 
-def expected_orthogonality_failure(p, table, norm):
+def expected_orthogonality_failure(p, table, norm, weight=hahn_weight):
     """First failing (n, m) of the Fraction Gram sum the cleared check replaced."""
     N = p.N
-    weights = [hahn_weight(x, p) for x in range(N + 1)]
+    weights = [weight(x, p) for x in range(N + 1)]
     values = [[Rat(t, den) for t in nums] for nums, den in table]
     for n in range(N + 1):
         for m in range(n + 1):
@@ -225,6 +259,80 @@ class TestOrthogonalityFailurePath:
         expected = expected_orthogonality_failure(self.P, tampered, hahn_norm)
         assert expected["indices"] == [3, 0]
         assert self.reported() == expected
+
+    def test_tampered_weight(self, monkeypatch):
+        honest = hahn_weight
+
+        def tampered(x, p):
+            return honest(x, p) + (Rat(1, 7) if x == 2 else 0)
+
+        monkeypatch.setattr(uni_mod, "hahn_weight", tampered)
+        expected = expected_orthogonality_failure(self.P, hahn_table(self.P), hahn_norm, tampered)
+        assert expected["indices"] == [0, 0]
+        assert self.reported() == expected
+
+
+class TestOrthogonalityClearedVerdicts:
+    def test_passing_sweep_makes_rationals_only_for_normalizations(self, monkeypatch):
+        # N+1 weights and N+1 norms, and none for the 78 pairs' Gram sums
+        p = UniParams(Rat(1, 2), Rat(7, 3), 12)
+        made = []
+
+        def counted(*args):
+            made.append(args)
+            return Rat(*args)
+
+        monkeypatch.setattr(uni_mod, "Rat", counted)
+        assert verify_uni("orthogonality", p).passed
+        assert len(made) == 2 * (p.N + 1)
+
+    def test_zero_scale_reported_under_optimization(self, tmp_path):
+        """A zero scale W d_n d_m would make every off-diagonal pair hold
+        vacuously.  It is a reported failure with residual "inf", also under
+        python -O, where an assert would vanish."""
+        script = tmp_path / "zero_scale.py"
+        script.write_text(
+            "import json\n"
+            "import hahnkit.hahn_uni as uni\n"
+            "from hahnkit.numeric import Rat\n"
+            "honest = uni.hahn_table\n"
+            "uni.hahn_table = lambda p: tuple((nums, 0 if n == 2 else den) for n, (nums, den) in enumerate(honest(p)))\n"
+            "p = uni.UniParams(Rat(1, 2), Rat(7, 3), 4)\n"
+            "print(json.dumps(uni.verify_uni('orthogonality', p).checks[0].to_dict()))\n"
+        )
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        command = [sys.executable, "-O", str(script)]
+        done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        check = json.loads(done.stdout)
+        assert check["status"] == "fail" and check["max_residual"] == "inf"
+        assert "vanishes" in check["counterexample"]["lhs"]
+
+
+class TestClearedNormalizations:
+    """hahn_weight and hahn_norm, one rational of cleared integer products
+    each, against the retired factor-by-factor Fraction products."""
+
+    @given(alphas, alphas, st.integers(0, 12))
+    @settings(max_examples=120, deadline=None)
+    def test_match_retired_products(self, alpha, beta, N):
+        p = UniParams(alpha, beta, N)
+        for x in range(N + 1):
+            weight, norm = hahn_weight(x, p), hahn_norm(x, p)
+            assert isinstance(weight, Rational) and isinstance(norm, Rational)
+            assert weight == hahn_weight_retired(x, p)
+            assert norm == hahn_norm_retired(x, p)
+
+    @given(st.fractions(min_value=-1, max_value=0, max_denominator=10**6).filter(lambda f: -1 < f < 0))
+    @settings(max_examples=60, deadline=None)
+    def test_norm_where_a_plus_b_plus_one_vanishes(self, f):
+        # the textbook prefactor is 0/0 here; the safe form is defined
+        alpha = Rat(f.numerator, f.denominator)
+        p = UniParams(alpha, -1 - alpha, 6)
+        assert p.alpha + p.beta + 1 == 0
+        for n in range(p.N + 1):
+            assert hahn_norm(n, p) == hahn_norm_retired(n, p)
 
 
 class TestWeight:

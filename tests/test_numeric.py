@@ -7,20 +7,41 @@ from hypothesis import strategies as st
 from hahnkit.numeric import (
     BiPoly,
     Rat,
+    Rational,
     RationalMatrix,
     RadicalScalar,
     binomial_general,
     factorial,
     format_rational,
     multinomial,
+    nonzero,
     parse_rational,
     pfq_terminating,
     pochhammer,
+    rising,
 )
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=9).map(
     lambda f: Rat(f.numerator, f.denominator)
 )
+# bases whose cleared products run on many-digit integers
+wide_rationals = st.fractions(min_value=-40, max_value=40, max_denominator=10**15).map(
+    lambda f: Rat(f.numerator, f.denominator)
+)
+
+
+def pochhammer_retired(a, n):
+    """The loop the cleared product replaced: n rational additions and
+    multiplications."""
+    a = Rat(a)
+    out = Rat(1)
+    for j in range(n):
+        out = out * (a + j)
+    return out
+
+
+def binomial_general_retired(a, k):
+    return pochhammer_retired(Rat(a) - k + 1, k) / factorial(k)
 
 
 class TestRationalText:
@@ -73,6 +94,66 @@ class TestCombinatorics:
     def test_binomial_general_rational_top(self):
         # C(1/2, 2) = (1/2)(-1/2)/2
         assert binomial_general(Rat(1, 2), 2) == Rat(-1, 8)
+
+
+class TestClearedPochhammer:
+    """pochhammer and binomial_general, one rational over a cleared integer
+    product, against the retired factor-by-factor loop."""
+
+    @given(st.one_of(rationals, wide_rationals), st.integers(0, 14))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_retired_loop(self, a, n):
+        got = pochhammer(a, n)
+        assert isinstance(got, Rational)
+        assert got == pochhammer_retired(a, n)
+
+    @given(st.one_of(rationals, wide_rationals), st.integers(0, 14))
+    @settings(max_examples=200, deadline=None)
+    def test_binomial_general_matches_retired(self, a, k):
+        got = binomial_general(a, k)
+        assert isinstance(got, Rational)
+        assert got == binomial_general_retired(a, k)
+
+    def test_negative_integer_bases(self):
+        # (-N)_n of the dual generating function, (-x)_j of the generating
+        # function: zero once the product reaches 0, and signed before it
+        for N in range(13):
+            for n in range(N + 3):
+                got = pochhammer(-N, n)
+                assert isinstance(got, Rational)
+                assert got == pochhammer_retired(-N, n)
+                assert (got == 0) == (n > N)
+                if n <= N:
+                    assert got == (-1) ** n * math.perm(N, n)
+
+    def test_zero_crossing(self):
+        got = pochhammer(-2, 3)
+        assert isinstance(got, Rational) and got == 0
+        assert pochhammer(Rat(-2), 7) == 0
+        assert pochhammer(Rat(-7, 3), 3) == Rat(-7 * -4 * -1, 27)
+
+    @given(st.one_of(rationals, wide_rationals))
+    def test_empty_product(self, a):
+        for got in (pochhammer(a, 0), binomial_general(a, 0)):
+            assert isinstance(got, Rational) and got == 1
+
+    def test_large_denominators(self):
+        a = Rat(10**18 + 7, 10**18 + 9)
+        for n in range(12):
+            assert pochhammer(a, n) == pochhammer_retired(a, n)
+            assert pochhammer(-a, n) == pochhammer_retired(-a, n)
+
+    def test_rising_is_the_cleared_product(self):
+        for x in range(-6, 7):
+            for n in range(8):
+                assert rising(x, n) == math.prod(x + j for j in range(n))
+                for q in (2, 3, 7):
+                    assert Rat(rising(x, n, q), q**n) == pochhammer_retired(Rat(x, q), n)
+
+    def test_nonzero(self):
+        assert nonzero(-3, "a scale") == -3
+        with pytest.raises(ArithmeticError, match="a scale vanishes"):
+            nonzero(0, "a scale")
 
 
 def plain_pfq(nums, dens, arg, top):
