@@ -38,20 +38,27 @@ subsumes the base-point identity t = 0.  Float coefficients take the
 limit t -> 0+ along the same line.  Their formulas return factors linear in
 the parameters, so two exact evaluations, at t = 0 and t = 1, give each
 factor's value and slope, and from those the limit.
+
+The coefficient formulas run on Python ints as well.  Each takes (m, n, N,
+a1, a2, a3, q), every constant carrying the unit q, so every value it
+returns is homogeneous of some degree k in its seven arguments.  Run on the
+triple cleared to its denominator Q, with m, n, N and q times Q, it gives
+Q^k times the value, an integer.  Each k is read off a run on a stand-in
+(_Homogeneous), which also refuses a constant that lost its q.  A swept
+coefficient is then one rational, and each summand of a float limit one
+rational of its integer factors and slopes (slope at t = 1: A_j + c_j Q).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import mul
 from typing import Callable, NamedTuple
 
 from .classical import jacobi_coeffs
 from .hahn_multi import ChainTable, gram_entries
 from .hahn_uni import _cleared
 from .numeric import (
-    BiPoly,
     Rat,
     RadicalScalar,
     factorial,
@@ -63,6 +70,10 @@ from .numeric import (
 from .reports import CheckResult, VerificationReport, _guarded
 
 FLOAT_TOL = 1e-10
+# The largest level whose sixteen checks fit in criterion 03's 60 s budget
+# on the fractions backend (cost curve in BENCH_9.json); verify_bi refuses
+# a level above it.
+MAX_BI_LEVEL = 21
 
 
 @dataclass(frozen=True)
@@ -331,33 +342,55 @@ def _check_symmetry(p: BiParams) -> CheckResult:
     return CheckResult.exact_pass(name)
 
 
+def _poly_mul(f: dict, g: dict) -> dict:
+    """The product of two integer polynomials in (z1, z2), {(a, b): coefficient of z1^a z2^b}."""
+    out = {}
+    for (a, b), x in f.items():
+        for (c, d), y in g.items():
+            out[a + c, b + d] = out.get((a + c, b + d), 0) + x * y
+    return out
+
+
+def _poly_sum(coeffs, polys) -> dict:
+    """sum_j coeffs[j] * polys[j], for integer coefficients."""
+    out = {}
+    for c, poly in zip(coeffs, polys):
+        for key, x in poly.items():
+            out[key] = out.get(key, 0) + c * x
+    return out
+
+
 def _check_genfun(p: BiParams) -> list[CheckResult]:
     """Bivariate generating function, cleared of denominators: both sides are
-    polynomials in (z1, z2) compared coefficientwise."""
+    polynomials in (z1, z2) compared coefficientwise.
+
+    The left side is a product of two sums whose Jacobi coefficients are
+    cleared to integers over d1 and d2, the right side the P numerators over
+    sigma m! n!; so the integer grids are compared multiplied crosswise."""
     name = "genfun"
     N = p.N
-    z1 = BiPoly.monomial(1, 0)
-    z2 = BiPoly.monomial(0, 1)
-    one = BiPoly.constant(1)
     # the powers 0..N of z2 - z1, z1 + z2, 1 - z1 - z2 and 1 + z1 + z2
     diff, plus, inner_lo, inner_hi = (
-        list(accumulate([base] * N, mul, initial=one)) for base in (z2 - z1, z1 + z2, one - z1 - z2, one + z1 + z2)
+        list(accumulate([base] * N, _poly_mul, initial={(0, 0): 1}))
+        for base in (
+            {(1, 0): -1, (0, 1): 1}, {(1, 0): 1, (0, 1): 1},
+            {(0, 0): 1, (1, 0): -1, (0, 1): -1}, {(0, 0): 1, (1, 0): 1, (0, 1): 1},
+        )
     )
     table = _Values(p.alpha1, p.alpha2, p.alpha3)
+    points = tuple(grid_points(N))
+    multinomials = [multinomial(N, g) for g in points]
+    firsts = {}  # per m: d1, the first sum, and the products the second sums over
     for m, n in degree_pairs(N):
-        first = BiPoly.zero()
-        for idx, c in enumerate(jacobi_coeffs(m, p.alpha1, p.alpha2)):
-            first = first + diff[idx] * plus[m - idx] * c
-        second = BiPoly.zero()
-        for idx, c in enumerate(jacobi_coeffs(n, 2 * m + p.a12 + 1, p.alpha3)):
-            second = second + inner_lo[idx] * inner_hi[N - m - idx] * c
-        lhs = first * second
+        if m not in firsts:
+            d1, coeffs = _cleared(*jacobi_coeffs(m, p.alpha1, p.alpha2))
+            first = _poly_sum(coeffs, [_poly_mul(diff[idx], plus[m - idx]) for idx in range(m + 1)])
+            firsts[m] = d1, first, [_poly_mul(inner_lo[idx], inner_hi[N - m - idx]) for idx in range(N - m + 1)]
+        d1, first, bases = firsts[m]
+        d2, coeffs = _cleared(*jacobi_coeffs(n, 2 * m + p.a12 + 1, p.alpha3))
+        lhs = _poly_mul(first, _poly_sum(coeffs, bases))
         row, den = table.row(m, n, N), table.den(m, n, N) * math.factorial(m) * math.factorial(n)
-        coeffs = [[0] * (N + 1) for _ in range(N + 1)]
-        for g, (i, k) in enumerate(grid_points(N)):
-            coeffs[i][k] = Rat(multinomial(N, [i, k]) * row[g], den)
-        rhs = BiPoly(coeffs)
-        if lhs != rhs:
+        if any(lhs.get(g, 0) * den != d1 * d2 * w * v for g, w, v in zip(points, multinomials, row)):
             return [
                 CheckResult.failure(
                     name,
@@ -374,13 +407,16 @@ def _check_genfun(p: BiParams) -> list[CheckResult]:
 # sweep lines and their degree bound
 
 
-def _sweep_points(p: BiParams, D: int) -> list:
-    """The triples (alpha1 + t, alpha2 + 3t, alpha3 + 5t) for t = 0..D.
+# Slopes 1, 3, 5: no integer combination of parameter sums that appears in a
+# denominator has zero slope, so no denominator factor is constant zero
+# along the line.
+_SLOPES = (1, 3, 5)
 
-    Slopes 1, 3, 5: no integer combination of parameter sums that appears
-    in a denominator has zero slope, so no denominator factor is constant
-    zero along the line."""
-    return [(p.alpha1 + t, p.alpha2 + 3 * t, p.alpha3 + 5 * t) for t in range(D + 1)]
+
+def _sweep_points(p: BiParams, D: int) -> list:
+    """The triples (alpha1 + t, alpha2 + 3t, alpha3 + 5t) for t = 0..D."""
+    base = (p.alpha1, p.alpha2, p.alpha3)
+    return [tuple(a + c * t for a, c in zip(base, _SLOPES)) for t in range(D + 1)]
 
 
 class _Degree:
@@ -412,6 +448,49 @@ def _deg(value) -> int:
     return value.d if isinstance(value, _Degree) else 0
 
 
+class _Homogeneous:
+    """Degree stand-in for every argument (m, n, N, a1, a2, a3, q) of a
+    coefficient formula.
+
+    Each constant of a formula carries the unit q, so every value it returns
+    is homogeneous of some degree k in its seven arguments.  Run on the
+    triple cleared to its denominator Q, with m, n, N and q times Q too, it
+    gives Q^k times its value at q = 1, an integer.  Run on this stand-in
+    with every argument of degree 1, it gives each k.  A sum of terms of two
+    degrees, such as a constant that lost its q, raises; an int is a pure
+    number of degree 0 and may only be a factor.
+    """
+
+    __slots__ = ("k",)
+
+    def __init__(self, k: int):
+        self.k = k
+
+    def __add__(self, other):
+        if _units(other) != self.k:
+            raise ArithmeticError("a coefficient formula is not homogeneous: a constant lacks its unit q")
+        return self
+
+    __radd__ = __sub__ = __rsub__ = __add__
+
+    def __mul__(self, other):
+        return _Homogeneous(self.k + _units(other))
+
+    __rmul__ = __mul__
+
+
+def _units(value) -> int:
+    return value.k if isinstance(value, _Homogeneous) else 0
+
+
+def _aligned(*parts):
+    """zip of the same formula's output on the stand-ins and on numbers,
+    which must have one shape: a formula may not branch on its arguments."""
+    if len({len(part) for part in parts}) > 1:
+        raise ArithmeticError("a coefficient formula's shape depends on its arguments")
+    return zip(*parts)
+
+
 # ---------------------------------------------------------------------------
 # coefficient formulas of the exact relations
 
@@ -422,7 +501,7 @@ _REC_TARGETS = ((1, 0), (0, 1), (-1, 2), (-1, 1), (0, 0), (1, -1), (1, -2), (0, 
 _REC_SIGNS = {"x1": (1, 1, 1, 1, 1, 1, -1, -1, -1), "x2": (-1, 1, -1, -1, 1, -1, 1, -1, 1)}
 
 
-def _rec_coeffs_cleared(m: int, n: int, N: int, a1, a2, a3):
+def _rec_coeffs_cleared(m: int, n: int, N: int, a1, a2, a3, q):
     """Nine recurrence coefficients scaled by the common denominator.
 
     Returns (coeffs, D) with D = prod of the six linear denominator factors;
@@ -431,24 +510,24 @@ def _rec_coeffs_cleared(m: int, n: int, N: int, a1, a2, a3):
     """
     s = a1 + a2
     sig = s + a3
-    u0, u1, u2 = 2 * m + s, 2 * m + s + 1, 2 * m + s + 2
-    v1, v2, v3 = 2 * m + 2 * n + sig + 1, 2 * m + 2 * n + sig + 2, 2 * m + 2 * n + sig + 3
-    bell = 2 * m * m + 2 * m * (s + 1) + (a1 + 1) * s  # the only nonfactorable numerator
-    big = N + m + n + sig + 2
-    coeff_a = (m + s + 1) * (2 * m + n + sig + 2) * (2 * m + n + sig + 3) * (m + n - N) * u0 * v1
-    coeff_b = (2 * m + n + sig + 2) * bell * (m + n - N) * u1 * v1
+    u0, u1, u2 = 2 * m + s, 2 * m + s + q, 2 * m + s + 2 * q
+    v1, v2, v3 = 2 * m + 2 * n + sig + q, 2 * m + 2 * n + sig + 2 * q, 2 * m + 2 * n + sig + 3 * q
+    bell = 2 * m * m + 2 * m * (s + q) + (a1 + q) * s  # the only nonfactorable numerator
+    big = N + m + n + sig + 2 * q
+    coeff_a = (m + s + q) * (2 * m + n + sig + 2 * q) * (2 * m + n + sig + 3 * q) * (m + n - N) * u0 * v1
+    coeff_b = (2 * m + n + sig + 2 * q) * bell * (m + n - N) * u1 * v1
     coeff_c = m * (m + a1) * (m + a2) * (m + n - N) * u2 * v1
-    coeff_d = m * (m + a1) * (m + a2) * (2 * m + n + s + 1) * (2 * N + sig + 3) * u2 * v2
+    coeff_d = m * (m + a1) * (m + a2) * (2 * m + n + s + q) * (2 * N + sig + 3 * q) * u2 * v2
     coeff_e = (
-        n * (m + a1 + 1) * (m + s + 1) * (n + a3) * big * u0 * v3
-        + m * (m + a2) * (n + 1) * (n + a3 + 1) * (N - m - n) * u2 * v1
-        + m * (m + a2) * (2 * m + n + s + 1) * (2 * m + n + sig + 1) * big * u2 * v3
-        + (m + a1 + 1) * (m + s + 1) * (2 * m + n + s + 2) * (2 * m + n + sig + 2) * (N - m - n) * u0 * v1
+        n * (m + a1 + q) * (m + s + q) * (n + a3) * big * u0 * v3
+        + m * (m + a2) * (n + q) * (n + a3 + q) * (N - m - n) * u2 * v1
+        + m * (m + a2) * (2 * m + n + s + q) * (2 * m + n + sig + q) * big * u2 * v3
+        + (m + a1 + q) * (m + s + q) * (2 * m + n + s + 2 * q) * (2 * m + n + sig + 2 * q) * (N - m - n) * u0 * v1
     )
-    coeff_f = n * (n + a3) * (m + s + 1) * (2 * m + n + sig + 2) * (2 * N + sig + 3) * u0 * v2
-    coeff_g = n * (n - 1) * (n + a3) * (n + a3 - 1) * (m + s + 1) * big * u0 * v3
-    coeff_h = n * (n + a3) * bell * (2 * m + n + s + 1) * big * u1 * v3
-    coeff_i = m * (m + a1) * (m + a2) * (2 * m + n + s) * (2 * m + n + s + 1) * big * u2 * v3
+    coeff_f = n * (n + a3) * (m + s + q) * (2 * m + n + sig + 2 * q) * (2 * N + sig + 3 * q) * u0 * v2
+    coeff_g = n * (n - q) * (n + a3) * (n + a3 - q) * (m + s + q) * big * u0 * v3
+    coeff_h = n * (n + a3) * bell * (2 * m + n + s + q) * big * u1 * v3
+    coeff_i = m * (m + a1) * (m + a2) * (2 * m + n + s) * (2 * m + n + s + q) * big * u2 * v3
     coeffs = (coeff_a, coeff_b, coeff_c, coeff_d, coeff_e, coeff_f, coeff_g, coeff_h, coeff_i)
     return coeffs, u0 * u1 * u2 * v1 * v2 * v3
 
@@ -466,17 +545,17 @@ def _l2_shift_coeffs(i, k, a1, a2, a3, N):
     }
 
 
-def _structure_raise_terms(m, n, N, a1, a2, a3):
+def _structure_raise_terms(m, n, N, a1, a2, a3, q):
     """Unsigned level-raising structure coefficients times D1, in target
     order (m,n), (m-1,n), (m,n-1), (m-1,n+1)."""
     s = a1 + a2
     sig = s + a3
-    d1a, d1b = 2 * m + s + 1, 2 * m + 2 * n + sig + 2
-    big = N + m + n + sig + 2
+    d1a, d1b = 2 * m + s + q, 2 * m + 2 * n + sig + 2 * q
+    big = N + m + n + sig + 2 * q
     return (
-        (m + s + 1) * (2 * m + n + sig + 2) * (N - m - n),
-        m * (m + a2) * (2 * m + n + s + 1) * big,
-        n * (n + a3) * (m + s + 1) * big,
+        (m + s + q) * (2 * m + n + sig + 2 * q) * (N - m - n),
+        m * (m + a2) * (2 * m + n + s + q) * big,
+        n * (n + a3) * (m + s + q) * big,
         m * (m + a2) * (N - m - n),
     ), d1a * d1b
 
@@ -492,7 +571,7 @@ _STRUCT_RAISE_SIGNS = {"i": (1, -1, -1, 1), "k": (1, 1, -1, -1)}
 # coefficient formulas of the orthonormal relations
 
 # Each orthonormal coefficient formula returns a tuple of values, each given
-# by its factors, all linear in (m, n, N, alpha): a value is a tuple of
+# by its factors, all linear in (m, n, N, alpha, q): a value is a tuple of
 # summands, each a pair (numerator factors, denominator factors), and a
 # square is a repeated factor.  The square-root coefficients return
 # (radicand, bracket) and stand for sign(bracket) * sqrt(radicand *
@@ -507,25 +586,25 @@ def _root(numerators: tuple, denominators: tuple, bracket=_UNIT):
     return ((numerators, denominators),), bracket
 
 
-def _coef_alpha(m, n, N, a1, a2, a3):
+def _coef_alpha(m, n, N, a1, a2, a3, q):
     s = a1 + a2
     sig = s + a3
     return _root(
-        (m + a1 + 1, m + s + 1, n + 2 * m + s + 2, n + 2 * m + sig + 2, N - m - n),
-        (2 * m + s + 1, 2 * m + s + 2, 2 * n + 2 * m + sig + 2, 2 * n + 2 * m + sig + 3),
+        (m + a1 + q, m + s + q, n + 2 * m + s + 2 * q, n + 2 * m + sig + 2 * q, N - m - n),
+        (2 * m + s + q, 2 * m + s + 2 * q, 2 * n + 2 * m + sig + 2 * q, 2 * n + 2 * m + sig + 3 * q),
     )
 
 
-def _coef_beta(m, n, N, a1, a2, a3):
+def _coef_beta(m, n, N, a1, a2, a3, q):
     s = a1 + a2
     sig = s + a3
     return _root(
-        (m, m + a2, n + 2 * m + s + 1, n + 2 * m + sig + 1, N + m + n + sig + 2),
-        (2 * m + s, 2 * m + s + 1, 2 * n + 2 * m + sig + 1, 2 * n + 2 * m + sig + 2),
+        (m, m + a2, n + 2 * m + s + q, n + 2 * m + sig + q, N + m + n + sig + 2 * q),
+        (2 * m + s, 2 * m + s + q, 2 * n + 2 * m + sig + q, 2 * n + 2 * m + sig + 2 * q),
     )
 
 
-def _coef_gamma(m, n, N, a1, a2, a3):
+def _coef_gamma(m, n, N, a1, a2, a3, q):
     # Denominator offsets sig+1, sig+2 (not sig+2, sig+3): forced by the
     # grouped/explicit consistency b_{m,n} = alpha_{m,n-1} gamma_{m,n}
     # + beta_{m,n} delta_{m,n}, and confirmed by solving the expansion
@@ -533,105 +612,105 @@ def _coef_gamma(m, n, N, a1, a2, a3):
     s = a1 + a2
     sig = s + a3
     return _root(
-        (n, n + a3, m + a1 + 1, m + s + 1, N + m + n + sig + 2),
-        (2 * m + s + 1, 2 * m + s + 2, 2 * n + 2 * m + sig + 1, 2 * n + 2 * m + sig + 2),
+        (n, n + a3, m + a1 + q, m + s + q, N + m + n + sig + 2 * q),
+        (2 * m + s + q, 2 * m + s + 2 * q, 2 * n + 2 * m + sig + q, 2 * n + 2 * m + sig + 2 * q),
     )
 
 
-def _coef_delta(m, n, N, a1, a2, a3):
+def _coef_delta(m, n, N, a1, a2, a3, q):
     s = a1 + a2
     sig = s + a3
     return _root(
-        (m, n, m + a2, n + a3, N - m - n + 1),
-        (2 * m + s, 2 * m + s + 1, 2 * n + 2 * m + sig, 2 * n + 2 * m + sig + 1),
+        (m, n, m + a2, n + a3, N - m - n + q),
+        (2 * m + s, 2 * m + s + q, 2 * n + 2 * m + sig, 2 * n + 2 * m + sig + q),
     )
 
 
-def _coef_rec_a(m, n, N, a1, a2, a3):
+def _coef_rec_a(m, n, N, a1, a2, a3, q):
     s = a1 + a2
     sig = s + a3
     return _root(
         (
-            m, m + a1, m + a2, m + s, n + 2 * m + s, n + 2 * m + s + 1, n + 2 * m + sig,
-            n + 2 * m + sig + 1, N + m + n + sig + 2, N - m - n + 1,
+            m, m + a1, m + a2, m + s, n + 2 * m + s, n + 2 * m + s + q, n + 2 * m + sig,
+            n + 2 * m + sig + q, N + m + n + sig + 2 * q, N - m - n + q,
         ),
         (
-            2 * m + s - 1, 2 * m + s, 2 * m + s, 2 * m + s + 1,
-            2 * n + 2 * m + sig, 2 * n + 2 * m + sig + 1, 2 * n + 2 * m + sig + 1, 2 * n + 2 * m + sig + 2,
+            2 * m + s - q, 2 * m + s, 2 * m + s, 2 * m + s + q,
+            2 * n + 2 * m + sig, 2 * n + 2 * m + sig + q, 2 * n + 2 * m + sig + q, 2 * n + 2 * m + sig + 2 * q,
         ),
     )
 
 
-def _coef_rec_c(m, n, N, a1, a2, a3):
+def _coef_rec_c(m, n, N, a1, a2, a3, q):
     s = a1 + a2
     sig = s + a3
     return _root(
-        (m, n, n - 1, m + a1, m + a2, m + s, n + a3 - 1, n + a3, N + m + n + sig + 1, N - m - n + 2),
+        (m, n, n - q, m + a1, m + a2, m + s, n + a3 - q, n + a3, N + m + n + sig + q, N - m - n + 2 * q),
         (
-            2 * m + s - 1, 2 * m + s, 2 * m + s, 2 * m + s + 1,
-            2 * n + 2 * m + sig - 2, 2 * n + 2 * m + sig - 1, 2 * n + 2 * m + sig - 1, 2 * n + 2 * m + sig,
+            2 * m + s - q, 2 * m + s, 2 * m + s, 2 * m + s + q,
+            2 * n + 2 * m + sig - 2 * q, 2 * n + 2 * m + sig - q, 2 * n + 2 * m + sig - q, 2 * n + 2 * m + sig,
         ),
     )
 
 
-def _coef_rec_b(m, n, N, a1, a2, a3):
+def _coef_rec_b(m, n, N, a1, a2, a3, q):
     s = a1 + a2
     sig = s + a3
     bracket = (
         ((m, m + a2), (2 * m + s,)),
-        ((m + a1 + 1, m + s + 1), (2 * m + s + 2,)),
+        ((m + a1 + q, m + s + q), (2 * m + s + 2 * q,)),
     )
     return _root(
-        (n, n + a3, n + 2 * m + s + 1, n + 2 * m + sig + 1, N + m + n + sig + 2, N - m - n + 1),
+        (n, n + a3, n + 2 * m + s + q, n + 2 * m + sig + q, N + m + n + sig + 2 * q, N - m - n + q),
         (
-            2 * m + s + 1, 2 * m + s + 1,
-            2 * m + 2 * n + sig, 2 * m + 2 * n + sig + 1, 2 * m + 2 * n + sig + 1, 2 * m + 2 * n + sig + 2,
+            2 * m + s + q, 2 * m + s + q,
+            2 * m + 2 * n + sig, 2 * m + 2 * n + sig + q, 2 * m + 2 * n + sig + q, 2 * m + 2 * n + sig + 2 * q,
         ),
         bracket,
     )
 
 
-def _coef_rec_d(m, n, N, a1, a2, a3):
+def _coef_rec_d(m, n, N, a1, a2, a3, q):
     s = a1 + a2
     sig = s + a3
-    bracket = (((2 * N + sig + 3,), (2 * n + 2 * m + sig - 1, 2 * n + 2 * m + sig + 1)),)
+    bracket = (((2 * N + sig + 3 * q,), (2 * n + 2 * m + sig - q, 2 * n + 2 * m + sig + q)),)
     return _root(
         (m, n, m + a1, m + a2, m + s, n + a3, n + 2 * m + s, n + 2 * m + sig),
-        (2 * m + s - 1, 2 * m + s, 2 * m + s, 2 * m + s + 1),
+        (2 * m + s - q, 2 * m + s, 2 * m + s, 2 * m + s + q),
         bracket,
     )
 
 
-def _coef_rec_e(m, n, N, a1, a2, a3):
+def _coef_rec_e(m, n, N, a1, a2, a3, q):
     """The diagonal recurrence coefficient itself: one value, of four summands."""
     s = a1 + a2
     sig = s + a3
-    big = N + m + n + sig + 2
+    big = N + m + n + sig + 2 * q
     value = (
         (
-            (m + a1 + 1, m + s + 1, n, n + a3, big),
-            (2 * m + s + 1, 2 * m + s + 2, 2 * n + 2 * m + sig + 1, 2 * n + 2 * m + sig + 2),
+            (m + a1 + q, m + s + q, n, n + a3, big),
+            (2 * m + s + q, 2 * m + s + 2 * q, 2 * n + 2 * m + sig + q, 2 * n + 2 * m + sig + 2 * q),
         ),
         (
-            (m, m + a2, n + 1, n + a3 + 1, N - m - n),
-            (2 * m + s, 2 * m + s + 1, 2 * n + 2 * m + sig + 2, 2 * n + 2 * m + sig + 3),
+            (m, m + a2, n + q, n + a3 + q, N - m - n),
+            (2 * m + s, 2 * m + s + q, 2 * n + 2 * m + sig + 2 * q, 2 * n + 2 * m + sig + 3 * q),
         ),
         (
-            (m, m + a2, n + 2 * m + s + 1, n + 2 * m + sig + 1, big),
-            (2 * m + s, 2 * m + s + 1, 2 * m + 2 * n + sig + 1, 2 * m + 2 * n + sig + 2),
+            (m, m + a2, n + 2 * m + s + q, n + 2 * m + sig + q, big),
+            (2 * m + s, 2 * m + s + q, 2 * m + 2 * n + sig + q, 2 * m + 2 * n + sig + 2 * q),
         ),
         (
-            (m + a1 + 1, m + s + 1, n + 2 * m + s + 2, n + 2 * m + sig + 2, N - m - n),
-            (2 * m + s + 1, 2 * m + s + 2, 2 * n + 2 * m + sig + 2, 2 * n + 2 * m + sig + 3),
+            (m + a1 + q, m + s + q, n + 2 * m + s + 2 * q, n + 2 * m + sig + 2 * q, N - m - n),
+            (2 * m + s + q, 2 * m + s + 2 * q, 2 * n + 2 * m + sig + 2 * q, 2 * n + 2 * m + sig + 3 * q),
         ),
     )
     return (value,)
 
 
 def _product(low: tuple, high: tuple):
-    """Lowest-order term (c, order) of a product of affine factors, each
-    given at t = 0 and t = 1."""
-    coef, order = Rat(1), 0
+    """Lowest-order term (c, order) of a product of affine integer factors,
+    each given at t = 0 and t = 1."""
+    coef, order = 1, 0
     for f0, f1 in zip(low, high):
         if f0:
             coef *= f0
@@ -640,24 +719,29 @@ def _product(low: tuple, high: tuple):
     return coef, order
 
 
-def _leads(probe, low, high) -> list:
+def _leads(q: int, probe, units, low, high) -> list:
     """The lowest-order term c * eps^order of each summand of a value at the
     parameters t = eps of the sweep line, as eps -> 0+, as (c, order) pairs.
 
-    low and high are the value at t = 0 and t = 1, probe the same formula
-    run on the _Degree stand-in.  A factor f affine in t is f(0) + l eps
-    with l = f(1) - f(0): it gives f(0), or l and one order when f(0) = 0.
-    A summand with a numerator factor that vanishes identically is dropped.
+    low and high are the value at t = 0 and t = 1 with the triple cleared to
+    its denominator q, probe and units the same formula run on the _Degree
+    and _Homogeneous stand-ins.  A factor f affine in t is f(0) + l eps with
+    l = f(1) - f(0): it gives f(0), or l and one order when f(0) = 0, as an
+    integer q^k times too large for a factor of degree k.  So each summand
+    is one rational: its two integer products, and q to the degrees they
+    differ by.  A summand with a numerator factor that vanishes identically
+    is dropped.
     """
     out = []
-    for summand, lo, hi in zip(probe, low, high):
+    for summand, unit, lo, hi in _aligned(probe, units, low, high):
         if any(_deg(f) > 1 for factors in summand for f in factors):
             raise ArithmeticError("a coefficient factor is not affine along the sweep line")
         (num, up), (den, down) = _product(lo[0], hi[0]), _product(lo[1], hi[1])
         if not den:
             raise ArithmeticError("a denominator factor vanishes identically")
         if num:
-            out.append((num / den, up - down))
+            k = sum(map(_units, unit[1])) - sum(map(_units, unit[0]))
+            out.append((Rat(num * q ** max(k, 0), den * q ** max(-k, 0)), up - down))
     return out
 
 
@@ -766,12 +850,6 @@ def _point_terms(points, params=(0, 0, 0), level=0) -> tuple:
     return tuple(_Term(lambda d, x, j=j: x[j], (0, 0), g, params, level) for j, g in enumerate(points))
 
 
-def _signed(signs, cleared) -> tuple:
-    """Cleared coefficients with their signs folded in, then the denominator."""
-    coeffs, denom = cleared
-    return tuple(sg * cf for sg, cf in zip(signs, coeffs)) + (denom,)
-
-
 def _floats(point_part):
     return lambda c, i, k: tuple(map(float, point_part(c, i, k)))
 
@@ -829,9 +907,7 @@ def _recurrence(which: str) -> _Relation:
     second = which == "x2"
     return _Relation(
         f"recurrence-{which}", "P", 0, 0, lhs=(_Term(lambda d, x: d[-1] * x),), rhs=_degree_terms(_REC_TARGETS),
-        per_degree=lambda c, m, n: _signed(
-            _REC_SIGNS[which], _rec_coeffs_cleared(m, n, c.N, *c.triple(second))
-        ),
+        per_degree=lambda c, m, n: c.cleared(_rec_coeffs_cleared, m, n, second, _REC_SIGNS[which]),
         per_point=lambda c, i, k: k if second else i, swept=True,
     )
 
@@ -844,9 +920,7 @@ def _structure(var: str, raising: bool) -> _Relation:
             f"structure[raise-{var}]", "P", -1, -1,
             lhs=(_Term(lambda d, x: d[-1] * x, point=step),),
             rhs=_degree_terms(_STRUCT_RAISE_TARGETS, shift, -1),
-            per_degree=lambda c, m, n: _signed(
-                _STRUCT_RAISE_SIGNS[var], _structure_raise_terms(m, n, c.N, *c.triple(second))
-            ),
+            per_degree=lambda c, m, n: c.cleared(_structure_raise_terms, m, n, second, _STRUCT_RAISE_SIGNS[var]),
             per_point=lambda c, i, k: c.N, swept=True,
         )
     flip = -1 if second else 1
@@ -1008,19 +1082,26 @@ _RELATIONS = {row.name: row for row in (
 
 class _Check:
     """What one verify_bi call shares among its rows: the points of its
-    sweep line, one value table per parameter triple, and the float
-    coefficient limits, each made once and dropped with the call."""
+    sweep line, one value table per parameter triple, and a memo of the
+    coefficient formulas' units and float limits, each made once and
+    dropped with the call."""
 
     def __init__(self, p: BiParams):
         self.p = p
+        self.q, self.base = _cleared(p.alpha1, p.alpha2, p.alpha3)
         self.points = []
         self.tables = {}
-        self.limits = {}
-        self.line = _sweep_points(p, 1)
+        self.memo = {}
+        self.line = (self.scaled(0), self.scaled(1))
+
+    def scaled(self, t: int) -> tuple:
+        """The triple at point t of the sweep line times its denominator q."""
+        return tuple(A + c * self.q * t for A, c in zip(self.base, _SLOPES))
 
     def at(self, t: int) -> "_At":
-        new = _sweep_points(self.p, t)[len(self.points) :]
-        self.points += [_At(self.p.N, *point, self.line, self.limits) for point in new]
+        start = len(self.points)
+        for u, point in enumerate(_sweep_points(self.p, t)[start:], start):
+            self.points.append(_At(self.p.N, point, self.q, self.scaled(u), self.line, self.memo))
         return self.points[t]
 
     def values(self, a1, a2, a3) -> _Values:
@@ -1029,31 +1110,67 @@ class _Check:
         return self.tables[(a1, a2, a3)]
 
 
+def _swapped(triple: tuple, swap: bool) -> tuple:
+    """The triple with its first two parameters exchanged if swap, as the
+    second-variable forms of a relation take it."""
+    a, b, c = triple
+    return (b, a, c) if swap else triple
+
+
 class _At:
     """The level and parameter triple at one point of a check's sweep line,
-    with the first two points of the line and the check's table of float
-    limits.  It holds no reference to the check, so a check's tables are
-    freed as soon as the check returns."""
+    the same triple times its denominator q (integers), the first two such
+    integer triples of the line and the check's memo.  On the _Degree
+    stand-in, q is the int 1.  It holds no reference to the check, so a
+    check's tables are freed as soon as the check returns."""
 
-    def __init__(self, N, a1, a2, a3, line=None, limits=None):
-        self.N, self.a1, self.a2, self.a3 = N, a1, a2, a3
-        self.s = a1 + a2
-        self.sig = self.s + a3
-        self.line, self.limits = line, limits
+    def __init__(self, N, triple, q=1, scaled=None, line=None, memo=None):
+        self.N = N
+        self.a1, self.a2, self.a3 = triple
+        self.s = self.a1 + self.a2
+        self.sig = self.s + self.a3
+        self.q, self.scaled = q, scaled or triple
+        self.line, self.memo = line, memo
 
     def triple(self, swap: bool) -> tuple:
-        return (self.a2, self.a1, self.a3) if swap else (self.a1, self.a2, self.a3)
+        return _swapped((self.a1, self.a2, self.a3), swap)
+
+    def stand_ins(self, fn) -> tuple:
+        """fn run on the _Degree stand-in (q = 1, m = n = 0) and on the
+        _Homogeneous one, once per check: the degree in t and the units of
+        every value, summand and factor it returns.  Neither depends on m or
+        n, since a formula may not branch on its arguments (_aligned)."""
+        if fn not in self.memo:
+            x, h = _Degree(1), _Homogeneous(1)
+            self.memo[fn] = fn(0, 0, self.N, x, x, x, 1), fn(h, h, h, h, h, h, h)
+        return self.memo[fn]
+
+    def cleared(self, fn, m, n, swap: bool, signs: tuple) -> tuple:
+        """The coefficients (coeffs, D) an exact formula fn gives at (m, n)
+        and this point, with signs folded in, then D: one rational each.
+
+        fn runs on integers, (m, n, N) times q and the scaled triple, so a
+        value of degree k (units) is q^k times its own.  At q = 1, an
+        integer triple or the _Degree stand-in, there is nothing to divide.
+        """
+        q = self.q
+        coeffs, den = fn(m * q, n * q, self.N * q, *_swapped(self.scaled, swap), q)
+        if q == 1:
+            return tuple(sg * cf for sg, cf in zip(signs, coeffs)) + (den,)
+        units, unit = self.stand_ins(fn)[1]
+        signed = (Rat(sg * cf, q ** _units(k)) for sg, cf, k in _aligned(signs, coeffs, units))
+        return (*signed, Rat(den, q ** _units(unit)))
 
     def leads(self, fn, m, n, swap: bool) -> list:
         """The lowest-order terms (_leads) of each value fn returns at (m, n)
-        along the sweep line, made once per check; swap exchanges the first
-        two parameters, as the second-variable forms do."""
+        along the sweep line, made once per check."""
         key = (fn, m, n, swap)
-        if key not in self.limits:
-            x = _Degree(1)
-            points = [(x, x, x)] + [(b, a, c) if swap else (a, b, c) for a, b, c in self.line]
-            self.limits[key] = [_leads(*values) for values in zip(*(fn(m, n, self.N, *pt) for pt in points))]
-        return self.limits[key]
+        if key not in self.memo:
+            q = self.q
+            low, high = (fn(m * q, n * q, self.N * q, *_swapped(ints, swap), q) for ints in self.line)
+            values = _aligned(*self.stand_ins(fn), low, high)
+            self.memo[key] = [_leads(q, *value) for value in values]
+        return self.memo[key]
 
     def root(self, fn, m, n, swap: bool) -> float:
         return _sq(*_signed_square(*self.leads(fn, m, n, swap)))
@@ -1072,7 +1189,7 @@ def _sweep_degree(row: _Relation, m: int, n: int, N: int) -> int:
     coefficient, which must vanish by itself, at most deg(coefficient).
     """
     x = _Degree(1)
-    at = _At(N, x, x, x)
+    at = _At(N, (x, x, x))
     d, point = row.per_degree(at, m, n), row.per_point(at, 0, 0)
     return max(
         _deg(term.coef(d, point)) + max(m + term.degree[0] + n + term.degree[1], 0)
@@ -1249,4 +1366,6 @@ def verify_bi(check: str, p: BiParams) -> VerificationReport:
         fn = _BI_CHECKS[check]
     except KeyError:
         raise ValueError(f"unknown check {check!r}; expected one of {BI_CHECK_NAMES}") from None
+    if p.N > MAX_BI_LEVEL:
+        raise ValueError(f"the bi checks at level {p.N} are refused; the cap is {MAX_BI_LEVEL}")
     return VerificationReport(suite="bi", params=p.echo(), checks=tuple(fn(p)))

@@ -149,6 +149,19 @@ class TestVerify:
         payload = json.loads(out)
         assert [c["name"] for c in payload["checks"]] == ["diff-L1"]
 
+    def test_oversized_bi_level_is_refused(self, capsys):
+        # Refused before any value is made, with the usage-error exit code.
+        code, out, err = run(
+            capsys, "verify", "--suite", "bi", "--alpha", "1/2,-1/2,3", "--N", str(bi_mod.MAX_BI_LEVEL + 1),
+        )
+        assert code == 2 and out == ""
+        assert f"the cap is {bi_mod.MAX_BI_LEVEL}" in err
+        code, _, err = run(
+            capsys, "verify", "--suite", "bi", "--check", "diff-L1",
+            "--alpha", "0,0,0", "--N", str(bi_mod.MAX_BI_LEVEL + 1),
+        )
+        assert code == 2 and "refused" in err
+
     def test_mv_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "mv", "--alpha", "1/2,0,3", "--N", "3")
         assert code == 0
@@ -231,8 +244,8 @@ class TestVerify:
         fails its rows with residual "inf"; the other rows still run."""
         honest = bi_mod._coef_alpha
 
-        def tampered(m, n, N, a1, a2, a3):
-            ((numerators, denominators),), bracket = honest(m, n, N, a1, a2, a3)
+        def tampered(m, n, N, a1, a2, a3, q):
+            ((numerators, denominators),), bracket = honest(m, n, N, a1, a2, a3, q)
             return (((-1,) + numerators, denominators),), bracket
 
         monkeypatch.setattr(bi_mod, "_coef_alpha", tampered)

@@ -603,40 +603,40 @@ class TestDirectionalLimit:
         return bi_mod._signed_square(*self.leads(fn))
 
     def test_removable_zero_over_zero(self):
-        assert self.limit(lambda m, n, N, a1, a2, a3: (((2 * a1, 1 + a1), (a2,)),)) == Rat(2, 3)
-        assert self.limit(lambda m, n, N, a1, a2, a3: (((a1, a2), (a3,)),)) == 0
+        assert self.limit(lambda m, n, N, a1, a2, a3, q: (((2 * a1, q + a1), (a2,)),)) == Rat(2, 3)
+        assert self.limit(lambda m, n, N, a1, a2, a3, q: (((a1, a2), (a3,)),)) == 0
 
     def test_summands_add(self):
-        assert self.limit(lambda m, n, N, a1, a2, a3: (((a1,), (a3,)), ((1 + a2,), (2,)))) == Rat(7, 10)
+        assert self.limit(lambda m, n, N, a1, a2, a3, q: (((a1,), (a3,)), ((q + a2,), (2,)))) == Rat(7, 10)
 
     def test_pole_raises(self):
         with pytest.raises(ArithmeticError, match="pole"):
-            self.limit(lambda m, n, N, a1, a2, a3: (((1,), (a1,)), ((2,), ())))
+            self.limit(lambda m, n, N, a1, a2, a3, q: (((1,), (a1,)), ((2,), ())))
 
     def test_identically_zero_numerator_drops_its_summand(self):
-        assert self.limit(lambda m, n, N, a1, a2, a3: (((m, 1), (a1,)), ((3,), ()))) == 3
+        assert self.limit(lambda m, n, N, a1, a2, a3, q: (((m, 1), (a1,)), ((3,), ()))) == 3
 
     def test_identically_zero_denominator_raises(self):
         with pytest.raises(ArithmeticError, match="vanishes identically"):
-            self.limit(lambda m, n, N, a1, a2, a3: (((m,), (N,)),))
+            self.limit(lambda m, n, N, a1, a2, a3, q: (((m,), (N,)),))
 
     def test_bracket_gives_sign_and_order(self):
-        assert self.root(lambda m, n, N, a1, a2, a3: ((((2,), (a1, a1)),), (((a1,), ()),))) == (1, 2)
+        assert self.root(lambda m, n, N, a1, a2, a3, q: ((((2,), (a1, a1)),), (((a1,), ()),))) == (1, 2)
 
-        def negative(m, n, N, a1, a2, a3):
+        def negative(m, n, N, a1, a2, a3, q):
             return (((2,), (a1, a1)),), (((-1, a2), ()), ((a1, a1), ()))
 
         assert self.root(negative) == (-1, 18)
 
     def test_cancelling_or_zero_bracket_raises(self):
         with pytest.raises(ArithmeticError, match="bracket"):
-            self.root(lambda m, n, N, a1, a2, a3: ((((1,), ()),), (((a2,), ()), ((-3, a1), ()))))
+            self.root(lambda m, n, N, a1, a2, a3, q: ((((1,), ()),), (((a2,), ()), ((-3, a1), ()))))
         with pytest.raises(ArithmeticError, match="bracket"):
-            self.root(lambda m, n, N, a1, a2, a3: ((((2,), ()),), (((m,), ()),)))
+            self.root(lambda m, n, N, a1, a2, a3, q: ((((2,), ()),), (((m,), ()),)))
 
     def test_non_affine_factor_raises(self):
         with pytest.raises(ArithmeticError, match="not affine"):
-            self.limit(lambda m, n, N, a1, a2, a3: (((1 + a1 * a2,), ()),))
+            self.limit(lambda m, n, N, a1, a2, a3, q: (((q * q + a1 * a2,), ()),))
 
 
 # Triples at which a cleared denominator vanishes at the base point:
@@ -683,18 +683,202 @@ class TestSweepDegreeBound:
         fn = getattr(bi_mod, fn_name)
         x = bi_mod._Degree(1)
         for m, n in degree_pairs(N):
-            bounds, bound_den = fn(m, n, N, x, x, x)
+            bounds, bound_den = fn(m, n, N, x, x, x, 1)
             order = max(map(bi_mod._deg, bounds + (bound_den,))) + 1
             for swap in (False, True):
                 line = []
                 for a1, a2, a3 in bi_mod._sweep_points(BiParams(*triple, N), order):
-                    values, den = fn(m, n, N, *((a2, a1, a3) if swap else (a1, a2, a3)))
+                    values, den = fn(m, n, N, *((a2, a1, a3) if swap else (a1, a2, a3)), 1)
                     line.append(values + (den,))
                 for j, bound in enumerate(bounds + (bound_den,)):
                     top = bi_mod._deg(bound) + 1
                     terms = ((-1) ** (top - t) * math.comb(top, t) * v[j] for t, v in enumerate(line[: top + 1]))
                     diff = sum(terms, Rat(0))
                     assert diff == 0, ((m, n), swap, j)
+
+
+# ---------------------------------------------------------------------------
+# the cleared coefficient formulas against the retired Fraction route
+
+EXACT_FORMULAS = {
+    "_rec_coeffs_cleared": bi_mod._REC_SIGNS["x2"],
+    "_structure_raise_terms": bi_mod._STRUCT_RAISE_SIGNS["k"],
+}
+FLOAT_FORMULAS = (
+    "_coef_alpha", "_coef_beta", "_coef_gamma", "_coef_delta",
+    "_coef_rec_a", "_coef_rec_b", "_coef_rec_c", "_coef_rec_d", "_coef_rec_e",
+)
+
+# Rationals above -1 with denominators up to 10^6.
+WIDE_PARAMS = st.builds(Rat, st.integers(-(10**6) + 1, 10**7), st.integers(1, 10**6)).filter(lambda a: a > -1)
+LARGE_DENOMINATORS = (Rat(999983, 1000003), Rat(-1, 999983), Rat(1234567, 1000000))
+
+
+def cleared_reference(fn, m, n, N, triple, signs):
+    """An exact formula's signed coefficients, then its denominator, by the
+    route the cleared one replaced: the formula at q = 1 in Fraction
+    arithmetic on the rational triple."""
+    coeffs, den = fn(m, n, N, *triple, 1)
+    return tuple(sg * cf for sg, cf in zip(signs, coeffs)) + (den,)
+
+
+def _product_retired(low, high):
+    coef, order = Rat(1), 0
+    for f0, f1 in zip(low, high):
+        if f0:
+            coef *= f0
+        else:
+            coef, order = coef * (f1 - f0), order + 1
+    return coef, order
+
+
+def leads_reference(fn, m, n, p, swap):
+    """The lowest-order terms of a float formula along the sweep line, by the
+    retired Fraction route: the formula at q = 1 on the rational triples at
+    t = 0 and t = 1, factor products in Fraction."""
+    x = bi_mod._Degree(1)
+    line = [(b, a, c) if swap else (a, b, c) for a, b, c in bi_mod._sweep_points(p, 1)]
+    out = []
+    for probe, low, high in zip(fn(m, n, p.N, x, x, x, 1), *(fn(m, n, p.N, *pt, 1) for pt in line)):
+        leads = []
+        for summand, lo, hi in zip(probe, low, high):
+            if any(bi_mod._deg(f) > 1 for factors in summand for f in factors):
+                raise ArithmeticError("a coefficient factor is not affine along the sweep line")
+            (num, up), (den, down) = _product_retired(lo[0], hi[0]), _product_retired(lo[1], hi[1])
+            if not den:
+                raise ArithmeticError("a denominator factor vanishes identically")
+            if num:
+                leads.append((num / den, up - down))
+        out.append(leads)
+    return out
+
+
+def outcome(route, *args):
+    """What route returns, or the message of the ArithmeticError it raises."""
+    try:
+        return route(*args)
+    except ArithmeticError as err:
+        return str(err)
+
+
+def assert_cleared_match(p, t, m, n):
+    """Both exact formulas at sample point t and every float formula along
+    the line, in both parameter orders, against the Fraction route."""
+    check = bi_mod._Check(p)
+    at = check.at(t)
+    for swap in (False, True):
+        for name, signs in EXACT_FORMULAS.items():
+            fn = getattr(bi_mod, name)
+            got = at.cleared(fn, m, n, swap, signs)
+            assert got == cleared_reference(fn, m, n, p.N, at.triple(swap), signs), (name, swap)
+        for name in FLOAT_FORMULAS:
+            fn = getattr(bi_mod, name)
+            got = outcome(check.at(0).leads, fn, m, n, swap)
+            assert got == outcome(leads_reference, fn, m, n, p, swap), (name, swap)
+
+
+class TestClearedFormulas:
+    """The relation coefficients, run on integers cleared to the triple's
+    denominator Q and divided by Q^k once, equal the Fraction route."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        triple=st.tuples(*[st.one_of(PARAMS, WIDE_PARAMS)] * 3),
+        N=st.integers(0, 6),
+        t=st.integers(0, 3),
+        data=st.data(),
+    )
+    def test_random_triples(self, triple, N, t, data):
+        m = data.draw(st.integers(0, N + 2), label="m")
+        n = data.draw(st.integers(0, N + 2 - m), label="n")
+        assert_cleared_match(BiParams(*triple, N), t, m, n)
+
+    @pytest.mark.parametrize(
+        "triple",
+        DEGENERATE_TRIPLES + [LARGE_DENOMINATORS] + sweep_line(PARAM_TRIPLES[3], 2)[1:],
+    )
+    @pytest.mark.parametrize("N", [0, 1, 3])
+    def test_every_degree_pair(self, triple, N):
+        """m = 0 and n = 0 included, and the degenerate triples where a
+        cleared denominator vanishes at the base point."""
+        for m, n in degree_pairs(N + 2):
+            assert_cleared_match(BiParams(*triple, N), N % 2, m, n)
+
+    def test_units_are_derived(self):
+        """The powers of Q come from the _Homogeneous stand-in: the nine
+        recurrence coefficients have degrees 6, 6, 6, 7, 7, 7, 8, 8, 8 and D
+        degree 6; the structure terms 3, 4, 4, 3 over degree 2."""
+        at = bi_mod._Check(BiParams(Rat(1, 2), Rat(1, 3), Rat(1, 5), 2)).at(0)
+        degrees = [
+            ([bi_mod._units(c) for c in coeffs], bi_mod._units(den))
+            for coeffs, den in (at.stand_ins(getattr(bi_mod, name))[1] for name in EXACT_FORMULAS)
+        ]
+        assert degrees == [([6, 6, 6, 7, 7, 7, 8, 8, 8], 6), ([3, 4, 4, 3], 2)]
+
+    def test_large_denominators_pass_the_suite(self):
+        p = BiParams(*LARGE_DENOMINATORS, 3)
+        for name in BI_CHECK_NAMES:
+            for c in verify_bi(name, p).checks:
+                assert c.passed, c.name
+                assert "-float" in c.name or c.max_residual == "0", c.name
+
+
+def _structure_raise_dropped_unit(m, n, N, a1, a2, a3, q):
+    """_structure_raise_terms with one unit q dropped: m + s + 1 in its
+    first coefficient, where m + s + q belongs."""
+    s = a1 + a2
+    sig = s + a3
+    big = N + m + n + sig + 2 * q
+    return (
+        (m + s + 1) * (2 * m + n + sig + 2 * q) * (N - m - n),
+        m * (m + a2) * (2 * m + n + s + q) * big,
+        n * (n + a3) * (m + s + q) * big,
+        m * (m + a2) * (N - m - n),
+    ), (2 * m + s + q) * (2 * m + 2 * n + sig + 2 * q)
+
+
+def _coef_alpha_dropped_unit(m, n, N, a1, a2, a3, q):
+    """_coef_alpha with one unit q dropped: m + a1 + 1 where m + a1 + q belongs."""
+    s = a1 + a2
+    sig = s + a3
+    return bi_mod._root(
+        (m + a1 + 1, m + s + q, n + 2 * m + s + 2 * q, n + 2 * m + sig + 2 * q, N - m - n),
+        (2 * m + s + q, 2 * m + s + 2 * q, 2 * n + 2 * m + sig + 2 * q, 2 * n + 2 * m + sig + 3 * q),
+    )
+
+
+class TestDroppedUnit:
+    """A formula with a constant that lost its unit q is not homogeneous.
+    The suite reports it, where it would otherwise pass or fail on
+    coefficients that are off by powers of Q."""
+
+    P = BiParams(Rat(1, 2), Rat(-1, 2), Rat(3), 3)  # Q = 2
+
+    def test_exact_formula_fails_its_rows(self, monkeypatch):
+        monkeypatch.setattr(bi_mod, "_structure_raise_terms", _structure_raise_dropped_unit)
+        failed = [c for c in verify_bi("structure", self.P).checks if not c.passed]
+        assert [c.name for c in failed] == ["structure[raise-i]", "structure[raise-k]"]
+        for c in failed:
+            assert c.max_residual == "inf" and "not homogeneous" in c.counterexample["lhs"]
+
+    def test_float_formula_fails_its_rows(self, monkeypatch):
+        monkeypatch.setattr(bi_mod, "_coef_alpha", _coef_alpha_dropped_unit)
+        checks = verify_bi("normalized-structure-float", self.P).checks
+        assert len(checks) == 4
+        for c in checks:
+            assert not c.passed and c.max_residual == "inf", c.name
+            assert "not homogeneous" in c.counterexample["lhs"], c.name
+
+    def test_the_fraction_route_differs_from_the_cleared_values(self):
+        """Without the stand-in's refusal the differential tests would see
+        it: at Q = 2 the cleared value differs from the Fraction route's."""
+        p = self.P
+        q, (A1, A2, A3) = 2, (1, -1, 6)
+        honest = bi_mod._structure_raise_terms
+        for fn in (honest, _structure_raise_dropped_unit):
+            coeffs, _ = fn(0, 0, 2 * p.N, A1, A2, A3, q)
+            reference, _ = fn(0, 0, p.N, p.alpha1, p.alpha2, p.alpha3, 1)
+            assert (Rat(coeffs[0], q**3) == reference[0]) is (fn is honest)
 
 
 def check_of(row_name):
@@ -904,9 +1088,9 @@ def test_float_obligation_reported_under_optimization(tmp_path):
         "import hahnkit.hahn_bi as bi\n"
         "from hahnkit.numeric import Rat\n"
         "honest = bi._coef_delta\n"
-        "def tampered(m, n, N, a1, a2, a3):\n"
-        "    radicand, bracket = honest(m, n, N, a1, a2, a3)\n"
-        "    return (radicand + (((1,), ()),) if m == 0 else radicand), bracket\n"
+        "def tampered(m, n, N, a1, a2, a3, q):\n"
+        "    radicand, bracket = honest(m, n, N, a1, a2, a3, q)\n"
+        "    return radicand + (((q - m, 2 * q - m, 3 * q - m), ()),), bracket  # 6 at m = 0, 0 at m = 1..3\n"
         "bi._coef_delta = tampered\n"
         "p = bi.BiParams(Rat(1, 2), Rat(-1, 2), Rat(3), 3)\n"
         "rep = bi.verify_bi('normalized-structure-float', p)\n"
@@ -939,8 +1123,8 @@ def test_non_affine_factor_reported_under_optimization(tmp_path):
         "import hahnkit.hahn_bi as bi\n"
         "from hahnkit.numeric import Rat\n"
         "honest = bi._coef_alpha\n"
-        "def tampered(m, n, N, a1, a2, a3):\n"
-        "    ((num, den),), bracket = honest(m, n, N, a1, a2, a3)\n"
+        "def tampered(m, n, N, a1, a2, a3, q):\n"
+        "    ((num, den),), bracket = honest(m, n, N, a1, a2, a3, q)\n"
         "    return (((a1 * a2, a1 * a2) + num, den),), bracket\n"
         "bi._coef_alpha = tampered\n"
         "p = bi.BiParams(Rat(1, 2), Rat(-1, 2), Rat(3), 3)\n"
