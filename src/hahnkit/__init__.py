@@ -5,7 +5,6 @@ radical scalars, where identities are checked to literal zero residual, and a
 floating-point one for the normalized families, checked to tight tolerances.
 """
 from .numeric import (
-    BiPoly,
     Rat,
     Rational,
     RationalMatrix,
@@ -20,7 +19,6 @@ from .numeric import (
 )
 
 __all__ = [
-    "BiPoly",
     "Rat",
     "Rational",
     "RationalMatrix",

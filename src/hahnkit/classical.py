@@ -1,16 +1,21 @@
 """Exact Jacobi and Laguerre polynomials and their structure relations.
 
-Polynomials are ascending tuples of rational coefficients.  Relations are
-checked as coefficient identities, never pointwise: both sides are expanded
-exactly and subtracted, and the residual must be identically zero.
+Polynomials are ascending tuples of rational coefficients, multiplied and
+added by numeric's univariate helpers; the Laguerre addition formula
+expands both sides as numeric's bivariate dicts keyed by exponent pairs.
+Relations are checked as coefficient identities, never pointwise: both
+sides are expanded exactly and compared coefficient by coefficient, and
+they must agree everywhere.
 """
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Sequence
 
 from .numeric import (
-    BiPoly,
     Rat,
+    _poly2_mul,
+    _poly2_sum,
     _poly_add,
     _poly_mul,
     _poly_trim,
@@ -74,26 +79,6 @@ def laguerre_coeffs(n: int, alpha) -> PolyCoeffs:
             for j in range(n + 1)
         )
     )
-
-
-def _uni_as_bipoly(p: Sequence, axis: int) -> BiPoly:
-    out = BiPoly.zero()
-    for i, c in enumerate(p):
-        if c != 0:
-            out = out + BiPoly.monomial(i if axis == 0 else 0, i if axis == 1 else 0, c)
-    return out
-
-
-def _compose_sum(p: Sequence) -> BiPoly:
-    """p(x + y) as an exact bivariate polynomial."""
-    s = BiPoly.monomial(1, 0) + BiPoly.monomial(0, 1)
-    out = BiPoly.zero()
-    power = BiPoly.constant(1)
-    for c in p:
-        if c != 0:
-            out = out + power * c
-        power = power * s
-    return out
 
 
 def _jacobi_relation_sides(relation: str, n: int, alpha, beta):
@@ -175,28 +160,31 @@ def verify_classical(relation: str, n: int, alpha, beta=0) -> VerificationReport
 
     if relation == "laguerre-addition":
         a, b = Rat(alpha), Rat(beta)
-        lhs = _compose_sum(laguerre_coeffs(n, a + b + 1))
-        rhs = BiPoly.zero()
-        for ell in range(n + 1):
-            rhs = rhs + _uni_as_bipoly(laguerre_coeffs(ell, a), 0) * _uni_as_bipoly(
-                laguerre_coeffs(n - ell, b), 1
-            )
-        diff = lhs - rhs
-        if diff.is_zero():
+        # L_n^(a+b+1)(x + y) = sum_j c_j (x + y)^j
+        coeffs = laguerre_coeffs(n, a + b + 1)
+        powers = accumulate([{(1, 0): 1, (0, 1): 1}] * (len(coeffs) - 1), _poly2_mul, initial={(0, 0): 1})
+        lhs = _poly2_sum(coeffs, powers)
+        rhs = _poly2_sum(
+            [1] * (n + 1),
+            [
+                _poly2_mul(
+                    {(i, 0): c for i, c in enumerate(laguerre_coeffs(ell, a))},
+                    {(0, k): c for k, c in enumerate(laguerre_coeffs(n - ell, b))},
+                )
+                for ell in range(n + 1)
+            ],
+        )
+        bad = next((g for g in sorted(lhs.keys() | rhs.keys()) if lhs.get(g, 0) != rhs.get(g, 0)), None)
+        if bad is None:
             check = CheckResult.exact_pass(relation)
         else:
-            bad = next(
-                (i, k)
-                for i in range(diff.deg1 + 1)
-                for k in range(diff.deg2 + 1)
-                if diff.coeff(i, k) != 0
-            )
+            left, right = lhs.get(bad, 0), rhs.get(bad, 0)
             check = CheckResult.failure(
                 relation,
-                residual=f"{abs(float(diff.coeff(*bad))):.17g}",
+                residual=f"{abs(float(left - right)):.17g}",
                 indices=list(bad),
-                lhs=format_rational(lhs.coeff(*bad)),
-                rhs=format_rational(rhs.coeff(*bad)),
+                lhs=format_rational(left),
+                rhs=format_rational(right),
             )
         return VerificationReport(suite="classical", params=params, checks=(check,))
 

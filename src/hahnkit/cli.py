@@ -12,6 +12,7 @@ which are rational; the chain command is floating point by nature.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -209,6 +210,11 @@ def _cmd_genfun(args) -> int:
     return 0 if report.passed else 1
 
 
+def _merged(reports) -> VerificationReport:
+    """One report: the first one's suite and parameters, every check in order."""
+    return functools.reduce(VerificationReport.merged, reports)
+
+
 def _single_suite_report(suite: str, check: str | None, args) -> VerificationReport:
     if suite == "uni":
         p = UniParams(*_parse_alphas(args.alpha, 2), _require_level(args))
@@ -245,10 +251,8 @@ def _single_suite_report(suite: str, check: str | None, args) -> VerificationRep
         return VerificationReport(suite="classical", params=params, checks=tuple(checks))
     else:
         raise ValueError(f"unknown suite: {suite}")
-    merged = reports[0]
-    for extra in reports[1:]:
-        merged = merged.merged(extra)
-    return merged
+    return _merged(reports)
+
 
 
 def _battery() -> list[VerificationReport]:
@@ -264,26 +268,17 @@ def _battery() -> list[VerificationReport]:
 
     for a, b, N in [(Rat(0), Rat(0), 6), (half, third, 6), (Rat(-1, 2), Rat(-1, 2), 5)]:
         u = UniParams(a, b, N)
-        merged = verify_uni(UNI_CHECK_NAMES[0], u)
-        for name in UNI_CHECK_NAMES[1:]:
-            merged = merged.merged(verify_uni(name, u))
-        reports.append(merged)
+        reports.append(_merged([verify_uni(name, u) for name in UNI_CHECK_NAMES]))
 
     for a1, a2, a3, N in [(half, Rat(-1, 2), Rat(3), 4), (Rat(0), Rat(0), Rat(0), 4)]:
         p = BiParams(a1, a2, a3, N)
-        merged = verify_bi(BI_CHECK_NAMES[0], p)
-        for name in BI_CHECK_NAMES[1:]:
-            merged = merged.merged(verify_bi(name, p))
-        reports.append(merged)
+        reports.append(_merged([verify_bi(name, p) for name in BI_CHECK_NAMES]))
 
     reports.append(verify_mv(MultiParams((half, Rat(0), Rat(3), third), 3)))
     reports.append(verify_mv(MultiParams((Rat(0),) * 5, 2)))
 
     p = BiParams(half, Rat(-1, 2), Rat(3), 4)
-    merged = verify_oracle(ORACLE_CHECK_NAMES[0], p)
-    for name in ORACLE_CHECK_NAMES[1:]:
-        merged = merged.merged(verify_oracle(name, p))
-    reports.append(merged)
+    reports.append(_merged([verify_oracle(name, p) for name in ORACLE_CHECK_NAMES]))
     return reports
 
 

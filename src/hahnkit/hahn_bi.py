@@ -61,6 +61,8 @@ from .hahn_uni import _cleared
 from .numeric import (
     Rat,
     RadicalScalar,
+    _poly2_mul,
+    _poly2_sum,
     factorial,
     format_rational,
     multinomial,
@@ -342,24 +344,6 @@ def _check_symmetry(p: BiParams) -> CheckResult:
     return CheckResult.exact_pass(name)
 
 
-def _poly_mul(f: dict, g: dict) -> dict:
-    """The product of two integer polynomials in (z1, z2), {(a, b): coefficient of z1^a z2^b}."""
-    out = {}
-    for (a, b), x in f.items():
-        for (c, d), y in g.items():
-            out[a + c, b + d] = out.get((a + c, b + d), 0) + x * y
-    return out
-
-
-def _poly_sum(coeffs, polys) -> dict:
-    """sum_j coeffs[j] * polys[j], for integer coefficients."""
-    out = {}
-    for c, poly in zip(coeffs, polys):
-        for key, x in poly.items():
-            out[key] = out.get(key, 0) + c * x
-    return out
-
-
 def _check_genfun(p: BiParams) -> list[CheckResult]:
     """Bivariate generating function, cleared of denominators: both sides are
     polynomials in (z1, z2) compared coefficientwise.
@@ -371,7 +355,7 @@ def _check_genfun(p: BiParams) -> list[CheckResult]:
     N = p.N
     # the powers 0..N of z2 - z1, z1 + z2, 1 - z1 - z2 and 1 + z1 + z2
     diff, plus, inner_lo, inner_hi = (
-        list(accumulate([base] * N, _poly_mul, initial={(0, 0): 1}))
+        list(accumulate([base] * N, _poly2_mul, initial={(0, 0): 1}))
         for base in (
             {(1, 0): -1, (0, 1): 1}, {(1, 0): 1, (0, 1): 1},
             {(0, 0): 1, (1, 0): -1, (0, 1): -1}, {(0, 0): 1, (1, 0): 1, (0, 1): 1},
@@ -384,11 +368,11 @@ def _check_genfun(p: BiParams) -> list[CheckResult]:
     for m, n in degree_pairs(N):
         if m not in firsts:
             d1, coeffs = _cleared(*jacobi_coeffs(m, p.alpha1, p.alpha2))
-            first = _poly_sum(coeffs, [_poly_mul(diff[idx], plus[m - idx]) for idx in range(m + 1)])
-            firsts[m] = d1, first, [_poly_mul(inner_lo[idx], inner_hi[N - m - idx]) for idx in range(N - m + 1)]
+            first = _poly2_sum(coeffs, [_poly2_mul(diff[idx], plus[m - idx]) for idx in range(m + 1)])
+            firsts[m] = d1, first, [_poly2_mul(inner_lo[idx], inner_hi[N - m - idx]) for idx in range(N - m + 1)]
         d1, first, bases = firsts[m]
         d2, coeffs = _cleared(*jacobi_coeffs(n, 2 * m + p.a12 + 1, p.alpha3))
-        lhs = _poly_mul(first, _poly_sum(coeffs, bases))
+        lhs = _poly2_mul(first, _poly2_sum(coeffs, bases))
         row, den = table.row(m, n, N), table.den(m, n, N) * math.factorial(m) * math.factorial(n)
         if any(lhs.get(g, 0) * den != d1 * d2 * w * v for g, w, v in zip(points, multinomials, row)):
             return [

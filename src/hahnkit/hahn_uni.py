@@ -9,7 +9,9 @@ to one common denominator q; a value is one integer sum over n! q^(2n)
 of integer rising products (numeric.rising).  The orthogonality check sums
 integer Gram numerators and compares them with the norms by cross
 multiplication, after showing its scale nonzero; it makes a rational only to
-report a failure.
+report a failure.  The two generating-function checks work the same way:
+their polynomial sides are int tuples over one denominator each
+(numeric's univariate helpers keep ints as ints), compared crosswise.
 """
 from __future__ import annotations
 
@@ -22,11 +24,8 @@ from .numeric import (
     _ZERO,
     _poly_add,
     _poly_mul,
-    factorial,
     format_rational,
-    multinomial,
     nonzero,
-    pochhammer,
     rising,
 )
 from .reports import CheckResult, VerificationReport, _guarded
@@ -192,10 +191,6 @@ def hahn_norm(n: int, p: UniParams):
     )
 
 
-def _pad(p, length):
-    return tuple(p) + (Rat(0),) * (length - len(p))
-
-
 def _check_orthogonality(p: UniParams) -> CheckResult:
     """Gram sums on integer numerators over one common weight denominator.
 
@@ -229,31 +224,41 @@ def _check_orthogonality(p: UniParams) -> CheckResult:
 
 
 def _check_genfun(p: UniParams) -> CheckResult:
-    """1F1(-x; a+1; -t) 1F1(x-N; b+1; t) against sum_n h_n t^n / ((a+1)_n (b+1)_n n!)."""
-    a, b, N = p.alpha, p.beta, p.N
+    """1F1(-x; a+1; -t) 1F1(x-N; b+1; t) against sum_n h_n t^n / ((a+1)_n (b+1)_n n!).
+
+    With a = A/q, b = B/q, r_j = q^j (a+1)_j and s_j = q^j (b+1)_j, the t^j
+    coefficients of the two 1F1 are C(x, j) q^j / r_j and
+    (-1)^j C(N-x, j) q^j / s_j, integers over r_x and s_{N-x}.  The right
+    side's t^n coefficient is t_{n,x} q^(2n) / (d_n r_n s_n n!).  Both are
+    compared multiplied crosswise; rationals are made only to report a
+    failure.
+    """
+    N = p.N
+    q, (A, B) = _cleared(p.alpha, p.beta)
+    r = [rising(A + q, j, q) for j in range(N + 1)]
+    s = [rising(B + q, j, q) for j in range(N + 1)]
     table = hahn_table(p)
+    scales = [
+        nonzero(den * r[n] * s[n] * math.factorial(n), "the scale d_n r_n s_n n!")
+        for n, (_, den) in enumerate(table)
+    ]
     for x in range(N + 1):
-        left_one = tuple(
-            pochhammer(-x, j) * Rat(-1) ** j / (pochhammer(a + 1, j) * factorial(j))
-            for j in range(x + 1)
-        )
+        left_one = tuple(math.comb(x, j) * q**j * (r[x] // r[j]) for j in range(x + 1))
         left_two = tuple(
-            pochhammer(x - N, j) / (pochhammer(b + 1, j) * factorial(j))
-            for j in range(N - x + 1)
+            (-1) ** j * math.comb(N - x, j) * q**j * (s[N - x] // s[j]) for j in range(N - x + 1)
         )
-        lhs = _pad(_poly_mul(left_one, left_two), N + 1)
-        rhs = tuple(
-            Rat(nums[x], den) / (pochhammer(a + 1, n) * pochhammer(b + 1, n) * factorial(n))
-            for n, (nums, den) in enumerate(table)
-        )
-        for n in range(N + 1):
-            if lhs[n] != rhs[n]:
+        lhs, lhs_den = _poly_mul(left_one, left_two), r[x] * s[N - x]
+        for n, (nums, _) in enumerate(table):
+            left = lhs[n] if n < len(lhs) else 0
+            right = nums[x] * q ** (2 * n)
+            if left * scales[n] != right * lhs_den:
+                left, right = Rat(left, lhs_den), Rat(right, scales[n])
                 return CheckResult.failure(
                     "genfun",
-                    residual=f"{abs(float(lhs[n] - rhs[n])):.17g}",
+                    residual=f"{abs(float(left - right)):.17g}",
                     indices=[x, n],
-                    lhs=format_rational(lhs[n]),
-                    rhs=format_rational(rhs[n]),
+                    lhs=format_rational(left),
+                    rhs=format_rational(right),
                 )
     return CheckResult.exact_pass("genfun")
 
@@ -262,30 +267,36 @@ def _check_dual_genfun(p: UniParams) -> CheckResult:
     """(-N)_n n! (1+t)^N P_n((1-t)/(1+t)) against sum_x C(N,x) h_n(x) t^x.
 
     The Jacobi argument is cleared exactly: each z^i becomes (1-t)^i (1+t)^(N-i).
+    The Jacobi coefficients are cleared to integers over one denominator,
+    the powers are int tuples, and the two sides are compared multiplied
+    crosswise; rationals are made only to report a failure.
     """
-    a, b, N = p.alpha, p.beta, p.N
-    plus = [(Rat(1),)]
-    minus = [(Rat(1),)]
+    N = p.N
+    plus = [(1,)]
+    minus = [(1,)]
     for _ in range(N):
-        plus.append(_poly_mul(plus[-1], (Rat(1), Rat(1))))
-        minus.append(_poly_mul(minus[-1], (Rat(1), Rat(-1))))
+        plus.append(_poly_mul(plus[-1], (1, 1)))
+        minus.append(_poly_mul(minus[-1], (1, -1)))
+    bases = [_poly_mul(minus[i], plus[N - i]) for i in range(N + 1)]
     for n, (nums, den) in enumerate(hahn_table(p)):
-        coeffs = jacobi_coeffs(n, a, b)
-        lhs = (Rat(0),)
-        for i, c in enumerate(coeffs):
+        nonzero(den, "the table denominator d_n")
+        jac_den, coeffs = _cleared(*jacobi_coeffs(n, p.alpha, p.beta))
+        lhs = (0,)
+        for c, base in zip(coeffs, bases):
             if c != 0:
-                lhs = _poly_add(lhs, tuple(c * x for x in _poly_mul(minus[i], plus[N - i])))
-        scale = pochhammer(-N, n) * factorial(n)
-        lhs = _pad(tuple(scale * c for c in lhs), N + 1)
-        rhs = tuple(multinomial(N, [x]) * Rat(t, den) for x, t in enumerate(nums))
-        for x in range(N + 1):
-            if lhs[x] != rhs[x]:
+                lhs = _poly_add(lhs, tuple(c * v for v in base))
+        scale = rising(-N, n) * math.factorial(n)
+        for x, t in enumerate(nums):
+            left = scale * (lhs[x] if x < len(lhs) else 0)
+            right = math.comb(N, x) * t
+            if left * den != right * jac_den:
+                left, right = Rat(left, jac_den), Rat(right, den)
                 return CheckResult.failure(
                     "dual-genfun",
-                    residual=f"{abs(float(lhs[x] - rhs[x])):.17g}",
+                    residual=f"{abs(float(left - right)):.17g}",
                     indices=[n, x],
-                    lhs=format_rational(lhs[x]),
-                    rhs=format_rational(rhs[x]),
+                    lhs=format_rational(left),
+                    rhs=format_rational(right),
                 )
     return CheckResult.exact_pass("dual-genfun")
 

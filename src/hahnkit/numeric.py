@@ -1,8 +1,12 @@
 """Exact arithmetic substrate.
 
 Rationals, radical scalars r*sqrt(s), combinatorial factors, terminating
-hypergeometric sums, dense univariate and bivariate polynomial algebra, and
-fraction-free kernels.  Rationals are the only exact number type.
+hypergeometric sums, fraction-free kernels, and one polynomial algebra per
+number of variables: dense ascending tuples in one variable, sparse dicts
+keyed by exponent pairs in two.  The polynomial helpers start from the int
+0 and only add and multiply coefficients, so they keep the ring they are
+given: ints stay ints, rationals stay rationals.  Rationals are the only
+exact number type.
 
 Everything in this module is pure and immutable.  The rational backend is
 gmpy2.mpq when importable and fractions.Fraction otherwise; both keep
@@ -272,139 +276,13 @@ class RadicalScalar:
         return f"RadicalScalar({format_rational(self.coeff)}, {format_rational(self.radicand)})"
 
 
-def _as_rat_grid(grid) -> tuple[tuple, ...]:
-    return tuple(tuple(Rat(c) for c in row) for row in grid)
-
-
-class BiPoly:
-    """Dense rational coefficient grid for a polynomial in two variables.
-
-    grid[a][b] is the coefficient of x^a y^b.  Coefficient extraction is
-    total: indices outside the stored box read as zero.
-    """
-
-    __slots__ = ("grid",)
-
-    def __init__(self, grid):
-        grid = _as_rat_grid(grid)
-        if not grid or any(len(row) != len(grid[0]) for row in grid):
-            raise ValueError("grid must be rectangular and nonempty")
-        object.__setattr__(self, "grid", grid)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BiPoly is immutable")
-
-    @classmethod
-    def constant(cls, value) -> "BiPoly":
-        return cls(((Rat(value),),))
-
-    @classmethod
-    def zero(cls) -> "BiPoly":
-        return cls.constant(0)
-
-    @classmethod
-    def monomial(cls, a: int, b: int, coeff=1) -> "BiPoly":
-        grid = [[_ZERO] * (b + 1) for _ in range(a + 1)]
-        grid[a][b] = Rat(coeff)
-        return cls(grid)
-
-    @property
-    def deg1(self) -> int:
-        return len(self.grid) - 1
-
-    @property
-    def deg2(self) -> int:
-        return len(self.grid[0]) - 1
-
-    def coeff(self, a: int, b: int):
-        if a < 0 or b < 0:
-            raise ValueError("negative exponent")
-        if a <= self.deg1 and b <= self.deg2:
-            return self.grid[a][b]
-        return _ZERO
-
-    def __add__(self, other):
-        if not isinstance(other, BiPoly):
-            other = BiPoly.constant(other)
-        A = max(self.deg1, other.deg1)
-        B = max(self.deg2, other.deg2)
-        return BiPoly(
-            [[self.coeff(a, b) + other.coeff(a, b) for b in range(B + 1)] for a in range(A + 1)]
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return BiPoly([[-c for c in row] for row in self.grid])
-
-    def __sub__(self, other):
-        if not isinstance(other, BiPoly):
-            other = BiPoly.constant(other)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, BiPoly):
-            scale = Rat(other)
-            return BiPoly([[c * scale for c in row] for row in self.grid])
-        A = self.deg1 + other.deg1
-        B = self.deg2 + other.deg2
-        out = [[_ZERO] * (B + 1) for _ in range(A + 1)]
-        for a1, row in enumerate(self.grid):
-            for b1, c1 in enumerate(row):
-                if c1 == 0:
-                    continue
-                orow = other.grid
-                for a2, row2 in enumerate(orow):
-                    for b2, c2 in enumerate(row2):
-                        if c2 != 0:
-                            out[a1 + a2][b1 + b2] += c1 * c2
-        return BiPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        out = BiPoly.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        A = max(self.deg1, other.deg1)
-        B = max(self.deg2, other.deg2)
-        return all(
-            self.coeff(a, b) == other.coeff(a, b) for a in range(A + 1) for b in range(B + 1)
-        )
-
-    def __hash__(self):
-        raise TypeError("BiPoly is not hashable")
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for row in self.grid for c in row)
-
-    def __repr__(self):
-        terms = []
-        for a, row in enumerate(self.grid):
-            for b, c in enumerate(row):
-                if c != 0:
-                    terms.append(f"{format_rational(c)}*x^{a}*y^{b}")
-        return "BiPoly(" + (" + ".join(terms) if terms else "0") + ")"
-
-
 class RationalMatrix:
     """Immutable rectangular matrix over the rationals."""
 
     __slots__ = ("data",)
 
     def __init__(self, rows):
-        data = _as_rat_grid(rows)
+        data = tuple(tuple(Rat(c) for c in row) for row in rows)
         if not data or any(len(r) != len(data[0]) for r in data):
             raise ValueError("rows must be rectangular and nonempty")
         object.__setattr__(self, "data", data)
@@ -547,14 +425,12 @@ def _poly_trim(coeffs: tuple) -> tuple:
 def _poly_add(p: tuple, q: tuple) -> tuple:
     n = max(len(p), len(q))
     return _poly_trim(
-        tuple(
-            (p[i] if i < len(p) else _ZERO) + (q[i] if i < len(q) else _ZERO) for i in range(n)
-        )
+        tuple((p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n))
     )
 
 
 def _poly_mul(p: tuple, q: tuple) -> tuple:
-    out = [_ZERO] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a == 0:
             continue
@@ -562,3 +438,21 @@ def _poly_mul(p: tuple, q: tuple) -> tuple:
             if b != 0:
                 out[i + j] += a * b
     return _poly_trim(tuple(out))
+
+
+def _poly2_mul(f: dict, g: dict) -> dict:
+    """The product of two polynomials in (x, y), {(a, b): coefficient of x^a y^b}."""
+    out = {}
+    for (a, b), u in f.items():
+        for (c, d), v in g.items():
+            out[a + c, b + d] = out.get((a + c, b + d), 0) + u * v
+    return out
+
+
+def _poly2_sum(coeffs, polys) -> dict:
+    """sum_j coeffs[j] * polys[j]."""
+    out = {}
+    for c, poly in zip(coeffs, polys):
+        for key, v in poly.items():
+            out[key] = out.get(key, 0) + c * v
+    return out

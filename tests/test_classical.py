@@ -1,5 +1,6 @@
 import pytest
 
+import hahnkit.classical as classical_mod
 from hahnkit.classical import (
     jacobi_coeffs,
     laguerre_coeffs,
@@ -93,6 +94,28 @@ class TestStructureRelations:
                 report = verify_classical(relation, n, alpha, beta)
                 assert report.passed, (relation, n, alpha, beta)
                 assert all(c.max_residual == "0" for c in report.checks)
+
+    def test_laguerre_addition_failure_report(self, monkeypatch):
+        # Two tampered coefficients put mismatches at (1, 0) and at (0, 2);
+        # the report names (0, 2), first in the first-exponent-major order.
+        honest = laguerre_coeffs
+
+        def tampered(n, alpha):
+            c = honest(n, alpha)
+            if n == 2 and alpha == Rat(1, 2):
+                c = (c[0], c[1] + Rat(1, 7)) + c[2:]
+            if n == 3 and alpha == Rat(3, 2):
+                c = c[:2] + (c[2] - Rat(2, 5),) + c[3:]
+            return c
+
+        monkeypatch.setattr(classical_mod, "laguerre_coeffs", tampered)
+        check = verify_classical("laguerre-addition", 4, Rat(1, 2), Rat(3, 2)).checks[0].to_dict()
+        assert check == {
+            "name": "laguerre-addition",
+            "status": "fail",
+            "max_residual": "0.59999999999999998",
+            "counterexample": {"indices": [0, 2], "lhs": "21/2", "rhs": "99/10"},
+        }
 
     def test_unknown_relation_rejected(self):
         with pytest.raises(ValueError):

@@ -272,6 +272,41 @@ class TestOrthogonalityFailurePath:
         assert self.reported() == expected
 
 
+class TestGeneratingFunctionFailureReports:
+    """One table entry off by one: each generating-function check reports its
+    first mismatch, in its own search order, with the residual and both
+    sides as exact strings.  The literals pin the reports of the Fraction
+    polynomial route that the integer comparison replaced."""
+
+    P = UniParams(Rat(1, 2), Rat(7, 3), 6)
+
+    @pytest.fixture(autouse=True)
+    def tampered_table(self, monkeypatch):
+        rows = list(hahn_table(self.P))
+        nums, den = rows[3]
+        rows[3] = (nums[:2] + (nums[2] + 1,) + nums[3:], den)
+        tampered = tuple(rows)
+        monkeypatch.setattr(uni_mod, "hahn_table", lambda p: tampered)
+
+    def test_genfun(self):
+        check = verify_uni("genfun", self.P).checks[0].to_dict()
+        assert check == {
+            "name": "genfun",
+            "status": "fail",
+            "max_residual": "5.8883160735012583e-10",
+            "counterexample": {"indices": [2, 3], "lhs": "473/2600", "rhs": "308956033/1698278400"},
+        }
+
+    def test_dual_genfun(self):
+        check = verify_uni("dual-genfun", self.P).checks[0].to_dict()
+        assert check == {
+            "name": "dual-genfun",
+            "status": "fail",
+            "max_residual": "5.3583676268861452e-05",
+            "counterexample": {"indices": [3, 2], "lhs": "16555", "rhs": "1544780165/93312"},
+        }
+
+
 class TestOrthogonalityClearedVerdicts:
     def test_passing_sweep_makes_rationals_only_for_normalizations(self, monkeypatch):
         # N+1 weights and N+1 norms, and none for the 78 pairs' Gram sums
