@@ -30,8 +30,9 @@ for g, value in zip(l1.points, l1.matrix.data[row]):
     if value != 0:
         print(f"  coefficient of f{g} = {format_rational(value)}")
 
-# Joint eigenvectors from stacked nullspaces, no polynomial evaluation
-# involved.  They match the evaluation route up to overall scale.
+# Joint eigenvectors from nested nullspaces (L1 one line i + k = s at a
+# time, then L2 on each L1 eigenspace), no polynomial evaluation involved.
+# They match the evaluation route up to overall scale.
 vecs = joint_eigenvectors(p)
 vec = vecs[(1, 1)]
 direct = [p2_eval((1, 1), g, p) for g in grid_points(3)]

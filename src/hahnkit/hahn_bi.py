@@ -807,17 +807,25 @@ class _Relation(NamedTuple):
 
 
 class _FromDegree(NamedTuple):
-    """The coefficient d[slot], or d itself when slot is None: read from the
+    """The coefficient d[slot], or d itself when slot is None, times the
+    per-point part x when times_point: the rational part is read from the
     per-degree part alone, so the runner takes it once per degree pair and
-    sample point.  Any other coefficient is taken at each grid point."""
+    sample point, and multiplies its integer weight by an integer x.  Any
+    other coefficient is taken at each grid point."""
 
     slot: int | None = None
+    times_point: bool = False
+
+    def part(self, d):
+        return d if self.slot is None else d[self.slot]
 
     def __call__(self, d, x):
-        return d if self.slot is None else d[self.slot]
+        return self.part(d) * x if self.times_point else self.part(d)
 
 
 _degree_part = _FromDegree()
+# D x, the left side of a swept row: D per degree pair, x an integer per point
+_DEGREE_TIMES_POINT = _FromDegree(-1, True)
 
 
 def _point_part(d, x):
@@ -890,7 +898,7 @@ _SECOND_DIFFERENCE = _point_terms(((0, 0),) + _L2_SHIFTS)
 def _recurrence(which: str) -> _Relation:
     second = which == "x2"
     return _Relation(
-        f"recurrence-{which}", "P", 0, 0, lhs=(_Term(lambda d, x: d[-1] * x),), rhs=_degree_terms(_REC_TARGETS),
+        f"recurrence-{which}", "P", 0, 0, lhs=(_Term(_DEGREE_TIMES_POINT),), rhs=_degree_terms(_REC_TARGETS),
         per_degree=lambda c, m, n: c.cleared(_rec_coeffs_cleared, m, n, second, _REC_SIGNS[which]),
         per_point=lambda c, i, k: k if second else i, swept=True,
     )
@@ -902,7 +910,7 @@ def _structure(var: str, raising: bool) -> _Relation:
     if raising:
         return _Relation(
             f"structure[raise-{var}]", "P", -1, -1,
-            lhs=(_Term(lambda d, x: d[-1] * x, point=step),),
+            lhs=(_Term(_DEGREE_TIMES_POINT, point=step),),
             rhs=_degree_terms(_STRUCT_RAISE_TARGETS, shift, -1),
             per_degree=lambda c, m, n: c.cleared(_structure_raise_terms, m, n, second, _STRUCT_RAISE_SIGNS[var]),
             per_point=lambda c, i, k: c.N, swept=True,
@@ -1204,15 +1212,18 @@ def _block(row: _Relation, terms: list, grid: tuple, m: int, n: int, at: _At, xs
     term reads the integer row of its target, of denominator sigma, and
     its coefficient c becomes the integer weight c * scale / sigma, with
     scale the least common multiple of every sigma times the denominators
-    of that term's coefficients.  On the Q plane the weights are the
-    coefficients, the values floats and scale 1.
+    of that term's coefficients; a coefficient D x with an integer x counts
+    the denominator of D, and its weight is D * scale / sigma times x.  On
+    the Q plane the weights are the coefficients, the values floats and
+    scale 1.
     """
     exact = row.plane == "P"
     d = row.per_degree(at, m, n)
     parts, off = [], {}
     for (side, term, level, where, outside), table in zip(terms, tables):
         const = isinstance(term.coef, _FromDegree)
-        cfs = term.coef(d, None) if const else [term.coef(d, x) for x in xs]
+        cfs = term.coef.part(d) if const else [term.coef(d, x) for x in xs]
+        factors = xs if const and term.coef.times_point else None
         mm, nn = m + term.degree[0], n + term.degree[1]
         if 0 <= mm and 0 <= nn and mm + nn <= level:
             values = (*(table.row if exact else table.qrow)(mm, nn, level), None)
@@ -1220,23 +1231,24 @@ def _block(row: _Relation, terms: list, grid: tuple, m: int, n: int, at: _At, xs
         else:
             values, sigma, outside = [None] * len(grid), 1, range(len(grid))
         for g in outside:
-            cf = cfs if const else cfs[g]
+            cf = (cfs if factors is None else cfs * factors[g]) if const else cfs[g]
             if cf and g not in off:
                 i, k = grid[g]
                 off[g] = (cf, {"degree": (mm, nn), "point": (i + term.point[0], k + term.point[1])})
-        parts.append((side, cfs, const, sigma, values))
+        parts.append((side, cfs, const, factors, sigma, values))
     scale = 1
     if exact:
         scale = nonzero(math.lcm(*(
             sigma * (int(cfs.denominator) if const else math.lcm(*(int(c.denominator) for c in cfs)))
-            for _, cfs, const, sigma, _ in parts
+            for _, cfs, const, _, sigma, _ in parts
         )), "the common denominator of an instance")
     sides = [[None] * len(grid), [None] * len(grid)]
-    for side, cfs, const, sigma, values in parts:
-        if not exact:
-            weights = [cfs] * len(grid) if const else cfs
-        elif const:
-            weights = [int(cfs.numerator) * (scale // (sigma * int(cfs.denominator)))] * len(grid)
+    for side, cfs, const, factors, sigma, values in parts:
+        if const:
+            weight = int(cfs.numerator) * (scale // (sigma * int(cfs.denominator))) if exact else cfs
+            weights = [weight] * len(grid) if factors is None else [weight * x for x in factors]
+        elif not exact:
+            weights = cfs
         else:
             ratio = scale // sigma
             weights = [int(c.numerator) * (ratio // int(c.denominator)) for c in cfs]

@@ -282,7 +282,8 @@ class RationalMatrix:
     __slots__ = ("data",)
 
     def __init__(self, rows):
-        data = tuple(tuple(Rat(c) for c in row) for row in rows)
+        # an entry that is already the backend's rational is kept as it is
+        data = tuple(tuple(c if isinstance(c, Rational) else Rat(c) for c in row) for row in rows)
         if not data or any(len(r) != len(data[0]) for r in data):
             raise ValueError("rows must be rectangular and nonempty")
         object.__setattr__(self, "data", data)
@@ -334,24 +335,20 @@ class RationalMatrix:
         factor = Rat(factor)
         return RationalMatrix([[factor * a for a in row] for row in self.data])
 
-    def add_scaled_identity(self, factor) -> "RationalMatrix":
-        if self.rows != self.cols:
-            raise ValueError("square matrix required")
-        factor = Rat(factor)
-        return RationalMatrix(
-            [
-                [a + factor if i == j else a for j, a in enumerate(row)]
-                for i, row in enumerate(self.data)
-            ]
-        )
-
     def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
+        """The product, as sums of the rows of other; zero factors are skipped."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        cols = list(zip(*other.data))
-        return RationalMatrix(
-            [[sum((a * b for a, b in zip(row, col)), _ZERO) for col in cols] for row in self.data]
-        )
+        out = []
+        for row in self.data:
+            acc = [_ZERO] * other.cols
+            for a, orow in zip(row, other.data):
+                if a:
+                    for j, b in enumerate(orow):
+                        if b:
+                            acc[j] += a * b
+            out.append(acc)
+        return RationalMatrix(out)
 
     def mul_vec(self, vec: Sequence) -> tuple:
         if len(vec) != self.cols:
@@ -361,11 +358,6 @@ class RationalMatrix:
 
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix(list(zip(*self.data)))
-
-    def stack(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.cols != other.cols:
-            raise ValueError("shape mismatch")
-        return RationalMatrix(list(self.data) + list(other.data))
 
     def nullspace(self) -> list[tuple]:
         """Exact kernel basis, each vector scaled to first nonzero entry 1.

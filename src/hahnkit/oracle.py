@@ -2,8 +2,9 @@
 
 Instead of evaluating explicit polynomials, this module builds the two
 difference operators as exact matrices over the simplex grid, pulls joint
-eigenvectors out of stacked nullspaces at the known eigenvalues, and checks
-that they reproduce the evaluation route up to scale.  The overlap matrix is
+eigenvectors out of nested nullspaces at the known eigenvalues (L1 one line
+i + k = s at a time, then L2 on each L1 eigenspace), and checks that they
+reproduce the evaluation route up to scale.  The overlap matrix is
 factored through the intermediate (cylindrical) basis, and the underlying
 algebra is realized as truncated su(1,1) actions in a square-root-free basis.
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .hahn_bi import BiParams, degree_pairs, grid_points, overlap2, p2_eval
 from .hahn_uni import UniParams, hahn_eval, hahn_norm, hahn_weight
@@ -22,6 +24,11 @@ from .numeric import Rat, RationalMatrix, format_rational
 from .reports import CheckResult, VerificationReport
 
 FLOAT_TOL = 1e-10
+
+# The largest level whose seven oracle checks fit in 60 s, criterion 03's
+# budget for a whole suite at one level, on the fractions backend (cost
+# curve in BENCH_11.json); verify_oracle refuses a level above it.
+MAX_ORACLE_LEVEL = 26
 
 OPERATOR_LABELS = ("L1", "L2")
 
@@ -93,33 +100,127 @@ def eigenvalue(label: str, d, p: BiParams):
     raise ValueError(f"unknown operator label {label!r}")
 
 
+class ChainLevel(NamedTuple):
+    """One operator of a commuting chain: its label, its exact matrix, its
+    known eigenvalue at each joint label, and, for an operator that couples
+    no two blocks of basis indices, the block key of each index."""
+
+    label: str
+    matrix: RationalMatrix
+    eigenvalue: Callable
+    block: Callable | None = None
+
+
+def _sparse(vectors) -> list:
+    """Each vector as {index: entry} over its nonzero entries."""
+    return [{j: v for j, v in enumerate(vec) if v} for vec in vectors]
+
+
+def _combination(weights: dict, vectors: list) -> dict:
+    """sum_j weights[j] * vectors[j], all sparse."""
+    out = {}
+    for j, w in weights.items():
+        for r, v in vectors[j].items():
+            out[r] = out.get(r, 0) + w * v
+    return out
+
+
+def _kernel(level: ChainLevel, basis: list, image: list, value) -> list:
+    """Sparse generators of the value-eigenspace of level's operator on the
+    span of basis: each V y with y in ker((A - value) V), where image is
+    A V.  The columns of V are split by block, one nullspace each."""
+    groups = {}
+    for c, vec in enumerate(basis):
+        keys = {level.block(j) for j in vec} if level.block else {None}
+        if len(keys) != 1:
+            raise ArithmeticError(f"a basis vector for {level.label} spans the blocks {sorted(keys)}")
+        groups.setdefault(keys.pop(), []).append(c)
+    out = []
+    for cols in groups.values():
+        # the columns of (A - value) V in this block
+        shifted = [_combination({0: 1, 1: -value}, (image[c], basis[c])) for c in cols]
+        rows = sorted({r for col in shifted for r, x in col.items() if x})
+        matrix = RationalMatrix([[col.get(r, 0) for col in shifted] for r in rows] or [[0] * len(cols)])
+        for y in matrix.nullspace():
+            vec = _combination({c: t for c, t in zip(cols, y) if t}, basis)
+            out.append({r: v for r, v in vec.items() if v})
+    return out
+
+
+def nested_eigenvectors(levels, labels) -> dict:
+    """Generator of each joint eigenspace of a commuting chain, first nonzero
+    entry 1, keyed by joint label in the order of labels.
+
+    The eigenspace V_k of the first k operators at a label's first k
+    eigenvalues is V_{k-1} ker((A_k - lambda_k) V_{k-1}), made once for
+    every label that shares those eigenvalues; A_k V_{k-1} is made once per
+    V_{k-1}.  Its dimension is that of the joint eigenspace, whether or not
+    A_k leaves V_{k-1} invariant.  Every kernel is a RationalMatrix
+    nullspace of at most dim V_{k-1} columns, one per block where the level
+    has a block key.
+
+    Raises ArithmeticError when two labels share all eigenvalues (checked
+    before any solve), when an operator with a block key couples two
+    blocks, or when a joint eigenspace is not one-dimensional.
+    """
+    labels = tuple(labels)
+    spectrum = {}
+    for label in labels:
+        key = tuple(level.eigenvalue(label) for level in levels)
+        if key in spectrum:
+            raise ArithmeticError(f"degenerate joint spectrum: {spectrum[key]} vs {label}")
+        spectrum[key] = label
+    columns = [_sparse(zip(*level.matrix.data)) for level in levels]
+    for level, cols in zip(levels, columns):
+        if level.block is None:
+            continue
+        for c, col in enumerate(cols):
+            r = next((r for r in col if level.block(r) != level.block(c)), None)
+            if r is not None:
+                raise ArithmeticError(
+                    f"{level.label} couples the blocks {level.block(c)} and {level.block(r)} "
+                    f"at row {r}, col {c}"
+                )
+    size = levels[0].matrix.cols
+    spaces = {(): [{j: 1} for j in range(size)]}
+    images = {}
+    out = {}
+    for label in labels:
+        key = ()
+        for level, cols in zip(levels, columns):
+            inner = key + (level.eigenvalue(label),)
+            if inner not in spaces:
+                if key not in images:
+                    images[key] = [_combination(vec, cols) for vec in spaces[key]]
+                spaces[inner] = _kernel(level, spaces[key], images[key], inner[-1])
+            key = inner
+        basis = spaces[key]
+        if len(basis) != 1:
+            raise ArithmeticError(
+                f"joint eigenspace at {label} has dimension {len(basis)}, expected 1"
+            )
+        lead = basis[0][min(basis[0])]
+        out[label] = tuple(basis[0].get(j, 0) / lead for j in range(size))
+    return out
+
+
 def joint_eigenvectors(p: BiParams) -> dict:
     """Generator of each joint (L1, L2) eigenspace, first nonzero entry 1.
 
-    Raises ArithmeticError if the joint spectrum degenerates or any
-    eigenspace fails to be one-dimensional; for valid parameters neither
-    can happen (the L1 eigenvalues are strictly separated in m).
+    The d = 2 chain of nested_eigenvectors: L1 moves points only along the
+    lines i + k = s, so its eigenspaces are solved line by line, and L2 on
+    each of them.  Raises ArithmeticError if the joint spectrum
+    degenerates, L1 couples two lines, or any eigenspace fails to be
+    one-dimensional; for valid parameters none can happen (the L1
+    eigenvalues are strictly separated in m).
     """
-    degs = tuple(degree_pairs(p.N))
-    spectrum = {}
-    for d in degs:
-        key = (eigenvalue("L1", d, p), eigenvalue("L2", d, p))
-        if key in spectrum:
-            raise ArithmeticError(f"degenerate joint spectrum: {spectrum[key]} vs {d}")
-        spectrum[key] = d
-    l1 = build_operator("L1", p).matrix
-    l2 = build_operator("L2", p).matrix
-    out = {}
-    for d in degs:
-        shifted1 = l1.add_scaled_identity(-eigenvalue("L1", d, p))
-        shifted2 = l2.add_scaled_identity(-eigenvalue("L2", d, p))
-        basis = shifted1.stack(shifted2).nullspace()
-        if len(basis) != 1:
-            raise ArithmeticError(
-                f"joint eigenspace at {d} has dimension {len(basis)}, expected 1"
-            )
-        out[d] = basis[0]
-    return out
+    points = tuple(grid_points(p.N))
+    levels = (
+        ChainLevel("L1", build_operator("L1", p).matrix, lambda d: eigenvalue("L1", d, p),
+                   lambda t: sum(points[t])),
+        ChainLevel("L2", build_operator("L2", p).matrix, lambda d: eigenvalue("L2", d, p)),
+    )
+    return nested_eigenvectors(levels, degree_pairs(p.N))
 
 
 # ---------------------------------------------------------------------------
@@ -247,27 +348,22 @@ def _check_annihilate_constants(p: BiParams) -> CheckResult:
 
 
 def _check_commutation(p: BiParams) -> CheckResult:
+    """L1 L2 = L2 L1, compared row by row as sparse products; a failure
+    names the first defect in row-major order."""
     name = "commutation"
-    l1 = build_operator("L1", p).matrix
-    l2 = build_operator("L2", p).matrix
-    left = l1.matmul(l2)
-    right = l2.matmul(l1)
-    if left == right:
-        return CheckResult.exact_pass(name)
-    diff = left - right
-    bad = next(
-        (r, c)
-        for r in range(diff.rows)
-        for c in range(diff.cols)
-        if diff.entry(r, c) != 0
-    )
-    return CheckResult.failure(
-        name,
-        format_rational(diff.entry(*bad)),
-        {"row": bad[0], "col": bad[1]},
-        format_rational(left.entry(*bad)),
-        format_rational(right.entry(*bad)),
-    )
+    l1 = _sparse(build_operator("L1", p).matrix.data)
+    l2 = _sparse(build_operator("L2", p).matrix.data)
+    for r, (row1, row2) in enumerate(zip(l1, l2)):
+        left, right = _combination(row1, l2), _combination(row2, l1)
+        bad = [c for c in left.keys() | right.keys() if left.get(c, 0) != right.get(c, 0)]
+        if bad:
+            c = min(bad)
+            lhs, rhs = left.get(c, 0), right.get(c, 0)
+            return CheckResult.failure(
+                name, format_rational(lhs - rhs), {"row": r, "col": c},
+                format_rational(lhs), format_rational(rhs),
+            )
+    return CheckResult.exact_pass(name)
 
 
 def _normalized_p_vector(d, p: BiParams) -> tuple:
@@ -416,11 +512,15 @@ ORACLE_CHECK_NAMES = tuple(_ORACLE_CHECKS) + ("su11-spectrum",)
 
 
 def verify_oracle(check: str, p: BiParams) -> VerificationReport:
+    """One oracle check; a level above MAX_ORACLE_LEVEL is refused with
+    ValueError before any matrix is built."""
+    if check not in ORACLE_CHECK_NAMES:
+        raise ValueError(f"unknown check: {check}")
+    if p.N > MAX_ORACLE_LEVEL:
+        raise ValueError(f"the oracle checks at level {p.N} are refused; the cap is {MAX_ORACLE_LEVEL}")
     if check == "su11-spectrum":
         report = su11_spectrum_check(p)
         return VerificationReport(suite="oracle", params=p.echo(), checks=report.checks)
-    if check not in _ORACLE_CHECKS:
-        raise ValueError(f"unknown check: {check}")
     try:
         result = _ORACLE_CHECKS[check](p)
     except ArithmeticError as err:

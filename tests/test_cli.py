@@ -162,6 +162,20 @@ class TestVerify:
         )
         assert code == 2 and "refused" in err
 
+    def test_oversized_oracle_level_is_refused(self, capsys):
+        # Refused before any matrix is built, with the usage-error exit code.
+        code, out, err = run(
+            capsys, "verify", "--suite", "oracle", "--alpha", "1/2,-1/2,3",
+            "--N", str(oracle_mod.MAX_ORACLE_LEVEL + 1),
+        )
+        assert code == 2 and out == ""
+        assert f"the cap is {oracle_mod.MAX_ORACLE_LEVEL}" in err
+        code, _, err = run(
+            capsys, "verify", "--suite", "oracle", "--check", "commutation",
+            "--alpha", "0,0,0", "--N", str(oracle_mod.MAX_ORACLE_LEVEL + 1),
+        )
+        assert code == 2 and "refused" in err
+
     def test_mv_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "mv", "--alpha", "1/2,0,3", "--N", "3")
         assert code == 0

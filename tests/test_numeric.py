@@ -340,9 +340,27 @@ class TestRationalMatrix:
         b = RationalMatrix([[0, 1], [1, 0]])
         assert a.matmul(b) == RationalMatrix([[2, 1], [4, 3]])
         assert a.transpose() == RationalMatrix([[1, 3], [2, 4]])
-        assert a.add_scaled_identity(Rat(-5)) == RationalMatrix([[-4, 2], [3, -1]])
 
-    def test_stack(self):
-        a = RationalMatrix([[1, 2]])
-        b = RationalMatrix([[3, 4]])
-        assert a.stack(b) == RationalMatrix([[1, 2], [3, 4]])
+    def test_matmul_skips_zero_factors_exactly(self):
+        a = RationalMatrix([[0, Rat(1, 2), 0], [Rat(-3, 4), 0, 0]])
+        b = RationalMatrix([[1, 0], [0, 0], [Rat(5, 7), 2]])
+        assert a.matmul(b) == RationalMatrix([[0, 0], [Rat(-3, 4), 0]])
+        assert all(isinstance(x, Rational) for row in a.matmul(b).data for x in row)
+
+    def test_entry_types_compare_equal(self):
+        from_ints = RationalMatrix([[1, -2], [0, 3]])
+        from_text = RationalMatrix([["2/2", "-4/2"], ["0", "3/1"]])
+        from_rats = RationalMatrix([[Rat(1), Rat(-2)], [Rat(0), Rat(6, 2)]])
+        assert from_ints == from_text == from_rats
+        assert RationalMatrix([["1/3", 2]]) == RationalMatrix([[Rat(1, 3), Rat(2)]])
+        assert all(isinstance(x, Rational) for m in (from_ints, from_text) for row in m.data for x in row)
+
+    def test_kept_rationals_leave_the_matrix_immutable(self):
+        row = [Rat(1, 2), Rat(3)]
+        m = RationalMatrix([row])
+        row[0] = Rat(7)
+        assert m.entry(0, 0) == Rat(1, 2)
+        with pytest.raises(AttributeError):
+            m.data = ((Rat(0),),)
+        with pytest.raises(TypeError):
+            m.data[0][0] = Rat(0)

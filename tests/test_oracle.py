@@ -82,7 +82,56 @@ class TestBuildOperator:
             eigenvalue("L3", (0, 0), BiParams(0, 0, 0, 1))
 
 
+def stacked_joint_eigenvectors(p):
+    """The dense route the nested solve replaced, kept as its reference: one
+    kernel of the stacked 2P x P matrix [L1 - lambda1; L2 - lambda2] per
+    degree pair, in degree_pairs order."""
+    ops = {label: build_operator(label, p).matrix.data for label in ("L1", "L2")}
+    out = {}
+    for d in degree_pairs(p.N):
+        rows = [
+            [a - eigenvalue(label, d, p) if r == c else a for c, a in enumerate(row)]
+            for label, matrix in ops.items()
+            for r, row in enumerate(matrix)
+        ]
+        basis = RationalMatrix(rows).nullspace()
+        assert len(basis) == 1
+        out[d] = basis[0]
+    return out
+
+
 class TestJointEigenvectors:
+    @pytest.mark.parametrize("triple", TRIPLES + [(0, Rat(1, 2), Rat(7, 3))])
+    def test_nested_solve_equals_stacked_reference(self, triple):
+        for N in range(7):
+            p = BiParams(*triple, N)
+            assert list(joint_eigenvectors(p).items()) == list(stacked_joint_eigenvectors(p).items())
+
+    def test_degenerate_spectrum_refused_before_any_solve(self, monkeypatch):
+        monkeypatch.setattr(oracle_mod, "eigenvalue", lambda label, d, p: Rat(0))
+
+        def no_solve(self):
+            raise AssertionError("a kernel was solved")
+
+        monkeypatch.setattr(RationalMatrix, "nullspace", no_solve)
+        with pytest.raises(ArithmeticError, match=r"^degenerate joint spectrum: \(0, 0\) vs \(1, 0\)$"):
+            joint_eigenvectors(BiParams(0, 0, 0, 2))
+
+    def test_kernels_stay_small(self, monkeypatch):
+        # no stacked 2P x P matrix: a kernel has at most one column per point
+        # of a line and at most one row per grid point
+        shapes = []
+        solve = RationalMatrix.nullspace
+
+        def recording(self):
+            shapes.append((self.rows, self.cols))
+            return solve(self)
+
+        monkeypatch.setattr(RationalMatrix, "nullspace", recording)
+        joint_eigenvectors(BiParams(Rat(1, 2), Rat(-1, 2), 3, 6))
+        assert max(cols for _, cols in shapes) <= 7
+        assert max(rows for rows, _ in shapes) <= 28
+
     def test_constant_member(self):
         vecs = joint_eigenvectors(BiParams(Rat(1, 2), 0, 3, 2))
         assert vecs[(0, 0)] == (Rat(1),) * 6
@@ -217,6 +266,17 @@ class TestVerifyOracle:
         assert verify_oracle(name, BiParams(Rat(1, 2), Rat(-1, 2), 3, 3)).passed
         assert verify_oracle(name, BiParams(0, 0, 0, 4)).passed
 
+    @pytest.mark.parametrize("name", ORACLE_CHECK_NAMES)
+    def test_oversized_level_refused_before_any_matrix(self, name, monkeypatch):
+        def no_build(*args):
+            raise AssertionError("a matrix was built")
+
+        for attr in ("build_operator", "chain_matrices", "su11_build"):
+            monkeypatch.setattr(oracle_mod, attr, no_build)
+        cap = oracle_mod.MAX_ORACLE_LEVEL
+        with pytest.raises(ValueError, match=f"^the oracle checks at level {cap + 1} are refused; the cap is {cap}$"):
+            verify_oracle(name, BiParams(Rat(1, 2), Rat(-1, 2), 3, cap + 1))
+
     def test_unknown_check(self):
         with pytest.raises(ValueError):
             verify_oracle("spectral-flow", BiParams(0, 0, 0, 1))
@@ -232,7 +292,9 @@ class TestVerifyOracle:
             "su11-spectrum",
         )
 
-    def test_fault_injection_reports_failure(self, monkeypatch):
+    @staticmethod
+    def _tamper_l1_within_line(monkeypatch):
+        """L1 at (1, 1) toward (2, 0) gains 1: a fault on one line i + k = 2."""
         orig = oracle_mod._shift_coeffs
 
         def tampered(label, i, k, a1, a2, a3, N):
@@ -243,9 +305,52 @@ class TestVerifyOracle:
             return out
 
         monkeypatch.setattr(oracle_mod, "_shift_coeffs", tampered)
+
+    def test_fault_injection_reports_failure(self, monkeypatch):
+        self._tamper_l1_within_line(monkeypatch)
         p = BiParams(0, 0, 0, 3)
         commutation = verify_oracle("commutation", p)
         assert not commutation.passed
         eigen = verify_oracle("joint-eigenvectors", p)
         assert not eigen.passed
         assert eigen.checks[0].counterexample is not None
+
+    def test_l1_coupling_two_lines_is_refused(self, monkeypatch):
+        orig = oracle_mod._shift_coeffs
+
+        def tampered(label, i, k, a1, a2, a3, N):
+            out = orig(label, i, k, a1, a2, a3, N)
+            if label == "L1" and (i, k) == (1, 1):
+                out = {**out, (0, 1): 1}  # toward (1, 2), off the line i + k = 2
+            return out
+
+        monkeypatch.setattr(oracle_mod, "_shift_coeffs", tampered)
+        p = BiParams(0, 0, 0, 3)
+        with pytest.raises(ArithmeticError, match="^L1 couples the blocks 3 and 2 at row 5, col 8$"):
+            joint_eigenvectors(p)
+        check = verify_oracle("joint-eigenvectors", p).checks[0]
+        assert not check.passed
+        assert check.max_residual == "inf"
+        assert check.counterexample["lhs"] == "L1 couples the blocks 3 and 2 at row 5, col 8"
+
+    def test_l2_tamper_fails_joint_eigenvectors(self, monkeypatch):
+        orig = oracle_mod._shift_coeffs
+
+        def tampered(label, i, k, a1, a2, a3, N):
+            out = orig(label, i, k, a1, a2, a3, N)
+            if label == "L2" and (i, k) == (1, 1):
+                out = {**out, (1, 0): out[(1, 0)] + 1}
+            return out
+
+        monkeypatch.setattr(oracle_mod, "_shift_coeffs", tampered)
+        p = BiParams(Rat(1, 2), Rat(-1, 2), 3, 3)
+        assert not verify_oracle("joint-eigenvectors", p).passed
+        assert not verify_oracle("commutation", p).passed
+
+    def test_commutation_failure_report_pinned(self, monkeypatch):
+        # the first defect of L1 L2 - L2 L1 in row-major order, as the
+        # dense product reported it
+        self._tamper_l1_within_line(monkeypatch)
+        check = verify_oracle("commutation", BiParams(0, 0, 0, 3)).checks[0]
+        assert check.max_residual == "-2"
+        assert check.counterexample == {"indices": {"row": 1, "col": 2}, "lhs": "-4", "rhs": "-2"}
