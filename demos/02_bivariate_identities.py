@@ -10,8 +10,6 @@ whose ladder coefficients carry square roots and are checked in floats.
 from hahnkit.hahn_bi import (
     BI_CHECK_NAMES,
     BiParams,
-    grid_points,
-    degree_pairs,
     overlap2,
     p2_eval,
     q2_eval,
@@ -19,21 +17,22 @@ from hahnkit.hahn_bi import (
     weight2,
 )
 from hahnkit.numeric import Rat, format_rational
+from hahnkit.simplex import simplex_points
 
 p = BiParams(Rat(1, 2), Rat(-1, 2), 3, 4)
 print("parameters:", p.echo())
 
 # The grid and the degree set are the same simplex, in the same order.
-print("grid points:", list(grid_points(2)))
-print("degree pairs:", list(degree_pairs(2)))
+print("grid points:", list(simplex_points(2, 2)))
+print("degree pairs:", list(simplex_points(2, 2)))
 
 # Exact values of the first few polynomials.
 print("\nP_{1,0} on the level-4 grid:")
-for g in grid_points(4):
+for g in simplex_points(4, 2):
     print(f"  P(1,0)@{g} = {format_rational(p2_eval((1, 0), g, p))}")
 
 # The weight sums to one; orthogonality holds with zero residual.
-total = sum(weight2(g, p) for g in grid_points(4))
+total = sum(weight2(g, p) for g in simplex_points(4, 2))
 print("\nweight total =", format_rational(total))
 
 # The orthonormal plane carries radical scalars: exact sign and squared

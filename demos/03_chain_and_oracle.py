@@ -9,7 +9,7 @@ intermediate basis and realize the underlying su(1,1) ladder.
 """
 import numpy as np
 
-from hahnkit.hahn_bi import BiParams, grid_points, overlap2, p2_eval
+from hahnkit.hahn_bi import BiParams, overlap2, p2_eval
 from hahnkit.numeric import Rat, format_rational
 from hahnkit.oracle import (
     build_operator,
@@ -18,6 +18,7 @@ from hahnkit.oracle import (
     su11_build,
     su11_spectrum_check,
 )
+from hahnkit.simplex import simplex_points
 
 p = BiParams(Rat(1, 2), Rat(-1, 2), 3, 3)
 
@@ -35,7 +36,7 @@ for g, value in zip(l1.points, l1.matrix.data[row]):
 # They match the evaluation route up to overall scale.
 vecs = joint_eigenvectors(p)
 vec = vecs[(1, 1)]
-direct = [p2_eval((1, 1), g, p) for g in grid_points(3)]
+direct = [p2_eval((1, 1), g, p) for g in simplex_points(3, 2)]
 lead = next(v for v in direct if v != 0)
 print("\nnullspace eigenvector at degree (1,1):")
 print("  ", [format_rational(v) for v in vec])

@@ -8,16 +8,16 @@ parameters that absorb everything accumulated so far.  This script
 walks the d = 3 family and checks that it collapses back onto the
 smaller ones.
 """
-from hahnkit.hahn_bi import BiParams, bigLambda, grid_points
+from hahnkit.hahn_bi import BiParams, bigLambda
 from hahnkit.hahn_multi import (
     MultiParams,
     mv_lambda,
     mv_p_eval,
     mv_weight,
-    simplex_points,
     verify_mv,
 )
 from hahnkit.numeric import Rat, format_rational
+from hahnkit.simplex import simplex_points
 
 p = MultiParams((Rat(1, 2), Rat(0), Rat(3), Rat(7, 3)), 3)
 print("parameters:", p.echo())
@@ -41,7 +41,7 @@ q2 = MultiParams((Rat(1, 2), Rat(0), Rat(3)), 4)
 b = BiParams(Rat(1, 2), Rat(0), Rat(3), 4)
 agree = all(
     mv_lambda((m, n), q2) == bigLambda((m, n), b)
-    for (m, n) in grid_points(4)
+    for (m, n) in simplex_points(4, 2)
 )
 print("\nd = 2 norms equal the bivariate ones:", agree)
 

@@ -18,7 +18,7 @@ import math
 import sys
 
 from .classical import RELATION_NAMES, verify_classical
-from .hahn_bi import BI_CHECK_NAMES, BiParams, degree_pairs, grid_points, overlap2, p2_eval, verify_bi
+from .hahn_bi import BI_CHECK_NAMES, BiParams, overlap2, p2_eval, verify_bi
 from .hahn_multi import MultiParams, mv_p_eval, verify_mv
 from .hahn_uni import UNI_CHECK_NAMES, UniParams, hahn_eval, verify_uni
 from .numeric import Rat, format_rational, parse_rational

@@ -19,11 +19,13 @@ coefficient; that proof obligation is checked like the residual, and a
 nonzero coefficient is reported as a failure naming the target.
 
 The exact plane runs on Python ints.  A table holds the P values of a
-degree pair and level as integer numerators, hahn_multi's d = 2 chain,
-over one denominator.  The exact runner clears each instance's
-coefficients and those denominators to one common scale, compares two
-integer sums at every grid point, and makes rationals only to report a
-failure; orthogonality (hahn_multi's Gram sums) and symmetry do the same.
+degree pair and level as integer numerators, the d = 2 rows of the simplex
+layer's ChainTable, over one denominator; grid points and degree pairs both
+run in simplex_points(N, 2) order, and the weight is simplex_weight's.  The
+exact runner clears each instance's coefficients and those denominators to
+one common scale, compares two integer sums at every grid point, and makes
+rationals only to report a failure; orthogonality (gram_entries) and
+symmetry do the same.
 Every scale a comparison is multiplied by is shown nonzero first, since a
 zero one would make any identity hold.
 
@@ -56,8 +58,6 @@ from itertools import accumulate
 from typing import Callable, NamedTuple
 
 from .classical import jacobi_coeffs
-from .hahn_multi import ChainTable, gram_entries
-from .hahn_uni import _cleared
 from .numeric import (
     Rat,
     RadicalScalar,
@@ -70,6 +70,7 @@ from .numeric import (
     rising,
 )
 from .reports import CheckResult, VerificationReport, _guarded
+from .simplex import ChainTable, cleared, gram_entries, simplex_points, simplex_weight
 
 FLOAT_TOL = 1e-10
 # The largest level whose sixteen checks fit in criterion 03's 60 s budget
@@ -104,17 +105,6 @@ class BiParams:
         }
 
 
-def grid_points(N: int):
-    """Simplex points (i, k) with i + k <= N, colex: k major, i minor; the
-    degree pairs (m, n) run in the same order, so degree_pairs is this."""
-    for k in range(N + 1):
-        for i in range(N - k + 1):
-            yield (i, k)
-
-
-degree_pairs = grid_points
-
-
 def _require_pair(pair, N: int, what: str) -> tuple[int, int]:
     a, b = pair
     if not (isinstance(a, int) and isinstance(b, int)) or a < 0 or b < 0 or a + b > N:
@@ -131,19 +121,11 @@ def weight2(g, p: BiParams):
 
         N! / (i! k! (N-i-k)!) (a1+1)_i (a2+1)_k (a3+1)_{N-i-k} / (a1+a2+a3+3)_N,
 
-    one rational of cleared integer products: the q^N above and below cancel.
+    simplex_weight at d = 2.
     """
     i, k = _require_pair(g, p.N, "grid point")
-    N = p.N
-    q, (A1, A2, A3) = _cleared(p.alpha1, p.alpha2, p.alpha3)
-    return Rat(
-        math.comb(N, i)
-        * math.comb(N - i, k)
-        * rising(A1 + q, i, q)
-        * rising(A2 + q, k, q)
-        * rising(A3 + q, N - i - k, q),
-        rising(A1 + A2 + A3 + 3 * q, N, q),
-    )
+    nums, den = simplex_weight((p.alpha1, p.alpha2, p.alpha3), p.N)
+    return Rat(nums[_index(i, k, p.N)], den)
 
 
 def amplitude(g, p: BiParams) -> RadicalScalar:
@@ -174,7 +156,7 @@ def _lambda_core(m: int, n: int, a1, a2, a3, N: int) -> tuple[int, int]:
     triple is cleared to one denominator q; the rising products above carry
     q^(2m+2n+N) and the one below q^N, so q^(2m+2n) is left below.
     """
-    q, (A1, A2, A3) = _cleared(a1, a2, a3)
+    q, (A1, A2, A3) = cleared(a1, a2, a3)
     S = A1 + A2
     T = S + A3
     num = (
@@ -234,7 +216,7 @@ class _Values:
         return nonzero(self.chains.den((m, n)) * rising(-level, m + n), "the denominator of a P value")
 
     def row(self, m, n, level) -> tuple:
-        """The P numerators of degree pair (m, n) over grid_points(level)."""
+        """The P numerators of degree pair (m, n) over simplex_points(level, 2)."""
         return self.chains.row((m, n), level)
 
     def p(self, m, n, i, k, level):
@@ -244,7 +226,7 @@ class _Values:
         return Rat(self.chains.num((m, n), (i, k), level), self.chains.den((m, n)))
 
     def qrow(self, m, n, level) -> tuple:
-        """The float Q values of degree pair (m, n) over grid_points(level).
+        """The float Q values of degree pair (m, n) over simplex_points(level, 2).
 
         An int quotient is correctly rounded, as float() of the reduced
         rational chain value is, so each value is the same float."""
@@ -267,7 +249,7 @@ class OverlapMatrix:
     """Interbasis expansion coefficients W * Q on the full simplex.
 
     Rows run over grid points, columns over degree pairs, both in the colex
-    order of grid_points/degree_pairs; the matrix is square of side
+    order of simplex_points(N, 2); the matrix is square of side
     (N+1)(N+2)/2.  In squared mode each entry is the exact rational
     w (h.h)^2 / Lambda carrying the sign of the entry itself, so column
     sums of absolute values reproduce the float column norms exactly.
@@ -287,13 +269,13 @@ class OverlapMatrix:
 def overlap2(p: BiParams, mode: str = "float") -> OverlapMatrix:
     if mode not in ("float", "radical", "squared"):
         raise ValueError(f"unknown overlap mode {mode!r}")
-    rows = tuple(grid_points(p.N))
-    cols = tuple(degree_pairs(p.N))
+    rows = cols = tuple(simplex_points(p.N, 2))
     inv_lambda = {d: 1 / bigLambda(d, p) for d in cols}
     table = _Values(p.alpha1, p.alpha2, p.alpha3)
+    weights, W = simplex_weight((p.alpha1, p.alpha2, p.alpha3), p.N)
     entries = []
-    for i, k in rows:
-        w = weight2((i, k), p)
+    for (i, k), omega in zip(rows, weights):
+        w = Rat(omega, W)
         line = []
         for m, n in cols:
             value = RadicalScalar(table.chain(m, n, i, k, p.N), w * inv_lambda[(m, n)])
@@ -313,15 +295,16 @@ def overlap2(p: BiParams, mode: str = "float") -> OverlapMatrix:
 
 def _check_orthogonality(p: BiParams) -> CheckResult:
     """The integer Gram sums of the P numerators (gram_entries): an
-    off-diagonal entry must be the integer 0, a diagonal one lambda2."""
+    off-diagonal sum must be the integer 0, a diagonal entry acc / scale
+    lambda2, compared crosswise."""
     name = "orthogonality"
-    degs = tuple(degree_pairs(p.N))
+    degs = tuple(simplex_points(p.N, 2))
     table = _Values(p.alpha1, p.alpha2, p.alpha3)
-    weights = [weight2(g, p) for g in grid_points(p.N)]
-    entries = gram_entries(weights, [table.row(*d, p.N) for d in degs], [table.den(*d, p.N) for d in degs])
-    for a, b, got in entries:
+    rows, dens = [table.row(*d, p.N) for d in degs], [table.den(*d, p.N) for d in degs]
+    for a, b, acc, scale in gram_entries(simplex_weight((p.alpha1, p.alpha2, p.alpha3), p.N), rows, dens):
         want = lambda2(degs[a], p) if a == b else Rat(0)
-        if got != want:
+        if acc * int(want.denominator) != int(want.numerator) * scale:
+            got = Rat(acc, scale)
             lhs, rhs = format_rational(got), format_rational(want)
             return CheckResult.failure(name, format_rational(got - want), {"degrees": [degs[a], degs[b]]}, lhs, rhs)
     return CheckResult.exact_pass(name)
@@ -334,10 +317,10 @@ def _check_symmetry(p: BiParams) -> CheckResult:
     name = "symmetry"
     table = _Values(p.alpha1, p.alpha2, p.alpha3)
     swapped = _Values(p.alpha2, p.alpha1, p.alpha3)
-    for m, n in degree_pairs(p.N):
+    for m, n in simplex_points(p.N, 2):
         sign, den = (-1) ** m, table.den(m, n, p.N)
         lhs, rhs = table.row(m, n, p.N), swapped.row(m, n, p.N)
-        for g, (i, k) in enumerate(grid_points(p.N)):
+        for g, (i, k) in enumerate(simplex_points(p.N, 2)):
             twin = sign * rhs[_index(k, i, p.N)]
             if lhs[g] != twin:
                 return _exact_fail(name, {"degree": (m, n), "point": (i, k)}, Rat(lhs[g], den), Rat(twin, den))
@@ -362,16 +345,16 @@ def _check_genfun(p: BiParams) -> list[CheckResult]:
         )
     )
     table = _Values(p.alpha1, p.alpha2, p.alpha3)
-    points = tuple(grid_points(N))
+    points = tuple(simplex_points(N, 2))
     multinomials = [multinomial(N, g) for g in points]
     firsts = {}  # per m: d1, the first sum, and the products the second sums over
-    for m, n in degree_pairs(N):
+    for m, n in simplex_points(N, 2):
         if m not in firsts:
-            d1, coeffs = _cleared(*jacobi_coeffs(m, p.alpha1, p.alpha2))
+            d1, coeffs = cleared(*jacobi_coeffs(m, p.alpha1, p.alpha2))
             first = _poly2_sum(coeffs, [_poly2_mul(diff[idx], plus[m - idx]) for idx in range(m + 1)])
             firsts[m] = d1, first, [_poly2_mul(inner_lo[idx], inner_hi[N - m - idx]) for idx in range(N - m + 1)]
         d1, first, bases = firsts[m]
-        d2, coeffs = _cleared(*jacobi_coeffs(n, 2 * m + p.a12 + 1, p.alpha3))
+        d2, coeffs = cleared(*jacobi_coeffs(n, 2 * m + p.a12 + 1, p.alpha3))
         lhs = _poly2_mul(first, _poly2_sum(coeffs, bases))
         row, den = table.row(m, n, N), table.den(m, n, N) * math.factorial(m) * math.factorial(n)
         if any(lhs.get(g, 0) * den != d1 * d2 * w * v for g, w, v in zip(points, multinomials, row)):
@@ -874,15 +857,6 @@ def _second_difference(c, i, k):
     return (-sum(omega.values()),) + tuple(omega[s] for s in _L2_SHIFTS)
 
 
-def _second_difference_float(c, i, k):
-    a1, a2, a3, N = c.a1, c.a2, c.a3, c.N
-    kappa = (
-        i * (a2 + a3) + k * (a1 + a3) + (N - i - k) * c.s - 2 * (i * i + k * k + i * k - i * N - k * N - N)
-    )
-    omega = _l2_shift_coeffs(i, k, a1, a2, a3, N)
-    return (-float(kappa),) + tuple(float(omega[s]) for s in _L2_SHIFTS)
-
-
 _UP_M = (1, 1, 0)  # both first parameters move
 _UP_N = (0, 0, 2)  # the third parameter jumps by two
 _LADDER_M = (
@@ -1030,7 +1004,7 @@ _RELATIONS = {row.name: row for row in (
     ),
     _Relation(
         "normalized-difference-float[second]", "Q", 0, 0, lhs=(_Term(_degree_part),), rhs=_SECOND_DIFFERENCE,
-        per_degree=lambda c, m, n: float(-(m + n) * (m + n + c.sig + 2)), per_point=_second_difference_float,
+        per_degree=lambda c, m, n: float(-(m + n) * (m + n + c.sig + 2)), per_point=_floats(_second_difference),
     ),
     _Relation(
         "normalized-lowering-float[raise-m]", "Q", -1, 0, lhs=(_Term(_degree_part, (1, 0)),), rhs=_LADDER_M,
@@ -1080,7 +1054,7 @@ class _Check:
 
     def __init__(self, p: BiParams):
         self.p = p
-        self.q, self.base = _cleared(p.alpha1, p.alpha2, p.alpha3)
+        self.q, self.base = cleared(p.alpha1, p.alpha2, p.alpha3)
         self.points = []
         self.tables = {}
         self.memo = {}
@@ -1190,7 +1164,7 @@ def _sweep_degree(row: _Relation, m: int, n: int, N: int) -> int:
 
 
 def _index(i: int, k: int, level: int) -> int:
-    """The position of (i, k) in grid_points(level), or -1 off the simplex."""
+    """The position of (i, k) in simplex_points(level, 2), or -1 off the simplex."""
     if i < 0 or k < 0 or i + k > level:
         return -1
     return k * (level + 1) - k * (k - 1) // 2 + i
@@ -1269,7 +1243,7 @@ def _instances(row: _Relation, check: _Check):
     given as lhs against rhs = 0, and the instances end.
     """
     N = check.p.N
-    grid = tuple(grid_points(N + row.grid))
+    grid = tuple(simplex_points(N + row.grid, 2))
     terms = []  # (side, term, level, where it reads per grid point, the grid points where it reads nothing)
     for side, part in enumerate((row.lhs, row.rhs)):
         for term in part:
@@ -1278,7 +1252,7 @@ def _instances(row: _Relation, check: _Check):
             terms.append((side, term, level, where, [g for g, w in enumerate(where) if w < 0]))
     zero = Rat(0) if row.plane == "P" else 0.0
     samples = []  # per sample point: its _At, its per-point parts, one value table per term
-    for m, n in degree_pairs(N + row.degrees):
+    for m, n in simplex_points(N + row.degrees, 2):
         top = _sweep_degree(row, m, n, N) if row.swept else 0
         for t in range(len(samples), top + 1):
             at = check.at(t)

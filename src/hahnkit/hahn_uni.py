@@ -3,15 +3,13 @@
 Evaluation, hypergeometric-distribution weight, norm, and mechanical checks
 of orthogonality and the two generating functions, all in exact arithmetic.
 
-Values and normalizations are integer-cleared.  The parameters are cleared
-to one common denominator q; a value is one integer sum over n! q^(2n)
-(eval_total, hahn_table), and the weight and the norm are each one rational
-of integer rising products (numeric.rising).  The orthogonality check sums
-integer Gram numerators and compares them with the norms by cross
-multiplication, after showing its scale nonzero; it makes a rational only to
-report a failure.  The two generating-function checks work the same way:
-their polynomial sides are int tuples over one denominator each
-(numeric's univariate helpers keep ints as ints), compared crosswise.
+Values, weight and Gram sums are the d = 1 case of the simplex layer
+(hahnkit.simplex): eval_total for one value, the d = 1 ChainTable's rows for
+a whole grid, simplex_weight and gram_entries.  The norm is one rational of
+integer rising products (numeric.rising).  Every check compares integers
+crosswise, after showing its scale nonzero, and makes a rational only to
+report a failure; the generating-function sides are int tuples over one
+denominator each (numeric's univariate helpers keep ints as ints).
 """
 from __future__ import annotations
 
@@ -29,6 +27,7 @@ from .numeric import (
     rising,
 )
 from .reports import CheckResult, VerificationReport, _guarded
+from .simplex import ChainTable, cleared, eval_total, gram_entries, simplex_weight
 
 
 @dataclass(frozen=True)
@@ -53,115 +52,24 @@ class UniParams:
         }
 
 
-def _cleared(*values):
-    """A common denominator q of rational values, and the integers q*v."""
-    q = math.lcm(*(int(v.denominator) for v in values))
-    return q, [int(v.numerator) * (q // int(v.denominator)) for v in values]
-
-
-def _coefficients(n: int, q: int, A, B, K) -> list:
-    """The point-independent part c_0..c_n of the cleared Hahn sum.
-
-    With A = q*alpha, B = q*beta and K = q*M, every factor of the sum below
-    is linear in j, so q clears all of them at once:
-
-        c_j = prod_{i<j} (i-n) (q(n+1+i) + A + B)
-              * prod_{j<=i<n} (i+1) (A + q(i+1)) (q*i - K)
-
-    The first product is a prefix, (-n)_j (n+a+b+1)_j; the second a suffix,
-    (n!/j!) (a+j+1)_{n-j} (-M+j)_{n-j}.  Each term carries q^(2n) in all.
-    """
-    suffix = [1] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] * ((i + 1) * (A + q * (i + 1)) * (q * i - K))
-    coeffs = []
-    prefix = 1
-    for j in range(n + 1):
-        coeffs.append(prefix * suffix[j])
-        prefix = prefix * ((j - n) * (q * (n + 1 + j) + A + B))
-    return coeffs
-
-
-def _point_sum(coeffs: list, q: int, X):
-    """sum_j c_j prod_{i<j} (q*i - X), the point part being (-x)_j cleared by q^j."""
-    total = 0
-    point = 1
-    for j, c in enumerate(coeffs):
-        total = total + c * point
-        point = point * (q * j - X)
-        if point == 0:  # x is a grid point below j: every later term vanishes
-            break
-    return total
-
-
-def _denominator(n: int, q: int) -> int:
-    return math.factorial(n) * q ** (2 * n)
-
-
-def eval_total(n: int, x, alpha, beta, M):
-    """Hahn value as a division-free sum; total in x, both parameters, and M.
-
-    sum_j (-n)_j (n+a+b+1)_j (-x)_j (a+j+1)_{n-j} (-M+j)_{n-j} / j!
-
-    Equivalent to the prefactored 3F2 form wherever that one is defined (the
-    parameter Pochhammers in the denominator are absorbed via the splits
-    (a+1)_n = (a+1)_j (a+j+1)_{n-j} and (-M)_n = (-M)_j (-M+j)_{n-j}), but
-    stays meaningful for n > M and for level shifts below zero, which the
-    bivariate chain needs.
-
-    Rational arguments are cleared to a common denominator q, the sum of
-    n!/j! times each term runs over Python ints with prefix and suffix
-    products (O(n) multiplications), and the one division is by n! q^(2n).
-    """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    q, (X, A, B, K) = _cleared(x, alpha, beta, M)
-    total = _point_sum(_coefficients(n, q, A, B, K), q, X)
-    return Rat(total, _denominator(n, q))
-
-
 def hahn_eval(n: int, x, p: UniParams):
     """h_n(x) for 0 <= n <= N; x may sit off the grid (polynomial extension).
 
     One call of the kernel: nothing is cached, so a sweep over the grid
-    should read hahn_table instead.
+    should read the rows of the d = 1 ChainTable instead.
     """
     if not 0 <= n <= p.N:
         raise ValueError(f"degree {n} outside 0..{p.N}")
     return eval_total(n, Rat(x), p.alpha, p.beta, p.N)
 
 
-def hahn_table(p: UniParams) -> tuple:
-    """Every grid value, as one (numerators, denominator) pair per degree.
-
-    Row n holds the integers t_0..t_N with h_n(x) = t_x / d_n; the
-    coefficients of the sum are built once per degree and shared by all
-    N+1 points.
-    """
-    q, (A, B, K) = _cleared(p.alpha, p.beta, p.N)
-    rows = []
-    for n in range(p.N + 1):
-        coeffs = _coefficients(n, q, A, B, K)
-        nums = tuple(_point_sum(coeffs, q, q * x) for x in range(p.N + 1))
-        rows.append((nums, _denominator(n, q)))
-    return tuple(rows)
-
-
 def hahn_weight(x: int, p: UniParams):
-    """The hypergeometric-distribution weight C(N, x) (a+1)_x (b+1)_{N-x} / (a+b+2)_N.
-
-    With a = A/q and b = B/q, each rising factorial is a cleared integer
-    product over q^(its length); the q^N above and below cancel, so the
-    weight is one rational of two integer products.
-    """
+    """The hypergeometric-distribution weight C(N, x) (a+1)_x (b+1)_{N-x} / (a+b+2)_N:
+    simplex_weight at d = 1."""
     if not 0 <= x <= p.N:
         raise ValueError(f"grid point {x} outside 0..{p.N}")
-    N = p.N
-    q, (A, B) = _cleared(p.alpha, p.beta)
-    return Rat(
-        math.comb(N, x) * rising(A + q, x, q) * rising(B + q, N - x, q),
-        rising(A + B + 2 * q, N, q),
-    )
+    nums, den = simplex_weight((p.alpha, p.beta), p.N)
+    return Rat(nums[x], den)
 
 
 def hahn_norm(n: int, p: UniParams):
@@ -180,7 +88,7 @@ def hahn_norm(n: int, p: UniParams):
     if n == 0:
         return Rat(1)
     N = p.N
-    q, (A, B) = _cleared(p.alpha, p.beta)
+    q, (A, B) = cleared(p.alpha, p.beta)
     return Rat(
         math.perm(N, n)
         * math.factorial(n)
@@ -192,34 +100,24 @@ def hahn_norm(n: int, p: UniParams):
 
 
 def _check_orthogonality(p: UniParams) -> CheckResult:
-    """Gram sums on integer numerators over one common weight denominator.
-
-    With w_x = omega_x / W and h_n(x) = t_{n,x} / d_n, the pair (n, m) sums
-    acc = sum_x omega_x t_{n,x} t_{m,x} over ints.  Once the scale
-    W d_n d_m is shown nonzero, an off-diagonal pair passes when acc is 0
-    and a diagonal one when acc den(norm) = num(norm) W d_n d_m; rationals
-    are made only to report a failure.
-    """
-    N = p.N
-    W, omega = _cleared(*(hahn_weight(x, p) for x in range(N + 1)))
-    table = hahn_table(p)
-    for n in range(N + 1):
-        nums_n, den_n = table[n]
-        weighted = [o * t for o, t in zip(omega, nums_n)]
-        for m in range(n + 1):
-            nums_m, den_m = table[m]
-            scale = nonzero(W * den_n * den_m, "the Gram scale W d_n d_m")
-            acc = sum(v * t for v, t in zip(weighted, nums_m))
-            want = hahn_norm(n, p) if n == m else _ZERO
-            if acc * int(want.denominator) != int(want.numerator) * scale:
-                got = Rat(acc, scale)
-                return CheckResult.failure(
-                    "orthogonality",
-                    residual=f"{abs(float(got - want)):.17g}",
-                    indices=[n, m],
-                    lhs=format_rational(got),
-                    rhs=format_rational(want),
-                )
+    """The integer Gram sums (gram_entries) of the d = 1 chain table under
+    the cleared weight: an off-diagonal pair (n, m) passes when its sum is
+    0, a diagonal one when acc den(norm) = num(norm) W d_n d_m; rationals
+    are made only to report a failure."""
+    table = ChainTable((p.alpha, p.beta))
+    degs = table.points(p.N)
+    rows, dens = [table.row(n, p.N) for n in degs], [table.den(n) for n in degs]
+    for n, m, acc, scale in gram_entries(simplex_weight((p.alpha, p.beta), p.N), rows, dens):
+        want = hahn_norm(n, p) if n == m else _ZERO
+        if acc * int(want.denominator) != int(want.numerator) * scale:
+            got = Rat(acc, scale)
+            return CheckResult.failure(
+                "orthogonality",
+                residual=f"{abs(float(got - want)):.17g}",
+                indices=[n, m],
+                lhs=format_rational(got),
+                rhs=format_rational(want),
+            )
     return CheckResult.exact_pass("orthogonality")
 
 
@@ -234,13 +132,14 @@ def _check_genfun(p: UniParams) -> CheckResult:
     failure.
     """
     N = p.N
-    q, (A, B) = _cleared(p.alpha, p.beta)
+    q, (A, B) = cleared(p.alpha, p.beta)
     r = [rising(A + q, j, q) for j in range(N + 1)]
     s = [rising(B + q, j, q) for j in range(N + 1)]
-    table = hahn_table(p)
+    table = ChainTable((p.alpha, p.beta))
+    rows = [table.row((n,), N) for n in range(N + 1)]
     scales = [
-        nonzero(den * r[n] * s[n] * math.factorial(n), "the scale d_n r_n s_n n!")
-        for n, (_, den) in enumerate(table)
+        nonzero(table.den((n,)) * r[n] * s[n] * math.factorial(n), "the scale d_n r_n s_n n!")
+        for n in range(N + 1)
     ]
     for x in range(N + 1):
         left_one = tuple(math.comb(x, j) * q**j * (r[x] // r[j]) for j in range(x + 1))
@@ -248,7 +147,7 @@ def _check_genfun(p: UniParams) -> CheckResult:
             (-1) ** j * math.comb(N - x, j) * q**j * (s[N - x] // s[j]) for j in range(N - x + 1)
         )
         lhs, lhs_den = _poly_mul(left_one, left_two), r[x] * s[N - x]
-        for n, (nums, _) in enumerate(table):
+        for n, nums in enumerate(rows):
             left = lhs[n] if n < len(lhs) else 0
             right = nums[x] * q ** (2 * n)
             if left * scales[n] != right * lhs_den:
@@ -278,9 +177,10 @@ def _check_dual_genfun(p: UniParams) -> CheckResult:
         plus.append(_poly_mul(plus[-1], (1, 1)))
         minus.append(_poly_mul(minus[-1], (1, -1)))
     bases = [_poly_mul(minus[i], plus[N - i]) for i in range(N + 1)]
-    for n, (nums, den) in enumerate(hahn_table(p)):
-        nonzero(den, "the table denominator d_n")
-        jac_den, coeffs = _cleared(*jacobi_coeffs(n, p.alpha, p.beta))
+    table = ChainTable((p.alpha, p.beta))
+    for n in range(N + 1):
+        nums, den = table.row((n,), N), nonzero(table.den((n,)), "the table denominator d_n")
+        jac_den, coeffs = cleared(*jacobi_coeffs(n, p.alpha, p.beta))
         lhs = (0,)
         for c, base in zip(coeffs, bases):
             if c != 0:

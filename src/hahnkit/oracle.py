@@ -18,10 +18,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .hahn_bi import BiParams, degree_pairs, grid_points, overlap2, p2_eval
+from .hahn_bi import BiParams, overlap2, p2_eval
 from .hahn_uni import UniParams, hahn_eval, hahn_norm, hahn_weight
 from .numeric import Rat, RationalMatrix, format_rational
 from .reports import CheckResult, VerificationReport
+from .simplex import simplex_points
 
 FLOAT_TOL = 1e-10
 
@@ -35,7 +36,7 @@ OPERATOR_LABELS = ("L1", "L2")
 
 @dataclass(frozen=True)
 class GridOperator:
-    """One difference operator as an exact matrix in the grid_points order."""
+    """One difference operator as an exact matrix in the simplex_points(N, 2) order."""
 
     label: str
     params: BiParams
@@ -68,7 +69,7 @@ def _shift_coeffs(label: str, i, k, a1, a2, a3, N):
 def build_operator(label: str, p: BiParams) -> GridOperator:
     if label not in OPERATOR_LABELS:
         raise ValueError(f"unknown operator label {label!r}")
-    points = tuple(grid_points(p.N))
+    points = tuple(simplex_points(p.N, 2))
     index = {g: t for t, g in enumerate(points)}
     rows = []
     for i, k in points:
@@ -214,13 +215,13 @@ def joint_eigenvectors(p: BiParams) -> dict:
     one-dimensional; for valid parameters none can happen (the L1
     eigenvalues are strictly separated in m).
     """
-    points = tuple(grid_points(p.N))
+    points = tuple(simplex_points(p.N, 2))
     levels = (
         ChainLevel("L1", build_operator("L1", p).matrix, lambda d: eigenvalue("L1", d, p),
                    lambda t: sum(points[t])),
         ChainLevel("L2", build_operator("L2", p).matrix, lambda d: eigenvalue("L2", d, p)),
     )
-    return nested_eigenvectors(levels, degree_pairs(p.N))
+    return nested_eigenvectors(levels, simplex_points(p.N, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +249,9 @@ class ChainMatrix:
         return len(self.rows)
 
 
-def _uni_column(n: int, x: int, u: UniParams) -> float:
-    return float(hahn_eval(n, x, u)) * math.sqrt(float(hahn_weight(x, u) / hahn_norm(n, u)))
+def _uni_column(n: int, x: int, u: UniParams, w) -> float:
+    """The orthonormal value at x of degree n, w being hahn_weight(x, u)."""
+    return float(hahn_eval(n, x, u)) * math.sqrt(float(w / hahn_norm(n, u)))
 
 
 def chain_matrices(p: BiParams) -> tuple[ChainMatrix, ChainMatrix]:
@@ -259,22 +261,24 @@ def chain_matrices(p: BiParams) -> tuple[ChainMatrix, ChainMatrix]:
     product is the full overlap matrix.  Both are orthogonal because each
     block is a univariate orthonormal system.
     """
-    grid = tuple(grid_points(p.N))
+    grid = tuple(simplex_points(p.N, 2))
     cyl = tuple(cylindrical_pairs(p.N))
-    degs = tuple(degree_pairs(p.N))
+    degs = tuple(simplex_points(p.N, 2))
 
     first = []
     for i, k in grid:
         u = UniParams(p.alpha1, p.alpha2, i + k)
+        w = hahn_weight(i, u)
         first.append(
-            tuple(_uni_column(pp, i, u) if q == i + k else 0.0 for pp, q in cyl)
+            tuple(_uni_column(pp, i, u, w) if q == i + k else 0.0 for pp, q in cyl)
         )
 
     second = []
     for pp, q in cyl:
         u = UniParams(2 * pp + p.a12 + 1, p.alpha3, p.N - pp)
+        w = hahn_weight(q - pp, u)
         second.append(
-            tuple(_uni_column(n, q - pp, u) if m == pp else 0.0 for m, n in degs)
+            tuple(_uni_column(n, q - pp, u, w) if m == pp else 0.0 for m, n in degs)
         )
 
     return (
@@ -367,7 +371,7 @@ def _check_commutation(p: BiParams) -> CheckResult:
 
 
 def _normalized_p_vector(d, p: BiParams) -> tuple:
-    vals = [p2_eval(d, g, p) for g in grid_points(p.N)]
+    vals = [p2_eval(d, g, p) for g in simplex_points(p.N, 2)]
     lead = next(v for v in vals if v != 0)
     return tuple(v / lead for v in vals)
 
@@ -478,7 +482,7 @@ def su11_spectrum_check(p: BiParams) -> VerificationReport:
     nu3 = (p.alpha3 + 1) / 2
     first = CheckResult.exact_pass("casimir-first")
     second = CheckResult.exact_pass("casimir-second")
-    for m, n in degree_pairs(p.N):
+    for m, n in simplex_points(p.N, 2):
         nu12 = m + nu1 + nu2
         lhs = nu12 * (nu12 - 1) - p.a12 * (p.a12 + 2) / 4
         rhs = -eigenvalue("L1", (m, n), p)

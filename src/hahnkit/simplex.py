@@ -1,0 +1,211 @@
+"""The simplex table layer, one copy for every d, on Python ints.
+
+The d-variable Hahn polynomials are a chain of univariate Hahn factors,
+orthogonal under one multivariate hypergeometric weight on the simplex
+i_1 + ... + i_d <= N; d = 1 and d = 2 are its first cases.  Here are the
+univariate kernel (eval_total and its parts), the one point ordering
+(simplex_points), the chain table (ChainTable), the weight (simplex_weight)
+and the Gram sums (gram_entries); hahn_uni, hahn_bi and hahn_multi read
+them and decide every comparison on the integers crosswise.
+"""
+from __future__ import annotations
+
+import math
+from itertools import accumulate
+from operator import mul
+
+from .numeric import Rat, nonzero, rising
+
+
+def cleared(*values):
+    """A common denominator q of rational values, and the integers q*v."""
+    q = math.lcm(*(int(v.denominator) for v in values))
+    return q, [int(v.numerator) * (q // int(v.denominator)) for v in values]
+
+
+def hahn_coefficients(n: int, q: int, A, B, K) -> list:
+    """The point-independent part c_0..c_n of the cleared Hahn sum.
+
+    With A = q*alpha, B = q*beta and K = q*M, every factor of the sum below
+    is linear in j, so q clears all of them at once:
+
+        c_j = prod_{i<j} (i-n) (q(n+1+i) + A + B)
+              * prod_{j<=i<n} (i+1) (A + q(i+1)) (q*i - K)
+
+    The first product is a prefix, (-n)_j (n+a+b+1)_j; the second a suffix,
+    (n!/j!) (a+j+1)_{n-j} (-M+j)_{n-j}.  Each term carries q^(2n) in all.
+    """
+    suffix = [1] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix[i] = suffix[i + 1] * ((i + 1) * (A + q * (i + 1)) * (q * i - K))
+    coeffs = []
+    prefix = 1
+    for j in range(n + 1):
+        coeffs.append(prefix * suffix[j])
+        prefix = prefix * ((j - n) * (q * (n + 1 + j) + A + B))
+    return coeffs
+
+
+def point_sum(coeffs: list, q: int, X):
+    """sum_j c_j prod_{i<j} (q*i - X), the point part being (-x)_j cleared by q^j."""
+    total = 0
+    point = 1
+    for j, c in enumerate(coeffs):
+        total = total + c * point
+        point = point * (q * j - X)
+        if point == 0:  # x is a grid point below j: every later term vanishes
+            break
+    return total
+
+
+def denominator(n: int, q: int) -> int:
+    return math.factorial(n) * q ** (2 * n)
+
+
+def eval_total(n: int, x, alpha, beta, M):
+    """Hahn value as a division-free sum; total in x, both parameters, and M.
+
+    sum_j (-n)_j (n+a+b+1)_j (-x)_j (a+j+1)_{n-j} (-M+j)_{n-j} / j!
+
+    Equivalent to the prefactored 3F2 form wherever that one is defined (the
+    parameter Pochhammers in the denominator are absorbed via the splits
+    (a+1)_n = (a+1)_j (a+j+1)_{n-j} and (-M)_n = (-M)_j (-M+j)_{n-j}), but
+    stays meaningful for n > M and for level shifts below zero, which the
+    bivariate chain needs.
+
+    Rational arguments are cleared to a common denominator q, the sum of
+    n!/j! times each term runs over Python ints with prefix and suffix
+    products (O(n) multiplications), and the one division is by n! q^(2n).
+    """
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
+    q, (X, A, B, K) = cleared(x, alpha, beta, M)
+    total = point_sum(hahn_coefficients(n, q, A, B, K), q, X)
+    return Rat(total, denominator(n, q))
+
+
+def simplex_points(N: int, d: int):
+    """Tuples of d nonnegative integers summing to at most N.
+
+    Last coordinate major: at d = 2 the points (i, k) run k major, i minor.
+    Serves for grid points and degree tuples alike; the implicit final
+    component N - sum is never stored.
+    """
+    if d < 1:
+        raise ValueError("dimension must be positive")
+    if d == 1:
+        for i in range(N + 1):
+            yield (i,)
+        return
+    for last in range(N + 1):
+        for head in simplex_points(N - last, d - 1):
+            yield head + (last,)
+
+
+class ChainTable:
+    """Chain values at one parameter tuple, as integers, filled as they are read.
+
+    Factor k (from 1) is h_{n_k}(|i_<=k| - |n_<k|) with parameters
+    (2|n_<k| + alpha_1 + ... + alpha_k + k - 1, alpha_{k+1}) and level
+    |i_<=k+1| - |n_<k|, where |i_<=d+1| is the level the value is read at;
+    arguments and levels can leave the classical range.  The tuple is
+    cleared to one denominator Q, and factor k built with the univariate
+    kernel: a coefficient list once per (k, n_k, |n_<k|, level_k), one
+    integer per point of that list and |i_<=k|, shared by every degree tuple
+    with the same prefix.  A whole row builds its last factor once per
+    |i| instead, in a list of its own.  num(degs, pts, level) / den(degs) is
+    the value; at d = 1 row n is the univariate grid of h_n.
+    """
+
+    def __init__(self, alphas):
+        self.d = len(alphas) - 1
+        self.Q, cleared_alphas = cleared(*alphas)
+        self._partial = list(accumulate(cleared_alphas, initial=0))
+        self._beta = cleared_alphas[1:]
+        self._coeffs, self._factors, self._points, self._rows = {}, {}, {}, {}
+
+    def points(self, level: int) -> tuple:
+        if level not in self._points:
+            self._points[level] = tuple(simplex_points(level, self.d))
+        return self._points[level]
+
+    def den(self, degs) -> int:
+        return math.prod(denominator(n, self.Q) for n in degs)
+
+    def _coefficients(self, k: int, n: int, nsum: int, top: int) -> list:
+        key = (k, n, nsum, top)
+        coeffs = self._coeffs.get(key)
+        if coeffs is None:
+            Q = self.Q
+            alpha = Q * (2 * nsum + k) + self._partial[k + 1]
+            coeffs = self._coeffs[key] = hahn_coefficients(n, Q, alpha, self._beta[k], Q * (top - nsum))
+        return coeffs
+
+    def num(self, degs, pts, level: int, upto: int | None = None) -> int:
+        """The chain numerator at one point: the product of its first upto
+        factors (all d when None), each made once per table."""
+        Q, memo, last = self.Q, self._factors, self.d - 1
+        out, isum, nsum = 1, 0, 0
+        for k, n in enumerate(degs[:upto]):
+            isum += pts[k]
+            top = level if k == last else isum + pts[k + 1]
+            key = (k, n, nsum, top, isum)
+            value = memo.get(key)
+            if value is None:
+                value = memo[key] = point_sum(self._coefficients(k, n, nsum, top), Q, Q * (isum - nsum))
+            out *= value
+            nsum += n
+        return out
+
+    def row(self, degs, level: int) -> tuple:
+        """The numerators of degree tuple degs over simplex_points(level, d)."""
+        key = (degs, level)
+        if key not in self._rows:
+            Q, last = self.Q, self.d - 1
+            nsum = sum(degs[:last])
+            coeffs = self._coefficients(last, degs[last], nsum, level)
+            tail = [point_sum(coeffs, Q, Q * (isum - nsum)) for isum in range(level + 1)]
+            if last:
+                tail = [self.num(degs, pts, level, last) * tail[sum(pts)] for pts in self.points(level)]
+            self._rows[key] = tuple(tail)
+        return self._rows[key]
+
+
+def simplex_weight(alphas, N: int) -> tuple:
+    """The multivariate hypergeometric weight on the level-N simplex, as
+    (numerators over simplex_points(N, d), one denominator).
+
+    With i_{d+1} = N - |i|, w_i = N!/(i_1! ... i_{d+1}!) prod_k
+    (alpha_k + 1)_{i_k} / (alpha_1 + ... + alpha_{d+1} + d + 1)_N.  Cleared
+    to A_k = Q alpha_k, each rising factorial is rising(., ., Q) over Q^(its
+    length), and the Q^N above and below cancel.
+    """
+    d = len(alphas) - 1
+    Q, A = cleared(*alphas)
+    rises = [list(accumulate((a + Q * j for j in range(1, N + 1)), mul, initial=1)) for a in A]
+    fact = [math.factorial(j) for j in range(N + 1)]
+    nums = []
+    for pts in simplex_points(N, d):
+        full = pts + (N - sum(pts),)
+        multinomial = fact[N] // math.prod(fact[i] for i in full)
+        nums.append(multinomial * math.prod(rise[i] for rise, i in zip(rises, full)))
+    return tuple(nums), rising(sum(A) + (d + 1) * Q, N, Q)
+
+
+def gram_entries(weight, rows, dens):
+    """Integer Gram sums of values rows[a][g] / dens[a] under a weight
+    (omega, W) of simplex_weight's form, w_g = omega_g / W.
+
+    Entry (a, b) is acc / scale, with acc = sum_g omega_g rows[a][g]
+    rows[b][g] summed over ints and scale = W dens[a] dens[b].  Yields
+    (a, b, acc, scale) for every diagonal and every nonzero off-diagonal
+    entry with b <= a, a major and b minor.  Each yielded scale is shown
+    nonzero; a zero scale of an entry not yielded shows at a diagonal too.
+    """
+    omega, W = weight
+    for a, row in enumerate(rows):
+        weighted = list(map(mul, omega, row))
+        for b in range(a + 1):
+            acc = sum(map(mul, weighted, rows[b]))
+            if a == b or acc:
+                yield a, b, acc, nonzero(W * dens[a] * dens[b], "the Gram scale W d_n d_m")

@@ -16,8 +16,6 @@ from hahnkit.hahn_bi import (
     BI_CHECK_NAMES,
     BiParams,
     bigLambda,
-    degree_pairs,
-    grid_points,
     overlap2,
     p2_eval,
     verify_bi,
@@ -27,6 +25,7 @@ from hahnkit.hahn_multi import MultiParams, mv_lambda, mv_p_eval, mv_weight, ver
 from hahnkit.hahn_uni import UniParams, hahn_eval, hahn_norm, hahn_weight, verify_uni
 from hahnkit.numeric import Rat, RationalMatrix, pochhammer
 from hahnkit.oracle import chain_matrices, su11_build, su11_spectrum_check, verify_oracle
+from hahnkit.simplex import simplex_points
 from test_golden import assert_battery_matches
 
 LATTICE = [Rat(-1, 2), Rat(0), Rat(1, 2), Rat(3), Rat(7, 3)]
@@ -181,10 +180,10 @@ class TestAcceptance:
         for N in range(5):
             p3 = MultiParams((Rat(1, 2), Rat(-1, 2), Rat(3)), N)
             p2 = BiParams(Rat(1, 2), Rat(-1, 2), Rat(3), N)
-            for d in degree_pairs(N):
+            for d in simplex_points(N, 2):
                 pre = pochhammer(Rat(-N), d[0] + d[1])
                 assert mv_lambda(d, p3) == bigLambda(d, p2)
-                for g in grid_points(N):
+                for g in simplex_points(N, 2):
                     assert mv_weight(g, p3) == weight2(g, p2)
                     assert mv_p_eval(d, g, p3) == p2_eval(d, g, p2) * pre
         finish(8, "multivariate gram diagonality", started)

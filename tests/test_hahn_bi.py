@@ -15,8 +15,6 @@ from hahnkit.hahn_bi import (
     BiParams,
     amplitude,
     bigLambda,
-    degree_pairs,
-    grid_points,
     h2_eval,
     lambda2,
     overlap2,
@@ -25,7 +23,6 @@ from hahnkit.hahn_bi import (
     verify_bi,
     weight2,
 )
-from hahnkit.hahn_uni import eval_total
 from hahnkit.numeric import (
     Rat,
     Rational,
@@ -35,6 +32,7 @@ from hahnkit.numeric import (
     multinomial,
     pochhammer,
 )
+from hahnkit.simplex import eval_total, simplex_points
 
 PARAM_TRIPLES = [
     (Rat(0), Rat(0), Rat(0)),
@@ -169,18 +167,17 @@ class TestBiParams:
 
 class TestOrderings:
     def test_grid_colex(self):
-        assert list(grid_points(2)) == [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (0, 2)]
+        assert list(simplex_points(2, 2)) == [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (0, 2)]
 
     def test_degrees_mirror_grid(self):
-        assert list(degree_pairs(3)) == [
+        assert list(simplex_points(3, 2)) == [
             (m, n) for (m, n) in ((0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (1, 1), (2, 1), (0, 2), (1, 2), (0, 3))
         ]
 
     @pytest.mark.parametrize("N", [0, 1, 5, 9])
     def test_counts(self, N):
         want = (N + 1) * (N + 2) // 2
-        assert len(list(grid_points(N))) == want
-        assert len(list(degree_pairs(N))) == want
+        assert len(list(simplex_points(N, 2))) == want
 
     def test_off_simplex_rejected(self):
         p = BiParams(0, 0, 0, 2)
@@ -195,7 +192,7 @@ class TestOrderings:
 class TestWeight:
     def test_uniform_at_unit_zero_params(self):
         p = BiParams(0, 0, 0, 1)
-        assert [weight2(g, p) for g in grid_points(1)] == [Rat(1, 3)] * 3
+        assert [weight2(g, p) for g in simplex_points(1, 2)] == [Rat(1, 3)] * 3
 
     def test_point_mass_at_level_zero(self):
         assert weight2((0, 0), BiParams(2, 3, Rat(1, 2), 0)) == 1
@@ -204,17 +201,17 @@ class TestWeight:
     @pytest.mark.parametrize("N", [1, 4])
     def test_sums_to_one(self, triple, N):
         p = BiParams(*triple, N)
-        assert sum(weight2(g, p) for g in grid_points(N)) == 1
+        assert sum(weight2(g, p) for g in simplex_points(N, 2)) == 1
 
     @pytest.mark.parametrize("triple", PARAM_TRIPLES)
     def test_matches_binomial_route(self, triple):
         p = BiParams(*triple, 5)
-        for g in grid_points(5):
+        for g in simplex_points(5, 2):
             assert weight2(g, p) == weight_via_binomials(g, p)
 
     def test_amplitude_squares_exactly(self):
         p = BiParams(Rat(1, 2), Rat(7, 3), 1, 4)
-        for g in grid_points(4):
+        for g in simplex_points(4, 2):
             a = amplitude(g, p)
             assert a.squared() == weight2(g, p)
             assert float(a) > 0
@@ -223,25 +220,25 @@ class TestWeight:
 class TestEvaluation:
     def test_constant_member(self):
         p = BiParams(Rat(1, 2), 3, Rat(7, 3), 3)
-        assert all(p2_eval((0, 0), g, p) == 1 for g in grid_points(3))
+        assert all(p2_eval((0, 0), g, p) == 1 for g in simplex_points(3, 2))
 
     def test_frozen_first_degree_values(self):
         p = BiParams(0, 0, 0, 1)
-        assert [p2_eval((1, 0), g, p) for g in grid_points(1)] == [0, -1, 1]
-        assert [p2_eval((0, 1), g, p) for g in grid_points(1)] == [2, -1, -1]
+        assert [p2_eval((1, 0), g, p) for g in simplex_points(1, 2)] == [0, -1, 1]
+        assert [p2_eval((0, 1), g, p) for g in simplex_points(1, 2)] == [2, -1, -1]
 
     def test_factorial_normalization_is_plain_rescale(self):
         p = BiParams(Rat(1, 2), 0, 2, 4)
-        for d in degree_pairs(4):
+        for d in simplex_points(4, 2):
             scale = factorial(d[0]) * factorial(d[1])
-            for g in grid_points(4):
+            for g in simplex_points(4, 2):
                 assert h2_eval(d, g, p) * scale == p2_eval(d, g, p)
 
     def test_swap_symmetry(self):
         p = BiParams(Rat(1, 2), Rat(7, 3), 1, 4)
         q = BiParams(Rat(7, 3), Rat(1, 2), 1, 4)
-        for m, n in degree_pairs(4):
-            for i, k in grid_points(4):
+        for m, n in simplex_points(4, 2):
+            for i, k in simplex_points(4, 2):
                 assert p2_eval((m, n), (i, k), p) == Rat(-1) ** m * p2_eval((m, n), (k, i), q)
 
     @pytest.mark.parametrize("d", [(1, 0), (0, 1), (1, 1), (2, 1), (0, 3)])
@@ -249,7 +246,7 @@ class TestEvaluation:
         # mixed forward differences: order m+n+1 all vanish, order m+n not all
         p = BiParams(Rat(1, 2), Rat(-1, 2), Rat(7, 3), 6)
         m, n = d
-        vals = {g: p2_eval(d, g, p) for g in grid_points(6)}
+        vals = {g: p2_eval(d, g, p) for g in simplex_points(6, 2)}
 
         def diff(a, b):
             total = Rat(0)
@@ -295,7 +292,7 @@ class TestIntegerTable:
         table = bi_mod._Values(a1, a2, a3)
         row, den = table.row(m, n, level), table.den(m, n, level)
         assert len(row) == (level + 1) * (level + 2) // 2
-        for g, (i, k) in enumerate(grid_points(level)):
+        for g, (i, k) in enumerate(simplex_points(level, 2)):
             want = p_reference((m, n), (i, k), a1, a2, a3, level)
             assert Rat(row[g], den) == want, ((m, n), (i, k))
             assert table.p(m, n, i, k, level) == want
@@ -305,9 +302,9 @@ class TestIntegerTable:
     def test_float_rows_are_the_rounded_chain_over_the_root(self, triple):
         p = BiParams(*triple, 4)
         table = bi_mod._Values(*triple)
-        for d in degree_pairs(4):
+        for d in simplex_points(4, 2):
             root = math.sqrt(float(bigLambda(d, p)))
-            want = tuple(float(p_reference(d, g, *triple, 4) * pochhammer(-4, sum(d))) / root for g in grid_points(4))
+            want = tuple(float(p_reference(d, g, *triple, 4) * pochhammer(-4, sum(d))) / root for g in simplex_points(4, 2))
             assert table.qrow(*d, 4) == want
 
 
@@ -320,30 +317,30 @@ class TestNorms:
 
     def test_matches_verbatim_route_at_generic_params(self):
         p = BiParams(Rat(1, 2), Rat(7, 3), 1, 5)
-        for d in degree_pairs(5):
+        for d in simplex_points(5, 2):
             assert lambda2(d, p) == norm_verbatim(d, p)
 
     def test_survives_vanishing_pochhammer_base(self):
         # alpha1 + alpha2 + 1 = 0 breaks the raw ratio form
         p = BiParams(Rat(-1, 2), Rat(-1, 2), 2, 4)
-        for d in degree_pairs(4):
+        for d in simplex_points(4, 2):
             assert lambda2(d, p) > 0
 
     @pytest.mark.parametrize("triple", PARAM_TRIPLES)
     @pytest.mark.parametrize("N", [0, 1, 3, 5])
     def test_chain_norm_ratio(self, triple, N):
         p = BiParams(*triple, N)
-        for m, n in degree_pairs(N):
+        for m, n in simplex_points(N, 2):
             assert bigLambda((m, n), p) == lambda2((m, n), p) * pochhammer(-N, m + n) ** 2
 
     def test_direct_orthogonality_small(self):
         p = BiParams(Rat(1, 2), Rat(-1, 2), 3, 3)
-        degs = list(degree_pairs(3))
+        degs = list(simplex_points(3, 2))
         for a, d in enumerate(degs):
             for d2 in degs[a:]:
                 acc = sum(
                     weight2(g, p) * p2_eval(d, g, p) * p2_eval(d2, g, p)
-                    for g in grid_points(3)
+                    for g in simplex_points(3, 2)
                 )
                 assert acc == (lambda2(d, p) if d == d2 else 0)
 
@@ -359,7 +356,7 @@ class TestClearedNormalizations:
     @settings(max_examples=60, deadline=None)
     def test_match_retired_products(self, triple, N):
         p = BiParams(*(Rat(f.numerator, f.denominator) for f in triple), N)
-        for g in grid_points(N):
+        for g in simplex_points(N, 2):
             values = weight2(g, p), lambda2(g, p), bigLambda(g, p)
             assert all(isinstance(v, Rational) for v in values)
             assert values == (weight2_retired(g, p), lambda2_retired(g, p), bigLambda_retired(g, p))
@@ -369,7 +366,7 @@ class TestClearedNormalizations:
         for swept in sweep_line(triple, 8):
             for N in (0, 3, 6):
                 p = BiParams(*swept, N)
-                for g in grid_points(N):
+                for g in simplex_points(N, 2):
                     assert weight2(g, p) == weight2_retired(g, p)
                     assert lambda2(g, p) == lambda2_retired(g, p)
                     assert bigLambda(g, p) == bigLambda_retired(g, p)
@@ -383,7 +380,7 @@ class TestClearedNormalizations:
         # alpha1 + alpha2 + 1 = 0, where the textbook ratio (s+1)_{2m} / (s+1)_m
         # is 0/0; the collapsed (m+s+1)_m divides by nothing
         p = BiParams(Rat(-1, 2), Rat(-1, 2), Rat(-2, 3), 5)
-        for d in degree_pairs(5):
+        for d in simplex_points(5, 2):
             assert lambda2(d, p) == lambda2_retired(d, p) > 0
             assert bigLambda(d, p) == bigLambda_retired(d, p) > 0
 
@@ -391,7 +388,7 @@ class TestClearedNormalizations:
 class TestOrthonormal:
     def test_ground_state_is_one(self):
         p = BiParams(Rat(1, 2), 3, Rat(7, 3), 4)
-        for g in grid_points(4):
+        for g in simplex_points(4, 2):
             assert float(q2_eval((0, 0), g, p)) == 1.0
 
     def test_frozen_sign_anchor(self):
@@ -401,10 +398,10 @@ class TestOrthonormal:
 
     def test_square_recovers_chain_product(self):
         p = BiParams(Rat(1, 2), Rat(-1, 2), 1, 4)
-        for d in degree_pairs(4):
+        for d in simplex_points(4, 2):
             lam = bigLambda(d, p)
             pref = pochhammer(-4, d[0] + d[1])
-            for g in grid_points(4):
+            for g in simplex_points(4, 2):
                 hh = p2_eval(d, g, p) * pref
                 sq = q2_eval(d, g, p).signed_square()
                 assert abs(sq) * lam == hh * hh
@@ -501,7 +498,7 @@ class TestOperatorHandValues:
     def test_first_operator_eigenvalues_level_one(self):
         # acting on P_{1,0} at unit level the first operator returns -2 P_{1,0}
         p = BiParams(0, 0, 0, 1)
-        vals = {g: p2_eval((1, 0), g, p) for g in grid_points(1)}
+        vals = {g: p2_eval((1, 0), g, p) for g in simplex_points(1, 2)}
         for (i, k), v in vals.items():
             y1 = i * (k + 1)
             y2 = k * (i + 1)
@@ -515,7 +512,7 @@ class TestOperatorHandValues:
     def test_second_operator_spectrum_level_one(self):
         p = BiParams(0, 0, 0, 1)
         spectrum = sorted(
-            -(m + n) * (m + n + p.a123 + 2) for (m, n) in degree_pairs(1)
+            -(m + n) * (m + n + p.a123 + 2) for (m, n) in simplex_points(1, 2)
         )
         assert spectrum == [-3, -3, 0]
 
@@ -523,7 +520,7 @@ class TestOperatorHandValues:
     def test_eigenvalue_pairs_separate_degrees(self, triple):
         p = BiParams(*triple, 6)
         seen = set()
-        for m, n in degree_pairs(6):
+        for m, n in simplex_points(6, 2):
             pair = (-m * (m + p.a12 + 1), -(m + n) * (m + n + p.a123 + 2))
             assert pair not in seen
             seen.add(pair)
@@ -660,10 +657,10 @@ class TestSweepDegreeBound:
     @pytest.mark.parametrize("N", range(6))
     def test_p_has_degree_at_most_m_plus_n_along_the_line(self, triple, N):
         base = BiParams(*triple, N)
-        for m, n in degree_pairs(N):
+        for m, n in simplex_points(N, 2):
             order = m + n + 1
             line = [BiParams(*pt, N) for pt in bi_mod._sweep_points(base, order)]
-            for g in grid_points(N):
+            for g in simplex_points(N, 2):
                 diff = sum(
                     (
                         (-1) ** (order - t) * math.comb(order, t) * p2_eval((m, n), g, q)
@@ -682,7 +679,7 @@ class TestSweepDegreeBound:
         its stand-in degree."""
         fn = getattr(bi_mod, fn_name)
         x = bi_mod._Degree(1)
-        for m, n in degree_pairs(N):
+        for m, n in simplex_points(N, 2):
             bounds, bound_den = fn(m, n, N, x, x, x, 1)
             order = max(map(bi_mod._deg, bounds + (bound_den,))) + 1
             for swap in (False, True):
@@ -801,7 +798,7 @@ class TestClearedFormulas:
     def test_every_degree_pair(self, triple, N):
         """m = 0 and n = 0 included, and the degenerate triples where a
         cleared denominator vanishes at the base point."""
-        for m, n in degree_pairs(N + 2):
+        for m, n in simplex_points(N + 2, 2):
             assert_cleared_match(BiParams(*triple, N), N % 2, m, n)
 
     def test_units_are_derived(self):
@@ -901,9 +898,9 @@ def reference_terms(row, p, t=0):
     p_reference (or q2_eval on the float plane), with None for a target off
     the simplex."""
     c = bi_mod._Check(p).at(t)
-    for m, n in degree_pairs(p.N + row.degrees):
+    for m, n in simplex_points(p.N + row.degrees, 2):
         d = row.per_degree(c, m, n)
-        for i, k in grid_points(p.N + row.grid):
+        for i, k in simplex_points(p.N + row.grid, 2):
             x = row.per_point(c, i, k)
             sides = []
             for terms in (row.lhs, row.rhs):

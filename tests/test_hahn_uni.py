@@ -11,10 +11,8 @@ from hypothesis import strategies as st
 import hahnkit.hahn_uni as uni_mod
 from hahnkit.hahn_uni import (
     UniParams,
-    eval_total,
     hahn_eval,
     hahn_norm,
-    hahn_table,
     hahn_weight,
     verify_uni,
 )
@@ -27,6 +25,7 @@ from hahnkit.numeric import (
     pfq_terminating,
     pochhammer,
 )
+from hahnkit.simplex import ChainTable, eval_total
 
 PARAM_SAMPLE = [Rat(-1, 2), Rat(0), Rat(1, 2), Rat(3), Rat(7, 3)]
 
@@ -202,13 +201,31 @@ class TestKernelDifferential:
         for alpha in PARAM_SAMPLE:
             for beta in PARAM_SAMPLE:
                 p = UniParams(alpha, beta, N)
-                table = hahn_table(p)
-                assert len(table) == N + 1
-                for n, (nums, den) in enumerate(table):
+                table = ChainTable((alpha, beta))
+                assert table.points(N) == tuple((n,) for n in range(N + 1))
+                for n in range(N + 1):
+                    nums, den = table.row((n,), N), table.den((n,))
                     assert len(nums) == N + 1
                     for x, t in enumerate(nums):
                         assert isinstance(t, int) and isinstance(den, int)
                         assert Rat(t, den) == hahn_eval(n, x, p)
+
+
+def chain_rows(p):
+    """The d = 1 chain table at p, as (numerators over 0..N, denominator) per degree."""
+    table = ChainTable((p.alpha, p.beta))
+    return tuple((table.row((n,), p.N), table.den((n,))) for n in range(p.N + 1))
+
+
+def tamper_row(monkeypatch, degree, x):
+    """Every chain table's row of degree (degree,) reads one more at grid point x."""
+    honest = ChainTable.row
+
+    def row(self, degs, level):
+        nums = honest(self, degs, level)
+        return nums[:x] + (nums[x] + 1,) + nums[x + 1:] if degs == (degree,) else nums
+
+    monkeypatch.setattr(ChainTable, "row", row)
 
 
 def expected_orthogonality_failure(p, table, norm, weight=hahn_weight):
@@ -245,29 +262,27 @@ class TestOrthogonalityFailurePath:
             return honest(n, p) + (Rat(1, 3) if n == 4 else 0)
 
         monkeypatch.setattr(uni_mod, "hahn_norm", tampered)
-        expected = expected_orthogonality_failure(self.P, hahn_table(self.P), tampered)
+        expected = expected_orthogonality_failure(self.P, chain_rows(self.P), tampered)
         assert expected["indices"] == [4, 4]
         assert self.reported() == expected
 
     def test_tampered_table_entry(self, monkeypatch):
-        honest = hahn_table(self.P)
-        nums, den = honest[3]
-        rows = list(honest)
-        rows[3] = (nums[:2] + (nums[2] + 1,) + nums[3:], den)
-        tampered = tuple(rows)
-        monkeypatch.setattr(uni_mod, "hahn_table", lambda p: tampered)
-        expected = expected_orthogonality_failure(self.P, tampered, hahn_norm)
+        tamper_row(monkeypatch, 3, 2)
+        expected = expected_orthogonality_failure(self.P, chain_rows(self.P), hahn_norm)
         assert expected["indices"] == [3, 0]
         assert self.reported() == expected
 
     def test_tampered_weight(self, monkeypatch):
-        honest = hahn_weight
+        # the shared weight at x = 2 raised by 1/7: numerators over 7 W
+        honest = uni_mod.simplex_weight
 
-        def tampered(x, p):
-            return honest(x, p) + (Rat(1, 7) if x == 2 else 0)
+        def tampered(alphas, N):
+            nums, den = honest(alphas, N)
+            return tuple(7 * w + (den if x == 2 else 0) for x, w in enumerate(nums)), 7 * den
 
-        monkeypatch.setattr(uni_mod, "hahn_weight", tampered)
-        expected = expected_orthogonality_failure(self.P, hahn_table(self.P), hahn_norm, tampered)
+        weights = [hahn_weight(x, self.P) + (Rat(1, 7) if x == 2 else 0) for x in range(self.P.N + 1)]
+        expected = expected_orthogonality_failure(self.P, chain_rows(self.P), hahn_norm, lambda x, p: weights[x])
+        monkeypatch.setattr(uni_mod, "simplex_weight", tampered)
         assert expected["indices"] == [0, 0]
         assert self.reported() == expected
 
@@ -282,11 +297,7 @@ class TestGeneratingFunctionFailureReports:
 
     @pytest.fixture(autouse=True)
     def tampered_table(self, monkeypatch):
-        rows = list(hahn_table(self.P))
-        nums, den = rows[3]
-        rows[3] = (nums[:2] + (nums[2] + 1,) + nums[3:], den)
-        tampered = tuple(rows)
-        monkeypatch.setattr(uni_mod, "hahn_table", lambda p: tampered)
+        tamper_row(monkeypatch, 3, 2)
 
     def test_genfun(self):
         check = verify_uni("genfun", self.P).checks[0].to_dict()
@@ -309,7 +320,8 @@ class TestGeneratingFunctionFailureReports:
 
 class TestOrthogonalityClearedVerdicts:
     def test_passing_sweep_makes_rationals_only_for_normalizations(self, monkeypatch):
-        # N+1 weights and N+1 norms, and none for the 78 pairs' Gram sums
+        # N+1 norms, and none for the weights, the table or the 91 pairs'
+        # Gram sums, counted in every module of the package
         p = UniParams(Rat(1, 2), Rat(7, 3), 12)
         made = []
 
@@ -317,9 +329,11 @@ class TestOrthogonalityClearedVerdicts:
             made.append(args)
             return Rat(*args)
 
-        monkeypatch.setattr(uni_mod, "Rat", counted)
-        assert verify_uni("orthogonality", p).passed
-        assert len(made) == 2 * (p.N + 1)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "hahnkit" and hasattr(module, "Rat"):
+                monkeypatch.setattr(module, "Rat", counted)
+        assert uni_mod._CHECKS["orthogonality"](p).passed
+        assert len(made) == p.N + 1
 
     def test_zero_scale_reported_under_optimization(self, tmp_path):
         """A zero scale W d_n d_m would make every off-diagonal pair hold
@@ -330,8 +344,9 @@ class TestOrthogonalityClearedVerdicts:
             "import json\n"
             "import hahnkit.hahn_uni as uni\n"
             "from hahnkit.numeric import Rat\n"
-            "honest = uni.hahn_table\n"
-            "uni.hahn_table = lambda p: tuple((nums, 0 if n == 2 else den) for n, (nums, den) in enumerate(honest(p)))\n"
+            "from hahnkit.simplex import ChainTable\n"
+            "honest = ChainTable.den\n"
+            "ChainTable.den = lambda self, degs: 0 if degs == (2,) else honest(self, degs)\n"
             "p = uni.UniParams(Rat(1, 2), Rat(7, 3), 4)\n"
             "print(json.dumps(uni.verify_uni('orthogonality', p).checks[0].to_dict()))\n"
         )

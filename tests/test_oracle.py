@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import hahnkit.oracle as oracle_mod
-from hahnkit.hahn_bi import BiParams, degree_pairs, grid_points, overlap2, p2_eval
+from hahnkit.hahn_bi import BiParams, overlap2, p2_eval
 from hahnkit.numeric import Rat, RationalMatrix
 from hahnkit.oracle import (
     ORACLE_CHECK_NAMES,
@@ -20,12 +20,13 @@ from hahnkit.oracle import (
     su11_spectrum_check,
     verify_oracle,
 )
+from hahnkit.simplex import simplex_points
 
 TRIPLES = [(0, 0, 0), (Rat(1, 2), Rat(-1, 2), 3), (Rat(7, 3), 1, Rat(1, 2))]
 
 
 def p_vector(d, p):
-    return [p2_eval(d, g, p) for g in grid_points(p.N)]
+    return [p2_eval(d, g, p) for g in simplex_points(p.N, 2)]
 
 
 class TestBuildOperator:
@@ -56,7 +57,7 @@ class TestBuildOperator:
     def test_eigenaction_full_simplex(self, label, triple):
         p = BiParams(*triple, 4)
         m = build_operator(label, p).matrix
-        for d in degree_pairs(4):
+        for d in simplex_points(4, 2):
             vec = p_vector(d, p)
             eig = eigenvalue(label, d, p)
             assert m.mul_vec(vec) == tuple(eig * v for v in vec)
@@ -85,10 +86,10 @@ class TestBuildOperator:
 def stacked_joint_eigenvectors(p):
     """The dense route the nested solve replaced, kept as its reference: one
     kernel of the stacked 2P x P matrix [L1 - lambda1; L2 - lambda2] per
-    degree pair, in degree_pairs order."""
+    degree pair, in simplex_points order."""
     ops = {label: build_operator(label, p).matrix.data for label in ("L1", "L2")}
     out = {}
-    for d in degree_pairs(p.N):
+    for d in simplex_points(p.N, 2):
         rows = [
             [a - eigenvalue(label, d, p) if r == c else a for c, a in enumerate(row)]
             for label, matrix in ops.items()

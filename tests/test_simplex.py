@@ -1,0 +1,107 @@
+"""The simplex table layer: its one weight against the retired forms, and
+the layering that keeps its kernels in one module below the families."""
+import ast
+import pathlib
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_hahn_bi import weight2_retired
+from test_hahn_uni import hahn_weight_retired
+
+from hahnkit.hahn_bi import BiParams
+from hahnkit.hahn_uni import UniParams
+from hahnkit.numeric import Rat, binomial_general
+from hahnkit.simplex import simplex_points, simplex_weight
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "hahnkit"
+
+# parameters > -1 with small denominators, so the tuple clears to a few Q
+params = st.fractions(min_value=-1, max_value=6, max_denominator=7).filter(lambda f: f > -1).map(
+    lambda f: Rat(f.numerator, f.denominator)
+)
+
+
+def mv_weight_reference(i, alphas, N):
+    """The d-variable weight as the product of generalized binomials it was."""
+    full = tuple(i) + (N - sum(i),)
+    out = Rat(1)
+    for i_k, a_k in zip(full, alphas):
+        out *= binomial_general(a_k + i_k, i_k)
+    return out / binomial_general(sum(alphas) + N + len(alphas) - 1, N)
+
+
+class TestSimplexWeight:
+    @settings(max_examples=120, deadline=None)
+    @given(d=st.integers(1, 4), N=st.integers(0, 5), data=st.data())
+    def test_matches_retired_forms(self, d, N, data):
+        alphas = tuple(data.draw(st.lists(params, min_size=d + 1, max_size=d + 1), label="alphas"))
+        nums, den = simplex_weight(alphas, N)
+        points = tuple(simplex_points(N, d))
+        assert len(nums) == len(points)
+        assert all(isinstance(w, int) for w in nums) and isinstance(den, int)
+        for g, w in zip(points, nums):
+            want = mv_weight_reference(g, alphas, N)
+            assert Rat(w, den) == want, g
+            if d == 1:
+                assert Rat(w, den) == hahn_weight_retired(g[0], UniParams(*alphas, N))
+            if d == 2:
+                assert Rat(w, den) == weight2_retired(g, BiParams(*alphas, N))
+        # a probability distribution: positive, summing to one
+        assert den > 0 and all(w > 0 for w in nums)
+        assert sum(nums) == den
+
+
+# The modules whose underscore names stay their own.
+_GUARDED = {"hahn_uni", "hahn_bi", "hahn_multi", "simplex"}
+
+
+def _imports(path: pathlib.Path):
+    """(imported module, imported names) for every import of a hahnkit module
+    in path, and the attribute names read off an imported hahnkit module."""
+    tree = ast.parse(path.read_text())
+    found, aliases = [], {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level == 0:
+                if base.split(".")[0] != "hahnkit":
+                    continue
+                base = base.removeprefix("hahnkit").lstrip(".")
+            if base:
+                found.append((base, [a.name for a in node.names]))
+            else:  # from . import module
+                for a in node.names:
+                    found.append((a.name, []))
+                    aliases[a.asname or a.name] = a.name
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.startswith("hahnkit."):
+                    module = a.name.removeprefix("hahnkit.")
+                    found.append((module, []))
+                    if a.asname:
+                        aliases[a.asname] = module
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
+            found.append((aliases[node.value.id], [node.attr]))
+    return found
+
+
+class TestLayering:
+    MODULES = sorted(SRC.glob("*.py"))
+
+    def test_modules_found(self):
+        assert {"hahn_uni", "hahn_bi", "hahn_multi", "simplex"} <= {m.stem for m in self.MODULES}
+
+    @pytest.mark.parametrize("path", MODULES, ids=[m.name for m in MODULES])
+    def test_no_private_name_crosses_a_module(self, path):
+        for module, names in _imports(path):
+            if module in _GUARDED and module != path.stem:
+                private = [n for n in names if n.startswith("_")]
+                assert not private, f"{path.name} imports {private} from {module}"
+
+    @pytest.mark.parametrize("name", ["hahn_bi", "hahn_multi"])
+    def test_families_do_not_import_the_univariate_module(self, name):
+        modules = {module for module, _ in _imports(SRC / f"{name}.py")}
+        assert "hahn_uni" not in modules
+        assert "simplex" in modules
