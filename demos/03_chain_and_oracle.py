@@ -3,7 +3,7 @@ The oracle route: operators, nullspaces, and the two-step chain
 ===============================================================
 
 Instead of trusting the explicit polynomials, build the two difference
-operators as exact matrices, ask exact linear algebra for their joint
+operators as exact sparse rows, ask exact linear algebra for their joint
 eigenvectors, and compare.  Then factor the overlap matrix through the
 intermediate basis and realize the underlying su(1,1) ladder.
 """
@@ -14,6 +14,7 @@ from hahnkit.numeric import Rat, format_rational
 from hahnkit.oracle import (
     build_operator,
     chain_matrices,
+    chain_product,
     joint_eigenvectors,
     su11_build,
     su11_spectrum_check,
@@ -24,28 +25,28 @@ p = BiParams(Rat(1, 2), Rat(-1, 2), 3, 3)
 
 # The first operator moves mass between the two coordinates at fixed
 # level; the second moves it between the surface and the interior.
-l1 = build_operator("L1", p)
-row = l1.points.index((1, 1))
+# Each row holds only its nonzero entries: at most 3 for L1, 7 for L2.
+points = tuple(simplex_points(3, 2))
+row = build_operator("L1", p)[points.index((1, 1))]
 print("L1 row for grid point (1,1):")
-for g, value in zip(l1.points, l1.matrix.data[row]):
-    if value != 0:
-        print(f"  coefficient of f{g} = {format_rational(value)}")
+for c, value in row.items():
+    print(f"  coefficient of f{points[c]} = {format_rational(value)}")
 
 # Joint eigenvectors from nested nullspaces (L1 one line i + k = s at a
 # time, then L2 on each L1 eigenspace), no polynomial evaluation involved.
 # They match the evaluation route up to overall scale.
 vecs = joint_eigenvectors(p)
 vec = vecs[(1, 1)]
-direct = [p2_eval((1, 1), g, p) for g in simplex_points(3, 2)]
+direct = [p2_eval((1, 1), g, p) for g in points]
 lead = next(v for v in direct if v != 0)
 print("\nnullspace eigenvector at degree (1,1):")
 print("  ", [format_rational(v) for v in vec])
 print("matches P_{1,1}/lead exactly:", vec == tuple(v / lead for v in direct))
 
 # The overlap factors through the intermediate basis: both factors are
-# orthogonal and their product reproduces the one-step matrix.
-first, second = chain_matrices(p)
-product = np.array(first.entries) @ np.array(second.entries)
+# orthogonal, and each entry of their product is one product of two
+# univariate overlaps, which reproduces the one-step matrix.
+product = np.array(chain_product(*chain_matrices(p)))
 target = np.array(overlap2(p, mode="float").entries)
 print("\nchain factorization defect:", f"{np.max(np.abs(product - target)):.3g}")
 

@@ -22,7 +22,7 @@ from .hahn_bi import BI_CHECK_NAMES, BiParams, overlap2, p2_eval, verify_bi
 from .hahn_multi import MultiParams, mv_p_eval, verify_mv
 from .hahn_uni import UNI_CHECK_NAMES, UniParams, hahn_eval, verify_uni
 from .numeric import Rat, format_rational, parse_rational
-from .oracle import ORACLE_CHECK_NAMES, chain_matrices, verify_oracle
+from .oracle import ORACLE_CHECK_NAMES, chain_matrices, chain_product, verify_oracle
 from .reports import CheckResult, VerificationReport
 
 SUITES = ("uni", "bi", "mv", "oracle", "classical", "all")
@@ -55,10 +55,10 @@ def _parse_ints(text: str | None, what: str):
         raise ValueError(f"{what} must be a comma-separated integer list") from None
 
 
-def _require_level(args) -> int:
-    if args.N is None:
+def _require_level(N: int | None) -> int:
+    if N is None:
         raise ValueError("--N is required")
-    return args.N
+    return N
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -129,7 +129,7 @@ def _apply_tol(report: VerificationReport, tol: float) -> VerificationReport:
 def _cmd_eval(args) -> int:
     degrees = _parse_ints(args.degrees, "--degrees")
     point = _parse_ints(args.point, "--point")
-    N = _require_level(args)
+    N = _require_level(args.N)
     if args.family == "hahn1":
         alphas = _parse_alphas(args.alpha, 2)
         if len(degrees) != 1 or len(point) != 1:
@@ -161,7 +161,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_overlap(args) -> int:
     alphas = _parse_alphas(args.alpha, 3)
-    p = BiParams(*alphas, _require_level(args))
+    p = BiParams(*alphas, _require_level(args.N))
     mode = args.mode or "float"
     matrix = overlap2(p, mode="squared" if mode == "exact" else "float")
     if mode == "exact":
@@ -180,13 +180,9 @@ def _cmd_chain(args) -> int:
     alphas = _parse_alphas(args.alpha, 3)
     if args.mode == "exact":
         raise ValueError("chain output is floating point; drop --mode exact")
-    p = BiParams(*alphas, _require_level(args))
+    p = BiParams(*alphas, _require_level(args.N))
     first, second = chain_matrices(p)
-    cols = list(zip(*second.entries))
-    cells = [
-        [_fmt_float(sum(a * b for a, b in zip(row, col))) for col in cols]
-        for row in first.entries
-    ]
+    cells = [[_fmt_float(v) for v in row] for row in chain_product(first, second)]
     text = _matrix_text(
         p.echo(), "float", [_dot(g) for g in first.rows], [_dot(d) for d in second.cols],
         cells, args.format,
@@ -197,7 +193,7 @@ def _cmd_chain(args) -> int:
 
 def _cmd_genfun(args) -> int:
     alphas = _parse_alphas(args.alpha)
-    N = _require_level(args)
+    N = _require_level(args.N)
     if len(alphas) == 2:
         u = UniParams(*alphas, N)
         report = verify_uni("genfun", u).merged(verify_uni("dual-genfun", u))
@@ -215,30 +211,33 @@ def _merged(reports) -> VerificationReport:
     return functools.reduce(VerificationReport.merged, reports)
 
 
-def _single_suite_report(suite: str, check: str | None, args) -> VerificationReport:
+def _suite_report(suite: str, check: str | None, alpha: str | None, N: int | None) -> VerificationReport:
+    """One suite, or one check of it, on the --alpha text and the level N.
+    Each verify_* is read as a module global at call time, once per check,
+    so a wrapper set on this module sees every check."""
     if suite == "uni":
-        p = UniParams(*_parse_alphas(args.alpha, 2), _require_level(args))
+        p = UniParams(*_parse_alphas(alpha, 2), _require_level(N))
         names = (check,) if check else UNI_CHECK_NAMES
         reports = [verify_uni(name, p) for name in names]
     elif suite == "bi":
-        p = BiParams(*_parse_alphas(args.alpha, 3), _require_level(args))
+        p = BiParams(*_parse_alphas(alpha, 3), _require_level(N))
         names = (check,) if check else BI_CHECK_NAMES
         reports = [verify_bi(name, p) for name in names]
     elif suite == "mv":
-        p = MultiParams(_parse_alphas(args.alpha), _require_level(args))
+        p = MultiParams(_parse_alphas(alpha), _require_level(N))
         if check not in (None, "orthogonality"):
             raise ValueError(f"unknown check: {check}")
         reports = [verify_mv(p)]
     elif suite == "oracle":
-        p = BiParams(*_parse_alphas(args.alpha, 3), _require_level(args))
+        p = BiParams(*_parse_alphas(alpha, 3), _require_level(N))
         names = (check,) if check else ORACLE_CHECK_NAMES
         reports = [verify_oracle(name, p) for name in names]
     elif suite == "classical":
-        alphas = _parse_alphas(args.alpha)
+        alphas = _parse_alphas(alpha)
         if len(alphas) not in (1, 2):
             raise ValueError("--alpha for classical lists one or two rationals")
         beta = alphas[1] if len(alphas) == 2 else Rat(0)
-        n = _require_level(args)
+        n = _require_level(N)
         names = (check,) if check else RELATION_NAMES
         params = {
             "n": n,
@@ -254,41 +253,28 @@ def _single_suite_report(suite: str, check: str | None, args) -> VerificationRep
     return _merged(reports)
 
 
-
-def _battery() -> list[VerificationReport]:
-    """The fixed parameter sample behind `verify --suite all`."""
-    half, third = Rat(1, 2), Rat(7, 3)
-    reports = []
-
-    params = {"n": 6, "alpha": format_rational(half), "beta": format_rational(third)}
-    checks = []
-    for name in RELATION_NAMES:
-        checks.extend(verify_classical(name, 6, half, third).checks)
-    reports.append(VerificationReport(suite="classical", params=params, checks=tuple(checks)))
-
-    for a, b, N in [(Rat(0), Rat(0), 6), (half, third, 6), (Rat(-1, 2), Rat(-1, 2), 5)]:
-        u = UniParams(a, b, N)
-        reports.append(_merged([verify_uni(name, u) for name in UNI_CHECK_NAMES]))
-
-    for a1, a2, a3, N in [(half, Rat(-1, 2), Rat(3), 4), (Rat(0), Rat(0), Rat(0), 4)]:
-        p = BiParams(a1, a2, a3, N)
-        reports.append(_merged([verify_bi(name, p) for name in BI_CHECK_NAMES]))
-
-    reports.append(verify_mv(MultiParams((half, Rat(0), Rat(3), third), 3)))
-    reports.append(verify_mv(MultiParams((Rat(0),) * 5, 2)))
-
-    p = BiParams(half, Rat(-1, 2), Rat(3), 4)
-    reports.append(_merged([verify_oracle(name, p) for name in ORACLE_CHECK_NAMES]))
-    return reports
+# The fixed parameter sample behind `verify --suite all`: (suite, --alpha, --N).
+BATTERY = (
+    ("classical", "1/2,7/3", 6),
+    ("uni", "0,0", 6),
+    ("uni", "1/2,7/3", 6),
+    ("uni", "-1/2,-1/2", 5),
+    ("bi", "1/2,-1/2,3", 4),
+    ("bi", "0,0,0", 4),
+    ("mv", "1/2,0,3,7/3", 3),
+    ("mv", "0,0,0,0,0", 2),
+    ("oracle", "1/2,-1/2,3", 4),
+)
 
 
 def _cmd_verify(args) -> int:
     if args.suite == "all":
         if args.alpha is not None or args.N is not None or args.check is not None:
             raise ValueError("--suite all uses the built-in parameter battery; drop --alpha/--N/--check")
-        reports = [_apply_tol(r, args.tol) for r in _battery()]
+        runs = [(suite, None, alpha, N) for suite, alpha, N in BATTERY]
     else:
-        reports = [_apply_tol(_single_suite_report(args.suite, args.check, args), args.tol)]
+        runs = [(args.suite, args.check, args.alpha, args.N)]
+    reports = [_apply_tol(_suite_report(*run), args.tol) for run in runs]
     _emit(_reports_text(reports, args.format), args.out)
     return 0 if all(r.passed for r in reports) else 1
 
@@ -298,7 +284,8 @@ def _cmd_verify(args) -> int:
 
 
 def _add_shared(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--alpha", help="comma-separated rational parameters, e.g. 1/2,0,3")
+    sub.add_argument("--alpha", help="comma-separated rationals, e.g. 1/2,0,3; "
+                     "a negative first one needs the form --alpha=-1/2,0,3")
     sub.add_argument("--N", type=int, help="simplex level (classical suite: the degree)")
     sub.add_argument("--mode", choices=("exact", "float"))
     sub.add_argument("--tol", type=float, default=DEFAULT_TOL)

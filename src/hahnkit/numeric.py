@@ -295,10 +295,6 @@ class RationalMatrix:
     def identity(cls, n: int) -> "RationalMatrix":
         return cls([[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls([[_ZERO] * cols for _ in range(rows)])
-
     @property
     def rows(self) -> int:
         return len(self.data)
@@ -349,15 +345,6 @@ class RationalMatrix:
                             acc[j] += a * b
             out.append(acc)
         return RationalMatrix(out)
-
-    def mul_vec(self, vec: Sequence) -> tuple:
-        if len(vec) != self.cols:
-            raise ValueError("shape mismatch")
-        vec = [Rat(v) for v in vec]
-        return tuple(sum((a * v for a, v in zip(row, vec)), _ZERO) for row in self.data)
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(list(zip(*self.data)))
 
     def nullspace(self) -> list[tuple]:
         """Exact kernel basis, each vector scaled to first nonzero entry 1.

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import hahnkit.cli as cli_mod
 import hahnkit.hahn_bi as bi_mod
 import hahnkit.oracle as oracle_mod
 from hahnkit.cli import main
@@ -213,6 +214,39 @@ class TestVerify:
         assert [r["suite"] for r in payload["suites"]] == [
             "classical", "uni", "uni", "uni", "bi", "bi", "mv", "mv", "oracle",
         ]
+
+    def test_all_battery_calls_each_check_through_module_globals(self, capsys, monkeypatch):
+        # a wrapper set on the cli module sees every check of the battery
+        calls = {}
+        for attr in ("verify_classical", "verify_uni", "verify_bi", "verify_mv", "verify_oracle"):
+            def counted(*args, _attr=attr, _run=getattr(cli_mod, attr)):
+                calls[_attr] = calls.get(_attr, 0) + 1
+                return _run(*args)
+
+            monkeypatch.setattr(cli_mod, attr, counted)
+        code, _, _ = run(capsys, "verify", "--suite", "all")
+        assert code == 0
+        assert calls == {
+            "verify_classical": len(cli_mod.RELATION_NAMES),
+            "verify_uni": 3 * len(cli_mod.UNI_CHECK_NAMES),
+            "verify_bi": 2 * len(bi_mod.BI_CHECK_NAMES),
+            "verify_mv": 2,
+            "verify_oracle": len(oracle_mod.ORACLE_CHECK_NAMES),
+        }
+
+    def test_negative_first_alpha_needs_the_equals_form(self, capsys):
+        # argparse reads a separate value that starts with "-" as an option
+        code, out, err = run(capsys, "verify", "--suite", "oracle", "--alpha", "-1/2,0,3", "--N", "2")
+        assert code == 2 and out == ""
+        assert "argument --alpha: expected one argument" in err
+        code, out, _ = run(capsys, "verify", "--suite", "oracle", "--alpha=-1/2,0,3", "--N", "2")
+        assert code == 0
+        assert json.loads(out)["params"]["alpha1"] == "-1/2"
+
+    def test_alpha_help_names_the_equals_form(self, capsys):
+        code, out, _ = run(capsys, "verify", "--help")
+        assert code == 0
+        assert "--alpha=-1/2,0,3" in out
 
     def test_all_rejects_parameters(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "all", "--alpha", "0,0")

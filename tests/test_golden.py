@@ -1,8 +1,12 @@
-"""Golden outputs: every bivariate report, byte for byte.
+"""Golden outputs: every bivariate report, the chain command and one
+oracle suite, byte for byte.
 
 tests/data/bi_reports.json holds verify_bi(...).to_dict() for all sixteen
-checks on the four PARAM_TRIPLES at N = 0..3, made on the fractions
-backend.  Run this file as a script to write it again:
+checks on the four PARAM_TRIPLES at N = 0..3.  chain_N4.csv and
+chain_N7.csv hold `hahnkit chain --format csv` on (1/2, -1/2, 3) at N = 4
+and (-1/2, -1/2, -1/2) at N = 7, and oracle_N6.json holds
+`hahnkit verify --suite oracle` on (0, 0, 0) at N = 6.  All were made on
+the fractions backend.  Run this file as a script to write them again:
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -13,6 +17,8 @@ Float residual digits rest on float() of an exact rational, which the
 fractions backend rounds correctly; no other backend is known to round
 the same here, so elsewhere float checks are compared by status only.
 """
+import contextlib
+import io
 import json
 import pathlib
 import sys
@@ -20,6 +26,7 @@ import sys
 import pytest
 
 import hahnkit.hahn_bi as bi_mod
+from hahnkit.cli import main
 from hahnkit.hahn_bi import BI_CHECK_NAMES, BiParams, verify_bi
 from hahnkit.numeric import Rat, Rational, format_rational, parse_rational
 
@@ -27,6 +34,13 @@ DATA = pathlib.Path(__file__).parent / "data"
 BI_REPORTS = DATA / "bi_reports.json"
 BATTERY = DATA / "verify_all.json"
 FLOAT_LIMITS = DATA / "float_limits.json"
+
+# golden file -> the command line that writes it
+CLI_GOLDENS = {
+    "chain_N4.csv": ["chain", "--alpha=1/2,-1/2,3", "--N", "4", "--format", "csv"],
+    "chain_N7.csv": ["chain", "--alpha=-1/2,-1/2,-1/2", "--N", "7", "--format", "csv"],
+    "oracle_N6.json": ["verify", "--suite", "oracle", "--alpha=0,0,0", "--N", "6", "--format", "json"],
+}
 
 TRIPLES = [
     (Rat(0), Rat(0), Rat(0)),
@@ -104,6 +118,33 @@ def test_float_limits_match_golden():
         assert (got[0], format_rational(got[1])) == (sign, value), (name, swap, triple, N, m, n)
 
 
+def cli_text(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+def chain_cells(text: str) -> tuple:
+    """The CSV labels, and the entries as one flat list of floats."""
+    lines = [line.split(",") for line in text.splitlines()]
+    labels = lines[0] + [row[0] for row in lines[1:]]
+    return labels, [float(v) for row in lines[1:] for v in row[1:]]
+
+
+@pytest.mark.parametrize("name", CLI_GOLDENS)
+def test_cli_output_matches_golden(name):
+    got, want = cli_text(CLI_GOLDENS[name]), (DATA / name).read_text()
+    if ON_FRACTIONS:
+        assert got == want
+    elif name.endswith(".json"):
+        assert comparable(json.loads(got)) == comparable(json.loads(want))
+    else:
+        (got_labels, got_entries), (want_labels, want_entries) = chain_cells(got), chain_cells(want)
+        assert got_labels == want_labels
+        assert got_entries == pytest.approx(want_entries, abs=1e-12)
+
+
 def assert_battery_matches(text: str) -> None:
     want = BATTERY.read_text()
     if ON_FRACTIONS:
@@ -116,3 +157,5 @@ if __name__ == "__main__":
     if not ON_FRACTIONS:
         sys.exit("golden files are made on the fractions backend")
     BI_REPORTS.write_text(json.dumps(bi_reports(), indent=1) + "\n")
+    for name, argv in CLI_GOLDENS.items():
+        (DATA / name).write_text(cli_text(argv))

@@ -1,5 +1,6 @@
-"""Oracle route: operator matrices, nullspace eigenvectors, chain, su(1,1)."""
+"""Oracle route: operator rows, nullspace eigenvectors, chain, su(1,1)."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,10 +10,11 @@ from hahnkit.hahn_bi import BiParams, overlap2, p2_eval
 from hahnkit.numeric import Rat, RationalMatrix
 from hahnkit.oracle import (
     ORACLE_CHECK_NAMES,
-    GridOperator,
+    ChainMatrix,
     Su11Module,
     build_operator,
     chain_matrices,
+    chain_product,
     cylindrical_pairs,
     eigenvalue,
     joint_eigenvectors,
@@ -29,52 +31,116 @@ def p_vector(d, p):
     return [p2_eval(d, g, p) for g in simplex_points(p.N, 2)]
 
 
+def dense(rows):
+    """Sparse operator rows as the square matrix they stand for."""
+    return RationalMatrix([[row.get(c, 0) for c in range(len(rows))] for row in rows])
+
+
+def apply(rows, vec):
+    """Sparse operator rows times the column vector vec, exactly."""
+    return tuple(sum((a * vec[c] for c, a in row.items()), Rat(0)) for row in rows)
+
+
+def dense_operator(label, p):
+    """The dense P x P build the sparse rows replaced, kept as their
+    reference: every entry filled, zeros included."""
+    points = tuple(simplex_points(p.N, 2))
+    index = {g: t for t, g in enumerate(points)}
+    rows = []
+    for i, k in points:
+        row = [Rat(0)] * len(points)
+        diag = Rat(0)
+        coeffs = oracle_mod._shift_coeffs(label, Rat(i), Rat(k), p.alpha1, p.alpha2, p.alpha3, p.N)
+        for (di, dk), c in coeffs.items():
+            diag -= c
+            if (i + di, k + dk) in index:
+                row[index[(i + di, k + dk)]] += c
+        row[index[(i, k)]] += diag
+        rows.append(row)
+    return RationalMatrix(rows)
+
+
+def off_block(factor, row, col):
+    """factor with 1e-3 at (row, col), where it must have exactly 0.0."""
+    entries = [list(r) for r in factor.entries]
+    assert entries[row][col] == 0.0
+    entries[row][col] = 1e-3
+    return ChainMatrix(factor.params, factor.rows, factor.cols, tuple(map(tuple, entries)))
+
+
+def dense_chain_product(first, second):
+    """The P^3 triple loop that chain_product replaced, kept as its reference."""
+    cols = list(zip(*second.entries))
+    return [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in first.entries]
+
+
 class TestBuildOperator:
     def test_trivial_level(self):
-        op = build_operator("L1", BiParams(0, 0, 0, 0))
-        assert op.matrix == RationalMatrix([[0]])
-        assert op.points == ((0, 0),)
+        assert build_operator("L1", BiParams(0, 0, 0, 0)) == ({},)
 
     def test_first_operator_hand_matrix(self):
         # N=1, alpha=0: rows (0,0),(1,0),(0,1)
-        op = build_operator("L1", BiParams(0, 0, 0, 1))
-        assert op.matrix == RationalMatrix([[0, 0, 0], [0, -1, 1], [0, 1, -1]])
+        rows = build_operator("L1", BiParams(0, 0, 0, 1))
+        assert rows == ({}, {1: -1, 2: 1}, {1: 1, 2: -1})
+        assert dense(rows) == RationalMatrix([[0, 0, 0], [0, -1, 1], [0, 1, -1]])
+
+    @pytest.mark.parametrize("label", ["L1", "L2"])
+    @pytest.mark.parametrize("triple", TRIPLES)
+    def test_rows_are_the_dense_build_nonzeros(self, label, triple):
+        for N in range(7):
+            p = BiParams(*triple, N)
+            want = tuple({c: v for c, v in enumerate(row) if v} for row in dense_operator(label, p).data)
+            rows = build_operator(label, p)
+            assert rows == want
+            assert [list(row) for row in rows] == [sorted(row) for row in rows]
+            assert max(map(len, rows)) <= (3 if label == "L1" else 7)
 
     def test_first_operator_eigenaction(self):
-        p = BiParams(0, 0, 0, 1)
-        m = build_operator("L1", p).matrix
-        assert m.mul_vec([0, -1, 1]) == (0, 2, -2)
+        rows = build_operator("L1", BiParams(0, 0, 0, 1))
+        assert apply(rows, [0, -1, 1]) == (0, 2, -2)
 
     def test_second_operator_spectrum_via_eigenbasis(self):
         p = BiParams(0, 0, 0, 1)
-        m = build_operator("L2", p).matrix
+        rows = build_operator("L2", p)
         for d, eig in [((0, 0), 0), ((1, 0), -3), ((0, 1), -3)]:
             vec = p_vector(d, p)
-            assert m.mul_vec(vec) == tuple(eig * v for v in vec)
+            assert apply(rows, vec) == tuple(eig * v for v in vec)
 
     @pytest.mark.parametrize("label", ["L1", "L2"])
     @pytest.mark.parametrize("triple", TRIPLES)
     def test_eigenaction_full_simplex(self, label, triple):
         p = BiParams(*triple, 4)
-        m = build_operator(label, p).matrix
+        rows = build_operator(label, p)
         for d in simplex_points(4, 2):
             vec = p_vector(d, p)
             eig = eigenvalue(label, d, p)
-            assert m.mul_vec(vec) == tuple(eig * v for v in vec)
+            assert apply(rows, vec) == tuple(eig * v for v in vec)
 
     def test_annihilates_constants(self):
         for triple in TRIPLES:
             p = BiParams(*triple, 3)
             for label in ("L1", "L2"):
-                op = build_operator(label, p)
-                assert op.matrix.mul_vec([1] * len(op.points)) == (Rat(0),) * len(op.points)
+                assert all(sum(row.values()) == 0 for row in build_operator(label, p))
 
     def test_operators_commute(self):
         for triple in TRIPLES:
             p = BiParams(*triple, 4)
-            l1 = build_operator("L1", p).matrix
-            l2 = build_operator("L2", p).matrix
+            l1 = dense(build_operator("L1", p))
+            l2 = dense(build_operator("L2", p))
             assert l1.matmul(l2) == l2.matmul(l1)
+
+    def test_leak_off_the_simplex_raises(self, monkeypatch):
+        orig = oracle_mod._shift_coeffs
+
+        def tampered(label, i, k, a1, a2, a3, N):
+            out = orig(label, i, k, a1, a2, a3, N)
+            if label == "L2" and (i, k) == (0, 2):
+                out = {**out, (0, 1): 5}  # toward (0, 3), off the level N = 2
+            return out
+
+        monkeypatch.setattr(oracle_mod, "_shift_coeffs", tampered)
+        with pytest.raises(ArithmeticError, match=r"^L2 coefficient 5 leaks off the simplex at \(0, 2\) toward \(0, 3\)$"):
+            build_operator("L2", BiParams(0, 0, 0, 2))
 
     def test_rejects_unknown_label(self):
         with pytest.raises(ValueError):
@@ -87,7 +153,7 @@ def stacked_joint_eigenvectors(p):
     """The dense route the nested solve replaced, kept as its reference: one
     kernel of the stacked 2P x P matrix [L1 - lambda1; L2 - lambda2] per
     degree pair, in simplex_points order."""
-    ops = {label: build_operator(label, p).matrix.data for label in ("L1", "L2")}
+    ops = {label: dense(build_operator(label, p)).data for label in ("L1", "L2")}
     out = {}
     for d in simplex_points(p.N, 2):
         rows = [
@@ -191,6 +257,25 @@ class TestChain:
         for factor in chain_matrices(p):
             a = np.array(factor.entries)
             assert np.max(np.abs(a.T @ a - np.eye(factor.side))) < 1e-12
+
+    @pytest.mark.parametrize("triple", TRIPLES)
+    def test_product_equals_dense_loop(self, triple):
+        # TRIPLES are the three triples of acceptance criterion 06
+        for N in range(11):
+            first, second = chain_matrices(BiParams(*triple, N))
+            want = [[f"{v:.17g}" for v in row] for row in dense_chain_product(first, second)]
+            assert [[f"{v:.17g}" for v in row] for row in chain_product(first, second)] == want
+
+    @pytest.mark.parametrize("which, row, col", [("first", 1, 3), ("second", 2, 5)])
+    def test_off_block_entry_raises(self, which, row, col):
+        factors = dict(zip(("first", "second"), chain_matrices(BiParams(0, 0, 0, 2))))
+        factors[which] = tampered = off_block(factors[which], row, col)
+        message = (
+            f"the {which} chain factor is 0.001 off its blocks at "
+            f"row {tampered.rows[row]}, col {tampered.cols[col]}"
+        )
+        with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}$"):
+            chain_product(factors["first"], factors["second"])
 
     @pytest.mark.parametrize("triple", TRIPLES)
     def test_composition_is_overlap(self, triple):
@@ -347,6 +432,21 @@ class TestVerifyOracle:
         p = BiParams(Rat(1, 2), Rat(-1, 2), 3, 3)
         assert not verify_oracle("joint-eigenvectors", p).passed
         assert not verify_oracle("commutation", p).passed
+
+    def test_off_block_chain_entry_fails_composition(self, monkeypatch):
+        orig = oracle_mod.chain_matrices
+
+        def tampered(p):
+            first, second = orig(p)
+            return off_block(first, 1, 3), second
+
+        monkeypatch.setattr(oracle_mod, "chain_matrices", tampered)
+        check = verify_oracle("chain-composition", BiParams(0, 0, 0, 2)).checks[0]
+        assert not check.passed
+        assert check.max_residual == "inf"
+        assert check.counterexample["lhs"] == (
+            "the first chain factor is 0.001 off its blocks at row (1, 0), col (0, 2)"
+        )
 
     def test_commutation_failure_report_pinned(self, monkeypatch):
         # the first defect of L1 L2 - L2 L1 in row-major order, as the
