@@ -23,10 +23,9 @@ from .hahn_multi import MultiParams, mv_p_eval, verify_mv
 from .hahn_uni import UNI_CHECK_NAMES, UniParams, hahn_eval, verify_uni
 from .numeric import Rat, format_rational, parse_rational
 from .oracle import ORACLE_CHECK_NAMES, chain_matrices, chain_product, verify_oracle
-from .reports import CheckResult, VerificationReport
+from .reports import FLOAT_TOL, CheckResult, VerificationReport
 
 SUITES = ("uni", "bi", "mv", "oracle", "classical", "all")
-DEFAULT_TOL = 1e-10
 
 
 def _fmt_float(value) -> str:
@@ -288,7 +287,7 @@ def _add_shared(sub: argparse.ArgumentParser) -> None:
                      "a negative first one needs the form --alpha=-1/2,0,3")
     sub.add_argument("--N", type=int, help="simplex level (classical suite: the degree)")
     sub.add_argument("--mode", choices=("exact", "float"))
-    sub.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    sub.add_argument("--tol", type=float, default=FLOAT_TOL)
     sub.add_argument("--format", choices=("csv", "json"), default="json")
     sub.add_argument("--out", help="write output here instead of stdout")
 

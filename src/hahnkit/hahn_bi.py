@@ -72,7 +72,6 @@ from .numeric import (
 from .reports import CheckResult, VerificationReport, _guarded
 from .simplex import ChainTable, cleared, gram_entries, simplex_points, simplex_weight
 
-FLOAT_TOL = 1e-10
 # The largest level whose sixteen checks fit in criterion 03's 60 s budget
 # on the fractions backend (cost curve in BENCH_9.json); verify_bi refuses
 # a level above it.
@@ -191,19 +190,20 @@ def q2_eval(d, g, p: BiParams) -> RadicalScalar:
     """Orthonormal value (h.h)/sqrt(Lambda), exact radical form."""
     m, n = _require_pair(d, p.N, "degree pair")
     i, k = _require_pair(g, p.N, "grid point")
-    hh = _Values(p.alpha1, p.alpha2, p.alpha3).chain(m, n, i, k, p.N)
+    chains = ChainTable((p.alpha1, p.alpha2, p.alpha3))
+    hh = Rat(chains.num((m, n), (i, k), p.N), chains.den((m, n)))
     return RadicalScalar(hh, 1 / bigLambda(d, p))
 
 
 class _Values:
     """Values of the family at one parameter triple, filled as they are read.
 
-    chain is the nested product h_m(i; a1, a2; i+k) h_n(i+k-m; 2m+a1+a2+1,
-    a3; level-m), the d = 2 ChainTable: a genuine bivariate polynomial of
-    total degree m + n, as the inner level i+k depends on the grid point.
-    P is the same integers over sigma = chains.den (-level)_{m+n}.  row
-    holds them over a whole grid, p and chain make single rationals, qrow
-    the float Q values of a whole grid.
+    The chain is the nested product h_m(i; a1, a2; i+k) h_n(i+k-m;
+    2m+a1+a2+1, a3; level-m), the d = 2 ChainTable: a genuine bivariate
+    polynomial of total degree m + n, as the inner level i+k depends on the
+    grid point.  P is the same integers over sigma = chains.den
+    (-level)_{m+n}.  row holds them over a whole grid, p makes a single
+    rational, and qrow divides a row into the float Q values.
     """
 
     def __init__(self, a1, a2, a3):
@@ -222,9 +222,6 @@ class _Values:
     def p(self, m, n, i, k, level):
         return Rat(self.chains.num((m, n), (i, k), level), self.den(m, n, level))
 
-    def chain(self, m, n, i, k, level):
-        return Rat(self.chains.num((m, n), (i, k), level), self.chains.den((m, n)))
-
     def qrow(self, m, n, level) -> tuple:
         """The float Q values of degree pair (m, n) over simplex_points(level, 2).
 
@@ -235,8 +232,7 @@ class _Values:
         if out is None:
             root = math.sqrt(float(bigLambda((m, n), BiParams(self.a1, self.a2, self.a3, level))))
             den = self.chains.den((m, n))
-            grid = self.chains.points(level)  # not row: the float plane keeps no integer rows
-            out = self._qrows[key] = tuple(self.chains.num((m, n), g, level) / den / root for g in grid)
+            out = self._qrows[key] = tuple(v / den / root for v in self.row(m, n, level))
         return out
 
 
@@ -270,15 +266,16 @@ def overlap2(p: BiParams, mode: str = "float") -> OverlapMatrix:
     if mode not in ("float", "radical", "squared"):
         raise ValueError(f"unknown overlap mode {mode!r}")
     rows = cols = tuple(simplex_points(p.N, 2))
-    inv_lambda = {d: 1 / bigLambda(d, p) for d in cols}
-    table = _Values(p.alpha1, p.alpha2, p.alpha3)
+    inv_lambda = [1 / bigLambda(d, p) for d in cols]
+    chains = ChainTable((p.alpha1, p.alpha2, p.alpha3))
+    values = [(chains.row(d, p.N), chains.den(d)) for d in cols]
     weights, W = simplex_weight((p.alpha1, p.alpha2, p.alpha3), p.N)
     entries = []
-    for (i, k), omega in zip(rows, weights):
+    for g, omega in enumerate(weights):
         w = Rat(omega, W)
         line = []
-        for m, n in cols:
-            value = RadicalScalar(table.chain(m, n, i, k, p.N), w * inv_lambda[(m, n)])
+        for (row, den), inv in zip(values, inv_lambda):
+            value = RadicalScalar(Rat(row[g], den), w * inv)
             if mode == "float":
                 line.append(float(value))
             elif mode == "radical":
@@ -1292,17 +1289,15 @@ def _exact_check(row: _Relation, check: _Check) -> CheckResult:
 
 def _float_check(row: _Relation, check: _Check) -> CheckResult:
     """The largest scale-normalized residual |lhs - rhs| / (1 + max(|lhs|, |rhs|))."""
-    worst, example = 0.0, None
+    worst, example = 0.0, (0, 0, 0, 0, 0.0, 0.0)
     for m, n, i, k, t, lhs, rhs, target, _ in _instances(row, check):
         if target is not None:
             return CheckResult.failure(row.name, "nonzero", _indices(m, n, i, k, t, target), f"{lhs:.17g}", "0")
         scaled = abs(lhs - rhs) / (1.0 + max(abs(lhs), abs(rhs)))
         if scaled > worst:
             worst, example = scaled, (m, n, i, k, lhs, rhs)
-    if worst <= FLOAT_TOL:
-        return CheckResult.float_pass(row.name, worst)
     m, n, i, k, lhs, rhs = example
-    return CheckResult.failure(row.name, f"{worst:.17g}", _indices(m, n, i, k, 0), f"{lhs:.17g}", f"{rhs:.17g}")
+    return CheckResult.float_verdict(row.name, worst, _indices(m, n, i, k, 0), lhs, rhs)
 
 
 def _relations(check_name: str):

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 
 from .numeric import Rat, format_rational
 from .reports import CheckResult, VerificationReport
@@ -47,16 +46,10 @@ class MultiParams:
             raise ValueError(f"level capped at {MAX_LEVEL} for exact sweeps")
         if min(alphas) <= -1:
             raise ValueError("parameters must exceed -1")
-        # partial[k] = alpha_1 + ... + alpha_k, partial[0] = 0
-        object.__setattr__(self, "apartial", tuple(accumulate(alphas, initial=Rat(0))))
 
     @property
     def d(self) -> int:
         return len(self.alphas) - 1
-
-    @property
-    def asum(self):
-        return self.apartial[-1]
 
     def echo(self) -> dict:
         return {

@@ -4,6 +4,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
+FLOAT_TOL = 1e-10  # the largest worst residual a float check passes with
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -24,8 +26,13 @@ class CheckResult:
         return cls(name=name, passed=True, max_residual="0")
 
     @classmethod
-    def float_pass(cls, name: str, residual: float) -> "CheckResult":
-        return cls(name=name, passed=True, max_residual=f"{residual:.17g}")
+    def float_verdict(cls, name: str, worst: float, indices=None, lhs=None, rhs=0.0) -> "CheckResult":
+        """A pass at a worst residual up to FLOAT_TOL, else a failure at
+        indices (default {}), lhs defaulting to the residual, rhs to 0."""
+        if worst <= FLOAT_TOL:
+            return cls(name=name, passed=True, max_residual=f"{worst:.17g}")
+        lhs = worst if lhs is None else lhs
+        return cls.failure(name, f"{worst:.17g}", indices or {}, f"{lhs:.17g}", f"{rhs:.17g}")
 
     @classmethod
     def failure(

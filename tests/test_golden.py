@@ -4,9 +4,11 @@ oracle suite, byte for byte.
 tests/data/bi_reports.json holds verify_bi(...).to_dict() for all sixteen
 checks on the four PARAM_TRIPLES at N = 0..3.  chain_N4.csv and
 chain_N7.csv hold `hahnkit chain --format csv` on (1/2, -1/2, 3) at N = 4
-and (-1/2, -1/2, -1/2) at N = 7, and oracle_N6.json holds
-`hahnkit verify --suite oracle` on (0, 0, 0) at N = 6.  All were made on
-the fractions backend.  Run this file as a script to write them again:
+and (-1/2, -1/2, -1/2) at N = 7, oracle_N6.json holds
+`hahnkit verify --suite oracle` on (0, 0, 0) at N = 6, and overlap_N4.csv
+and overlap_N5_exact.json hold `hahnkit overlap` on (1/2, -1/2, 3) at
+N = 4 (float, CSV) and on (7/3, 1, 1/2) at N = 5 (exact signed squares).
+All were made on the fractions backend.  Run this file as a script to write them again:
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -40,6 +42,8 @@ CLI_GOLDENS = {
     "chain_N4.csv": ["chain", "--alpha=1/2,-1/2,3", "--N", "4", "--format", "csv"],
     "chain_N7.csv": ["chain", "--alpha=-1/2,-1/2,-1/2", "--N", "7", "--format", "csv"],
     "oracle_N6.json": ["verify", "--suite", "oracle", "--alpha=0,0,0", "--N", "6", "--format", "json"],
+    "overlap_N4.csv": ["overlap", "--alpha=1/2,-1/2,3", "--N", "4", "--format", "csv"],
+    "overlap_N5_exact.json": ["overlap", "--alpha=7/3,1,1/2", "--N", "5", "--mode", "exact"],
 }
 
 TRIPLES = [
@@ -125,7 +129,7 @@ def cli_text(argv) -> str:
     return out.getvalue()
 
 
-def chain_cells(text: str) -> tuple:
+def csv_cells(text: str) -> tuple:
     """The CSV labels, and the entries as one flat list of floats."""
     lines = [line.split(",") for line in text.splitlines()]
     labels = lines[0] + [row[0] for row in lines[1:]]
@@ -140,7 +144,7 @@ def test_cli_output_matches_golden(name):
     elif name.endswith(".json"):
         assert comparable(json.loads(got)) == comparable(json.loads(want))
     else:
-        (got_labels, got_entries), (want_labels, want_entries) = chain_cells(got), chain_cells(want)
+        (got_labels, got_entries), (want_labels, want_entries) = csv_cells(got), csv_cells(want)
         assert got_labels == want_labels
         assert got_entries == pytest.approx(want_entries, abs=1e-12)
 

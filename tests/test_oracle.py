@@ -13,6 +13,7 @@ from hahnkit.oracle import (
     ChainMatrix,
     Su11Module,
     build_operator,
+    chain_blocks,
     chain_matrices,
     chain_product,
     cylindrical_pairs,
@@ -25,6 +26,14 @@ from hahnkit.oracle import (
 from hahnkit.simplex import simplex_points
 
 TRIPLES = [(0, 0, 0), (Rat(1, 2), Rat(-1, 2), 3), (Rat(7, 3), 1, Rat(1, 2))]
+# TRIPLES, three more, and the large-magnitude triple of the float plane's
+# open false failures
+DEFECT_TRIPLES = TRIPLES + [
+    (Rat(-1, 2), Rat(-1, 2), Rat(-1, 2)),
+    (3, 3, 3),
+    (0, Rat(1, 2), Rat(7, 3)),
+    (Rat(999983, 1000003), Rat(-1, 999983), Rat(123456789, 1000)),
+]
 
 
 def p_vector(d, p):
@@ -66,6 +75,25 @@ def off_block(factor, row, col):
     assert entries[row][col] == 0.0
     entries[row][col] = 1e-3
     return ChainMatrix(factor.params, factor.rows, factor.cols, tuple(map(tuple, entries)))
+
+
+def dense_identity_defect(entries):
+    """The dense loop over every column pair and every row that the
+    per-block identity defect replaced, kept as its reference."""
+    side = len(entries[0]) if entries else 0
+    worst = 0.0
+    for a in range(side):
+        for b in range(a, side):
+            acc = sum(row[a] * row[b] for row in entries)
+            worst = max(worst, abs(acc - (1.0 if a == b else 0.0)))
+    return worst
+
+
+def normalized_p_vector(d, p):
+    """The reference vector by the p2_eval route the table rows replaced."""
+    vals = p_vector(d, p)
+    lead = next(v for v in vals if v != 0)
+    return tuple(v / lead for v in vals)
 
 
 def dense_chain_product(first, second):
@@ -277,6 +305,21 @@ class TestChain:
         with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}$"):
             chain_product(factors["first"], factors["second"])
 
+    def test_blocks_hand_level(self):
+        first, second = chain_blocks(*chain_matrices(BiParams(0, 0, 0, 2)))
+        # grid (0,0),(1,0),(2,0),(0,1),(1,1),(0,2); labels (0,0),(0,1),(1,1),(0,2),(1,2),(2,2)
+        assert first == {0: ([0], [0]), 1: ([1, 3], [1, 2]), 2: ([2, 4, 5], [3, 4, 5])}
+        # degree pairs (0,0),(1,0),(2,0),(0,1),(1,1),(0,2)
+        assert second == {0: ([0, 1, 3], [0, 3, 5]), 1: ([2, 4], [1, 4]), 2: ([5], [2])}
+
+    @pytest.mark.parametrize("triple", DEFECT_TRIPLES)
+    def test_block_identity_defect_equals_dense_loop(self, triple):
+        for N in range(13):
+            factors = chain_matrices(BiParams(*triple, N))
+            for factor, blocks in zip(factors, chain_blocks(*factors)):
+                want = f"{dense_identity_defect(factor.entries):.17g}"
+                assert f"{oracle_mod._identity_defect(factor.entries, blocks):.17g}" == want, (N, factor.rows[0])
+
     @pytest.mark.parametrize("triple", TRIPLES)
     def test_composition_is_overlap(self, triple):
         for N in range(6):
@@ -335,11 +378,15 @@ class TestSpectrumCheck:
         report = su11_spectrum_check(BiParams(*triple, 4))
         assert report.passed
         assert report.suite == "su11"
-        assert [c.name for c in report.checks] == [
-            "joint-diagonalization",
-            "casimir-first",
-            "casimir-second",
-        ]
+        assert [c.name for c in report.checks] == ["casimir-first", "casimir-second"]
+
+    def test_solves_no_kernel(self, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("a kernel was solved")
+
+        monkeypatch.setattr(oracle_mod, "joint_eigenvectors", no_solve)
+        monkeypatch.setattr(RationalMatrix, "nullspace", no_solve)
+        assert verify_oracle("su11-spectrum", BiParams(Rat(1, 2), Rat(-1, 2), 3, 6)).passed
 
     def test_exact_residuals(self):
         report = su11_spectrum_check(BiParams(Rat(1, 2), Rat(7, 3), 0, 3))
@@ -401,16 +448,21 @@ class TestVerifyOracle:
         assert not eigen.passed
         assert eigen.checks[0].counterexample is not None
 
-    def test_l1_coupling_two_lines_is_refused(self, monkeypatch):
+    @staticmethod
+    def _tamper_l1_across_lines(monkeypatch):
+        """L1 at (1, 1) gains 1 toward (1, 2), off the line i + k = 2."""
         orig = oracle_mod._shift_coeffs
 
         def tampered(label, i, k, a1, a2, a3, N):
             out = orig(label, i, k, a1, a2, a3, N)
             if label == "L1" and (i, k) == (1, 1):
-                out = {**out, (0, 1): 1}  # toward (1, 2), off the line i + k = 2
+                out = {**out, (0, 1): 1}
             return out
 
         monkeypatch.setattr(oracle_mod, "_shift_coeffs", tampered)
+
+    def test_l1_coupling_two_lines_is_refused(self, monkeypatch):
+        self._tamper_l1_across_lines(monkeypatch)
         p = BiParams(0, 0, 0, 3)
         with pytest.raises(ArithmeticError, match="^L1 couples the blocks 3 and 2 at row 5, col 8$"):
             joint_eigenvectors(p)
@@ -447,6 +499,55 @@ class TestVerifyOracle:
         assert check.counterexample["lhs"] == (
             "the first chain factor is 0.001 off its blocks at row (1, 0), col (0, 2)"
         )
+
+    def test_off_block_chain_entry_fails_orthogonality(self, monkeypatch):
+        # the dense identity loop reported a float residual here; the block
+        # walker refuses the entry and names it
+        orig = oracle_mod.chain_matrices
+        for which, row, col in [("first", 1, 3), ("second", 2, 5)]:
+            factors = dict(zip(("first", "second"), orig(BiParams(0, 0, 0, 2))))
+            factors[which] = tampered = off_block(factors[which], row, col)
+            monkeypatch.setattr(oracle_mod, "chain_matrices", lambda p: (factors["first"], factors["second"]))
+            check = verify_oracle("chain-orthogonality", BiParams(0, 0, 0, 2)).checks[0]
+            assert not check.passed
+            assert check.max_residual == "inf"
+            assert check.counterexample["lhs"] == (
+                f"the {which} chain factor is 0.001 off its blocks at "
+                f"row {tampered.rows[row]}, col {tampered.cols[col]}"
+            )
+
+    @pytest.mark.parametrize("case", ["line-coupling", "degenerate"])
+    def test_failed_solve_report_pinned(self, case, monkeypatch):
+        # the reports su11-spectrum gave as "joint-diagonalization" before the
+        # solve became joint-eigenvectors' alone: same message, residual "inf"
+        if case == "line-coupling":
+            self._tamper_l1_across_lines(monkeypatch)
+            p, message = BiParams(0, 0, 0, 3), "L1 couples the blocks 3 and 2 at row 5, col 8"
+        else:
+            monkeypatch.setattr(oracle_mod, "eigenvalue", lambda label, d, p: Rat(0))
+            p, message = BiParams(0, 0, 0, 2), "degenerate joint spectrum: (0, 0) vs (1, 0)"
+        report = verify_oracle("joint-eigenvectors", p).to_dict()["checks"]
+        assert report == [{
+            "name": "joint-eigenvectors",
+            "status": "fail",
+            "max_residual": "inf",
+            "counterexample": {"indices": {}, "lhs": message, "rhs": ""},
+        }]
+
+    @pytest.mark.parametrize("triple", TRIPLES)
+    def test_row_references_equal_p2_eval_route(self, triple, monkeypatch):
+        # the check passes exactly when each solved vector equals its
+        # reference, so feeding it the p2_eval route's vectors compares the two
+        for N in range(7):
+            p = BiParams(*triple, N)
+            vecs = {d: normalized_p_vector(d, p) for d in simplex_points(N, 2)}
+            monkeypatch.setattr(oracle_mod, "joint_eigenvectors", lambda p: vecs)
+            assert verify_oracle("joint-eigenvectors", p).checks[0].max_residual == "0"
+            d = (N, 0)
+            vecs[d] = vecs[d][:-1] + (vecs[d][-1] + 1,)
+            check = verify_oracle("joint-eigenvectors", p).checks[0]
+            assert check.counterexample["indices"] == {"degree": [N, 0], "entry": len(vecs[d]) - 1}
+            assert check.max_residual == "1"
 
     def test_commutation_failure_report_pinned(self, monkeypatch):
         # the first defect of L1 L2 - L2 L1 in row-major order, as the
