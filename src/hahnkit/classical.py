@@ -9,6 +9,7 @@ they must agree everywhere.
 """
 from __future__ import annotations
 
+import math
 from itertools import accumulate
 from typing import Sequence
 
@@ -24,6 +25,7 @@ from .numeric import (
     pochhammer,
 )
 from .reports import CheckResult, VerificationReport
+from .simplex import cleared
 
 PolyCoeffs = tuple
 
@@ -43,30 +45,43 @@ def poly_equal(p: Sequence, q: Sequence) -> bool:
     )
 
 
-def jacobi_coeffs(n: int, alpha, beta) -> PolyCoeffs:
-    """Coefficients of the degree-n Jacobi polynomial in z.
+def jacobi_cleared(n: int, alpha, beta) -> tuple:
+    """The coefficients of the degree-n Jacobi polynomial in z as integers
+    over one denominator, (den, coefficients), trailing zeros trimmed.
 
     Expanded from a form polynomial in both parameters, so the raising
     relations may shift alpha or beta down to -1 and below without hitting a
     division: sum_j (-n)_j (n+a+b+1)_j (a+j+1)_{n-j} / (n! j!) ((1-z)/2)^j.
+    With a = A/q and b = B/q, term j times den = q^n 2^n n! is
+
+        (-1)^j C(n, j) 2^(n-j) prefix_j suffix_j (1 - z)^j,
+
+    with the prefix prod_{i<j} (q(n+1+i) + A + B) = q^j (n+a+b+1)_j and the
+    suffix prod_{j<=i<n} (A + q(i+1)) = q^(n-j) (a+j+1)_{n-j}, built as
+    simplex.hahn_coefficients builds its own; the powers of 1 - z are summed
+    by Horner's rule.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    alpha = Rat(alpha)
-    beta = Rat(beta)
-    half_base = (Rat(1, 2), Rat(-1, 2))  # (1-z)/2
-    power: PolyCoeffs = (Rat(1),)
-    total: PolyCoeffs = _POLY_ZERO
+    q, (A, B) = cleared(Rat(alpha), Rat(beta))
+    suffix = [1] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix[i] = suffix[i + 1] * (A + q * (i + 1))
+    terms, prefix = [], 1
     for j in range(n + 1):
-        c = (
-            pochhammer(-n, j)
-            * pochhammer(n + alpha + beta + 1, j)
-            * pochhammer(alpha + j + 1, n - j)
-            / (factorial(n) * factorial(j))
-        )
-        total = _poly_add(total, tuple(c * p for p in power))
-        power = _poly_mul(power, half_base)
-    return total
+        terms.append((-1) ** j * math.comb(n, j) * prefix * suffix[j] << (n - j))
+        prefix *= q * (n + 1 + j) + A + B
+    total = (0,)
+    for term in reversed(terms):
+        total = _poly_add(_poly_mul(total, (1, -1)), (term,))
+    return q**n * 2**n * math.factorial(n), total
+
+
+def jacobi_coeffs(n: int, alpha, beta) -> PolyCoeffs:
+    """Coefficients of the degree-n Jacobi polynomial in z, as rationals:
+    jacobi_cleared's integers over its denominator."""
+    den, coeffs = jacobi_cleared(n, alpha, beta)
+    return tuple(Rat(c, den) for c in coeffs)
 
 
 def laguerre_coeffs(n: int, alpha) -> PolyCoeffs:

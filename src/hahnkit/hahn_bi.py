@@ -20,14 +20,33 @@ nonzero coefficient is reported as a failure naming the target.
 
 The exact plane runs on Python ints.  A table holds the P values of a
 degree pair and level as integer numerators, the d = 2 rows of the simplex
-layer's ChainTable, over one denominator; grid points and degree pairs both
-run in simplex_points(N, 2) order, and the weight is simplex_weight's.  The
-exact runner clears each instance's coefficients and those denominators to
-one common scale, compares two integer sums at every grid point, and makes
-rationals only to report a failure; orthogonality (gram_entries) and
-symmetry do the same.
-Every scale a comparison is multiplied by is shown nonzero first, since a
-zero one would make any identity hold.
+layer's ChainTable, over one denominator sigma, made once per degree pair
+and level; grid points and degree pairs both run in simplex_points(N, 2)
+order, and the weight is simplex_weight's.  Orthogonality (gram_entries)
+and symmetry compare integer sums and make rationals only to report a
+failure.  Every scale a comparison is multiplied by is shown nonzero first,
+since a zero one would make any identity hold.
+
+The exact relation runner walks sample points outermost: for each t it
+builds that point's tables, decides every instance (m, n) whose sweep
+reaches t, and drops them, so one sample point's tables are alive at a
+time.  A coefficient is a per-degree share times a per-point share, each an
+integer pair (numerator, denominator) made on the triple cleared to its
+denominator q: the per-point shares once per sample point, over one
+denominator per term, the per-degree ones once per instance.  Each side of
+an instance is then one int, sum_j W_j pack(X_j row_j): the integer weight
+W_j of term j times the packed product of its per-point integers X_j and
+its table row, pack(v) = sum_g v_g 2^(B g) with one slot of width B per
+grid point.  If every slot of the difference of the two sides is below
+2^(B-1) in size, the sides are equal exactly when every grid point agrees:
+the lowest nonzero slot g would leave a nonzero multiple of 2^(B g) smaller
+in size than 2^(B g + B-1).  A slot sums T terms, each below
+2^(bits(W) + bits(X row)), so B is chosen above max(bits(W) + bits(X row))
++ bits(T); that bound is checked for every instance before its sides are
+compared, and a slot too narrow is a reported failure, not an assert.  A
+failing instance's slots are decoded to name its first grid point, and the
+first failure in the order degree pair, grid point, sample point (an
+off-simplex obligation before the residual of its instance) is reported.
 
 Rational relation coefficients can hit removable 0/0 at special parameter
 points (2m + a12 = 0 and friends).  The nine-point recurrences and the
@@ -57,7 +76,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, NamedTuple
 
-from .classical import jacobi_coeffs
+from .classical import jacobi_cleared
 from .numeric import (
     Rat,
     RadicalScalar,
@@ -73,9 +92,9 @@ from .reports import CheckResult, VerificationReport, _guarded
 from .simplex import ChainTable, cleared, gram_entries, simplex_points, simplex_weight
 
 # The largest level whose sixteen checks fit in criterion 03's 60 s budget
-# on the fractions backend (cost curve in BENCH_9.json); verify_bi refuses
+# on the fractions backend (cost curve in BENCH_15.json); verify_bi refuses
 # a level above it.
-MAX_BI_LEVEL = 21
+MAX_BI_LEVEL = 25
 
 
 @dataclass(frozen=True)
@@ -178,12 +197,17 @@ def lambda2(d, p: BiParams):
     return Rat(f(m) * f(n) * f(p.N - m - n) * num, f(p.N) * den)
 
 
+def _big_lambda(m: int, n: int, p: BiParams) -> tuple[int, int]:
+    """bigLambda as one integer numerator and denominator."""
+    num, den = _lambda_core(m, n, p.alpha1, p.alpha2, p.alpha3, p.N)
+    f = math.factorial
+    return math.perm(p.N, m + n) * f(m) * f(n) * num, den
+
+
 def bigLambda(d, p: BiParams):
     """Squared norm of the bare product chain; equals lambda2 * ((-N)_{m+n})^2."""
     m, n = _require_pair(d, p.N, "degree pair")
-    num, den = _lambda_core(m, n, p.alpha1, p.alpha2, p.alpha3, p.N)
-    f = math.factorial
-    return Rat(math.perm(p.N, m + n) * f(m) * f(n) * num, den)
+    return Rat(*_big_lambda(m, n, p))
 
 
 def q2_eval(d, g, p: BiParams) -> RadicalScalar:
@@ -209,11 +233,18 @@ class _Values:
     def __init__(self, a1, a2, a3):
         self.a1, self.a2, self.a3 = a1, a2, a3
         self.chains = ChainTable((a1, a2, a3))
-        self._qrows = {}
+        self._qrows, self._dens = {}, {}
 
     def den(self, m, n, level) -> int:
-        """sigma: the P values of degree pair (m, n) at level are row / sigma."""
-        return nonzero(self.chains.den((m, n)) * rising(-level, m + n), "the denominator of a P value")
+        """sigma: the P values of degree pair (m, n) at level are row / sigma;
+        made once per degree pair and level."""
+        key = (m, n, level)
+        sigma = self._dens.get(key)
+        if sigma is None:
+            sigma = self._dens[key] = nonzero(
+                self.chains.den((m, n)) * rising(-level, m + n), "the denominator of a P value"
+            )
+        return sigma
 
     def row(self, m, n, level) -> tuple:
         """The P numerators of degree pair (m, n) over simplex_points(level, 2)."""
@@ -266,22 +297,30 @@ def overlap2(p: BiParams, mode: str = "float") -> OverlapMatrix:
     if mode not in ("float", "radical", "squared"):
         raise ValueError(f"unknown overlap mode {mode!r}")
     rows = cols = tuple(simplex_points(p.N, 2))
-    inv_lambda = [1 / bigLambda(d, p) for d in cols]
     chains = ChainTable((p.alpha1, p.alpha2, p.alpha3))
     values = [(chains.row(d, p.N), chains.den(d)) for d in cols]
     weights, W = simplex_weight((p.alpha1, p.alpha2, p.alpha3), p.N)
+    if mode == "float":
+        # (row / den) sqrt(omega Lambda_den / (W Lambda_num)) by int true
+        # divisions, each rounded as float() of the reduced rational is, so
+        # every entry is float() of the radical one; a zero entry is +0.0
+        norms = [(lam_den, W * lam_num) for lam_num, lam_den in (_big_lambda(*d, p) for d in cols)]
+        entries = tuple(
+            tuple(
+                row[g] / den * math.sqrt(omega * lam_den / scale) if row[g] and omega else 0.0
+                for (row, den), (lam_den, scale) in zip(values, norms)
+            )
+            for g, omega in enumerate(weights)
+        )
+        return OverlapMatrix(params=p, mode=mode, rows=rows, cols=cols, entries=entries)
+    inv_lambda = [1 / bigLambda(d, p) for d in cols]
     entries = []
     for g, omega in enumerate(weights):
         w = Rat(omega, W)
         line = []
         for (row, den), inv in zip(values, inv_lambda):
             value = RadicalScalar(Rat(row[g], den), w * inv)
-            if mode == "float":
-                line.append(float(value))
-            elif mode == "radical":
-                line.append(value)
-            else:
-                line.append(value.signed_square())
+            line.append(value if mode == "radical" else value.signed_square())
         entries.append(tuple(line))
     return OverlapMatrix(params=p, mode=mode, rows=rows, cols=cols, entries=tuple(entries))
 
@@ -347,11 +386,11 @@ def _check_genfun(p: BiParams) -> list[CheckResult]:
     firsts = {}  # per m: d1, the first sum, and the products the second sums over
     for m, n in simplex_points(N, 2):
         if m not in firsts:
-            d1, coeffs = cleared(*jacobi_coeffs(m, p.alpha1, p.alpha2))
+            d1, coeffs = jacobi_cleared(m, p.alpha1, p.alpha2)
             first = _poly2_sum(coeffs, [_poly2_mul(diff[idx], plus[m - idx]) for idx in range(m + 1)])
             firsts[m] = d1, first, [_poly2_mul(inner_lo[idx], inner_hi[N - m - idx]) for idx in range(N - m + 1)]
         d1, first, bases = firsts[m]
-        d2, coeffs = cleared(*jacobi_coeffs(n, 2 * m + p.a12 + 1, p.alpha3))
+        d2, coeffs = jacobi_cleared(n, 2 * m + p.a12 + 1, p.alpha3)
         lhs = _poly2_mul(first, _poly2_sum(coeffs, bases))
         row, den = table.row(m, n, N), table.den(m, n, N) * math.factorial(m) * math.factorial(n)
         if any(lhs.get(g, 0) * den != d1 * d2 * w * v for g, w, v in zip(points, multinomials, row)):
@@ -377,10 +416,10 @@ def _check_genfun(p: BiParams) -> list[CheckResult]:
 _SLOPES = (1, 3, 5)
 
 
-def _sweep_points(p: BiParams, D: int) -> list:
-    """The triples (alpha1 + t, alpha2 + 3t, alpha3 + 5t) for t = 0..D."""
+def _sweep_points(p: BiParams, D: int, start: int = 0) -> list:
+    """The triples (alpha1 + t, alpha2 + 3t, alpha3 + 5t) for t = start..D."""
     base = (p.alpha1, p.alpha2, p.alpha3)
-    return [tuple(a + c * t for a, c in zip(base, _SLOPES)) for t in range(D + 1)]
+    return [tuple(a + c * t for a, c in zip(base, _SLOPES)) for t in range(start, D + 1)]
 
 
 class _Degree:
@@ -496,16 +535,18 @@ def _rec_coeffs_cleared(m: int, n: int, N: int, a1, a2, a3, q):
     return coeffs, u0 * u1 * u2 * v1 * v2 * v3
 
 
-def _l2_shift_coeffs(i, k, a1, a2, a3, N):
-    """The six off-diagonal coefficients of the second difference operator,
-    keyed by grid displacement."""
+def _l2_shift_coeffs(i, k, A1, A2, A3, N, q):
+    """q times the six off-diagonal coefficients of the second difference
+    operator, keyed by grid displacement, on the triple cleared to its
+    denominator q."""
+    r = N - i - k
     return {
-        (1, 0): (i + a1 + 1) * (N - i - k),
-        (0, 1): (k + a2 + 1) * (N - i - k),
-        (-1, 0): i * (N - i - k + a3 + 1),
-        (0, -1): k * (N - i - k + a3 + 1),
-        (1, -1): k * (i + a1 + 1),
-        (-1, 1): i * (k + a2 + 1),
+        (1, 0): ((i + 1) * q + A1) * r,
+        (0, 1): ((k + 1) * q + A2) * r,
+        (-1, 0): i * ((r + 1) * q + A3),
+        (0, -1): k * ((r + 1) * q + A3),
+        (1, -1): k * ((i + 1) * q + A1),
+        (-1, 1): i * ((k + 1) * q + A2),
     }
 
 
@@ -753,15 +794,33 @@ _NINE_SIGNS = {"i": (1, 1, 1, 1, 1, 1, 1, 1), "k": (-1, -1, 1, 1, -1, -1, -1, -1
 
 
 class _Term(NamedTuple):
-    """coef(d, x) times the value at degree pair (m, n) + degree, grid point
-    (i, k) + point, the parameters shifted by params and level N + level;
-    d and x are the row's per-degree and per-point coefficient parts."""
+    """sign times scale(d) times factor(x) times the value at degree pair
+    (m, n) + degree, grid point (i, k) + point, the parameters shifted by
+    params and level N + level.
 
-    coef: Callable
+    d and x are the row's per-degree and per-point coefficient parts; scale
+    and factor read this term's share of each, and a share left None is 1.
+    On the P plane a share is an exact rational as an integer pair
+    (numerator, denominator), on the Q plane a float.
+    """
+
+    scale: Callable | None = None
+    factor: Callable | None = None
+    sign: int = 1
     degree: tuple = (0, 0)
     point: tuple = (0, 0)
     params: tuple = (0, 0, 0)
     level: int = 0
+
+    def coef(self, d, x):
+        """The coefficient as one number: on the P plane a rational, made
+        for a report only."""
+        value = self.sign
+        for share, part in ((self.scale, d), (self.factor, x)):
+            if share is not None:
+                v = share(part)
+                value = value * (Rat(*v) if isinstance(v, tuple) else v)
+        return value
 
 
 class _Relation(NamedTuple):
@@ -770,9 +829,11 @@ class _Relation(NamedTuple):
 
     per_degree(c, m, n) and per_point(c, i, k) make the coefficient parts
     that depend on the degree pair alone or the grid point alone, once
-    each; c is an _At.  Plane "P" rows are exact, plane "Q" rows float.  A
-    swept row has its denominators cleared and is checked at the D + 1
-    points of the sweep line; every other row at the base point.
+    each; c is an _At.  Plane "P" rows are exact: their parts are integer
+    pairs made on the triple cleared to its denominator (c.q, c.scaled).
+    Plane "Q" rows are float.  A swept row has its denominators cleared and
+    is checked at the D + 1 points of the sweep line; every other row at the
+    base point.
     """
 
     name: str
@@ -786,92 +847,92 @@ class _Relation(NamedTuple):
     swept: bool = False
 
 
-class _FromDegree(NamedTuple):
-    """The coefficient d[slot], or d itself when slot is None, times the
-    per-point part x when times_point: the rational part is read from the
-    per-degree part alone, so the runner takes it once per degree pair and
-    sample point, and multiplies its integer weight by an integer x.  Any
-    other coefficient is taken at each grid point."""
-
-    slot: int | None = None
-    times_point: bool = False
-
-    def part(self, d):
-        return d if self.slot is None else d[self.slot]
-
-    def __call__(self, d, x):
-        return self.part(d) * x if self.times_point else self.part(d)
+def _itself(part):
+    return part
 
 
-_degree_part = _FromDegree()
-# D x, the left side of a swept row: D per degree pair, x an integer per point
-_DEGREE_TIMES_POINT = _FromDegree(-1, True)
-
-
-def _point_part(d, x):
-    return x
+def _pick(j: int) -> Callable:
+    """The share at position j of a tuple of coefficient parts."""
+    return lambda part: part[j]
 
 
 def _degree_terms(targets, params=(0, 0, 0), level=0) -> tuple:
     """Terms at shifted degree pairs; term j's coefficient is d[j]."""
-    return tuple(_Term(_FromDegree(j), dg, (0, 0), params, level) for j, dg in enumerate(targets))
+    return tuple(_Term(_pick(j), degree=dg, params=params, level=level) for j, dg in enumerate(targets))
 
 
 def _point_terms(points, params=(0, 0, 0), level=0) -> tuple:
     """Terms at shifted grid points; term j's coefficient is x[j]."""
-    return tuple(_Term(lambda d, x, j=j: x[j], (0, 0), g, params, level) for j, g in enumerate(points))
+    return tuple(_Term(factor=_pick(j), point=g, params=params, level=level) for j, g in enumerate(points))
 
 
 def _floats(point_part):
-    return lambda c, i, k: tuple(map(float, point_part(c, i, k)))
+    """The float Q-plane form of a P-plane per-point part: each pair's int
+    quotient, correctly rounded as float() of the rational is."""
+    return lambda c, i, k: tuple(num / den for num, den in point_part(c, i, k))
 
 
 def _first_difference(c, i, k):
-    """The two off-diagonal coefficients of the first difference operator."""
-    return i * (k + c.a2 + 1), k * (i + c.a1 + 1)
+    """The two off-diagonal coefficients of the first difference operator,
+    then its diagonal, each over q."""
+    q, (A1, A2, _) = c.q, c.scaled
+    y1, y2 = i * ((k + 1) * q + A2), k * ((i + 1) * q + A1)
+    return (y1, q), (y2, q), (-(y1 + y2), q)
 
 
 def _ladder_n(c, i, k):
+    q, (A1, A2, A3) = c.q, c.scaled
     r = c.N - i - k
+    up = (r + 1) * q + A3  # q (r + a3 + 1)
     return (
-        (i + c.a1 + 1) * r * (r - 1),
-        (k + c.a2 + 1) * r * (r - 1),
-        i * (r + c.a3 + 1) * (r + c.a3 + 2),
-        k * (r + c.a3 + 1) * (r + c.a3 + 2),
-        -(r * (r + c.a3 + 1) * (2 * i + 2 * k + c.s + 2)),
+        (((i + 1) * q + A1) * r * (r - 1), q),
+        (((k + 1) * q + A2) * r * (r - 1), q),
+        (i * up * (up + q), q * q),
+        (k * up * (up + q), q * q),
+        (-(r * up * ((2 * i + 2 * k + 2) * q + A1 + A2)), q * q),
     )
 
 
 def _lowering_n(c, i, k):
-    return i + c.a1 + 1, k + c.a2 + 1, -(2 * i + 2 * k + c.s + 2), i, k
+    q, (A1, A2, _) = c.q, c.scaled
+    return ((i + 1) * q + A1, q), ((k + 1) * q + A2, q), (-((2 * i + 2 * k + 2) * q + A1 + A2), q), (i, 1), (k, 1)
 
 
 _L2_SHIFTS = ((1, 0), (0, 1), (-1, 0), (0, -1), (1, -1), (-1, 1))
 
 
 def _second_difference(c, i, k):
-    omega = _l2_shift_coeffs(i, k, c.a1, c.a2, c.a3, c.N)
-    return (-sum(omega.values()),) + tuple(omega[s] for s in _L2_SHIFTS)
+    """The diagonal, then the six off-diagonal coefficients of the second
+    difference operator, each over q."""
+    q = c.q
+    omega = _l2_shift_coeffs(i, k, *c.scaled, c.N, q)
+    return ((-sum(omega.values()), q),) + tuple((omega[s], q) for s in _L2_SHIFTS)
 
 
 _UP_M = (1, 1, 0)  # both first parameters move
 _UP_N = (0, 0, 2)  # the third parameter jumps by two
 _LADDER_M = (
-    _Term(lambda d, x: x[0], point=(-1, 0), params=_UP_M, level=-1),
-    _Term(lambda d, x: -x[1], point=(0, -1), params=_UP_M, level=-1),
+    _Term(factor=_pick(0), point=(-1, 0), params=_UP_M, level=-1),
+    _Term(factor=_pick(1), sign=-1, point=(0, -1), params=_UP_M, level=-1),
 )
 _LADDER_N = _point_terms(((1, 0), (0, 1), (-1, 0), (0, -1), (0, 0)), _UP_N, -1)
-_LOWER_M = (_Term(lambda d, x: 1, point=(1, 0), level=1), _Term(lambda d, x: -1, point=(0, 1), level=1))
+_LOWER_M = (_Term(point=(1, 0), level=1), _Term(sign=-1, point=(0, 1), level=1))
 _LOWER_N = _point_terms(((1, 0), (0, 1), (0, 0), (-1, 0), (0, -1)), level=1)
 _SECOND_DIFFERENCE = _point_terms(((0, 0),) + _L2_SHIFTS)
+
+
+def _grid_variable(second: bool) -> Callable:
+    """The per-point part i, or k for the second-variable forms, as a pair."""
+    return (lambda c, i, k: (k, 1)) if second else (lambda c, i, k: (i, 1))
 
 
 def _recurrence(which: str) -> _Relation:
     second = which == "x2"
     return _Relation(
-        f"recurrence-{which}", "P", 0, 0, lhs=(_Term(_DEGREE_TIMES_POINT),), rhs=_degree_terms(_REC_TARGETS),
+        f"recurrence-{which}", "P", 0, 0,
+        lhs=(_Term(_pick(-1), _itself),), rhs=_degree_terms(_REC_TARGETS),
         per_degree=lambda c, m, n: c.cleared(_rec_coeffs_cleared, m, n, second, _REC_SIGNS[which]),
-        per_point=lambda c, i, k: k if second else i, swept=True,
+        per_point=_grid_variable(second), swept=True,
     )
 
 
@@ -881,28 +942,29 @@ def _structure(var: str, raising: bool) -> _Relation:
     if raising:
         return _Relation(
             f"structure[raise-{var}]", "P", -1, -1,
-            lhs=(_Term(_DEGREE_TIMES_POINT, point=step),),
+            lhs=(_Term(_pick(-1), _itself, point=step),),
             rhs=_degree_terms(_STRUCT_RAISE_TARGETS, shift, -1),
             per_degree=lambda c, m, n: c.cleared(_structure_raise_terms, m, n, second, _STRUCT_RAISE_SIGNS[var]),
-            per_point=lambda c, i, k: c.N, swept=True,
+            per_point=lambda c, i, k: (c.N, 1), swept=True,
         )
     flip = -1 if second else 1
 
     def per_degree(c, m, n):
-        aux = c.a2 if second else c.a1
+        q, (A1, A2, A3) = c.q, c.scaled
+        aux = (m + 1) * q + (A2 if second else A1)  # q (m + aux + 1)
         return (
-            (m + aux + 1) * (2 * m + n + c.s + 2),
-            -flip * (2 * m + n + c.sig + 3),
-            -(m + aux + 1),
-            flip * n * (n + c.a3),
-            (2 * m + c.s + 2) * (2 * m + 2 * n + c.sig + 3),  # never vanishes
+            (aux * ((2 * m + n + 2) * q + A1 + A2), q * q),
+            (-flip * ((2 * m + n + 3) * q + A1 + A2 + A3), q),
+            (-aux, q),
+            (flip * n * (n * q + A3), q),
+            # (2m + s + 2) (2m + 2n + sig + 3) / N; never vanishes
+            (((2 * m + 2) * q + A1 + A2) * ((2 * m + 2 * n + 3) * q + A1 + A2 + A3), q * q * c.N),
         )
 
     return _Relation(
         f"structure[lower-{var}]", "P", -1, 0,
-        lhs=(_Term(lambda d, x: x * d[-1], point=(-step[0], -step[1]), params=shift, level=-1),),
-        rhs=_degree_terms(_STRUCT_LOWER_TARGETS), per_degree=per_degree,
-        per_point=lambda c, i, k: Rat(k if second else i, c.N),
+        lhs=(_Term(_pick(-1), _itself, point=(-step[0], -step[1]), params=shift, level=-1),),
+        rhs=_degree_terms(_STRUCT_LOWER_TARGETS), per_degree=per_degree, per_point=_grid_variable(second),
     )
 
 
@@ -927,12 +989,12 @@ def _normalized_structure(var: str, forward: bool) -> _Relation:
     if forward:
         return _Relation(
             f"normalized-structure-float[forward-{var}]", "Q", 0, -1,
-            lhs=(_Term(_FromDegree(-1), point=step),),
+            lhs=(_Term(_pick(-1), point=step),),
             rhs=_degree_terms(((0, 0), (-1, 0), (0, -1), (-1, 1)), shift, -1), per_degree=per_degree,
         )
     return _Relation(
         f"normalized-structure-float[backward-{var}]", "Q", -1, 0,
-        lhs=(_Term(_point_part, point=(-step[0], -step[1]), params=shift, level=-1),),
+        lhs=(_Term(factor=_itself, point=(-step[0], -step[1]), params=shift, level=-1),),
         rhs=_degree_terms(((0, 0), (1, 0), (0, 1), (1, -1))), per_degree=per_degree,
         per_point=lambda c, i, k: (k if second else i) / _prefactor(c, second),
     )
@@ -942,13 +1004,19 @@ def _normalized_recurrence(var: str) -> _Relation:
     second = var == "k"
     return _Relation(
         f"normalized-recurrence-float[{var}]", "Q", 0, 0,
-        lhs=(_Term(_point_part),), rhs=_degree_terms(((0, 0),) + tuple(tg for tg, _, _ in _NINE_POINT)),
+        lhs=(_Term(factor=_itself),), rhs=_degree_terms(((0, 0),) + tuple(tg for tg, _, _ in _NINE_POINT)),
         per_degree=lambda c, m, n: (c.limit(_coef_rec_e, m, n, second),) + tuple(
             sg * c.root(fn, m + em, n + en, second)
             for sg, (_, fn, (em, en)) in zip(_NINE_SIGNS[var], _NINE_POINT)
         ),
         per_point=lambda c, i, k: k if second else i,
     )
+
+
+def _l1_eigenvalue(c, m, n):
+    """-m (m + s + 1), over q."""
+    q, (A1, A2, _) = c.q, c.scaled
+    return -m * ((m + 1) * q + A1 + A2), q
 
 
 # The 24 relation rows, in report order.  m = 0 and n = 0 keep the backward
@@ -958,29 +1026,32 @@ _RELATIONS = {row.name: row for row in (
     _recurrence("x2"),
     _Relation(
         "diff-L1", "P", 0, 0,
-        lhs=(_Term(lambda d, x: -(x[0] + x[1])),) + _point_terms(((-1, 1), (1, -1))),
-        rhs=(_Term(_degree_part),),
-        per_degree=lambda c, m, n: -m * (m + c.s + 1), per_point=_first_difference,
+        lhs=(_Term(factor=_pick(2)),) + _point_terms(((-1, 1), (1, -1))), rhs=(_Term(_itself),),
+        per_degree=_l1_eigenvalue, per_point=_first_difference,
     ),
     _Relation(
-        "diff-L2", "P", 0, 0, lhs=_SECOND_DIFFERENCE, rhs=(_Term(_degree_part),),
-        per_degree=lambda c, m, n: -(m + n) * (m + n + c.sig + 2), per_point=_second_difference,
+        "diff-L2", "P", 0, 0, lhs=_SECOND_DIFFERENCE, rhs=(_Term(_itself),),
+        per_degree=lambda c, m, n: (-(m + n) * ((m + n + 2) * c.q + sum(c.scaled)), c.q),
+        per_point=_second_difference,
     ),
     _Relation(
-        "forward-shift-m", "P", -1, 0, lhs=(_Term(_degree_part, (1, 0)),), rhs=_LADDER_M,
-        per_degree=lambda c, m, n: -c.N, per_point=_first_difference,
+        "forward-shift-m", "P", -1, 0, lhs=(_Term(_itself, degree=(1, 0)),), rhs=_LADDER_M,
+        per_degree=lambda c, m, n: (-c.N, 1), per_point=_first_difference,
     ),
     _Relation(
-        "forward-shift-n", "P", -1, 0, lhs=(_Term(_degree_part, (0, 1)),), rhs=_LADDER_N,
-        per_degree=lambda c, m, n: -c.N * (n + c.a3 + 2), per_point=_ladder_n,
+        "forward-shift-n", "P", -1, 0, lhs=(_Term(_itself, degree=(0, 1)),), rhs=_LADDER_N,
+        per_degree=lambda c, m, n: (-c.N * ((n + 2) * c.q + c.scaled[2]), c.q), per_point=_ladder_n,
     ),
     _Relation(
-        "backward-shift-m", "P", 0, 0, lhs=(_Term(_degree_part, (-1, 0), params=_UP_M),), rhs=_LOWER_M,
-        per_degree=lambda c, m, n: -m * (m + c.s + 1) / (c.N + 1),
+        "backward-shift-m", "P", 0, 0, lhs=(_Term(_itself, degree=(-1, 0), params=_UP_M),), rhs=_LOWER_M,
+        per_degree=lambda c, m, n: (_l1_eigenvalue(c, m, n)[0], c.q * (c.N + 1)),
     ),
     _Relation(
-        "backward-shift-n", "P", 0, 0, lhs=(_Term(_degree_part, (0, -1), params=_UP_N),), rhs=_LOWER_N,
-        per_degree=lambda c, m, n: -n * (2 * m + n + c.s + 1) * (2 * m + n + c.sig + 2) / (c.N + 1),
+        "backward-shift-n", "P", 0, 0, lhs=(_Term(_itself, degree=(0, -1), params=_UP_N),), rhs=_LOWER_N,
+        per_degree=lambda c, m, n: (
+            -n * ((2 * m + n + 1) * c.q + c.scaled[0] + c.scaled[1]) * ((2 * m + n + 2) * c.q + sum(c.scaled)),
+            c.q * c.q * (c.N + 1),
+        ),
         per_point=_lowering_n,
     ),
     _structure("i", True),
@@ -994,17 +1065,17 @@ _RELATIONS = {row.name: row for row in (
     _normalized_recurrence("i"),
     _normalized_recurrence("k"),
     _Relation(
-        "normalized-difference-float[first]", "Q", 0, 0, lhs=(_Term(_degree_part),),
-        rhs=(_Term(lambda d, x: x[0] + x[1]), _Term(lambda d, x: -x[0], point=(-1, 1)),
-             _Term(lambda d, x: -x[1], point=(1, -1))),
+        "normalized-difference-float[first]", "Q", 0, 0, lhs=(_Term(_itself),),
+        rhs=(_Term(factor=lambda x: x[0] + x[1]), _Term(factor=_pick(0), sign=-1, point=(-1, 1)),
+             _Term(factor=_pick(1), sign=-1, point=(1, -1))),
         per_degree=lambda c, m, n: float(m * (m + c.s + 1)), per_point=_floats(_first_difference),
     ),
     _Relation(
-        "normalized-difference-float[second]", "Q", 0, 0, lhs=(_Term(_degree_part),), rhs=_SECOND_DIFFERENCE,
+        "normalized-difference-float[second]", "Q", 0, 0, lhs=(_Term(_itself),), rhs=_SECOND_DIFFERENCE,
         per_degree=lambda c, m, n: float(-(m + n) * (m + n + c.sig + 2)), per_point=_floats(_second_difference),
     ),
     _Relation(
-        "normalized-lowering-float[raise-m]", "Q", -1, 0, lhs=(_Term(_degree_part, (1, 0)),), rhs=_LADDER_M,
+        "normalized-lowering-float[raise-m]", "Q", -1, 0, lhs=(_Term(_itself, degree=(1, 0)),), rhs=_LADDER_M,
         per_degree=lambda c, m, n: _sq(
             1, c.N * (c.a1 + 1) * (c.a2 + 1) * (c.N + c.sig + 3) * (m + 1) * (m + c.s + 2)
             / ((c.sig + 3) * (c.sig + 4))
@@ -1012,7 +1083,7 @@ _RELATIONS = {row.name: row for row in (
         per_point=_floats(_first_difference),
     ),
     _Relation(
-        "normalized-lowering-float[raise-n]", "Q", -1, 0, lhs=(_Term(_degree_part, (0, 1)),), rhs=_LADDER_N,
+        "normalized-lowering-float[raise-n]", "Q", -1, 0, lhs=(_Term(_itself, degree=(0, 1)),), rhs=_LADDER_N,
         per_degree=lambda c, m, n: _sq(
             1, c.N * (c.N + c.sig + 3) * (c.a3 + 1) * (c.a3 + 2) * (n + 1) * (n + c.a3 + 2)
             * (n + 2 * m + c.s + 2) * (n + 2 * m + c.sig + 3) / ((c.sig + 3) * (c.sig + 4))
@@ -1020,7 +1091,7 @@ _RELATIONS = {row.name: row for row in (
         per_point=_floats(_ladder_n),
     ),
     _Relation(
-        "normalized-lowering-float[lower-m]", "Q", 0, 0, lhs=(_Term(_degree_part, (-1, 0), params=_UP_M),),
+        "normalized-lowering-float[lower-m]", "Q", 0, 0, lhs=(_Term(_itself, degree=(-1, 0), params=_UP_M),),
         rhs=_LOWER_M,
         per_degree=lambda c, m, n: _sq(
             1, m * (m + c.s + 1) * (c.sig + 3) * (c.sig + 4)
@@ -1028,7 +1099,7 @@ _RELATIONS = {row.name: row for row in (
         ),
     ),
     _Relation(
-        "normalized-lowering-float[lower-n]", "Q", 0, 0, lhs=(_Term(_degree_part, (0, -1), params=_UP_N),),
+        "normalized-lowering-float[lower-n]", "Q", 0, 0, lhs=(_Term(_itself, degree=(0, -1), params=_UP_N),),
         rhs=_LOWER_N,
         per_degree=lambda c, m, n: _sq(
             1, n * (n + c.a3 + 1) * (n + 2 * m + c.s + 1) * (n + 2 * m + c.sig + 2) * (c.sig + 3) * (c.sig + 4)
@@ -1045,7 +1116,7 @@ _RELATIONS = {row.name: row for row in (
 
 class _Check:
     """What one verify_bi call shares among its rows: the points of its
-    sweep line, one value table per parameter triple, and a memo of the
+    sweep line, the value tables of one sample point, and a memo of the
     coefficient formulas' units and float limits, each made once and
     dropped with the call."""
 
@@ -1053,7 +1124,7 @@ class _Check:
         self.p = p
         self.q, self.base = cleared(p.alpha1, p.alpha2, p.alpha3)
         self.points = []
-        self.tables = {}
+        self.sample, self.tables = None, {}
         self.memo = {}
         self.line = (self.scaled(0), self.scaled(1))
 
@@ -1063,14 +1134,20 @@ class _Check:
 
     def at(self, t: int) -> "_At":
         start = len(self.points)
-        for u, point in enumerate(_sweep_points(self.p, t)[start:], start):
+        for u, point in enumerate(_sweep_points(self.p, t, start), start):
             self.points.append(_At(self.p.N, point, self.q, self.scaled(u), self.line, self.memo))
         return self.points[t]
 
-    def values(self, a1, a2, a3) -> _Values:
-        if (a1, a2, a3) not in self.tables:
-            self.tables[(a1, a2, a3)] = _Values(a1, a2, a3)
-        return self.tables[(a1, a2, a3)]
+    def values(self, t: int, params: tuple) -> _Values:
+        """The table at sample point t's triple shifted by params.  The
+        tables of another sample point are dropped first, so those of one
+        sample point at most are alive."""
+        if t != self.sample:
+            self.sample, self.tables = t, {}
+        table = self.tables.get(params)
+        if table is None:
+            table = self.tables[params] = _Values(*(a + s for a, s in zip(self.at(t).triple(False), params)))
+        return table
 
 
 def _swapped(triple: tuple, swap: bool) -> tuple:
@@ -1110,19 +1187,25 @@ class _At:
 
     def cleared(self, fn, m, n, swap: bool, signs: tuple) -> tuple:
         """The coefficients (coeffs, D) an exact formula fn gives at (m, n)
-        and this point, with signs folded in, then D: one rational each.
+        and this point, with signs folded in, then D: one integer pair
+        (numerator, denominator) each.
 
         fn runs on integers, (m, n, N) times q and the scaled triple, so a
-        value of degree k (units) is q^k times its own.  At q = 1, an
-        integer triple or the _Degree stand-in, there is nothing to divide.
+        value of degree k (units) is q^k times its own: its pair is (value,
+        q^k), each q^k made once per check.  At q = 1, an integer triple or
+        the _Degree stand-in, every denominator is 1.
         """
         q = self.q
         coeffs, den = fn(m * q, n * q, self.N * q, *_swapped(self.scaled, swap), q)
         if q == 1:
-            return tuple(sg * cf for sg, cf in zip(signs, coeffs)) + (den,)
-        units, unit = self.stand_ins(fn)[1]
-        signed = (Rat(sg * cf, q ** _units(k)) for sg, cf, k in _aligned(signs, coeffs, units))
-        return (*signed, Rat(den, q ** _units(unit)))
+            return tuple((sg * cf, 1) for sg, cf in zip(signs, coeffs)) + ((den, 1),)
+        key = (fn, "powers")
+        powers = self.memo.get(key)
+        if powers is None:
+            units, unit = self.stand_ins(fn)[1]
+            powers = self.memo[key] = [q ** _units(k) for k in units], q ** _units(unit)
+        signed = ((sg * cf, power) for sg, cf, power in _aligned(signs, coeffs, powers[0]))
+        return (*signed, (den, powers[1]))
 
     def leads(self, fn, m, n, swap: bool) -> list:
         """The lowest-order terms (_leads) of each value fn returns at (m, n)
@@ -1142,22 +1225,26 @@ class _At:
         return float(_limit(*self.leads(fn, m, n, swap)))
 
 
-def _sweep_degree(row: _Relation, m: int, n: int, N: int) -> int:
-    """D_{m,n}: a bound on the degree in t of every quantity the sweep of
-    instance (m, n) tests.
+def _sweep_degrees(row: _Relation, degrees, N: int) -> list:
+    """D_{m,n} for every degree pair (m, n) of degrees: a bound on the
+    degree in t of every quantity the sweep of instance (m, n) tests.
 
     P_{m',n'} has degree at most m' + n' in t: each eval_total factor of the
     chain has degree in the parameters equal to its own index.  So a term
     has degree at most deg(coefficient) + m' + n', and an off-simplex
-    coefficient, which must vanish by itself, at most deg(coefficient).
+    coefficient, which must vanish by itself, at most deg(coefficient).  A
+    coefficient's degree, read on the _Degree stand-in, does not depend on
+    the values of m and n (_aligned forbids a formula that branches), so it
+    is read once per row, at m = n = 0.
     """
     x = _Degree(1)
     at = _At(N, (x, x, x))
-    d, point = row.per_degree(at, m, n), row.per_point(at, 0, 0)
-    return max(
-        _deg(term.coef(d, point)) + max(m + term.degree[0] + n + term.degree[1], 0)
-        for term in row.lhs + row.rhs
-    )
+    d, point = row.per_degree(at, 0, 0), row.per_point(at, 0, 0)
+    terms = [
+        (sum(_deg(share(part)[0]) for share, part in ((t.scale, d), (t.factor, point)) if share is not None), t.degree)
+        for t in row.lhs + row.rhs
+    ]
+    return [max(deg + max(m + dm + n + dn, 0) for deg, (dm, dn) in terms) for m, n in degrees]
 
 
 def _index(i: int, k: int, level: int) -> int:
@@ -1165,103 +1252,6 @@ def _index(i: int, k: int, level: int) -> int:
     if i < 0 or k < 0 or i + k > level:
         return -1
     return k * (level + 1) - k * (k - 1) // 2 + i
-
-
-def _add(total: list, part: list) -> list:
-    """Pointwise sum of two lists of side sums, None being the empty sum."""
-    return [b if a is None else a if b is None else a + b for a, b in zip(total, part)]
-
-
-def _block(row: _Relation, terms: list, grid: tuple, m: int, n: int, at: _At, xs: list, tables: list):
-    """Instance (m, n) of row at one sample point, at every grid point.
-
-    Returns (lhs, rhs, scale, off): the two sides at each grid point, and
-    the first term per grid point whose target is off the simplex while
-    its coefficient is not zero, as {g: (coefficient, target)}.
-
-    On the P plane the sides are integers, scale times their values: a
-    term reads the integer row of its target, of denominator sigma, and
-    its coefficient c becomes the integer weight c * scale / sigma, with
-    scale the least common multiple of every sigma times the denominators
-    of that term's coefficients; a coefficient D x with an integer x counts
-    the denominator of D, and its weight is D * scale / sigma times x.  On
-    the Q plane the weights are the coefficients, the values floats and
-    scale 1.
-    """
-    exact = row.plane == "P"
-    d = row.per_degree(at, m, n)
-    parts, off = [], {}
-    for (side, term, level, where, outside), table in zip(terms, tables):
-        const = isinstance(term.coef, _FromDegree)
-        cfs = term.coef.part(d) if const else [term.coef(d, x) for x in xs]
-        factors = xs if const and term.coef.times_point else None
-        mm, nn = m + term.degree[0], n + term.degree[1]
-        if 0 <= mm and 0 <= nn and mm + nn <= level:
-            values = (*(table.row if exact else table.qrow)(mm, nn, level), None)
-            values, sigma = [values[w] for w in where], table.den(mm, nn, level) if exact else 1
-        else:
-            values, sigma, outside = [None] * len(grid), 1, range(len(grid))
-        for g in outside:
-            cf = (cfs if factors is None else cfs * factors[g]) if const else cfs[g]
-            if cf and g not in off:
-                i, k = grid[g]
-                off[g] = (cf, {"degree": (mm, nn), "point": (i + term.point[0], k + term.point[1])})
-        parts.append((side, cfs, const, factors, sigma, values))
-    scale = 1
-    if exact:
-        scale = nonzero(math.lcm(*(
-            sigma * (int(cfs.denominator) if const else math.lcm(*(int(c.denominator) for c in cfs)))
-            for _, cfs, const, _, sigma, _ in parts
-        )), "the common denominator of an instance")
-    sides = [[None] * len(grid), [None] * len(grid)]
-    for side, cfs, const, factors, sigma, values in parts:
-        if const:
-            weight = int(cfs.numerator) * (scale // (sigma * int(cfs.denominator))) if exact else cfs
-            weights = [weight] * len(grid) if factors is None else [weight * x for x in factors]
-        elif not exact:
-            weights = cfs
-        else:
-            ratio = scale // sigma
-            weights = [int(c.numerator) * (ratio // int(c.denominator)) for c in cfs]
-        sides[side] = _add(sides[side], [None if v is None else w * v for w, v in zip(weights, values)])
-    zero = 0 if exact else 0.0
-    lhs, rhs = ([zero if v is None else v for v in values] for values in sides)
-    return lhs, rhs, scale, off
-
-
-def _instances(row: _Relation, check: _Check):
-    """Every instance of row, degree pair outermost, then grid point, then
-    sample point, as (m, n, i, k, t, lhs, rhs, target, scale).
-
-    Each degree pair is summed at all grid points of a sample point at
-    once (_block); lhs and rhs are scale times the two sides.  target is
-    None when both sides were summed.  Otherwise a term whose target
-    {"degree", "point"} is off the simplex has a nonzero coefficient,
-    given as lhs against rhs = 0, and the instances end.
-    """
-    N = check.p.N
-    grid = tuple(simplex_points(N + row.grid, 2))
-    terms = []  # (side, term, level, where it reads per grid point, the grid points where it reads nothing)
-    for side, part in enumerate((row.lhs, row.rhs)):
-        for term in part:
-            level = N + term.level
-            where = [_index(i + term.point[0], k + term.point[1], level) for i, k in grid]
-            terms.append((side, term, level, where, [g for g, w in enumerate(where) if w < 0]))
-    zero = Rat(0) if row.plane == "P" else 0.0
-    samples = []  # per sample point: its _At, its per-point parts, one value table per term
-    for m, n in simplex_points(N + row.degrees, 2):
-        top = _sweep_degree(row, m, n, N) if row.swept else 0
-        for t in range(len(samples), top + 1):
-            at = check.at(t)
-            tables = [check.values(*(a + s for a, s in zip(at.triple(False), term.params))) for _, term, *_ in terms]
-            samples.append((at, [row.per_point(at, i, k) for i, k in grid], tables))
-        blocks = [_block(row, terms, grid, m, n, *sample) for sample in samples[: top + 1]]
-        for g, (i, k) in enumerate(grid):
-            for t, (lhs, rhs, scale, off) in enumerate(blocks):
-                if g in off:
-                    yield m, n, i, k, t, off[g][0], zero, off[g][1], 1
-                    return
-                yield m, n, i, k, t, lhs[g], rhs[g], None, scale
 
 
 def _indices(m, n, i, k, t, target=None) -> dict:
@@ -1277,27 +1267,279 @@ def _exact_fail(name, indices, lhs, rhs) -> CheckResult:
     return CheckResult.failure(name, "nonzero", indices, format_rational(lhs), format_rational(rhs))
 
 
+def _target(term: _Term, mm: int, nn: int, point: tuple) -> dict:
+    return {"degree": (mm, nn), "point": (point[0] + term.point[0], point[1] + term.point[1])}
+
+
+class _Reader(NamedTuple):
+    """What the terms of a row that read one parameter shift, level, grid
+    displacement and per-point share have in common: the target of each grid
+    point (where, None when it is the grid point itself), and the grid
+    points whose target is off the simplex (outside)."""
+
+    params: tuple
+    level: int
+    factor: Callable | None
+    where: list | None
+    outside: list
+
+
+def _readers(row: _Relation, grid: tuple, N: int) -> tuple:
+    """The row's readers, and its terms as (side, term, reader index)."""
+    readers, index, terms = [], {}, []
+    for side, part in enumerate((row.lhs, row.rhs)):
+        for term in part:
+            key = (term.params, N + term.level, term.point, term.factor)
+            if key not in index:
+                level = N + term.level
+                where = [_index(i + term.point[0], k + term.point[1], level) for i, k in grid]
+                outside = [g for g, w in enumerate(where) if w < 0]
+                identity = level == N + row.grid and term.point == (0, 0)
+                index[key] = len(readers)
+                readers.append(_Reader(term.params, level, term.factor, None if identity else where, outside))
+            terms.append((side, term, index[key]))
+    return readers, terms
+
+
 def _exact_check(row: _Relation, check: _Check) -> CheckResult:
-    """Integer sides compared; the rationals are made only for a report."""
-    for m, n, i, k, t, lhs, rhs, target, scale in _instances(row, check):
-        if target is not None:
-            return _exact_fail(row.name, _indices(m, n, i, k, t, target), lhs, rhs)
-        if lhs != rhs:
-            return _exact_fail(row.name, _indices(m, n, i, k, t), Rat(lhs, scale), Rat(rhs, scale))
-    return CheckResult.exact_pass(row.name)
+    """The first failure of a P row in the canonical order: degree pair,
+    then grid point, then sample point, and of one instance the off-simplex
+    obligation before the residual.
+
+    Sample points run outermost: each builds its tables, decides every
+    degree pair whose sweep reaches it (_sample), and drops them.  An
+    ArithmeticError counts as a failure of its degree pair ahead of that
+    pair's grid points, where the pair-major walk would have met it; once a
+    failure is known, only the degree pairs up to its own are walked on.
+    """
+    N = check.p.N
+    grid = tuple(simplex_points(N + row.grid, 2))
+    degrees = tuple(simplex_points(N + row.degrees, 2))
+    tops = _sweep_degrees(row, degrees, N) if row.swept else [0] * len(degrees)
+    readers, terms = _readers(row, grid, N)
+    first = None  # ((degree pair, grid point, sample point), CheckResult or ArithmeticError)
+    for t in range(max(tops, default=-1) + 1):
+        live = [j for j, top in enumerate(tops) if top >= t and (first is None or j <= first[0][0])]
+        if not live:
+            break
+        for event in _sample(row, check, t, grid, degrees, live, readers, terms):
+            if first is None or event[0] < first[0]:
+                first = event
+    if first is None:
+        return CheckResult.exact_pass(row.name)
+    if isinstance(first[1], ArithmeticError):
+        raise first[1]
+    return first[1]
+
+
+class _Slots:
+    """count signed slots of nb bytes in one int: pack(v) = sum_g v_g 2^(B g)
+    with B = 8 nb, for every |v_g| < 2^(B-1)."""
+
+    def __init__(self, nb: int, count: int):
+        self.nb, self.width = nb, 8 * nb
+        self.half = 1 << (self.width - 1)
+        self.bias = int.from_bytes((bytes(nb - 1) + b"\x80") * count, "little")  # half in every slot
+
+    def pack(self, values) -> int:
+        """Each v_g + half is a slot's unsigned bytes; the bias comes off once."""
+        half, nb = self.half, self.nb
+        return int.from_bytes(b"".join([(v + half).to_bytes(nb, "little") for v in values]), "little") - self.bias
+
+    def first(self, lhs: int, rhs: int):
+        """(g, lhs_g, rhs_g) at the first slot where two packed sums differ,
+        or None.  With the bias on, every slot is an unsigned digit, so the
+        lowest differing bit lies in that slot."""
+        lhs, rhs = lhs + self.bias, rhs + self.bias
+        differ = lhs ^ rhs
+        if not differ:
+            return None
+        width = self.width
+        g = ((differ & -differ).bit_length() - 1) // width
+        mask = (1 << width) - 1
+        return g, ((lhs >> (width * g)) & mask) - self.half, ((rhs >> (width * g)) & mask) - self.half
+
+
+def _slot_bytes(bits: int) -> int:
+    """Bytes per packed slot for sums below 2^bits in size: the fewest
+    whole bytes B / 8 with bits < B."""
+    return bits // 8 + 1
+
+
+def _sample(row, check, t, grid, degrees, live, readers, terms) -> list:
+    """The failures at sample point t of the live degree pairs, as (key,
+    CheckResult or ArithmeticError) with key (degree pair, grid point, t).
+
+    Every part is an integer.  A reader's per-point shares are cleared over
+    one denominator e; a term of an instance is then a/b times X_g/e times
+    the value row_g/sigma, and with the instance's scale S, the lcm of every
+    b e sigma, S times each side at grid point g is the integer sum over its
+    terms of W X_g row_g, W = a S / (b e sigma).  Each side is packed into
+    one int, sum_j W_j pack(X_j row_j); the slot width B is the sample
+    point's largest bound bits (_weigh) plus one, in whole bytes, and each
+    instance's bound is checked against it before its sides are compared
+    (the proof is in the module docstring).  A failing instance's slots are
+    decoded only to name its first grid point and both sides there.
+    """
+    try:
+        at = check.at(t)
+        xs = [row.per_point(at, i, k) for i, k in grid]
+        shares = [_cleared_shares(reader, xs) for reader in readers]
+        tables = [check.values(t, reader.params) for reader in readers]
+    except ArithmeticError as err:
+        return [((live[0], -2, t), err.with_traceback(None))]
+    plan = [  # per term: what its reads at this sample point need
+        (side, term.sign, term.scale, *term.degree, r, readers[r].level, tables[r], *shares[r][1:])
+        for side, term, r in terms
+    ]
+    events, weighed, products = [], [], {}
+    for j in live:
+        if events and j > events[0][0][0]:
+            break
+        try:
+            weighed.append(_weigh(row, at, degrees[j], plan, readers, shares, tables, products) + (j,))
+        except ArithmeticError as err:
+            events.append(((j, -1, t), err.with_traceback(None)))  # its frames would keep the tables alive
+    if not weighed:
+        return events
+    slots = _Slots(_slot_bytes(max(bits for _, bits, *_ in weighed)), len(grid))
+    packs = {}
+    for parts, bits, scale, off, d, j in weighed:
+        if events and j > events[0][0][0]:
+            break
+        m, n = degrees[j]
+        if bits >= slots.width:
+            events.append(((j, -1, t), ArithmeticError(
+                f"a packed slot of {slots.width} bits is too narrow for sums of {bits} bits;"
+                " the comparison would be unsound"
+            )))
+            continue
+        sides = [0, 0]
+        for side, weight, key in parts:
+            packed = packs.get(key)
+            if packed is None:
+                packed = packs[key] = slots.pack(products[key][0])
+            sides[side] += weight * packed
+        differ = slots.first(*sides)
+        if off is not None and (differ is None or off[0] <= differ[0]):
+            g, idx, mm, nn = off
+            term = terms[idx][1]
+            report = _exact_fail(row.name, _indices(m, n, *grid[g], t, _target(term, mm, nn, grid[g])),
+                                 term.coef(d, xs[g]), 0)
+        elif differ is not None:
+            g, lhs, rhs = differ
+            report = _exact_fail(row.name, _indices(m, n, *grid[g], t), Rat(lhs, scale), Rat(rhs, scale))
+        else:
+            continue
+        events.append(((j, g, t), report))
+        events.sort(key=lambda event: event[0])
+    return events
+
+
+def _cleared_shares(reader: _Reader, xs: list) -> tuple:
+    """A reader's per-point shares at one sample point, cleared over one
+    denominator e, as (X, e, the first grid point whose share is not 0, the
+    first such grid point whose target is off the simplex); X is None for
+    a share of 1 everywhere."""
+    if reader.factor is None:
+        return None, 1, 0 if xs else None, reader.outside[0] if reader.outside else None
+    pairs = [reader.factor(x) for x in xs]
+    e = math.lcm(*(den for _, den in pairs))
+    X = [num if den == e else num * (e // den) for num, den in pairs]
+    nonzeros = [g for g, v in enumerate(X) if v]
+    outside = set(reader.outside)
+    return X, e, next(iter(nonzeros), None), next((g for g in nonzeros if g in outside), None)
+
+
+def _weigh(row, at, degree, plan, readers, shares, tables, products) -> tuple:
+    """One instance's integer weights at a sample point, as (parts, bits,
+    scale, off, d): each term on the simplex as (side, W, product key), the
+    slot bound bits, the scale S, the first grid point (g, term, target
+    degree pair) at which a term whose target is off the simplex has a
+    nonzero coefficient, or None, and the per-degree part d.  The products X
+    row of every key are filled into products as they are first read."""
+    m, n = degree
+    d = row.per_degree(at, m, n)
+    reads, dens, off = [], [], None
+    for idx, (side, sign, share, dm, dn, r, level, table, e, anywhere, outside) in enumerate(plan):
+        a, b = (1, 1) if share is None else share(d)
+        mm, nn = m + dm, n + dn
+        if 0 <= mm and 0 <= nn and mm + nn <= level:
+            den = b * e * table.den(mm, nn, level)
+            dens.append(den)
+            reads.append((side, sign * a, den, (r, mm, nn)))
+            bad = outside
+        else:
+            bad = anywhere
+        if a and bad is not None and (off is None or bad < off[0]):
+            off = (bad, idx, mm, nn)
+    scale = nonzero(math.lcm(*dens), "the common denominator of an instance")
+    parts, bits = [], 0
+    for side, a, den, key in reads:
+        weight = a * (scale // den)
+        if not weight:
+            continue
+        if key not in products:
+            r, mm, nn = key
+            reader, X = readers[r], shares[r][0]
+            values = tables[r].row(mm, nn, reader.level)
+            if reader.where is not None:
+                values = (*values, 0)
+                values = [values[w] for w in reader.where]
+            if X is not None:
+                values = [x * v for x, v in zip(X, values)]
+            products[key] = values, max(map(abs, values), default=0).bit_length()
+        parts.append((side, weight, key))
+        bits = max(bits, weight.bit_length() + products[key][1])
+    return parts, bits + len(parts).bit_length(), scale, off, d
 
 
 def _float_check(row: _Relation, check: _Check) -> CheckResult:
-    """The largest scale-normalized residual |lhs - rhs| / (1 + max(|lhs|, |rhs|))."""
+    """The largest scale-normalized residual |lhs - rhs| / (1 + max(|lhs|,
+    |rhs|)) over every instance at the base point, degree pair outermost,
+    then grid point.  A term whose target is off the simplex while its
+    coefficient is not zero fails first, at the first such grid point."""
+    N = check.p.N
     worst, example = 0.0, (0, 0, 0, 0, 0.0, 0.0)
-    for m, n, i, k, t, lhs, rhs, target, _ in _instances(row, check):
-        if target is not None:
-            return CheckResult.failure(row.name, "nonzero", _indices(m, n, i, k, t, target), f"{lhs:.17g}", "0")
-        scaled = abs(lhs - rhs) / (1.0 + max(abs(lhs), abs(rhs)))
-        if scaled > worst:
-            worst, example = scaled, (m, n, i, k, lhs, rhs)
+    degrees = tuple(simplex_points(N + row.degrees, 2))
+    if degrees:  # the per-point parts are made only for a row with instances
+        at = check.at(0)
+        grid = tuple(simplex_points(N + row.grid, 2))
+        xs = [row.per_point(at, i, k) for i, k in grid]
+        readers, terms = _readers(row, grid, N)
+        tables = [check.values(0, reader.params) for reader in readers]
+        factors = [None if reader.factor is None else [reader.factor(x) for x in xs] for reader in readers]
+    for m, n in degrees:
+        d = row.per_degree(at, m, n)
+        sides, off = [[None] * len(grid), [None] * len(grid)], {}
+        for side, term, r in terms:
+            weight = term.sign if term.scale is None else term.sign * term.scale(d)
+            weights = [weight] * len(grid) if factors[r] is None else [weight * f for f in factors[r]]
+            reader = readers[r]
+            mm, nn = m + term.degree[0], n + term.degree[1]
+            if 0 <= mm and 0 <= nn and mm + nn <= reader.level:
+                values = (*tables[r].qrow(mm, nn, reader.level), None)
+                values, outside = (values[:-1] if reader.where is None else [values[w] for w in reader.where]), reader.outside
+            else:
+                values, outside = [None] * len(grid), range(len(grid))
+            for g in outside:
+                if weights[g] and g not in off:
+                    off[g] = (weights[g], _target(term, mm, nn, grid[g]))
+            sides[side] = _add(sides[side], [None if v is None else w * v for w, v in zip(weights, values)])
+        lhs, rhs = ([0.0 if v is None else v for v in side] for side in sides)
+        for g, (i, k) in enumerate(grid):
+            if g in off:
+                return CheckResult.failure(row.name, "nonzero", _indices(m, n, i, k, 0, off[g][1]), f"{off[g][0]:.17g}", "0")
+            scaled = abs(lhs[g] - rhs[g]) / (1.0 + max(abs(lhs[g]), abs(rhs[g])))
+            if scaled > worst:
+                worst, example = scaled, (m, n, i, k, lhs[g], rhs[g])
     m, n, i, k, lhs, rhs = example
     return CheckResult.float_verdict(row.name, worst, _indices(m, n, i, k, 0), lhs, rhs)
+
+
+def _add(total: list, part: list) -> list:
+    """Pointwise sum of two lists of side sums, None being the empty sum."""
+    return [b if a is None else a if b is None else a + b for a, b in zip(total, part)]
 
 
 def _relations(check_name: str):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .classical import jacobi_coeffs
+from .classical import jacobi_cleared
 from .numeric import (
     Rat,
     _ZERO,
@@ -180,7 +180,7 @@ def _check_dual_genfun(p: UniParams) -> CheckResult:
     table = ChainTable((p.alpha, p.beta))
     for n in range(N + 1):
         nums, den = table.row((n,), N), nonzero(table.den((n,)), "the table denominator d_n")
-        jac_den, coeffs = cleared(*jacobi_coeffs(n, p.alpha, p.beta))
+        jac_den, coeffs = jacobi_cleared(n, p.alpha, p.beta)
         lhs = (0,)
         for c, base in zip(coeffs, bases):
             if c != 0:

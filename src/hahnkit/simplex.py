@@ -122,7 +122,7 @@ class ChainTable:
         self.Q, cleared_alphas = cleared(*alphas)
         self._partial = list(accumulate(cleared_alphas, initial=0))
         self._beta = cleared_alphas[1:]
-        self._coeffs, self._factors, self._points, self._rows = {}, {}, {}, {}
+        self._coeffs, self._factors, self._points, self._rows, self._lines = {}, {}, {}, {}, {}
 
     def points(self, level: int) -> tuple:
         if level not in self._points:
@@ -157,6 +157,17 @@ class ChainTable:
             nsum += n
         return out
 
+    def _line(self, n: int, top: int) -> list:
+        """The first factor h_n(i; alpha_1, alpha_2; top) at i = 0..top: at
+        d = 2 one line i_1 + i_2 = top of the grid, shared by every degree
+        pair (n, .) and level."""
+        key = (n, top)
+        line = self._lines.get(key)
+        if line is None:
+            Q, coeffs = self.Q, self._coefficients(0, n, 0, top)
+            line = self._lines[key] = [point_sum(coeffs, Q, Q * i) for i in range(top + 1)]
+        return line
+
     def row(self, degs, level: int) -> tuple:
         """The numerators of degree tuple degs over simplex_points(level, d)."""
         key = (degs, level)
@@ -165,7 +176,10 @@ class ChainTable:
             nsum = sum(degs[:last])
             coeffs = self._coefficients(last, degs[last], nsum, level)
             tail = [point_sum(coeffs, Q, Q * (isum - nsum)) for isum in range(level + 1)]
-            if last:
+            if last == 1:  # the grid line by line, k major as simplex_points runs
+                lines = [self._line(degs[0], s) for s in range(level + 1)]
+                tail = [lines[i + k][i] * tail[i + k] for k in range(level + 1) for i in range(level + 1 - k)]
+            elif last:
                 tail = [self.num(degs, pts, level, last) * tail[sum(pts)] for pts in self.points(level)]
             self._rows[key] = tuple(tail)
         return self._rows[key]

@@ -2,13 +2,14 @@ import pytest
 
 import hahnkit.classical as classical_mod
 from hahnkit.classical import (
+    jacobi_cleared,
     jacobi_coeffs,
     laguerre_coeffs,
     poly_deriv,
     poly_equal,
     verify_classical,
 )
-from hahnkit.numeric import Rat
+from hahnkit.numeric import Rat, Rational, _poly_add, _poly_mul, factorial, pochhammer
 
 PARAM_SAMPLE = [Rat(-1, 2), Rat(0), Rat(1, 2), Rat(3), Rat(7, 3)]
 
@@ -23,7 +24,39 @@ ALL_RELATIONS = [
 ]
 
 
+def jacobi_coeffs_retired(n, alpha, beta):
+    """The Fraction expansion the cleared one replaced: each coefficient from
+    three pochhammer calls, times a power of (1-z)/2 built by products."""
+    alpha, beta = Rat(alpha), Rat(beta)
+    half_base = (Rat(1, 2), Rat(-1, 2))
+    power, total = (Rat(1),), (Rat(0),)
+    for j in range(n + 1):
+        c = (
+            pochhammer(-n, j)
+            * pochhammer(n + alpha + beta + 1, j)
+            * pochhammer(alpha + j + 1, n - j)
+            / (factorial(n) * factorial(j))
+        )
+        total = _poly_add(total, tuple(c * p for p in power))
+        power = _poly_mul(power, half_base)
+    return total
+
+
 class TestJacobiCoeffs:
+    @pytest.mark.parametrize("n", range(11))
+    def test_cleared_equals_retired_expansion(self, n):
+        """The same rational tuple, trailing zeros trimmed alike, on the
+        criterion-09 lattice and at the shifts the relations take; the
+        cleared form is ints over one positive denominator."""
+        for alpha in PARAM_SAMPLE:
+            for beta in PARAM_SAMPLE:
+                for a, b in ((alpha, beta), (alpha - 1, beta - 1), (alpha, beta - 2), (alpha + 1, beta + 1)):
+                    got = jacobi_coeffs(n, a, b)
+                    assert all(isinstance(c, Rational) for c in got)
+                    assert got == jacobi_coeffs_retired(n, a, b), (n, a, b)
+                    den, coeffs = jacobi_cleared(n, a, b)
+                    assert den > 0 and all(type(c) is int for c in coeffs)
+
     def test_degree_zero(self):
         assert jacobi_coeffs(0, Rat(1, 2), Rat(-1, 3)) == (1,)
 

@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from hahnkit.hahn_bi import (
 )
 from hahnkit.numeric import (
     Rat,
+    RadicalScalar,
     Rational,
     binomial_general,
     factorial,
@@ -32,7 +34,7 @@ from hahnkit.numeric import (
     multinomial,
     pochhammer,
 )
-from hahnkit.simplex import eval_total, simplex_points
+from hahnkit.simplex import ChainTable, eval_total, simplex_points, simplex_weight
 
 PARAM_TRIPLES = [
     (Rat(0), Rat(0), Rat(0)),
@@ -408,6 +410,29 @@ class TestOrthonormal:
                 assert (sq < 0) == (hh < 0)
 
 
+# The criterion-06 triples and one of large magnitude.
+OVERLAP_TRIPLES = [
+    (Rat(0), Rat(0), Rat(0)),
+    (Rat(1, 2), Rat(-1, 2), Rat(3)),
+    (Rat(7, 3), Rat(1), Rat(1, 2)),
+    (Rat(999983, 1000003), Rat(-1, 999983), Rat(123456789, 1000)),
+]
+
+
+def overlap_float_retired(p):
+    """The float overlap by the route it replaced: two rationals and a
+    RadicalScalar per entry, then float()."""
+    chains = ChainTable((p.alpha1, p.alpha2, p.alpha3))
+    cols = list(simplex_points(p.N, 2))
+    values = [(chains.row(d, p.N), chains.den(d)) for d in cols]
+    inv_lambda = [1 / bigLambda(d, p) for d in cols]
+    weights, W = simplex_weight((p.alpha1, p.alpha2, p.alpha3), p.N)
+    return [
+        [float(RadicalScalar(Rat(row[g], den), Rat(omega, W) * inv)) for (row, den), inv in zip(values, inv_lambda)]
+        for g, omega in enumerate(weights)
+    ]
+
+
 class TestOverlap:
     def test_level_zero_is_unit(self):
         O = overlap2(BiParams(1, 2, 3, 0))
@@ -453,6 +478,16 @@ class TestOverlap:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             overlap2(BiParams(0, 0, 0, 1), mode="decimal")
+
+    @pytest.mark.parametrize("triple", OVERLAP_TRIPLES)
+    def test_float_entries_are_the_rational_route(self, triple):
+        """The float overlap, made by int true divisions, is float() of the
+        radical entry of the retired rational route at every entry, the sign
+        of a zero included (repr tells 0.0 from -0.0)."""
+        for N in range(13):
+            p = BiParams(*triple, N)
+            got = [[repr(v) for v in row] for row in overlap2(p).entries]
+            assert got == [[repr(v) for v in row] for row in overlap_float_retired(p)], N
 
 
 class TestVerifyBi:
@@ -767,6 +802,8 @@ def assert_cleared_match(p, t, m, n):
         for name, signs in EXACT_FORMULAS.items():
             fn = getattr(bi_mod, name)
             got = at.cleared(fn, m, n, swap, signs)
+            assert all(type(v) is int for pair in got for v in pair), (name, swap)
+            got = tuple(Rat(*pair) for pair in got)
             assert got == cleared_reference(fn, m, n, p.N, at.triple(swap), signs), (name, swap)
         for name in FLOAT_FORMULAS:
             fn = getattr(bi_mod, name)
@@ -963,7 +1000,8 @@ def _second_variable(name):
 def tampered_row(name, slot, extra):
     """The row with extra(first parameter) added to one per-degree
     coefficient at TAMPERED_DEGREE; the second-variable forms take alpha2
-    as their first parameter."""
+    as their first parameter.  A per-degree coefficient is an integer pair
+    (numerator, denominator), so the rational extra is added as one."""
     row = bi_mod._RELATIONS[name]
 
     def per_degree(c, m, n):
@@ -971,7 +1009,9 @@ def tampered_row(name, slot, extra):
         if (m, n) != TAMPERED_DEGREE:
             return d
         first = c.a2 if _second_variable(name) else c.a1
-        return d[:slot] + (d[slot] + extra(first),) + d[slot + 1 :]
+        (num, den), add = d[slot], Rat(extra(first))
+        up, down = int(add.numerator), int(add.denominator)
+        return d[:slot] + ((num * down + up * den, den * down),) + d[slot + 1 :]
 
     return row._replace(per_degree=per_degree)
 
@@ -1042,22 +1082,42 @@ def first_live_degree(row, j, p):
 def tamper_live_term(row, term, at_degree, N):
     """The row with `term` perturbed wherever it is live at at_degree:
     Rat(1, 7) added to its coefficient on the P plane, its coefficient
-    scaled by 1 + 1e-6 on the Q plane."""
+    scaled by 1 + 1e-6 on the Q plane.
+
+    A coefficient is a per-degree share times a per-point share, so on the P
+    plane the 1/7 is one more term with term's target, of per-degree share
+    1/7 at at_degree (0 elsewhere) and per-point share 1 where that target is
+    on the simplex (0 elsewhere).  On the Q plane term's per-degree share is
+    scaled at at_degree; where its target is off the simplex an honest
+    coefficient is 0.0, which the scaling keeps."""
+    one, zero = (1, 1), (0, 1)
 
     def wrap(t):
-        def coef(d, x):
+        def scale(d):
             (m, n), d_part = d
-            (i, k), x_part = x
-            value = t.coef(d_part, x_part)
-            if t is not term or (m, n) != at_degree or not term_target(t, m, n, i, k, N)[3]:
-                return value
-            return value + Rat(1, 7) if row.plane == "P" else value * (1 + 1e-6)
+            value = 1 if t.scale is None else t.scale(d_part)
+            if t is term and row.plane == "Q" and (m, n) == at_degree:
+                return value * (1 + 1e-6)
+            return value
 
-        return t._replace(coef=coef)
+        tampered_q = t is term and row.plane == "Q"
+        return t._replace(
+            scale=scale if t.scale is not None or tampered_q else None,
+            factor=None if t.factor is None else lambda x: t.factor(x[1]),
+        )
 
+    def on_simplex(x):
+        (i, k), _ = x
+        return one if term_target(term, *at_degree, i, k, N)[3] else zero
+
+    extra = () if row.plane == "Q" else (
+        term._replace(scale=lambda d: (1, 7) if d[0] == at_degree else zero, factor=on_simplex, sign=1),
+    )
+    side = "lhs" if term in row.lhs else "rhs"
+    lhs, rhs = tuple(map(wrap, row.lhs)), tuple(map(wrap, row.rhs))
     return row._replace(
-        lhs=tuple(map(wrap, row.lhs)),
-        rhs=tuple(map(wrap, row.rhs)),
+        lhs=lhs + (extra if side == "lhs" else ()),
+        rhs=rhs + (extra if side == "rhs" else ()),
         per_degree=lambda c, m, n: ((m, n), row.per_degree(c, m, n)),
         per_point=lambda c, i, k: ((i, k), row.per_point(c, i, k)),
     )
@@ -1147,7 +1207,7 @@ def test_exact_obligation_report_shape(monkeypatch):
     monkeypatch.setitem(
         bi_mod._RELATIONS,
         "diff-L2",
-        row._replace(per_point=lambda c, i, k: honest(c, i, k)[:3] + (Rat(1, 7),) + honest(c, i, k)[4:]),
+        row._replace(per_point=lambda c, i, k: honest(c, i, k)[:3] + ((1, 7),) + honest(c, i, k)[4:]),
     )
     (result,) = verify_bi("diff-L2", BiParams(Rat(1, 2), Rat(-1, 2), Rat(3), 2)).checks
     assert result.to_dict()["counterexample"] == {
@@ -1182,3 +1242,155 @@ def test_zero_scale_reported_under_optimization(tmp_path):
     for c in checks:
         assert c["status"] == "fail" and c["max_residual"] == "inf", c["name"]
         assert "vanishes" in c["counterexample"]["lhs"], c["name"]
+
+
+# ---------------------------------------------------------------------------
+# the sample-major exact runner
+
+
+EXACT_CHECKS = [name for name in BI_CHECK_NAMES if bi_mod._RELATION_CHECKS.get(name) == "P"]
+
+
+def run_under_optimization(tmp_path, body):
+    """The printed JSON of a script run under python -O with hahnkit on its path."""
+    script = tmp_path / "script.py"
+    script.write_text("import json\nimport hahnkit.hahn_bi as bi\nfrom hahnkit.numeric import Rat\n" + body)
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-O", str(script)], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nb=st.integers(1, 4), data=st.data())
+def test_slots_pack_and_decode(nb, data):
+    """pack is sum_g v_g 2^(B g) for slots below 2^(B-1) in size, and first
+    names the first slot where two packed sums differ with both values there,
+    a difference of 2^(B-1) in the top bit of a slot included."""
+    width = 8 * nb
+    top = (1 << (width - 1)) - 1
+    value = st.one_of(st.integers(-top, top), st.sampled_from([-top, top, 0, 1, -1]))
+    lhs = data.draw(st.lists(value, min_size=1, max_size=9), label="lhs")
+    rhs = data.draw(st.lists(value, min_size=len(lhs), max_size=len(lhs)), label="rhs")
+    slots = bi_mod._Slots(nb, len(lhs))
+    packed = [slots.pack(v) for v in (lhs, rhs)]
+    assert packed == [sum(v << (width * g) for g, v in enumerate(side)) for side in (lhs, rhs)]
+    first = next(((g, a, b) for g, (a, b) in enumerate(zip(lhs, rhs)) if a != b), None)
+    assert slots.first(*packed) == first
+
+
+def test_slots_differ_in_the_top_bit_of_a_slot():
+    slots = bi_mod._Slots(1, 2)  # -127 + 128 and 1 + 128 first differ in bit 7
+    assert slots.first(slots.pack([-127, 5]), slots.pack([1, 5])) == (0, -127, 1)
+
+
+def test_undersized_slot_width_reported_under_optimization(tmp_path):
+    """Packed sides compared in slots too narrow for their sums could agree
+    where the grid points do not.  A slot width below the bound is a
+    reported failure of every exact row, never a pass, also under python -O,
+    where an assert would vanish."""
+    checks = run_under_optimization(tmp_path, (
+        "bi._slot_bytes = lambda bits: max(bits // 8 - 1, 1)\n"
+        "p = bi.BiParams(Rat(1, 2), Rat(-1, 2), Rat(3), 2)\n"
+        f"checks = [c for name in {EXACT_CHECKS!r} for c in bi.verify_bi(name, p).checks]\n"
+        "print(json.dumps([c.to_dict() for c in checks]))\n"
+    ))
+    assert len(checks) == 12
+    for c in checks:
+        assert c["status"] == "fail" and c["max_residual"] == "inf", c["name"]
+        assert "too narrow" in c["counterexample"]["lhs"], c["name"]
+
+
+@pytest.mark.parametrize("name", ["recurrence-x1", "recurrence-x2"])
+def test_single_entry_tamper_at_last_point_and_sample(monkeypatch, name):
+    """One entry of one sample point's table is raised by 1: P_{0,0} at the
+    last grid point, at the last sample point t = D_{0,0} of instance
+    (0, 0).  The report names that grid point and t, with the sides
+    reference_terms gives there plus the terms that read the entry."""
+    N = 3
+    p = BiParams(Rat(1, 2), Rat(-1, 2), Rat(3), N)
+    row = bi_mod._RELATIONS[name]
+    top = bi_mod._sweep_degrees(row, [(0, 0)], N)[0]
+    triple = bi_mod._sweep_points(p, top)[top]
+    last = list(simplex_points(N, 2))[-1]
+    honest = bi_mod._Values.row
+
+    def tampered(self, m, n, level):
+        values = honest(self, m, n, level)
+        if (self.a1, self.a2, self.a3) == triple and (m, n, level) == (0, 0, N):
+            return values[:-1] + (values[-1] + self.den(0, 0, N),)
+        return values
+
+    monkeypatch.setattr(bi_mod._Values, "row", tampered)
+    (result,) = verify_bi(name, p).checks
+    c = bi_mod._Check(p).at(top)
+    d, x = row.per_degree(c, 0, 0), row.per_point(c, *last)
+    (_, _, lhs, rhs), *_ = (inst for inst in reference_terms(row, p, top) if inst[:2] == ((0, 0), last))
+    sides = []
+    for terms, values in ((row.lhs, lhs), (row.rhs, rhs)):
+        total = sum((v for v in values if v is not None), Rat(0))
+        total += sum(t.coef(d, x) for t in terms if term_target(t, 0, 0, *last, N) == ((0, 0), last, N, True))
+        sides.append(format_rational(total))
+    assert sides[0] != sides[1]
+    assert result.counterexample == {"indices": {"degree": (0, 0), "point": last, "t": top}, "lhs": sides[0], "rhs": sides[1]}
+
+
+def test_one_sample_point_of_tables_alive(monkeypatch):
+    """While the swept rows run, every _Values alive belongs to one sample
+    point (alpha3 + 5t tells t; no row here moves alpha3), counted through
+    weak references at each table made."""
+    p = BiParams(Rat(1, 2), Rat(-1, 2), Rat(3), 3)
+    alive, seen = [], []
+
+    class Counted(bi_mod._Values):
+        def __init__(self, a1, a2, a3):
+            super().__init__(a1, a2, a3)
+            alive.append(weakref.ref(self))
+            seen.append({(ref().a3 - p.alpha3) / 5 for ref in alive if ref() is not None})
+
+    monkeypatch.setattr(bi_mod, "_Values", Counted)
+    for name in ("recurrence-x1", "structure"):
+        assert verify_bi(name, p).passed
+    assert max(map(len, seen)) == 1
+    assert len(set().union(*seen)) > 5  # the sweep went past the base point
+
+
+def sweep_degree_per_instance(row, m, n, N):
+    """D_{m,n} by the per-instance stand-in run the row-wide reading
+    replaced: the row's parts on the _Degree stand-in at (m, n)."""
+    x = bi_mod._Degree(1)
+    at = bi_mod._At(N, (x, x, x))
+    d, point = row.per_degree(at, m, n), row.per_point(at, 0, 0)
+
+    def degree(term):
+        value = term.sign
+        for share, part in ((term.scale, d), (term.factor, point)):
+            if share is not None:
+                value = value * share(part)[0]
+        return bi_mod._deg(value)
+
+    return max(degree(t) + max(m + t.degree[0] + n + t.degree[1], 0) for t in row.lhs + row.rhs)
+
+
+@pytest.mark.parametrize("name", SWEPT_ROWS)
+def test_sweep_degrees_equal_per_instance_run(name):
+    row = bi_mod._RELATIONS[name]
+    for N in range(13):
+        degrees = list(simplex_points(N + row.degrees, 2))
+        want = [sweep_degree_per_instance(row, m, n, N) for m, n in degrees]
+        assert bi_mod._sweep_degrees(row, degrees, N) == want, N
+
+
+def test_exact_pass_path_makes_no_rational(monkeypatch):
+    """The exact rows pass with Rat refused: every coefficient part is an
+    integer pair, and a rational is made only for a failure's report."""
+
+    def refuse(*args):
+        raise AssertionError("a rational on the pass path")
+
+    p = BiParams(Rat(1, 2), Rat(-1, 3), Rat(7, 3), 3)  # q = 6
+    monkeypatch.setattr(bi_mod, "Rat", refuse)
+    for name in EXACT_CHECKS:
+        report = verify_bi(name, p)
+        assert report.passed and len(report.checks) >= 1, name
