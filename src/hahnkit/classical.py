@@ -2,10 +2,11 @@
 
 Polynomials are ascending tuples of rational coefficients, multiplied and
 added by numeric's univariate helpers; the Laguerre addition formula
-expands both sides as numeric's bivariate dicts keyed by exponent pairs.
-Relations are checked as coefficient identities, never pointwise: both
-sides are expanded exactly and compared coefficient by coefficient, and
-they must agree everywhere.
+expands both sides as numeric's bivariate dicts keyed by exponent pairs,
+with integer coefficients over one common denominator.  Relations are
+checked as coefficient identities, never pointwise: both sides are
+expanded exactly and compared coefficient by coefficient, and they must
+agree everywhere.
 """
 from __future__ import annotations
 
@@ -175,25 +176,25 @@ def verify_classical(relation: str, n: int, alpha, beta=0) -> VerificationReport
 
     if relation == "laguerre-addition":
         a, b = Rat(alpha), Rat(beta)
-        # L_n^(a+b+1)(x + y) = sum_j c_j (x + y)^j
-        coeffs = laguerre_coeffs(n, a + b + 1)
+        # L_n^(a+b+1)(x + y) = sum_j c_j (x + y)^j against the convolution;
+        # each coefficient list is cleared to integers over its denominator
+        # (simplex.cleared), and both sides are compared times one scale.
+        den, coeffs = cleared(*laguerre_coeffs(n, a + b + 1))
+        products = []
+        for ell in range(n + 1):
+            d1, first = cleared(*laguerre_coeffs(ell, a))
+            d2, second = cleared(*laguerre_coeffs(n - ell, b))
+            product = _poly2_mul({(i, 0): c for i, c in enumerate(first)}, {(0, k): c for k, c in enumerate(second)})
+            products.append((d1 * d2, product))
+        scale = math.lcm(den, *(d for d, _ in products))
         powers = accumulate([{(1, 0): 1, (0, 1): 1}] * (len(coeffs) - 1), _poly2_mul, initial={(0, 0): 1})
-        lhs = _poly2_sum(coeffs, powers)
-        rhs = _poly2_sum(
-            [1] * (n + 1),
-            [
-                _poly2_mul(
-                    {(i, 0): c for i, c in enumerate(laguerre_coeffs(ell, a))},
-                    {(0, k): c for k, c in enumerate(laguerre_coeffs(n - ell, b))},
-                )
-                for ell in range(n + 1)
-            ],
-        )
+        lhs = _poly2_sum([c * (scale // den) for c in coeffs], powers)
+        rhs = _poly2_sum([scale // d for d, _ in products], [poly for _, poly in products])
         bad = next((g for g in sorted(lhs.keys() | rhs.keys()) if lhs.get(g, 0) != rhs.get(g, 0)), None)
         if bad is None:
             check = CheckResult.exact_pass(relation)
         else:
-            left, right = lhs.get(bad, 0), rhs.get(bad, 0)
+            left, right = Rat(lhs.get(bad, 0), scale), Rat(rhs.get(bad, 0), scale)
             check = CheckResult.failure(
                 relation,
                 residual=f"{abs(float(left - right)):.17g}",

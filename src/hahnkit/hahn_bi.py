@@ -66,14 +66,23 @@ returns is homogeneous of some degree k in its seven arguments.  Run on the
 triple cleared to its denominator Q, with m, n, N and q times Q, it gives
 Q^k times the value, an integer.  Each k is read off a run on a stand-in
 (_Homogeneous), which also refuses a constant that lost its q.  A swept
-coefficient is then one rational, and each summand of a float limit one
-rational of its integer factors and slopes (slope at t = 1: A_j + c_j Q).
+coefficient is then one integer pair, and each summand of a float limit
+the integer pair of its factors and slopes (slope at t = 1: A_j + c_j Q)
+and its power of Q.  The summands add as integer pairs, and the float is
+one int true division (and a square root for a root coefficient): Python
+rounds an int quotient correctly, as float() of the rational does, so it is
+the same float.  The powers of Q and the refusal of a factor that is not
+affine depend only on the stand-in outputs and are read once per formula
+and check; the shape check (_aligned) runs on every call.  Every other
+Q-plane coefficient, and Lambda under each Q value's root, is an integer
+pair on the cleared triple too, divided once.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import truediv
 from typing import Callable, NamedTuple
 
 from .classical import jacobi_cleared
@@ -164,17 +173,18 @@ def h2_eval(d, g, p: BiParams):
     return p2_eval(d, g, p) / (factorial(m) * factorial(n))
 
 
-def _lambda_core(m: int, n: int, a1, a2, a3, N: int) -> tuple[int, int]:
+def _lambda_core(m: int, n: int, triple: tuple, N: int) -> tuple[int, int]:
     """(a1+1)_m (a2+1)_m (a3+1)_n (m+s+1)_m (2m+s+2)_n (2m+n+sig+2)_n
     (2m+2n+sig+3)_{N-m-n} / (sig+3)_N, with s = a1+a2 and sig = s+a3, as
     one integer numerator and denominator.
 
     Cancellation-safe arrangement: every ratio (a)_{2m}/(a)_m collapsed to
-    (a+m)_m, so nothing here divides by a quantity that can vanish.  The
-    triple is cleared to one denominator q; the rising products above carry
+    (a+m)_m, so nothing here divides by a quantity that can vanish.  triple
+    is the parameter triple already cleared to one denominator q, (q, (A1,
+    A2, A3)) as simplex.cleared gives it; the rising products above carry
     q^(2m+2n+N) and the one below q^N, so q^(2m+2n) is left below.
     """
-    q, (A1, A2, A3) = cleared(a1, a2, a3)
+    q, (A1, A2, A3) = triple
     S = A1 + A2
     T = S + A3
     num = (
@@ -192,22 +202,23 @@ def _lambda_core(m: int, n: int, a1, a2, a3, N: int) -> tuple[int, int]:
 def lambda2(d, p: BiParams):
     """Norm of P_{m,n} under the simplex weight."""
     m, n = _require_pair(d, p.N, "degree pair")
-    num, den = _lambda_core(m, n, p.alpha1, p.alpha2, p.alpha3, p.N)
+    num, den = _lambda_core(m, n, cleared(p.alpha1, p.alpha2, p.alpha3), p.N)
     f = math.factorial
     return Rat(f(m) * f(n) * f(p.N - m - n) * num, f(p.N) * den)
 
 
-def _big_lambda(m: int, n: int, p: BiParams) -> tuple[int, int]:
-    """bigLambda as one integer numerator and denominator."""
-    num, den = _lambda_core(m, n, p.alpha1, p.alpha2, p.alpha3, p.N)
+def _big_lambda(m: int, n: int, triple: tuple, N: int) -> tuple[int, int]:
+    """bigLambda as one integer numerator and denominator, on the cleared
+    triple (q, (A1, A2, A3))."""
+    num, den = _lambda_core(m, n, triple, N)
     f = math.factorial
-    return math.perm(p.N, m + n) * f(m) * f(n) * num, den
+    return math.perm(N, m + n) * f(m) * f(n) * num, den
 
 
 def bigLambda(d, p: BiParams):
     """Squared norm of the bare product chain; equals lambda2 * ((-N)_{m+n})^2."""
     m, n = _require_pair(d, p.N, "degree pair")
-    return Rat(*_big_lambda(m, n, p))
+    return Rat(*_big_lambda(m, n, cleared(p.alpha1, p.alpha2, p.alpha3), p.N))
 
 
 def q2_eval(d, g, p: BiParams) -> RadicalScalar:
@@ -232,6 +243,7 @@ class _Values:
 
     def __init__(self, a1, a2, a3):
         self.a1, self.a2, self.a3 = a1, a2, a3
+        self.triple = cleared(a1, a2, a3)
         self.chains = ChainTable((a1, a2, a3))
         self._qrows, self._dens = {}, {}
 
@@ -257,11 +269,12 @@ class _Values:
         """The float Q values of degree pair (m, n) over simplex_points(level, 2).
 
         An int quotient is correctly rounded, as float() of the reduced
-        rational chain value is, so each value is the same float."""
+        rational is, so each value, and Lambda under its root, is the same
+        float."""
         key = (m, n, level)
         out = self._qrows.get(key)
         if out is None:
-            root = math.sqrt(float(bigLambda((m, n), BiParams(self.a1, self.a2, self.a3, level))))
+            root = math.sqrt(truediv(*_big_lambda(m, n, self.triple, level)))
             den = self.chains.den((m, n))
             out = self._qrows[key] = tuple(v / den / root for v in self.row(m, n, level))
         return out
@@ -304,7 +317,8 @@ def overlap2(p: BiParams, mode: str = "float") -> OverlapMatrix:
         # (row / den) sqrt(omega Lambda_den / (W Lambda_num)) by int true
         # divisions, each rounded as float() of the reduced rational is, so
         # every entry is float() of the radical one; a zero entry is +0.0
-        norms = [(lam_den, W * lam_num) for lam_num, lam_den in (_big_lambda(*d, p) for d in cols)]
+        triple = cleared(p.alpha1, p.alpha2, p.alpha3)
+        norms = [(lam_den, W * lam_num) for lam_num, lam_den in (_big_lambda(*d, triple, p.N) for d in cols)]
         entries = tuple(
             tuple(
                 row[g] / den * math.sqrt(omega * lam_den / scale) if row[g] and omega else 0.0
@@ -724,54 +738,90 @@ def _product(low: tuple, high: tuple):
     return coef, order
 
 
-def _leads(q: int, probe, units, low, high) -> list:
-    """The lowest-order term c * eps^order of each summand of a value at the
-    parameters t = eps of the sweep line, as eps -> 0+, as (c, order) pairs.
+def _summand_powers(probe, units, q: int) -> list:
+    """Per value of a float formula, per summand, the pair (q^max(k, 0),
+    q^max(-k, 0)) that turns its two integer factor products into its
+    numerator and denominator: k is the units of its denominator factors
+    less those of its numerator factors.
 
-    low and high are the value at t = 0 and t = 1 with the triple cleared to
-    its denominator q, probe and units the same formula run on the _Degree
-    and _Homogeneous stand-ins.  A factor f affine in t is f(0) + l eps with
-    l = f(1) - f(0): it gives f(0), or l and one order when f(0) = 0, as an
-    integer q^k times too large for a factor of degree k.  So each summand
-    is one rational: its two integer products, and q to the degrees they
-    differ by.  A summand with a numerator factor that vanishes identically
-    is dropped.
+    Read off the formula's stand-in outputs alone, so made once per formula
+    and check.  Each factor must be affine along the sweep line (degree at
+    most 1 on the _Degree stand-in), or the two-point limit is unsound.
     """
     out = []
-    for summand, unit, lo, hi in _aligned(probe, units, low, high):
-        if any(_deg(f) > 1 for factors in summand for f in factors):
-            raise ArithmeticError("a coefficient factor is not affine along the sweep line")
-        (num, up), (den, down) = _product(lo[0], hi[0]), _product(lo[1], hi[1])
-        if not den:
-            raise ArithmeticError("a denominator factor vanishes identically")
-        if num:
+    for value in _aligned(probe, units):
+        powers = []
+        for summand, unit in _aligned(*value):
+            if any(_deg(f) > 1 for factors in summand for f in factors):
+                raise ArithmeticError("a coefficient factor is not affine along the sweep line")
             k = sum(map(_units, unit[1])) - sum(map(_units, unit[0]))
-            out.append((Rat(num * q ** max(k, 0), den * q ** max(-k, 0)), up - down))
+            powers.append((q ** max(k, 0), q ** max(-k, 0)))
+        out.append(powers)
     return out
 
 
-def _limit(leads):
-    """The value at eps = 0 of a sum with the given lowest-order terms."""
-    if any(order < 0 for _, order in leads):
+def _leads(powers, low, high) -> list:
+    """The lowest-order term c * eps^order of each summand of a value at the
+    parameters t = eps of the sweep line, as eps -> 0+, as integer triples
+    (num, den, order) with c = num / den and den > 0.
+
+    low and high are the value at t = 0 and t = 1 with the triple cleared to
+    its denominator q, powers its summands' (_summand_powers).  A factor f
+    affine in t is f(0) + l eps with l = f(1) - f(0): it gives f(0), or l
+    and one order when f(0) = 0, as an integer q^k times too large for a
+    factor of degree k.  So each summand is its two integer products, each
+    times its power of q.  A summand with a numerator factor that vanishes
+    identically is dropped.
+    """
+    out = []
+    for (up, down), lo, hi in _aligned(powers, low, high):
+        (num, order), (den, lower) = _product(lo[0], hi[0]), _product(lo[1], hi[1])
+        if not den:
+            raise ArithmeticError("a denominator factor vanishes identically")
+        if num:
+            if den < 0:
+                num, den = -num, -den
+            out.append((num * up, den * down, order - lower))
+    return out
+
+
+def _sum(pairs) -> tuple:
+    """The sum of rationals given as integer pairs (num, den), den > 0, as
+    one such pair; not reduced."""
+    num, den = 0, 1
+    for a, b in pairs:
+        num, den = (num + a, den) if b == den else (num * b + a * den, den * b)
+    return num, den
+
+
+def _limit(leads) -> tuple:
+    """The value at eps = 0 of a sum with the given lowest-order terms, as
+    an integer pair (num, den) with den > 0."""
+    if any(order < 0 for *_, order in leads):
         raise ArithmeticError("pole at the evaluation point; identity is ill-formed here")
-    return sum((c for c, order in leads if order == 0), Rat(0))
+    return _sum((num, den) for num, den, order in leads if order == 0)
 
 
-def _signed_square(radicand, bracket):
+def _signed_square(radicand, bracket) -> tuple:
     """(sign, squared) of sign(bracket) * sqrt(radicand * bracket^2) at
-    eps = 0, from the lowest-order terms of both.  The lowest-order part of
-    the bracket decides its sign; if it is zero, nothing here can."""
-    low = min((order for _, order in bracket), default=0)
-    b = sum((c for c, order in bracket if order == low), Rat(0))
-    if not b:
+    eps = 0, from the lowest-order terms of both; squared an integer pair
+    (num, den) with den > 0.  The lowest-order part of the bracket decides
+    its sign; if it is zero, nothing here can."""
+    low = min((order for *_, order in bracket), default=0)
+    bn, bd = _sum((num, den) for num, den, order in bracket if order == low)
+    if not bn:
         raise ArithmeticError("the bracket vanishes at its lowest order; its sign is undecided")
-    return (1 if b > 0 else -1), _limit([(c * b * b, order + 2 * low) for c, order in radicand])
+    rn, rd = _limit([(num, den, order + 2 * low) for num, den, order in radicand])
+    return (1 if bn > 0 else -1), (rn * bn * bn, rd * bd * bd)
 
 
-def _sq(sign: int, squared) -> float:
-    if squared < 0:
+def _sq(sign: int, squared: tuple) -> float:
+    """sign * sqrt(num / den) of an integer pair with den > 0; the int
+    quotient is correctly rounded, as float() of the rational is."""
+    num, den = squared
+    if num < 0:
         raise ArithmeticError("negative squared coefficient; transcription error")
-    return sign * math.sqrt(float(squared))
+    return sign * math.sqrt(num / den)
 
 
 # Nine-point targets paired with their explicit coefficient evaluators;
@@ -969,7 +1019,15 @@ def _structure(var: str, raising: bool) -> _Relation:
 
 
 def _prefactor(c, second: bool) -> float:
-    return math.sqrt(float(c.N * ((c.a2 if second else c.a1) + 1) / (c.sig + 3))) if c.N else 0.0
+    """sqrt(N (a + 1) / (sig + 3)), a = a2 for the second-variable forms and
+    a1 otherwise, from the cleared triple; made once per check."""
+    key = ("prefactor", second, c.scaled)
+    value = c.memo.get(key)
+    if value is None:
+        q, (A1, A2, A3) = c.q, c.scaled
+        value = math.sqrt(c.N * ((A2 if second else A1) + q) / (A1 + A2 + A3 + 3 * q)) if c.N else 0.0
+        c.memo[key] = value
+    return value
 
 
 def _normalized_structure(var: str, forward: bool) -> _Relation:
@@ -1019,6 +1077,70 @@ def _l1_eigenvalue(c, m, n):
     return -m * ((m + 1) * q + A1 + A2), q
 
 
+def _l2_eigenvalue(c, m, n):
+    """-(m + n) (m + n + sig + 2), over q."""
+    return -(m + n) * ((m + n + 2) * c.q + sum(c.scaled)), c.q
+
+
+# The per-degree parts of the four normalized lowering rows: the squares of
+# the ratios of the Q normalizations, each an integer pair on the cleared
+# triple, with S = A1 + A2 and T = S + A3 (q s and q sig).
+
+
+def _raise_m_square(c, m, n):
+    """N (a1+1) (a2+1) (N+sig+3) (m+1) (m+s+2) / ((sig+3) (sig+4))."""
+    q, (A1, A2, A3), N = c.q, c.scaled, c.N
+    S, T = A1 + A2, A1 + A2 + A3
+    return (
+        N * (A1 + q) * (A2 + q) * ((N + 3) * q + T) * (m + 1) * ((m + 2) * q + S),
+        q * q * (T + 3 * q) * (T + 4 * q),
+    )
+
+
+def _raise_n_square(c, m, n):
+    """N (N+sig+3) (a3+1) (a3+2) (n+1) (n+a3+2) (n+2m+s+2) (n+2m+sig+3)
+    / ((sig+3) (sig+4))."""
+    q, (A1, A2, A3), N = c.q, c.scaled, c.N
+    S, T = A1 + A2, A1 + A2 + A3
+    return (
+        N * ((N + 3) * q + T) * (A3 + q) * (A3 + 2 * q) * (n + 1) * ((n + 2) * q + A3)
+        * ((n + 2 * m + 2) * q + S) * ((n + 2 * m + 3) * q + T),
+        q**4 * (T + 3 * q) * (T + 4 * q),
+    )
+
+
+def _lower_m_square(c, m, n):
+    """m (m+s+1) (sig+3) (sig+4) / ((a1+1) (a2+1) (N+1) (N+sig+4))."""
+    q, (A1, A2, A3), N = c.q, c.scaled, c.N
+    S, T = A1 + A2, A1 + A2 + A3
+    return (
+        m * ((m + 1) * q + S) * (T + 3 * q) * (T + 4 * q),
+        (A1 + q) * (A2 + q) * (N + 1) * ((N + 4) * q + T),
+    )
+
+
+def _lower_n_square(c, m, n):
+    """n (n+a3+1) (n+2m+s+1) (n+2m+sig+2) (sig+3) (sig+4)
+    / ((a3+1) (a3+2) (N+1) (N+sig+4))."""
+    q, (A1, A2, A3), N = c.q, c.scaled, c.N
+    S, T = A1 + A2, A1 + A2 + A3
+    return (
+        n * ((n + 1) * q + A3) * ((n + 2 * m + 1) * q + S) * ((n + 2 * m + 2) * q + T)
+        * (T + 3 * q) * (T + 4 * q),
+        q * q * (A3 + q) * (A3 + 2 * q) * (N + 1) * ((N + 4) * q + T),
+    )
+
+
+def _negated(num: int, den: int) -> float:
+    """-num / den, negated on the integers, so a zero stays +0.0."""
+    return -num / den
+
+
+def _root_of(square) -> Callable:
+    """The per-degree part sqrt(num / den) of a square given as a pair."""
+    return lambda c, m, n: _sq(1, square(c, m, n))
+
+
 # The 24 relation rows, in report order.  m = 0 and n = 0 keep the backward
 # sweeps honest: there the right side must cancel by itself.
 _RELATIONS = {row.name: row for row in (
@@ -1031,8 +1153,7 @@ _RELATIONS = {row.name: row for row in (
     ),
     _Relation(
         "diff-L2", "P", 0, 0, lhs=_SECOND_DIFFERENCE, rhs=(_Term(_itself),),
-        per_degree=lambda c, m, n: (-(m + n) * ((m + n + 2) * c.q + sum(c.scaled)), c.q),
-        per_point=_second_difference,
+        per_degree=_l2_eigenvalue, per_point=_second_difference,
     ),
     _Relation(
         "forward-shift-m", "P", -1, 0, lhs=(_Term(_itself, degree=(1, 0)),), rhs=_LADDER_M,
@@ -1068,44 +1189,27 @@ _RELATIONS = {row.name: row for row in (
         "normalized-difference-float[first]", "Q", 0, 0, lhs=(_Term(_itself),),
         rhs=(_Term(factor=lambda x: x[0] + x[1]), _Term(factor=_pick(0), sign=-1, point=(-1, 1)),
              _Term(factor=_pick(1), sign=-1, point=(1, -1))),
-        per_degree=lambda c, m, n: float(m * (m + c.s + 1)), per_point=_floats(_first_difference),
+        per_degree=lambda c, m, n: _negated(*_l1_eigenvalue(c, m, n)), per_point=_floats(_first_difference),
     ),
     _Relation(
         "normalized-difference-float[second]", "Q", 0, 0, lhs=(_Term(_itself),), rhs=_SECOND_DIFFERENCE,
-        per_degree=lambda c, m, n: float(-(m + n) * (m + n + c.sig + 2)), per_point=_floats(_second_difference),
+        per_degree=lambda c, m, n: truediv(*_l2_eigenvalue(c, m, n)), per_point=_floats(_second_difference),
     ),
     _Relation(
         "normalized-lowering-float[raise-m]", "Q", -1, 0, lhs=(_Term(_itself, degree=(1, 0)),), rhs=_LADDER_M,
-        per_degree=lambda c, m, n: _sq(
-            1, c.N * (c.a1 + 1) * (c.a2 + 1) * (c.N + c.sig + 3) * (m + 1) * (m + c.s + 2)
-            / ((c.sig + 3) * (c.sig + 4))
-        ),
-        per_point=_floats(_first_difference),
+        per_degree=_root_of(_raise_m_square), per_point=_floats(_first_difference),
     ),
     _Relation(
         "normalized-lowering-float[raise-n]", "Q", -1, 0, lhs=(_Term(_itself, degree=(0, 1)),), rhs=_LADDER_N,
-        per_degree=lambda c, m, n: _sq(
-            1, c.N * (c.N + c.sig + 3) * (c.a3 + 1) * (c.a3 + 2) * (n + 1) * (n + c.a3 + 2)
-            * (n + 2 * m + c.s + 2) * (n + 2 * m + c.sig + 3) / ((c.sig + 3) * (c.sig + 4))
-        ),
-        per_point=_floats(_ladder_n),
+        per_degree=_root_of(_raise_n_square), per_point=_floats(_ladder_n),
     ),
     _Relation(
         "normalized-lowering-float[lower-m]", "Q", 0, 0, lhs=(_Term(_itself, degree=(-1, 0), params=_UP_M),),
-        rhs=_LOWER_M,
-        per_degree=lambda c, m, n: _sq(
-            1, m * (m + c.s + 1) * (c.sig + 3) * (c.sig + 4)
-            / ((c.a1 + 1) * (c.a2 + 1) * (c.N + 1) * (c.N + c.sig + 4))
-        ),
+        rhs=_LOWER_M, per_degree=_root_of(_lower_m_square),
     ),
     _Relation(
         "normalized-lowering-float[lower-n]", "Q", 0, 0, lhs=(_Term(_itself, degree=(0, -1), params=_UP_N),),
-        rhs=_LOWER_N,
-        per_degree=lambda c, m, n: _sq(
-            1, n * (n + c.a3 + 1) * (n + 2 * m + c.s + 1) * (n + 2 * m + c.sig + 2) * (c.sig + 3) * (c.sig + 4)
-            / ((c.a3 + 1) * (c.a3 + 2) * (c.N + 1) * (c.N + c.sig + 4))
-        ),
-        per_point=_floats(_lowering_n),
+        rhs=_LOWER_N, per_degree=_root_of(_lower_n_square), per_point=_floats(_lowering_n),
     ),
 )}
 
@@ -1167,8 +1271,6 @@ class _At:
     def __init__(self, N, triple, q=1, scaled=None, line=None, memo=None):
         self.N = N
         self.a1, self.a2, self.a3 = triple
-        self.s = self.a1 + self.a2
-        self.sig = self.s + self.a3
         self.q, self.scaled = q, scaled or triple
         self.line, self.memo = line, memo
 
@@ -1209,20 +1311,31 @@ class _At:
 
     def leads(self, fn, m, n, swap: bool) -> list:
         """The lowest-order terms (_leads) of each value fn returns at (m, n)
-        along the sweep line, made once per check."""
-        key = (fn, m, n, swap)
-        if key not in self.memo:
-            q = self.q
-            low, high = (fn(m * q, n * q, self.N * q, *_swapped(ints, swap), q) for ints in self.line)
-            values = _aligned(*self.stand_ins(fn), low, high)
-            self.memo[key] = [_leads(q, *value) for value in values]
-        return self.memo[key]
+        along the sweep line.  The summands' powers of q, and the refusal of
+        a factor that is not affine, come from the stand-ins once per check;
+        a refusal is not memoized, so every call raises it again."""
+        key = (fn, "summands")
+        powers = self.memo.get(key)
+        if powers is None:
+            powers = self.memo[key] = _summand_powers(*self.stand_ins(fn), self.q)
+        q = self.q
+        low, high = (fn(m * q, n * q, self.N * q, *_swapped(ints, swap), q) for ints in self.line)
+        return [_leads(*value) for value in _aligned(powers, low, high)]
 
     def root(self, fn, m, n, swap: bool) -> float:
-        return _sq(*_signed_square(*self.leads(fn, m, n, swap)))
+        """A square-root coefficient, fn giving (radicand, bracket); made
+        once per check."""
+        key = (fn, m, n, swap)
+        if key not in self.memo:
+            self.memo[key] = _sq(*_signed_square(*self.leads(fn, m, n, swap)))
+        return self.memo[key]
 
     def limit(self, fn, m, n, swap: bool) -> float:
-        return float(_limit(*self.leads(fn, m, n, swap)))
+        """A plain coefficient, fn giving one value; made once per check."""
+        key = (fn, m, n, swap)
+        if key not in self.memo:
+            self.memo[key] = truediv(*_limit(*self.leads(fn, m, n, swap)))
+        return self.memo[key]
 
 
 def _sweep_degrees(row: _Relation, degrees, N: int) -> list:

@@ -115,10 +115,14 @@ def test_float_limits_match_golden():
         at = bi_mod._Check(BiParams(*map(parse_rational, triple.split(",")), N)).at(0)
         leads = at.leads(getattr(bi_mod, name), m, n, bool(swap))
         if name == "_coef_rec_e":
-            got = bi_mod._limit(*leads)
+            pair = bi_mod._limit(*leads)
+            got = Rat(*pair)
             got = ((got > 0) - (got < 0), got)
         else:
             got = bi_mod._signed_square(*leads)
+            pair = got[1]
+            got = (got[0], Rat(*pair))
+        assert all(type(v) is int for v in pair) and pair[1] > 0, (name, swap, triple, N, m, n)
         assert (got[0], format_rational(got[1])) == (sign, value), (name, swap, triple, N, m, n)
 
 

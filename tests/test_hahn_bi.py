@@ -629,10 +629,14 @@ class TestDirectionalLimit:
         return bi_mod._Check(BiParams(0, 0, 0, 0)).at(0).leads(fn, 0, 0, False)
 
     def limit(self, value):
-        return bi_mod._limit(*self.leads(lambda *args: (value(*args),)))
+        pair = bi_mod._limit(*self.leads(lambda *args: (value(*args),)))
+        assert all(type(v) is int for v in pair) and pair[1] > 0
+        return Rat(*pair)
 
     def root(self, fn):
-        return bi_mod._signed_square(*self.leads(fn))
+        sign, pair = bi_mod._signed_square(*self.leads(fn))
+        assert all(type(v) is int for v in pair) and pair[1] > 0
+        return sign, Rat(*pair)
 
     def test_removable_zero_over_zero(self):
         assert self.limit(lambda m, n, N, a1, a2, a3, q: (((2 * a1, q + a1), (a2,)),)) == Rat(2, 3)
@@ -808,6 +812,11 @@ def assert_cleared_match(p, t, m, n):
         for name in FLOAT_FORMULAS:
             fn = getattr(bi_mod, name)
             got = outcome(check.at(0).leads, fn, m, n, swap)
+            if not isinstance(got, str):
+                triples = [lead for value in got for lead in value]
+                assert all(type(v) is int for lead in triples for v in lead), (name, swap)
+                assert all(den > 0 for _, den, _ in triples), (name, swap)
+                got = [[(Rat(num, den), order) for num, den, order in value] for value in got]
             assert got == outcome(leads_reference, fn, m, n, p, swap), (name, swap)
 
 
@@ -855,6 +864,205 @@ class TestClearedFormulas:
             for c in verify_bi(name, p).checks:
                 assert c.passed, c.name
                 assert "-float" in c.name or c.max_residual == "0", c.name
+
+
+# ---------------------------------------------------------------------------
+# the Q-plane coefficients on integer pairs against the retired Fraction route
+
+# The float-plane benchmark triples, and the triple of large magnitude whose
+# seven float sub-checks fail at N = 3 (the scale of the float residual, not
+# the coefficients, is at fault there).
+FLOAT_TRIPLES = [
+    (Rat(-1, 2), Rat(1, 2), Rat(3)),
+    (Rat(3), Rat(1, 2), Rat(-1, 2)),
+    (Rat(0), Rat(1, 2), Rat(7, 3)),
+]
+LARGE_MAGNITUDE = (Rat(999983, 1000003), Rat(-1, 999983), Rat(123456789, 1000))
+BIT_IDENTITY_TRIPLES = FLOAT_TRIPLES + [LARGE_DENOMINATORS] + DEGENERATE_TRIPLES + [LARGE_MAGNITUDE]
+ROOT_FORMULAS = FLOAT_FORMULAS[:-1]
+
+
+def _limit_retired(leads):
+    if any(order < 0 for _, order in leads):
+        raise ArithmeticError("pole at the evaluation point; identity is ill-formed here")
+    return sum((c for c, order in leads if order == 0), Rat(0))
+
+
+def _signed_square_retired(radicand, bracket):
+    low = min((order for _, order in bracket), default=0)
+    b = sum((c for c, order in bracket if order == low), Rat(0))
+    if not b:
+        raise ArithmeticError("the bracket vanishes at its lowest order; its sign is undecided")
+    return (1 if b > 0 else -1), _limit_retired([(c * b * b, order + 2 * low) for c, order in radicand])
+
+
+def _sq_retired(sign, squared):
+    if squared < 0:
+        raise ArithmeticError("negative squared coefficient; transcription error")
+    return sign * math.sqrt(float(squared))
+
+
+def per_degree_retired(name, p, m, n):
+    """The per-degree float of a difference or lowering row, by the Fraction
+    formula the integer pairs replaced."""
+    a1, a2, a3, N = p.alpha1, p.alpha2, p.alpha3, p.N
+    s, sig = a1 + a2, a1 + a2 + a3
+    return {
+        "normalized-difference-float[first]": lambda: float(m * (m + s + 1)),
+        "normalized-difference-float[second]": lambda: float(-(m + n) * (m + n + sig + 2)),
+        "normalized-lowering-float[raise-m]": lambda: _sq_retired(
+            1, N * (a1 + 1) * (a2 + 1) * (N + sig + 3) * (m + 1) * (m + s + 2) / ((sig + 3) * (sig + 4))
+        ),
+        "normalized-lowering-float[raise-n]": lambda: _sq_retired(
+            1, N * (N + sig + 3) * (a3 + 1) * (a3 + 2) * (n + 1) * (n + a3 + 2)
+            * (n + 2 * m + s + 2) * (n + 2 * m + sig + 3) / ((sig + 3) * (sig + 4))
+        ),
+        "normalized-lowering-float[lower-m]": lambda: _sq_retired(
+            1, m * (m + s + 1) * (sig + 3) * (sig + 4) / ((a1 + 1) * (a2 + 1) * (N + 1) * (N + sig + 4))
+        ),
+        "normalized-lowering-float[lower-n]": lambda: _sq_retired(
+            1, n * (n + a3 + 1) * (n + 2 * m + s + 1) * (n + 2 * m + sig + 2) * (sig + 3) * (sig + 4)
+            / ((a3 + 1) * (a3 + 2) * (N + 1) * (N + sig + 4))
+        ),
+    }[name]()
+
+
+def same_float(got, want) -> bool:
+    """Bit for bit: the sign of a zero counts."""
+    return got.hex() == want.hex()
+
+
+class TestQPlaneBitIdentity:
+    """Every Q-plane per-degree float, made from integer pairs by one int
+    true division, is the float of the Fraction formula it replaced."""
+
+    N = 3
+
+    @pytest.mark.parametrize("triple", BIT_IDENTITY_TRIPLES)
+    def test_roots_and_limits(self, triple):
+        p = BiParams(*triple, self.N)
+        at = bi_mod._Check(p).at(0)
+        for m, n in simplex_points(self.N + 2, 2):
+            for swap in (False, True):
+                for name in FLOAT_FORMULAS:
+                    fn = getattr(bi_mod, name)
+                    if name in ROOT_FORMULAS:
+                        got = outcome(at.root, fn, m, n, swap)
+                        want = outcome(lambda: _sq_retired(*_signed_square_retired(*leads_reference(fn, m, n, p, swap))))
+                    else:
+                        got = outcome(at.limit, fn, m, n, swap)
+                        want = outcome(lambda: float(_limit_retired(*leads_reference(fn, m, n, p, swap))))
+                    assert type(got) is type(want), (name, m, n, swap)
+                    assert got == want if isinstance(got, str) else same_float(got, want), (name, m, n, swap)
+
+    @pytest.mark.parametrize("triple", BIT_IDENTITY_TRIPLES)
+    def test_difference_and_lowering_parts(self, triple):
+        for N in (self.N, 8):
+            p = BiParams(*triple, N)
+            at = bi_mod._Check(p).at(0)
+            for name, row in bi_mod._RELATIONS.items():
+                if name.startswith(("normalized-difference", "normalized-lowering")):
+                    for m, n in simplex_points(N + row.degrees, 2):
+                        assert same_float(row.per_degree(at, m, n), per_degree_retired(name, p, m, n)), (name, m, n)
+
+    @pytest.mark.parametrize("triple", BIT_IDENTITY_TRIPLES)
+    def test_prefactor(self, triple):
+        for N in range(5):
+            p = BiParams(*triple, N)
+            at = bi_mod._Check(p).at(0)
+            for second in (False, True):
+                a = p.alpha2 if second else p.alpha1
+                want = math.sqrt(float(N * (a + 1) / (p.a123 + 3))) if N else 0.0
+                assert same_float(bi_mod._prefactor(at, second), want), (N, second)
+
+    @pytest.mark.parametrize("triple", BIT_IDENTITY_TRIPLES)
+    def test_q_rows(self, triple):
+        """Lambda from _lambda_core's integers, as bigLambda made it."""
+        table = bi_mod._Values(*triple)
+        chains = ChainTable(triple)
+        for level in (self.N, self.N + 1):
+            p = BiParams(*triple, level)
+            for m, n in simplex_points(level, 2):
+                root = math.sqrt(float(bigLambda((m, n), p)))
+                want = [v / chains.den((m, n)) / root for v in chains.row((m, n), level)]
+                assert [v.hex() for v in table.qrow(m, n, level)] == [v.hex() for v in want], (level, m, n)
+
+    def test_large_magnitude_reports_pinned(self):
+        """The seven float sub-checks that fail on the large-magnitude
+        triple keep their reports: the residual scale, not the coefficients,
+        makes them fail."""
+        p = BiParams(*LARGE_MAGNITUDE, self.N)
+        failures = {
+            c.name: (c.max_residual, c.counterexample)
+            for name in BI_CHECK_NAMES if name.startswith("normalized-")
+            for c in verify_bi(name, p).checks if not c.passed
+        }
+        assert failures == {
+            "normalized-structure-float[backward-i]": (
+                "1.8626451457615101e-09",
+                {"indices": {"degree": (2, 0), "point": (0, 3)}, "lhs": "0", "rhs": "-1.862645149230957e-09"},
+            ),
+            "normalized-structure-float[backward-k]": (
+                "1.0192806588362883e-09",
+                {"indices": {"degree": (1, 1), "point": (3, 0)}, "lhs": "0", "rhs": "1.0192806598752213e-09"},
+            ),
+            "normalized-recurrence-float[i]": (
+                "1.8626451457615101e-09",
+                {"indices": {"degree": (1, 2), "point": (0, 3)}, "lhs": "-0", "rhs": "1.862645149230957e-09"},
+            ),
+            "normalized-recurrence-float[k]": (
+                "1.8626451457615101e-09",
+                {"indices": {"degree": (2, 1), "point": (3, 0)}, "lhs": "0", "rhs": "-1.862645149230957e-09"},
+            ),
+            "normalized-difference-float[first]": (
+                "7.4505805414126769e-09",
+                {"indices": {"degree": (0, 3), "point": (1, 2)}, "lhs": "0", "rhs": "-7.4505805969238281e-09"},
+            ),
+            "normalized-difference-float[second]": (
+                "9.3132257374811678e-10",
+                {"indices": {"degree": (3, 0), "point": (2, 0)}, "lhs": "-0", "rhs": "9.3132257461547852e-10"},
+            ),
+            "normalized-lowering-float[lower-n]": (
+                "1.8626451457615101e-09",
+                {"indices": {"degree": (3, 0), "point": (1, 1)}, "lhs": "0", "rhs": "1.862645149230957e-09"},
+            ),
+        }
+
+
+def _alpha_with_extra_summand(m, n, N, a1, a2, a3, q):
+    """_coef_alpha with one more radicand summand once m > 0: its shape
+    depends on its arguments, though not on the stand-ins (m = 0 or a
+    stand-in there)."""
+    (summand,), bracket = bi_mod._coef_alpha(m, n, N, a1, a2, a3, q)
+    extra = (((m,), ()),) if isinstance(m, int) and m > 0 else ()
+    return (summand,) + extra, bracket
+
+
+def _alpha_not_affine(m, n, N, a1, a2, a3, q):
+    """_coef_alpha with a numerator factor quadratic along the sweep line."""
+    ((num, den),), bracket = bi_mod._coef_alpha(m, n, N, a1, a2, a3, q)
+    return (((a1 * a2,) + num, den),), bracket
+
+
+class TestFloatFormulaRefusals:
+    """The affinity check and the powers of q are read once per formula and
+    check; the shape check still runs on every call."""
+
+    def at(self):
+        return bi_mod._Check(BiParams(Rat(1, 2), Rat(1, 3), Rat(1, 5), 4)).at(0)
+
+    def test_shape_change_refused_on_a_later_call(self):
+        at = self.at()
+        assert at.root(_alpha_with_extra_summand, 0, 1, False) > 0
+        with pytest.raises(ArithmeticError, match="shape depends on its arguments"):
+            at.root(_alpha_with_extra_summand, 1, 1, False)
+
+    @pytest.mark.parametrize("first", [(2, 1), (0, 0)])
+    def test_non_affine_refused_whatever_pair_comes_first(self, first):
+        at = self.at()
+        for m, n in (first, (1, 0), first):
+            with pytest.raises(ArithmeticError, match="not affine"):
+                at.root(_alpha_not_affine, m, n, False)
 
 
 def _structure_raise_dropped_unit(m, n, N, a1, a2, a3, q):
@@ -1394,3 +1602,42 @@ def test_exact_pass_path_makes_no_rational(monkeypatch):
     for name in EXACT_CHECKS:
         report = verify_bi(name, p)
         assert report.passed and len(report.checks) >= 1, name
+
+
+class _RefusesArithmetic:
+    """A parameter that refuses every arithmetic operation."""
+
+    def _refuse(self, *args):
+        raise AssertionError("rational arithmetic on a Q-plane coefficient")
+
+    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = _refuse
+    __truediv__ = __rtruediv__ = __neg__ = __float__ = _refuse
+
+
+def test_q_plane_coefficients_make_no_rational(monkeypatch):
+    """Every Q row's per-degree and per-point parts, and the Q values' roots
+    of Lambda, are made with Rat refused and the point's rational
+    parameters replaced by objects that refuse arithmetic: they read only
+    the cleared triple (c.q, c.scaled)."""
+
+    def refuse(*args):
+        raise AssertionError("a rational on a Q-plane coefficient")
+
+    triple = (Rat(1, 2), Rat(-1, 3), Rat(7, 3))  # q = 6
+    p = BiParams(*triple, 4)
+    at = bi_mod._Check(p).at(0)
+    table = bi_mod._Values(*triple)
+    monkeypatch.setattr(bi_mod, "Rat", refuse)
+    at.a1 = at.a2 = at.a3 = _RefusesArithmetic()
+    for name, row in bi_mod._RELATIONS.items():
+        if row.plane != "Q":
+            continue
+        for m, n in simplex_points(p.N + row.degrees, 2):
+            d = row.per_degree(at, m, n)
+            assert all(type(v) is float for v in (d if isinstance(d, tuple) else (d,))), name
+        for i, k in simplex_points(p.N + row.grid, 2):
+            x = row.per_point(at, i, k)
+            parts = () if x is None else x if isinstance(x, tuple) else (x,)  # None: no per-point parts
+            assert all(type(v) in (int, float) for v in parts), name
+    for m, n in simplex_points(p.N, 2):
+        assert all(type(v) is float for v in table.qrow(m, n, p.N))
