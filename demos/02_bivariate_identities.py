@@ -5,7 +5,9 @@ Two-variable Hahn polynomials on the triangle
 The family lives on the simplex i + k <= N and comes in three
 normalizations: the rational P plane where identities hold with literal
 zero residual, the factorial rescaling H, and the orthonormal Q plane
-whose ladder coefficients carry square roots and are checked in floats.
+whose ladder coefficients carry square roots.  Every identity of either
+plane is checked exactly, the Q-plane ones by square classes of their
+terms.
 """
 from hahnkit.hahn_bi import (
     BI_CHECK_NAMES,
@@ -41,7 +43,7 @@ q = q2_eval((1, 1), (2, 1), p)
 print("Q_{1,1}(2,1) squared (signed) =", format_rational(q.signed_square()))
 print("Q_{1,1}(2,1) as float        =", float(q))
 
-# Every shipped identity, exact ones first, then the float ladder checks.
+# Every shipped identity, the rational ones first, then the orthonormal ones.
 print("\nfull verification battery at N=4:")
 for name in BI_CHECK_NAMES:
     report = verify_bi(name, p)

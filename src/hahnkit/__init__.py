@@ -2,7 +2,8 @@
 
 The package keeps two parallel planes: an exact one built on rationals and
 radical scalars, where identities are checked to literal zero residual, and a
-floating-point one for the normalized families, checked to tight tolerances.
+floating-point one for the orthonormal overlap matrices, checked to tight
+tolerances.
 """
 from .numeric import (
     Rat,

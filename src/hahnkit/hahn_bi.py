@@ -1,25 +1,24 @@
 """Bivariate Hahn polynomials on the triangular lattice i + k <= N.
 
 Three normalizations coexist.  P carries rational values and satisfies
-every appendix-style identity with rational coefficients, so those checks
-demand literal zero.  H = P/(m! n!) is a relabeling.  The orthonormal
-Q = (h.h)/sqrt(Lambda) obeys ladder, structure, recurrence, and difference
-relations whose coefficients carry square roots; those are checked in
-floating point at 1e-10 because sums of mixed radicands are not closed.
+every appendix-style identity with rational coefficients.  H = P/(m! n!)
+is a relabeling.  The orthonormal Q = (h.h)/sqrt(Lambda) obeys ladder,
+structure, recurrence, and difference relations whose coefficients carry
+square roots.  Every relation, on either plane, is checked to literal zero.
 
 Relations are data.  Each shift, recurrence, difference and structure
 relation is one row (_Relation): its degree and grid domains as level
 offsets, and its lhs and rhs terms, each a coefficient times the value at
-a shifted degree, grid point, parameter triple and level.  One exact
-runner checks the rows on the P plane to literal zero, one float runner
-those on the Q plane at 1e-10.  Both read values from tables (_Values), one
-per parameter triple, that a check fills as it reads and drops when it
-ends.  A term whose target leaves the simplex must have a zero
-coefficient; that proof obligation is checked like the residual, and a
-nonzero coefficient is reported as a failure naming the target.
+a shifted degree, grid point, parameter triple and level.  One runner
+checks every row, those on the P plane and those on the Q plane.  It reads
+values from tables (_Values), one per parameter triple, that a check fills
+as it reads and drops when it ends.  A term whose target leaves the
+simplex must have a zero coefficient; that proof obligation is checked like
+the residual, and a nonzero coefficient is reported as a failure naming
+the target.
 
-The exact plane runs on Python ints.  A table holds the P values of a
-degree pair and level as integer numerators, the d = 2 rows of the simplex
+The checks run on Python ints.  A table holds the P values of a degree
+pair and level as integer numerators, the d = 2 rows of the simplex
 layer's ChainTable, over one denominator sigma, made once per degree pair
 and level; grid points and degree pairs both run in simplex_points(N, 2)
 order, and the weight is simplex_weight's.  Orthogonality (gram_entries)
@@ -27,11 +26,11 @@ and symmetry compare integer sums and make rationals only to report a
 failure.  Every scale a comparison is multiplied by is shown nonzero first,
 since a zero one would make any identity hold.
 
-The exact relation runner walks sample points outermost: for each t it
-builds that point's tables, decides every instance (m, n) whose sweep
-reaches t, and drops them, so one sample point's tables are alive at a
-time.  A coefficient is a per-degree share times a per-point share, each an
-integer pair (numerator, denominator) made on the triple cleared to its
+The relation runner walks sample points outermost: for each t it builds
+that point's tables, decides every instance (m, n) whose sweep reaches t,
+and drops them, so one sample point's tables are alive at a time.  A
+coefficient is a per-degree share times a per-point share, each an integer
+pair (numerator, denominator) made on the triple cleared to its
 denominator q: the per-point shares once per sample point, over one
 denominator per term, the per-degree ones once per instance.  Each side of
 an instance is then one int, sum_j W_j pack(X_j row_j): the integer weight
@@ -48,6 +47,24 @@ failing instance's slots are decoded to name its first grid point, and the
 first failure in the order degree pair, grid point, sample point (an
 off-simplex obligation before the residual of its instance) is reported.
 
+A Q-plane term is a rational times a square root.  Its per-degree share is
+a signed square (sign, (num, den)), standing for sign sqrt(num / den), its
+per-point share an integer pair as on the P plane, and its value the table
+row over the chain denominator times sqrt(1 / Lambda) (_Values.norm).  So
+a term of an instance is r_g sqrt(R): r_g rational at grid point g, and
+the radicand R = num Lambda_den / (den Lambda_num) fixed by the instance
+alone.  Square roots of rationals from distinct square classes are
+linearly independent over the rationals (Besicovitch 1940), so a side sum
+vanishes exactly when its sum over each class does.  The runner therefore
+partitions an instance's terms by square class: R and S share one when
+R / S is the square of a rational, which two isqrts of the reduced
+quotient decide, with no factoring.  Each term is rescaled to its class
+representative by the rational sqrt(R / S), and each class is weighed,
+packed and compared as a P instance is.  A P term has R = 1, so a P
+instance is one class.  A failure names the radicand of its class, and
+the class's two sides at the first failing grid point in units of its
+square root.
+
 Rational relation coefficients can hit removable 0/0 at special parameter
 points (2m + a12 = 0 and friends).  The nine-point recurrences and the
 level-raising structure relations are therefore checked cleared of their
@@ -55,10 +72,10 @@ denominators, as polynomial identities in the parameters: along the line
 (alpha1 + t, alpha2 + 3t, alpha3 + 5t) the residual is a polynomial in t of
 a degree D computed from the coefficient formulas, so vanishing at the
 D + 1 rational points t = 0..D proves it vanishes identically, which
-subsumes the base-point identity t = 0.  Float coefficients take the
-limit t -> 0+ along the same line.  Their formulas return factors linear in
-the parameters, so two exact evaluations, at t = 0 and t = 1, give each
-factor's value and slope, and from those the limit.
+subsumes the base-point identity t = 0.  The Q-plane root coefficients
+take the limit t -> 0+ along the same line.  Their formulas return factors
+linear in the parameters, so two exact evaluations, at t = 0 and t = 1,
+give each factor's value and slope, and from those the limit.
 
 The coefficient formulas run on Python ints as well.  Each takes (m, n, N,
 a1, a2, a3, q), every constant carrying the unit q, so every value it
@@ -66,23 +83,20 @@ returns is homogeneous of some degree k in its seven arguments.  Run on the
 triple cleared to its denominator Q, with m, n, N and q times Q, it gives
 Q^k times the value, an integer.  Each k is read off a run on a stand-in
 (_Homogeneous), which also refuses a constant that lost its q.  A swept
-coefficient is then one integer pair, and each summand of a float limit
-the integer pair of its factors and slopes (slope at t = 1: A_j + c_j Q)
-and its power of Q.  The summands add as integer pairs, and the float is
-one int true division (and a square root for a root coefficient): Python
-rounds an int quotient correctly, as float() of the rational does, so it is
-the same float.  The powers of Q and the refusal of a factor that is not
-affine depend only on the stand-in outputs and are read once per formula
-and check; the shape check (_aligned) runs on every call.  Every other
-Q-plane coefficient, and Lambda under each Q value's root, is an integer
-pair on the cleared triple too, divided once.
+coefficient is then one integer pair, and each summand of a limit the
+integer pair of its factors and slopes (slope at t = 1: A_j + c_j Q) and
+its power of Q.  The summands add as integer pairs, so a limit is one
+integer pair and a root coefficient the signed square of one.  The powers
+of Q and the refusal of a factor that is not affine depend only on the
+stand-in outputs and are read once per formula and check; the shape check
+(_aligned) runs on every call.  Every other Q-plane coefficient, and Lambda
+under each Q value's root, is an integer pair on the cleared triple too.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import truediv
 from typing import Callable, NamedTuple
 
 from .classical import jacobi_cleared
@@ -238,14 +252,14 @@ class _Values:
     polynomial of total degree m + n, as the inner level i+k depends on the
     grid point.  P is the same integers over sigma = chains.den
     (-level)_{m+n}.  row holds them over a whole grid, p makes a single
-    rational, and qrow divides a row into the float Q values.
+    rational, and norm gives what turns a row into the Q values.
     """
 
     def __init__(self, a1, a2, a3):
         self.a1, self.a2, self.a3 = a1, a2, a3
         self.triple = cleared(a1, a2, a3)
         self.chains = ChainTable((a1, a2, a3))
-        self._qrows, self._dens = {}, {}
+        self._dens, self._norms = {}, {}
 
     def den(self, m, n, level) -> int:
         """sigma: the P values of degree pair (m, n) at level are row / sigma;
@@ -265,18 +279,18 @@ class _Values:
     def p(self, m, n, i, k, level):
         return Rat(self.chains.num((m, n), (i, k), level), self.den(m, n, level))
 
-    def qrow(self, m, n, level) -> tuple:
-        """The float Q values of degree pair (m, n) over simplex_points(level, 2).
-
-        An int quotient is correctly rounded, as float() of the reduced
-        rational is, so each value, and Lambda under its root, is the same
-        float."""
+    def norm(self, m, n, level) -> tuple:
+        """(den, (num, lam)): the Q values of degree pair (m, n) at level are
+        row / den times sqrt(num / lam), 1 / bigLambda as an integer pair;
+        made once per degree pair and level."""
         key = (m, n, level)
-        out = self._qrows.get(key)
+        out = self._norms.get(key)
         if out is None:
-            root = math.sqrt(truediv(*_big_lambda(m, n, self.triple, level)))
-            den = self.chains.den((m, n))
-            out = self._qrows[key] = tuple(v / den / root for v in self.row(m, n, level))
+            lam, num = _big_lambda(m, n, self.triple, level)
+            out = self._norms[key] = (
+                nonzero(self.chains.den((m, n)), "the denominator of a Q value"),
+                (num, nonzero(lam, "the norm under a Q value's root")),
+            )
         return out
 
 
@@ -739,10 +753,10 @@ def _product(low: tuple, high: tuple):
 
 
 def _summand_powers(probe, units, q: int) -> list:
-    """Per value of a float formula, per summand, the pair (q^max(k, 0),
-    q^max(-k, 0)) that turns its two integer factor products into its
-    numerator and denominator: k is the units of its denominator factors
-    less those of its numerator factors.
+    """Per value of a root or limit formula, per summand, the pair
+    (q^max(k, 0), q^max(-k, 0)) that turns its two integer factor products
+    into its numerator and denominator: k is the units of its denominator
+    factors less those of its numerator factors.
 
     Read off the formula's stand-in outputs alone, so made once per formula
     and check.  Each factor must be affine along the sweep line (degree at
@@ -815,13 +829,11 @@ def _signed_square(radicand, bracket) -> tuple:
     return (1 if bn > 0 else -1), (rn * bn * bn, rd * bd * bd)
 
 
-def _sq(sign: int, squared: tuple) -> float:
-    """sign * sqrt(num / den) of an integer pair with den > 0; the int
-    quotient is correctly rounded, as float() of the rational is."""
-    num, den = squared
-    if num < 0:
-        raise ArithmeticError("negative squared coefficient; transcription error")
-    return sign * math.sqrt(num / den)
+def _squared(pair: tuple) -> tuple:
+    """A rational (num, den), den > 0, as the signed square (sign, (num^2,
+    den^2)) that a Q-row per-degree share is."""
+    num, den = pair
+    return (num > 0) - (num < 0), (num * num, den * den)
 
 
 # Nine-point targets paired with their explicit coefficient evaluators;
@@ -850,8 +862,9 @@ class _Term(NamedTuple):
 
     d and x are the row's per-degree and per-point coefficient parts; scale
     and factor read this term's share of each, and a share left None is 1.
-    On the P plane a share is an exact rational as an integer pair
-    (numerator, denominator), on the Q plane a float.
+    A share is an exact rational as an integer pair (numerator,
+    denominator), except a per-degree share on the Q plane: a signed square
+    (sign, (num, den)), sign sqrt(num / den).
     """
 
     scale: Callable | None = None
@@ -863,13 +876,13 @@ class _Term(NamedTuple):
     level: int = 0
 
     def coef(self, d, x):
-        """The coefficient as one number: on the P plane a rational, made
-        for a report only."""
+        """The coefficient as one number, a rational or, from a signed
+        square, a RadicalScalar; made for a report only."""
         value = self.sign
         for share, part in ((self.scale, d), (self.factor, x)):
             if share is not None:
-                v = share(part)
-                value = value * (Rat(*v) if isinstance(v, tuple) else v)
+                a, b = share(part)
+                value = value * (RadicalScalar(a, Rat(*b)) if isinstance(b, tuple) else Rat(a, b))
         return value
 
 
@@ -879,11 +892,11 @@ class _Relation(NamedTuple):
 
     per_degree(c, m, n) and per_point(c, i, k) make the coefficient parts
     that depend on the degree pair alone or the grid point alone, once
-    each; c is an _At.  Plane "P" rows are exact: their parts are integer
-    pairs made on the triple cleared to its denominator (c.q, c.scaled).
-    Plane "Q" rows are float.  A swept row has its denominators cleared and
-    is checked at the D + 1 points of the sweep line; every other row at the
-    base point.
+    each; c is an _At.  The parts are made on the triple cleared to its
+    denominator (c.q, c.scaled).  Plane "P" rows relate P values, plane "Q"
+    rows Q values, with per-degree shares that are signed squares.  A swept
+    row has its denominators cleared and is checked at the D + 1 points of
+    the sweep line; every other row at the base point.
     """
 
     name: str
@@ -906,20 +919,16 @@ def _pick(j: int) -> Callable:
     return lambda part: part[j]
 
 
-def _degree_terms(targets, params=(0, 0, 0), level=0) -> tuple:
-    """Terms at shifted degree pairs; term j's coefficient is d[j]."""
-    return tuple(_Term(_pick(j), degree=dg, params=params, level=level) for j, dg in enumerate(targets))
+def _degree_terms(targets, params=(0, 0, 0), level=0, signs=None) -> tuple:
+    """Terms at shifted degree pairs; term j's coefficient is signs[j] d[j]."""
+    signs = signs or (1,) * len(targets)
+    pairs = enumerate(zip(signs, targets))
+    return tuple(_Term(_pick(j), sign=sg, degree=dg, params=params, level=level) for j, (sg, dg) in pairs)
 
 
 def _point_terms(points, params=(0, 0, 0), level=0) -> tuple:
     """Terms at shifted grid points; term j's coefficient is x[j]."""
     return tuple(_Term(factor=_pick(j), point=g, params=params, level=level) for j, g in enumerate(points))
-
-
-def _floats(point_part):
-    """The float Q-plane form of a P-plane per-point part: each pair's int
-    quotient, correctly rounded as float() of the rational is."""
-    return lambda c, i, k: tuple(num / den for num, den in point_part(c, i, k))
 
 
 def _first_difference(c, i, k):
@@ -1018,18 +1027,6 @@ def _structure(var: str, raising: bool) -> _Relation:
     )
 
 
-def _prefactor(c, second: bool) -> float:
-    """sqrt(N (a + 1) / (sig + 3)), a = a2 for the second-variable forms and
-    a1 otherwise, from the cleared triple; made once per check."""
-    key = ("prefactor", second, c.scaled)
-    value = c.memo.get(key)
-    if value is None:
-        q, (A1, A2, A3) = c.q, c.scaled
-        value = math.sqrt(c.N * ((A2 if second else A1) + q) / (A1 + A2 + A3 + 3 * q)) if c.N else 0.0
-        c.memo[key] = value
-    return value
-
-
 def _normalized_structure(var: str, forward: bool) -> _Relation:
     """Forward: the value at a raised grid point expands over one level down.
     Backward: the value at a lowered grid point one level down expands upward."""
@@ -1040,21 +1037,26 @@ def _normalized_structure(var: str, forward: bool) -> _Relation:
     shifts = ((0, 0), (0, 0), (0, 0), (0, 1)) if forward else ((0, 0), (1, 0), (0, 1), (1, 0))
 
     def per_degree(c, m, n):
+        """The four signed amplitudes, then the square of the prefactor
+        sqrt(N (a + 1) / (sig + 3)), a = a2 for the second-variable forms and
+        a1 otherwise, or of its inverse for the backward forms."""
         fns = (_coef_alpha, _coef_beta, _coef_gamma, _coef_delta)
-        signed = tuple(sg * c.root(fn, m + dm, n + dn, second) for sg, fn, (dm, dn) in zip(signs, fns, shifts))
-        return signed + (_prefactor(c, second),) if forward else signed
+        amplitudes = tuple(c.root(fn, m + dm, n + dn, second) for fn, (dm, dn) in zip(fns, shifts))
+        q, (A1, A2, A3) = c.q, c.scaled
+        prefactor = (c.N * ((A2 if second else A1) + q), A1 + A2 + A3 + 3 * q)
+        return amplitudes + ((1, prefactor if forward else prefactor[::-1]),)
 
     if forward:
         return _Relation(
             f"normalized-structure-float[forward-{var}]", "Q", 0, -1,
             lhs=(_Term(_pick(-1), point=step),),
-            rhs=_degree_terms(((0, 0), (-1, 0), (0, -1), (-1, 1)), shift, -1), per_degree=per_degree,
+            rhs=_degree_terms(((0, 0), (-1, 0), (0, -1), (-1, 1)), shift, -1, signs), per_degree=per_degree,
         )
     return _Relation(
         f"normalized-structure-float[backward-{var}]", "Q", -1, 0,
-        lhs=(_Term(factor=_itself, point=(-step[0], -step[1]), params=shift, level=-1),),
-        rhs=_degree_terms(((0, 0), (1, 0), (0, 1), (1, -1))), per_degree=per_degree,
-        per_point=lambda c, i, k: (k if second else i) / _prefactor(c, second),
+        lhs=(_Term(_pick(-1), _itself, point=(-step[0], -step[1]), params=shift, level=-1),),
+        rhs=_degree_terms(((0, 0), (1, 0), (0, 1), (1, -1)), signs=signs), per_degree=per_degree,
+        per_point=_grid_variable(second),
     )
 
 
@@ -1062,12 +1064,12 @@ def _normalized_recurrence(var: str) -> _Relation:
     second = var == "k"
     return _Relation(
         f"normalized-recurrence-float[{var}]", "Q", 0, 0,
-        lhs=(_Term(factor=_itself),), rhs=_degree_terms(((0, 0),) + tuple(tg for tg, _, _ in _NINE_POINT)),
-        per_degree=lambda c, m, n: (c.limit(_coef_rec_e, m, n, second),) + tuple(
-            sg * c.root(fn, m + em, n + en, second)
-            for sg, (_, fn, (em, en)) in zip(_NINE_SIGNS[var], _NINE_POINT)
+        lhs=(_Term(factor=_itself),),
+        rhs=_degree_terms(((0, 0),) + tuple(tg for tg, _, _ in _NINE_POINT), signs=(1,) + _NINE_SIGNS[var]),
+        per_degree=lambda c, m, n: (_squared(c.limit(_coef_rec_e, m, n, second)),) + tuple(
+            c.root(fn, m + em, n + en, second) for _, fn, (em, en) in _NINE_POINT
         ),
-        per_point=lambda c, i, k: k if second else i,
+        per_point=_grid_variable(second),
     )
 
 
@@ -1082,9 +1084,10 @@ def _l2_eigenvalue(c, m, n):
     return -(m + n) * ((m + n + 2) * c.q + sum(c.scaled)), c.q
 
 
-# The per-degree parts of the four normalized lowering rows: the squares of
-# the ratios of the Q normalizations, each an integer pair on the cleared
-# triple, with S = A1 + A2 and T = S + A3 (q s and q sig).
+# The per-degree parts of the four normalized lowering rows are the square
+# roots of these squares of the ratios of the Q normalizations, each an
+# integer pair on the cleared triple, with S = A1 + A2 and T = S + A3 (q s
+# and q sig).
 
 
 def _raise_m_square(c, m, n):
@@ -1131,18 +1134,9 @@ def _lower_n_square(c, m, n):
     )
 
 
-def _negated(num: int, den: int) -> float:
-    """-num / den, negated on the integers, so a zero stays +0.0."""
-    return -num / den
-
-
-def _root_of(square) -> Callable:
-    """The per-degree part sqrt(num / den) of a square given as a pair."""
-    return lambda c, m, n: _sq(1, square(c, m, n))
-
-
-# The 24 relation rows, in report order.  m = 0 and n = 0 keep the backward
-# sweeps honest: there the right side must cancel by itself.
+# The 24 relation rows, in report order, the last six the Q-plane twins
+# added below.  m = 0 and n = 0 keep the backward sweeps honest: there the
+# right side must cancel by itself.
 _RELATIONS = {row.name: row for row in (
     _recurrence("x1"),
     _recurrence("x2"),
@@ -1185,44 +1179,33 @@ _RELATIONS = {row.name: row for row in (
     _normalized_structure("k", False),
     _normalized_recurrence("i"),
     _normalized_recurrence("k"),
-    _Relation(
-        "normalized-difference-float[first]", "Q", 0, 0, lhs=(_Term(_itself),),
-        rhs=(_Term(factor=lambda x: x[0] + x[1]), _Term(factor=_pick(0), sign=-1, point=(-1, 1)),
-             _Term(factor=_pick(1), sign=-1, point=(1, -1))),
-        per_degree=lambda c, m, n: _negated(*_l1_eigenvalue(c, m, n)), per_point=_floats(_first_difference),
-    ),
-    _Relation(
-        "normalized-difference-float[second]", "Q", 0, 0, lhs=(_Term(_itself),), rhs=_SECOND_DIFFERENCE,
-        per_degree=lambda c, m, n: truediv(*_l2_eigenvalue(c, m, n)), per_point=_floats(_second_difference),
-    ),
-    _Relation(
-        "normalized-lowering-float[raise-m]", "Q", -1, 0, lhs=(_Term(_itself, degree=(1, 0)),), rhs=_LADDER_M,
-        per_degree=_root_of(_raise_m_square), per_point=_floats(_first_difference),
-    ),
-    _Relation(
-        "normalized-lowering-float[raise-n]", "Q", -1, 0, lhs=(_Term(_itself, degree=(0, 1)),), rhs=_LADDER_N,
-        per_degree=_root_of(_raise_n_square), per_point=_floats(_ladder_n),
-    ),
-    _Relation(
-        "normalized-lowering-float[lower-m]", "Q", 0, 0, lhs=(_Term(_itself, degree=(-1, 0), params=_UP_M),),
-        rhs=_LOWER_M, per_degree=_root_of(_lower_m_square),
-    ),
-    _Relation(
-        "normalized-lowering-float[lower-n]", "Q", 0, 0, lhs=(_Term(_itself, degree=(0, -1), params=_UP_N),),
-        rhs=_LOWER_N, per_degree=_root_of(_lower_n_square), per_point=_floats(_lowering_n),
-    ),
 )}
 
 
+# The Q-plane twins of both difference rows and the four shift rows: the
+# same terms on Q values, their per-degree shares signed squares.
+_RELATIONS.update({
+    twin: _RELATIONS[name]._replace(name=twin, plane="Q", per_degree=share)
+    for name, twin, share in (
+        ("diff-L1", "normalized-difference-float[first]", lambda c, m, n: _squared(_l1_eigenvalue(c, m, n))),
+        ("diff-L2", "normalized-difference-float[second]", lambda c, m, n: _squared(_l2_eigenvalue(c, m, n))),
+        ("forward-shift-m", "normalized-lowering-float[raise-m]", lambda c, m, n: (1, _raise_m_square(c, m, n))),
+        ("forward-shift-n", "normalized-lowering-float[raise-n]", lambda c, m, n: (1, _raise_n_square(c, m, n))),
+        ("backward-shift-m", "normalized-lowering-float[lower-m]", lambda c, m, n: (1, _lower_m_square(c, m, n))),
+        ("backward-shift-n", "normalized-lowering-float[lower-n]", lambda c, m, n: (1, _lower_n_square(c, m, n))),
+    )
+})
+
+
 # ---------------------------------------------------------------------------
-# the two runners: exact and float
+# the relation runner
 
 
 class _Check:
     """What one verify_bi call shares among its rows: the points of its
     sweep line, the value tables of one sample point, and a memo of the
-    coefficient formulas' units and float limits, each made once and
-    dropped with the call."""
+    coefficient formulas' units and limits, each made once and dropped with
+    the call."""
 
     def __init__(self, p: BiParams):
         self.p = p
@@ -1322,19 +1305,20 @@ class _At:
         low, high = (fn(m * q, n * q, self.N * q, *_swapped(ints, swap), q) for ints in self.line)
         return [_leads(*value) for value in _aligned(powers, low, high)]
 
-    def root(self, fn, m, n, swap: bool) -> float:
-        """A square-root coefficient, fn giving (radicand, bracket); made
-        once per check."""
+    def root(self, fn, m, n, swap: bool) -> tuple:
+        """A square-root coefficient as its signed square (sign, (num,
+        den)), fn giving (radicand, bracket); made once per check."""
         key = (fn, m, n, swap)
         if key not in self.memo:
-            self.memo[key] = _sq(*_signed_square(*self.leads(fn, m, n, swap)))
+            self.memo[key] = _signed_square(*self.leads(fn, m, n, swap))
         return self.memo[key]
 
-    def limit(self, fn, m, n, swap: bool) -> float:
-        """A plain coefficient, fn giving one value; made once per check."""
+    def limit(self, fn, m, n, swap: bool) -> tuple:
+        """A plain coefficient as an integer pair (num, den), fn giving one
+        value; made once per check."""
         key = (fn, m, n, swap)
         if key not in self.memo:
-            self.memo[key] = truediv(*_limit(*self.leads(fn, m, n, swap)))
+            self.memo[key] = _limit(*self.leads(fn, m, n, swap))
         return self.memo[key]
 
 
@@ -1380,6 +1364,7 @@ def _exact_fail(name, indices, lhs, rhs) -> CheckResult:
     return CheckResult.failure(name, "nonzero", indices, format_rational(lhs), format_rational(rhs))
 
 
+
 def _target(term: _Term, mm: int, nn: int, point: tuple) -> dict:
     return {"degree": (mm, nn), "point": (point[0] + term.point[0], point[1] + term.point[1])}
 
@@ -1415,7 +1400,7 @@ def _readers(row: _Relation, grid: tuple, N: int) -> tuple:
 
 
 def _exact_check(row: _Relation, check: _Check) -> CheckResult:
-    """The first failure of a P row in the canonical order: degree pair,
+    """The first failure of a row in the canonical order: degree pair,
     then grid point, then sample point, and of one instance the off-simplex
     obligation before the residual.
 
@@ -1485,14 +1470,17 @@ def _sample(row, check, t, grid, degrees, live, readers, terms) -> list:
 
     Every part is an integer.  A reader's per-point shares are cleared over
     one denominator e; a term of an instance is then a/b times X_g/e times
-    the value row_g/sigma, and with the instance's scale S, the lcm of every
-    b e sigma, S times each side at grid point g is the integer sum over its
-    terms of W X_g row_g, W = a S / (b e sigma).  Each side is packed into
-    one int, sum_j W_j pack(X_j row_j); the slot width B is the sample
-    point's largest bound bits (_weigh) plus one, in whole bytes, and each
-    instance's bound is checked against it before its sides are compared
-    (the proof is in the module docstring).  A failing instance's slots are
-    decoded only to name its first grid point and both sides there.
+    the value row_g/sigma, times the square root of its class's radicand
+    (_weigh), and with the scale S of its class, the lcm of every b e sigma
+    there, S times the class's part of each side at grid point g is the
+    integer sum over its terms of W X_g row_g, W = a S / (b e sigma).  The
+    part is packed into one int, sum_j W_j pack(X_j row_j); the slot width B
+    is the sample point's largest bound bits (_weigh) plus one, in whole
+    bytes, and each instance's bound is checked against it before its sides
+    are compared (the proof is in the module docstring).  A failing class's
+    slots are decoded only to name its first grid point and both sides
+    there; of an instance, the class that fails at the first grid point,
+    the first such in term order, is reported.
     """
     try:
         at = check.at(t)
@@ -1517,7 +1505,7 @@ def _sample(row, check, t, grid, degrees, live, readers, terms) -> list:
         return events
     slots = _Slots(_slot_bytes(max(bits for _, bits, *_ in weighed)), len(grid))
     packs = {}
-    for parts, bits, scale, off, d, j in weighed:
+    for classes, bits, off, d, j in weighed:
         if events and j > events[0][0][0]:
             break
         m, n = degrees[j]
@@ -1527,24 +1515,32 @@ def _sample(row, check, t, grid, degrees, live, readers, terms) -> list:
                 " the comparison would be unsound"
             )))
             continue
-        sides = [0, 0]
-        for side, weight, key in parts:
-            packed = packs.get(key)
-            if packed is None:
-                packed = packs[key] = slots.pack(products[key][0])
-            sides[side] += weight * packed
-        differ = slots.first(*sides)
+        differ = None
+        for radicand, scale, parts in classes:
+            sides = [0, 0]
+            for side, weight, key in parts:
+                packed = packs.get(key)
+                if packed is None:
+                    packed = packs[key] = slots.pack(products[key][0])
+                sides[side] += weight * packed
+            found = slots.first(*sides)
+            if found is not None and (differ is None or found[0] < differ[0]):
+                differ = (*found, Rat(*radicand), scale)
         if off is not None and (differ is None or off[0] <= differ[0]):
             g, idx, mm, nn = off
             term = terms[idx][1]
-            report = _exact_fail(row.name, _indices(m, n, *grid[g], t, _target(term, mm, nn, grid[g])),
-                                 term.coef(d, xs[g]), 0)
+            lhs, rhs, radicand = term.coef(d, xs[g]), 0, 1
+            if isinstance(lhs, RadicalScalar):
+                lhs, radicand = lhs.coeff, lhs.radicand
+            indices = _indices(m, n, *grid[g], t, _target(term, mm, nn, grid[g]))
         elif differ is not None:
-            g, lhs, rhs = differ
-            report = _exact_fail(row.name, _indices(m, n, *grid[g], t), Rat(lhs, scale), Rat(rhs, scale))
+            g, lhs, rhs, radicand, scale = differ
+            indices, lhs, rhs = _indices(m, n, *grid[g], t), Rat(lhs, scale), Rat(rhs, scale)
         else:
             continue
-        events.append(((j, g, t), report))
+        if row.plane == "Q":  # the two sides are in units of sqrt(radicand)
+            indices["radicand"] = format_rational(radicand)
+        events.append(((j, g, t), _exact_fail(row.name, indices, lhs, rhs)))
         events.sort(key=lambda event: event[0])
     return events
 
@@ -1565,94 +1561,96 @@ def _cleared_shares(reader: _Reader, xs: list) -> tuple:
 
 
 def _weigh(row, at, degree, plan, readers, shares, tables, products) -> tuple:
-    """One instance's integer weights at a sample point, as (parts, bits,
-    scale, off, d): each term on the simplex as (side, W, product key), the
-    slot bound bits, the scale S, the first grid point (g, term, target
-    degree pair) at which a term whose target is off the simplex has a
-    nonzero coefficient, or None, and the per-degree part d.  The products X
-    row of every key are filled into products as they are first read."""
+    """One instance's integer weights at a sample point, as (classes, bits,
+    off, d): each square class as (radicand, scale S, parts), its terms on
+    the simplex with a coefficient not 0 as (side, W, product key); the slot
+    bound bits; the first grid point (g, term, target degree pair) at which
+    a term whose target is off the simplex has a nonzero coefficient, or
+    None; and the per-degree part d.  The products X row of every key are
+    filled into products as they are first read.
+
+    A P term's radicand is 1.  A Q term's is its per-degree square times
+    1 / bigLambda of its target (_Values.norm), and its weight takes the
+    sign of the square; a negative square is refused.
+    """
     m, n = degree
     d = row.per_degree(at, m, n)
-    reads, dens, off = [], [], None
+    q_plane = row.plane == "Q"
+    classes, off = [], None
     for idx, (side, sign, share, dm, dn, r, level, table, e, anywhere, outside) in enumerate(plan):
-        a, b = (1, 1) if share is None else share(d)
+        if share is None:
+            a, b, radicand = 1, 1, (1, 1)
+        elif q_plane:
+            (a, radicand), b = share(d), 1
+            if min(radicand) < 0:
+                raise ArithmeticError("negative squared coefficient; transcription error")
+            a *= radicand[0] != 0
+        else:
+            (a, b), radicand = share(d), (1, 1)
         mm, nn = m + dm, n + dn
         if 0 <= mm and 0 <= nn and mm + nn <= level:
-            den = b * e * table.den(mm, nn, level)
-            dens.append(den)
-            reads.append((side, sign * a, den, (r, mm, nn)))
+            if q_plane:
+                den, (num, lam) = table.norm(mm, nn, level)
+                radicand = (radicand[0] * num, radicand[1] * lam)
+            else:
+                den = table.den(mm, nn, level)
+            if a:
+                den = nonzero(b * e * den, "the denominator of a term")
+                _join(classes, radicand, (side, sign * a, den, (r, mm, nn)))
             bad = outside
         else:
             bad = anywhere
         if a and bad is not None and (off is None or bad < off[0]):
             off = (bad, idx, mm, nn)
-    scale = nonzero(math.lcm(*dens), "the common denominator of an instance")
-    parts, bits = [], 0
-    for side, a, den, key in reads:
-        weight = a * (scale // den)
-        if not weight:
-            continue
-        if key not in products:
-            r, mm, nn = key
-            reader, X = readers[r], shares[r][0]
-            values = tables[r].row(mm, nn, reader.level)
-            if reader.where is not None:
-                values = (*values, 0)
-                values = [values[w] for w in reader.where]
-            if X is not None:
-                values = [x * v for x, v in zip(X, values)]
-            products[key] = values, max(map(abs, values), default=0).bit_length()
-        parts.append((side, weight, key))
-        bits = max(bits, weight.bit_length() + products[key][1])
-    return parts, bits + len(parts).bit_length(), scale, off, d
+    out, bits, count = [], 0, 0
+    for radicand, reads in classes:
+        scale = math.lcm(*(den for _, _, den, _ in reads))
+        parts = []
+        for side, a, den, key in reads:
+            weight = a * (scale // den)
+            if key not in products:
+                r, mm, nn = key
+                reader, X = readers[r], shares[r][0]
+                values = tables[r].row(mm, nn, reader.level)
+                if reader.where is not None:
+                    values = (*values, 0)
+                    values = [values[w] for w in reader.where]
+                if X is not None:
+                    values = [x * v for x, v in zip(X, values)]
+                products[key] = values, max(map(abs, values), default=0).bit_length()
+            parts.append((side, weight, key))
+            bits = max(bits, weight.bit_length() + products[key][1])
+        out.append((radicand, scale, parts))
+        count += len(parts)
+    return out, bits + count.bit_length(), off, d
 
 
-def _float_check(row: _Relation, check: _Check) -> CheckResult:
-    """The largest scale-normalized residual |lhs - rhs| / (1 + max(|lhs|,
-    |rhs|)) over every instance at the base point, degree pair outermost,
-    then grid point.  A term whose target is off the simplex while its
-    coefficient is not zero fails first, at the first such grid point."""
-    N = check.p.N
-    worst, example = 0.0, (0, 0, 0, 0, 0.0, 0.0)
-    degrees = tuple(simplex_points(N + row.degrees, 2))
-    if degrees:  # the per-point parts are made only for a row with instances
-        at = check.at(0)
-        grid = tuple(simplex_points(N + row.grid, 2))
-        xs = [row.per_point(at, i, k) for i, k in grid]
-        readers, terms = _readers(row, grid, N)
-        tables = [check.values(0, reader.params) for reader in readers]
-        factors = [None if reader.factor is None else [reader.factor(x) for x in xs] for reader in readers]
-    for m, n in degrees:
-        d = row.per_degree(at, m, n)
-        sides, off = [[None] * len(grid), [None] * len(grid)], {}
-        for side, term, r in terms:
-            weight = term.sign if term.scale is None else term.sign * term.scale(d)
-            weights = [weight] * len(grid) if factors[r] is None else [weight * f for f in factors[r]]
-            reader = readers[r]
-            mm, nn = m + term.degree[0], n + term.degree[1]
-            if 0 <= mm and 0 <= nn and mm + nn <= reader.level:
-                values = (*tables[r].qrow(mm, nn, reader.level), None)
-                values, outside = (values[:-1] if reader.where is None else [values[w] for w in reader.where]), reader.outside
-            else:
-                values, outside = [None] * len(grid), range(len(grid))
-            for g in outside:
-                if weights[g] and g not in off:
-                    off[g] = (weights[g], _target(term, mm, nn, grid[g]))
-            sides[side] = _add(sides[side], [None if v is None else w * v for w, v in zip(weights, values)])
-        lhs, rhs = ([0.0 if v is None else v for v in side] for side in sides)
-        for g, (i, k) in enumerate(grid):
-            if g in off:
-                return CheckResult.failure(row.name, "nonzero", _indices(m, n, i, k, 0, off[g][1]), f"{off[g][0]:.17g}", "0")
-            scaled = abs(lhs[g] - rhs[g]) / (1.0 + max(abs(lhs[g]), abs(rhs[g])))
-            if scaled > worst:
-                worst, example = scaled, (m, n, i, k, lhs[g], rhs[g])
-    m, n, i, k, lhs, rhs = example
-    return CheckResult.float_verdict(row.name, worst, _indices(m, n, i, k, 0), lhs, rhs)
+def _join(classes: list, radicand: tuple, read: tuple) -> None:
+    """Put read (side, a, den, key), a term a / den times sqrt(radicand),
+    into its square class among classes [(representative, reads)]: the
+    first whose representative R has radicand / R the square of a rational
+    u / v, rescaled to a u / (den v) times sqrt(R), or a new class."""
+    for rep, reads in classes:
+        ratio = _root_ratio(radicand, rep)
+        if ratio is not None:
+            side, a, den, key = read
+            reads.append((side, a * ratio[0], den * ratio[1], key))
+            return
+    classes.append((radicand, [read]))
 
 
-def _add(total: list, part: list) -> list:
-    """Pointwise sum of two lists of side sums, None being the empty sum."""
-    return [b if a is None else a if b is None else a + b for a, b in zip(total, part)]
+def _root_ratio(r: tuple, s: tuple):
+    """sqrt(r / s) as a reduced integer pair (u, v) when r / s is the square
+    of a rational, else None; r and s are positive rationals as integer
+    pairs.  The reduced quotient is such a square exactly when its
+    numerator and denominator are squares of integers."""
+    if r == s:
+        return 1, 1
+    num, den = r[0] * s[1], r[1] * s[0]
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    u, v = math.isqrt(num), math.isqrt(den)
+    return (u, v) if u * u == num and v * v == den else None
 
 
 def _relations(check_name: str):
@@ -1661,14 +1659,13 @@ def _relations(check_name: str):
     def run(p: BiParams) -> list[CheckResult]:
         check = _Check(p)
         rows = [row for name, row in _RELATIONS.items() if name.split("[")[0] == check_name]
-        return [
-            _guarded(row.name, _exact_check if row.plane == "P" else _float_check, row, check) for row in rows
-        ]
+        return [_guarded(row.name, _exact_check, row, check) for row in rows]
 
     return run
 
 
-# Relation checks in row order, the exact ones before genfun as they always were.
+# Relation checks in row order, the P-plane ones before genfun and the Q-plane
+# ones after it, as they always were.
 _RELATION_CHECKS = {name.split("[")[0]: row.plane for name, row in _RELATIONS.items()}
 _BI_CHECKS = {
     "orthogonality": lambda p: [_guarded("orthogonality", _check_orthogonality, p)],

@@ -26,13 +26,13 @@ class CheckResult:
         return cls(name=name, passed=True, max_residual="0")
 
     @classmethod
-    def float_verdict(cls, name: str, worst: float, indices=None, lhs=None, rhs=0.0) -> "CheckResult":
-        """A pass at a worst residual up to FLOAT_TOL, else a failure at
-        indices (default {}), lhs defaulting to the residual, rhs to 0."""
+    def float_verdict(cls, name: str, worst: float) -> "CheckResult":
+        """A pass at a worst residual up to FLOAT_TOL, else a failure with
+        the residual as lhs and 0 as rhs."""
+        residual = f"{worst:.17g}"
         if worst <= FLOAT_TOL:
-            return cls(name=name, passed=True, max_residual=f"{worst:.17g}")
-        lhs = worst if lhs is None else lhs
-        return cls.failure(name, f"{worst:.17g}", indices or {}, f"{lhs:.17g}", f"{rhs:.17g}")
+            return cls(name=name, passed=True, max_residual=residual)
+        return cls.failure(name, residual, {}, residual, "0")
 
     @classmethod
     def failure(

@@ -261,11 +261,20 @@ class TestVerify:
 
     def test_tol_tightening_fails(self, capsys):
         code, out, _ = run(
-            capsys, "verify", "--suite", "bi", "--check", "normalized-recurrence-float",
+            capsys, "verify", "--suite", "oracle", "--check", "chain-orthogonality",
             "--alpha", "0,0,0", "--N", "4", "--tol", "1e-17",
         )
         assert code == 1
         assert json.loads(out)["status"] == "fail"
+
+    def test_tol_leaves_exact_checks_alone(self, capsys):
+        """The normalized bi rows are exact: residual "0" passes any tol."""
+        code, out, _ = run(
+            capsys, "verify", "--suite", "bi", "--check", "normalized-recurrence-float",
+            "--alpha", "0,0,0", "--N", "4", "--tol", "1e-300",
+        )
+        assert code == 0
+        assert {c["max_residual"] for c in json.loads(out)["checks"]} == {"0"}
 
     def test_fault_injection(self, capsys, monkeypatch):
         orig = oracle_mod._shift_coeffs

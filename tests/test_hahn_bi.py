@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -32,6 +33,7 @@ from hahnkit.numeric import (
     factorial,
     format_rational,
     multinomial,
+    parse_rational,
     pochhammer,
 )
 from hahnkit.simplex import ChainTable, eval_total, simplex_points, simplex_weight
@@ -301,13 +303,16 @@ class TestIntegerTable:
             assert bi_mod._index(i, k, level) == g
 
     @pytest.mark.parametrize("triple", PARAM_TRIPLES)
-    def test_float_rows_are_the_rounded_chain_over_the_root(self, triple):
+    def test_norm_makes_rows_the_chain_over_the_root(self, triple):
+        """A row over norm's denominator times the square root of its
+        radicand is the chain over sqrt(bigLambda), exactly."""
         p = BiParams(*triple, 4)
         table = bi_mod._Values(*triple)
         for d in simplex_points(4, 2):
-            root = math.sqrt(float(bigLambda(d, p)))
-            want = tuple(float(p_reference(d, g, *triple, 4) * pochhammer(-4, sum(d))) / root for g in simplex_points(4, 2))
-            assert table.qrow(*d, 4) == want
+            den, radicand = table.norm(*d, 4)
+            for g, v in zip(simplex_points(4, 2), table.row(*d, 4)):
+                want = RadicalScalar(p_reference(d, g, *triple, 4) * pochhammer(-4, sum(d)), 1 / bigLambda(d, p))
+                assert RadicalScalar(Rat(v, den), Rat(*radicand)) == want, (d, g)
 
 
 class TestNorms:
@@ -522,11 +527,11 @@ class TestVerifyBi:
         assert d["suite"] == "bi"
         assert d["params"]["N"] == 2
 
-    def test_float_residuals_reported(self):
+    def test_normalized_residuals_are_exact(self):
         rep = verify_bi("normalized-recurrence-float", BiParams(0, 0, 0, 3))
         for c in rep.checks:
             assert c.passed
-            assert float(c.max_residual) < 1e-12
+            assert c.max_residual == "0"
 
 
 class TestOperatorHandValues:
@@ -561,22 +566,44 @@ class TestOperatorHandValues:
             seen.add(pair)
 
 
+def surd(share) -> RadicalScalar:
+    """The value sign sqrt(num / den) of a signed square (sign, (num, den))."""
+    sign, (num, den) = share
+    return RadicalScalar(sign, Rat(num, den))
+
+
+def rational_sqrt(r):
+    """The square root of a rational that is the square of one."""
+    num, den = int(r.numerator), int(r.denominator)
+    u, v = math.isqrt(num), math.isqrt(den)
+    assert u * u == num and v * v == den, r
+    return Rat(u, v)
+
+
+def surd_sum(x, y) -> RadicalScalar:
+    """x + y for two radical scalars of one square class, exactly."""
+    if x == 0 or y == 0:
+        return y if x == 0 else x
+    return RadicalScalar(x.coeff * rational_sqrt(x.radicand / y.radicand) + y.coeff, y.radicand)
+
+
 class TestLadderCoefficientConsistency:
     """The grouped nine-point coefficients are products of the four level
-    transition amplitudes; the explicit displays must agree with them."""
+    transition amplitudes; the explicit displays must agree with them,
+    exactly."""
 
     @staticmethod
     def _amps(at):
         from hahnkit.hahn_bi import _coef_alpha, _coef_beta, _coef_delta, _coef_gamma
 
         return tuple(
-            lambda mm, nn, fn=fn: at.root(fn, mm, nn, False)
+            lambda mm, nn, fn=fn: surd(at.root(fn, mm, nn, False))
             for fn in (_coef_alpha, _coef_beta, _coef_gamma, _coef_delta)
         )
 
     @staticmethod
     def _explicit(at, fn, m, n):
-        return at.limit(fn, m, n, False) if fn is bi_mod._coef_rec_e else at.root(fn, m, n, False)
+        return Rat(*at.limit(fn, m, n, False)) if fn is bi_mod._coef_rec_e else surd(at.root(fn, m, n, False))
 
     @pytest.mark.parametrize("mn", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1)])
     def test_grouped_products_match_explicit(self, mn):
@@ -595,29 +622,18 @@ class TestLadderCoefficientConsistency:
         def explicit(fn, mm, nn):
             return self._explicit(at, fn, mm, nn)
 
-        assert al(m, n) * be(m + 1, n) == pytest.approx(explicit(_coef_rec_a, m + 1, n), rel=1e-12)
-        assert al(m - 1, n) * be(m, n) == pytest.approx(explicit(_coef_rec_a, m, n), rel=1e-12)
-        assert al(m, n) * ga(m, n + 1) + be(m, n + 1) * de(m, n + 1) == pytest.approx(
-            explicit(_coef_rec_b, m, n + 1), rel=1e-12
+        assert al(m, n) * be(m + 1, n) == explicit(_coef_rec_a, m + 1, n)
+        assert al(m - 1, n) * be(m, n) == explicit(_coef_rec_a, m, n)
+        assert surd_sum(al(m, n) * ga(m, n + 1), be(m, n + 1) * de(m, n + 1)) == explicit(_coef_rec_b, m, n + 1)
+        assert surd_sum(al(m, n - 1) * ga(m, n), be(m, n) * de(m, n)) == explicit(_coef_rec_b, m, n)
+        assert ga(m - 1, n + 2) * de(m, n + 1) == explicit(_coef_rec_c, m, n + 2)
+        assert ga(m, n) * de(m + 1, n - 1) == explicit(_coef_rec_c, m + 1, n)
+        assert surd_sum(al(m, n) * de(m + 1, n), be(m + 1, n - 1) * ga(m, n)) == explicit(_coef_rec_d, m + 1, n)
+        assert surd_sum(al(m - 1, n + 1) * de(m, n + 1), be(m, n) * ga(m - 1, n + 1)) == explicit(
+            _coef_rec_d, m, n + 1
         )
-        assert al(m, n - 1) * ga(m, n) + be(m, n) * de(m, n) == pytest.approx(
-            explicit(_coef_rec_b, m, n), rel=1e-12
-        )
-        assert ga(m - 1, n + 2) * de(m, n + 1) == pytest.approx(
-            explicit(_coef_rec_c, m, n + 2), rel=1e-12
-        )
-        assert ga(m, n) * de(m + 1, n - 1) == pytest.approx(
-            explicit(_coef_rec_c, m + 1, n), rel=1e-12
-        )
-        assert al(m, n) * de(m + 1, n) + be(m + 1, n - 1) * ga(m, n) == pytest.approx(
-            explicit(_coef_rec_d, m + 1, n), rel=1e-12
-        )
-        assert al(m - 1, n + 1) * de(m, n + 1) + be(m, n) * ga(m - 1, n + 1) == pytest.approx(
-            explicit(_coef_rec_d, m, n + 1), rel=1e-12
-        )
-        assert al(m, n) ** 2 + be(m, n) ** 2 + ga(m, n) ** 2 + de(m, n + 1) ** 2 == pytest.approx(
-            explicit(_coef_rec_e, m, n), rel=1e-12
-        )
+        squares = al(m, n).squared() + be(m, n).squared() + ga(m, n).squared() + de(m, n + 1).squared()
+        assert squares == explicit(_coef_rec_e, m, n)
 
 
 class TestDirectionalLimit:
@@ -863,22 +879,23 @@ class TestClearedFormulas:
         for name in BI_CHECK_NAMES:
             for c in verify_bi(name, p).checks:
                 assert c.passed, c.name
-                assert "-float" in c.name or c.max_residual == "0", c.name
+                assert c.max_residual == "0", c.name
 
 
 # ---------------------------------------------------------------------------
 # the Q-plane coefficients on integer pairs against the retired Fraction route
 
-# The float-plane benchmark triples, and the triple of large magnitude whose
-# seven float sub-checks fail at N = 3 (the scale of the float residual, not
-# the coefficients, is at fault there).
+# The float-plane benchmark triples, and a triple of large magnitude, at
+# which a float verdict on the normalized rows reported seven false failures
+# at N = 3: its scale 1 + max(|lhs|, |rhs|) ignored the size of the terms
+# that cancel.
 FLOAT_TRIPLES = [
     (Rat(-1, 2), Rat(1, 2), Rat(3)),
     (Rat(3), Rat(1, 2), Rat(-1, 2)),
     (Rat(0), Rat(1, 2), Rat(7, 3)),
 ]
 LARGE_MAGNITUDE = (Rat(999983, 1000003), Rat(-1, 999983), Rat(123456789, 1000))
-BIT_IDENTITY_TRIPLES = FLOAT_TRIPLES + [LARGE_DENOMINATORS] + DEGENERATE_TRIPLES + [LARGE_MAGNITUDE]
+Q_PLANE_TRIPLES = FLOAT_TRIPLES + [LARGE_DENOMINATORS] + DEGENERATE_TRIPLES + [LARGE_MAGNITUDE]
 ROOT_FORMULAS = FLOAT_FORMULAS[:-1]
 
 
@@ -896,49 +913,50 @@ def _signed_square_retired(radicand, bracket):
     return (1 if b > 0 else -1), _limit_retired([(c * b * b, order + 2 * low) for c, order in radicand])
 
 
-def _sq_retired(sign, squared):
-    if squared < 0:
-        raise ArithmeticError("negative squared coefficient; transcription error")
-    return sign * math.sqrt(float(squared))
+def _squared_retired(value):
+    return (value > 0) - (value < 0), value * value
 
 
 def per_degree_retired(name, p, m, n):
-    """The per-degree float of a difference or lowering row, by the Fraction
-    formula the integer pairs replaced."""
+    """The per-degree signed square of a difference or lowering row, by the
+    Fraction formula the integer pairs replaced."""
     a1, a2, a3, N = p.alpha1, p.alpha2, p.alpha3, p.N
     s, sig = a1 + a2, a1 + a2 + a3
     return {
-        "normalized-difference-float[first]": lambda: float(m * (m + s + 1)),
-        "normalized-difference-float[second]": lambda: float(-(m + n) * (m + n + sig + 2)),
-        "normalized-lowering-float[raise-m]": lambda: _sq_retired(
+        "normalized-difference-float[first]": lambda: _squared_retired(-m * (m + s + 1)),
+        "normalized-difference-float[second]": lambda: _squared_retired(-(m + n) * (m + n + sig + 2)),
+        "normalized-lowering-float[raise-m]": lambda: (
             1, N * (a1 + 1) * (a2 + 1) * (N + sig + 3) * (m + 1) * (m + s + 2) / ((sig + 3) * (sig + 4))
         ),
-        "normalized-lowering-float[raise-n]": lambda: _sq_retired(
+        "normalized-lowering-float[raise-n]": lambda: (
             1, N * (N + sig + 3) * (a3 + 1) * (a3 + 2) * (n + 1) * (n + a3 + 2)
             * (n + 2 * m + s + 2) * (n + 2 * m + sig + 3) / ((sig + 3) * (sig + 4))
         ),
-        "normalized-lowering-float[lower-m]": lambda: _sq_retired(
+        "normalized-lowering-float[lower-m]": lambda: (
             1, m * (m + s + 1) * (sig + 3) * (sig + 4) / ((a1 + 1) * (a2 + 1) * (N + 1) * (N + sig + 4))
         ),
-        "normalized-lowering-float[lower-n]": lambda: _sq_retired(
+        "normalized-lowering-float[lower-n]": lambda: (
             1, n * (n + a3 + 1) * (n + 2 * m + s + 1) * (n + 2 * m + sig + 2) * (sig + 3) * (sig + 4)
             / ((a3 + 1) * (a3 + 2) * (N + 1) * (N + sig + 4))
         ),
     }[name]()
 
 
-def same_float(got, want) -> bool:
-    """Bit for bit: the sign of a zero counts."""
-    return got.hex() == want.hex()
+def exact_square(share) -> tuple:
+    """A signed square (sign, (num, den)) of ints, den > 0, as (sign, the
+    rational square)."""
+    sign, (num, den) = share
+    assert type(sign) is int and type(num) is int and type(den) is int and den > 0
+    return sign, Rat(num, den)
 
 
-class TestQPlaneBitIdentity:
-    """Every Q-plane per-degree float, made from integer pairs by one int
-    true division, is the float of the Fraction formula it replaced."""
+class TestQPlaneExactParts:
+    """Every Q-plane per-degree share, a signed square of integer pairs, is
+    the exact value of the Fraction formula it replaced."""
 
     N = 3
 
-    @pytest.mark.parametrize("triple", BIT_IDENTITY_TRIPLES)
+    @pytest.mark.parametrize("triple", Q_PLANE_TRIPLES)
     def test_roots_and_limits(self, triple):
         p = BiParams(*triple, self.N)
         at = bi_mod._Check(p).at(0)
@@ -947,15 +965,14 @@ class TestQPlaneBitIdentity:
                 for name in FLOAT_FORMULAS:
                     fn = getattr(bi_mod, name)
                     if name in ROOT_FORMULAS:
-                        got = outcome(at.root, fn, m, n, swap)
-                        want = outcome(lambda: _sq_retired(*_signed_square_retired(*leads_reference(fn, m, n, p, swap))))
+                        got = outcome(lambda: exact_square(at.root(fn, m, n, swap)))
+                        want = outcome(lambda: _signed_square_retired(*leads_reference(fn, m, n, p, swap)))
                     else:
-                        got = outcome(at.limit, fn, m, n, swap)
-                        want = outcome(lambda: float(_limit_retired(*leads_reference(fn, m, n, p, swap))))
-                    assert type(got) is type(want), (name, m, n, swap)
-                    assert got == want if isinstance(got, str) else same_float(got, want), (name, m, n, swap)
+                        got = outcome(lambda: exact_square((1, at.limit(fn, m, n, swap)))[1])
+                        want = outcome(lambda: _limit_retired(*leads_reference(fn, m, n, p, swap)))
+                    assert got == want, (name, m, n, swap)
 
-    @pytest.mark.parametrize("triple", BIT_IDENTITY_TRIPLES)
+    @pytest.mark.parametrize("triple", Q_PLANE_TRIPLES)
     def test_difference_and_lowering_parts(self, triple):
         for N in (self.N, 8):
             p = BiParams(*triple, N)
@@ -963,70 +980,45 @@ class TestQPlaneBitIdentity:
             for name, row in bi_mod._RELATIONS.items():
                 if name.startswith(("normalized-difference", "normalized-lowering")):
                     for m, n in simplex_points(N + row.degrees, 2):
-                        assert same_float(row.per_degree(at, m, n), per_degree_retired(name, p, m, n)), (name, m, n)
+                        got = exact_square(row.per_degree(at, m, n))
+                        assert got == per_degree_retired(name, p, m, n), (name, m, n)
 
-    @pytest.mark.parametrize("triple", BIT_IDENTITY_TRIPLES)
+    @pytest.mark.parametrize("triple", Q_PLANE_TRIPLES)
     def test_prefactor(self, triple):
+        """The last per-degree share of the normalized structure rows: the
+        square of sqrt(N (a + 1) / (sig + 3)) forward, of its inverse
+        backward."""
         for N in range(5):
             p = BiParams(*triple, N)
             at = bi_mod._Check(p).at(0)
-            for second in (False, True):
-                a = p.alpha2 if second else p.alpha1
-                want = math.sqrt(float(N * (a + 1) / (p.a123 + 3))) if N else 0.0
-                assert same_float(bi_mod._prefactor(at, second), want), (N, second)
+            for var, a in (("i", p.alpha1), ("k", p.alpha2)):
+                want = N * (a + 1) / (p.a123 + 3)
+                for way, level, square in (("forward", N, want), ("backward", N - 1, 1 / want if N else None)):
+                    row = bi_mod._RELATIONS[f"normalized-structure-float[{way}-{var}]"]
+                    for m, n in simplex_points(level, 2):
+                        assert exact_square(row.per_degree(at, m, n)[-1]) == (1, square), (N, way, var)
 
-    @pytest.mark.parametrize("triple", BIT_IDENTITY_TRIPLES)
-    def test_q_rows(self, triple):
-        """Lambda from _lambda_core's integers, as bigLambda made it."""
+    @pytest.mark.parametrize("triple", Q_PLANE_TRIPLES)
+    def test_norms(self, triple):
+        """Lambda from _lambda_core's integers, as bigLambda made it, and the
+        chain's denominator."""
         table = bi_mod._Values(*triple)
         chains = ChainTable(triple)
         for level in (self.N, self.N + 1):
             p = BiParams(*triple, level)
             for m, n in simplex_points(level, 2):
-                root = math.sqrt(float(bigLambda((m, n), p)))
-                want = [v / chains.den((m, n)) / root for v in chains.row((m, n), level)]
-                assert [v.hex() for v in table.qrow(m, n, level)] == [v.hex() for v in want], (level, m, n)
+                den, (num, lam) = table.norm(m, n, level)
+                assert all(type(v) is int for v in (den, num, lam)), (level, m, n)
+                assert (den, Rat(num, lam)) == (chains.den((m, n)), 1 / bigLambda((m, n), p)), (level, m, n)
 
-    def test_large_magnitude_reports_pinned(self):
-        """The seven float sub-checks that fail on the large-magnitude
-        triple keep their reports: the residual scale, not the coefficients,
-        makes them fail."""
-        p = BiParams(*LARGE_MAGNITUDE, self.N)
-        failures = {
-            c.name: (c.max_residual, c.counterexample)
-            for name in BI_CHECK_NAMES if name.startswith("normalized-")
-            for c in verify_bi(name, p).checks if not c.passed
-        }
-        assert failures == {
-            "normalized-structure-float[backward-i]": (
-                "1.8626451457615101e-09",
-                {"indices": {"degree": (2, 0), "point": (0, 3)}, "lhs": "0", "rhs": "-1.862645149230957e-09"},
-            ),
-            "normalized-structure-float[backward-k]": (
-                "1.0192806588362883e-09",
-                {"indices": {"degree": (1, 1), "point": (3, 0)}, "lhs": "0", "rhs": "1.0192806598752213e-09"},
-            ),
-            "normalized-recurrence-float[i]": (
-                "1.8626451457615101e-09",
-                {"indices": {"degree": (1, 2), "point": (0, 3)}, "lhs": "-0", "rhs": "1.862645149230957e-09"},
-            ),
-            "normalized-recurrence-float[k]": (
-                "1.8626451457615101e-09",
-                {"indices": {"degree": (2, 1), "point": (3, 0)}, "lhs": "0", "rhs": "-1.862645149230957e-09"},
-            ),
-            "normalized-difference-float[first]": (
-                "7.4505805414126769e-09",
-                {"indices": {"degree": (0, 3), "point": (1, 2)}, "lhs": "0", "rhs": "-7.4505805969238281e-09"},
-            ),
-            "normalized-difference-float[second]": (
-                "9.3132257374811678e-10",
-                {"indices": {"degree": (3, 0), "point": (2, 0)}, "lhs": "-0", "rhs": "9.3132257461547852e-10"},
-            ),
-            "normalized-lowering-float[lower-n]": (
-                "1.8626451457615101e-09",
-                {"indices": {"degree": (3, 0), "point": (1, 1)}, "lhs": "0", "rhs": "1.862645149230957e-09"},
-            ),
-        }
+    @pytest.mark.parametrize("N", range(5))
+    def test_large_magnitude_triple_passes(self, N):
+        """Every check passes on the large-magnitude triple, and every
+        relation row, the normalized ones included, at residual "0"."""
+        p = BiParams(*LARGE_MAGNITUDE, N)
+        for name in BI_CHECK_NAMES:
+            for c in verify_bi(name, p).checks:
+                assert c.passed and c.max_residual == "0", (N, c.name, c.counterexample)
 
 
 def _alpha_with_extra_summand(m, n, N, a1, a2, a3, q):
@@ -1053,7 +1045,8 @@ class TestFloatFormulaRefusals:
 
     def test_shape_change_refused_on_a_later_call(self):
         at = self.at()
-        assert at.root(_alpha_with_extra_summand, 0, 1, False) > 0
+        sign, square = exact_square(at.root(_alpha_with_extra_summand, 0, 1, False))
+        assert sign == 1 and square > 0
         with pytest.raises(ArithmeticError, match="shape depends on its arguments"):
             at.root(_alpha_with_extra_summand, 1, 1, False)
 
@@ -1140,8 +1133,8 @@ def term_target(term, m, n, i, k, N):
 def reference_terms(row, p, t=0):
     """Each instance of row at sample point t, as ((m, n), (i, k), lhs, rhs),
     each side the list of its terms' contributions computed from
-    p_reference (or q2_eval on the float plane), with None for a target off
-    the simplex."""
+    p_reference (or q2_eval, exactly, on the Q plane), with None for a
+    target off the simplex."""
     c = bi_mod._Check(p).at(t)
     for m, n in simplex_points(p.N + row.degrees, 2):
         d = row.per_degree(c, m, n)
@@ -1159,8 +1152,8 @@ def reference_terms(row, p, t=0):
                     if row.plane == "P":
                         value = p_reference(degree, point, *triple, level)
                     else:
-                        value = float(q2_eval(degree, point, BiParams(*triple, level)))
-                    values.append(term.coef(d, x) * value)
+                        value = q2_eval(degree, point, BiParams(*triple, level))
+                    values.append(value * term.coef(d, x))
                 sides.append(values)
             yield (m, n), (i, k), sides[0], sides[1]
 
@@ -1279,33 +1272,38 @@ class TestSweepFaultInjection:
 
 def first_live_degree(row, j, p):
     """The first degree pair at which rhs term j reads a value on the simplex
-    that moves its side: nonzero on the P plane, at least 1e-2 on the Q plane."""
+    that moves its side: one that is not 0."""
     for degree, _, _, rhs in reference_terms(row, p):
         v = rhs[j]
-        if v is not None and (v != 0 if row.plane == "P" else abs(v) >= 1e-2):
+        if v is not None and v != 0:
             return degree
     raise AssertionError(f"{row.name}: rhs term {j} is never live")
 
 
-def tamper_live_term(row, term, at_degree, N):
+def tamper_live_term(row, term, at_degree, N, square=None):
     """The row with `term` perturbed wherever it is live at at_degree:
-    Rat(1, 7) added to its coefficient on the P plane, its coefficient
-    scaled by 1 + 1e-6 on the Q plane.
+    Rat(1, 7) added to its coefficient on the P plane; on the Q plane its
+    per-degree share, a signed square, multiplied by the rational square
+    (u, v), which multiplies the coefficient by sqrt(u / v).
 
     A coefficient is a per-degree share times a per-point share, so on the P
     plane the 1/7 is one more term with term's target, of per-degree share
     1/7 at at_degree (0 elsewhere) and per-point share 1 where that target is
     on the simplex (0 elsewhere).  On the Q plane term's per-degree share is
     scaled at at_degree; where its target is off the simplex an honest
-    coefficient is 0.0, which the scaling keeps."""
+    coefficient is 0, which the scaling keeps."""
     one, zero = (1, 1), (0, 1)
 
     def wrap(t):
         def scale(d):
             (m, n), d_part = d
-            value = 1 if t.scale is None else t.scale(d_part)
+            if t.scale is not None:
+                value = t.scale(d_part)
+            else:
+                value = (1, one) if row.plane == "Q" else one
             if t is term and row.plane == "Q" and (m, n) == at_degree:
-                return value * (1 + 1e-6)
+                sign, (num, den) = value
+                return sign, (num * square[0], den * square[1])
             return value
 
         tampered_q = t is term and row.plane == "Q"
@@ -1331,17 +1329,63 @@ def tamper_live_term(row, term, at_degree, N):
     )
 
 
-@pytest.mark.parametrize("name", list(bi_mod._RELATIONS))
-def test_every_row_reports_a_perturbed_term(monkeypatch, name):
+# Per plane, the tampers each row takes: on the Q plane a rational factor
+# 7/5 (the square 49/25), which keeps the term's square class but not its
+# value, and sqrt(2), which moves the term to a class of its own.
+PLANE_TAMPERS = {"P": {"": None}, "Q": {"-rational": (49, 25), "-new-class": (2, 1)}}
+
+
+@pytest.mark.parametrize("name, square", [
+    pytest.param(name, square, id=name + label)
+    for name, row in bi_mod._RELATIONS.items()
+    for label, square in PLANE_TAMPERS[row.plane].items()
+])
+def test_every_row_reports_a_perturbed_term(monkeypatch, name, square):
     """Perturbing one live term of one row fails exactly that row's
     sub-check, at the first degree pair where the term is live."""
     p = BiParams(Rat(1, 2), Rat(-1, 2), Rat(3), 3)
     row = bi_mod._RELATIONS[name]
     at_degree = first_live_degree(row, 0, p)
-    monkeypatch.setitem(bi_mod._RELATIONS, name, tamper_live_term(row, row.rhs[0], at_degree, p.N))
+    tampered = tamper_live_term(row, row.rhs[0], at_degree, p.N, square)
+    monkeypatch.setitem(bi_mod._RELATIONS, name, tampered)
     failed = [c for c in verify_bi(check_of(name), p).checks if not c.passed]
     assert [c.name for c in failed] == [name]
-    assert failed[0].counterexample["indices"]["degree"] == at_degree
+    assert failed[0].max_residual == "nonzero"
+    report = failed[0].counterexample
+    indices = report["indices"]
+    assert indices["degree"] == at_degree
+    assert ("radicand" in indices) is (row.plane == "Q")
+    if square == (49, 25):
+        # one square class: its sides, in units of sqrt(radicand), are the
+        # exact sums of the reference terms
+        instance = (at_degree, indices["point"])
+        ((_, _, lhs, rhs),) = (inst for inst in reference_terms(tampered, p) if inst[:2] == instance)
+        root = RadicalScalar.sqrt(parse_rational(indices["radicand"]))
+        for key, values in (("lhs", lhs), ("rhs", rhs)):
+            total = functools.reduce(surd_sum, (v for v in values if v is not None), RadicalScalar(0, 1))
+            assert root * parse_rational(report[key]) == total, key
+
+
+def test_a_term_added_in_a_new_class_fails_its_row(monkeypatch):
+    """One more lhs term, sqrt(2) times the one there, leaves that term's
+    square class balanced: only the new class sums to nonzero, and the
+    report names it, with no rhs term in it."""
+    p = BiParams(Rat(1, 2), Rat(-1, 2), Rat(3), 3)
+    name = "normalized-lowering-float[raise-m]"
+    row = bi_mod._RELATIONS[name]
+    (term,) = row.lhs
+    extra = term._replace(scale=lambda d: (d[0], (2 * d[1][0], d[1][1])))
+    monkeypatch.setitem(bi_mod._RELATIONS, name, row._replace(lhs=(term, extra)))
+    failed = [c for c in verify_bi(check_of(name), p).checks if not c.passed]
+    assert [c.name for c in failed] == [name]
+    report = failed[0].counterexample
+    m, n = report["indices"]["degree"]
+    (i, k) = report["indices"]["point"]
+    sign, (num, den) = row.per_degree(bi_mod._Check(p).at(0), m, n)
+    value = q2_eval((m + 1, n), (i, k), p)
+    want = RadicalScalar(sign, Rat(2 * num, den)) * value
+    assert report["rhs"] == "0" and report["lhs"] != "0"
+    assert RadicalScalar(parse_rational(report["lhs"]), parse_rational(report["indices"]["radicand"])) == want
 
 
 def test_float_obligation_reported_under_optimization(tmp_path):
@@ -1456,7 +1500,7 @@ def test_zero_scale_reported_under_optimization(tmp_path):
 # the sample-major exact runner
 
 
-EXACT_CHECKS = [name for name in BI_CHECK_NAMES if bi_mod._RELATION_CHECKS.get(name) == "P"]
+RELATION_CHECKS = [name for name in BI_CHECK_NAMES if name in bi_mod._RELATION_CHECKS]
 
 
 def run_under_optimization(tmp_path, body):
@@ -1493,18 +1537,34 @@ def test_slots_differ_in_the_top_bit_of_a_slot():
     assert slots.first(slots.pack([-127, 5]), slots.pack([1, 5])) == (0, -127, 1)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    r=st.tuples(st.integers(1, 10**40), st.integers(1, 10**40)),
+    w=st.tuples(st.integers(1, 10**12), st.integers(1, 10**12)),
+    k=st.sampled_from([2, 3, 6, 7, 12, 18]),
+)
+def test_root_ratio_decides_square_classes(r, w, k):
+    """Unreduced pairs: r w^2 and r share a class, with the reduced ratio w;
+    r k w^2 for k not a square does not, nor does r / k."""
+    (p, q), (u, v) = r, w
+    ratio = Rat(u, v)
+    assert bi_mod._root_ratio((p * u * u, q * v * v), (p, q)) == (ratio.numerator, ratio.denominator)
+    assert bi_mod._root_ratio((k * p * u * u, q * v * v), (p, q)) is None
+    assert bi_mod._root_ratio((p, k * q), (p, q)) is None
+
+
 def test_undersized_slot_width_reported_under_optimization(tmp_path):
     """Packed sides compared in slots too narrow for their sums could agree
     where the grid points do not.  A slot width below the bound is a
-    reported failure of every exact row, never a pass, also under python -O,
-    where an assert would vanish."""
+    reported failure of every relation row, never a pass, also under
+    python -O, where an assert would vanish."""
     checks = run_under_optimization(tmp_path, (
         "bi._slot_bytes = lambda bits: max(bits // 8 - 1, 1)\n"
         "p = bi.BiParams(Rat(1, 2), Rat(-1, 2), Rat(3), 2)\n"
-        f"checks = [c for name in {EXACT_CHECKS!r} for c in bi.verify_bi(name, p).checks]\n"
+        f"checks = [c for name in {RELATION_CHECKS!r} for c in bi.verify_bi(name, p).checks]\n"
         "print(json.dumps([c.to_dict() for c in checks]))\n"
     ))
-    assert len(checks) == 12
+    assert len(checks) == 24
     for c in checks:
         assert c["status"] == "fail" and c["max_residual"] == "inf", c["name"]
         assert "too narrow" in c["counterexample"]["lhs"], c["name"]
@@ -1590,16 +1650,17 @@ def test_sweep_degrees_equal_per_instance_run(name):
         assert bi_mod._sweep_degrees(row, degrees, N) == want, N
 
 
-def test_exact_pass_path_makes_no_rational(monkeypatch):
-    """The exact rows pass with Rat refused: every coefficient part is an
-    integer pair, and a rational is made only for a failure's report."""
+def test_pass_path_makes_no_rational(monkeypatch):
+    """The relation rows of both planes pass with Rat refused: every
+    coefficient part is an integer pair or a signed square of one, and a
+    rational is made only for a failure's report."""
 
     def refuse(*args):
         raise AssertionError("a rational on the pass path")
 
     p = BiParams(Rat(1, 2), Rat(-1, 3), Rat(7, 3), 3)  # q = 6
     monkeypatch.setattr(bi_mod, "Rat", refuse)
-    for name in EXACT_CHECKS:
+    for name in RELATION_CHECKS:
         report = verify_bi(name, p)
         assert report.passed and len(report.checks) >= 1, name
 
@@ -1614,11 +1675,17 @@ class _RefusesArithmetic:
     __truediv__ = __rtruediv__ = __neg__ = __float__ = _refuse
 
 
+def shares(part) -> tuple:
+    """The shares of a per-degree or per-point coefficient part: one share
+    (an integer pair or signed square), a tuple of them, or None."""
+    return () if part is None else (part,) if isinstance(part[0], int) else part
+
+
 def test_q_plane_coefficients_make_no_rational(monkeypatch):
-    """Every Q row's per-degree and per-point parts, and the Q values' roots
-    of Lambda, are made with Rat refused and the point's rational
-    parameters replaced by objects that refuse arithmetic: they read only
-    the cleared triple (c.q, c.scaled)."""
+    """Every Q row's per-degree and per-point parts, and the norms under
+    the Q values' roots, are made of ints with Rat refused and the point's
+    rational parameters replaced by objects that refuse arithmetic: they
+    read only the cleared triple (c.q, c.scaled)."""
 
     def refuse(*args):
         raise AssertionError("a rational on a Q-plane coefficient")
@@ -1633,11 +1700,10 @@ def test_q_plane_coefficients_make_no_rational(monkeypatch):
         if row.plane != "Q":
             continue
         for m, n in simplex_points(p.N + row.degrees, 2):
-            d = row.per_degree(at, m, n)
-            assert all(type(v) is float for v in (d if isinstance(d, tuple) else (d,))), name
+            for sign, square in shares(row.per_degree(at, m, n)):
+                assert type(sign) is int and all(type(v) is int for v in square), name
         for i, k in simplex_points(p.N + row.grid, 2):
-            x = row.per_point(at, i, k)
-            parts = () if x is None else x if isinstance(x, tuple) else (x,)  # None: no per-point parts
-            assert all(type(v) in (int, float) for v in parts), name
+            assert all(type(v) is int for pair in shares(row.per_point(at, i, k)) for v in pair), name
     for m, n in simplex_points(p.N, 2):
-        assert all(type(v) is float for v in table.qrow(m, n, p.N))
+        den, square = table.norm(m, n, p.N)
+        assert all(type(v) is int for v in (den, *square))
