@@ -1,4 +1,5 @@
-"""Command-line front end: evaluation, matrix emission, verification suites.
+"""Command-line front end: evaluation, matrix emission, verification suites
+and an info line naming the versions and the rational backend.
 
 Output is deterministic byte for byte: orderings are the fixed colex ones,
 floats are printed at 17 significant digits, rationals as p/q.  Exit codes:
@@ -8,12 +9,13 @@ Parameters are rationals only; decimal parameter input is rejected because
 the exact plane is the point of the package.  The overlap command in exact
 mode emits signed squared entries (the entry's sign times its square),
 which are rational; the chain command is floating point by nature.
+
+argparse and json are imported by the functions that use them, so
+`import hahnkit.cli` loads neither; only a run of main() pays for them.
 """
 from __future__ import annotations
 
-import argparse
 import functools
-import json
 import math
 import sys
 
@@ -74,6 +76,8 @@ def _matrix_text(params_echo, mode, row_labels, col_labels, cells, fmt) -> str:
         for label, row in zip(row_labels, cells):
             lines.append(label + "," + ",".join(row))
         return "\n".join(lines) + "\n"
+    import json
+
     payload = {
         "params": params_echo,
         "mode": mode,
@@ -97,6 +101,8 @@ def _reports_text(reports, fmt) -> str:
         for report in reports:
             lines.extend(_report_rows(report))
         return "\n".join(lines) + "\n"
+    import json
+
     if len(reports) == 1:
         return json.dumps(reports[0].to_dict(), indent=2) + "\n"
     status = "pass" if all(r.passed for r in reports) else "fail"
@@ -278,6 +284,24 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+def _cmd_info(args) -> int:
+    """The package version, the Python version and the rational backend
+    (module.qualname of Rat's class), as one JSON object."""
+    import json
+    import platform
+
+    from . import __version__
+
+    backend = type(Rat(0))
+    payload = {
+        "hahnkit": __version__,
+        "python": platform.python_version(),
+        "backend": f"{backend.__module__}.{backend.__qualname__}",
+    }
+    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # argument plumbing
 
@@ -293,6 +317,8 @@ def _add_shared(sub: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(prog="hahnkit")
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -316,6 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--check", help="run a single named check of the suite")
     _add_shared(sub)
 
+    commands.add_parser("info", help="package version, Python version and rational backend")
+
     return parser
 
 
@@ -325,6 +353,7 @@ _DISPATCH = {
     "chain": _cmd_chain,
     "genfun": _cmd_genfun,
     "verify": _cmd_verify,
+    "info": _cmd_info,
 }
 
 
@@ -334,7 +363,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as err:
         return 0 if err.code in (0, None) else 2
-    if not (math.isfinite(args.tol) and args.tol > 0):
+    if "tol" in vars(args) and not (math.isfinite(args.tol) and args.tol > 0):
         print("error: --tol must be finite and positive", file=sys.stderr)
         return 2
     try:

@@ -95,7 +95,6 @@ under each Q value's root, is an integer pair on the cleared triple too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, NamedTuple
 
@@ -120,22 +119,34 @@ from .simplex import ChainTable, cleared, gram_entries, simplex_points, simplex_
 MAX_BI_LEVEL = 25
 
 
-@dataclass(frozen=True)
-class BiParams:
+class _BiFields(NamedTuple):
     alpha1: object
     alpha2: object
     alpha3: object
     N: int
 
-    def __post_init__(self):
-        for name in ("alpha1", "alpha2", "alpha3"):
-            object.__setattr__(self, name, Rat(getattr(self, name)))
-        if not isinstance(self.N, int) or self.N < 0:
+
+class BiParams(_BiFields):
+    """(alpha1, alpha2, alpha3, N), the parameters coerced to rationals and
+    checked."""
+
+    __slots__ = ()
+
+    def __new__(cls, alpha1, alpha2, alpha3, N):
+        self = super().__new__(cls, Rat(alpha1), Rat(alpha2), Rat(alpha3), N)
+        if not isinstance(N, int) or N < 0:
             raise ValueError("N must be a nonnegative integer")
         if min(self.alpha1, self.alpha2, self.alpha3) <= -1:
             raise ValueError("parameters must exceed -1")
-        object.__setattr__(self, "a12", self.alpha1 + self.alpha2)
-        object.__setattr__(self, "a123", self.alpha1 + self.alpha2 + self.alpha3)
+        return self
+
+    @property
+    def a12(self):
+        return self.alpha1 + self.alpha2
+
+    @property
+    def a123(self):
+        return self.alpha1 + self.alpha2 + self.alpha3
 
     def echo(self) -> dict:
         return {
@@ -298,8 +309,7 @@ class _Values:
 # overlap matrices
 
 
-@dataclass(frozen=True)
-class OverlapMatrix:
+class OverlapMatrix(NamedTuple):
     """Interbasis expansion coefficients W * Q on the full simplex.
 
     Rows run over grid points, columns over degree pairs, both in the colex

@@ -15,7 +15,7 @@ and every diagonal entry, a Lambda, is positive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .numeric import Rat, format_rational
 from .reports import CheckResult, VerificationReport
@@ -28,24 +28,30 @@ MAX_LEVEL = 12
 MAX_GRAM_POINTS = 1001
 
 
-@dataclass(frozen=True)
-class MultiParams:
+class _MultiFields(NamedTuple):
     alphas: tuple
     N: int
 
-    def __post_init__(self):
-        alphas = tuple(Rat(a) for a in self.alphas)
-        object.__setattr__(self, "alphas", alphas)
+
+class MultiParams(_MultiFields):
+    """(alphas, N), the d + 1 parameters coerced to rationals and checked."""
+
+    __slots__ = ()
+
+    def __new__(cls, alphas, N):
+        alphas = tuple(Rat(a) for a in alphas)
+        self = super().__new__(cls, alphas, N)
         if len(alphas) < 2:
             raise ValueError("need at least two parameters (d >= 1)")
         if self.d > MAX_DIMENSION:
             raise ValueError(f"dimension capped at {MAX_DIMENSION} for exact sweeps")
-        if not isinstance(self.N, int) or self.N < 0:
+        if not isinstance(N, int) or N < 0:
             raise ValueError("N must be a nonnegative integer")
-        if self.N > MAX_LEVEL:
+        if N > MAX_LEVEL:
             raise ValueError(f"level capped at {MAX_LEVEL} for exact sweeps")
         if min(alphas) <= -1:
             raise ValueError("parameters must exceed -1")
+        return self
 
     @property
     def d(self) -> int:

@@ -5,21 +5,22 @@ of orthogonality and the two generating functions, all in exact arithmetic.
 
 Values, weight and Gram sums are the d = 1 case of the simplex layer
 (hahnkit.simplex): eval_total for one value, the d = 1 ChainTable's rows for
-a whole grid, simplex_weight and gram_entries.  The norm is one rational of
-integer rising products (numeric.rising).  Every check compares integers
-crosswise, after showing its scale nonzero, and makes a rational only to
-report a failure; the generating-function sides are int tuples over one
-denominator each (numeric's univariate helpers keep ints as ints).
+a whole grid, simplex_weight and gram_entries.  The norm is one integer
+numerator and denominator of rising products (hahn_norm_cleared, on the
+cleared parameters; hahn_norm makes it one rational).  Every check
+compares integers crosswise, after showing its scale nonzero, and makes a
+rational only to report a failure; the generating-function sides are int
+tuples over one denominator each (numeric's univariate helpers keep ints
+as ints).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .classical import jacobi_cleared
 from .numeric import (
     Rat,
-    _ZERO,
     _poly_add,
     _poly_mul,
     format_rational,
@@ -30,19 +31,24 @@ from .reports import CheckResult, VerificationReport, _guarded
 from .simplex import ChainTable, cleared, eval_total, gram_entries, simplex_weight
 
 
-@dataclass(frozen=True)
-class UniParams:
+class _UniFields(NamedTuple):
     alpha: object
     beta: object
     N: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", Rat(self.alpha))
-        object.__setattr__(self, "beta", Rat(self.beta))
-        if not isinstance(self.N, int) or self.N < 0:
+
+class UniParams(_UniFields):
+    """(alpha, beta, N), the parameters coerced to rationals and checked."""
+
+    __slots__ = ()
+
+    def __new__(cls, alpha, beta, N):
+        self = super().__new__(cls, Rat(alpha), Rat(beta), N)
+        if not isinstance(N, int) or N < 0:
             raise ValueError("N must be a nonnegative integer")
         if self.alpha <= -1 or self.beta <= -1:
             raise ValueError("parameters must exceed -1")
+        return self
 
     def echo(self) -> dict:
         return {
@@ -72,24 +78,23 @@ def hahn_weight(x: int, p: UniParams):
     return Rat(nums[x], den)
 
 
-def hahn_norm(n: int, p: UniParams):
-    """Norm of h_n under the weight, in the cancellation-safe arrangement.
+def hahn_norm_cleared(n: int, N: int, params: tuple) -> tuple[int, int]:
+    """The norm of h_n under the weight at level N, in the cancellation-safe
+    arrangement, as one integer numerator and denominator.
 
     The textbook prefactor (a+b+1)/(a+b+1)_n is 0/0 at a+b+1 = 0; for n >= 1
     it equals 1/(a+b+2)_{n-1}, which is what gets evaluated here:
 
-        N! n! / (N-n)! (a+1)_n (b+1)_n (N+a+b+2)_n / ((2n+a+b+1) (a+b+2)_{n-1}),
+        N! n! / (N-n)! (a+1)_n (b+1)_n (N+a+b+2)_n / ((2n+a+b+1) (a+b+2)_{n-1}).
 
-    as one rational of cleared integer products, the q^(3n) above against
-    the q^n below leaving q^(2n) in the denominator.
+    params is the pair already cleared to one denominator q, (q, (A, B)) as
+    simplex.cleared gives it; the q^(3n) above against the q^n below leave
+    q^(2n) in the denominator.
     """
-    if not 0 <= n <= p.N:
-        raise ValueError(f"degree {n} outside 0..{p.N}")
     if n == 0:
-        return Rat(1)
-    N = p.N
-    q, (A, B) = cleared(p.alpha, p.beta)
-    return Rat(
+        return 1, 1
+    q, (A, B) = params
+    return (
         math.perm(N, n)
         * math.factorial(n)
         * rising(A + q, n, q)
@@ -99,18 +104,26 @@ def hahn_norm(n: int, p: UniParams):
     )
 
 
+def hahn_norm(n: int, p: UniParams):
+    """Norm of h_n under the weight: hahn_norm_cleared as one rational."""
+    if not 0 <= n <= p.N:
+        raise ValueError(f"degree {n} outside 0..{p.N}")
+    return Rat(*hahn_norm_cleared(n, p.N, cleared(p.alpha, p.beta)))
+
+
 def _check_orthogonality(p: UniParams) -> CheckResult:
     """The integer Gram sums (gram_entries) of the d = 1 chain table under
     the cleared weight: an off-diagonal pair (n, m) passes when its sum is
-    0, a diagonal one when acc den(norm) = num(norm) W d_n d_m; rationals
-    are made only to report a failure."""
+    0, a diagonal one when acc den(norm) = num(norm) W d_n d_m, the norm
+    from hahn_norm_cleared; rationals are made only to report a failure."""
     table = ChainTable((p.alpha, p.beta))
     degs = table.points(p.N)
     rows, dens = [table.row(n, p.N) for n in degs], [table.den(n) for n in degs]
+    params = cleared(p.alpha, p.beta)
     for n, m, acc, scale in gram_entries(simplex_weight((p.alpha, p.beta), p.N), rows, dens):
-        want = hahn_norm(n, p) if n == m else _ZERO
-        if acc * int(want.denominator) != int(want.numerator) * scale:
-            got = Rat(acc, scale)
+        num, den = hahn_norm_cleared(n, p.N, params) if n == m else (0, 1)
+        if acc * den != num * scale:
+            got, want = Rat(acc, scale), Rat(num, den)
             return CheckResult.failure(
                 "orthogonality",
                 residual=f"{abs(float(got - want)):.17g}",

@@ -20,14 +20,13 @@ the two routes share nothing but the grid ordering.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .hahn_bi import BiParams, overlap2
-from .hahn_uni import UniParams, hahn_eval, hahn_norm, hahn_weight
+from .hahn_uni import hahn_norm_cleared
 from .numeric import Rat, RationalMatrix, format_rational
 from .reports import CheckResult, VerificationReport, _guarded
-from .simplex import ChainTable, simplex_points
+from .simplex import ChainTable, cleared, simplex_points, simplex_weight
 
 # The largest level whose seven oracle checks fit in 60 s, criterion 03's
 # budget for a whole suite at one level, on the fractions backend (cost
@@ -236,8 +235,7 @@ def cylindrical_pairs(N: int):
             yield (p, q)
 
 
-@dataclass(frozen=True)
-class ChainMatrix:
+class ChainMatrix(NamedTuple):
     """Float change-of-basis matrix with labeled rows and columns."""
 
     params: BiParams
@@ -250,9 +248,26 @@ class ChainMatrix:
         return len(self.rows)
 
 
-def _uni_column(n: int, x: int, u: UniParams, w) -> float:
-    """The orthonormal value at x of degree n, w being hahn_weight(x, u)."""
-    return float(hahn_eval(n, x, u)) * math.sqrt(float(w / hahn_norm(n, u)))
+def _orthonormal_block(alpha, beta, level: int) -> list:
+    """The d = 1 orthonormal system h_n(x) sqrt(w_x / norm_n) with parameters
+    (alpha, beta) at one level, rows n = 0..level over x = 0..level.
+
+    The values are the d = 1 ChainTable's integer rows over their one
+    denominator, the weight is simplex_weight once and each norm
+    hahn_norm_cleared's integer pair.  Each float is an int true division,
+    which rounds as float() of the reduced rational does.
+    """
+    table, params = ChainTable((alpha, beta)), cleared(alpha, beta)
+    omega, W = simplex_weight((alpha, beta), level)
+    out = []
+    for n in range(level + 1):
+        den = table.den((n,))
+        norm, norm_den = hahn_norm_cleared(n, level, params)
+        out.append([
+            v / den * math.sqrt(w * norm_den / (W * norm))
+            for v, w in zip(table.row((n,), level), omega)
+        ])
+    return out
 
 
 def chain_matrices(p: BiParams) -> tuple[ChainMatrix, ChainMatrix]:
@@ -260,31 +275,25 @@ def chain_matrices(p: BiParams) -> tuple[ChainMatrix, ChainMatrix]:
 
     The first is block diagonal in q = i + k, the second in m = p; their
     product is the full overlap matrix.  Both are orthogonal because each
-    block is a univariate orthonormal system.
+    block is a univariate orthonormal system: (alpha1, alpha2) at level q
+    for the first, (2m + alpha1 + alpha2 + 1, alpha3) at level N - m for
+    the second.
     """
-    grid = tuple(simplex_points(p.N, 2))
-    cyl = tuple(cylindrical_pairs(p.N))
-    degs = tuple(simplex_points(p.N, 2))
-
-    first = []
-    for i, k in grid:
-        u = UniParams(p.alpha1, p.alpha2, i + k)
-        w = hahn_weight(i, u)
-        first.append(
-            tuple(_uni_column(pp, i, u, w) if q == i + k else 0.0 for pp, q in cyl)
-        )
-
-    second = []
-    for pp, q in cyl:
-        u = UniParams(2 * pp + p.a12 + 1, p.alpha3, p.N - pp)
-        w = hahn_weight(q - pp, u)
-        second.append(
-            tuple(_uni_column(n, q - pp, u, w) if m == pp else 0.0 for m, n in degs)
-        )
-
+    N = p.N
+    grid = degs = tuple(simplex_points(N, 2))
+    cyl = tuple(cylindrical_pairs(N))
+    a12 = p.a12
+    lines = [_orthonormal_block(p.alpha1, p.alpha2, q) for q in range(N + 1)]
+    columns = [_orthonormal_block(2 * m + a12 + 1, p.alpha3, N - m) for m in range(N + 1)]
+    first = tuple(
+        tuple(lines[q][pp][i] if q == i + k else 0.0 for pp, q in cyl) for i, k in grid
+    )
+    second = tuple(
+        tuple(columns[m][n][q - m] if m == pp else 0.0 for m, n in degs) for pp, q in cyl
+    )
     return (
-        ChainMatrix(params=p, rows=grid, cols=cyl, entries=tuple(first)),
-        ChainMatrix(params=p, rows=cyl, cols=degs, entries=tuple(second)),
+        ChainMatrix(params=p, rows=grid, cols=cyl, entries=first),
+        ChainMatrix(params=p, rows=cyl, cols=degs, entries=second),
     )
 
 
@@ -340,8 +349,7 @@ def chain_product(first: ChainMatrix, second: ChainMatrix) -> tuple:
 # truncated su(1,1)
 
 
-@dataclass(frozen=True)
-class Su11Module:
+class Su11Module(NamedTuple):
     """Positive-discrete-series actions on span(f_0 .. f_nmax).
 
     Basis without square roots: K+ f_n = f_{n+1}, K- f_n = n(n+2nu-1) f_{n-1},

@@ -1,14 +1,13 @@
 """Verification report types shared by every verify_* entry point."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from types import MappingProxyType
+from typing import Any, Mapping, NamedTuple, Sequence
 
 FLOAT_TOL = 1e-10  # the largest worst residual a float check passes with
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of one named identity check.
 
     max_residual is a decimal string; exact passes report "0".  On failure,
@@ -56,12 +55,11 @@ class CheckResult:
         return out
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """A suite name, a parameter echo, and the list of check outcomes."""
 
     suite: str
-    params: Mapping[str, Any] = field(default_factory=dict)
+    params: Mapping[str, Any] = MappingProxyType({})
     checks: Sequence[CheckResult] = ()
 
     @property

@@ -1,10 +1,14 @@
 """Front-end contract: flags, formats, exit codes, byte determinism."""
 import json
+import os
+import pathlib
+import platform
 import subprocess
 import sys
 
 import pytest
 
+import hahnkit
 import hahnkit.cli as cli_mod
 import hahnkit.hahn_bi as bi_mod
 import hahnkit.oracle as oracle_mod
@@ -362,3 +366,54 @@ class TestPlumbing:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["status"] == "pass"
+
+
+class TestInfo:
+    def test_reports_version_python_and_backend(self, capsys):
+        code, out, _ = run(capsys, "info")
+        assert code == 0 and out.endswith("\n")
+        backend = type(Rat(0))
+        assert json.loads(out) == {
+            "hahnkit": hahnkit.__version__,
+            "python": platform.python_version(),
+            "backend": f"{backend.__module__}.{backend.__qualname__}",
+        }
+
+    def test_takes_no_options(self, capsys):
+        code, out, _ = run(capsys, "info", "--tol", "1")
+        assert code == 2 and out == ""
+
+
+# Run in a fresh interpreter: the modules a bare interpreter has at start-up
+# (site and whatever it loads on this machine) are the baseline, so only what
+# `import hahnkit, hahnkit.cli` adds is judged.
+IMPORT_GUARD = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+import hahnkit, hahnkit.cli
+added = sorted(set(sys.modules) - before)
+buffer = io.StringIO()
+with contextlib.redirect_stdout(buffer):
+    code = hahnkit.cli.main(["verify", "--suite", "uni", "--alpha", "0,0", "--N", "6"])
+print(json.dumps({"added": added, "code": code, "text": buffer.getvalue(),
+                  "argparse_after": "argparse" in sys.modules}))
+"""
+
+
+class TestImportCost:
+    def test_import_loads_no_parser_and_no_dataclasses(self):
+        src = pathlib.Path(hahnkit.__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-c", IMPORT_GUARD],
+            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)
+        assert "hahnkit.cli" in result["added"]
+        assert not {"dataclasses", "inspect", "argparse"} & set(result["added"])
+        # a parsing run loads argparse, and prints what the battery holds
+        assert result["argparse_after"] and result["code"] == 0
+        battery = json.loads((pathlib.Path(__file__).parent / "data" / "verify_all.json").read_text())
+        suite = next(s for s in battery["suites"] if s["suite"] == "uni" and s["params"]["N"] == 6
+                     and s["params"]["alpha"] == "0")
+        assert result["text"] == json.dumps(suite, indent=2) + "\n"

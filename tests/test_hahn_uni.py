@@ -256,13 +256,17 @@ class TestOrthogonalityFailurePath:
         return {"residual": check.max_residual, **check.counterexample}
 
     def test_tampered_norm(self, monkeypatch):
-        honest = hahn_norm
+        # the norm of degree 4 raised by 1/3, in the integer pair the check reads
+        honest = uni_mod.hahn_norm_cleared
 
-        def tampered(n, p):
-            return honest(n, p) + (Rat(1, 3) if n == 4 else 0)
+        def tampered(n, N, params):
+            num, den = honest(n, N, params)
+            return (3 * num + den, 3 * den) if n == 4 else (num, den)
 
-        monkeypatch.setattr(uni_mod, "hahn_norm", tampered)
-        expected = expected_orthogonality_failure(self.P, chain_rows(self.P), tampered)
+        expected = expected_orthogonality_failure(
+            self.P, chain_rows(self.P), lambda n, p: hahn_norm(n, p) + (Rat(1, 3) if n == 4 else 0)
+        )
+        monkeypatch.setattr(uni_mod, "hahn_norm_cleared", tampered)
         assert expected["indices"] == [4, 4]
         assert self.reported() == expected
 
@@ -319,9 +323,9 @@ class TestGeneratingFunctionFailureReports:
 
 
 class TestOrthogonalityClearedVerdicts:
-    def test_passing_sweep_makes_rationals_only_for_normalizations(self, monkeypatch):
-        # N+1 norms, and none for the weights, the table or the 91 pairs'
-        # Gram sums, counted in every module of the package
+    def test_passing_sweep_makes_no_rationals(self, monkeypatch):
+        # none for the norms (integer pairs), the weights, the table or the
+        # 91 pairs' Gram sums, counted in every module of the package
         p = UniParams(Rat(1, 2), Rat(7, 3), 12)
         made = []
 
@@ -333,7 +337,7 @@ class TestOrthogonalityClearedVerdicts:
             if name.split(".")[0] == "hahnkit" and hasattr(module, "Rat"):
                 monkeypatch.setattr(module, "Rat", counted)
         assert uni_mod._CHECKS["orthogonality"](p).passed
-        assert len(made) == p.N + 1
+        assert made == []
 
     def test_zero_scale_reported_under_optimization(self, tmp_path):
         """A zero scale W d_n d_m would make every off-diagonal pair hold
