@@ -26,26 +26,30 @@ and symmetry compare integer sums and make rationals only to report a
 failure.  Every scale a comparison is multiplied by is shown nonzero first,
 since a zero one would make any identity hold.
 
-The relation runner walks sample points outermost: for each t it builds
-that point's tables, decides every instance (m, n) whose sweep reaches t,
-and drops them, so one sample point's tables are alive at a time.  A
-coefficient is a per-degree share times a per-point share, each an integer
-pair (numerator, denominator) made on the triple cleared to its
-denominator q: the per-point shares once per sample point, over one
-denominator per term, the per-degree ones once per instance.  Each side of
-an instance is then one int, sum_j W_j pack(X_j row_j): the integer weight
-W_j of term j times the packed product of its per-point integers X_j and
-its table row, pack(v) = sum_g v_g 2^(B g) with one slot of width B per
-grid point.  If every slot of the difference of the two sides is below
-2^(B-1) in size, the sides are equal exactly when every grid point agrees:
-the lowest nonzero slot g would leave a nonzero multiple of 2^(B g) smaller
-in size than 2^(B g + B-1).  A slot sums T terms, each below
-2^(bits(W) + bits(X row)), so B is chosen above max(bits(W) + bits(X row))
-+ bits(T); that bound is checked for every instance before its sides are
-compared, and a slot too narrow is a reported failure, not an assert.  A
-failing instance's slots are decoded to name its first grid point, and the
-first failure in the order degree pair, grid point, sample point (an
-off-simplex obligation before the residual of its instance) is reported.
+The relation runner walks sample points outermost, all rows of a check
+together: at each t, every row whose sweep reaches t decides its instances
+(m, n) there in row order, on that point's tables, each built once for all
+the rows; after each row's pass, the tables no later pass at t reads are
+dropped, so at most one sample point's tables are alive, and only those
+still to be read.  A coefficient is a per-degree share times a per-point
+share, each an integer pair (numerator, denominator) made on the triple
+cleared to its denominator q: the per-point shares once per sample point,
+over one denominator per term, the per-degree ones once per instance.
+Each side of an instance is then one int, sum_j W_j pack(X_j row_j): the
+integer weight W_j of term j times the packed product of its per-point
+integers X_j and its table row, pack(v) = sum_g v_g 2^(B g) with one slot
+of width B per grid point, packed straight from the row.  If every slot of
+the difference of the two sides is below 2^(B-1) in size, the sides are
+equal exactly when every grid point agrees: the lowest nonzero slot g
+would leave a nonzero multiple of 2^(B g) smaller in size than 2^(B g +
+B-1).  A slot sums T terms, each below 2^(bits(W) + bits(max |X|) +
+bits(max |row|)), the last made once per table row, so B is chosen above
+the largest such exponent + bits(T); that bound is checked for every
+instance before its sides are compared, and a slot too narrow is a
+reported failure, not an assert.  A failing instance's slots are decoded
+to name its first grid point, and the first failure in the order degree
+pair, grid point, sample point (an off-simplex obligation before the
+residual of its instance) is reported.
 
 A Q-plane term is a rational times a square root.  Its per-degree share is
 a signed square (sign, (num, den)), standing for sign sqrt(num / den), its
@@ -95,7 +99,9 @@ under each Q value's root, is an integer pair on the cleared triple too.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from itertools import accumulate
+from operator import mul
 from typing import Callable, NamedTuple
 
 from .classical import jacobi_cleared
@@ -262,15 +268,16 @@ class _Values:
     2m+a1+a2+1, a3; level-m), the d = 2 ChainTable: a genuine bivariate
     polynomial of total degree m + n, as the inner level i+k depends on the
     grid point.  P is the same integers over sigma = chains.den
-    (-level)_{m+n}.  row holds them over a whole grid, p makes a single
-    rational, and norm gives what turns a row into the Q values.
+    (-level)_{m+n}.  row holds them over a whole grid, bits bounds their
+    size, p makes a single rational, and norm gives what turns a row into
+    the Q values.  triple is the chain table's cleared triple.
     """
 
     def __init__(self, a1, a2, a3):
         self.a1, self.a2, self.a3 = a1, a2, a3
-        self.triple = cleared(a1, a2, a3)
         self.chains = ChainTable((a1, a2, a3))
-        self._dens, self._norms = {}, {}
+        self.triple = self.chains.cleared
+        self._dens, self._norms, self._bits = {}, {}, {}
 
     def den(self, m, n, level) -> int:
         """sigma: the P values of degree pair (m, n) at level are row / sigma;
@@ -286,6 +293,15 @@ class _Values:
     def row(self, m, n, level) -> tuple:
         """The P numerators of degree pair (m, n) over simplex_points(level, 2)."""
         return self.chains.row((m, n), level)
+
+    def bits(self, m, n, level) -> int:
+        """The bit length of the largest entry of row(m, n, level) in size;
+        made once per row."""
+        key = (m, n, level)
+        out = self._bits.get(key)
+        if out is None:
+            out = self._bits[key] = _bit_size(self.row(m, n, level))
+        return out
 
     def p(self, m, n, i, k, level):
         return Rat(self.chains.num((m, n), (i, k), level), self.den(m, n, level))
@@ -1236,15 +1252,21 @@ class _Check:
         return self.points[t]
 
     def values(self, t: int, params: tuple) -> _Values:
-        """The table at sample point t's triple shifted by params.  The
-        tables of another sample point are dropped first, so those of one
-        sample point at most are alive."""
+        """The table at sample point t's triple shifted by params, made once
+        per sample point and shift while kept.  The tables of another sample
+        point are dropped first, so those of one sample point at most are
+        alive."""
         if t != self.sample:
             self.sample, self.tables = t, {}
         table = self.tables.get(params)
         if table is None:
             table = self.tables[params] = _Values(*(a + s for a, s in zip(self.at(t).triple(False), params)))
         return table
+
+    def keep(self, shifts: set) -> None:
+        """Drop the tables of this sample point whose parameter shift is not
+        in shifts, the ones no later pass here reads."""
+        self.tables = {params: table for params, table in self.tables.items() if params in shifts}
 
 
 def _swapped(triple: tuple, swap: bool) -> tuple:
@@ -1409,27 +1431,31 @@ def _readers(row: _Relation, grid: tuple, N: int) -> tuple:
     return readers, terms
 
 
-def _exact_check(row: _Relation, check: _Check) -> CheckResult:
-    """The first failure of a row in the canonical order: degree pair,
-    then grid point, then sample point, and of one instance the off-simplex
-    obligation before the residual.
+def _walk(row: _Relation, check: _Check):
+    """One row's walk over the sample points, a generator that _run_rows
+    drives: before each pass it yields the set of parameter shifts the pass
+    reads, and it returns the row's first failure in the canonical order
+    (degree pair, then grid point, then sample point, and of one instance
+    the off-simplex obligation before the residual), or its pass.
 
-    Sample points run outermost: each builds its tables, decides every
-    degree pair whose sweep reaches it (_sample), and drops them.  An
-    ArithmeticError counts as a failure of its degree pair ahead of that
-    pair's grid points, where the pair-major walk would have met it; once a
-    failure is known, only the degree pairs up to its own are walked on.
+    The pass at sample point t decides every degree pair whose sweep
+    reaches t (_sample).  An ArithmeticError counts as a failure of its
+    degree pair ahead of that pair's grid points, where the pair-major walk
+    would have met it; once a failure is known, only the degree pairs up to
+    its own are walked on.
     """
     N = check.p.N
     grid = tuple(simplex_points(N + row.grid, 2))
     degrees = tuple(simplex_points(N + row.degrees, 2))
     tops = _sweep_degrees(row, degrees, N) if row.swept else [0] * len(degrees)
     readers, terms = _readers(row, grid, N)
+    shifts = {reader.params for reader in readers}
     first = None  # ((degree pair, grid point, sample point), CheckResult or ArithmeticError)
     for t in range(max(tops, default=-1) + 1):
         live = [j for j, top in enumerate(tops) if top >= t and (first is None or j <= first[0][0])]
         if not live:
             break
+        yield shifts
         for event in _sample(row, check, t, grid, degrees, live, readers, terms):
             if first is None or event[0] < first[0]:
                 first = event
@@ -1438,6 +1464,33 @@ def _exact_check(row: _Relation, check: _Check) -> CheckResult:
     if isinstance(first[1], ArithmeticError):
         raise first[1]
     return first[1]
+
+
+def _run_rows(rows: list, check: _Check) -> list[CheckResult]:
+    """The rows of one check walked over the sample points together: at
+    each sample point, every row whose walk goes on makes its pass there in
+    row order, on tables built once for all of them, and after each pass
+    the tables no later pass at that point reads are dropped.  Each row's
+    result is its walk's, or the failure _guarded makes of an
+    ArithmeticError, as if the row ran alone."""
+    walks = [_walk(row, check) for row in rows]
+    steps = [_guarded(row.name, _step, walk) for row, walk in zip(rows, walks)]
+    while True:
+        pending = [j for j, step in enumerate(steps) if not isinstance(step, CheckResult)]
+        if not pending:
+            return steps
+        reads = [steps[j] for j in pending]
+        for later, j in enumerate(pending, 1):
+            steps[j] = _guarded(rows[j].name, _step, walks[j])
+            check.keep(set().union(*reads[later:]))
+
+
+def _step(walk):
+    """The shifts walk's next pass reads, or its result once it ends."""
+    try:
+        return next(walk)
+    except StopIteration as end:
+        return end.value
 
 
 class _Slots:
@@ -1454,6 +1507,14 @@ class _Slots:
         half, nb = self.half, self.nb
         return int.from_bytes(b"".join([(v + half).to_bytes(nb, "little") for v in values]), "little") - self.bias
 
+    def read(self, row, where, X) -> int:
+        """pack(X row[where]) straight from a table row: v_g = X_g
+        row[where_g], with row[-1] read as 0 (a target off the simplex),
+        where None for the row itself and X None for a factor 1."""
+        if where is not None:
+            row = map((*row, 0).__getitem__, where)
+        return self.pack(row if X is None else map(mul, X, row))
+
     def first(self, lhs: int, rhs: int):
         """(g, lhs_g, rhs_g) at the first slot where two packed sums differ,
         or None.  With the bias on, every slot is an unsigned digit, so the
@@ -1466,6 +1527,11 @@ class _Slots:
         g = ((differ & -differ).bit_length() - 1) // width
         mask = (1 << width) - 1
         return g, ((lhs >> (width * g)) & mask) - self.half, ((rhs >> (width * g)) & mask) - self.half
+
+
+def _bit_size(values) -> int:
+    """The bit length of the largest of values in size, 0 for none."""
+    return max(map(abs, values), default=0).bit_length()
 
 
 def _slot_bytes(bits: int) -> int:
@@ -1484,10 +1550,12 @@ def _sample(row, check, t, grid, degrees, live, readers, terms) -> list:
     (_weigh), and with the scale S of its class, the lcm of every b e sigma
     there, S times the class's part of each side at grid point g is the
     integer sum over its terms of W X_g row_g, W = a S / (b e sigma).  The
-    part is packed into one int, sum_j W_j pack(X_j row_j); the slot width B
-    is the sample point's largest bound bits (_weigh) plus one, in whole
-    bytes, and each instance's bound is checked against it before its sides
-    are compared (the proof is in the module docstring).  A failing class's
+    part is packed into one int, sum_j W_j pack(X_j row_j), each pack made
+    once per sample point straight from its table row (_Slots.read) and
+    dropped after the last instance that reads it.  The slot width B is the
+    sample point's largest bound bits (_weigh) plus one, in whole bytes,
+    and each instance's bound is checked against it before its sides are
+    compared (the proof is in the module docstring).  A failing class's
     slots are decoded only to name its first grid point and both sides
     there; of an instance, the class that fails at the first grid point,
     the first such in term order, is reported.
@@ -1503,18 +1571,19 @@ def _sample(row, check, t, grid, degrees, live, readers, terms) -> list:
         (side, term.sign, term.scale, *term.degree, r, readers[r].level, tables[r], *shares[r][1:])
         for side, term, r in terms
     ]
-    events, weighed, products = [], [], {}
+    events, weighed = [], []
     for j in live:
         if events and j > events[0][0][0]:
             break
         try:
-            weighed.append(_weigh(row, at, degrees[j], plan, readers, shares, tables, products) + (j,))
+            weighed.append(_weigh(row, at, degrees[j], plan) + (j,))
         except ArithmeticError as err:
             events.append(((j, -1, t), err.with_traceback(None)))  # its frames would keep the tables alive
     if not weighed:
         return events
     slots = _Slots(_slot_bytes(max(bits for _, bits, *_ in weighed)), len(grid))
-    packs = {}
+    uses = Counter(key for classes, *_ in weighed for _, _, parts in classes for _, _, key in parts)
+    packs = {}  # the packed reads a later instance reads again
     for classes, bits, off, d, j in weighed:
         if events and j > events[0][0][0]:
             break
@@ -1529,9 +1598,14 @@ def _sample(row, check, t, grid, degrees, live, readers, terms) -> list:
         for radicand, scale, parts in classes:
             sides = [0, 0]
             for side, weight, key in parts:
-                packed = packs.get(key)
+                packed = packs.pop(key, None)
                 if packed is None:
-                    packed = packs[key] = slots.pack(products[key][0])
+                    r, mm, nn = key
+                    reader = readers[r]
+                    packed = slots.read(tables[r].row(mm, nn, reader.level), reader.where, shares[r][0])
+                uses[key] -= 1
+                if uses[key]:
+                    packs[key] = packed
                 sides[side] += weight * packed
             found = slots.first(*sides)
             if found is not None and (differ is None or found[0] < differ[0]):
@@ -1557,27 +1631,30 @@ def _sample(row, check, t, grid, degrees, live, readers, terms) -> list:
 
 def _cleared_shares(reader: _Reader, xs: list) -> tuple:
     """A reader's per-point shares at one sample point, cleared over one
-    denominator e, as (X, e, the first grid point whose share is not 0, the
-    first such grid point whose target is off the simplex); X is None for
-    a share of 1 everywhere."""
+    denominator e, as (X, e, the bit length of the largest X_g in size, the
+    first grid point whose share is not 0, the first such grid point whose
+    target is off the simplex); X is None for a share of 1 everywhere."""
     if reader.factor is None:
-        return None, 1, 0 if xs else None, reader.outside[0] if reader.outside else None
+        return None, 1, 0, 0 if xs else None, reader.outside[0] if reader.outside else None
     pairs = [reader.factor(x) for x in xs]
     e = math.lcm(*(den for _, den in pairs))
     X = [num if den == e else num * (e // den) for num, den in pairs]
     nonzeros = [g for g, v in enumerate(X) if v]
     outside = set(reader.outside)
-    return X, e, next(iter(nonzeros), None), next((g for g in nonzeros if g in outside), None)
+    return X, e, _bit_size(X), next(iter(nonzeros), None), next((g for g in nonzeros if g in outside), None)
 
 
-def _weigh(row, at, degree, plan, readers, shares, tables, products) -> tuple:
+def _weigh(row, at, degree, plan) -> tuple:
     """One instance's integer weights at a sample point, as (classes, bits,
     off, d): each square class as (radicand, scale S, parts), its terms on
-    the simplex with a coefficient not 0 as (side, W, product key); the slot
+    the simplex with a coefficient not 0 as (side, W, read key); the slot
     bound bits; the first grid point (g, term, target degree pair) at which
     a term whose target is off the simplex has a nonzero coefficient, or
-    None; and the per-degree part d.  The products X row of every key are
-    filled into products as they are first read.
+    None; and the per-degree part d.  A read's products X row are below
+    2^(bits(max |X|) + bits(max |row|)) in size, the first made once per
+    reader and sample point, the second once per table row (_Values.bits),
+    so bits is the largest bits(W) plus that over the instance's reads,
+    plus bits(T) for its T reads.
 
     A P term's radicand is 1.  A Q term's is its per-degree square times
     1 / bigLambda of its target (_Values.norm), and its weight takes the
@@ -1587,7 +1664,7 @@ def _weigh(row, at, degree, plan, readers, shares, tables, products) -> tuple:
     d = row.per_degree(at, m, n)
     q_plane = row.plane == "Q"
     classes, off = [], None
-    for idx, (side, sign, share, dm, dn, r, level, table, e, anywhere, outside) in enumerate(plan):
+    for idx, (side, sign, share, dm, dn, r, level, table, e, size, anywhere, outside) in enumerate(plan):
         if share is None:
             a, b, radicand = 1, 1, (1, 1)
         elif q_plane:
@@ -1606,7 +1683,7 @@ def _weigh(row, at, degree, plan, readers, shares, tables, products) -> tuple:
                 den = table.den(mm, nn, level)
             if a:
                 den = nonzero(b * e * den, "the denominator of a term")
-                _join(classes, radicand, (side, sign * a, den, (r, mm, nn)))
+                _join(classes, radicand, (side, sign * a, den, (r, mm, nn), size + table.bits(mm, nn, level)))
             bad = outside
         else:
             bad = anywhere
@@ -1614,37 +1691,28 @@ def _weigh(row, at, degree, plan, readers, shares, tables, products) -> tuple:
             off = (bad, idx, mm, nn)
     out, bits, count = [], 0, 0
     for radicand, reads in classes:
-        scale = math.lcm(*(den for _, _, den, _ in reads))
+        scale = math.lcm(*(den for _, _, den, _, _ in reads))
         parts = []
-        for side, a, den, key in reads:
+        for side, a, den, key, size in reads:
             weight = a * (scale // den)
-            if key not in products:
-                r, mm, nn = key
-                reader, X = readers[r], shares[r][0]
-                values = tables[r].row(mm, nn, reader.level)
-                if reader.where is not None:
-                    values = (*values, 0)
-                    values = [values[w] for w in reader.where]
-                if X is not None:
-                    values = [x * v for x, v in zip(X, values)]
-                products[key] = values, max(map(abs, values), default=0).bit_length()
             parts.append((side, weight, key))
-            bits = max(bits, weight.bit_length() + products[key][1])
+            bits = max(bits, weight.bit_length() + size)
         out.append((radicand, scale, parts))
         count += len(parts)
     return out, bits + count.bit_length(), off, d
 
 
 def _join(classes: list, radicand: tuple, read: tuple) -> None:
-    """Put read (side, a, den, key), a term a / den times sqrt(radicand),
-    into its square class among classes [(representative, reads)]: the
-    first whose representative R has radicand / R the square of a rational
-    u / v, rescaled to a u / (den v) times sqrt(R), or a new class."""
+    """Put read (side, a, den, key, size), a term a / den times
+    sqrt(radicand), into its square class among classes [(representative,
+    reads)]: the first whose representative R has radicand / R the square
+    of a rational u / v, rescaled to a u / (den v) times sqrt(R), or a new
+    class."""
     for rep, reads in classes:
         ratio = _root_ratio(radicand, rep)
         if ratio is not None:
-            side, a, den, key = read
-            reads.append((side, a * ratio[0], den * ratio[1], key))
+            side, a, den, key, size = read
+            reads.append((side, a * ratio[0], den * ratio[1], key, size))
             return
     classes.append((radicand, [read]))
 
@@ -1667,9 +1735,8 @@ def _relations(check_name: str):
     """The check that runs, in order, every row named check_name or check_name[...]."""
 
     def run(p: BiParams) -> list[CheckResult]:
-        check = _Check(p)
         rows = [row for name, row in _RELATIONS.items() if name.split("[")[0] == check_name]
-        return [_guarded(row.name, _exact_check, row, check) for row in rows]
+        return _run_rows(rows, _Check(p))
 
     return run
 

@@ -109,17 +109,17 @@ class ChainTable:
     (2|n_<k| + alpha_1 + ... + alpha_k + k - 1, alpha_{k+1}) and level
     |i_<=k+1| - |n_<k|, where |i_<=d+1| is the level the value is read at;
     arguments and levels can leave the classical range.  The tuple is
-    cleared to one denominator Q, and factor k built with the univariate
-    kernel: a coefficient list once per (k, n_k, |n_<k|, level_k), one
-    integer per point of that list and |i_<=k|, shared by every degree tuple
-    with the same prefix.  A whole row builds its last factor once per
+    cleared to one denominator Q (cleared, as the function cleared gives
+    it), and factor k built with the univariate kernel: a coefficient list
+    once per (k, n_k, |n_<k|, level_k), one integer per point of that list
+    and |i_<=k|, shared by every degree tuple with the same prefix.  A whole row builds its last factor once per
     |i| instead, in a list of its own.  num(degs, pts, level) / den(degs) is
     the value; at d = 1 row n is the univariate grid of h_n.
     """
 
     def __init__(self, alphas):
         self.d = len(alphas) - 1
-        self.Q, cleared_alphas = cleared(*alphas)
+        self.cleared = self.Q, cleared_alphas = cleared(*alphas)
         self._partial = list(accumulate(cleared_alphas, initial=0))
         self._beta = cleared_alphas[1:]
         self._coeffs, self._factors, self._points, self._rows, self._lines = {}, {}, {}, {}, {}

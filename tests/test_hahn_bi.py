@@ -1532,6 +1532,31 @@ def test_slots_pack_and_decode(nb, data):
     assert slots.first(*packed) == first
 
 
+@settings(max_examples=200, deadline=None)
+@given(nb=st.integers(1, 4), data=st.data())
+def test_slots_read_packs_the_materialized_read(nb, data):
+    """A read packed straight from its table row is pack of the
+    materialized products X row[where], for signed entries, where with
+    targets off the simplex (-1, read as 0) or None, and X None or given;
+    the read's bound bits(max |X|) + bits(max |row|) is at least the bit
+    length of every product."""
+    width = 8 * nb
+    low = (width - 1) // 2  # bits(X) + bits(row) <= width - 1
+    row = tuple(data.draw(st.lists(st.integers(-(2**low) + 1, 2**low - 1), min_size=1, max_size=9), label="row"))
+    where = data.draw(st.none() | st.lists(st.integers(-1, len(row) - 1), min_size=1, max_size=9), label="where")
+    count = len(row) if where is None else len(where)
+    high = width - 1 - low
+    factor = st.integers(-(2**high) + 1, 2**high - 1)
+    X = data.draw(st.none() | st.lists(factor, min_size=count, max_size=count), label="X")
+    values = list(row) if where is None else [row[w] if w >= 0 else 0 for w in where]
+    if X is not None:
+        values = [x * v for x, v in zip(X, values)]
+    slots = bi_mod._Slots(nb, count)
+    assert slots.read(row, where, X) == slots.pack(values)
+    bound = bi_mod._bit_size(row) + (0 if X is None else bi_mod._bit_size(X))
+    assert all(v.bit_length() <= bound for v in values)
+
+
 def test_slots_differ_in_the_top_bit_of_a_slot():
     slots = bi_mod._Slots(1, 2)  # -127 + 128 and 1 + 128 first differ in bit 7
     assert slots.first(slots.pack([-127, 5]), slots.pack([1, 5])) == (0, -127, 1)
@@ -1622,6 +1647,94 @@ def test_one_sample_point_of_tables_alive(monkeypatch):
         assert verify_bi(name, p).passed
     assert max(map(len, seen)) == 1
     assert len(set().union(*seen)) > 5  # the sweep went past the base point
+
+
+def test_tables_built_once_per_sample_point_and_shift(monkeypatch):
+    """structure's four rows walk the sample points together, so each
+    (sample point, parameter shift) table is built once: 21 tables at N = 5,
+    where each row walking alone built 31 (the raising rows' base-triple
+    tables once per row)."""
+    p = BiParams(Rat(1, 2), Rat(-1, 2), Rat(3), 5)
+    built = []
+
+    class Counted(bi_mod._Values):
+        def __init__(self, a1, a2, a3):
+            super().__init__(a1, a2, a3)
+            built.append((a1, a2, a3))
+
+    monkeypatch.setattr(bi_mod, "_Values", Counted)
+    assert verify_bi("structure", p).passed
+    assert len(built) == len(set(built)) == 21
+
+
+def test_no_up_m_table_alive_while_lower_n_runs(monkeypatch):
+    """normalized-lowering-float's rows read the _UP_M table at raise-m and
+    lower-m, and lower-n does not; after lower-m's pass no later pass reads
+    it, so none is alive at any instance of lower-n (weak references)."""
+    p = BiParams(Rat(1, 2), Rat(-1, 2), Rat(3), 3)
+    up_m = tuple(a + s for a, s in zip((p.alpha1, p.alpha2, p.alpha3), bi_mod._UP_M))
+    alive, seen = [], []
+
+    class Counted(bi_mod._Values):
+        def __init__(self, a1, a2, a3):
+            super().__init__(a1, a2, a3)
+            alive.append(weakref.ref(self))
+
+    name = "normalized-lowering-float[lower-n]"
+    row = bi_mod._RELATIONS[name]
+
+    def per_degree(c, m, n):
+        seen.append({(t.a1, t.a2, t.a3) for t in (ref() for ref in alive) if t is not None})
+        return row.per_degree(c, m, n)
+
+    monkeypatch.setattr(bi_mod, "_Values", Counted)
+    monkeypatch.setitem(bi_mod._RELATIONS, name, row._replace(per_degree=per_degree))
+    assert verify_bi("normalized-lowering-float", p).passed
+    assert seen and all(up_m not in tables for tables in seen)
+    assert any(tables for tables in seen)  # the tables lower-n reads are alive
+
+
+def test_values_clear_their_triple_once(monkeypatch):
+    """A table clears its triple once, in its chain table, and reads the
+    cleared triple from there, equal to clearing it again."""
+    import hahnkit.simplex as simplex_mod
+
+    honest, calls = simplex_mod.cleared, []
+
+    def counted(*values):
+        calls.append(values)
+        return honest(*values)
+
+    triple = (Rat(1, 2), Rat(-1, 3), Rat(7, 3))
+    monkeypatch.setattr(simplex_mod, "cleared", counted)
+    monkeypatch.setattr(bi_mod, "cleared", counted)
+    table = bi_mod._Values(*triple)
+    assert calls == [triple]
+    assert table.triple == honest(*triple)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads the peak resident set (VmHWM) from /proc/self/status, which only Linux has")
+@pytest.mark.parametrize("name", ["normalized-lowering-float", "diff-L2"])
+def test_cap_peak_memory(name):
+    """At the cap, N = 25, the two checks with the largest peak memory each
+    peak below 100 MB in a fresh process (they peaked at 124 and 111.5 MB
+    while every read's products and every table of a check stayed alive
+    until the check ended)."""
+    script = (
+        "import json\n"
+        "import hahnkit.hahn_bi as bi\n"
+        "from hahnkit.numeric import Rat\n"
+        f"report = bi.verify_bi({name!r}, bi.BiParams(Rat(1, 2), Rat(-1, 2), Rat(3), 25))\n"
+        "hwm = next(int(line.split()[1]) for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
+        "print(json.dumps([report.passed, hwm]))\n"
+    )
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    passed, hwm_kb = json.loads(done.stdout)
+    assert passed
+    assert hwm_kb / 1024 < 100, f"{name} peaked at {hwm_kb / 1024:.1f} MB"
 
 
 def sweep_degree_per_instance(row, m, n, N):
