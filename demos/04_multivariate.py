@@ -31,10 +31,12 @@ print("  first five:", pts[:5])
 total = sum(mv_weight(i, p) for i in pts)
 print("\nweight total:", format_rational(total))
 
-# A fully exact Gram check over every degree pair on the simplex.
+# A fully exact Gram check over every degree pair on the simplex, and the
+# generating function, one Jacobi factor per variable, for every degree.
 report = verify_mv(p)
-print("orthogonality:", "pass" if report.passed else "FAIL",
-      f"({len(pts)} degrees, residual {report.checks[0].max_residual})")
+for check in report.checks:
+    print(f"{check.name}:", "pass" if check.passed else "FAIL",
+          f"({len(pts)} degrees, residual {check.max_residual})")
 
 # Degenerate cases reproduce the dedicated implementations verbatim.
 q2 = MultiParams((Rat(1, 2), Rat(0), Rat(3)), 4)

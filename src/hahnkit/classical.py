@@ -2,8 +2,9 @@
 
 Polynomials are ascending tuples of rational coefficients, multiplied and
 added by numeric's univariate helpers; the Laguerre addition formula
-expands both sides as numeric's bivariate dicts keyed by exponent pairs,
-with integer coefficients over one common denominator.  Relations are
+expands both sides as the simplex layer's sparse dicts (sparse_mul,
+sparse_sum), x^i y^k keyed by one int, with integer coefficients over one
+common denominator.  Relations are
 checked as coefficient identities, never pointwise: both sides are
 expanded exactly and compared coefficient by coefficient, and they must
 agree everywhere.
@@ -16,8 +17,6 @@ from typing import Sequence
 
 from .numeric import (
     Rat,
-    _poly2_mul,
-    _poly2_sum,
     _poly_add,
     _poly_mul,
     _poly_trim,
@@ -26,7 +25,7 @@ from .numeric import (
     pochhammer,
 )
 from .reports import CheckResult, VerificationReport
-from .simplex import cleared
+from .simplex import cleared, jacobi_cleared, sparse_mul, sparse_sum
 
 PolyCoeffs = tuple
 
@@ -44,38 +43,6 @@ def poly_equal(p: Sequence, q: Sequence) -> bool:
     return all(
         (p[i] if i < len(p) else 0) == (q[i] if i < len(q) else 0) for i in range(n)
     )
-
-
-def jacobi_cleared(n: int, alpha, beta) -> tuple:
-    """The coefficients of the degree-n Jacobi polynomial in z as integers
-    over one denominator, (den, coefficients), trailing zeros trimmed.
-
-    Expanded from a form polynomial in both parameters, so the raising
-    relations may shift alpha or beta down to -1 and below without hitting a
-    division: sum_j (-n)_j (n+a+b+1)_j (a+j+1)_{n-j} / (n! j!) ((1-z)/2)^j.
-    With a = A/q and b = B/q, term j times den = q^n 2^n n! is
-
-        (-1)^j C(n, j) 2^(n-j) prefix_j suffix_j (1 - z)^j,
-
-    with the prefix prod_{i<j} (q(n+1+i) + A + B) = q^j (n+a+b+1)_j and the
-    suffix prod_{j<=i<n} (A + q(i+1)) = q^(n-j) (a+j+1)_{n-j}, built as
-    simplex.hahn_coefficients builds its own; the powers of 1 - z are summed
-    by Horner's rule.
-    """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    q, (A, B) = cleared(Rat(alpha), Rat(beta))
-    suffix = [1] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] * (A + q * (i + 1))
-    terms, prefix = [], 1
-    for j in range(n + 1):
-        terms.append((-1) ** j * math.comb(n, j) * prefix * suffix[j] << (n - j))
-        prefix *= q * (n + 1 + j) + A + B
-    total = (0,)
-    for term in reversed(terms):
-        total = _poly_add(_poly_mul(total, (1, -1)), (term,))
-    return q**n * 2**n * math.factorial(n), total
 
 
 def jacobi_coeffs(n: int, alpha, beta) -> PolyCoeffs:
@@ -179,47 +146,30 @@ def verify_classical(relation: str, n: int, alpha, beta=0) -> VerificationReport
         # L_n^(a+b+1)(x + y) = sum_j c_j (x + y)^j against the convolution;
         # each coefficient list is cleared to integers over its denominator
         # (simplex.cleared), and both sides are compared times one scale.
+        # x^i y^k is keyed i + (n+1) k: no exponent passes n.
+        base = n + 1
         den, coeffs = cleared(*laguerre_coeffs(n, a + b + 1))
         products = []
         for ell in range(n + 1):
             d1, first = cleared(*laguerre_coeffs(ell, a))
             d2, second = cleared(*laguerre_coeffs(n - ell, b))
-            product = _poly2_mul({(i, 0): c for i, c in enumerate(first)}, {(0, k): c for k, c in enumerate(second)})
-            products.append((d1 * d2, product))
+            products.append((d1 * d2, sparse_mul(dict(enumerate(first)), {base * k: c for k, c in enumerate(second)})))
         scale = math.lcm(den, *(d for d, _ in products))
-        powers = accumulate([{(1, 0): 1, (0, 1): 1}] * (len(coeffs) - 1), _poly2_mul, initial={(0, 0): 1})
-        lhs = _poly2_sum([c * (scale // den) for c in coeffs], powers)
-        rhs = _poly2_sum([scale // d for d, _ in products], [poly for _, poly in products])
-        bad = next((g for g in sorted(lhs.keys() | rhs.keys()) if lhs.get(g, 0) != rhs.get(g, 0)), None)
-        if bad is None:
-            check = CheckResult.exact_pass(relation)
-        else:
-            left, right = Rat(lhs.get(bad, 0), scale), Rat(rhs.get(bad, 0), scale)
-            check = CheckResult.failure(
-                relation,
-                residual=f"{abs(float(left - right)):.17g}",
-                indices=list(bad),
-                lhs=format_rational(left),
-                rhs=format_rational(right),
-            )
-        return VerificationReport(suite="classical", params=params, checks=(check,))
-
-    if relation.startswith("jacobi"):
-        lhs, rhs = _jacobi_relation_sides(relation, n, alpha, beta)
-    else:
-        lhs, rhs = _laguerre_relation_sides(relation, n, alpha)
-
-    if poly_equal(lhs, rhs):
-        check = CheckResult.exact_pass(relation)
-    else:
-        top = max(len(lhs), len(rhs))
-        get = lambda p, i: p[i] if i < len(p) else Rat(0)
-        bad = next(i for i in range(top) if get(lhs, i) != get(rhs, i))
-        check = CheckResult.failure(
-            relation,
-            residual=f"{abs(float(get(lhs, bad) - get(rhs, bad))):.17g}",
-            indices=[bad],
-            lhs=format_rational(get(lhs, bad)),
-            rhs=format_rational(get(rhs, bad)),
+        powers = accumulate([{1: 1, base: 1}] * (len(coeffs) - 1), sparse_mul, initial={0: 1})
+        lhs = sparse_sum([c * (scale // den) for c in coeffs], powers)
+        rhs = sparse_sum([scale // d for d, _ in products], [poly for _, poly in products])
+        wrong = (key for key in lhs.keys() | rhs.keys() if lhs.get(key, 0) != rhs.get(key, 0))
+        bad = min(wrong, key=lambda key: (key % base, key // base), default=None)
+        check = None if bad is None else CheckResult.mismatch(
+            relation, [bad % base, bad // base], Rat(lhs.get(bad, 0), scale), Rat(rhs.get(bad, 0), scale)
         )
-    return VerificationReport(suite="classical", params=params, checks=(check,))
+    else:
+        if relation.startswith("jacobi"):
+            lhs, rhs = _jacobi_relation_sides(relation, n, alpha, beta)
+        else:
+            lhs, rhs = _laguerre_relation_sides(relation, n, alpha)
+        get = lambda p, i: p[i] if i < len(p) else Rat(0)
+        differ = (i for i in range(max(len(lhs), len(rhs))) if get(lhs, i) != get(rhs, i))
+        bad = None if poly_equal(lhs, rhs) else next(differ)
+        check = None if bad is None else CheckResult.mismatch(relation, [bad], get(lhs, bad), get(rhs, bad))
+    return VerificationReport(suite="classical", params=params, checks=(check or CheckResult.exact_pass(relation),))

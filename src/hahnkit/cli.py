@@ -21,7 +21,7 @@ import sys
 
 from .classical import RELATION_NAMES, verify_classical
 from .hahn_bi import BI_CHECK_NAMES, BiParams, overlap2, p2_eval, verify_bi
-from .hahn_multi import MultiParams, mv_p_eval, verify_mv
+from .hahn_multi import MultiParams, mv_p_eval, verify_mv, verify_mv_check
 from .hahn_uni import UNI_CHECK_NAMES, UniParams, hahn_eval, verify_uni
 from .numeric import Rat, format_rational, parse_rational
 from .oracle import ORACLE_CHECK_NAMES, chain_matrices, chain_product, verify_oracle
@@ -197,6 +197,7 @@ def _cmd_chain(args) -> int:
 
 
 def _cmd_genfun(args) -> int:
+    """The generating-function checks: uni at d = 1, bi at d = 2, mv above."""
     alphas = _parse_alphas(args.alpha)
     N = _require_level(args.N)
     if len(alphas) == 2:
@@ -205,8 +206,7 @@ def _cmd_genfun(args) -> int:
     elif len(alphas) == 3:
         report = verify_bi("genfun", BiParams(*alphas, N))
     else:
-        raise ValueError("genfun takes 2 parameters (one variable) or 3 (two variables)")
-    report = _apply_tol(report, args.tol)
+        report = verify_mv_check("genfun", MultiParams(alphas, N))
     _emit(_reports_text([report], args.format), args.out)
     return 0 if report.passed else 1
 
@@ -230,9 +230,7 @@ def _suite_report(suite: str, check: str | None, alpha: str | None, N: int | Non
         reports = [verify_bi(name, p) for name in names]
     elif suite == "mv":
         p = MultiParams(_parse_alphas(alpha), _require_level(N))
-        if check not in (None, "orthogonality"):
-            raise ValueError(f"unknown check: {check}")
-        reports = [verify_mv(p)]
+        reports = [verify_mv(p) if check is None else verify_mv_check(check, p)]
     elif suite == "oracle":
         p = BiParams(*_parse_alphas(alpha, 3), _require_level(N))
         names = (check,) if check else ORACLE_CHECK_NAMES
@@ -306,12 +304,15 @@ def _cmd_info(args) -> int:
 # argument plumbing
 
 
-def _add_shared(sub: argparse.ArgumentParser) -> None:
+def _add_shared(sub: argparse.ArgumentParser, mode: bool = False, tol: bool = False) -> None:
+    """Every command's flags but info's; --mode and --tol only where read."""
     sub.add_argument("--alpha", help="comma-separated rationals, e.g. 1/2,0,3; "
                      "a negative first one needs the form --alpha=-1/2,0,3")
     sub.add_argument("--N", type=int, help="simplex level (classical suite: the degree)")
-    sub.add_argument("--mode", choices=("exact", "float"))
-    sub.add_argument("--tol", type=float, default=FLOAT_TOL)
+    if mode:
+        sub.add_argument("--mode", choices=("exact", "float"))
+    if tol:
+        sub.add_argument("--tol", type=float, default=FLOAT_TOL)
     sub.add_argument("--format", choices=("csv", "json"), default="json")
     sub.add_argument("--out", help="write output here instead of stdout")
 
@@ -326,13 +327,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--family", required=True, choices=("hahn1", "hahn2", "hahnd"))
     sub.add_argument("--degrees", help="comma-separated degree indices")
     sub.add_argument("--point", help="comma-separated grid coordinates")
-    _add_shared(sub)
+    _add_shared(sub, mode=True)
 
     sub = commands.add_parser("overlap", help="full interbasis overlap matrix")
-    _add_shared(sub)
+    _add_shared(sub, mode=True)
 
     sub = commands.add_parser("chain", help="composed two-step overlap factorization")
-    _add_shared(sub)
+    _add_shared(sub, mode=True)
 
     sub = commands.add_parser("genfun", help="generating function verification")
     _add_shared(sub)
@@ -340,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("verify", help="run a verification suite")
     sub.add_argument("--suite", required=True, choices=SUITES)
     sub.add_argument("--check", help="run a single named check of the suite")
-    _add_shared(sub)
+    _add_shared(sub, tol=True)
 
     commands.add_parser("info", help="package version, Python version and rational backend")
 

@@ -100,24 +100,19 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import accumulate
 from operator import mul
 from typing import Callable, NamedTuple
 
-from .classical import jacobi_cleared
 from .numeric import (
     Rat,
     RadicalScalar,
-    _poly2_mul,
-    _poly2_sum,
     factorial,
     format_rational,
-    multinomial,
     nonzero,
     rising,
 )
 from .reports import CheckResult, VerificationReport, _guarded
-from .simplex import ChainTable, cleared, gram_entries, simplex_points, simplex_weight
+from .simplex import ChainTable, cleared, genfun_mismatch, gram_entries, simplex_points, simplex_weight
 
 # The largest level whose sixteen checks fit in criterion 03's 60 s budget
 # on the fractions backend (cost curve in BENCH_15.json); verify_bi refuses
@@ -394,9 +389,7 @@ def _check_orthogonality(p: BiParams) -> CheckResult:
     for a, b, acc, scale in gram_entries(simplex_weight((p.alpha1, p.alpha2, p.alpha3), p.N), rows, dens):
         want = lambda2(degs[a], p) if a == b else Rat(0)
         if acc * int(want.denominator) != int(want.numerator) * scale:
-            got = Rat(acc, scale)
-            lhs, rhs = format_rational(got), format_rational(want)
-            return CheckResult.failure(name, format_rational(got - want), {"degrees": [degs[a], degs[b]]}, lhs, rhs)
+            return CheckResult.mismatch(name, {"degrees": [degs[a], degs[b]]}, Rat(acc, scale), want, exact=True)
     return CheckResult.exact_pass(name)
 
 
@@ -418,46 +411,12 @@ def _check_symmetry(p: BiParams) -> CheckResult:
 
 
 def _check_genfun(p: BiParams) -> list[CheckResult]:
-    """Bivariate generating function, cleared of denominators: both sides are
-    polynomials in (z1, z2) compared coefficientwise.
-
-    The left side is a product of two sums whose Jacobi coefficients are
-    cleared to integers over d1 and d2, the right side the P numerators over
-    sigma m! n!; so the integer grids are compared multiplied crosswise."""
-    name = "genfun"
-    N = p.N
-    # the powers 0..N of z2 - z1, z1 + z2, 1 - z1 - z2 and 1 + z1 + z2
-    diff, plus, inner_lo, inner_hi = (
-        list(accumulate([base] * N, _poly2_mul, initial={(0, 0): 1}))
-        for base in (
-            {(1, 0): -1, (0, 1): 1}, {(1, 0): 1, (0, 1): 1},
-            {(0, 0): 1, (1, 0): -1, (0, 1): -1}, {(0, 0): 1, (1, 0): 1, (0, 1): 1},
-        )
-    )
-    table = _Values(p.alpha1, p.alpha2, p.alpha3)
-    points = tuple(simplex_points(N, 2))
-    multinomials = [multinomial(N, g) for g in points]
-    firsts = {}  # per m: d1, the first sum, and the products the second sums over
-    for m, n in simplex_points(N, 2):
-        if m not in firsts:
-            d1, coeffs = jacobi_cleared(m, p.alpha1, p.alpha2)
-            first = _poly2_sum(coeffs, [_poly2_mul(diff[idx], plus[m - idx]) for idx in range(m + 1)])
-            firsts[m] = d1, first, [_poly2_mul(inner_lo[idx], inner_hi[N - m - idx]) for idx in range(N - m + 1)]
-        d1, first, bases = firsts[m]
-        d2, coeffs = jacobi_cleared(n, 2 * m + p.a12 + 1, p.alpha3)
-        lhs = _poly2_mul(first, _poly2_sum(coeffs, bases))
-        row, den = table.row(m, n, N), table.den(m, n, N) * math.factorial(m) * math.factorial(n)
-        if any(lhs.get(g, 0) * den != d1 * d2 * w * v for g, w, v in zip(points, multinomials, row)):
-            return [
-                CheckResult.failure(
-                    name,
-                    "nonzero",
-                    {"degree": (m, n)},
-                    "cleared product form",
-                    "grid expansion",
-                )
-            ]
-    return [CheckResult.exact_pass(name)]
+    """The generating function at d = 2 (simplex.genfun_mismatch); a failure
+    names its first degree pair."""
+    bad = genfun_mismatch((p.alpha1, p.alpha2, p.alpha3), p.N)
+    if bad is None:
+        return [CheckResult.exact_pass("genfun")]
+    return [CheckResult.failure("genfun", "nonzero", {"degree": bad[0]}, "cleared product form", "grid expansion")]
 
 
 # ---------------------------------------------------------------------------

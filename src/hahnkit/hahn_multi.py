@@ -3,14 +3,17 @@
 The d-variable family is a chain of univariate Hahn factors: factor k sees
 the partial sum of the first k grid coordinates, shifted by the partial sum
 of the first k-1 degrees, at an effective level that again depends on both.
-The values, the weight and the Gram sums come from the simplex layer
-(hahnkit.simplex), which serves every d; this module adds the parameter
-checks, single-point evaluators and the d-variable suite.
+The values, the weight, the Gram sums and the generating function come from
+the simplex layer (hahnkit.simplex), which serves every d; this module adds
+the parameter checks, single-point evaluators and the d-variable suite.
 
-No closed form is offered for the normalization: Lambda is the weighted
-sum of squares by definition.  Orthogonality is checked as literal identity
-on the integer Gram sums (gram_entries): every off-diagonal sum is zero,
-and every diagonal entry, a Lambda, is positive.
+The suite runs two exact checks, in MV_CHECK_NAMES order, refused above
+MAX_GRAM_POINTS.  orthogonality: with no closed form for the normalization
+(Lambda is the weighted sum of squares), every off-diagonal integer Gram
+sum (gram_entries) is zero and every diagonal one positive.  genfun: the
+generating function of simplex.genfun_mismatch, one Jacobi factor per
+variable, whose d = 1 and d = 2 cases are hahn_uni's dual-genfun and
+hahn_bi's genfun; a failure names the degree tuple and grid point.
 """
 from __future__ import annotations
 
@@ -18,13 +21,13 @@ import math
 from typing import NamedTuple
 
 from .numeric import Rat, format_rational
-from .reports import CheckResult, VerificationReport
-from .simplex import ChainTable, gram_entries, simplex_points, simplex_weight
+from .reports import CheckResult, VerificationReport, _guarded
+from .simplex import ChainTable, genfun_mismatch, gram_entries, simplex_points, simplex_weight
 
 MAX_DIMENSION = 6
 MAX_LEVEL = 12
-# The largest simplex verify_mv takes: the Gram sums cost about the cube of
-# the point count, 49 s at 1001 points on the fractions backend.
+# The largest simplex the d-variable checks take: the Gram sums cost about
+# the cube of the point count, 49 s at 1001 points on the fractions backend.
 MAX_GRAM_POINTS = 1001
 
 
@@ -96,26 +99,46 @@ def mv_lambda(n, p: MultiParams):
     return Rat(acc, scale)
 
 
-def verify_mv(p: MultiParams) -> VerificationReport:
-    """Exact Gram diagonality of the full family on the level-N simplex.
-
-    Off the diagonal each Gram entry must be exactly 0; on it each entry must
-    be positive, so the weights and values in use define a true norm.  Both
-    are decided on the integer sums; a rational is made only for a report.
-    A diagonal failure reports the entry against 0 with residual
-    "nonpositive".  A simplex of more than MAX_GRAM_POINTS points is refused.
-    """
-    size = math.comb(p.N + p.d, p.d)
-    if size > MAX_GRAM_POINTS:
-        raise ValueError(f"the Gram check over {size} simplex points is refused; the cap is {MAX_GRAM_POINTS}")
+def _check_orthogonality(p: MultiParams) -> CheckResult:
+    """Exact Gram diagonality on the integer sums: a failure reports the
+    entry against 0, with residual "nonpositive" on the diagonal."""
     table = ChainTable(p.alphas)
     idx = table.points(p.N)
     rows, dens = [table.row(d, p.N) for d in idx], [table.den(d) for d in idx]
-    check = CheckResult.exact_pass("orthogonality")
     for a, b, acc, scale in gram_entries(simplex_weight(p.alphas, p.N), rows, dens):
         if a != b or acc * scale <= 0:
             entry = format_rational(Rat(acc, scale))
             indices = {"degrees": [list(idx[a]), list(idx[b])]}
-            check = CheckResult.failure("orthogonality", "nonpositive" if a == b else entry, indices, entry, "0")
-            break
-    return VerificationReport(suite="mv", params=p.echo(), checks=(check,))
+            return CheckResult.failure("orthogonality", "nonpositive" if a == b else entry, indices, entry, "0")
+    return CheckResult.exact_pass("orthogonality")
+
+
+def _check_genfun(p: MultiParams) -> CheckResult:
+    """The generating function (simplex.genfun_mismatch), reported at its
+    first failing degree tuple and grid point."""
+    bad = genfun_mismatch(p.alphas, p.N)
+    if bad is None:
+        return CheckResult.exact_pass("genfun")
+    degs, pts, left, right = bad
+    return CheckResult.mismatch("genfun", {"degree": list(degs), "point": list(pts)}, left, right)
+
+
+_CHECKS = {"orthogonality": _check_orthogonality, "genfun": _check_genfun}
+
+MV_CHECK_NAMES = tuple(_CHECKS)
+
+
+def verify_mv_check(check: str, p: MultiParams) -> VerificationReport:
+    """One check of the d-variable suite, refused above MAX_GRAM_POINTS."""
+    if check not in _CHECKS:
+        raise ValueError(f"unknown check: {check}")
+    size = math.comb(p.N + p.d, p.d)
+    if size > MAX_GRAM_POINTS:
+        raise ValueError(f"the {check} check over {size} simplex points is refused; the cap is {MAX_GRAM_POINTS}")
+    return VerificationReport(suite="mv", params=p.echo(), checks=(_guarded(check, _CHECKS[check], p),))
+
+
+def verify_mv(p: MultiParams) -> VerificationReport:
+    """Every check of the d-variable suite, in MV_CHECK_NAMES order."""
+    checks = tuple(c for name in MV_CHECK_NAMES for c in verify_mv_check(name, p).checks)
+    return VerificationReport(suite="mv", params=p.echo(), checks=checks)

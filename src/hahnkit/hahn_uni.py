@@ -5,30 +5,34 @@ of orthogonality and the two generating functions, all in exact arithmetic.
 
 Values, weight and Gram sums are the d = 1 case of the simplex layer
 (hahnkit.simplex): eval_total for one value, the d = 1 ChainTable's rows for
-a whole grid, simplex_weight and gram_entries.  The norm is one integer
+a whole grid, simplex_weight, gram_entries and, for dual-genfun, the
+generating function of every d (genfun_mismatch).  The norm is one integer
 numerator and denominator of rising products (hahn_norm_cleared, on the
 cleared parameters; hahn_norm makes it one rational).  Every check
 compares integers crosswise, after showing its scale nonzero, and makes a
-rational only to report a failure; the generating-function sides are int
-tuples over one denominator each (numeric's univariate helpers keep ints
-as ints).
+rational only to report a failure; the 1F1 product of genfun is int tuples
+over one denominator each (numeric's univariate helpers keep ints as ints).
+verify_uni refuses a level above MAX_UNI_LEVEL.
 """
 from __future__ import annotations
 
 import math
 from typing import NamedTuple
 
-from .classical import jacobi_cleared
 from .numeric import (
     Rat,
-    _poly_add,
     _poly_mul,
     format_rational,
     nonzero,
     rising,
 )
 from .reports import CheckResult, VerificationReport, _guarded
-from .simplex import ChainTable, cleared, eval_total, gram_entries, simplex_weight
+from .simplex import ChainTable, cleared, eval_total, genfun_mismatch, gram_entries, simplex_weight
+
+# The largest level whose three checks fit in criterion 03's 60 s budget on
+# the fractions backend, timed in one fresh process per level (cost curve in
+# CHANGES.md); verify_uni refuses a level above it.
+MAX_UNI_LEVEL = 180
 
 
 class _UniFields(NamedTuple):
@@ -123,14 +127,7 @@ def _check_orthogonality(p: UniParams) -> CheckResult:
     for n, m, acc, scale in gram_entries(simplex_weight((p.alpha, p.beta), p.N), rows, dens):
         num, den = hahn_norm_cleared(n, p.N, params) if n == m else (0, 1)
         if acc * den != num * scale:
-            got, want = Rat(acc, scale), Rat(num, den)
-            return CheckResult.failure(
-                "orthogonality",
-                residual=f"{abs(float(got - want)):.17g}",
-                indices=[n, m],
-                lhs=format_rational(got),
-                rhs=format_rational(want),
-            )
+            return CheckResult.mismatch("orthogonality", [n, m], Rat(acc, scale), Rat(num, den))
     return CheckResult.exact_pass("orthogonality")
 
 
@@ -164,54 +161,19 @@ def _check_genfun(p: UniParams) -> CheckResult:
             left = lhs[n] if n < len(lhs) else 0
             right = nums[x] * q ** (2 * n)
             if left * scales[n] != right * lhs_den:
-                left, right = Rat(left, lhs_den), Rat(right, scales[n])
-                return CheckResult.failure(
-                    "genfun",
-                    residual=f"{abs(float(left - right)):.17g}",
-                    indices=[x, n],
-                    lhs=format_rational(left),
-                    rhs=format_rational(right),
-                )
+                return CheckResult.mismatch("genfun", [x, n], Rat(left, lhs_den), Rat(right, scales[n]))
     return CheckResult.exact_pass("genfun")
 
 
 def _check_dual_genfun(p: UniParams) -> CheckResult:
-    """(-N)_n n! (1+t)^N P_n((1-t)/(1+t)) against sum_x C(N,x) h_n(x) t^x.
-
-    The Jacobi argument is cleared exactly: each z^i becomes (1-t)^i (1+t)^(N-i).
-    The Jacobi coefficients are cleared to integers over one denominator,
-    the powers are int tuples, and the two sides are compared multiplied
-    crosswise; rationals are made only to report a failure.
-    """
-    N = p.N
-    plus = [(1,)]
-    minus = [(1,)]
-    for _ in range(N):
-        plus.append(_poly_mul(plus[-1], (1, 1)))
-        minus.append(_poly_mul(minus[-1], (1, -1)))
-    bases = [_poly_mul(minus[i], plus[N - i]) for i in range(N + 1)]
-    table = ChainTable((p.alpha, p.beta))
-    for n in range(N + 1):
-        nums, den = table.row((n,), N), nonzero(table.den((n,)), "the table denominator d_n")
-        jac_den, coeffs = jacobi_cleared(n, p.alpha, p.beta)
-        lhs = (0,)
-        for c, base in zip(coeffs, bases):
-            if c != 0:
-                lhs = _poly_add(lhs, tuple(c * v for v in base))
-        scale = rising(-N, n) * math.factorial(n)
-        for x, t in enumerate(nums):
-            left = scale * (lhs[x] if x < len(lhs) else 0)
-            right = math.comb(N, x) * t
-            if left * den != right * jac_den:
-                left, right = Rat(left, jac_den), Rat(right, den)
-                return CheckResult.failure(
-                    "dual-genfun",
-                    residual=f"{abs(float(left - right)):.17g}",
-                    indices=[n, x],
-                    lhs=format_rational(left),
-                    rhs=format_rational(right),
-                )
-    return CheckResult.exact_pass("dual-genfun")
+    """(-N)_n n! (1+t)^N P_n((1-t)/(1+t)) against sum_x C(N,x) h_n(x) t^x: the
+    generating function at d = 1 (simplex.genfun_mismatch), reported at its
+    first failing (n, x)."""
+    bad = genfun_mismatch((p.alpha, p.beta), p.N)
+    if bad is None:
+        return CheckResult.exact_pass("dual-genfun")
+    (n,), (x,), left, right = bad
+    return CheckResult.mismatch("dual-genfun", [n, x], left, right)
 
 
 _CHECKS = {
@@ -226,4 +188,6 @@ UNI_CHECK_NAMES = tuple(_CHECKS)
 def verify_uni(check: str, p: UniParams) -> VerificationReport:
     if check not in _CHECKS:
         raise ValueError(f"unknown check: {check}")
+    if p.N > MAX_UNI_LEVEL:
+        raise ValueError(f"the uni checks at level {p.N} are refused; the cap is {MAX_UNI_LEVEL}")
     return VerificationReport(suite="uni", params=p.echo(), checks=(_guarded(check, _CHECKS[check], p),))

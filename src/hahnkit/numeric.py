@@ -417,21 +417,3 @@ def _poly_mul(p: tuple, q: tuple) -> tuple:
             if b != 0:
                 out[i + j] += a * b
     return _poly_trim(tuple(out))
-
-
-def _poly2_mul(f: dict, g: dict) -> dict:
-    """The product of two polynomials in (x, y), {(a, b): coefficient of x^a y^b}."""
-    out = {}
-    for (a, b), u in f.items():
-        for (c, d), v in g.items():
-            out[a + c, b + d] = out.get((a + c, b + d), 0) + u * v
-    return out
-
-
-def _poly2_sum(coeffs, polys) -> dict:
-    """sum_j coeffs[j] * polys[j]."""
-    out = {}
-    for c, poly in zip(coeffs, polys):
-        for key, v in poly.items():
-            out[key] = out.get(key, 0) + c * v
-    return out

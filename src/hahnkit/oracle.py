@@ -400,10 +400,7 @@ def _check_annihilate_constants(p: BiParams) -> CheckResult:
         for g, row in zip(simplex_points(p.N, 2), build_operator(label, p)):
             value = sum(row.values())
             if value != 0:
-                return CheckResult.failure(
-                    name, format_rational(value), {"label": label, "point": list(g)},
-                    format_rational(value), "0",
-                )
+                return CheckResult.mismatch(name, {"label": label, "point": list(g)}, value, 0, exact=True)
     return CheckResult.exact_pass(name)
 
 
@@ -417,11 +414,7 @@ def _check_commutation(p: BiParams) -> CheckResult:
         bad = [c for c in left.keys() | right.keys() if left.get(c, 0) != right.get(c, 0)]
         if bad:
             c = min(bad)
-            lhs, rhs = left.get(c, 0), right.get(c, 0)
-            return CheckResult.failure(
-                name, format_rational(lhs - rhs), {"row": r, "col": c},
-                format_rational(lhs), format_rational(rhs),
-            )
+            return CheckResult.mismatch(name, {"row": r, "col": c}, left.get(c, 0), right.get(c, 0), exact=True)
     return CheckResult.exact_pass(name)
 
 
@@ -437,13 +430,7 @@ def _check_joint_eigenvectors(p: BiParams) -> CheckResult:
         expected = tuple(Rat(v, lead) for v in row)
         if vec != expected:
             g = next(t for t, (a, b) in enumerate(zip(vec, expected)) if a != b)
-            return CheckResult.failure(
-                name,
-                format_rational(vec[g] - expected[g]),
-                {"degree": list(d), "entry": g},
-                format_rational(vec[g]),
-                format_rational(expected[g]),
-            )
+            return CheckResult.mismatch(name, {"degree": list(d), "entry": g}, vec[g], expected[g], exact=True)
     return CheckResult.exact_pass(name)
 
 
@@ -532,8 +519,7 @@ def su11_spectrum_check(p: BiParams) -> VerificationReport:
             nu = nu_of(*d)
             lhs, rhs = nu * (nu - 1) - shift, -eigenvalue(label, d, p)
             if lhs != rhs:
-                lhs_s, rhs_s = format_rational(lhs), format_rational(rhs)
-                check = CheckResult.failure(name, format_rational(lhs - rhs), {"degree": list(d)}, lhs_s, rhs_s)
+                check = CheckResult.mismatch(name, {"degree": list(d)}, lhs, rhs, exact=True)
                 break
         checks.append(check)
     return VerificationReport(suite="su11", params=p.echo(), checks=tuple(checks))

@@ -4,6 +4,8 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Any, Mapping, NamedTuple, Sequence
 
+from .numeric import format_rational
+
 FLOAT_TOL = 1e-10  # the largest worst residual a float check passes with
 
 
@@ -43,6 +45,13 @@ class CheckResult(NamedTuple):
             max_residual=residual,
             counterexample={"indices": indices, "lhs": lhs, "rhs": rhs},
         )
+
+    @classmethod
+    def mismatch(cls, name: str, indices: Any, lhs, rhs, exact: bool = False) -> "CheckResult":
+        """A failure at two rational sides, as p/q strings; the residual is
+        lhs - rhs as a p/q string when exact, else |lhs - rhs| as a float."""
+        residual = format_rational(lhs - rhs) if exact else f"{abs(float(lhs - rhs)):.17g}"
+        return cls.failure(name, residual, indices, format_rational(lhs), format_rational(rhs))
 
     def to_dict(self) -> dict:
         out: dict[str, Any] = {

@@ -3,18 +3,21 @@
 The d-variable Hahn polynomials are a chain of univariate Hahn factors,
 orthogonal under one multivariate hypergeometric weight on the simplex
 i_1 + ... + i_d <= N; d = 1 and d = 2 are its first cases.  Here are the
-univariate kernel (eval_total and its parts), the one point ordering
-(simplex_points), the chain table (ChainTable), the weight (simplex_weight)
-and the Gram sums (gram_entries); hahn_uni, hahn_bi and hahn_multi read
-them and decide every comparison on the integers crosswise.
+univariate kernel (eval_total and its parts), the cleared Jacobi
+expansion (jacobi_cleared), the one point ordering (simplex_points), the
+chain table (ChainTable), the weight (simplex_weight), the Gram sums
+(gram_entries) and the generating function (genfun_mismatch, on the sparse
+polynomials of sparse_mul and sparse_sum); hahn_uni, hahn_bi and hahn_multi
+read them and decide every comparison on the integers crosswise.
 """
 from __future__ import annotations
 
+import functools
 import math
 from itertools import accumulate
 from operator import mul
 
-from .numeric import Rat, nonzero, rising
+from .numeric import Rat, _poly_trim, nonzero, rising
 
 
 def cleared(*values):
@@ -82,6 +85,40 @@ def eval_total(n: int, x, alpha, beta, M):
     q, (X, A, B, K) = cleared(x, alpha, beta, M)
     total = point_sum(hahn_coefficients(n, q, A, B, K), q, X)
     return Rat(total, denominator(n, q))
+
+
+def jacobi_cleared(n: int, alpha, beta) -> tuple:
+    """The coefficients of the degree-n Jacobi polynomial in z as integers
+    over one denominator, (den, coefficients), trailing zeros trimmed.
+
+    Expanded from a form polynomial in both parameters, so the raising
+    relations may shift alpha or beta down to -1 and below without hitting a
+    division: sum_j (-n)_j (n+a+b+1)_j (a+j+1)_{n-j} / (n! j!) ((1-z)/2)^j.
+    With a = A/q and b = B/q, term j times den = q^n 2^n n! is
+
+        (-1)^j C(n, j) 2^(n-j) prefix_j suffix_j (1 - z)^j,
+
+    with the prefix prod_{i<j} (q(n+1+i) + A + B) = q^j (n+a+b+1)_j and the
+    suffix prod_{j<=i<n} (A + q(i+1)) = q^(n-j) (a+j+1)_{n-j}, built as
+    hahn_coefficients builds its own; the powers of 1 - z are summed
+    by Horner's rule.
+    """
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
+    q, (A, B) = cleared(Rat(alpha), Rat(beta))
+    suffix = [1] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix[i] = suffix[i + 1] * (A + q * (i + 1))
+    terms, prefix = [], 1
+    for j in range(n + 1):
+        terms.append((-1) ** j * math.comb(n, j) * prefix * suffix[j] << (n - j))
+        prefix *= q * (n + 1 + j) + A + B
+    total = [0] * (n + 1)
+    for term in reversed(terms):  # total = total (1 - z) + term, in place
+        for i in range(n, 0, -1):
+            total[i] -= total[i - 1]
+        total[0] += term
+    return q**n * 2**n * math.factorial(n), _poly_trim(tuple(total))
 
 
 def simplex_points(N: int, d: int):
@@ -223,3 +260,91 @@ def gram_entries(weight, rows, dens):
             acc = sum(map(mul, weighted, rows[b]))
             if a == b or acc:
                 yield a, b, acc, nonzero(W * dens[a] * dens[b], "the Gram scale W d_n d_m")
+
+
+def sparse_mul(f: dict, g: dict) -> dict:
+    """The product of sparse polynomials {monomial key: coefficient}, a key
+    holding the exponents as digits of one base that none may reach."""
+    out = {}
+    get = out.get
+    for a, u in f.items():
+        for b, v in g.items():
+            out[a + b] = get(a + b, 0) + u * v
+    return out
+
+
+def sparse_sum(coeffs, polys) -> dict:
+    """sum_j coeffs[j] * polys[j], skipping the zero coefficients."""
+    out = {}
+    get = out.get
+    for c, poly in zip(coeffs, polys):
+        if c:
+            for key, v in poly.items():
+                out[key] = get(key, 0) + c * v
+    return out
+
+
+def _exponents(degs, N: int) -> tuple:
+    """The powers E_k of genfun_mismatch: m_k for k < d, N - |m_<d| last."""
+    return degs[:-1] + (N - sum(degs[:-1]),)
+
+
+def genfun_mismatch(alphas, N: int):
+    """The generating function of the d-variable family at level N, on ints.
+
+    For each degree tuple m and grid point g, both in simplex_points(N, d)
+    order, with n = (g, N - |g|) and P_m the ChainTable row over den,
+
+        sum_g N!/(n_1! ... n_{d+1}!) P_m(g) z^g = (-N)_{|m|} m_1! ... m_d! prod_k F_k,
+        F_k = (s_k + z_{k+1})^E_k J_{m_k}^(a_k, alpha_{k+1})((z_{k+1} - s_k) / (s_k + z_{k+1})),
+
+    with s_k = z_1 + ... + z_k, z_{d+1} = 1, a_k = 2|m_<k| + alpha_1 + ... +
+    alpha_k + k - 1 and E_k from _exponents.  With J cleared (jacobi_cleared),
+    F_k = sum_i c_i (z_{k+1} - s_k)^i (s_k + z_{k+1})^(E_k - i) on ints; z^a
+    is keyed sum_k a_k (N+1)^(k-1), and as the E_k sum to N no key carries.
+    Base products are made once per (k, i, E), expansions once per (k, m_k,
+    |m_<k|, E), the product of the factors before the last once per prefix.
+    Returns None when every side agrees crosswise, else the first failing
+    (m, g, product side, grid side), the sides as rationals.
+    """
+    d, base = len(alphas) - 1, N + 1
+    table = ChainTable(alphas)
+    points = table.points(N)
+    partial = list(accumulate(alphas, initial=0))
+    fact = [math.factorial(j) for j in range(N + 1)]
+    keys = [sum(a * base**k for k, a in enumerate(g)) for g in points]
+    weights = [fact[N] // (fact[N - sum(g)] * math.prod(fact[a] for a in g)) for g in points]
+    powers = []  # per k: the powers 0..N of z_{k+1} - s_k and of s_k + z_{k+1}
+    for k in range(d):
+        top = base ** (k + 1) if k + 1 < d else 0
+        sums = [{base**j: sign for j in range(k + 1)} | {top: 1} for sign in (-1, 1)]
+        powers.append([list(accumulate([s] * N, sparse_mul, initial={0: 1})) for s in sums])
+
+    @functools.cache
+    def product(k, i, E):
+        minus, plus = powers[k]
+        return sparse_mul(minus[i], plus[E - i])
+
+    @functools.cache
+    def expansion(k, n, nsum, E):
+        den, coeffs = jacobi_cleared(n, 2 * nsum + partial[k + 1] + k, alphas[k + 1])
+        return den, sparse_sum(coeffs, [product(k, i, E) for i in range(len(coeffs))])
+
+    heads = {((), ()): (1, {0: 1})}  # the product of the first k factors, with its denominator
+    for m in points:
+        E = _exponents(m, N)
+        for k in range(d):
+            prefix = m[: k + 1], E[: k + 1]
+            if prefix not in heads:  # always so for the whole m, which is not kept
+                den, poly = heads[m[:k], E[:k]]
+                f_den, f = expansion(k, m[k], sum(m[:k]), E[k])
+                den, poly = den * f_den, sparse_mul(poly, f)
+                if k < d - 1:
+                    heads[prefix] = den, poly
+        scale = rising(-N, sum(m)) * math.prod(fact[n] for n in m)
+        row, row_den = table.row(m, N), nonzero(table.den(m), "the table denominator")
+        for g, key, w, v in zip(points, keys, weights, row):
+            left, right = scale * poly.get(key, 0), w * v
+            if left * row_den != right * den:
+                return m, g, Rat(left, den), Rat(right, row_den)
+    return None

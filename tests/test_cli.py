@@ -11,6 +11,7 @@ import pytest
 import hahnkit
 import hahnkit.cli as cli_mod
 import hahnkit.hahn_bi as bi_mod
+import hahnkit.hahn_uni as uni_mod
 import hahnkit.oracle as oracle_mod
 from hahnkit.cli import main
 from hahnkit.hahn_bi import BiParams, overlap2, p2_eval
@@ -129,9 +130,23 @@ class TestGenfun:
         assert code == 0
         assert json.loads(out)["status"] == "pass"
 
-    def test_wrong_parameter_count(self, capsys):
-        code, _, err = run(capsys, "genfun", "--alpha", "0,0,0,0", "--N", "2")
-        assert code == 2 and "genfun takes" in err
+    @pytest.mark.parametrize("alpha, N", [("1/2,0,3,7/3", "3"), ("1/3,1/2,2,0,-1/2", "4")])
+    def test_d_variable_runs_the_mv_check(self, capsys, alpha, N):
+        code, out, _ = run(capsys, "genfun", f"--alpha={alpha}", "--N", N)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["suite"] == "mv" and payload["status"] == "pass"
+        assert payload["checks"] == [{"name": "genfun", "status": "pass", "max_residual": "0"}]
+
+    def test_oversized_simplex_is_refused(self, capsys):
+        # d = 6, N = 7: 1716 points, over MAX_GRAM_POINTS
+        code, out, err = run(capsys, "genfun", "--alpha", "0,0,0,0,0,0,0", "--N", "7")
+        assert code == 2 and out == "" and "refused" in err
+
+    def test_oversized_uni_level_is_refused(self, capsys):
+        level = str(uni_mod.MAX_UNI_LEVEL + 1)
+        code, out, err = run(capsys, "genfun", "--alpha", "1/2,7/3", "--N", level)
+        assert code == 2 and out == "" and "refused" in err
 
 
 class TestVerify:
@@ -329,6 +344,27 @@ class TestPlumbing:
     def test_missing_level(self, capsys):
         code, _, err = run(capsys, "overlap", "--alpha", "0,0,0")
         assert code == 2 and "--N" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--family", "hahn1", "--alpha", "0,0", "--N", "2", "--degrees", "1", "--point", "0", "--tol", "1"],
+            ["genfun", "--alpha", "0,0", "--N", "2", "--tol", "1"],
+            ["verify", "--suite", "uni", "--alpha", "0,0", "--N", "2", "--mode", "exact"],
+            ["genfun", "--alpha", "0,0", "--N", "2", "--mode", "exact"],
+        ],
+        ids=["eval-tol", "genfun-tol", "verify-mode", "genfun-mode"],
+    )
+    def test_flags_only_where_read(self, capsys, argv):
+        # --tol belongs to verify alone, --mode to eval, overlap and chain
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "unrecognized arguments" in err
+
+    def test_oversized_uni_level_is_refused(self, capsys):
+        level = str(uni_mod.MAX_UNI_LEVEL + 1)
+        code, out, err = run(capsys, "verify", "--suite", "uni", "--alpha", "1/2,7/3", "--N", level)
+        assert code == 2 and out == "" and "refused" in err
 
     def test_nonpositive_tol(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "all", "--tol", "0")

@@ -1820,3 +1820,29 @@ def test_q_plane_coefficients_make_no_rational(monkeypatch):
     for m, n in simplex_points(p.N, 2):
         den, square = table.norm(m, n, p.N)
         assert all(type(v) is int for v in (den, *square))
+
+
+@pytest.mark.parametrize("degree", [(0, 0), (1, 2), (3, 1)])
+def test_genfun_fails_at_the_tampered_degree_pair(monkeypatch, degree):
+    """One chain-table entry of one degree pair raised by 1: genfun fails at
+    that degree pair, the first whose grid expansion reads it, with the
+    cleared-form report."""
+    p = BiParams(Rat(1, 2), Rat(-1, 2), Rat(3), 4)
+    honest = ChainTable.row
+
+    def tampered(self, degs, level):
+        nums = honest(self, degs, level)
+        return nums[:2] + (nums[2] + 1,) + nums[3:] if tuple(degs) == degree else nums
+
+    monkeypatch.setattr(ChainTable, "row", tampered)
+    (check,) = verify_bi("genfun", p).checks
+    assert json.loads(json.dumps(check.to_dict())) == {
+        "name": "genfun",
+        "status": "fail",
+        "max_residual": "nonzero",
+        "counterexample": {
+            "indices": {"degree": list(degree)},
+            "lhs": "cleared product form",
+            "rhs": "grid expansion",
+        },
+    }

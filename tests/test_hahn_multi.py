@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hahnkit.hahn_bi as bi_mod
+import hahnkit.simplex as simplex_mod
 from hahnkit.cli import main
 from hahnkit.hahn_bi import BiParams, bigLambda, p2_eval, verify_bi, weight2
 from hahnkit.hahn_multi import (
@@ -19,9 +20,10 @@ from hahnkit.hahn_multi import (
     mv_p_eval,
     mv_weight,
     verify_mv,
+    verify_mv_check,
 )
 from hahnkit.hahn_uni import UniParams, hahn_eval, hahn_norm, hahn_weight, verify_uni
-from hahnkit.numeric import Rat, factorial, format_rational, pochhammer
+from hahnkit.numeric import Rat, factorial, format_rational, parse_rational, pochhammer
 from hahnkit.simplex import ChainTable, eval_total, simplex_points
 
 LATTICE = [Rat(-1, 2), Rat(0), Rat(1, 2), Rat(3), Rat(7, 3)]
@@ -261,10 +263,10 @@ class TestLambda:
 class TestVerifyMv:
     def test_univariate_reduction(self):
         rep = verify_mv(MultiParams((Rat(1, 2), 3), 5))
-        uni = verify_uni("orthogonality", UniParams(Rat(1, 2), 3, 5))
-        assert rep.passed and uni.passed
+        uni = [verify_uni(name, UniParams(Rat(1, 2), 3, 5)) for name in ("orthogonality", "dual-genfun")]
+        assert rep.passed and all(u.passed for u in uni)
         assert rep.suite == "mv"
-        assert [c.name for c in rep.checks] == ["orthogonality"]
+        assert [c.name for c in rep.checks] == ["orthogonality", "genfun"]
 
     @pytest.mark.parametrize("offset", [0, 1, 2])
     def test_d3_lattice_sample(self, offset):
@@ -348,3 +350,82 @@ class TestBivariateGramReport:
             "lhs": format_rational(got),
             "rhs": format_rational(want),
         }
+
+
+# The first d = 3 and d = 4 tuples of the generating-function checks.
+D3 = (Rat(1, 2), Rat(0), Rat(3), Rat(7, 3))
+D4 = (Rat(1, 3), Rat(1, 2), Rat(2), Rat(0), Rat(-1, 2))
+
+
+def grid_side(degs, pts, p):
+    """N!/(n_1! ... n_{d+1}!) P_m(g), from mv_p_eval and multinomial."""
+    full = list(pts) + [p.N - sum(pts)]
+    return factorial(p.N) / math.prod(factorial(n) for n in full) * mv_p_eval(degs, pts, p)
+
+
+class TestGeneratingFunction:
+    """The generating function of simplex.genfun_mismatch at d >= 3, where
+    no dedicated module checks it, as verify_mv's second check."""
+
+    @pytest.mark.parametrize(
+        "alphas, N",
+        [(D3, 3), (D3, 6), (D3, 12), (D4, 4), (D4, 10), ((Rat(1, 2),) * 7, 6)],
+        ids=["d3-N3", "d3-N6", "d3-N12", "d4-N4", "d4-N10", "d6-N6"],
+    )
+    def test_passes(self, alphas, N):
+        report = verify_mv_check("genfun", MultiParams(alphas, N))
+        assert report.suite == "mv" and report.passed
+        assert [c.to_dict() for c in report.checks] == [{"name": "genfun", "status": "pass", "max_residual": "0"}]
+
+    def test_suite_runs_it_after_orthogonality(self):
+        report = verify_mv(MultiParams(D3, 3))
+        assert [(c.name, c.passed, c.max_residual) for c in report.checks] == [
+            ("orthogonality", True, "0"),
+            ("genfun", True, "0"),
+        ]
+
+    def test_tampered_jacobi_coefficient_names_its_degree_and_point(self, monkeypatch):
+        # the constant coefficient of J_1^(a_2, alpha_3) at m_1 = 0 raised by
+        # one unit of its denominator: the first degree tuple that reads it is
+        # (0, 1, 0) in simplex_points order
+        p = MultiParams(D3, 4)
+        honest = simplex_mod.jacobi_cleared
+
+        def tampered(n, alpha, beta):
+            den, coeffs = honest(n, alpha, beta)
+            if (n, alpha, beta) == (1, D3[0] + D3[1] + 1, D3[2]):
+                coeffs = (coeffs[0] + 1,) + coeffs[1:]
+            return den, coeffs
+
+        monkeypatch.setattr(simplex_mod, "jacobi_cleared", tampered)
+        (check,) = verify_mv_check("genfun", p).checks
+        out = check.to_dict()
+        assert not check.passed
+        assert out["counterexample"]["indices"] == {"degree": [0, 1, 0], "point": [1, 0, 0]}
+        lhs, rhs = (parse_rational(out["counterexample"][side]) for side in ("lhs", "rhs"))
+        assert rhs == grid_side((0, 1, 0), (1, 0, 0), p) != lhs
+        assert out["max_residual"] == f"{abs(float(lhs - rhs)):.17g}"
+
+    def test_a_d2_test_alone_cannot_pin_the_exponents(self, monkeypatch):
+        # E_k = m_{k-1} + m_k for k < d agrees with the true rule at d = 2,
+        # where E_1 = m_1 either way; at d = 3 it fails at the first degree
+        # tuple with m_1 > 0
+        def wrong(degs, N):
+            head = tuple((degs[k - 1] if k else 0) + degs[k] for k in range(len(degs) - 1))
+            return head + (N - sum(degs[:-1]),)
+
+        monkeypatch.setattr(simplex_mod, "_exponents", wrong)
+        assert verify_mv_check("genfun", MultiParams((Rat(1, 2), Rat(-1, 2), Rat(3)), 5)).passed
+        (check,) = verify_mv_check("genfun", MultiParams(D3, 4)).checks
+        assert not check.passed
+        assert check.counterexample["indices"]["degree"] == [1, 0, 0]
+
+    def test_oversized_simplex_is_refused(self):
+        d, N = 6, 7
+        assert math.comb(N + d, d) > MAX_GRAM_POINTS
+        with pytest.raises(ValueError, match="refused"):
+            verify_mv_check("genfun", MultiParams((0,) * (d + 1), N))
+
+    def test_unknown_check(self):
+        with pytest.raises(ValueError, match="unknown check"):
+            verify_mv_check("recurrence", MultiParams(D3, 2))

@@ -487,3 +487,14 @@ class TestVerify:
     def test_unknown_check(self):
         with pytest.raises(ValueError):
             verify_uni("recurrence", UniParams(0, 0, 2))
+
+    @pytest.mark.parametrize("check", ["orthogonality", "genfun", "dual-genfun"])
+    def test_level_above_the_cap_is_refused_before_any_value(self, monkeypatch, check):
+        def no_tables(*args):
+            raise AssertionError("a table was built")
+
+        for name in ("ChainTable", "genfun_mismatch", "simplex_weight"):
+            monkeypatch.setattr(uni_mod, name, no_tables)
+        p = UniParams(Rat(1, 2), Rat(7, 3), uni_mod.MAX_UNI_LEVEL + 1)
+        with pytest.raises(ValueError, match="refused"):
+            verify_uni(check, p)

@@ -9,8 +9,6 @@ from hahnkit.numeric import (
     Rational,
     RationalMatrix,
     RadicalScalar,
-    _poly2_mul,
-    _poly2_sum,
     _poly_add,
     _poly_mul,
     binomial_general,
@@ -23,6 +21,7 @@ from hahnkit.numeric import (
     pochhammer,
     rising,
 )
+from hahnkit.simplex import sparse_mul, sparse_sum
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=9).map(
     lambda f: Rat(f.numerator, f.denominator)
@@ -253,41 +252,50 @@ def support(poly: dict) -> dict:
 
 
 class TestBivariatePolynomials:
-    X = {(1, 0): 1}
-    Y = {(0, 1): 1}
-    ONE = {(0, 0): 1}
+    """The simplex layer's sparse polynomials, here in (x, y), x^a y^b keyed
+    a + 16 b: every exponent below stays under 16, so no key carries."""
+
+    X = {1: 1}
+    Y = {16: 1}
+    ONE = {0: 1}
+
+    @staticmethod
+    def key(a, b):
+        return a + 16 * b
 
     def test_coefficient_extraction_is_total(self):
-        p = _poly2_mul({(1, 2): Rat(5, 3)}, self.ONE)
-        assert p.get((1, 2), 0) == Rat(5, 3)
-        assert p.get((0, 0), 0) == 0
-        assert p.get((9, 9), 0) == 0
+        p = sparse_mul({self.key(1, 2): Rat(5, 3)}, self.ONE)
+        assert p.get(self.key(1, 2), 0) == Rat(5, 3)
+        assert p.get(self.key(0, 0), 0) == 0
+        assert p.get(self.key(9, 9), 0) == 0
 
     def test_algebra(self):
-        x, y, one = self.X, self.Y, self.ONE
-        p = _poly2_mul(_poly2_sum([1, 1], [x, y]), _poly2_sum([1, -1], [x, y]))
-        assert support(p) == {(2, 0): 1, (0, 2): -1}
-        p = _poly2_mul(_poly2_sum([1, 1], [x, one]), _poly2_sum([1, -1], [x, one]))
-        assert support(p) == {(2, 0): 1, (0, 0): -1}
+        x, y, one, key = self.X, self.Y, self.ONE, self.key
+        p = sparse_mul(sparse_sum([1, 1], [x, y]), sparse_sum([1, -1], [x, y]))
+        assert support(p) == {key(2, 0): 1, key(0, 2): -1}
+        p = sparse_mul(sparse_sum([1, 1], [x, one]), sparse_sum([1, -1], [x, one]))
+        assert support(p) == {key(2, 0): 1, key(0, 0): -1}
 
     @pytest.mark.parametrize("N", range(13))
     def test_trinomial_coefficients(self, N):
-        base = _poly2_sum([1, 1, 1], [self.ONE, self.X, self.Y])
+        base = sparse_sum([1, 1, 1], [self.ONE, self.X, self.Y])
         p = self.ONE
         for _ in range(N):
-            p = _poly2_mul(p, base)
+            p = sparse_mul(p, base)
         for a in range(N + 1):
             for b in range(N + 1 - a):
-                assert p.get((a, b), 0) == multinomial(N, [a, b])
-        assert p.get((N + 1, 0), 0) == 0
+                assert p.get(self.key(a, b), 0) == multinomial(N, [a, b])
+        assert p.get(self.key(N + 1, 0), 0) == 0
 
     def test_zero_detection(self):
         x = self.X
-        assert not any(_poly2_sum([1, -1], [x, x]).values())
+        assert not any(sparse_sum([1, -1], [x, x]).values())
         assert any(x.values())
+        # a zero coefficient adds no key
+        assert sparse_sum([0, 2], [x, self.Y]) == {16: 2}
 
     def test_int_inputs_give_int_outputs(self):
-        p = _poly2_mul(_poly2_sum([2, -3], [self.X, self.ONE]), {(0, 1): 5, (2, 0): -1})
+        p = sparse_mul(sparse_sum([2, -3], [self.X, self.ONE]), {self.key(0, 1): 5, self.key(2, 0): -1})
         assert p and all(type(c) is int for c in p.values())
         for out in (_poly_mul((1, 2, 0, 3), (-1, 1)), _poly_add((1, 2), (0, -2, 4)), _poly_mul((0,), (5,))):
             assert all(type(c) is int for c in out)

@@ -105,3 +105,17 @@ class TestLayering:
         modules = {module for module, _ in _imports(SRC / f"{name}.py")}
         assert "hahn_uni" not in modules
         assert "simplex" in modules
+
+    @pytest.mark.parametrize("name", ["hahn_uni", "hahn_bi", "hahn_multi"])
+    def test_families_share_one_generating_function(self, name):
+        """Each family checks its generating function through the simplex
+        layer's one routine, and none builds a product of its own."""
+        imported = {n for module, names in _imports(SRC / f"{name}.py") if module == "simplex" for n in names}
+        assert "genfun_mismatch" in imported
+        built = {n for _, names in _imports(SRC / f"{name}.py") for n in names}
+        assert not {"jacobi_cleared", "sparse_mul", "sparse_sum", "_poly_add"} & built
+
+    def test_no_bivariate_polynomial_helpers_left(self):
+        import hahnkit.numeric as numeric
+
+        assert not hasattr(numeric, "_poly2_mul") and not hasattr(numeric, "_poly2_sum")
