@@ -16,7 +16,6 @@ argparse and json are imported by the functions that use them, so
 from __future__ import annotations
 
 import functools
-import math
 import sys
 
 from .classical import RELATION_NAMES, verify_classical
@@ -25,7 +24,7 @@ from .hahn_multi import MultiParams, mv_p_eval, verify_mv, verify_mv_check
 from .hahn_uni import UNI_CHECK_NAMES, UniParams, hahn_eval, verify_uni
 from .numeric import Rat, format_rational, parse_rational
 from .oracle import ORACLE_CHECK_NAMES, chain_matrices, chain_product, verify_oracle
-from .reports import FLOAT_TOL, CheckResult, VerificationReport
+from .reports import VerificationReport
 
 SUITES = ("uni", "bi", "mv", "oracle", "classical", "all")
 
@@ -108,23 +107,6 @@ def _reports_text(reports, fmt) -> str:
     status = "pass" if all(r.passed for r in reports) else "fail"
     payload = {"status": status, "suites": [r.to_dict() for r in reports]}
     return json.dumps(payload, indent=2) + "\n"
-
-
-def _apply_tol(report: VerificationReport, tol: float) -> VerificationReport:
-    """Downgrade float passes above the requested tolerance.
-
-    Tightening only: a check that already failed inside the library stays
-    failed regardless of tol (the sweeps stop at the stated 1e-10).
-    """
-    checks = []
-    for c in report.checks:
-        if c.passed and float(c.max_residual) > tol:
-            checks.append(
-                CheckResult(name=c.name, passed=False, max_residual=c.max_residual)
-            )
-        else:
-            checks.append(c)
-    return VerificationReport(suite=report.suite, params=report.params, checks=tuple(checks))
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +259,7 @@ def _cmd_verify(args) -> int:
         runs = [(suite, None, alpha, N) for suite, alpha, N in BATTERY]
     else:
         runs = [(args.suite, args.check, args.alpha, args.N)]
-    reports = [_apply_tol(_suite_report(*run), args.tol) for run in runs]
+    reports = [_suite_report(*run) for run in runs]
     _emit(_reports_text(reports, args.format), args.out)
     return 0 if all(r.passed for r in reports) else 1
 
@@ -304,15 +286,13 @@ def _cmd_info(args) -> int:
 # argument plumbing
 
 
-def _add_shared(sub: argparse.ArgumentParser, mode: bool = False, tol: bool = False) -> None:
-    """Every command's flags but info's; --mode and --tol only where read."""
+def _add_shared(sub: argparse.ArgumentParser, mode: bool = False) -> None:
+    """Every command's flags but info's; --mode only where read."""
     sub.add_argument("--alpha", help="comma-separated rationals, e.g. 1/2,0,3; "
                      "a negative first one needs the form --alpha=-1/2,0,3")
     sub.add_argument("--N", type=int, help="simplex level (classical suite: the degree)")
     if mode:
         sub.add_argument("--mode", choices=("exact", "float"))
-    if tol:
-        sub.add_argument("--tol", type=float, default=FLOAT_TOL)
     sub.add_argument("--format", choices=("csv", "json"), default="json")
     sub.add_argument("--out", help="write output here instead of stdout")
 
@@ -341,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("verify", help="run a verification suite")
     sub.add_argument("--suite", required=True, choices=SUITES)
     sub.add_argument("--check", help="run a single named check of the suite")
-    _add_shared(sub, tol=True)
+    _add_shared(sub)
 
     commands.add_parser("info", help="package version, Python version and rational backend")
 
@@ -364,9 +344,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as err:
         return 0 if err.code in (0, None) else 2
-    if "tol" in vars(args) and not (math.isfinite(args.tol) and args.tol > 0):
-        print("error: --tol must be finite and positive", file=sys.stderr)
-        return 2
     try:
         return _DISPATCH[args.command](args)
     except (ValueError, OSError) as err:

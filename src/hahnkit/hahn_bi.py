@@ -341,33 +341,42 @@ class OverlapMatrix(NamedTuple):
         return len(self.rows)
 
 
+def overlap_pieces(p: BiParams) -> tuple:
+    """The overlap matrix on ints: per degree pair, in simplex_points order,
+    (row, den, (Lambda_num, Lambda_den)) from the d = 2 ChainTable and
+    bigLambda's integer pair, then simplex_weight's (omega, W); the entry at
+    grid point g is row[g] / den sqrt(omega_g Lambda_den / (W Lambda_num))."""
+    chains = ChainTable((p.alpha1, p.alpha2, p.alpha3))
+    return (
+        [(chains.row(d, p.N), chains.den(d), _big_lambda(*d, chains.cleared, p.N)) for d in simplex_points(p.N, 2)],
+        simplex_weight((p.alpha1, p.alpha2, p.alpha3), p.N),
+    )
+
+
 def overlap2(p: BiParams, mode: str = "float") -> OverlapMatrix:
     if mode not in ("float", "radical", "squared"):
         raise ValueError(f"unknown overlap mode {mode!r}")
     rows = cols = tuple(simplex_points(p.N, 2))
-    chains = ChainTable((p.alpha1, p.alpha2, p.alpha3))
-    values = [(chains.row(d, p.N), chains.den(d)) for d in cols]
-    weights, W = simplex_weight((p.alpha1, p.alpha2, p.alpha3), p.N)
+    values, (weights, W) = overlap_pieces(p)
     if mode == "float":
         # (row / den) sqrt(omega Lambda_den / (W Lambda_num)) by int true
         # divisions, each rounded as float() of the reduced rational is, so
         # every entry is float() of the radical one; a zero entry is +0.0
-        triple = cleared(p.alpha1, p.alpha2, p.alpha3)
-        norms = [(lam_den, W * lam_num) for lam_num, lam_den in (_big_lambda(*d, triple, p.N) for d in cols)]
+        norms = [(lam_den, W * lam_num) for _, _, (lam_num, lam_den) in values]
         entries = tuple(
             tuple(
                 row[g] / den * math.sqrt(omega * lam_den / scale) if row[g] and omega else 0.0
-                for (row, den), (lam_den, scale) in zip(values, norms)
+                for (row, den, _), (lam_den, scale) in zip(values, norms)
             )
             for g, omega in enumerate(weights)
         )
         return OverlapMatrix(params=p, mode=mode, rows=rows, cols=cols, entries=entries)
-    inv_lambda = [1 / bigLambda(d, p) for d in cols]
+    inv_lambda = [Rat(lam_den, lam_num) for _, _, (lam_num, lam_den) in values]
     entries = []
     for g, omega in enumerate(weights):
         w = Rat(omega, W)
         line = []
-        for (row, den), inv in zip(values, inv_lambda):
+        for (row, den, _), inv in zip(values, inv_lambda):
             value = RadicalScalar(Rat(row[g], den), w * inv)
             line.append(value if mode == "radical" else value.signed_square())
         entries.append(tuple(line))

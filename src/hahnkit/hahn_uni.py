@@ -8,7 +8,8 @@ Values, weight and Gram sums are the d = 1 case of the simplex layer
 a whole grid, simplex_weight, gram_entries and, for dual-genfun, the
 generating function of every d (genfun_mismatch).  The norm is one integer
 numerator and denominator of rising products (hahn_norm_cleared, on the
-cleared parameters; hahn_norm makes it one rational).  Every check
+cleared parameters; hahn_norm makes it one rational), and gram_mismatch
+compares the Gram sums with it for the oracle's chain too.  Every check
 compares integers crosswise, after showing its scale nonzero, and makes a
 rational only to report a failure; the 1F1 product of genfun is int tuples
 over one denominator each (numeric's univariate helpers keep ints as ints).
@@ -115,20 +116,27 @@ def hahn_norm(n: int, p: UniParams):
     return Rat(*hahn_norm_cleared(n, p.N, cleared(p.alpha, p.beta)))
 
 
-def _check_orthogonality(p: UniParams) -> CheckResult:
-    """The integer Gram sums (gram_entries) of the d = 1 chain table under
-    the cleared weight: an off-diagonal pair (n, m) passes when its sum is
-    0, a diagonal one when acc den(norm) = num(norm) W d_n d_m, the norm
-    from hahn_norm_cleared; rationals are made only to report a failure."""
-    table = ChainTable((p.alpha, p.beta))
-    degs = table.points(p.N)
-    rows, dens = [table.row(n, p.N) for n in degs], [table.den(n) for n in degs]
-    params = cleared(p.alpha, p.beta)
-    for n, m, acc, scale in gram_entries(simplex_weight((p.alpha, p.beta), p.N), rows, dens):
-        num, den = hahn_norm_cleared(n, p.N, params) if n == m else (0, 1)
+def gram_mismatch(weight, rows, dens, norms):
+    """The first Gram sum (gram_entries) of d = 1 values rows[n] / dens[n]
+    off its norm: pair (n, m) passes at sum 0 off the diagonal, at acc nd =
+    norm W d_n d_m on it, with (norm, nd) = norms[n] from hahn_norm_cleared.
+    None, or ([n, m], acc / scale, norm / nd), rationals made only to report."""
+    for n, m, acc, scale in gram_entries(weight, rows, dens):
+        num, den = norms[n] if n == m else (0, 1)
         if acc * den != num * scale:
-            return CheckResult.mismatch("orthogonality", [n, m], Rat(acc, scale), Rat(num, den))
-    return CheckResult.exact_pass("orthogonality")
+            return [n, m], Rat(acc, scale), Rat(num, den)
+    return None
+
+
+def _check_orthogonality(p: UniParams) -> CheckResult:
+    """The Gram sums of the d = 1 chain table under the cleared weight
+    against the norms of hahn_norm_cleared (gram_mismatch)."""
+    table, params, degs = ChainTable((p.alpha, p.beta)), cleared(p.alpha, p.beta), range(p.N + 1)
+    bad = gram_mismatch(
+        simplex_weight((p.alpha, p.beta), p.N), [table.row((n,), p.N) for n in degs],
+        [table.den((n,)) for n in degs], [hahn_norm_cleared(n, p.N, params) for n in degs],
+    )
+    return CheckResult.exact_pass("orthogonality") if bad is None else CheckResult.mismatch("orthogonality", *bad)
 
 
 def _check_genfun(p: UniParams) -> CheckResult:

@@ -10,8 +10,8 @@ univariate overlaps per entry, and the underlying algebra is realized as
 truncated su(1,1) actions in a square-root-free basis.
 
 Each check does its work once: the joint solve is joint-eigenvectors'
-alone, and one block walker (chain_blocks) proves and hands out the chain
-factors' blocks to chain_product and chain-orthogonality.
+alone, and the chain checks decide on the integer pieces of the factors'
+blocks (_orthonormal_block), which chain_matrices rounds to floats.
 
 The operator coefficient tables are written out here on purpose, not
 imported from the evaluation module: the whole point of the oracle is that
@@ -22,9 +22,9 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple
 
-from .hahn_bi import BiParams, overlap2
-from .hahn_uni import hahn_norm_cleared
-from .numeric import Rat, RationalMatrix, format_rational
+from .hahn_bi import BiParams, overlap_pieces
+from .hahn_uni import gram_mismatch, hahn_norm_cleared
+from .numeric import Rat, RationalMatrix, format_rational, nonzero
 from .reports import CheckResult, VerificationReport, _guarded
 from .simplex import ChainTable, cleared, simplex_points, simplex_weight
 
@@ -248,26 +248,26 @@ class ChainMatrix(NamedTuple):
         return len(self.rows)
 
 
-def _orthonormal_block(alpha, beta, level: int) -> list:
+def _orthonormal_block(alpha, beta, level: int) -> tuple:
     """The d = 1 orthonormal system h_n(x) sqrt(w_x / norm_n) with parameters
-    (alpha, beta) at one level, rows n = 0..level over x = 0..level.
+    (alpha, beta) at one level, n = 0..level over x = 0..level, on ints:
+    (simplex_weight (omega, W), the d = 1 ChainTable's rows and dens, and
+    hahn_norm_cleared's pairs (norm, nd)), entry (n, x) being
+    rows[n][x] / dens[n] sqrt(omega[x] nd / (W norm))."""
+    table, params, degs = ChainTable((alpha, beta)), cleared(alpha, beta), range(level + 1)
+    return (
+        simplex_weight((alpha, beta), level), [table.row((n,), level) for n in degs],
+        [table.den((n,)) for n in degs], [hahn_norm_cleared(n, level, params) for n in degs],
+    )
 
-    The values are the d = 1 ChainTable's integer rows over their one
-    denominator, the weight is simplex_weight once and each norm
-    hahn_norm_cleared's integer pair.  Each float is an int true division,
-    which rounds as float() of the reduced rational does.
-    """
-    table, params = ChainTable((alpha, beta)), cleared(alpha, beta)
-    omega, W = simplex_weight((alpha, beta), level)
-    out = []
-    for n in range(level + 1):
-        den = table.den((n,))
-        norm, norm_den = hahn_norm_cleared(n, level, params)
-        out.append([
-            v / den * math.sqrt(w * norm_den / (W * norm))
-            for v, w in zip(table.row((n,), level), omega)
-        ])
-    return out
+
+def _factor_blocks(p: BiParams) -> tuple:
+    """Both chain factors' blocks on ints (_orthonormal_block): (alpha1, alpha2) at
+    level q = 0..N for the first, (2m + a12 + 1, alpha3) at level N - m for the second."""
+    return (
+        [_orthonormal_block(p.alpha1, p.alpha2, q) for q in range(p.N + 1)],
+        [_orthonormal_block(2 * m + p.a12 + 1, p.alpha3, p.N - m) for m in range(p.N + 1)],
+    )
 
 
 def chain_matrices(p: BiParams) -> tuple[ChainMatrix, ChainMatrix]:
@@ -275,22 +275,20 @@ def chain_matrices(p: BiParams) -> tuple[ChainMatrix, ChainMatrix]:
 
     The first is block diagonal in q = i + k, the second in m = p; their
     product is the full overlap matrix.  Both are orthogonal because each
-    block is a univariate orthonormal system: (alpha1, alpha2) at level q
-    for the first, (2m + alpha1 + alpha2 + 1, alpha3) at level N - m for
-    the second.
+    block is a univariate orthonormal system (_factor_blocks).  Each float
+    is an int true division, which rounds as float() of the reduced
+    rational does.
     """
     N = p.N
     grid = degs = tuple(simplex_points(N, 2))
     cyl = tuple(cylindrical_pairs(N))
-    a12 = p.a12
-    lines = [_orthonormal_block(p.alpha1, p.alpha2, q) for q in range(N + 1)]
-    columns = [_orthonormal_block(2 * m + a12 + 1, p.alpha3, N - m) for m in range(N + 1)]
-    first = tuple(
-        tuple(lines[q][pp][i] if q == i + k else 0.0 for pp, q in cyl) for i, k in grid
+    lines, columns = (
+        [[[v / den * math.sqrt(w * nd / (W * norm)) for v, w in zip(row, omega)]
+          for row, den, (norm, nd) in zip(rows, dens, norms)] for (omega, W), rows, dens, norms in blocks]
+        for blocks in _factor_blocks(p)
     )
-    second = tuple(
-        tuple(columns[m][n][q - m] if m == pp else 0.0 for m, n in degs) for pp, q in cyl
-    )
+    first = tuple(tuple(lines[q][pp][i] if q == i + k else 0.0 for pp, q in cyl) for i, k in grid)
+    second = tuple(tuple(columns[m][n][q - m] if m == pp else 0.0 for m, n in degs) for pp, q in cyl)
     return (
         ChainMatrix(params=p, rows=grid, cols=cyl, entries=first),
         ChainMatrix(params=p, rows=cyl, cols=degs, entries=second),
@@ -298,10 +296,10 @@ def chain_matrices(p: BiParams) -> tuple[ChainMatrix, ChainMatrix]:
 
 
 def chain_blocks(first: ChainMatrix, second: ChainMatrix) -> tuple:
-    """Each factor's blocks, {key: (row indices, column indices)}, both
+    """Each float factor's blocks, {key: (row indices, column indices)}, both
     ascending.  first couples a grid point (i, k) only to the labels (m, q)
     with q = i + k, and second couples (m, q) only to the degree pairs
-    (m, n), so the key is q for first and m for second.
+    (m, n), so the key is q for first and m for second (chain_product).
 
     Raises ArithmeticError naming the first entry off the blocks, first
     factor before second and row-major, that is not exactly 0.0.
@@ -434,35 +432,54 @@ def _check_joint_eigenvectors(p: BiParams) -> CheckResult:
     return CheckResult.exact_pass(name)
 
 
-def _identity_defect(entries, blocks: dict) -> float:
-    """max |(F^T F)_ab - delta_ab| over the pairs a <= b inside a block, each
-    summed over the block's rows; every other term is 0.0 (chain_blocks)."""
-    worst = 0.0
-    for rows, cols in blocks.values():
-        block = [entries[r] for r in rows]
-        for j, a in enumerate(cols):
-            for b in cols[j:]:
-                acc = sum(row[a] * row[b] for row in block)
-                worst = max(worst, abs(acc - (1.0 if a == b else 0.0)))
-    return worst
-
-
 def _check_chain_orthogonality(p: BiParams) -> CheckResult:
+    """Each block of both factors orthonormal, on ints: sqrt(nd_a nd_b /
+    (norm_a norm_b)) is common to every term of (F^T F)_ab, so the block's
+    Gram sums decide it (gram_mismatch); a failure names the factor, its
+    block key (q or m) and the degree pair."""
     name = "chain-orthogonality"
-    factors = chain_matrices(p)
-    worst = max(map(_identity_defect, (f.entries for f in factors), chain_blocks(*factors)))
-    return CheckResult.float_verdict(name, worst)
+    for which, blocks in zip(("first", "second"), _factor_blocks(p)):
+        for key, block in enumerate(blocks):
+            bad = gram_mismatch(*block)
+            if bad is not None:
+                indices, lhs, rhs = bad
+                indices = {"factor": which, "block": key, "degrees": indices}
+                return CheckResult.mismatch(name, indices, lhs, rhs, exact=True)
+    return CheckResult.exact_pass(name)
 
 
 def _check_chain_composition(p: BiParams) -> CheckResult:
+    """The overlap (overlap_pieces) at ((i, k), (m, n)) against first[(i, k),
+    (m, q)] second[(m, q), (m, n)], q = i + k, and against 0 for m > q.
+    Every radicand is positive (each parameter exceeds -1), so each side is
+    compared as its signed square x|x|, which determines x, crosswise on
+    ints: v|v| w nd once per block entry, den^2 W norm once per block row,
+    den^2 W Lambda_num once per degree pair, the rest once per (m, n, q)."""
     name = "chain-composition"
-    product = chain_product(*chain_matrices(p))
-    target = overlap2(p, mode="float").entries
-    worst = 0.0
-    for row, want in zip(product, target):
-        for acc, t in zip(row, want):
-            worst = max(worst, abs(acc - t))
-    return CheckResult.float_verdict(name, worst)
+    values, (omega, W) = overlap_pieces(p)
+    first, second = (
+        [([[v * abs(v) * w * nd for v, w in zip(row, wts)] for row, (_, nd) in zip(rows, norms)],
+          [den * den * scale * norm for den, (norm, _) in zip(dens, norms)])
+         for (wts, scale), rows, dens, norms in blocks]
+        for blocks in _factor_blocks(p)
+    )
+    points = tuple(simplex_points(p.N, 2))
+    index = {g: t for t, g in enumerate(points)}
+    for (m, n), (row, den, (lam_num, lam_den)) in zip(points, values):
+        scale, (tails, tail_scales) = nonzero(den * den * W * lam_num, "the overlap scale"), second[m]
+        for q in range(p.N + 1):
+            chain, left = [0] * (q + 1), 1  # the product vanishes for m > q
+            if m <= q:
+                (heads, head_scales), right = first[q], tails[n][q - m] * scale
+                left = nonzero(lam_den * head_scales[m] * tail_scales[n], "the chain scale")
+                chain = [v * right for v in heads[m]]
+            for i, c in enumerate(chain):
+                t = index[i, q - i]
+                value = row[t] * abs(row[t]) * omega[t]
+                if value * left != c:
+                    lhs, rhs = Rat(value * lam_den, scale), Rat(c * lam_den, scale * left)
+                    return CheckResult.mismatch(name, {"point": [i, q - i], "degrees": [m, n]}, lhs, rhs, exact=True)
+    return CheckResult.exact_pass(name)
 
 
 def _check_su11_casimir(p: BiParams) -> CheckResult:

@@ -6,15 +6,13 @@ from typing import Any, Mapping, NamedTuple, Sequence
 
 from .numeric import format_rational
 
-FLOAT_TOL = 1e-10  # the largest worst residual a float check passes with
-
 
 class CheckResult(NamedTuple):
     """Outcome of one named identity check.
 
-    max_residual is a decimal string; exact passes report "0".  On failure,
-    counterexample holds the first offending indices and both side values,
-    already stringified by the caller.
+    max_residual is "0" on every pass; a failure's is a p/q or decimal
+    string, or "inf" when it cannot be evaluated.  On failure, counterexample
+    holds the first offending indices and both side values, as strings.
     """
 
     name: str
@@ -25,15 +23,6 @@ class CheckResult(NamedTuple):
     @classmethod
     def exact_pass(cls, name: str) -> "CheckResult":
         return cls(name=name, passed=True, max_residual="0")
-
-    @classmethod
-    def float_verdict(cls, name: str, worst: float) -> "CheckResult":
-        """A pass at a worst residual up to FLOAT_TOL, else a failure with
-        the residual as lhs and 0 as rhs."""
-        residual = f"{worst:.17g}"
-        if worst <= FLOAT_TOL:
-            return cls(name=name, passed=True, max_residual=residual)
-        return cls.failure(name, residual, {}, residual, "0")
 
     @classmethod
     def failure(

@@ -278,23 +278,6 @@ class TestVerify:
         )
         assert code == 2 and "unknown check" in err
 
-    def test_tol_tightening_fails(self, capsys):
-        code, out, _ = run(
-            capsys, "verify", "--suite", "oracle", "--check", "chain-orthogonality",
-            "--alpha", "0,0,0", "--N", "4", "--tol", "1e-17",
-        )
-        assert code == 1
-        assert json.loads(out)["status"] == "fail"
-
-    def test_tol_leaves_exact_checks_alone(self, capsys):
-        """The normalized bi rows are exact: residual "0" passes any tol."""
-        code, out, _ = run(
-            capsys, "verify", "--suite", "bi", "--check", "normalized-recurrence-float",
-            "--alpha", "0,0,0", "--N", "4", "--tol", "1e-300",
-        )
-        assert code == 0
-        assert {c["max_residual"] for c in json.loads(out)["checks"]} == {"0"}
-
     def test_fault_injection(self, capsys, monkeypatch):
         orig = oracle_mod._shift_coeffs
 
@@ -352,11 +335,13 @@ class TestPlumbing:
             ["genfun", "--alpha", "0,0", "--N", "2", "--tol", "1"],
             ["verify", "--suite", "uni", "--alpha", "0,0", "--N", "2", "--mode", "exact"],
             ["genfun", "--alpha", "0,0", "--N", "2", "--mode", "exact"],
+            ["verify", "--suite", "uni", "--alpha", "0,0", "--N", "2", "--tol", "1"],
         ],
-        ids=["eval-tol", "genfun-tol", "verify-mode", "genfun-mode"],
+        ids=["eval-tol", "genfun-tol", "verify-mode", "genfun-mode", "verify-tol"],
     )
     def test_flags_only_where_read(self, capsys, argv):
-        # --tol belongs to verify alone, --mode to eval, overlap and chain
+        # --mode belongs to eval, overlap and chain; every check is exact, so
+        # no command takes a tolerance
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert "unrecognized arguments" in err
@@ -365,15 +350,6 @@ class TestPlumbing:
         level = str(uni_mod.MAX_UNI_LEVEL + 1)
         code, out, err = run(capsys, "verify", "--suite", "uni", "--alpha", "1/2,7/3", "--N", level)
         assert code == 2 and out == "" and "refused" in err
-
-    def test_nonpositive_tol(self, capsys):
-        code, _, err = run(capsys, "verify", "--suite", "all", "--tol", "0")
-        assert code == 2 and "tol" in err
-
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
-    def test_nonfinite_tol(self, capsys, tol):
-        code, out, err = run(capsys, "verify", "--suite", "uni", "--alpha", "0,0", "--N", "2", "--tol", tol)
-        assert code == 2 and "tol" in err and out == ""
 
     def test_unknown_suite_is_usage_error(self, capsys):
         assert main(["verify", "--suite", "nope", "--alpha", "0,0", "--N", "1"]) == 2

@@ -15,12 +15,11 @@ All were made on the fractions backend.  Run this file as a script to write them
 The battery's bytes (tests/data/verify_all.json) are compared inside
 criterion 11 of the acceptance tests, which already runs the battery.
 
-Every bivariate check is exact, the normalized "-float" rows included, so
-their reports are compared byte for byte on every backend.  The oracle's
-float chain checks (chain-*) have residual digits that rest on float() of
-exact rationals, which the fractions backend rounds correctly; no other
-backend is known to round the same here, so elsewhere they are compared by
-status only.
+Every verify check is exact, the normalized "-float" rows and the oracle's
+chain checks included, so every JSON golden is compared byte for byte on
+every backend.  Only the float CSV goldens (the chain and float overlap
+commands) are compared byte for byte on fractions alone, and elsewhere
+entry by entry to 1e-12.
 """
 import contextlib
 import io
@@ -73,20 +72,6 @@ def bi_reports() -> dict:
     }
 
 
-def comparable(payload):
-    """The payload as compared on this backend: the oracle's float chain
-    checks by status only, unless the backend is fractions."""
-    if ON_FRACTIONS:
-        return payload
-    if isinstance(payload, list):
-        return [comparable(v) for v in payload]
-    if not isinstance(payload, dict):
-        return payload
-    if payload.get("name", "").startswith("chain-"):
-        return {"name": payload["name"], "status": payload["status"]}
-    return {key: comparable(value) for key, value in payload.items()}
-
-
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(BI_REPORTS.read_text())
@@ -98,7 +83,7 @@ def test_bi_reports_match_golden(golden, check):
         for N in LEVELS:
             key = case_key(check, triple, N)
             got = json.loads(json.dumps(verify_bi(check, BiParams(*triple, N)).to_dict()))
-            assert json.dumps(comparable(got)) == json.dumps(comparable(golden[key])), key
+            assert json.dumps(got) == json.dumps(golden[key]), key
 
 
 def test_float_limits_match_golden():
@@ -146,10 +131,8 @@ def csv_cells(text: str) -> tuple:
 @pytest.mark.parametrize("name", CLI_GOLDENS)
 def test_cli_output_matches_golden(name):
     got, want = cli_text(CLI_GOLDENS[name]), (DATA / name).read_text()
-    if ON_FRACTIONS:
+    if ON_FRACTIONS or name.endswith(".json"):
         assert got == want
-    elif name.endswith(".json"):
-        assert comparable(json.loads(got)) == comparable(json.loads(want))
     else:
         (got_labels, got_entries), (want_labels, want_entries) = csv_cells(got), csv_cells(want)
         assert got_labels == want_labels
@@ -157,11 +140,7 @@ def test_cli_output_matches_golden(name):
 
 
 def assert_battery_matches(text: str) -> None:
-    want = BATTERY.read_text()
-    if ON_FRACTIONS:
-        assert text == want
-    else:
-        assert comparable(json.loads(text)) == comparable(json.loads(want))
+    assert text == BATTERY.read_text()
 
 
 if __name__ == "__main__":

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import hahnkit.oracle as oracle_mod
-from hahnkit.hahn_bi import BiParams, overlap2, p2_eval
-from hahnkit.numeric import Rat, RationalMatrix
+from hahnkit.hahn_bi import BiParams, bigLambda, overlap2, p2_eval, weight2
+from hahnkit.numeric import Rat, RationalMatrix, format_rational
 from hahnkit.oracle import (
     ORACLE_CHECK_NAMES,
     ChainMatrix,
@@ -23,7 +23,7 @@ from hahnkit.oracle import (
     su11_spectrum_check,
     verify_oracle,
 )
-from hahnkit.simplex import simplex_points
+from hahnkit.simplex import ChainTable, simplex_points
 
 TRIPLES = [(0, 0, 0), (Rat(1, 2), Rat(-1, 2), 3), (Rat(7, 3), 1, Rat(1, 2))]
 # TRIPLES, three more, and the large-magnitude triple of the float plane's
@@ -75,18 +75,6 @@ def off_block(factor, row, col):
     assert entries[row][col] == 0.0
     entries[row][col] = 1e-3
     return ChainMatrix(factor.params, factor.rows, factor.cols, tuple(map(tuple, entries)))
-
-
-def dense_identity_defect(entries):
-    """The dense loop over every column pair and every row that the
-    per-block identity defect replaced, kept as its reference."""
-    side = len(entries[0]) if entries else 0
-    worst = 0.0
-    for a in range(side):
-        for b in range(a, side):
-            acc = sum(row[a] * row[b] for row in entries)
-            worst = max(worst, abs(acc - (1.0 if a == b else 0.0)))
-    return worst
 
 
 def normalized_p_vector(d, p):
@@ -312,14 +300,6 @@ class TestChain:
         # degree pairs (0,0),(1,0),(2,0),(0,1),(1,1),(0,2)
         assert second == {0: ([0, 1, 3], [0, 3, 5]), 1: ([2, 4], [1, 4]), 2: ([5], [2])}
 
-    @pytest.mark.parametrize("triple", DEFECT_TRIPLES)
-    def test_block_identity_defect_equals_dense_loop(self, triple):
-        for N in range(13):
-            factors = chain_matrices(BiParams(*triple, N))
-            for factor, blocks in zip(factors, chain_blocks(*factors)):
-                want = f"{dense_identity_defect(factor.entries):.17g}"
-                assert f"{oracle_mod._identity_defect(factor.entries, blocks):.17g}" == want, (N, factor.rows[0])
-
     @pytest.mark.parametrize("triple", TRIPLES)
     def test_composition_is_overlap(self, triple):
         for N in range(6):
@@ -404,7 +384,7 @@ class TestVerifyOracle:
         def no_build(*args):
             raise AssertionError("a matrix was built")
 
-        for attr in ("build_operator", "chain_matrices", "su11_build"):
+        for attr in ("build_operator", "chain_matrices", "_factor_blocks", "overlap_pieces", "su11_build"):
             monkeypatch.setattr(oracle_mod, attr, no_build)
         cap = oracle_mod.MAX_ORACLE_LEVEL
         with pytest.raises(ValueError, match=f"^the oracle checks at level {cap + 1} are refused; the cap is {cap}$"):
@@ -485,36 +465,113 @@ class TestVerifyOracle:
         assert not verify_oracle("joint-eigenvectors", p).passed
         assert not verify_oracle("commutation", p).passed
 
-    def test_off_block_chain_entry_fails_composition(self, monkeypatch):
-        orig = oracle_mod.chain_matrices
+    @pytest.mark.parametrize("triple", DEFECT_TRIPLES)
+    def test_chain_checks_are_exact(self, triple):
+        for N in range(9):
+            for name in ("chain-orthogonality", "chain-composition"):
+                check = verify_oracle(name, BiParams(*triple, N)).checks[0]
+                assert check.passed and check.max_residual == "0", (name, N)
 
-        def tampered(p):
-            first, second = orig(p)
-            return off_block(first, 1, 3), second
+    @pytest.mark.parametrize("name", ["chain-orthogonality", "chain-composition"])
+    def test_chain_checks_take_no_float_path(self, monkeypatch, name):
+        def no_float(*args):
+            raise AssertionError("a float was made")
 
-        monkeypatch.setattr(oracle_mod, "chain_matrices", tampered)
-        check = verify_oracle("chain-composition", BiParams(0, 0, 0, 2)).checks[0]
-        assert not check.passed
-        assert check.max_residual == "inf"
-        assert check.counterexample["lhs"] == (
-            "the first chain factor is 0.001 off its blocks at row (1, 0), col (0, 2)"
-        )
+        monkeypatch.setattr(oracle_mod, "chain_matrices", no_float)
+        monkeypatch.setattr(oracle_mod.math, "sqrt", no_float)
+        check = verify_oracle(name, BiParams(Rat(1, 2), Rat(-1, 2), 3, 6)).checks[0]
+        assert check.passed and check.max_residual == "0"
 
-    def test_off_block_chain_entry_fails_orthogonality(self, monkeypatch):
-        # the dense identity loop reported a float residual here; the block
-        # walker refuses the entry and names it
-        orig = oracle_mod.chain_matrices
-        for which, row, col in [("first", 1, 3), ("second", 2, 5)]:
-            factors = dict(zip(("first", "second"), orig(BiParams(0, 0, 0, 2))))
-            factors[which] = tampered = off_block(factors[which], row, col)
-            monkeypatch.setattr(oracle_mod, "chain_matrices", lambda p: (factors["first"], factors["second"]))
-            check = verify_oracle("chain-orthogonality", BiParams(0, 0, 0, 2)).checks[0]
-            assert not check.passed
-            assert check.max_residual == "inf"
-            assert check.counterexample["lhs"] == (
-                f"the {which} chain factor is 0.001 off its blocks at "
-                f"row {tampered.rows[row]}, col {tampered.cols[col]}"
-            )
+    # (1/2, -1/2, 3) at N = 4: the first factor's block q = 3 is the d = 1
+    # system (1/2, -1/2) at level 3, the second's block m = 1 is (3, 3) at
+    # level 3
+    CHAIN = BiParams(Rat(1, 2), Rat(-1, 2), 3, 4)
+
+    @staticmethod
+    def _tamper_block(monkeypatch, args, n, x=None):
+        """The integer block at args reads one more at row n, entry x, or,
+        with x None, in the numerator of norm n."""
+        honest = oracle_mod._orthonormal_block
+
+        def block(alpha, beta, level):
+            weight, rows, dens, norms = honest(alpha, beta, level)
+            if (alpha, beta, level) == args:
+                rows, norms = list(rows), list(norms)
+                if x is None:
+                    norms[n] = (norms[n][0] + 1, norms[n][1])
+                else:
+                    rows[n] = rows[n][:x] + (rows[n][x] + 1,) + rows[n][x + 1:]
+            return weight, rows, dens, norms
+
+        monkeypatch.setattr(oracle_mod, "_orthonormal_block", block)
+
+    @pytest.mark.parametrize("case, args, n, x, orthogonality, composition", [
+        # row 1 of first block 3 at x = 2: the pair (1, 0) of that block, and
+        # the overlap at grid point (2, 1) of the first degree pair (1, .)
+        ("row", (Rat(1, 2), Rat(-1, 2), 3), 1, 2,
+         {"factor": "first", "block": 3, "degrees": [1, 0]}, {"point": [2, 1], "degrees": [1, 0]}),
+        # norm 2 of second block 1: its diagonal (2, 2), and the overlap of
+        # degree pair (1, 2) on the first line q = m = 1
+        ("norm", (Rat(3), Rat(3), 3), 2, None,
+         {"factor": "second", "block": 1, "degrees": [2, 2]}, {"point": [0, 1], "degrees": [1, 2]}),
+        # row 1 of second block 2, the system (5, 3) at level 0..2, at x = 0:
+        # the pair (1, 0) of that block, and the overlap of degree pair
+        # (2, 1) on the line q = m + x = 2
+        ("second-row", (Rat(5), Rat(3), 2), 1, 0,
+         {"factor": "second", "block": 2, "degrees": [1, 0]}, {"point": [0, 2], "degrees": [2, 1]}),
+        # norm 1 of first block 2: its diagonal (1, 1), and the first degree
+        # pair (1, 0) that reads row 1 of that block
+        ("first-norm", (Rat(1, 2), Rat(-1, 2), 2), 1, None,
+         {"factor": "first", "block": 2, "degrees": [1, 1]}, {"point": [0, 2], "degrees": [1, 0]}),
+    ])
+    def test_tampered_block_fails_both_chain_checks(self, monkeypatch, case, args, n, x, orthogonality, composition):
+        self._tamper_block(monkeypatch, args, n, x)
+        for name, indices in (("chain-orthogonality", orthogonality), ("chain-composition", composition)):
+            check = verify_oracle(name, self.CHAIN).checks[0]
+            assert not check.passed and check.max_residual not in ("0", "inf"), name
+            assert check.counterexample["indices"] == indices, name
+
+    @staticmethod
+    def _tamper_overlap(monkeypatch, d, g):
+        """The overlap's integer row of degree pair d reads one more at grid point g."""
+        honest = oracle_mod.overlap_pieces
+        points = list(simplex_points(4, 2))
+
+        def pieces(p):
+            values, weight = honest(p)
+            row, den, lam = values[points.index(d)]
+            t = points.index(g)
+            values[points.index(d)] = (row[:t] + (row[t] + 1,) + row[t + 1:], den, lam)
+            return values, weight
+
+        monkeypatch.setattr(oracle_mod, "overlap_pieces", pieces)
+
+    def test_tampered_overlap_inside_the_blocks_fails_composition(self, monkeypatch):
+        # m = 1 <= i + k = 3
+        self._tamper_overlap(monkeypatch, (1, 2), (2, 1))
+        check = verify_oracle("chain-composition", self.CHAIN).checks[0]
+        assert not check.passed and check.max_residual not in ("0", "inf")
+        assert check.counterexample["indices"] == {"point": [2, 1], "degrees": [1, 2]}
+        assert verify_oracle("chain-orthogonality", self.CHAIN).checks[0].max_residual == "0"
+
+    def test_tampered_overlap_below_the_blocks_fails_composition(self, monkeypatch):
+        # m = 3 > i + k = 1, where the chain product is 0: the report is the
+        # signed square of the overlap entry 1 / den, w_g / (den^2 Lambda),
+        # against 0
+        self._tamper_overlap(monkeypatch, (3, 0), (1, 0))
+        p, d, g = self.CHAIN, (3, 0), (1, 0)
+        square = weight2(g, p) / (Rat(ChainTable((p.alpha1, p.alpha2, p.alpha3)).den(d)) ** 2 * bigLambda(d, p))
+        assert format_rational(square) == "1/1045094400"
+        assert verify_oracle("chain-composition", p).to_dict()["checks"] == [{
+            "name": "chain-composition",
+            "status": "fail",
+            "max_residual": format_rational(square),
+            "counterexample": {
+                "indices": {"point": [1, 0], "degrees": [3, 0]},
+                "lhs": format_rational(square),
+                "rhs": "0",
+            },
+        }]
 
     @pytest.mark.parametrize("case", ["line-coupling", "degenerate"])
     def test_failed_solve_report_pinned(self, case, monkeypatch):
