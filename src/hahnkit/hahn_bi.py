@@ -21,10 +21,11 @@ The checks run on Python ints.  A table holds the P values of a degree
 pair and level as integer numerators, the d = 2 rows of the simplex
 layer's ChainTable, over one denominator sigma, made once per degree pair
 and level; grid points and degree pairs both run in simplex_points(N, 2)
-order, and the weight is simplex_weight's.  Orthogonality (gram_entries)
-and symmetry compare integer sums and make rationals only to report a
-failure.  Every scale a comparison is multiplied by is shown nonzero first,
-since a zero one would make any identity hold.
+order, and the weight is simplex_weight's.  Orthogonality (the Gram check
+of every d, simplex.gram_mismatch, against the closed-form norm
+simplex.chain_norm) and symmetry compare integers and make rationals only
+to report a failure.  Every scale a comparison is multiplied by is shown
+nonzero first, since a zero one would make any identity hold.
 
 The relation runner walks sample points outermost, all rows of a check
 together: at each t, every row whose sweep reaches t decides its instances
@@ -54,10 +55,10 @@ residual of its instance) is reported.
 A Q-plane term is a rational times a square root.  Its per-degree share is
 a signed square (sign, (num, den)), standing for sign sqrt(num / den), its
 per-point share an integer pair as on the P plane, and its value the table
-row over the chain denominator times sqrt(1 / Lambda) (_Values.norm).  So
-a term of an instance is r_g sqrt(R): r_g rational at grid point g, and
-the radicand R = num Lambda_den / (den Lambda_num) fixed by the instance
-alone.  Square roots of rationals from distinct square classes are
+row over the chain denominator times sqrt(1 / Lambda) (_Values.norm, with
+Lambda from simplex.chain_norm).  So a term of an instance is r_g sqrt(R):
+r_g rational at grid point g, and the radicand R = num Lambda_den / (den
+Lambda_num) fixed by the instance alone.  Square roots of rationals from distinct square classes are
 linearly independent over the rationals (Besicovitch 1940), so a side sum
 vanishes exactly when its sum over each class does.  The runner therefore
 partitions an instance's terms by square class: R and S share one when
@@ -112,7 +113,16 @@ from .numeric import (
     rising,
 )
 from .reports import CheckResult, VerificationReport, _guarded
-from .simplex import ChainTable, cleared, genfun_mismatch, gram_entries, simplex_points, simplex_weight
+from .simplex import (
+    ChainTable,
+    chain_norm,
+    cleared,
+    genfun_mismatch,
+    gram_mismatch,
+    gram_pieces,
+    simplex_points,
+    simplex_weight,
+)
 
 # The largest level whose sixteen checks fit in criterion 03's 60 s budget
 # on the fractions backend (cost curve in BENCH_15.json); verify_bi refuses
@@ -199,52 +209,15 @@ def h2_eval(d, g, p: BiParams):
     return p2_eval(d, g, p) / (factorial(m) * factorial(n))
 
 
-def _lambda_core(m: int, n: int, triple: tuple, N: int) -> tuple[int, int]:
-    """(a1+1)_m (a2+1)_m (a3+1)_n (m+s+1)_m (2m+s+2)_n (2m+n+sig+2)_n
-    (2m+2n+sig+3)_{N-m-n} / (sig+3)_N, with s = a1+a2 and sig = s+a3, as
-    one integer numerator and denominator.
-
-    Cancellation-safe arrangement: every ratio (a)_{2m}/(a)_m collapsed to
-    (a+m)_m, so nothing here divides by a quantity that can vanish.  triple
-    is the parameter triple already cleared to one denominator q, (q, (A1,
-    A2, A3)) as simplex.cleared gives it; the rising products above carry
-    q^(2m+2n+N) and the one below q^N, so q^(2m+2n) is left below.
-    """
-    q, (A1, A2, A3) = triple
-    S = A1 + A2
-    T = S + A3
-    num = (
-        rising(A1 + q, m, q)
-        * rising(A2 + q, m, q)
-        * rising(A3 + q, n, q)
-        * rising(S + (m + 1) * q, m, q)
-        * rising(S + (2 * m + 2) * q, n, q)
-        * rising(T + (2 * m + n + 2) * q, n, q)
-        * rising(T + (2 * m + 2 * n + 3) * q, N - m - n, q)
-    )
-    return num, q ** (2 * (m + n)) * rising(T + 3 * q, N, q)
-
-
 def lambda2(d, p: BiParams):
-    """Norm of P_{m,n} under the simplex weight."""
-    m, n = _require_pair(d, p.N, "degree pair")
-    num, den = _lambda_core(m, n, cleared(p.alpha1, p.alpha2, p.alpha3), p.N)
-    f = math.factorial
-    return Rat(f(m) * f(n) * f(p.N - m - n) * num, f(p.N) * den)
-
-
-def _big_lambda(m: int, n: int, triple: tuple, N: int) -> tuple[int, int]:
-    """bigLambda as one integer numerator and denominator, on the cleared
-    triple (q, (A1, A2, A3))."""
-    num, den = _lambda_core(m, n, triple, N)
-    f = math.factorial
-    return math.perm(N, m + n) * f(m) * f(n) * num, den
+    """Norm of P_{m,n} under the simplex weight: bigLambda / ((-N)_{m+n})^2."""
+    return bigLambda(d, p) / rising(-p.N, sum(d)) ** 2
 
 
 def bigLambda(d, p: BiParams):
-    """Squared norm of the bare product chain; equals lambda2 * ((-N)_{m+n})^2."""
+    """Squared norm of the bare product chain: simplex.chain_norm at d = 2."""
     m, n = _require_pair(d, p.N, "degree pair")
-    return Rat(*_big_lambda(m, n, cleared(p.alpha1, p.alpha2, p.alpha3), p.N))
+    return Rat(*chain_norm(cleared(p.alpha1, p.alpha2, p.alpha3), (m, n), p.N))
 
 
 def q2_eval(d, g, p: BiParams) -> RadicalScalar:
@@ -308,7 +281,7 @@ class _Values:
         key = (m, n, level)
         out = self._norms.get(key)
         if out is None:
-            lam, num = _big_lambda(m, n, self.triple, level)
+            lam, num = chain_norm(self.triple, (m, n), level)
             out = self._norms[key] = (
                 nonzero(self.chains.den((m, n)), "the denominator of a Q value"),
                 (num, nonzero(lam, "the norm under a Q value's root")),
@@ -343,14 +316,11 @@ class OverlapMatrix(NamedTuple):
 
 def overlap_pieces(p: BiParams) -> tuple:
     """The overlap matrix on ints: per degree pair, in simplex_points order,
-    (row, den, (Lambda_num, Lambda_den)) from the d = 2 ChainTable and
-    bigLambda's integer pair, then simplex_weight's (omega, W); the entry at
-    grid point g is row[g] / den sqrt(omega_g Lambda_den / (W Lambda_num))."""
-    chains = ChainTable((p.alpha1, p.alpha2, p.alpha3))
-    return (
-        [(chains.row(d, p.N), chains.den(d), _big_lambda(*d, chains.cleared, p.N)) for d in simplex_points(p.N, 2)],
-        simplex_weight((p.alpha1, p.alpha2, p.alpha3), p.N),
-    )
+    (row, den, (Lambda_num, Lambda_den)) from simplex.gram_pieces at d = 2,
+    then simplex_weight's (omega, W); the entry at grid point g is row[g] /
+    den sqrt(omega_g Lambda_den / (W Lambda_num))."""
+    weight, rows, dens, norms = gram_pieces((p.alpha1, p.alpha2, p.alpha3), p.N)
+    return list(zip(rows, dens, norms)), weight
 
 
 def overlap2(p: BiParams, mode: str = "float") -> OverlapMatrix:
@@ -388,18 +358,16 @@ def overlap2(p: BiParams, mode: str = "float") -> OverlapMatrix:
 
 
 def _check_orthogonality(p: BiParams) -> CheckResult:
-    """The integer Gram sums of the P numerators (gram_entries): an
-    off-diagonal sum must be the integer 0, a diagonal entry acc / scale
-    lambda2, compared crosswise."""
-    name = "orthogonality"
+    """The Gram check of every d (simplex.gram_mismatch) at d = 2, reported
+    on P = chain / (-N)_{m+n}: each side of entry (a, b) over
+    (-N)_{|a|} (-N)_{|b|}, so a diagonal one's rhs is lambda2."""
+    bad = gram_mismatch(*gram_pieces((p.alpha1, p.alpha2, p.alpha3), p.N))
+    if bad is None:
+        return CheckResult.exact_pass("orthogonality")
+    (a, b), lhs, rhs = bad
     degs = tuple(simplex_points(p.N, 2))
-    table = _Values(p.alpha1, p.alpha2, p.alpha3)
-    rows, dens = [table.row(*d, p.N) for d in degs], [table.den(*d, p.N) for d in degs]
-    for a, b, acc, scale in gram_entries(simplex_weight((p.alpha1, p.alpha2, p.alpha3), p.N), rows, dens):
-        want = lambda2(degs[a], p) if a == b else Rat(0)
-        if acc * int(want.denominator) != int(want.numerator) * scale:
-            return CheckResult.mismatch(name, {"degrees": [degs[a], degs[b]]}, Rat(acc, scale), want, exact=True)
-    return CheckResult.exact_pass(name)
+    scale = rising(-p.N, sum(degs[a])) * rising(-p.N, sum(degs[b]))
+    return CheckResult.mismatch("orthogonality", {"degrees": [degs[a], degs[b]]}, lhs / scale, rhs / scale)
 
 
 def _check_symmetry(p: BiParams) -> CheckResult:

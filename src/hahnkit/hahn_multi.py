@@ -3,17 +3,20 @@
 The d-variable family is a chain of univariate Hahn factors: factor k sees
 the partial sum of the first k grid coordinates, shifted by the partial sum
 of the first k-1 degrees, at an effective level that again depends on both.
-The values, the weight, the Gram sums and the generating function come from
-the simplex layer (hahnkit.simplex), which serves every d; this module adds
-the parameter checks, single-point evaluators and the d-variable suite.
+The values, the weight, the norm, the Gram sums and the generating function
+come from the simplex layer (hahnkit.simplex), which serves every d; this
+module adds the parameter checks, single-point evaluators and the
+d-variable suite.
 
 The suite runs two exact checks, in MV_CHECK_NAMES order, refused above
-MAX_GRAM_POINTS.  orthogonality: with no closed form for the normalization
-(Lambda is the weighted sum of squares), every off-diagonal integer Gram
-sum (gram_entries) is zero and every diagonal one positive.  genfun: the
-generating function of simplex.genfun_mismatch, one Jacobi factor per
-variable, whose d = 1 and d = 2 cases are hahn_uni's dual-genfun and
-hahn_bi's genfun; a failure names the degree tuple and grid point.
+MAX_GRAM_POINTS.  orthogonality: every off-diagonal integer Gram sum is
+zero and every diagonal one the closed-form norm (simplex.chain_norm), by
+the Gram check of every d (simplex.gram_mismatch).  genfun: the generating
+function of simplex.genfun_mismatch, one Jacobi factor per variable, whose
+d = 1 and d = 2 cases are hahn_uni's dual-genfun and hahn_bi's genfun; a
+failure names the degree tuple and grid point.  mv_lambda stays the
+weighted sum of squares, the independent route the closed form is tested
+against.
 """
 from __future__ import annotations
 
@@ -22,7 +25,15 @@ from typing import NamedTuple
 
 from .numeric import Rat, format_rational
 from .reports import CheckResult, VerificationReport, _guarded
-from .simplex import ChainTable, genfun_mismatch, gram_entries, simplex_points, simplex_weight
+from .simplex import (
+    ChainTable,
+    genfun_mismatch,
+    gram_entries,
+    gram_mismatch,
+    gram_pieces,
+    simplex_points,
+    simplex_weight,
+)
 
 MAX_DIMENSION = 6
 MAX_LEVEL = 12
@@ -92,7 +103,8 @@ def mv_p_eval(n, i, p: MultiParams):
 
 
 def mv_lambda(n, p: MultiParams):
-    """Normalization sum_i w_i P_n(i)^2; positive by construction."""
+    """Normalization sum_i w_i P_n(i)^2 as the Gram sum itself, not the
+    closed form (simplex.chain_norm) that the orthogonality check reads."""
     degs = _require_index(n, p, "degree tuple")
     table = ChainTable(p.alphas)
     _, _, acc, scale = next(gram_entries(simplex_weight(p.alphas, p.N), (table.row(degs, p.N),), (table.den(degs),)))
@@ -100,17 +112,14 @@ def mv_lambda(n, p: MultiParams):
 
 
 def _check_orthogonality(p: MultiParams) -> CheckResult:
-    """Exact Gram diagonality on the integer sums: a failure reports the
-    entry against 0, with residual "nonpositive" on the diagonal."""
-    table = ChainTable(p.alphas)
-    idx = table.points(p.N)
-    rows, dens = [table.row(d, p.N) for d in idx], [table.den(d) for d in idx]
-    for a, b, acc, scale in gram_entries(simplex_weight(p.alphas, p.N), rows, dens):
-        if a != b or acc * scale <= 0:
-            entry = format_rational(Rat(acc, scale))
-            indices = {"degrees": [list(idx[a]), list(idx[b])]}
-            return CheckResult.failure("orthogonality", "nonpositive" if a == b else entry, indices, entry, "0")
-    return CheckResult.exact_pass("orthogonality")
+    """Every Gram sum against the closed-form norm (simplex.gram_mismatch):
+    a failure names its two degree tuples."""
+    bad = gram_mismatch(*gram_pieces(p.alphas, p.N))
+    if bad is None:
+        return CheckResult.exact_pass("orthogonality")
+    (a, b), lhs, rhs = bad
+    degs = tuple(simplex_points(p.N, p.d))
+    return CheckResult.mismatch("orthogonality", {"degrees": [list(degs[a]), list(degs[b])]}, lhs, rhs)
 
 
 def _check_genfun(p: MultiParams) -> CheckResult:

@@ -3,17 +3,16 @@
 Evaluation, hypergeometric-distribution weight, norm, and mechanical checks
 of orthogonality and the two generating functions, all in exact arithmetic.
 
-Values, weight and Gram sums are the d = 1 case of the simplex layer
+Values, weight, norm and Gram sums are the d = 1 case of the simplex layer
 (hahnkit.simplex): eval_total for one value, the d = 1 ChainTable's rows for
-a whole grid, simplex_weight, gram_entries and, for dual-genfun, the
-generating function of every d (genfun_mismatch).  The norm is one integer
-numerator and denominator of rising products (hahn_norm_cleared, on the
-cleared parameters; hahn_norm makes it one rational), and gram_mismatch
-compares the Gram sums with it for the oracle's chain too.  Every check
-compares integers crosswise, after showing its scale nonzero, and makes a
-rational only to report a failure; the 1F1 product of genfun is int tuples
-over one denominator each (numeric's univariate helpers keep ints as ints).
-verify_uni refuses a level above MAX_UNI_LEVEL.
+a whole grid, simplex_weight, the closed-form chain norm (chain_norm, which
+hahn_norm makes one rational), the Gram check of every d (gram_pieces and
+gram_mismatch) and, for dual-genfun, the generating function of every d
+(genfun_mismatch).  Every check compares integers crosswise, after showing
+its scale nonzero, and makes a rational only to report a failure; the 1F1
+product of genfun is int tuples over one denominator each (numeric's
+univariate helpers keep ints as ints).  verify_uni refuses a level above
+MAX_UNI_LEVEL.
 """
 from __future__ import annotations
 
@@ -28,7 +27,16 @@ from .numeric import (
     rising,
 )
 from .reports import CheckResult, VerificationReport, _guarded
-from .simplex import ChainTable, cleared, eval_total, genfun_mismatch, gram_entries, simplex_weight
+from .simplex import (
+    ChainTable,
+    chain_norm,
+    cleared,
+    eval_total,
+    genfun_mismatch,
+    gram_mismatch,
+    gram_pieces,
+    simplex_weight,
+)
 
 # The largest level whose three checks fit in criterion 03's 60 s budget on
 # the fractions backend, timed in one fresh process per level (cost curve in
@@ -83,59 +91,17 @@ def hahn_weight(x: int, p: UniParams):
     return Rat(nums[x], den)
 
 
-def hahn_norm_cleared(n: int, N: int, params: tuple) -> tuple[int, int]:
-    """The norm of h_n under the weight at level N, in the cancellation-safe
-    arrangement, as one integer numerator and denominator.
-
-    The textbook prefactor (a+b+1)/(a+b+1)_n is 0/0 at a+b+1 = 0; for n >= 1
-    it equals 1/(a+b+2)_{n-1}, which is what gets evaluated here:
-
-        N! n! / (N-n)! (a+1)_n (b+1)_n (N+a+b+2)_n / ((2n+a+b+1) (a+b+2)_{n-1}).
-
-    params is the pair already cleared to one denominator q, (q, (A, B)) as
-    simplex.cleared gives it; the q^(3n) above against the q^n below leave
-    q^(2n) in the denominator.
-    """
-    if n == 0:
-        return 1, 1
-    q, (A, B) = params
-    return (
-        math.perm(N, n)
-        * math.factorial(n)
-        * rising(A + q, n, q)
-        * rising(B + q, n, q)
-        * rising(A + B + (N + 2) * q, n, q),
-        q ** (2 * n) * (A + B + (2 * n + 1) * q) * rising(A + B + 2 * q, n - 1, q),
-    )
-
-
 def hahn_norm(n: int, p: UniParams):
-    """Norm of h_n under the weight: hahn_norm_cleared as one rational."""
+    """Norm of h_n under the weight: simplex.chain_norm at d = 1 as one rational."""
     if not 0 <= n <= p.N:
         raise ValueError(f"degree {n} outside 0..{p.N}")
-    return Rat(*hahn_norm_cleared(n, p.N, cleared(p.alpha, p.beta)))
-
-
-def gram_mismatch(weight, rows, dens, norms):
-    """The first Gram sum (gram_entries) of d = 1 values rows[n] / dens[n]
-    off its norm: pair (n, m) passes at sum 0 off the diagonal, at acc nd =
-    norm W d_n d_m on it, with (norm, nd) = norms[n] from hahn_norm_cleared.
-    None, or ([n, m], acc / scale, norm / nd), rationals made only to report."""
-    for n, m, acc, scale in gram_entries(weight, rows, dens):
-        num, den = norms[n] if n == m else (0, 1)
-        if acc * den != num * scale:
-            return [n, m], Rat(acc, scale), Rat(num, den)
-    return None
+    return Rat(*chain_norm(cleared(p.alpha, p.beta), (n,), p.N))
 
 
 def _check_orthogonality(p: UniParams) -> CheckResult:
     """The Gram sums of the d = 1 chain table under the cleared weight
-    against the norms of hahn_norm_cleared (gram_mismatch)."""
-    table, params, degs = ChainTable((p.alpha, p.beta)), cleared(p.alpha, p.beta), range(p.N + 1)
-    bad = gram_mismatch(
-        simplex_weight((p.alpha, p.beta), p.N), [table.row((n,), p.N) for n in degs],
-        [table.den((n,)) for n in degs], [hahn_norm_cleared(n, p.N, params) for n in degs],
-    )
+    against the closed-form norms (simplex.gram_mismatch)."""
+    bad = gram_mismatch(*gram_pieces((p.alpha, p.beta), p.N))
     return CheckResult.exact_pass("orthogonality") if bad is None else CheckResult.mismatch("orthogonality", *bad)
 
 

@@ -11,7 +11,8 @@ truncated su(1,1) actions in a square-root-free basis.
 
 Each check does its work once: the joint solve is joint-eigenvectors'
 alone, and the chain checks decide on the integer pieces of the factors'
-blocks (_orthonormal_block), which chain_matrices rounds to floats.
+blocks (_factor_blocks, each simplex.gram_pieces), which chain_matrices
+rounds to floats.
 
 The operator coefficient tables are written out here on purpose, not
 imported from the evaluation module: the whole point of the oracle is that
@@ -23,10 +24,9 @@ import math
 from typing import Callable, NamedTuple
 
 from .hahn_bi import BiParams, overlap_pieces
-from .hahn_uni import gram_mismatch, hahn_norm_cleared
 from .numeric import Rat, RationalMatrix, format_rational, nonzero
 from .reports import CheckResult, VerificationReport, _guarded
-from .simplex import ChainTable, cleared, simplex_points, simplex_weight
+from .simplex import ChainTable, gram_mismatch, gram_pieces, simplex_points
 
 # The largest level whose seven oracle checks fit in 60 s, criterion 03's
 # budget for a whole suite at one level, on the fractions backend (cost
@@ -248,25 +248,14 @@ class ChainMatrix(NamedTuple):
         return len(self.rows)
 
 
-def _orthonormal_block(alpha, beta, level: int) -> tuple:
-    """The d = 1 orthonormal system h_n(x) sqrt(w_x / norm_n) with parameters
-    (alpha, beta) at one level, n = 0..level over x = 0..level, on ints:
-    (simplex_weight (omega, W), the d = 1 ChainTable's rows and dens, and
-    hahn_norm_cleared's pairs (norm, nd)), entry (n, x) being
-    rows[n][x] / dens[n] sqrt(omega[x] nd / (W norm))."""
-    table, params, degs = ChainTable((alpha, beta)), cleared(alpha, beta), range(level + 1)
-    return (
-        simplex_weight((alpha, beta), level), [table.row((n,), level) for n in degs],
-        [table.den((n,)) for n in degs], [hahn_norm_cleared(n, level, params) for n in degs],
-    )
-
-
 def _factor_blocks(p: BiParams) -> tuple:
-    """Both chain factors' blocks on ints (_orthonormal_block): (alpha1, alpha2) at
-    level q = 0..N for the first, (2m + a12 + 1, alpha3) at level N - m for the second."""
+    """Both chain factors' blocks on ints, each the Gram pieces of a d = 1
+    orthonormal system (simplex.gram_pieces): (alpha1, alpha2) at level q =
+    0..N for the first, (2m + a12 + 1, alpha3) at level N - m for the second.
+    Entry (n, x) of a block is rows[n][x] / dens[n] sqrt(omega[x] nd / (W norm))."""
     return (
-        [_orthonormal_block(p.alpha1, p.alpha2, q) for q in range(p.N + 1)],
-        [_orthonormal_block(2 * m + p.a12 + 1, p.alpha3, p.N - m) for m in range(p.N + 1)],
+        [gram_pieces((p.alpha1, p.alpha2), q) for q in range(p.N + 1)],
+        [gram_pieces((2 * m + p.a12 + 1, p.alpha3), p.N - m) for m in range(p.N + 1)],
     )
 
 
@@ -398,7 +387,7 @@ def _check_annihilate_constants(p: BiParams) -> CheckResult:
         for g, row in zip(simplex_points(p.N, 2), build_operator(label, p)):
             value = sum(row.values())
             if value != 0:
-                return CheckResult.mismatch(name, {"label": label, "point": list(g)}, value, 0, exact=True)
+                return CheckResult.mismatch(name, {"label": label, "point": list(g)}, value, 0)
     return CheckResult.exact_pass(name)
 
 
@@ -412,7 +401,7 @@ def _check_commutation(p: BiParams) -> CheckResult:
         bad = [c for c in left.keys() | right.keys() if left.get(c, 0) != right.get(c, 0)]
         if bad:
             c = min(bad)
-            return CheckResult.mismatch(name, {"row": r, "col": c}, left.get(c, 0), right.get(c, 0), exact=True)
+            return CheckResult.mismatch(name, {"row": r, "col": c}, left.get(c, 0), right.get(c, 0))
     return CheckResult.exact_pass(name)
 
 
@@ -428,7 +417,7 @@ def _check_joint_eigenvectors(p: BiParams) -> CheckResult:
         expected = tuple(Rat(v, lead) for v in row)
         if vec != expected:
             g = next(t for t, (a, b) in enumerate(zip(vec, expected)) if a != b)
-            return CheckResult.mismatch(name, {"degree": list(d), "entry": g}, vec[g], expected[g], exact=True)
+            return CheckResult.mismatch(name, {"degree": list(d), "entry": g}, vec[g], expected[g])
     return CheckResult.exact_pass(name)
 
 
@@ -444,7 +433,7 @@ def _check_chain_orthogonality(p: BiParams) -> CheckResult:
             if bad is not None:
                 indices, lhs, rhs = bad
                 indices = {"factor": which, "block": key, "degrees": indices}
-                return CheckResult.mismatch(name, indices, lhs, rhs, exact=True)
+                return CheckResult.mismatch(name, indices, lhs, rhs)
     return CheckResult.exact_pass(name)
 
 
@@ -478,7 +467,7 @@ def _check_chain_composition(p: BiParams) -> CheckResult:
                 value = row[t] * abs(row[t]) * omega[t]
                 if value * left != c:
                     lhs, rhs = Rat(value * lam_den, scale), Rat(c * lam_den, scale * left)
-                    return CheckResult.mismatch(name, {"point": [i, q - i], "degrees": [m, n]}, lhs, rhs, exact=True)
+                    return CheckResult.mismatch(name, {"point": [i, q - i], "degrees": [m, n]}, lhs, rhs)
     return CheckResult.exact_pass(name)
 
 
@@ -536,7 +525,7 @@ def su11_spectrum_check(p: BiParams) -> VerificationReport:
             nu = nu_of(*d)
             lhs, rhs = nu * (nu - 1) - shift, -eigenvalue(label, d, p)
             if lhs != rhs:
-                check = CheckResult.mismatch(name, {"degree": list(d)}, lhs, rhs, exact=True)
+                check = CheckResult.mismatch(name, {"degree": list(d)}, lhs, rhs)
                 break
         checks.append(check)
     return VerificationReport(suite="su11", params=p.echo(), checks=tuple(checks))

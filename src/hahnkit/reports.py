@@ -10,9 +10,10 @@ from .numeric import format_rational
 class CheckResult(NamedTuple):
     """Outcome of one named identity check.
 
-    max_residual is "0" on every pass; a failure's is a p/q or decimal
-    string, or "inf" when it cannot be evaluated.  On failure, counterexample
-    holds the first offending indices and both side values, as strings.
+    max_residual is "0" on every pass; a failure's is lhs - rhs as a p/q
+    string (mismatch), a fixed word such as "nonzero", or "inf" when it
+    cannot be evaluated.  On failure, counterexample holds the first
+    offending indices and both side values, as strings.
     """
 
     name: str
@@ -36,11 +37,10 @@ class CheckResult(NamedTuple):
         )
 
     @classmethod
-    def mismatch(cls, name: str, indices: Any, lhs, rhs, exact: bool = False) -> "CheckResult":
-        """A failure at two rational sides, as p/q strings; the residual is
-        lhs - rhs as a p/q string when exact, else |lhs - rhs| as a float."""
-        residual = format_rational(lhs - rhs) if exact else f"{abs(float(lhs - rhs)):.17g}"
-        return cls.failure(name, residual, indices, format_rational(lhs), format_rational(rhs))
+    def mismatch(cls, name: str, indices: Any, lhs, rhs) -> "CheckResult":
+        """A failure at two rational sides: the residual lhs - rhs and both
+        sides as p/q strings."""
+        return cls.failure(name, format_rational(lhs - rhs), indices, format_rational(lhs), format_rational(rhs))
 
     def to_dict(self) -> dict:
         out: dict[str, Any] = {

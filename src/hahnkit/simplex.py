@@ -5,9 +5,11 @@ orthogonal under one multivariate hypergeometric weight on the simplex
 i_1 + ... + i_d <= N; d = 1 and d = 2 are its first cases.  Here are the
 univariate kernel (eval_total and its parts), the cleared Jacobi
 expansion (jacobi_cleared), the one point ordering (simplex_points), the
-chain table (ChainTable), the weight (simplex_weight), the Gram sums
-(gram_entries) and the generating function (genfun_mismatch, on the sparse
-polynomials of sparse_mul and sparse_sum); hahn_uni, hahn_bi and hahn_multi
+chain table (ChainTable), the weight (simplex_weight), the closed-form
+squared norm of a chain (chain_norm), the Gram sums (gram_entries) and their
+one comparison with that norm (gram_pieces, gram_mismatch), and the
+generating function (genfun_mismatch, on the sparse polynomials of
+sparse_mul and sparse_sum); hahn_uni, hahn_bi, hahn_multi and the oracle
 read them and decide every comparison on the integers crosswise.
 """
 from __future__ import annotations
@@ -243,6 +245,43 @@ def simplex_weight(alphas, N: int) -> tuple:
     return tuple(nums), rising(sum(A) + (d + 1) * Q, N, Q)
 
 
+def chain_norm(params, degs, N: int) -> tuple[int, int]:
+    """The squared norm sum_g w_g (row_g / den)^2 of the bare chain of degree
+    tuple degs at level N, in closed form, as one integer numerator and
+    denominator; params is the tuple cleared to Q, (Q, A) as cleared gives it.
+
+    Summing out factor k's variable along each line of its level leaves the
+    univariate norm of h_{n_k} with parameters (a_k, alpha_{k+1}), and what
+    remains is the chain of one variable fewer with parameters (a_k +
+    alpha_{k+1} + 2 n_k + 1, alpha_{k+2}, ...) at level N - n_k, whose
+    weight has the denominator (T + 2 n_k)_{N - n_k} where this one has
+    (T)_N, T = alpha_1 + ... + alpha_{d+1} + d + 1.  So factor k
+    contributes, with N and T its own level and start,
+
+        n! (a+1)_n (b+1)_n (a+b+n+1)_n N!/(N-n)! (N+T)_n / (T)_{2n},
+
+    and at the last factor T = a + b + 2.  Every divisor is positive, as each
+    parameter exceeds -1.  Each factor's rising products carry Q^(4n) above
+    and Q^(2n) below, so Q^(2n) is left below.
+    """
+    Q, A = params
+    a, T = A[0], sum(A) + (len(degs) + 1) * Q
+    num = den = 1
+    for n, b in zip(degs, A[1:]):
+        if n:  # a factor of degree 0 contributes 1
+            num *= (
+                math.factorial(n)
+                * math.perm(N, n)
+                * rising(a + Q, n, Q)
+                * rising(b + Q, n, Q)
+                * rising(a + b + (n + 1) * Q, n, Q)
+                * rising(T + N * Q, n, Q)
+            )
+            den *= Q ** (2 * n) * rising(T, 2 * n, Q)
+        a, T, N = a + b + (2 * n + 1) * Q, T + 2 * n * Q, N - n
+    return num, den
+
+
 def gram_entries(weight, rows, dens):
     """Integer Gram sums of values rows[a][g] / dens[a] under a weight
     (omega, W) of simplex_weight's form, w_g = omega_g / W.
@@ -260,6 +299,32 @@ def gram_entries(weight, rows, dens):
             acc = sum(map(mul, weighted, rows[b]))
             if a == b or acc:
                 yield a, b, acc, nonzero(W * dens[a] * dens[b], "the Gram scale W d_n d_m")
+
+
+def gram_pieces(alphas, N: int) -> tuple:
+    """The Gram check's integer pieces at level N, degree tuples in
+    simplex_points order: (simplex_weight (omega, W), the ChainTable rows,
+    their dens, chain_norm's pairs (norm, nd)).  The orthonormal value of
+    degree n at grid point g, under w_g = omega_g / W, is rows[n][g] /
+    dens[n] sqrt(nd / norm)."""
+    table = ChainTable(alphas)
+    degs = table.points(N)
+    return (
+        simplex_weight(alphas, N), [table.row(n, N) for n in degs],
+        [table.den(n) for n in degs], [chain_norm(table.cleared, n, N) for n in degs],
+    )
+
+
+def gram_mismatch(weight, rows, dens, norms):
+    """The first Gram sum (gram_entries) off its norm: pair (a, b) passes at
+    sum 0 off the diagonal, at acc nd = norm W d_a d_b on it, with (norm, nd)
+    = norms[a].  None, or ([a, b], acc / scale, norm / nd), the row indices
+    and two rationals made only to report."""
+    for a, b, acc, scale in gram_entries(weight, rows, dens):
+        num, den = norms[a] if a == b else (0, 1)
+        if acc * den != num * scale:
+            return [a, b], Rat(acc, scale), Rat(num, den)
+    return None
 
 
 def sparse_mul(f: dict, g: dict) -> dict:

@@ -146,7 +146,7 @@ class TestStructureRelations:
         assert check == {
             "name": "laguerre-addition",
             "status": "fail",
-            "max_residual": "0.59999999999999998",
+            "max_residual": "3/5",
             "counterexample": {"indices": [0, 2], "lhs": "21/2", "rhs": "99/10"},
         }
 

@@ -1000,8 +1000,8 @@ class TestQPlaneExactParts:
 
     @pytest.mark.parametrize("triple", Q_PLANE_TRIPLES)
     def test_norms(self, triple):
-        """Lambda from _lambda_core's integers, as bigLambda made it, and the
-        chain's denominator."""
+        """Lambda from chain_norm's integers, equal to the retired Fraction
+        product, and the chain's denominator."""
         table = bi_mod._Values(*triple)
         chains = ChainTable(triple)
         for level in (self.N, self.N + 1):
@@ -1009,7 +1009,7 @@ class TestQPlaneExactParts:
             for m, n in simplex_points(level, 2):
                 den, (num, lam) = table.norm(m, n, level)
                 assert all(type(v) is int for v in (den, num, lam)), (level, m, n)
-                assert (den, Rat(num, lam)) == (chains.den((m, n)), 1 / bigLambda((m, n), p)), (level, m, n)
+                assert (den, Rat(num, lam)) == (chains.den((m, n)), 1 / bigLambda_retired((m, n), p)), (level, m, n)
 
     @pytest.mark.parametrize("N", range(5))
     def test_large_magnitude_triple_passes(self, N):

@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import hahnkit.hahn_bi as bi_mod
 import hahnkit.simplex as simplex_mod
 from hahnkit.cli import main
-from hahnkit.hahn_bi import BiParams, bigLambda, p2_eval, verify_bi, weight2
+from hahnkit.hahn_bi import BiParams, bigLambda, lambda2, p2_eval, verify_bi, weight2
 from hahnkit.hahn_multi import (
     MAX_DIMENSION,
     MAX_GRAM_POINTS,
@@ -24,9 +23,12 @@ from hahnkit.hahn_multi import (
 )
 from hahnkit.hahn_uni import UniParams, hahn_eval, hahn_norm, hahn_weight, verify_uni
 from hahnkit.numeric import Rat, factorial, format_rational, parse_rational, pochhammer
-from hahnkit.simplex import ChainTable, eval_total, simplex_points
+from hahnkit.simplex import ChainTable, chain_norm, cleared, eval_total, simplex_points
 
 LATTICE = [Rat(-1, 2), Rat(0), Rat(1, 2), Rat(3), Rat(7, 3)]
+# The first d = 3 and d = 4 tuples of the orthogonality and generating-function checks.
+D3 = (Rat(1, 2), Rat(0), Rat(3), Rat(7, 3))
+D4 = (Rat(1, 3), Rat(1, 2), Rat(2), Rat(0), Rat(-1, 2))
 
 
 def lattice_tuple(count, offset=0):
@@ -259,6 +261,18 @@ class TestLambda:
         p = MultiParams(lattice_tuple(4, offset=3), 3)
         assert all(mv_lambda(n, p) > 0 for n in simplex_points(3, 3))
 
+    @pytest.mark.parametrize(
+        "alphas, N",
+        [((Rat(1, 2), Rat(7, 3)), 8), ((Rat(1, 2), Rat(-1, 2), Rat(3)), 6), ((0, 0, 0), 4),
+         (D3, 5), (D4, 4), ((Rat(1, 2),) * 7, 3)],
+        ids=["d1-N8", "d2-N6", "d2-zeros-N4", "d3-N5", "d4-N4", "d6-N3"],
+    )
+    def test_closed_form_is_the_gram_sum(self, alphas, N):
+        p = MultiParams(alphas, N)
+        params = cleared(*p.alphas)
+        for n in simplex_points(N, p.d):
+            assert Rat(*chain_norm(params, n, N)) == mv_lambda(n, p), n
+
 
 class TestVerifyMv:
     def test_univariate_reduction(self):
@@ -285,37 +299,82 @@ class TestVerifyMv:
         assert rep.params == p.echo()
 
     def test_negated_weights_fail_the_diagonal(self, monkeypatch):
-        # With every weight negated the off-diagonal entries stay 0; only the
-        # positivity of the diagonal can catch it.
-        import hahnkit.hahn_multi as mv_mod
-
-        honest = mv_mod.simplex_weight
+        # With every weight negated the off-diagonal entries stay 0; the
+        # first diagonal entry reads -1 against the closed-form norm 1.
+        honest = simplex_mod.simplex_weight
 
         def negated(alphas, N):
             nums, den = honest(alphas, N)
             return tuple(-w for w in nums), den
 
-        monkeypatch.setattr(mv_mod, "simplex_weight", negated)
+        monkeypatch.setattr(simplex_mod, "simplex_weight", negated)
         rep = verify_mv(MultiParams((Rat(1, 2), 0, 3, Rat(7, 3)), 3))
         check = rep.checks[0]
         assert not check.passed
-        assert check.max_residual == "nonpositive"
+        assert check.max_residual == "-2"
         assert check.counterexample["indices"] == {"degrees": [[0, 0, 0], [0, 0, 0]]}
-        assert check.counterexample["lhs"] == "-1" and check.counterexample["rhs"] == "0"
+        assert check.counterexample["lhs"] == "-1" and check.counterexample["rhs"] == "1"
+
+    def test_row_scaled_by_two_fails_its_diagonal(self, monkeypatch):
+        # Every off-diagonal sum stays 0 and every diagonal one positive; only
+        # the closed-form norm catches the scaled row, at its own degree tuple.
+        p, scaled = MultiParams(D3, 3), (0, 1, 1)
+        norm = Rat(*chain_norm(cleared(*p.alphas), scaled, p.N))
+        honest = ChainTable.row
+
+        def doubled(self, degs, level):
+            nums = honest(self, degs, level)
+            return tuple(2 * v for v in nums) if tuple(degs) == scaled else nums
+
+        monkeypatch.setattr(ChainTable, "row", doubled)
+        (check,) = verify_mv_check("orthogonality", p).checks
+        assert not check.passed
+        assert check.counterexample == {
+            "indices": {"degrees": [list(scaled), list(scaled)]},
+            "lhs": format_rational(4 * norm),
+            "rhs": format_rational(norm),
+        }
+        assert check.max_residual == format_rational(3 * norm)
+
+    def test_a_d2_test_alone_cannot_pin_the_norm(self, monkeypatch):
+        # The start T of each factor's remaining weight by the d = 2 rule,
+        # a_k + alpha_{k+1} + alpha_{k+2} + 3, blind to the parameters after
+        # alpha_{k+2}: right at d <= 2, wrong from d = 3 on at the first
+        # factor, so first at degree tuple (1, 0, 0).
+        def d2_rule(params, degs, N):
+            Q, A = params
+            alphas = [Rat(x, Q) for x in A]
+            out, a = Rat(1), alphas[0]
+            for k, n in enumerate(degs):
+                b = alphas[k + 1]
+                T = a + b + (alphas[k + 2] + 3 if k + 2 < len(alphas) else 2)
+                out *= factorial(n) * pochhammer(a + 1, n) * pochhammer(b + 1, n) * pochhammer(a + b + n + 1, n)
+                out *= math.perm(N, n) * pochhammer(N + T, n) / pochhammer(T, 2 * n)
+                a, N = a + b + 2 * n + 1, N - n
+            return out.numerator, out.denominator
+
+        monkeypatch.setattr(simplex_mod, "chain_norm", d2_rule)
+        assert verify_uni("orthogonality", UniParams(Rat(1, 2), Rat(7, 3), 6)).passed
+        assert verify_bi("orthogonality", BiParams(Rat(1, 2), Rat(-1, 2), 3, 5)).passed
+        assert verify_mv_check("orthogonality", MultiParams((Rat(1, 2), Rat(-1, 2), Rat(3)), 5)).passed
+        (check,) = verify_mv_check("orthogonality", MultiParams(D3, 3)).checks
+        assert not check.passed
+        assert check.counterexample["indices"] == {"degrees": [[1, 0, 0], [1, 0, 0]]}
+        assert not verify_mv_check("orthogonality", MultiParams((0,) * 5, 2)).passed
 
     def test_off_diagonal_failure_report(self, monkeypatch):
-        import hahnkit.hahn_multi as mv_mod
+        # one entry of row (1, 0) raised by 1: the pair ((1, 0), (0, 0)) is
+        # decided before the diagonal of (1, 0)
+        honest = ChainTable.row
 
-        honest = mv_mod.simplex_weight
+        def tampered(self, degs, level):
+            nums = honest(self, degs, level)
+            return (nums[0] + 1,) + nums[1:] if tuple(degs) == (1, 0) else nums
 
-        def doubled(alphas, N):
-            nums, den = honest(alphas, N)
-            points = simplex_points(N, len(alphas) - 1)
-            return tuple(w * (2 if g[0] == 1 else 1) for w, g in zip(nums, points)), den
-
-        monkeypatch.setattr(mv_mod, "simplex_weight", doubled)
+        monkeypatch.setattr(ChainTable, "row", tampered)
         check = verify_mv(MultiParams((Rat(1, 2), 0, 3), 2)).checks[0]
         assert not check.passed
+        assert check.counterexample["indices"] == {"degrees": [[1, 0], [0, 0]]}
         assert check.max_residual == check.counterexample["lhs"] != "0"
         assert check.counterexample["rhs"] == "0"
 
@@ -336,12 +395,18 @@ class TestBivariateGramReport:
 
     @pytest.mark.parametrize("tampered", [(0, 0), (1, 0), (1, 1)])
     def test_tampered_lambda_report(self, monkeypatch, tampered):
+        # the closed-form norm of one degree pair tripled, in the integer pair the check reads
         p = BiParams(Rat(1, 2), Rat(-1, 2), 3, 3)
-        honest = bi_mod.lambda2
-        monkeypatch.setattr(bi_mod, "lambda2", lambda d, p: honest(d, p) * (3 if tuple(d) == tampered else 1))
+        want = 3 * lambda2(tampered, p)
+        honest = simplex_mod.chain_norm
+
+        def tripled(params, degs, N):
+            num, den = honest(params, degs, N)
+            return (3 * num if tuple(degs) == tampered else num), den
+
+        monkeypatch.setattr(simplex_mod, "chain_norm", tripled)
         check = verify_bi("orthogonality", p).checks[0]
         got = sum(weight2(g, p) * p2_eval(tampered, g, p) ** 2 for g in simplex_points(p.N, 2))
-        want = 3 * honest(tampered, p)
         assert not check.passed
         assert check.max_residual == format_rational(got - want)
         out = json.loads(json.dumps(check.to_dict()))["counterexample"]
@@ -351,10 +416,6 @@ class TestBivariateGramReport:
             "rhs": format_rational(want),
         }
 
-
-# The first d = 3 and d = 4 tuples of the generating-function checks.
-D3 = (Rat(1, 2), Rat(0), Rat(3), Rat(7, 3))
-D4 = (Rat(1, 3), Rat(1, 2), Rat(2), Rat(0), Rat(-1, 2))
 
 
 def grid_side(degs, pts, p):
@@ -404,7 +465,7 @@ class TestGeneratingFunction:
         assert out["counterexample"]["indices"] == {"degree": [0, 1, 0], "point": [1, 0, 0]}
         lhs, rhs = (parse_rational(out["counterexample"][side]) for side in ("lhs", "rhs"))
         assert rhs == grid_side((0, 1, 0), (1, 0, 0), p) != lhs
-        assert out["max_residual"] == f"{abs(float(lhs - rhs)):.17g}"
+        assert out["max_residual"] == format_rational(lhs - rhs)
 
     def test_a_d2_test_alone_cannot_pin_the_exponents(self, monkeypatch):
         # E_k = m_{k-1} + m_k for k < d agrees with the true rule at d = 2,

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hahnkit.hahn_uni as uni_mod
+import hahnkit.simplex as simplex_mod
 from hahnkit.hahn_uni import (
     UniParams,
     hahn_eval,
@@ -239,7 +240,7 @@ def expected_orthogonality_failure(p, table, norm, weight=hahn_weight):
             want = norm(n, p) if n == m else Rat(0)
             if got != want:
                 return {
-                    "residual": f"{abs(float(got - want)):.17g}",
+                    "residual": format_rational(got - want),
                     "indices": [n, m],
                     "lhs": format_rational(got),
                     "rhs": format_rational(want),
@@ -257,16 +258,16 @@ class TestOrthogonalityFailurePath:
 
     def test_tampered_norm(self, monkeypatch):
         # the norm of degree 4 raised by 1/3, in the integer pair the check reads
-        honest = uni_mod.hahn_norm_cleared
+        honest = simplex_mod.chain_norm
 
-        def tampered(n, N, params):
-            num, den = honest(n, N, params)
-            return (3 * num + den, 3 * den) if n == 4 else (num, den)
+        def tampered(params, degs, N):
+            num, den = honest(params, degs, N)
+            return (3 * num + den, 3 * den) if degs == (4,) else (num, den)
 
         expected = expected_orthogonality_failure(
             self.P, chain_rows(self.P), lambda n, p: hahn_norm(n, p) + (Rat(1, 3) if n == 4 else 0)
         )
-        monkeypatch.setattr(uni_mod, "hahn_norm_cleared", tampered)
+        monkeypatch.setattr(simplex_mod, "chain_norm", tampered)
         assert expected["indices"] == [4, 4]
         assert self.reported() == expected
 
@@ -278,7 +279,7 @@ class TestOrthogonalityFailurePath:
 
     def test_tampered_weight(self, monkeypatch):
         # the shared weight at x = 2 raised by 1/7: numerators over 7 W
-        honest = uni_mod.simplex_weight
+        honest = simplex_mod.simplex_weight
 
         def tampered(alphas, N):
             nums, den = honest(alphas, N)
@@ -286,7 +287,7 @@ class TestOrthogonalityFailurePath:
 
         weights = [hahn_weight(x, self.P) + (Rat(1, 7) if x == 2 else 0) for x in range(self.P.N + 1)]
         expected = expected_orthogonality_failure(self.P, chain_rows(self.P), hahn_norm, lambda x, p: weights[x])
-        monkeypatch.setattr(uni_mod, "simplex_weight", tampered)
+        monkeypatch.setattr(simplex_mod, "simplex_weight", tampered)
         assert expected["indices"] == [0, 0]
         assert self.reported() == expected
 
@@ -308,7 +309,7 @@ class TestGeneratingFunctionFailureReports:
         assert check == {
             "name": "genfun",
             "status": "fail",
-            "max_residual": "5.8883160735012583e-10",
+            "max_residual": "-1/1698278400",
             "counterexample": {"indices": [2, 3], "lhs": "473/2600", "rhs": "308956033/1698278400"},
         }
 
@@ -317,7 +318,7 @@ class TestGeneratingFunctionFailureReports:
         assert check == {
             "name": "dual-genfun",
             "status": "fail",
-            "max_residual": "5.3583676268861452e-05",
+            "max_residual": "-5/93312",
             "counterexample": {"indices": [3, 2], "lhs": "16555", "rhs": "1544780165/93312"},
         }
 
@@ -493,7 +494,7 @@ class TestVerify:
         def no_tables(*args):
             raise AssertionError("a table was built")
 
-        for name in ("ChainTable", "genfun_mismatch", "simplex_weight"):
+        for name in ("ChainTable", "genfun_mismatch", "gram_pieces", "simplex_weight"):
             monkeypatch.setattr(uni_mod, name, no_tables)
         p = UniParams(Rat(1, 2), Rat(7, 3), uni_mod.MAX_UNI_LEVEL + 1)
         with pytest.raises(ValueError, match="refused"):

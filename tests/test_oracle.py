@@ -491,11 +491,11 @@ class TestVerifyOracle:
     def _tamper_block(monkeypatch, args, n, x=None):
         """The integer block at args reads one more at row n, entry x, or,
         with x None, in the numerator of norm n."""
-        honest = oracle_mod._orthonormal_block
+        honest = oracle_mod.gram_pieces
 
-        def block(alpha, beta, level):
-            weight, rows, dens, norms = honest(alpha, beta, level)
-            if (alpha, beta, level) == args:
+        def block(alphas, level):
+            weight, rows, dens, norms = honest(alphas, level)
+            if (*alphas, level) == args:
                 rows, norms = list(rows), list(norms)
                 if x is None:
                     norms[n] = (norms[n][0] + 1, norms[n][1])
@@ -503,7 +503,7 @@ class TestVerifyOracle:
                     rows[n] = rows[n][:x] + (rows[n][x] + 1,) + rows[n][x + 1:]
             return weight, rows, dens, norms
 
-        monkeypatch.setattr(oracle_mod, "_orthonormal_block", block)
+        monkeypatch.setattr(oracle_mod, "gram_pieces", block)
 
     @pytest.mark.parametrize("case, args, n, x, orthogonality, composition", [
         # row 1 of first block 3 at x = 2: the pair (1, 0) of that block, and

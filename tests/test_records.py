@@ -11,7 +11,7 @@ from hahnkit.hahn_multi import MultiParams
 from hahnkit.hahn_uni import UniParams
 from hahnkit.numeric import Rat, Rational
 from hahnkit.oracle import ChainMatrix, Su11Module, chain_matrices, su11_build
-from hahnkit.reports import CheckResult, VerificationReport
+from hahnkit.reports import CheckResult, VerificationReport, _guarded
 
 BI = BiParams(Rat(1, 2), Rat(-1, 2), Rat(3), 1)
 CHECK = CheckResult("orthogonality", True, "0", None)
@@ -71,6 +71,23 @@ def test_report_params_default_is_empty_and_immutable():
         report.params["N"] = 1
     assert VerificationReport("bi").params == {}
     assert report.to_dict() == {"suite": "uni", "params": {}, "status": "pass", "checks": []}
+
+
+class TestMismatchResidual:
+    """A mismatch's residual is lhs - rhs as an exact p/q string, however
+    small or large: no float rounds a failure to the pass string "0" or
+    overflows into an "inf" row without its counterexample."""
+
+    def test_tiny_difference_is_not_the_pass_string(self):
+        check = CheckResult.mismatch("x", [], Rat(1, 10**400), Rat(0))
+        assert not check.passed
+        assert check.max_residual == f"1/{10**400}" != "0"
+
+    def test_huge_difference_keeps_its_counterexample(self):
+        check = _guarded("x", CheckResult.mismatch, "x", [1], Rat(10**400), Rat(0))
+        assert not check.passed
+        assert check.max_residual == str(10**400)
+        assert check.counterexample == {"indices": [1], "lhs": str(10**400), "rhs": "0"}
 
 
 class TestParameterCoercion:
