@@ -165,8 +165,6 @@ def _cmd_overlap(args) -> int:
 
 def _cmd_chain(args) -> int:
     alphas = _parse_alphas(args.alpha, 3)
-    if args.mode == "exact":
-        raise ValueError("chain output is floating point; drop --mode exact")
     p = BiParams(*alphas, _require_level(args.N))
     first, second = chain_matrices(p)
     cells = [[_fmt_float(v) for v in row] for row in chain_product(first, second)]
@@ -313,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared(sub, mode=True)
 
     sub = commands.add_parser("chain", help="composed two-step overlap factorization")
-    _add_shared(sub, mode=True)
+    _add_shared(sub)
 
     sub = commands.add_parser("genfun", help="generating function verification")
     _add_shared(sub)

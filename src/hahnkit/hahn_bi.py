@@ -120,6 +120,8 @@ from .simplex import (
     genfun_mismatch,
     gram_mismatch,
     gram_pieces,
+    overlap_floats,
+    overlap_squares,
     simplex_points,
     simplex_weight,
 )
@@ -176,7 +178,7 @@ def _require_pair(pair, N: int, what: str) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# weight, amplitude, and the three polynomial normalizations
+# weight and the three polynomial normalizations
 
 
 def weight2(g, p: BiParams):
@@ -189,11 +191,6 @@ def weight2(g, p: BiParams):
     i, k = _require_pair(g, p.N, "grid point")
     nums, den = simplex_weight((p.alpha1, p.alpha2, p.alpha3), p.N)
     return Rat(nums[_index(i, k, p.N)], den)
-
-
-def amplitude(g, p: BiParams) -> RadicalScalar:
-    """W = sqrt(w); the entrywise scale between Q values and overlap entries."""
-    return RadicalScalar.sqrt(weight2(g, p))
 
 
 def p2_eval(d, g, p: BiParams):
@@ -294,13 +291,15 @@ class _Values:
 
 
 class OverlapMatrix(NamedTuple):
-    """Interbasis expansion coefficients W * Q on the full simplex.
+    """Interbasis expansion coefficients sqrt(w) Q on the full simplex.
 
     Rows run over grid points, columns over degree pairs, both in the colex
     order of simplex_points(N, 2); the matrix is square of side
-    (N+1)(N+2)/2.  In squared mode each entry is the exact rational
-    w (h.h)^2 / Lambda carrying the sign of the entry itself, so column
-    sums of absolute values reproduce the float column norms exactly.
+    (N+1)(N+2)/2.  In float mode the entries are simplex.overlap_floats at
+    d = 2.  In squared mode each entry is the exact rational w (h.h)^2 /
+    Lambda carrying the sign of the entry itself (simplex.overlap_squares),
+    so column sums of absolute values reproduce the float column norms
+    exactly.
     """
 
     params: BiParams
@@ -314,43 +313,17 @@ class OverlapMatrix(NamedTuple):
         return len(self.rows)
 
 
-def overlap_pieces(p: BiParams) -> tuple:
-    """The overlap matrix on ints: per degree pair, in simplex_points order,
-    (row, den, (Lambda_num, Lambda_den)) from simplex.gram_pieces at d = 2,
-    then simplex_weight's (omega, W); the entry at grid point g is row[g] /
-    den sqrt(omega_g Lambda_den / (W Lambda_num))."""
-    weight, rows, dens, norms = gram_pieces((p.alpha1, p.alpha2, p.alpha3), p.N)
-    return list(zip(rows, dens, norms)), weight
-
-
 def overlap2(p: BiParams, mode: str = "float") -> OverlapMatrix:
-    if mode not in ("float", "radical", "squared"):
+    """The overlap matrix at d = 2, "float" or "squared" (OverlapMatrix)."""
+    if mode not in ("float", "squared"):
         raise ValueError(f"unknown overlap mode {mode!r}")
-    rows = cols = tuple(simplex_points(p.N, 2))
-    values, (weights, W) = overlap_pieces(p)
+    pieces = gram_pieces((p.alpha1, p.alpha2, p.alpha3), p.N)
     if mode == "float":
-        # (row / den) sqrt(omega Lambda_den / (W Lambda_num)) by int true
-        # divisions, each rounded as float() of the reduced rational is, so
-        # every entry is float() of the radical one; a zero entry is +0.0
-        norms = [(lam_den, W * lam_num) for _, _, (lam_num, lam_den) in values]
-        entries = tuple(
-            tuple(
-                row[g] / den * math.sqrt(omega * lam_den / scale) if row[g] and omega else 0.0
-                for (row, den, _), (lam_den, scale) in zip(values, norms)
-            )
-            for g, omega in enumerate(weights)
-        )
-        return OverlapMatrix(params=p, mode=mode, rows=rows, cols=cols, entries=entries)
-    inv_lambda = [Rat(lam_den, lam_num) for _, _, (lam_num, lam_den) in values]
-    entries = []
-    for g, omega in enumerate(weights):
-        w = Rat(omega, W)
-        line = []
-        for (row, den, _), inv in zip(values, inv_lambda):
-            value = RadicalScalar(Rat(row[g], den), w * inv)
-            line.append(value if mode == "radical" else value.signed_square())
-        entries.append(tuple(line))
-    return OverlapMatrix(params=p, mode=mode, rows=rows, cols=cols, entries=tuple(entries))
+        columns = overlap_floats(*pieces)
+    else:
+        columns = [[Rat(num, den) for num in nums] for nums, den in overlap_squares(*pieces)]
+    rows = cols = tuple(simplex_points(p.N, 2))
+    return OverlapMatrix(params=p, mode=mode, rows=rows, cols=cols, entries=tuple(zip(*columns)))
 
 
 # ---------------------------------------------------------------------------
@@ -383,17 +356,19 @@ def _check_symmetry(p: BiParams) -> CheckResult:
         for g, (i, k) in enumerate(simplex_points(p.N, 2)):
             twin = sign * rhs[_index(k, i, p.N)]
             if lhs[g] != twin:
-                return _exact_fail(name, {"degree": (m, n), "point": (i, k)}, Rat(lhs[g], den), Rat(twin, den))
+                indices = {"degree": (m, n), "point": (i, k)}
+                return CheckResult.mismatch(name, indices, Rat(lhs[g], den), Rat(twin, den))
     return CheckResult.exact_pass(name)
 
 
 def _check_genfun(p: BiParams) -> list[CheckResult]:
-    """The generating function at d = 2 (simplex.genfun_mismatch); a failure
-    names its first degree pair."""
+    """The generating function at d = 2 (simplex.genfun_mismatch), reported
+    at its first failing degree pair and grid point."""
     bad = genfun_mismatch((p.alpha1, p.alpha2, p.alpha3), p.N)
     if bad is None:
         return [CheckResult.exact_pass("genfun")]
-    return [CheckResult.failure("genfun", "nonzero", {"degree": bad[0]}, "cleared product form", "grid expansion")]
+    degree, point, lhs, rhs = bad
+    return [CheckResult.mismatch("genfun", {"degree": degree, "point": point}, lhs, rhs)]
 
 
 # ---------------------------------------------------------------------------
@@ -1328,11 +1303,6 @@ def _indices(m, n, i, k, t, target=None) -> dict:
     return indices
 
 
-def _exact_fail(name, indices, lhs, rhs) -> CheckResult:
-    return CheckResult.failure(name, "nonzero", indices, format_rational(lhs), format_rational(rhs))
-
-
-
 def _target(term: _Term, mm: int, nn: int, point: tuple) -> dict:
     return {"degree": (mm, nn), "point": (point[0] + term.point[0], point[1] + term.point[1])}
 
@@ -1560,7 +1530,7 @@ def _sample(row, check, t, grid, degrees, live, readers, terms) -> list:
             continue
         if row.plane == "Q":  # the two sides are in units of sqrt(radicand)
             indices["radicand"] = format_rational(radicand)
-        events.append(((j, g, t), _exact_fail(row.name, indices, lhs, rhs)))
+        events.append(((j, g, t), CheckResult.mismatch(row.name, indices, lhs, rhs)))
         events.sort(key=lambda event: event[0])
     return events
 

@@ -1,12 +1,12 @@
 """Exact arithmetic substrate.
 
 Rationals, radical scalars r*sqrt(s), combinatorial factors, terminating
-hypergeometric sums, fraction-free kernels, and one polynomial algebra per
-number of variables: dense ascending tuples in one variable, sparse dicts
-keyed by exponent pairs in two.  The polynomial helpers start from the int
-0 and only add and multiply coefficients, so they keep the ring they are
-given: ints stay ints, rationals stay rationals.  Rationals are the only
-exact number type.
+hypergeometric sums, fraction-free kernels, and the dense polynomials in
+one variable, as ascending tuples (the package's other polynomial form,
+sparse dicts in any number of variables, is simplex's).  The polynomial
+helpers start from the int 0 and only add and multiply coefficients, so
+they keep the ring they are given: ints stay ints, rationals stay
+rationals.  Rationals are the only exact number type.
 
 Everything in this module is pure and immutable.  The rational backend is
 gmpy2.mpq when importable and fractions.Fraction otherwise; both keep

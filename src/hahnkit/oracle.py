@@ -11,8 +11,9 @@ truncated su(1,1) actions in a square-root-free basis.
 
 Each check does its work once: the joint solve is joint-eigenvectors'
 alone, and the chain checks decide on the integer pieces of the factors'
-blocks (_factor_blocks, each simplex.gram_pieces), which chain_matrices
-rounds to floats.
+blocks (_factor_blocks, each simplex.gram_pieces); chain-composition reads
+their overlaps as exact signed squares (simplex.overlap_squares), and
+chain_matrices the same overlaps as floats (simplex.overlap_floats).
 
 The operator coefficient tables are written out here on purpose, not
 imported from the evaluation module: the whole point of the oracle is that
@@ -20,13 +21,12 @@ the two routes share nothing but the grid ordering.
 """
 from __future__ import annotations
 
-import math
 from typing import Callable, NamedTuple
 
-from .hahn_bi import BiParams, overlap_pieces
-from .numeric import Rat, RationalMatrix, format_rational, nonzero
+from .hahn_bi import BiParams
+from .numeric import Rat, RationalMatrix, format_rational
 from .reports import CheckResult, VerificationReport, _guarded
-from .simplex import ChainTable, gram_mismatch, gram_pieces, simplex_points
+from .simplex import ChainTable, gram_mismatch, gram_pieces, overlap_floats, overlap_squares, simplex_points
 
 # The largest level whose seven oracle checks fit in 60 s, criterion 03's
 # budget for a whole suite at one level, on the fractions backend (cost
@@ -252,7 +252,7 @@ def _factor_blocks(p: BiParams) -> tuple:
     """Both chain factors' blocks on ints, each the Gram pieces of a d = 1
     orthonormal system (simplex.gram_pieces): (alpha1, alpha2) at level q =
     0..N for the first, (2m + a12 + 1, alpha3) at level N - m for the second.
-    Entry (n, x) of a block is rows[n][x] / dens[n] sqrt(omega[x] nd / (W norm))."""
+    Entry (n, x) of a block is its overlap (simplex.overlap_floats)."""
     return (
         [gram_pieces((p.alpha1, p.alpha2), q) for q in range(p.N + 1)],
         [gram_pieces((2 * m + p.a12 + 1, p.alpha3), p.N - m) for m in range(p.N + 1)],
@@ -264,18 +264,13 @@ def chain_matrices(p: BiParams) -> tuple[ChainMatrix, ChainMatrix]:
 
     The first is block diagonal in q = i + k, the second in m = p; their
     product is the full overlap matrix.  Both are orthogonal because each
-    block is a univariate orthonormal system (_factor_blocks).  Each float
-    is an int true division, which rounds as float() of the reduced
-    rational does.
+    block is a univariate orthonormal system (_factor_blocks), whose floats
+    are simplex.overlap_floats.
     """
     N = p.N
     grid = degs = tuple(simplex_points(N, 2))
     cyl = tuple(cylindrical_pairs(N))
-    lines, columns = (
-        [[[v / den * math.sqrt(w * nd / (W * norm)) for v, w in zip(row, omega)]
-          for row, den, (norm, nd) in zip(rows, dens, norms)] for (omega, W), rows, dens, norms in blocks]
-        for blocks in _factor_blocks(p)
-    )
+    lines, columns = ([overlap_floats(*block) for block in blocks] for blocks in _factor_blocks(p))
     first = tuple(tuple(lines[q][pp][i] if q == i + k else 0.0 for pp, q in cyl) for i, k in grid)
     second = tuple(tuple(columns[m][n][q - m] if m == pp else 0.0 for m, n in degs) for pp, q in cyl)
     return (
@@ -438,69 +433,52 @@ def _check_chain_orthogonality(p: BiParams) -> CheckResult:
 
 
 def _check_chain_composition(p: BiParams) -> CheckResult:
-    """The overlap (overlap_pieces) at ((i, k), (m, n)) against first[(i, k),
-    (m, q)] second[(m, q), (m, n)], q = i + k, and against 0 for m > q.
-    Every radicand is positive (each parameter exceeds -1), so each side is
-    compared as its signed square x|x|, which determines x, crosswise on
-    ints: v|v| w nd once per block entry, den^2 W norm once per block row,
-    den^2 W Lambda_num once per degree pair, the rest once per (m, n, q)."""
+    """The overlap at ((i, k), (m, n)) against first[(i, k), (m, q)]
+    second[(m, q), (m, n)], q = i + k, and against 0 for m > q.  Every
+    radicand is positive (each parameter exceeds -1), so each side is
+    compared as its signed square x|x| (simplex.overlap_squares of the d = 2
+    pieces and of each block), which determines x, crosswise on ints."""
     name = "chain-composition"
-    values, (omega, W) = overlap_pieces(p)
-    first, second = (
-        [([[v * abs(v) * w * nd for v, w in zip(row, wts)] for row, (_, nd) in zip(rows, norms)],
-          [den * den * scale * norm for den, (norm, _) in zip(dens, norms)])
-         for (wts, scale), rows, dens, norms in blocks]
-        for blocks in _factor_blocks(p)
-    )
+    overlap = overlap_squares(*gram_pieces((p.alpha1, p.alpha2, p.alpha3), p.N))
+    first, second = ([overlap_squares(*block) for block in blocks] for blocks in _factor_blocks(p))
     points = tuple(simplex_points(p.N, 2))
     index = {g: t for t, g in enumerate(points)}
-    for (m, n), (row, den, (lam_num, lam_den)) in zip(points, values):
-        scale, (tails, tail_scales) = nonzero(den * den * W * lam_num, "the overlap scale"), second[m]
+    for (m, n), (row, scale) in zip(points, overlap):
+        tails, tail_scale = second[m][n]
         for q in range(p.N + 1):
             chain, left = [0] * (q + 1), 1  # the product vanishes for m > q
             if m <= q:
-                (heads, head_scales), right = first[q], tails[n][q - m] * scale
-                left = nonzero(lam_den * head_scales[m] * tail_scales[n], "the chain scale")
-                chain = [v * right for v in heads[m]]
+                heads, head_scale = first[q][m]
+                right, left = tails[q - m] * scale, head_scale * tail_scale
+                chain = [v * right for v in heads]
             for i, c in enumerate(chain):
-                t = index[i, q - i]
-                value = row[t] * abs(row[t]) * omega[t]
+                value = row[index[i, q - i]]
                 if value * left != c:
-                    lhs, rhs = Rat(value * lam_den, scale), Rat(c * lam_den, scale * left)
+                    lhs, rhs = Rat(value, scale), Rat(c, scale * left)
                     return CheckResult.mismatch(name, {"point": [i, q - i], "degrees": [m, n]}, lhs, rhs)
     return CheckResult.exact_pass(name)
 
 
 def _check_su11_casimir(p: BiParams) -> CheckResult:
-    """Module actions built from the parameter weights nu_i = (alpha_i+1)/2."""
+    """Module actions built from the parameter weights nu_i = (alpha_i+1)/2:
+    the Casimir, [K0, K+] = K+ and, below the truncated top row, [K-, K+] =
+    2 K0, each compared entry by entry; a failure names the relation and its
+    first differing entry, row-major."""
     name = "su11-casimir"
     nmax = max(p.N, 1) + 1
     for alpha in (p.alpha1, p.alpha2, p.alpha3):
         mod = su11_build((alpha + 1) / 2, nmax)
-        value = mod.nu * (mod.nu - 1)
-        cas = mod.casimir()
-        if cas != RationalMatrix.identity(nmax + 1).scale(value):
-            return CheckResult.failure(
-                name, "1", {"nu": format_rational(mod.nu)},
-                format_rational(cas.entry(0, 0)), format_rational(value),
-            )
-        height = mod.k0.matmul(mod.kplus) - mod.kplus.matmul(mod.k0)
-        if height != mod.kplus:
-            return CheckResult.failure(
-                name, "1", {"nu": format_rational(mod.nu), "relation": "[K0,K+]"},
-                "defect", "K+",
-            )
-        ladder = mod.kminus.matmul(mod.kplus) - mod.kplus.matmul(mod.kminus)
-        two_k0 = mod.k0.scale(2)
-        for r in range(nmax):
-            for c in range(nmax + 1):
-                if ladder.entry(r, c) != two_k0.entry(r, c):
-                    return CheckResult.failure(
-                        name, "1",
-                        {"nu": format_rational(mod.nu), "relation": "[K-,K+]", "row": r},
-                        format_rational(ladder.entry(r, c)),
-                        format_rational(two_k0.entry(r, c)),
-                    )
+        relations = (
+            ("casimir", mod.casimir(), RationalMatrix.identity(nmax + 1).scale(mod.nu * (mod.nu - 1)), nmax + 1),
+            ("[K0,K+]", mod.k0.matmul(mod.kplus) - mod.kplus.matmul(mod.k0), mod.kplus, nmax + 1),
+            ("[K-,K+]", mod.kminus.matmul(mod.kplus) - mod.kplus.matmul(mod.kminus), mod.k0.scale(2), nmax),
+        )
+        for relation, lhs, rhs, rows in relations:
+            for r in range(rows):
+                for c in range(nmax + 1):
+                    if lhs.entry(r, c) != rhs.entry(r, c):
+                        indices = {"nu": format_rational(mod.nu), "relation": relation, "row": r, "col": c}
+                        return CheckResult.mismatch(name, indices, lhs.entry(r, c), rhs.entry(r, c))
     return CheckResult.exact_pass(name)
 
 

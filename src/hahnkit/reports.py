@@ -11,9 +11,9 @@ class CheckResult(NamedTuple):
     """Outcome of one named identity check.
 
     max_residual is "0" on every pass; a failure's is lhs - rhs as a p/q
-    string (mismatch), a fixed word such as "nonzero", or "inf" when it
-    cannot be evaluated.  On failure, counterexample holds the first
-    offending indices and both side values, as strings.
+    string (mismatch), or "inf" when it cannot be evaluated (_guarded).  On
+    failure, counterexample holds the first offending indices and both side
+    values, as strings.
     """
 
     name: str

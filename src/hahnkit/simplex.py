@@ -7,7 +7,9 @@ univariate kernel (eval_total and its parts), the cleared Jacobi
 expansion (jacobi_cleared), the one point ordering (simplex_points), the
 chain table (ChainTable), the weight (simplex_weight), the closed-form
 squared norm of a chain (chain_norm), the Gram sums (gram_entries) and their
-one comparison with that norm (gram_pieces, gram_mismatch), and the
+one comparison with that norm (gram_pieces, gram_mismatch), the overlap
+coefficients between the Cartesian and the orthonormal basis, as floats
+and as exact signed squares (overlap_floats, overlap_squares), and the
 generating function (genfun_mismatch, on the sparse polynomials of
 sparse_mul and sparse_sum); hahn_uni, hahn_bi, hahn_multi and the oracle
 read them and decide every comparison on the integers crosswise.
@@ -325,6 +327,31 @@ def gram_mismatch(weight, rows, dens, norms):
         if acc * den != num * scale:
             return [a, b], Rat(acc, scale), Rat(num, den)
     return None
+
+
+def overlap_floats(weight, rows, dens, norms) -> list:
+    """The overlaps <g|n> = sqrt(w_g) P_n(g) / sqrt(Lambda_n) of gram_pieces'
+    orthonormal system as floats: per degree tuple, the list over the grid
+    points of rows[n][g] / dens[n] sqrt(omega_g nd / (W norm)).  Each is two
+    int true divisions, rounded as float() of the reduced rational is; a
+    zero entry is +0.0."""
+    omega, W = weight
+    out = []
+    for row, den, (norm, nd) in zip(rows, dens, norms):
+        scale = W * norm
+        out.append([v / den * math.sqrt(w * nd / scale) if v and w else 0.0 for v, w in zip(row, omega)])
+    return out
+
+
+def overlap_squares(weight, rows, dens, norms) -> list:
+    """The overlaps of overlap_floats exactly, each as its signed square
+    x|x|, which determines x: per degree tuple, (the numerators v|v| omega_g
+    nd over the grid points, one denominator den^2 W norm shown nonzero)."""
+    omega, W = weight
+    return [
+        ([v * abs(v) * w * nd for v, w in zip(row, omega)], nonzero(den * den * W * norm, "the overlap scale"))
+        for row, den, (norm, nd) in zip(rows, dens, norms)
+    ]
 
 
 def sparse_mul(f: dict, g: dict) -> dict:

@@ -113,8 +113,9 @@ class TestChain:
         assert max(abs(a - b) for a, b in zip(got, flat)) < 1e-10
 
     def test_exact_mode_rejected(self, capsys):
+        # chain has no --mode: its output is floating point by nature
         code, _, err = run(capsys, "chain", "--alpha", "0,0,0", "--N", "2", "--mode", "exact")
-        assert code == 2 and "floating point" in err
+        assert code == 2 and "unrecognized arguments: --mode exact" in err
 
 
 class TestGenfun:
@@ -336,12 +337,13 @@ class TestPlumbing:
             ["verify", "--suite", "uni", "--alpha", "0,0", "--N", "2", "--mode", "exact"],
             ["genfun", "--alpha", "0,0", "--N", "2", "--mode", "exact"],
             ["verify", "--suite", "uni", "--alpha", "0,0", "--N", "2", "--tol", "1"],
+            ["chain", "--alpha", "0,0,0", "--N", "2", "--mode", "float"],
         ],
-        ids=["eval-tol", "genfun-tol", "verify-mode", "genfun-mode", "verify-tol"],
+        ids=["eval-tol", "genfun-tol", "verify-mode", "genfun-mode", "verify-tol", "chain-mode"],
     )
     def test_flags_only_where_read(self, capsys, argv):
-        # --mode belongs to eval, overlap and chain; every check is exact, so
-        # no command takes a tolerance
+        # --mode belongs to eval and overlap; every check is exact, so no
+        # command takes a tolerance
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert "unrecognized arguments" in err

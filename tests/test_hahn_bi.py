@@ -15,7 +15,6 @@ import hahnkit.hahn_bi as bi_mod
 from hahnkit.hahn_bi import (
     BI_CHECK_NAMES,
     BiParams,
-    amplitude,
     bigLambda,
     h2_eval,
     lambda2,
@@ -212,13 +211,6 @@ class TestWeight:
         p = BiParams(*triple, 5)
         for g in simplex_points(5, 2):
             assert weight2(g, p) == weight_via_binomials(g, p)
-
-    def test_amplitude_squares_exactly(self):
-        p = BiParams(Rat(1, 2), Rat(7, 3), 1, 4)
-        for g in simplex_points(4, 2):
-            a = amplitude(g, p)
-            assert a.squared() == weight2(g, p)
-            assert float(a) > 0
 
 
 class TestEvaluation:
@@ -424,6 +416,13 @@ OVERLAP_TRIPLES = [
 ]
 
 
+def assert_residual_is_the_difference(report):
+    """A failure's residual is lhs - rhs, both sides as p/q strings
+    (CheckResult.mismatch), and not zero."""
+    lhs, rhs = (parse_rational(report["counterexample"][key]) for key in ("lhs", "rhs"))
+    assert lhs != rhs and report["max_residual"] == format_rational(lhs - rhs), report
+
+
 def overlap_float_retired(p):
     """The float overlap by the route it replaced: two rationals and a
     RadicalScalar per entry, then float()."""
@@ -465,13 +464,13 @@ class TestOverlap:
         assert numpy.abs(O.T @ O - eye).max() < 1e-12
         assert numpy.abs(O @ O.T - eye).max() < 1e-12
 
-    def test_radical_mode_matches_float(self):
+    def test_float_entries_are_float_of_the_radical_entries(self):
+        """Each float entry is float() of sqrt(w_g) Q_d(g), built exactly."""
         p = BiParams(Rat(1, 2), Rat(7, 3), 1, 3)
-        Of = overlap2(p, mode="float")
-        Orad = overlap2(p, mode="radical")
-        for rf, rr in zip(Of.entries, Orad.entries):
-            for vf, vr in zip(rf, rr):
-                assert vf == float(vr)
+        O = overlap2(p, mode="float")
+        for g, row in zip(O.rows, O.entries):
+            for d, v in zip(O.cols, row):
+                assert v == float(RadicalScalar.sqrt(weight2(g, p)) * q2_eval(d, g, p)), (g, d)
 
     def test_squared_mode_column_sums_exactly_one(self):
         p = BiParams(Rat(-1, 2), Rat(-1, 2), 3, 4)
@@ -480,9 +479,10 @@ class TestOverlap:
         for c in range(side):
             assert sum(abs(Osq.entries[r][c]) for r in range(side)) == 1
 
-    def test_unknown_mode(self):
+    @pytest.mark.parametrize("mode", ["decimal", "radical"])
+    def test_unknown_mode(self, mode):
         with pytest.raises(ValueError):
-            overlap2(BiParams(0, 0, 0, 1), mode="decimal")
+            overlap2(BiParams(0, 0, 0, 1), mode=mode)
 
     @pytest.mark.parametrize("triple", OVERLAP_TRIPLES)
     def test_float_entries_are_the_rational_route(self, triple):
@@ -1228,7 +1228,7 @@ class TestSweepFaultInjection:
         monkeypatch.setitem(bi_mod._RELATIONS, name, row)
         result = next(c for c in verify_bi(check_of(name), p).checks if c.name == name)
         assert not result.passed
-        assert result.max_residual == "nonzero"
+        assert_residual_is_the_difference(result.to_dict())
         return result.counterexample, row
 
     @pytest.mark.parametrize("triple", DEGENERATE_TRIPLES)
@@ -1350,7 +1350,7 @@ def test_every_row_reports_a_perturbed_term(monkeypatch, name, square):
     monkeypatch.setitem(bi_mod._RELATIONS, name, tampered)
     failed = [c for c in verify_bi(check_of(name), p).checks if not c.passed]
     assert [c.name for c in failed] == [name]
-    assert failed[0].max_residual == "nonzero"
+    assert_residual_is_the_difference(failed[0].to_dict())
     report = failed[0].counterexample
     indices = report["indices"]
     assert indices["degree"] == at_degree
@@ -1414,7 +1414,7 @@ def test_float_obligation_reported_under_optimization(tmp_path):
     for var in ("i", "k"):
         forward = checks[f"normalized-structure-float[forward-{var}]"]
         assert forward["status"] == "fail"
-        assert forward["max_residual"] == "nonzero"
+        assert_residual_is_the_difference(forward)
         indices = forward["counterexample"]["indices"]
         assert indices["degree"] == [0, 0]
         assert indices["target"] == {"degree": [-1, 1], "point": [0, 0]}
@@ -1825,8 +1825,8 @@ def test_q_plane_coefficients_make_no_rational(monkeypatch):
 @pytest.mark.parametrize("degree", [(0, 0), (1, 2), (3, 1)])
 def test_genfun_fails_at_the_tampered_degree_pair(monkeypatch, degree):
     """One chain-table entry of one degree pair raised by 1: genfun fails at
-    that degree pair, the first whose grid expansion reads it, with the
-    cleared-form report."""
+    that degree pair, the first whose grid expansion reads it, at the grid
+    point of that entry, with both rational sides and lhs - rhs."""
     p = BiParams(Rat(1, 2), Rat(-1, 2), Rat(3), 4)
     honest = ChainTable.row
 
@@ -1834,15 +1834,23 @@ def test_genfun_fails_at_the_tampered_degree_pair(monkeypatch, degree):
         nums = honest(self, degs, level)
         return nums[:2] + (nums[2] + 1,) + nums[3:] if tuple(degs) == degree else nums
 
+    point = list(simplex_points(p.N, 2))[2]
+    grid = ChainTable((p.alpha1, p.alpha2, p.alpha3))
+    weight, den = multinomial(p.N, point), grid.den(degree)
+    rhs = weight * Rat(grid.row(degree, p.N)[2] + 1, den)
     monkeypatch.setattr(ChainTable, "row", tampered)
     (check,) = verify_bi("genfun", p).checks
-    assert json.loads(json.dumps(check.to_dict())) == {
+    report = json.loads(json.dumps(check.to_dict()))
+    lhs = parse_rational(report["counterexample"]["lhs"])
+    # the product side is untouched: the honest grid side, weight / den below rhs
+    assert lhs == rhs - weight / den
+    assert report == {
         "name": "genfun",
         "status": "fail",
-        "max_residual": "nonzero",
+        "max_residual": format_rational(lhs - rhs),
         "counterexample": {
-            "indices": {"degree": list(degree)},
-            "lhs": "cleared product form",
-            "rhs": "grid expansion",
+            "indices": {"degree": list(degree), "point": list(point)},
+            "lhs": format_rational(lhs),
+            "rhs": format_rational(rhs),
         },
     }

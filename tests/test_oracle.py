@@ -384,7 +384,7 @@ class TestVerifyOracle:
         def no_build(*args):
             raise AssertionError("a matrix was built")
 
-        for attr in ("build_operator", "chain_matrices", "_factor_blocks", "overlap_pieces", "su11_build"):
+        for attr in ("build_operator", "chain_matrices", "_factor_blocks", "su11_build"):
             monkeypatch.setattr(oracle_mod, attr, no_build)
         cap = oracle_mod.MAX_ORACLE_LEVEL
         with pytest.raises(ValueError, match=f"^the oracle checks at level {cap + 1} are refused; the cap is {cap}$"):
@@ -478,7 +478,8 @@ class TestVerifyOracle:
             raise AssertionError("a float was made")
 
         monkeypatch.setattr(oracle_mod, "chain_matrices", no_float)
-        monkeypatch.setattr(oracle_mod.math, "sqrt", no_float)
+        monkeypatch.setattr(oracle_mod, "overlap_floats", no_float)
+        monkeypatch.setattr(math, "sqrt", no_float)
         check = verify_oracle(name, BiParams(Rat(1, 2), Rat(-1, 2), 3, 6)).checks[0]
         assert check.passed and check.max_residual == "0"
 
@@ -533,18 +534,20 @@ class TestVerifyOracle:
 
     @staticmethod
     def _tamper_overlap(monkeypatch, d, g):
-        """The overlap's integer row of degree pair d reads one more at grid point g."""
-        honest = oracle_mod.overlap_pieces
+        """The overlap's integer row of degree pair d (the d = 2 Gram pieces,
+        the one three-parameter call) reads one more at grid point g."""
+        honest = oracle_mod.gram_pieces
         points = list(simplex_points(4, 2))
 
-        def pieces(p):
-            values, weight = honest(p)
-            row, den, lam = values[points.index(d)]
-            t = points.index(g)
-            values[points.index(d)] = (row[:t] + (row[t] + 1,) + row[t + 1:], den, lam)
-            return values, weight
+        def pieces(alphas, level):
+            weight, rows, dens, norms = honest(alphas, level)
+            if len(alphas) == 3:
+                rows, t = list(rows), points.index(g)
+                row = rows[points.index(d)]
+                rows[points.index(d)] = row[:t] + (row[t] + 1,) + row[t + 1:]
+            return weight, rows, dens, norms
 
-        monkeypatch.setattr(oracle_mod, "overlap_pieces", pieces)
+        monkeypatch.setattr(oracle_mod, "gram_pieces", pieces)
 
     def test_tampered_overlap_inside_the_blocks_fails_composition(self, monkeypatch):
         # m = 1 <= i + k = 3
@@ -572,6 +575,30 @@ class TestVerifyOracle:
                 "rhs": "0",
             },
         }]
+
+    def test_su11_casimir_failure_names_its_entry(self, monkeypatch):
+        """K0 raised by 1 at (1, 1) for nu = 3/4: the Casimir first differs
+        there, (2 + nu)^2 - 2 nu - (2 + nu) against nu (nu - 1)."""
+        honest = oracle_mod.su11_build
+
+        def tampered(nu, nmax):
+            mod = honest(nu, nmax)
+            rows = [list(row) for row in mod.k0.data]
+            rows[1][1] += 1
+            return mod._replace(k0=RationalMatrix(rows))
+
+        monkeypatch.setattr(oracle_mod, "su11_build", tampered)
+        (check,) = verify_oracle("su11-casimir", BiParams(Rat(1, 2), Rat(-1, 2), 3, 2)).checks
+        assert check.to_dict() == {
+            "name": "su11-casimir",
+            "status": "fail",
+            "max_residual": "7/2",
+            "counterexample": {
+                "indices": {"nu": "3/4", "relation": "casimir", "row": 1, "col": 1},
+                "lhs": "53/16",
+                "rhs": "-3/16",
+            },
+        }
 
     @pytest.mark.parametrize("case", ["line-coupling", "degenerate"])
     def test_failed_solve_report_pinned(self, case, monkeypatch):

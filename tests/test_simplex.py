@@ -1,5 +1,6 @@
-"""The simplex table layer: its one weight against the retired forms, and
-the layering that keeps its kernels in one module below the families."""
+"""The simplex table layer: its one weight against the retired forms, the
+overlap at every d, and the layering that keeps its kernels in one module
+below the families."""
 import ast
 import pathlib
 
@@ -11,8 +12,15 @@ from test_hahn_uni import hahn_weight_retired
 
 from hahnkit.hahn_bi import BiParams
 from hahnkit.hahn_uni import UniParams
-from hahnkit.numeric import Rat, binomial_general
-from hahnkit.simplex import simplex_points, simplex_weight
+from hahnkit.numeric import RadicalScalar, Rat, binomial_general
+from hahnkit.simplex import (
+    ChainTable,
+    gram_pieces,
+    overlap_floats,
+    overlap_squares,
+    simplex_points,
+    simplex_weight,
+)
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "hahnkit"
 
@@ -50,6 +58,62 @@ class TestSimplexWeight:
         # a probability distribution: positive, summing to one
         assert den > 0 and all(w > 0 for w in nums)
         assert sum(nums) == den
+
+
+# (alphas, N) at d = 1, 2, 3, 3 and 4
+UNITARY = [
+    ((Rat(1, 2), Rat(7, 3)), 8),
+    ((Rat(1, 2), Rat(-1, 2), Rat(3)), 6),
+    ((Rat(1, 2), Rat(0), Rat(3), Rat(7, 3)), 4),
+    ((Rat(0),) * 4, 5),
+    ((Rat(1, 3), Rat(1, 2), Rat(2), Rat(0), Rat(-1, 2)), 3),
+]
+
+
+def unitarity_defects(alphas, N):
+    """The columns (degree tuples) and the rows (grid points) of the
+    overlap_squares matrix whose absolute values do not sum to exactly 1;
+    the row sums are the dual orthogonality."""
+    squares = overlap_squares(*gram_pieces(alphas, N))
+    columns = [n for n, (nums, den) in enumerate(squares) if sum(map(abs, nums)) != den]
+    rows = [g for g in range(len(squares)) if sum(Rat(abs(nums[g]), den) for nums, den in squares) != 1]
+    return columns, rows
+
+
+class TestOverlap:
+    @pytest.mark.parametrize("alphas, N", UNITARY)
+    def test_exactly_unitary(self, alphas, N):
+        assert unitarity_defects(alphas, N) == ([], [])
+
+    def test_a_doubled_row_breaks_unitarity(self, monkeypatch):
+        """Row 5 of the d = 3 chain table doubled: column 5 sums to 4, and
+        every row where that chain value is nonzero sums above 1."""
+        alphas, N = UNITARY[2]
+        doubled = list(simplex_points(N, 3))[5]
+        honest = ChainTable.row
+
+        def row(self, degs, level):
+            values = honest(self, degs, level)
+            return tuple(2 * v for v in values) if degs == doubled else values
+
+        monkeypatch.setattr(ChainTable, "row", row)
+        columns, rows = unitarity_defects(alphas, N)
+        assert columns == [5]
+        assert rows == [g for g, v in enumerate(row(ChainTable(alphas), doubled, N)) if v]
+        assert len(rows) == 34
+
+    @pytest.mark.parametrize("alphas, N", UNITARY)
+    def test_floats_are_float_of_the_radical_entries(self, alphas, N):
+        """Each float is float() of rows[n][g] / den sqrt(w_g / Lambda_n),
+        built exactly, the sign of a zero included; its signed square is
+        the overlap_squares entry."""
+        (omega, W), rows, dens, norms = pieces = gram_pieces(alphas, N)
+        squares = overlap_squares(*pieces)
+        for floats, row, den, (norm, nd), (nums, scale) in zip(overlap_floats(*pieces), rows, dens, norms, squares):
+            for x, v, w, num in zip(floats, row, omega, nums):
+                exact = RadicalScalar(Rat(v, den), Rat(w * nd, W * norm))
+                assert repr(x) == repr(float(exact))
+                assert exact.signed_square() == Rat(num, scale)
 
 
 # The modules whose underscore names stay their own.
@@ -114,6 +178,14 @@ class TestLayering:
         assert "genfun_mismatch" in imported
         built = {n for _, names in _imports(SRC / f"{name}.py") for n in names}
         assert not {"jacobi_cleared", "sparse_mul", "sparse_sum", "_poly_add"} & built
+
+    @pytest.mark.parametrize("name", ["hahn_bi", "oracle"])
+    def test_one_overlap_routine(self, name):
+        """The d = 2 overlap, the chain factors and chain-composition read
+        the simplex layer's overlaps, and take no square root of their own."""
+        imported = {n for module, names in _imports(SRC / f"{name}.py") if module == "simplex" for n in names}
+        assert {"overlap_floats", "overlap_squares"} <= imported
+        assert "math.sqrt" not in (SRC / f"{name}.py").read_text()
 
     def test_no_bivariate_polynomial_helpers_left(self):
         import hahnkit.numeric as numeric
