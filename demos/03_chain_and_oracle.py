@@ -1,11 +1,11 @@
 """
-The oracle route: operators, nullspaces, and the two-step chain
-===============================================================
+The oracle route: operators, the eigen-certificate, and the two-step chain
+==========================================================================
 
 Instead of trusting the explicit polynomials, build the two difference
-operators as exact sparse rows, ask exact linear algebra for their joint
-eigenvectors, and compare.  Then factor the overlap matrix through the
-intermediate basis and realize the underlying su(1,1) ladder.
+operators as exact sparse rows and prove on integers that the chain table's
+rows are their joint eigenvectors.  Then factor the overlap matrix through
+the intermediate basis and realize the underlying su(1,1) ladder.
 """
 import numpy as np
 
@@ -15,11 +15,13 @@ from hahnkit.oracle import (
     build_operator,
     chain_matrices,
     chain_product,
+    eigenvalue,
     joint_eigenvectors,
     su11_build,
     su11_spectrum_check,
+    verify_oracle,
 )
-from hahnkit.simplex import simplex_points
+from hahnkit.simplex import ChainTable, simplex_points
 
 p = BiParams(Rat(1, 2), Rat(-1, 2), 3, 3)
 
@@ -32,16 +34,27 @@ print("L1 row for grid point (1,1):")
 for c, value in row.items():
     print(f"  coefficient of f{points[c]} = {format_rational(value)}")
 
-# Joint eigenvectors from nested nullspaces (L1 one line i + k = s at a
-# time, then L2 on each L1 eigenspace), no polynomial evaluation involved.
-# They match the evaluation route up to overall scale.
-vecs = joint_eigenvectors(p)
-vec = vecs[(1, 1)]
+# The certificate: each chain-table row v satisfies L1 v = lambda1 v and
+# L2 v = lambda2 v exactly, and the eigenvalue pairs are pairwise distinct,
+# so the rows are the whole joint eigenbasis, one line per degree pair.
+# Here is L1 v = lambda1 v for degree (1,1), on the rationals.
+table = ChainTable((p.alpha1, p.alpha2, p.alpha3))
+v = [Rat(x, table.den((1, 1))) for x in table.row((1, 1), p.N)]
+L1v = [sum((a * v[c] for c, a in r.items()), Rat(0)) for r in build_operator("L1", p)]
+lam = eigenvalue("L1", (1, 1), p)
+print("\nL1 v against lambda1 v at degree (1,1), lambda1 =", format_rational(lam))
+for g, lhs, x in zip(points, L1v, v):
+    print(f"  {g}: {format_rational(lhs):>12} {format_rational(lam * x):>12}")
+print("joint-eigenvectors:", "pass" if verify_oracle("joint-eigenvectors", p).passed else "FAIL")
+
+# joint_eigenvectors returns the certified rows scaled to first nonzero
+# entry 1; they match the evaluation route up to overall scale.
+vec = joint_eigenvectors(p)[(1, 1)]
 direct = [p2_eval((1, 1), g, p) for g in points]
-lead = next(v for v in direct if v != 0)
-print("\nnullspace eigenvector at degree (1,1):")
-print("  ", [format_rational(v) for v in vec])
-print("matches P_{1,1}/lead exactly:", vec == tuple(v / lead for v in direct))
+lead = next(x for x in direct if x != 0)
+print("\njoint eigenvector at degree (1,1):")
+print("  ", [format_rational(x) for x in vec])
+print("matches P_{1,1}/lead exactly:", vec == tuple(x / lead for x in direct))
 
 # The overlap factors through the intermediate basis: both factors are
 # orthogonal, and each entry of their product is one product of two

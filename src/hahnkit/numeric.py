@@ -350,7 +350,9 @@ class RationalMatrix:
         """Exact kernel basis, each vector scaled to first nonzero entry 1.
 
         Rows are scaled integer, then reduced by one-step Bareiss elimination
-        so intermediate entries stay integer and bounded.
+        so intermediate entries stay integer and bounded.  Nothing in the
+        package calls it: it stays as the tests' independent finder of the
+        oracle's eigenvectors, and the benchmark traces it.
         """
         rows, cols = self.rows, self.cols
         A: list[list[int]] = []

@@ -1,15 +1,16 @@
 """Independent verification plane for the two-variable family.
 
 Instead of evaluating explicit polynomials, this module builds the two
-difference operators as exact sparse rows over the simplex grid, pulls joint
-eigenvectors out of nested nullspaces at the known eigenvalues (L1 one line
-i + k = s at a time, then L2 on each L1 eigenspace), and checks that they
-reproduce the evaluation route up to scale.  The overlap matrix is
-factored through the intermediate (cylindrical) basis, one product of two
-univariate overlaps per entry, and the underlying algebra is realized as
-truncated su(1,1) actions in a square-root-free basis.
+difference operators as exact sparse rows over the simplex grid and
+certifies on ints that the ChainTable rows are their joint eigenbasis at
+the known eigenvalues (simplex.eigen_mismatch): as the eigenvalue pairs are
+pairwise distinct, that makes every joint eigenspace one line, spanned by
+its row.  The overlap matrix is factored through the intermediate
+(cylindrical) basis, one product of two univariate overlaps per entry, and
+the underlying algebra is realized as truncated su(1,1) actions in a
+square-root-free basis.
 
-Each check does its work once: the joint solve is joint-eigenvectors'
+Each check does its work once: the certificate is joint-eigenvectors'
 alone, and the chain checks decide on the integer pieces of the factors'
 blocks (_factor_blocks, each simplex.gram_pieces); chain-composition reads
 their overlaps as exact signed squares (simplex.overlap_squares), and
@@ -17,21 +18,25 @@ chain_matrices the same overlaps as floats (simplex.overlap_floats).
 
 The operator coefficient tables are written out here on purpose, not
 imported from the evaluation module: the whole point of the oracle is that
-the two routes share nothing but the grid ordering.
+the two routes share nothing but the grid ordering and the candidate rows
+it certifies.
 """
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .hahn_bi import BiParams
 from .numeric import Rat, RationalMatrix, format_rational
 from .reports import CheckResult, VerificationReport, _guarded
-from .simplex import ChainTable, gram_mismatch, gram_pieces, overlap_floats, overlap_squares, simplex_points
+from .simplex import (
+    ChainTable, cleared, eigen_mismatch, gram_mismatch, gram_pieces, overlap_floats, overlap_squares, simplex_points,
+)
 
 # The largest level whose seven oracle checks fit in 60 s, criterion 03's
 # budget for a whole suite at one level, on the fractions backend (cost
-# curve in BENCH_14.json); verify_oracle refuses a level above it.
-MAX_ORACLE_LEVEL = 31
+# curve in the README, chain-composition the largest part); verify_oracle
+# refuses a level above it.
+MAX_ORACLE_LEVEL = 63
 
 OPERATOR_LABELS = ("L1", "L2")
 
@@ -97,26 +102,6 @@ def eigenvalue(label: str, d, p: BiParams):
     raise ValueError(f"unknown operator label {label!r}")
 
 
-class ChainLevel(NamedTuple):
-    """One operator of a commuting chain: its label, its sparse rows, its
-    known eigenvalue at each joint label, and, for an operator that couples
-    no two blocks of basis indices, the block key of each index."""
-
-    label: str
-    rows: tuple
-    eigenvalue: Callable
-    block: Callable | None = None
-
-
-def _columns(rows) -> list:
-    """The columns of square sparse rows, each {row: entry}, rows ascending."""
-    cols = [{} for _ in rows]
-    for r, row in enumerate(rows):
-        for c, v in row.items():
-            cols[c][r] = v
-    return cols
-
-
 def _combination(weights: dict, vectors: list) -> dict:
     """sum_j weights[j] * vectors[j], all sparse."""
     out = {}
@@ -126,102 +111,45 @@ def _combination(weights: dict, vectors: list) -> dict:
     return out
 
 
-def _kernel(level: ChainLevel, basis: list, image: list, value) -> list:
-    """Sparse generators of the value-eigenspace of level's operator on the
-    span of basis: each V y with y in ker((A - value) V), where image is
-    A V.  The columns of V are split by block, one nullspace each."""
-    groups = {}
-    for c, vec in enumerate(basis):
-        keys = {level.block(j) for j in vec} if level.block else {None}
-        if len(keys) != 1:
-            raise ArithmeticError(f"a basis vector for {level.label} spans the blocks {sorted(keys)}")
-        groups.setdefault(keys.pop(), []).append(c)
-    out = []
-    for cols in groups.values():
-        # the columns of (A - value) V in this block
-        shifted = [_combination({0: 1, 1: -value}, (image[c], basis[c])) for c in cols]
-        rows = sorted({r for col in shifted for r, x in col.items() if x})
-        matrix = RationalMatrix([[col.get(r, 0) for col in shifted] for r in rows] or [[0] * len(cols)])
-        for y in matrix.nullspace():
-            vec = _combination({c: t for c, t in zip(cols, y) if t}, basis)
-            out.append({r: v for r, v in vec.items() if v})
-    return out
+def _eigen_failure(p: BiParams) -> tuple:
+    """The ChainTable rows of every degree pair, and the first failure of
+    simplex.eigen_mismatch on them as the joint (L1, L2) eigenbasis, or None.
 
-
-def nested_eigenvectors(levels, labels) -> dict:
-    """Generator of each joint eigenspace of a commuting chain, first nonzero
-    entry 1, keyed by joint label in the order of labels.
-
-    The eigenspace V_k of the first k operators at a label's first k
-    eigenvalues is V_{k-1} ker((A_k - lambda_k) V_{k-1}), made once for
-    every label that shares those eigenvalues; A_k V_{k-1} is made once per
-    V_{k-1}.  Its dimension is that of the joint eigenspace, whether or not
-    A_k leaves V_{k-1} invariant.  Every kernel is a RationalMatrix
-    nullspace of at most dim V_{k-1} columns, one per block where the level
-    has a block key.
-
-    Raises ArithmeticError when two labels share all eigenvalues (checked
-    before any solve), when an operator with a block key couples two
-    blocks, or when a joint eigenspace is not one-dimensional.
+    Each operator's rows and eigenvalues are cleared once, over one
+    denominator.  A failure is (indices, (A v)_row, lambda v_row), its
+    sides in units of the value row / ChainTable.den; a repeated eigenvalue
+    pair or a zero row raises ArithmeticError.
     """
-    labels = tuple(labels)
-    spectrum = {}
-    for label in labels:
-        key = tuple(level.eigenvalue(label) for level in levels)
-        if key in spectrum:
-            raise ArithmeticError(f"degenerate joint spectrum: {spectrum[key]} vs {label}")
-        spectrum[key] = label
-    columns = [_columns(level.rows) for level in levels]
-    for level, cols in zip(levels, columns):
-        if level.block is None:
-            continue
-        for c, col in enumerate(cols):
-            r = next((r for r in col if level.block(r) != level.block(c)), None)
-            if r is not None:
-                raise ArithmeticError(
-                    f"{level.label} couples the blocks {level.block(c)} and {level.block(r)} "
-                    f"at row {r}, col {c}"
-                )
-    size = len(levels[0].rows)
-    spaces = {(): [{j: 1} for j in range(size)]}
-    images = {}
-    out = {}
-    for label in labels:
-        key = ()
-        for level, cols in zip(levels, columns):
-            inner = key + (level.eigenvalue(label),)
-            if inner not in spaces:
-                if key not in images:
-                    images[key] = [_combination(vec, cols) for vec in spaces[key]]
-                spaces[inner] = _kernel(level, spaces[key], images[key], inner[-1])
-            key = inner
-        basis = spaces[key]
-        if len(basis) != 1:
-            raise ArithmeticError(
-                f"joint eigenspace at {label} has dimension {len(basis)}, expected 1"
-            )
-        lead = basis[0][min(basis[0])]
-        out[label] = tuple(basis[0].get(j, 0) / lead for j in range(size))
-    return out
+    table = ChainTable((p.alpha1, p.alpha2, p.alpha3))
+    degs = tuple(simplex_points(p.N, 2))
+    candidates = {d: table.row(d, p.N) for d in degs}
+    operators, dens = {}, {}
+    for label in OPERATOR_LABELS:
+        rows, eigs = build_operator(label, p), [eigenvalue(label, d, p) for d in degs]
+        dens[label], ints = cleared(*eigs, *(v for row in rows for v in row.values()))
+        entries = iter(ints[len(eigs):])
+        operators[label] = [{c: next(entries) for c in row} for row in rows], ints[: len(eigs)]
+    bad = eigen_mismatch(operators, candidates)
+    if bad is not None:
+        label, d, r, lhs, rhs = bad
+        scale = dens[label] * table.den(d)
+        bad = {"operator": label, "degree": list(d), "row": r}, Rat(lhs, scale), Rat(rhs, scale)
+    return candidates, bad
 
 
 def joint_eigenvectors(p: BiParams) -> dict:
-    """Generator of each joint (L1, L2) eigenspace, first nonzero entry 1.
-
-    The d = 2 chain of nested_eigenvectors: L1 moves points only along the
-    lines i + k = s, so its eigenspaces are solved line by line, and L2 on
-    each of them.  Raises ArithmeticError if the joint spectrum
-    degenerates, L1 couples two lines, or any eigenspace fails to be
-    one-dimensional; for valid parameters none can happen (the L1
-    eigenvalues are strictly separated in m).
-    """
-    points = tuple(simplex_points(p.N, 2))
-    levels = (
-        ChainLevel("L1", build_operator("L1", p), lambda d: eigenvalue("L1", d, p),
-                   lambda t: sum(points[t])),
-        ChainLevel("L2", build_operator("L2", p), lambda d: eigenvalue("L2", d, p)),
-    )
-    return nested_eigenvectors(levels, simplex_points(p.N, 2))
+    """Generator of each joint (L1, L2) eigenspace, first nonzero entry 1,
+    keyed by degree pair: the ChainTable rows, certified first
+    (_eigen_failure).  Raises ArithmeticError if they fail."""
+    candidates, bad = _eigen_failure(p)
+    if bad is not None:
+        indices, lhs, rhs = bad
+        raise ArithmeticError(
+            f"{indices['operator']} v != lambda v at degree {tuple(indices['degree'])}, "
+            f"row {indices['row']}: {format_rational(lhs)} vs {format_rational(rhs)}"
+        )
+    leads = {d: next(v for v in row if v) for d, row in candidates.items()}
+    return {d: tuple(Rat(v, leads[d]) for v in row) for d, row in candidates.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -401,19 +329,12 @@ def _check_commutation(p: BiParams) -> CheckResult:
 
 
 def _check_joint_eigenvectors(p: BiParams) -> CheckResult:
-    """Each joint eigenvector against its P values, both scaled to first
-    nonzero entry 1: P is a ChainTable row over a constant."""
+    """Every ChainTable row a joint (L1, L2) eigenvector at its known
+    eigenvalues, on ints; a failure names the operator, degree pair and row,
+    with (A v)_row against lambda v_row."""
     name = "joint-eigenvectors"
-    vecs = joint_eigenvectors(p)
-    table = ChainTable((p.alpha1, p.alpha2, p.alpha3))
-    for d, vec in vecs.items():
-        row = table.row(d, p.N)
-        lead = next(v for v in row if v)
-        expected = tuple(Rat(v, lead) for v in row)
-        if vec != expected:
-            g = next(t for t, (a, b) in enumerate(zip(vec, expected)) if a != b)
-            return CheckResult.mismatch(name, {"degree": list(d), "entry": g}, vec[g], expected[g])
-    return CheckResult.exact_pass(name)
+    bad = _eigen_failure(p)[1]
+    return CheckResult.exact_pass(name) if bad is None else CheckResult.mismatch(name, *bad)
 
 
 def _check_chain_orthogonality(p: BiParams) -> CheckResult:

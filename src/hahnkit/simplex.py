@@ -9,10 +9,11 @@ chain table (ChainTable), the weight (simplex_weight), the closed-form
 squared norm of a chain (chain_norm), the Gram sums (gram_entries) and their
 one comparison with that norm (gram_pieces, gram_mismatch), the overlap
 coefficients between the Cartesian and the orthonormal basis, as floats
-and as exact signed squares (overlap_floats, overlap_squares), and the
-generating function (genfun_mismatch, on the sparse polynomials of
-sparse_mul and sparse_sum); hahn_uni, hahn_bi, hahn_multi and the oracle
-read them and decide every comparison on the integers crosswise.
+and as exact signed squares (overlap_floats, overlap_squares), the
+joint-eigenbasis certificate (eigen_mismatch), and the generating
+function (genfun_mismatch, on the sparse polynomials of sparse_mul and
+sparse_sum); hahn_uni, hahn_bi, hahn_multi and the oracle read them and
+decide every comparison on the integers crosswise.
 """
 from __future__ import annotations
 
@@ -352,6 +353,40 @@ def overlap_squares(weight, rows, dens, norms) -> list:
         ([v * abs(v) * w * nd for v, w in zip(row, omega)], nonzero(den * den * W * norm, "the overlap scale"))
         for row, den, (norm, nd) in zip(rows, dens, norms)
     ]
+
+
+def eigen_mismatch(operators: dict, candidates: dict):
+    """The certificate that candidate rows are the joint eigenbasis of
+    commuting operators, on ints.
+
+    operators maps a name to (rows, eigenvalues): sparse rows, {column:
+    entry} per row, and one eigenvalue per label of candidates in its order,
+    all integers over one denominator of that operator's own, which A v =
+    lambda v drops.  candidates maps each label to its integer row.  As
+    eigenvectors of distinct eigenvalue tuples are independent, P nonzero
+    candidates that pass span the space of dimension P, and each joint
+    eigenspace is the line of its candidate.
+
+    Raises ArithmeticError at two labels with one eigenvalue tuple, before
+    any row is applied, or at a zero candidate.  Returns None, or the first
+    failing (name, label, row, (A v)_row, lambda v_row), operators in their
+    order, then labels, then rows.
+    """
+    seen = {}
+    for label, key in zip(candidates, zip(*(eigs for _, eigs in operators.values()))):
+        if key in seen:
+            raise ArithmeticError(f"degenerate joint spectrum: {seen[key]} vs {label}")
+        seen[key] = label
+    for label, vec in candidates.items():
+        if not any(vec):
+            raise ArithmeticError(f"the candidate at {label} is zero")
+    for name, (rows, eigs) in operators.items():
+        for (label, vec), eig in zip(candidates.items(), eigs):
+            for r, row in enumerate(rows):
+                lhs, rhs = sum(a * vec[c] for c, a in row.items()), eig * vec[r]
+                if lhs != rhs:
+                    return name, label, r, lhs, rhs
+    return None
 
 
 def sparse_mul(f: dict, g: dict) -> dict:

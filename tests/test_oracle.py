@@ -1,4 +1,4 @@
-"""Oracle route: operator rows, nullspace eigenvectors, chain, su(1,1)."""
+"""Oracle route: operator rows, the eigen-certificate, chain, su(1,1)."""
 import math
 import re
 
@@ -75,13 +75,6 @@ def off_block(factor, row, col):
     assert entries[row][col] == 0.0
     entries[row][col] = 1e-3
     return ChainMatrix(factor.params, factor.rows, factor.cols, tuple(map(tuple, entries)))
-
-
-def normalized_p_vector(d, p):
-    """The reference vector by the p2_eval route the table rows replaced."""
-    vals = p_vector(d, p)
-    lead = next(v for v in vals if v != 0)
-    return tuple(v / lead for v in vals)
 
 
 def dense_chain_product(first, second):
@@ -200,20 +193,17 @@ class TestJointEigenvectors:
         with pytest.raises(ArithmeticError, match=r"^degenerate joint spectrum: \(0, 0\) vs \(1, 0\)$"):
             joint_eigenvectors(BiParams(0, 0, 0, 2))
 
-    def test_kernels_stay_small(self, monkeypatch):
-        # no stacked 2P x P matrix: a kernel has at most one column per point
-        # of a line and at most one row per grid point
-        shapes = []
-        solve = RationalMatrix.nullspace
+    def test_no_kernel_is_solved(self, monkeypatch):
+        # the certificate alone: the whole suite passes, and the eigenvectors
+        # come back, with RationalMatrix.nullspace unusable
+        def no_solve(self):
+            raise AssertionError("a kernel was solved")
 
-        def recording(self):
-            shapes.append((self.rows, self.cols))
-            return solve(self)
-
-        monkeypatch.setattr(RationalMatrix, "nullspace", recording)
-        joint_eigenvectors(BiParams(Rat(1, 2), Rat(-1, 2), 3, 6))
-        assert max(cols for _, cols in shapes) <= 7
-        assert max(rows for rows, _ in shapes) <= 28
+        monkeypatch.setattr(RationalMatrix, "nullspace", no_solve)
+        triple = (Rat(1, 2), Rat(-1, 2), 3)
+        assert all(verify_oracle(name, BiParams(*triple, 6)).passed for name in ORACLE_CHECK_NAMES)
+        for N in range(7):
+            assert list(joint_eigenvectors(BiParams(*triple, N))) == list(simplex_points(N, 2))
 
     def test_constant_member(self):
         vecs = joint_eigenvectors(BiParams(Rat(1, 2), 0, 3, 2))
@@ -441,15 +431,21 @@ class TestVerifyOracle:
 
         monkeypatch.setattr(oracle_mod, "_shift_coeffs", tampered)
 
+    # the cross-line tamper at N = 3: L1 row 5, at (1, 1), reads P_{1,0}(1, 2)
+    # = -1 from the line i + k = 3, where lambda P_{1,0}(1, 1) = 0
+    LINE_COUPLING = {
+        "name": "joint-eigenvectors",
+        "status": "fail",
+        "max_residual": "-1",
+        "counterexample": {"indices": {"operator": "L1", "degree": [1, 0], "row": 5}, "lhs": "-1", "rhs": "0"},
+    }
+
     def test_l1_coupling_two_lines_is_refused(self, monkeypatch):
         self._tamper_l1_across_lines(monkeypatch)
         p = BiParams(0, 0, 0, 3)
-        with pytest.raises(ArithmeticError, match="^L1 couples the blocks 3 and 2 at row 5, col 8$"):
+        with pytest.raises(ArithmeticError, match=r"^L1 v != lambda v at degree \(1, 0\), row 5: -1 vs 0$"):
             joint_eigenvectors(p)
-        check = verify_oracle("joint-eigenvectors", p).checks[0]
-        assert not check.passed
-        assert check.max_residual == "inf"
-        assert check.counterexample["lhs"] == "L1 couples the blocks 3 and 2 at row 5, col 8"
+        assert verify_oracle("joint-eigenvectors", p).to_dict()["checks"] == [self.LINE_COUPLING]
 
     def test_l2_tamper_fails_joint_eigenvectors(self, monkeypatch):
         orig = oracle_mod._shift_coeffs
@@ -462,7 +458,13 @@ class TestVerifyOracle:
 
         monkeypatch.setattr(oracle_mod, "_shift_coeffs", tampered)
         p = BiParams(Rat(1, 2), Rat(-1, 2), 3, 3)
-        assert not verify_oracle("joint-eigenvectors", p).passed
+        # L1 holds everywhere; L2 row 5, at (1, 1), first feels the raised
+        # entry toward (2, 1) at the first degree pair nonzero there
+        check = verify_oracle("joint-eigenvectors", p).checks[0]
+        assert check.max_residual == "1/2"
+        assert check.counterexample == {
+            "indices": {"operator": "L2", "degree": [1, 0], "row": 5}, "lhs": "13/2", "rhs": "6",
+        }
         assert not verify_oracle("commutation", p).passed
 
     @pytest.mark.parametrize("triple", DEFECT_TRIPLES)
@@ -600,17 +602,23 @@ class TestVerifyOracle:
             },
         }
 
-    @pytest.mark.parametrize("case", ["line-coupling", "degenerate"])
+    @pytest.mark.parametrize("case", ["line-coupling", "degenerate", "zero-row"])
     def test_failed_solve_report_pinned(self, case, monkeypatch):
-        # the reports su11-spectrum gave as "joint-diagonalization" before the
-        # solve became joint-eigenvectors' alone: same message, residual "inf"
+        # a refused spectrum or row keeps the message it had as the
+        # "joint-diagonalization" report, with residual "inf"; the cross-line
+        # tamper is an L1 residual
         if case == "line-coupling":
             self._tamper_l1_across_lines(monkeypatch)
-            p, message = BiParams(0, 0, 0, 3), "L1 couples the blocks 3 and 2 at row 5, col 8"
-        else:
+            report = verify_oracle("joint-eigenvectors", BiParams(0, 0, 0, 3)).to_dict()["checks"]
+            assert report == [self.LINE_COUPLING]
+            return
+        if case == "degenerate":
             monkeypatch.setattr(oracle_mod, "eigenvalue", lambda label, d, p: Rat(0))
-            p, message = BiParams(0, 0, 0, 2), "degenerate joint spectrum: (0, 0) vs (1, 0)"
-        report = verify_oracle("joint-eigenvectors", p).to_dict()["checks"]
+            message = "degenerate joint spectrum: (0, 0) vs (1, 0)"
+        else:
+            self._tamper_table(monkeypatch, (1, 1), None)
+            message = "the candidate at (1, 1) is zero"
+        report = verify_oracle("joint-eigenvectors", BiParams(0, 0, 0, 2)).to_dict()["checks"]
         assert report == [{
             "name": "joint-eigenvectors",
             "status": "fail",
@@ -618,20 +626,44 @@ class TestVerifyOracle:
             "counterexample": {"indices": {}, "lhs": message, "rhs": ""},
         }]
 
+    @staticmethod
+    def _tamper_table(monkeypatch, d, g):
+        """The oracle's ChainTable row of degree pair d reads one more at
+        entry g, or, with g None, all zeros."""
+
+        class Tampered(ChainTable):
+            def row(self, degs, level):
+                row = super().row(degs, level)
+                if degs != d:
+                    return row
+                return (0,) * len(row) if g is None else row[:g] + (row[g] + 1,) + row[g + 1:]
+
+        monkeypatch.setattr(oracle_mod, "ChainTable", Tampered)
+
     @pytest.mark.parametrize("triple", TRIPLES)
-    def test_row_references_equal_p2_eval_route(self, triple, monkeypatch):
-        # the check passes exactly when each solved vector equals its
-        # reference, so feeding it the p2_eval route's vectors compares the two
-        for N in range(7):
-            p = BiParams(*triple, N)
-            vecs = {d: normalized_p_vector(d, p) for d in simplex_points(N, 2)}
-            monkeypatch.setattr(oracle_mod, "joint_eigenvectors", lambda p: vecs)
-            assert verify_oracle("joint-eigenvectors", p).checks[0].max_residual == "0"
-            d = (N, 0)
-            vecs[d] = vecs[d][:-1] + (vecs[d][-1] + 1,)
+    def test_tampered_table_row_fails_the_certificate(self, triple, monkeypatch):
+        # the last entry of row (N, 0), at (0, N), raised by 1: L1 first
+        # feels it at row (1, N - 1), whose entry toward (0, N) it is, in
+        # units of the value row / den
+        for N in range(1, 7):
+            p, d, last = BiParams(*triple, N), (N, 0), (N + 1) * (N + 2) // 2 - 1
+            self._tamper_table(monkeypatch, d, last)
             check = verify_oracle("joint-eigenvectors", p).checks[0]
-            assert check.counterexample["indices"] == {"degree": [N, 0], "entry": len(vecs[d]) - 1}
-            assert check.max_residual == "1"
+            assert check.counterexample["indices"] == {"operator": "L1", "degree": [N, 0], "row": last - 1}
+            entry = build_operator("L1", p)[last - 1][last]
+            assert check.max_residual == format_rational(entry / ChainTable((p.alpha1, p.alpha2, p.alpha3)).den(d))
+            with pytest.raises(ArithmeticError, match=rf"^L1 v != lambda v at degree \({N}, 0\), row {last - 1}: "):
+                joint_eigenvectors(p)
+
+    def test_tampered_table_row_named_by_l2(self, monkeypatch):
+        # L1 moves nothing off (0, 0) and vanishes at m = 0, so entry (0, 0)
+        # of row (0, 1) raised by 1 passes L1.  L2's diagonal at (0, 0) is -6,
+        # its eigenvalue at (0, 1), so its row 1, at (1, 0), is the first to
+        # see it
+        self._tamper_table(monkeypatch, (0, 1), 0)
+        check = verify_oracle("joint-eigenvectors", BiParams(Rat(1, 2), Rat(-1, 2), 3, 3)).checks[0]
+        assert check.counterexample["indices"] == {"operator": "L2", "degree": [0, 1], "row": 1}
+        assert check.max_residual not in ("0", "inf")
 
     def test_commutation_failure_report_pinned(self, monkeypatch):
         # the first defect of L1 L2 - L2 L1 in row-major order, as the

@@ -1,6 +1,6 @@
 """The simplex table layer: its one weight against the retired forms, the
-overlap at every d, and the layering that keeps its kernels in one module
-below the families."""
+overlap at every d, the eigen-certificate, and the layering that keeps its
+kernels in one module below the families."""
 import ast
 import pathlib
 
@@ -15,6 +15,7 @@ from hahnkit.hahn_uni import UniParams
 from hahnkit.numeric import RadicalScalar, Rat, binomial_general
 from hahnkit.simplex import (
     ChainTable,
+    eigen_mismatch,
     gram_pieces,
     overlap_floats,
     overlap_squares,
@@ -114,6 +115,36 @@ class TestOverlap:
                 exact = RadicalScalar(Rat(v, den), Rat(w * nd, W * norm))
                 assert repr(x) == repr(float(exact))
                 assert exact.signed_square() == Rat(num, scale)
+
+
+# A/2 and B on the plane, A = [[2, 1], [1, 2]] and B = [[0, 1], [1, 0]]:
+# (1, 1) has eigenvalues 3/2 and 1, (1, -1) 1/2 and -1; A/2 is cleared over 2
+HALF_A = ([{0: 2, 1: 1}, {0: 1, 1: 2}], [3, 1])
+B = ([{1: 1}, {0: 1}], [1, -1])
+PAIR = {"even": (1, 1), "odd": (3, -3)}
+
+
+class TestEigenMismatch:
+    def test_a_joint_eigenbasis_passes(self):
+        assert eigen_mismatch({"A": HALF_A, "B": B}, PAIR) is None
+
+    def test_a_wrong_entry_is_named(self):
+        # B's row 1 reads 2 at column 0: B (1, 1) is (1, 2) against (1, 1),
+        # and A, checked first, passes
+        wrong = ([{1: 1}, {0: 2}], [1, -1])
+        assert eigen_mismatch({"A": HALF_A, "B": wrong}, PAIR) == ("B", "even", 1, 2, 1)
+
+    def test_a_zero_candidate_is_refused(self):
+        with pytest.raises(ArithmeticError, match="^the candidate at odd is zero$"):
+            eigen_mismatch({"A": HALF_A, "B": B}, {"even": (1, 1), "odd": (0, 0)})
+
+    def test_a_repeated_tuple_is_refused_before_any_row(self):
+        # rows that would raise IndexError if applied
+        off = ([{5: 1}, {5: 1}], [3, 3])
+        with pytest.raises(ArithmeticError, match="^degenerate joint spectrum: even vs odd$"):
+            eigen_mismatch({"A": off, "B": (off[0], [1, 1])}, PAIR)
+        # one operator apart is enough: A's repeated 3 is then a residual
+        assert eigen_mismatch({"A": (HALF_A[0], [3, 3]), "B": B}, PAIR) == ("A", "odd", 0, 3, 9)
 
 
 # The modules whose underscore names stay their own.
