@@ -357,14 +357,17 @@ def _check_chain_composition(p: BiParams) -> CheckResult:
     """The overlap at ((i, k), (m, n)) against first[(i, k), (m, q)]
     second[(m, q), (m, n)], q = i + k, and against 0 for m > q.  Every
     radicand is positive (each parameter exceeds -1), so each side is
-    compared as its signed square x|x| (simplex.overlap_squares of the d = 2
-    pieces and of each block), which determines x, crosswise on ints."""
+    compared as its signed square x|x| (simplex.overlap_squares of each
+    block, and of the d = 2 pieces one degree pair's row at a time, so no
+    more than one row of squares is held), which determines x, crosswise on
+    ints."""
     name = "chain-composition"
-    overlap = overlap_squares(*gram_pieces((p.alpha1, p.alpha2, p.alpha3), p.N))
+    weight, rows, dens, norms = gram_pieces((p.alpha1, p.alpha2, p.alpha3), p.N)
     first, second = ([overlap_squares(*block) for block in blocks] for blocks in _factor_blocks(p))
     points = tuple(simplex_points(p.N, 2))
     index = {g: t for t, g in enumerate(points)}
-    for (m, n), (row, scale) in zip(points, overlap):
+    for a, (m, n) in enumerate(points):
+        ((row, scale),) = overlap_squares(weight, rows[a : a + 1], dens[a : a + 1], norms[a : a + 1])
         tails, tail_scale = second[m][n]
         for q in range(p.N + 1):
             chain, left = [0] * (q + 1), 1  # the product vanishes for m > q

@@ -54,16 +54,20 @@ def hahn_coefficients(n: int, q: int, A, B, K) -> list:
     return coeffs
 
 
-def point_sum(coeffs: list, q: int, X):
-    """sum_j c_j prod_{i<j} (q*i - X), the point part being (-x)_j cleared by q^j."""
-    total = 0
-    point = 1
-    for j, c in enumerate(coeffs):
-        total = total + c * point
-        point = point * (q * j - X)
-        if point == 0:  # x is a grid point below j: every later term vanishes
-            break
-    return total
+def point_sums(coeffs: list, q: int, points) -> list:
+    """sum_j c_j prod_{i<j} (q*i - X) at each X of points, the point part
+    being (-x)_j cleared by q^j, by Horner's rule.  At a grid point x = X/q
+    below the degree every term past j = x vanishes, so the rule starts
+    there."""
+    top, out = len(coeffs) - 1, []
+    for X in points:
+        j = X // q if X % q == 0 and 0 <= X < q * top else top
+        total, step = coeffs[j], q * j - X
+        while j:
+            j, step = j - 1, step - q
+            total = coeffs[j] + step * total
+        out.append(total)
+    return out
 
 
 def denominator(n: int, q: int) -> int:
@@ -88,7 +92,7 @@ def eval_total(n: int, x, alpha, beta, M):
     if n < 0:
         raise ValueError("degree must be nonnegative")
     q, (X, A, B, K) = cleared(x, alpha, beta, M)
-    total = point_sum(hahn_coefficients(n, q, A, B, K), q, X)
+    (total,) = point_sums(hahn_coefficients(n, q, A, B, K), q, (X,))
     return Rat(total, denominator(n, q))
 
 
@@ -152,11 +156,14 @@ class ChainTable:
     |i_<=k+1| - |n_<k|, where |i_<=d+1| is the level the value is read at;
     arguments and levels can leave the classical range.  The tuple is
     cleared to one denominator Q (cleared, as the function cleared gives
-    it), and factor k built with the univariate kernel: a coefficient list
-    once per (k, n_k, |n_<k|, level_k), one integer per point of that list
-    and |i_<=k|, shared by every degree tuple with the same prefix.  A whole row builds its last factor once per
-    |i| instead, in a list of its own.  num(degs, pts, level) / den(degs) is
-    the value; at d = 1 row n is the univariate grid of h_n.
+    it), and each factor built with the univariate kernel: a coefficient
+    list and a line, the factor at |i_<=k| = 0..|i_<=k+1|, once per (k,
+    n_k, |n_<k|, |i_<=k+1|).  A head, the product of a degree prefix's
+    factors over simplex_points(level, d), is made once per prefix and
+    level from the prefix one shorter; a row is the head of its first d - 1
+    degrees times its last factor's line read at each point's |i|.
+    num(degs, pts, level) / den(degs) is one value, its d point sums
+    multiplied directly; at d = 1 row n is the univariate grid of h_n.
     """
 
     def __init__(self, alphas):
@@ -164,7 +171,7 @@ class ChainTable:
         self.cleared = self.Q, cleared_alphas = cleared(*alphas)
         self._partial = list(accumulate(cleared_alphas, initial=0))
         self._beta = cleared_alphas[1:]
-        self._coeffs, self._factors, self._points, self._rows, self._lines = {}, {}, {}, {}, {}
+        self._coeffs, self._lines, self._points, self._sums, self._heads, self._rows = {}, {}, {}, {}, {}, {}
 
     def points(self, level: int) -> tuple:
         if level not in self._points:
@@ -183,48 +190,63 @@ class ChainTable:
             coeffs = self._coeffs[key] = hahn_coefficients(n, Q, alpha, self._beta[k], Q * (top - nsum))
         return coeffs
 
-    def num(self, degs, pts, level: int, upto: int | None = None) -> int:
-        """The chain numerator at one point: the product of its first upto
-        factors (all d when None), each made once per table."""
-        Q, memo, last = self.Q, self._factors, self.d - 1
-        out, isum, nsum = 1, 0, 0
-        for k, n in enumerate(degs[:upto]):
-            isum += pts[k]
-            top = level if k == last else isum + pts[k + 1]
-            key = (k, n, nsum, top, isum)
-            value = memo.get(key)
-            if value is None:
-                value = memo[key] = point_sum(self._coefficients(k, n, nsum, top), Q, Q * (isum - nsum))
+    def num(self, degs, pts, level: int) -> int:
+        """The chain numerator at one point: the product of its d point sums."""
+        Q, out, nsum = self.Q, 1, 0
+        sums = [*accumulate(pts), level]
+        for k, n in enumerate(degs):
+            (value,) = point_sums(self._coefficients(k, n, nsum, sums[k + 1]), Q, (Q * (sums[k] - nsum),))
             out *= value
             nsum += n
         return out
 
-    def _line(self, n: int, top: int) -> list:
-        """The first factor h_n(i; alpha_1, alpha_2; top) at i = 0..top: at
-        d = 2 one line i_1 + i_2 = top of the grid, shared by every degree
-        pair (n, .) and level."""
-        key = (n, top)
+    def _line(self, k: int, n: int, nsum: int, top: int) -> list:
+        """Factor k + 1, of degree n after the degree sum nsum, at |i_<=k+1|
+        = 0..top: its values at the points whose |i_<=k+2| is top (for
+        factor d, top is the level)."""
+        key = (k, n, nsum, top)
         line = self._lines.get(key)
         if line is None:
-            Q, coeffs = self.Q, self._coefficients(0, n, 0, top)
-            line = self._lines[key] = [point_sum(coeffs, Q, Q * i) for i in range(top + 1)]
+            Q, coeffs = self.Q, self._coefficients(k, n, nsum, top)
+            line = self._lines[key] = point_sums(coeffs, Q, range(-Q * nsum, Q * (top + 1 - nsum), Q))
         return line
+
+    def _partial_sums(self, level: int) -> list:
+        """|i_<=k+1| at each point of simplex_points(level, d), k = 0..d-1;
+        the empty prefix's head, all ones, is laid down with them."""
+        sums = self._sums.get(level)
+        if sums is None:
+            points = self.points(level)
+            sums = self._sums[level] = [[sum(pt[: k + 1]) for pt in points] for k in range(self.d)]
+            self._heads[(), level] = [1] * len(points)
+        return sums
+
+    def _head(self, prefix: tuple, level: int) -> list:
+        """The product of the factors of a degree prefix shorter than d over
+        simplex_points(level, d): the head of the prefix one shorter times
+        the new factor k + 1's lines, one per |i_<=k+2|, read at |i_<=k+1|."""
+        key = (prefix, level)
+        head = self._heads.get(key)
+        if head is None:
+            k, sums = len(prefix) - 1, self._partial_sums(level)
+            lines = [self._line(k, prefix[k], sum(prefix[:k]), top) for top in range(level + 1)]
+            head = self._heads[key] = [
+                h * lines[top][isum] for h, isum, top in zip(self._head(prefix[:k], level), sums[k], sums[k + 1])
+            ]
+        return head
 
     def row(self, degs, level: int) -> tuple:
         """The numerators of degree tuple degs over simplex_points(level, d)."""
         key = (degs, level)
-        if key not in self._rows:
-            Q, last = self.Q, self.d - 1
-            nsum = sum(degs[:last])
-            coeffs = self._coefficients(last, degs[last], nsum, level)
-            tail = [point_sum(coeffs, Q, Q * (isum - nsum)) for isum in range(level + 1)]
-            if last == 1:  # the grid line by line, k major as simplex_points runs
-                lines = [self._line(degs[0], s) for s in range(level + 1)]
-                tail = [lines[i + k][i] * tail[i + k] for k in range(level + 1) for i in range(level + 1 - k)]
-            elif last:
-                tail = [self.num(degs, pts, level, last) * tail[sum(pts)] for pts in self.points(level)]
-            self._rows[key] = tuple(tail)
-        return self._rows[key]
+        row = self._rows.get(key)
+        if row is None:
+            isums = self._partial_sums(level)[-1]
+            line = self._line(self.d - 1, degs[-1], sum(degs[:-1]), level)
+            # A list first: tuple() of an iterator grows by resizing, and the
+            # freed rows then pile up on the tuple free lists (0.2 MB of peak
+            # on the uni sweep).
+            row = self._rows[key] = tuple([h * line[isum] for h, isum in zip(self._head(degs[:-1], level), isums)])
+        return row
 
 
 def simplex_weight(alphas, N: int) -> tuple:

@@ -214,9 +214,9 @@ class TestEvaluation:
 class TestChainTable:
     @settings(max_examples=40, deadline=None)
     @given(
-        d=st.integers(1, 4),
+        d=st.integers(1, MAX_DIMENSION),
         N=st.integers(0, 4),
-        alphas=st.lists(st.sampled_from(LATTICE), min_size=5, max_size=5),
+        alphas=st.lists(st.sampled_from(LATTICE), min_size=MAX_DIMENSION + 1, max_size=MAX_DIMENSION + 1),
         data=st.data(),
     )
     def test_matches_chain_reference(self, d, N, alphas, data):
@@ -228,6 +228,21 @@ class TestChainTable:
         den = table.den(degs)
         for g, num in zip(pts, table.row(degs, N)):
             assert Rat(num, den) == chain_reference(degs, g, p), (degs, g)
+
+    @pytest.mark.parametrize("d", range(1, MAX_DIMENSION + 1))
+    def test_num_equals_row_at_every_point(self, d):
+        """The single-value path (num, its d point sums multiplied directly)
+        and the row path (heads times factor lines) share only coefficient
+        lists, and here not even those: each checks the other, at the level
+        of the degree simplex and one below and above it."""
+        N = max(2, 8 - d)
+        for offset in (0, 2, 4):
+            alphas = lattice_tuple(d + 1, offset)
+            rows, values = ChainTable(alphas), ChainTable(alphas)
+            for level in (N - 1, N, N + 1):
+                for degs in simplex_points(N, d):
+                    expected = tuple(values.num(degs, g, level) for g in simplex_points(level, d))
+                    assert rows.row(degs, level) == expected, (alphas, degs, level)
 
 
 class TestLambda:

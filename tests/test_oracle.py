@@ -534,6 +534,22 @@ class TestVerifyOracle:
             assert not check.passed and check.max_residual not in ("0", "inf"), name
             assert check.counterexample["indices"] == indices, name
 
+    def test_composition_squares_one_overlap_row_per_call(self, monkeypatch):
+        """chain-composition squares the d = 2 overlap one degree pair's row
+        at a time, so it never holds more than one row of squares; the
+        blocks' calls (at most N + 1 grid points) are not counted."""
+        honest, calls = oracle_mod.overlap_squares, []
+        points = len(list(simplex_points(self.CHAIN.N, 2)))
+
+        def squares(weight, rows, dens, norms):
+            if len(weight[0]) == points:
+                calls.append(len(rows))
+            return honest(weight, rows, dens, norms)
+
+        monkeypatch.setattr(oracle_mod, "overlap_squares", squares)
+        assert verify_oracle("chain-composition", self.CHAIN).checks[0].passed
+        assert calls == [1] * points
+
     @staticmethod
     def _tamper_overlap(monkeypatch, d, g):
         """The overlap's integer row of degree pair d (the d = 2 Gram pieces,
