@@ -150,6 +150,46 @@ class TestStructureRelations:
             "counterexample": {"indices": [0, 2], "lhs": "21/2", "rhs": "99/10"},
         }
 
+    def test_jacobi_failure_report(self, monkeypatch):
+        # the z coefficient of P_2^(1/2, -1/3) raised by 1/7: the derivative's
+        # constant term, the lowest power, is the first to differ
+        honest = jacobi_coeffs
+
+        def tampered(n, alpha, beta):
+            c = honest(n, alpha, beta)
+            if (n, alpha, beta) == (2, Rat(1, 2), Rat(-1, 3)):
+                c = (c[0], c[1] + Rat(1, 7)) + c[2:]
+            return c
+
+        monkeypatch.setattr(classical_mod, "jacobi_coeffs", tampered)
+        check = verify_classical("jacobi-lower-1", 2, Rat(1, 2), Rat(-1, 3)).checks[0].to_dict()
+        assert check == {
+            "name": "jacobi-lower-1",
+            "status": "fail",
+            "max_residual": "1/7",
+            "counterexample": {"indices": [0], "lhs": "809/1008", "rhs": "95/144"},
+        }
+
+    def test_laguerre_failure_report(self, monkeypatch):
+        # the x coefficient of L_2^(1/2) raised by 1/7 moves the z^1 and z^2
+        # coefficients of z L' + (a - z) L; the report names z^1
+        honest = laguerre_coeffs
+
+        def tampered(n, alpha):
+            c = honest(n, alpha)
+            if (n, alpha) == (2, Rat(1, 2)):
+                c = (c[0], c[1] + Rat(1, 7)) + c[2:]
+            return c
+
+        monkeypatch.setattr(classical_mod, "laguerre_coeffs", tampered)
+        check = verify_classical("laguerre-raise", 2, Rat(1, 2)).checks[0].to_dict()
+        assert check == {
+            "name": "laguerre-raise",
+            "status": "fail",
+            "max_residual": "3/14",
+            "counterexample": {"indices": [1], "lhs": "-303/56", "rhs": "-45/8"},
+        }
+
     def test_unknown_relation_rejected(self):
         with pytest.raises(ValueError):
             verify_classical("jacobi-shift-9", 1, 0, 0)
