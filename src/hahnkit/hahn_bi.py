@@ -131,6 +131,13 @@ from .simplex import (
 # a level above it.
 MAX_BI_LEVEL = 25
 
+# The largest level at which the float and the exact overlap (overlap2) and
+# the chain factors with their product (oracle.chain_matrices) each fit in
+# 60 s on the fractions backend with a peak of at most 2 GB, timed in one
+# fresh process per level and command (cost curve in the README); both
+# refuse a level above it before any table is built.
+MAX_OVERLAP_LEVEL = 62
+
 
 class _BiFields(NamedTuple):
     alpha1: object
@@ -314,9 +321,12 @@ class OverlapMatrix(NamedTuple):
 
 
 def overlap2(p: BiParams, mode: str = "float") -> OverlapMatrix:
-    """The overlap matrix at d = 2, "float" or "squared" (OverlapMatrix)."""
+    """The overlap matrix at d = 2, "float" or "squared" (OverlapMatrix); a
+    level above MAX_OVERLAP_LEVEL is refused before any table is built."""
     if mode not in ("float", "squared"):
         raise ValueError(f"unknown overlap mode {mode!r}")
+    if p.N > MAX_OVERLAP_LEVEL:
+        raise ValueError(f"the overlap at level {p.N} is refused; the cap is {MAX_OVERLAP_LEVEL}")
     pieces = gram_pieces((p.alpha1, p.alpha2, p.alpha3), p.N)
     if mode == "float":
         columns = overlap_floats(*pieces)

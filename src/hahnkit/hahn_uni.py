@@ -9,23 +9,17 @@ a whole grid, simplex_weight, the closed-form chain norm (chain_norm, which
 hahn_norm makes one rational), the Gram check of every d (gram_pieces and
 gram_mismatch) and, for dual-genfun, the generating function of every d
 (genfun_mismatch).  Every check compares integers crosswise, after showing
-its scale nonzero, and makes a rational only to report a failure; the 1F1
-product of genfun is int tuples over one denominator each (numeric's
-univariate helpers keep ints as ints).  verify_uni refuses a level above
-MAX_UNI_LEVEL.
+its scale nonzero, and makes a rational only to report a failure; genfun
+takes each t^n coefficient of its 1F1 product as one convolution sum of
+the two series' integer coefficients, each over its own denominator.
+verify_uni refuses a level above MAX_UNI_LEVEL.
 """
 from __future__ import annotations
 
 import math
 from typing import NamedTuple
 
-from .numeric import (
-    Rat,
-    _poly_mul,
-    format_rational,
-    nonzero,
-    rising,
-)
+from .numeric import Rat, format_rational, nonzero, rising
 from .reports import CheckResult, VerificationReport, _guarded
 from .simplex import (
     ChainTable,
@@ -130,9 +124,9 @@ def _check_genfun(p: UniParams) -> CheckResult:
         left_two = tuple(
             (-1) ** j * math.comb(N - x, j) * q**j * (s[N - x] // s[j]) for j in range(N - x + 1)
         )
-        lhs, lhs_den = _poly_mul(left_one, left_two), r[x] * s[N - x]
+        lhs_den = r[x] * s[N - x]
         for n, nums in enumerate(rows):
-            left = lhs[n] if n < len(lhs) else 0
+            left = sum(left_one[j] * left_two[n - j] for j in range(max(0, n + x - N), min(n, x) + 1))
             right = nums[x] * q ** (2 * n)
             if left * scales[n] != right * lhs_den:
                 return CheckResult.mismatch("genfun", [x, n], Rat(left, lhs_den), Rat(right, scales[n]))

@@ -1,12 +1,9 @@
 """Exact arithmetic substrate.
 
 Rationals, radical scalars r*sqrt(s), combinatorial factors, terminating
-hypergeometric sums, fraction-free kernels, and the dense polynomials in
-one variable, as ascending tuples (the package's other polynomial form,
-sparse dicts in any number of variables, is simplex's).  The polynomial
-helpers start from the int 0 and only add and multiply coefficients, so
-they keep the ring they are given: ints stay ints, rationals stay
-rationals.  Rationals are the only exact number type.
+hypergeometric sums and fraction-free kernels.  Rationals are the only
+exact number type; the package's one polynomial form, sparse dicts in any
+number of variables, is simplex's (sparse_mul, sparse_sum).
 
 Everything in this module is pure and immutable.  The rational backend is
 gmpy2.mpq when importable and fractions.Fraction otherwise; both keep
@@ -395,27 +392,3 @@ class RationalMatrix:
             basis.append(tuple(x / lead for x in v))
         return basis
 
-
-def _poly_trim(coeffs: tuple) -> tuple:
-    i = len(coeffs)
-    while i > 1 and coeffs[i - 1] == 0:
-        i -= 1
-    return coeffs[:i]
-
-
-def _poly_add(p: tuple, q: tuple) -> tuple:
-    n = max(len(p), len(q))
-    return _poly_trim(
-        tuple((p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n))
-    )
-
-
-def _poly_mul(p: tuple, q: tuple) -> tuple:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            if b != 0:
-                out[i + j] += a * b
-    return _poly_trim(tuple(out))

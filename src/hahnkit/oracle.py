@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .hahn_bi import BiParams
+from .hahn_bi import MAX_OVERLAP_LEVEL, BiParams
 from .numeric import Rat, RationalMatrix, format_rational
 from .reports import CheckResult, VerificationReport, _guarded
 from .simplex import (
@@ -193,9 +193,12 @@ def chain_matrices(p: BiParams) -> tuple[ChainMatrix, ChainMatrix]:
     The first is block diagonal in q = i + k, the second in m = p; their
     product is the full overlap matrix.  Both are orthogonal because each
     block is a univariate orthonormal system (_factor_blocks), whose floats
-    are simplex.overlap_floats.
+    are simplex.overlap_floats.  A level above hahn_bi.MAX_OVERLAP_LEVEL is
+    refused before any block is built.
     """
     N = p.N
+    if N > MAX_OVERLAP_LEVEL:
+        raise ValueError(f"the chain factors at level {N} are refused; the cap is {MAX_OVERLAP_LEVEL}")
     grid = degs = tuple(simplex_points(N, 2))
     cyl = tuple(cylindrical_pairs(N))
     lines, columns = ([overlap_floats(*block) for block in blocks] for blocks in _factor_blocks(p))

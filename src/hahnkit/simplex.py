@@ -11,9 +11,10 @@ one comparison with that norm (gram_pieces, gram_mismatch), the overlap
 coefficients between the Cartesian and the orthonormal basis, as floats
 and as exact signed squares (overlap_floats, overlap_squares), the
 joint-eigenbasis certificate (eigen_mismatch), and the generating
-function (genfun_mismatch, on the sparse polynomials of sparse_mul and
-sparse_sum); hahn_uni, hahn_bi, hahn_multi and the oracle read them and
-decide every comparison on the integers crosswise.
+function (genfun_mismatch); hahn_uni, hahn_bi, hahn_multi and the oracle
+read them and decide every comparison on the integers crosswise.  The
+sparse polynomials of sparse_mul and sparse_sum, {exponent key:
+coefficient} in any ring, are the package's one polynomial form.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ import math
 from itertools import accumulate
 from operator import mul
 
-from .numeric import Rat, _poly_trim, nonzero, rising
+from .numeric import Rat, nonzero, rising
 
 
 def cleared(*values):
@@ -98,7 +99,7 @@ def eval_total(n: int, x, alpha, beta, M):
 
 def jacobi_cleared(n: int, alpha, beta) -> tuple:
     """The coefficients of the degree-n Jacobi polynomial in z as integers
-    over one denominator, (den, coefficients), trailing zeros trimmed.
+    over one denominator, (den, {power: coefficient}), zeros dropped.
 
     Expanded from a form polynomial in both parameters, so the raising
     relations may shift alpha or beta down to -1 and below without hitting a
@@ -127,7 +128,7 @@ def jacobi_cleared(n: int, alpha, beta) -> tuple:
         for i in range(n, 0, -1):
             total[i] -= total[i - 1]
         total[0] += term
-    return q**n * 2**n * math.factorial(n), _poly_trim(tuple(total))
+    return q**n * 2**n * math.factorial(n), {i: c for i, c in enumerate(total) if c}
 
 
 def simplex_points(N: int, d: int):
@@ -477,7 +478,7 @@ def genfun_mismatch(alphas, N: int):
     @functools.cache
     def expansion(k, n, nsum, E):
         den, coeffs = jacobi_cleared(n, 2 * nsum + partial[k + 1] + k, alphas[k + 1])
-        return den, sparse_sum(coeffs, [product(k, i, E) for i in range(len(coeffs))])
+        return den, sparse_sum(coeffs.values(), [product(k, i, E) for i in coeffs])
 
     heads = {((), ()): (1, {0: 1})}  # the product of the first k factors, with its denominator
     for m in points:

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import hahnkit
+import hahnkit.classical as classical_mod
 import hahnkit.cli as cli_mod
 import hahnkit.hahn_bi as bi_mod
 import hahnkit.hahn_uni as uni_mod
@@ -101,6 +102,13 @@ class TestOverlap:
         ]
         assert payload["mode"] == "exact"
 
+    @pytest.mark.parametrize("mode", ["float", "exact"])
+    def test_oversized_level_is_refused(self, capsys, mode):
+        level = str(bi_mod.MAX_OVERLAP_LEVEL + 1)
+        code, out, err = run(capsys, "overlap", "--alpha", "1/2,-1/2,3", "--N", level, "--mode", mode)
+        assert code == 2 and out == ""
+        assert f"the cap is {bi_mod.MAX_OVERLAP_LEVEL}" in err
+
 
 class TestChain:
     def test_product_matches_overlap(self, capsys):
@@ -116,6 +124,12 @@ class TestChain:
         # chain has no --mode: its output is floating point by nature
         code, _, err = run(capsys, "chain", "--alpha", "0,0,0", "--N", "2", "--mode", "exact")
         assert code == 2 and "unrecognized arguments: --mode exact" in err
+
+    def test_oversized_level_is_refused(self, capsys):
+        level = str(bi_mod.MAX_OVERLAP_LEVEL + 1)
+        code, out, err = run(capsys, "chain", "--alpha", "1/2,-1/2,3", "--N", level)
+        assert code == 2 and out == ""
+        assert f"the cap is {bi_mod.MAX_OVERLAP_LEVEL}" in err
 
 
 class TestGenfun:
@@ -225,6 +239,12 @@ class TestVerify:
         )
         assert code == 0
         assert [c["name"] for c in json.loads(out)["checks"]] == ["laguerre-addition"]
+
+    def test_oversized_classical_degree_is_refused(self, capsys):
+        degree = str(classical_mod.MAX_CLASSICAL_DEGREE + 1)
+        code, out, err = run(capsys, "verify", "--suite", "classical", "--alpha", "1/2,7/3", "--N", degree)
+        assert code == 2 and out == ""
+        assert f"the cap is {classical_mod.MAX_CLASSICAL_DEGREE}" in err
 
     def test_all_battery(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "all")

@@ -479,6 +479,18 @@ class TestOverlap:
         for c in range(side):
             assert sum(abs(Osq.entries[r][c]) for r in range(side)) == 1
 
+    @pytest.mark.parametrize("mode", ["float", "squared"])
+    def test_level_above_the_cap_is_refused_before_any_table(self, monkeypatch, mode):
+        def no_tables(*args):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(bi_mod, "gram_pieces", no_tables)
+        cap = bi_mod.MAX_OVERLAP_LEVEL
+        with pytest.raises(ValueError, match=f"^the overlap at level {cap + 1} is refused; the cap is {cap}$"):
+            overlap2(BiParams(Rat(1, 2), Rat(-1, 2), 3, cap + 1), mode)
+        with pytest.raises(AssertionError, match="a table was built"):
+            overlap2(BiParams(Rat(1, 2), Rat(-1, 2), 3, cap), mode)
+
     @pytest.mark.parametrize("mode", ["decimal", "radical"])
     def test_unknown_mode(self, mode):
         with pytest.raises(ValueError):

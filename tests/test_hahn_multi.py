@@ -470,7 +470,7 @@ class TestGeneratingFunction:
         def tampered(n, alpha, beta):
             den, coeffs = honest(n, alpha, beta)
             if (n, alpha, beta) == (1, D3[0] + D3[1] + 1, D3[2]):
-                coeffs = (coeffs[0] + 1,) + coeffs[1:]
+                coeffs = {**coeffs, 0: coeffs.get(0, 0) + 1}
             return den, coeffs
 
         monkeypatch.setattr(simplex_mod, "jacobi_cleared", tampered)

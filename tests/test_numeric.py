@@ -9,8 +9,6 @@ from hahnkit.numeric import (
     Rational,
     RationalMatrix,
     RadicalScalar,
-    _poly_add,
-    _poly_mul,
     binomial_general,
     factorial,
     format_rational,
@@ -297,11 +295,6 @@ class TestBivariatePolynomials:
     def test_int_inputs_give_int_outputs(self):
         p = sparse_mul(sparse_sum([2, -3], [self.X, self.ONE]), {self.key(0, 1): 5, self.key(2, 0): -1})
         assert p and all(type(c) is int for c in p.values())
-        for out in (_poly_mul((1, 2, 0, 3), (-1, 1)), _poly_add((1, 2), (0, -2, 4)), _poly_mul((0,), (5,))):
-            assert all(type(c) is int for c in out)
-        assert _poly_mul((1, 1), (1, -1)) == (1, 0, -1)
-        assert _poly_add((Rat(1, 2), 1), (Rat(1, 2),)) == (1, 1)
-        assert all(isinstance(c, Rational) for c in _poly_mul((Rat(1, 2), Rat(1)), (Rat(2), Rat(0))))
 
 
 small_matrices = st.integers(1, 4).flatmap(

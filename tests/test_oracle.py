@@ -290,6 +290,18 @@ class TestChain:
         # degree pairs (0,0),(1,0),(2,0),(0,1),(1,1),(0,2)
         assert second == {0: ([0, 1, 3], [0, 3, 5]), 1: ([2, 4], [1, 4]), 2: ([5], [2])}
 
+    def test_level_above_the_overlap_cap_is_refused_before_any_block(self, monkeypatch):
+        def no_blocks(*args):
+            raise AssertionError("a block was built")
+
+        for name in ("_factor_blocks", "gram_pieces"):
+            monkeypatch.setattr(oracle_mod, name, no_blocks)
+        cap = oracle_mod.MAX_OVERLAP_LEVEL
+        with pytest.raises(ValueError, match=f"^the chain factors at level {cap + 1} are refused; the cap is {cap}$"):
+            chain_matrices(BiParams(Rat(1, 2), Rat(-1, 2), 3, cap + 1))
+        with pytest.raises(AssertionError, match="a block was built"):
+            chain_matrices(BiParams(Rat(1, 2), Rat(-1, 2), 3, cap))
+
     @pytest.mark.parametrize("triple", TRIPLES)
     def test_composition_is_overlap(self, triple):
         for N in range(6):

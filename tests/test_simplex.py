@@ -208,7 +208,7 @@ class TestLayering:
         imported = {n for module, names in _imports(SRC / f"{name}.py") if module == "simplex" for n in names}
         assert "genfun_mismatch" in imported
         built = {n for _, names in _imports(SRC / f"{name}.py") for n in names}
-        assert not {"jacobi_cleared", "sparse_mul", "sparse_sum", "_poly_add"} & built
+        assert not {"jacobi_cleared", "sparse_mul", "sparse_sum", "_poly_add", "_poly_mul"} & built
 
     @pytest.mark.parametrize("name", ["hahn_bi", "oracle"])
     def test_one_overlap_routine(self, name):
@@ -222,3 +222,4 @@ class TestLayering:
         import hahnkit.numeric as numeric
 
         assert not hasattr(numeric, "_poly2_mul") and not hasattr(numeric, "_poly2_sum")
+        assert not {"_poly_trim", "_poly_add", "_poly_mul"} & set(dir(numeric))
