@@ -21,7 +21,7 @@ from .simplex import cleared, jacobi_cleared, sparse_mul, sparse_sum
 # backend with a peak of at most 2 GB, timed in one fresh process per
 # degree (cost curve in the README, laguerre-addition nearly all of it);
 # verify_classical refuses a larger degree.
-MAX_CLASSICAL_DEGREE = 390
+MAX_CLASSICAL_DEGREE = 380
 
 
 def poly_deriv(p: dict) -> dict:
@@ -48,7 +48,6 @@ def _jacobi_relation_sides(relation: str, n: int, alpha, beta):
     p = jacobi_coeffs(n, a, b)
     dp = poly_deriv(p)
     ddp = poly_deriv(dp)
-    plus = {0: 1, 1: 1}  # 1 + z
     if relation == "jacobi-lower-1":
         lhs = dp
         rhs = sparse_sum([(n + a + b + 1) / 2], [jacobi_coeffs(n - 1, a + 1, b + 1)]) if n >= 1 else {}
@@ -60,8 +59,8 @@ def _jacobi_relation_sides(relation: str, n: int, alpha, beta):
         rhs = sparse_sum([-2 * (n + 1)], [jacobi_coeffs(n + 1, a - 1, b - 1)])
     elif relation == "jacobi-raise-2":
         lhs = sparse_sum([1, 1, 1], [
-            sparse_mul(sparse_mul(plus, {0: -1, 2: 1}), ddp),
-            sparse_mul(sparse_mul(plus, {0: 1 + a - 2 * b, 1: 1 + a + 2 * b}), dp),
+            sparse_mul(sparse_mul({0: 1, 1: 1}, {0: -1, 2: 1}), ddp),
+            sparse_mul(sparse_mul({0: 1, 1: 1}, {0: 1 + a - 2 * b, 1: 1 + a + 2 * b}), dp),
             sparse_mul({0: b * (2 + a - b), 1: b * (a + b)}, p),
         ])
         rhs = sparse_sum([2 * (n + 1) * (n + b)], [jacobi_coeffs(n + 1, a, b - 2)])
