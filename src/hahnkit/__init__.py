@@ -1,9 +1,9 @@
-"""Exact and floating-point Hahn polynomials in one, two, and d variables.
+"""Exact Hahn polynomials in one, two, and d variables.
 
-The package keeps two parallel planes: an exact one built on rationals and
-radical scalars, where identities are checked to literal zero residual, and a
-floating-point one for the orthonormal overlap matrices, checked to tight
-tolerances.
+Every identity the package checks is decided exactly, on integers, rationals
+and radical scalars, to a literal zero residual.  Floating point is output
+only: the float overlap matrices and chain factors are rounded from exact
+values, and no check's verdict reads them.
 """
 from .numeric import (
     Rat,

@@ -36,21 +36,15 @@ still to be read.  A coefficient is a per-degree share times a per-point
 share, each an integer pair (numerator, denominator) made on the triple
 cleared to its denominator q: the per-point shares once per sample point,
 over one denominator per term, the per-degree ones once per instance.
-Each side of an instance is then one int, sum_j W_j pack(X_j row_j): the
-integer weight W_j of term j times the packed product of its per-point
-integers X_j and its table row, pack(v) = sum_g v_g 2^(B g) with one slot
-of width B per grid point, packed straight from the row.  If every slot of
-the difference of the two sides is below 2^(B-1) in size, the sides are
-equal exactly when every grid point agrees: the lowest nonzero slot g
-would leave a nonzero multiple of 2^(B g) smaller in size than 2^(B g +
-B-1).  A slot sums T terms, each below 2^(bits(W) + bits(max |X|) +
-bits(max |row|)), the last made once per table row, so B is chosen above
-the largest such exponent + bits(T); that bound is checked for every
-instance before its sides are compared, and a slot too narrow is a
-reported failure, not an assert.  A failing instance's slots are decoded
-to name its first grid point, and the first failure in the order degree
-pair, grid point, sample point (an off-simplex obligation before the
-residual of its instance) is reported.
+Each side of an instance is then an integer vector, one entry per grid
+point, sum_j W_j (X_j row_j): the integer weight W_j of term j times the
+products of its per-point integers X_j and its table row, read straight
+from the row.  The runner compares the two vectors entry by entry.  Python
+ints are exact at any size, so the sides agree exactly when every grid
+point does, and the comparison needs no bound of its own.  A failing
+instance names its first differing grid point, and the first failure in
+the order degree pair, grid point, sample point (an off-simplex obligation
+before the residual of its instance) is reported.
 
 A Q-plane term is a rational times a square root.  Its per-degree share is
 a signed square (sign, (num, den)), standing for sign sqrt(num / den), its
@@ -64,11 +58,10 @@ vanishes exactly when its sum over each class does.  The runner therefore
 partitions an instance's terms by square class: R and S share one when
 R / S is the square of a rational, which two isqrts of the reduced
 quotient decide, with no factoring.  Each term is rescaled to its class
-representative by the rational sqrt(R / S), and each class is weighed,
-packed and compared as a P instance is.  A P term has R = 1, so a P
-instance is one class.  A failure names the radicand of its class, and
-the class's two sides at the first failing grid point in units of its
-square root.
+representative by the rational sqrt(R / S), and each class is weighed
+and compared as a P instance is.  A P term has R = 1, so a P instance is
+one class.  A failure names the radicand of its class, and the class's two
+sides at the first failing grid point in units of its square root.
 
 Rational relation coefficients can hit removable 0/0 at special parameter
 points (2m + a12 = 0 and friends).  The nine-point recurrences and the
@@ -127,9 +120,10 @@ from .simplex import (
 )
 
 # The largest level whose sixteen checks fit in criterion 03's 60 s budget
-# on the fractions backend (cost curve in BENCH_15.json); verify_bi refuses
+# on the fractions backend, timed in one fresh process per level, and whose
+# checks each peak below 100 MB (cost curve in the README); verify_bi refuses
 # a level above it.
-MAX_BI_LEVEL = 25
+MAX_BI_LEVEL = 29
 
 # The largest level at which the float and the exact overlap (overlap2) and
 # the chain factors with their product (oracle.chain_matrices) each fit in
@@ -240,16 +234,16 @@ class _Values:
     2m+a1+a2+1, a3; level-m), the d = 2 ChainTable: a genuine bivariate
     polynomial of total degree m + n, as the inner level i+k depends on the
     grid point.  P is the same integers over sigma = chains.den
-    (-level)_{m+n}.  row holds them over a whole grid, bits bounds their
-    size, p makes a single rational, and norm gives what turns a row into
-    the Q values.  triple is the chain table's cleared triple.
+    (-level)_{m+n}.  row holds them over a whole grid, p makes a single
+    rational, and norm gives what turns a row into the Q values.  triple is
+    the chain table's cleared triple.
     """
 
     def __init__(self, a1, a2, a3):
         self.a1, self.a2, self.a3 = a1, a2, a3
         self.chains = ChainTable((a1, a2, a3))
         self.triple = self.chains.cleared
-        self._dens, self._norms, self._bits = {}, {}, {}
+        self._dens, self._norms = {}, {}
 
     def den(self, m, n, level) -> int:
         """sigma: the P values of degree pair (m, n) at level are row / sigma;
@@ -265,15 +259,6 @@ class _Values:
     def row(self, m, n, level) -> tuple:
         """The P numerators of degree pair (m, n) over simplex_points(level, 2)."""
         return self.chains.row((m, n), level)
-
-    def bits(self, m, n, level) -> int:
-        """The bit length of the largest entry of row(m, n, level) in size;
-        made once per row."""
-        key = (m, n, level)
-        out = self._bits.get(key)
-        if out is None:
-            out = self._bits[key] = _bit_size(self.row(m, n, level))
-        return out
 
     def p(self, m, n, i, k, level):
         return Rat(self.chains.num((m, n), (i, k), level), self.den(m, n, level))
@@ -1409,53 +1394,6 @@ def _step(walk):
         return end.value
 
 
-class _Slots:
-    """count signed slots of nb bytes in one int: pack(v) = sum_g v_g 2^(B g)
-    with B = 8 nb, for every |v_g| < 2^(B-1)."""
-
-    def __init__(self, nb: int, count: int):
-        self.nb, self.width = nb, 8 * nb
-        self.half = 1 << (self.width - 1)
-        self.bias = int.from_bytes((bytes(nb - 1) + b"\x80") * count, "little")  # half in every slot
-
-    def pack(self, values) -> int:
-        """Each v_g + half is a slot's unsigned bytes; the bias comes off once."""
-        half, nb = self.half, self.nb
-        return int.from_bytes(b"".join([(v + half).to_bytes(nb, "little") for v in values]), "little") - self.bias
-
-    def read(self, row, where, X) -> int:
-        """pack(X row[where]) straight from a table row: v_g = X_g
-        row[where_g], with row[-1] read as 0 (a target off the simplex),
-        where None for the row itself and X None for a factor 1."""
-        if where is not None:
-            row = map((*row, 0).__getitem__, where)
-        return self.pack(row if X is None else map(mul, X, row))
-
-    def first(self, lhs: int, rhs: int):
-        """(g, lhs_g, rhs_g) at the first slot where two packed sums differ,
-        or None.  With the bias on, every slot is an unsigned digit, so the
-        lowest differing bit lies in that slot."""
-        lhs, rhs = lhs + self.bias, rhs + self.bias
-        differ = lhs ^ rhs
-        if not differ:
-            return None
-        width = self.width
-        g = ((differ & -differ).bit_length() - 1) // width
-        mask = (1 << width) - 1
-        return g, ((lhs >> (width * g)) & mask) - self.half, ((rhs >> (width * g)) & mask) - self.half
-
-
-def _bit_size(values) -> int:
-    """The bit length of the largest of values in size, 0 for none."""
-    return max(map(abs, values), default=0).bit_length()
-
-
-def _slot_bytes(bits: int) -> int:
-    """Bytes per packed slot for sums below 2^bits in size: the fewest
-    whole bytes B / 8 with bits < B."""
-    return bits // 8 + 1
-
-
 def _sample(row, check, t, grid, degrees, live, readers, terms) -> list:
     """The failures at sample point t of the live degree pairs, as (key,
     CheckResult or ArithmeticError) with key (degree pair, grid point, t).
@@ -1465,16 +1403,13 @@ def _sample(row, check, t, grid, degrees, live, readers, terms) -> list:
     the value row_g/sigma, times the square root of its class's radicand
     (_weigh), and with the scale S of its class, the lcm of every b e sigma
     there, S times the class's part of each side at grid point g is the
-    integer sum over its terms of W X_g row_g, W = a S / (b e sigma).  The
-    part is packed into one int, sum_j W_j pack(X_j row_j), each pack made
-    once per sample point straight from its table row (_Slots.read) and
-    dropped after the last instance that reads it.  The slot width B is the
-    sample point's largest bound bits (_weigh) plus one, in whole bytes,
-    and each instance's bound is checked against it before its sides are
-    compared (the proof is in the module docstring).  A failing class's
-    slots are decoded only to name its first grid point and both sides
-    there; of an instance, the class that fails at the first grid point,
-    the first such in term order, is reported.
+    integer sum over its terms of W X_g row_g, W = a S / (b e sigma).  Each
+    side of a class is that sum as an integer vector, one entry per grid
+    point: sum_j W_j (X_j row_j), each read X_j row_j made once per sample
+    point from its table row (_read) and dropped after the last instance
+    that reads it.  The two vectors are compared entry by entry; of an
+    instance, the class that differs at the first grid point, the first
+    such in term order, is reported, with both sides there.
     """
     try:
         at = check.at(t)
@@ -1495,37 +1430,30 @@ def _sample(row, check, t, grid, degrees, live, readers, terms) -> list:
             weighed.append(_weigh(row, at, degrees[j], plan) + (j,))
         except ArithmeticError as err:
             events.append(((j, -1, t), err.with_traceback(None)))  # its frames would keep the tables alive
-    if not weighed:
-        return events
-    slots = _Slots(_slot_bytes(max(bits for _, bits, *_ in weighed)), len(grid))
     uses = Counter(key for classes, *_ in weighed for _, _, parts in classes for _, _, key in parts)
-    packs = {}  # the packed reads a later instance reads again
-    for classes, bits, off, d, j in weighed:
+    reads, zero = {}, [0] * len(grid)  # the reads a later instance reads again
+    for classes, off, d, j in weighed:
         if events and j > events[0][0][0]:
             break
         m, n = degrees[j]
-        if bits >= slots.width:
-            events.append(((j, -1, t), ArithmeticError(
-                f"a packed slot of {slots.width} bits is too narrow for sums of {bits} bits;"
-                " the comparison would be unsound"
-            )))
-            continue
         differ = None
         for radicand, scale, parts in classes:
-            sides = [0, 0]
+            sides = [None, None]
             for side, weight, key in parts:
-                packed = packs.pop(key, None)
-                if packed is None:
+                read = reads.pop(key, None)
+                if read is None:
                     r, mm, nn = key
-                    reader = readers[r]
-                    packed = slots.read(tables[r].row(mm, nn, reader.level), reader.where, shares[r][0])
+                    read = _read(tables[r].row(mm, nn, readers[r].level), readers[r].where, shares[r][0])
                 uses[key] -= 1
                 if uses[key]:
-                    packs[key] = packed
-                sides[side] += weight * packed
-            found = slots.first(*sides)
-            if found is not None and (differ is None or found[0] < differ[0]):
-                differ = (*found, Rat(*radicand), scale)
+                    reads[key] = read
+                acc = sides[side]
+                sides[side] = [weight * v for v in read] if acc is None else [s + weight * v for s, v in zip(acc, read)]
+            lhs, rhs = (vector or zero for vector in sides)
+            if lhs != rhs:
+                g = next(g for g, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+                if differ is None or g < differ[0]:
+                    differ = (g, lhs[g], rhs[g], Rat(*radicand), scale)
         if off is not None and (differ is None or off[0] <= differ[0]):
             g, idx, mm, nn = off
             term = terms[idx][1]
@@ -1545,32 +1473,37 @@ def _sample(row, check, t, grid, degrees, live, readers, terms) -> list:
     return events
 
 
+def _read(row, where, X):
+    """X_g row[where_g] at every grid point g, straight from a table row, with
+    row[-1] read as 0 (a target off the simplex); where is None for the row
+    itself and X None for a factor 1."""
+    if where is not None:
+        row = [*map((*row, 0).__getitem__, where)]
+    return row if X is None else [*map(mul, X, row)]
+
+
 def _cleared_shares(reader: _Reader, xs: list) -> tuple:
     """A reader's per-point shares at one sample point, cleared over one
-    denominator e, as (X, e, the bit length of the largest X_g in size, the
-    first grid point whose share is not 0, the first such grid point whose
-    target is off the simplex); X is None for a share of 1 everywhere."""
+    denominator e, as (X, e, the first grid point whose share is not 0, the
+    first such grid point whose target is off the simplex); X is None for a
+    share of 1 everywhere."""
     if reader.factor is None:
-        return None, 1, 0, 0 if xs else None, reader.outside[0] if reader.outside else None
+        return None, 1, 0 if xs else None, reader.outside[0] if reader.outside else None
     pairs = [reader.factor(x) for x in xs]
     e = math.lcm(*(den for _, den in pairs))
     X = [num if den == e else num * (e // den) for num, den in pairs]
     nonzeros = [g for g, v in enumerate(X) if v]
     outside = set(reader.outside)
-    return X, e, _bit_size(X), next(iter(nonzeros), None), next((g for g in nonzeros if g in outside), None)
+    return X, e, next(iter(nonzeros), None), next((g for g in nonzeros if g in outside), None)
 
 
 def _weigh(row, at, degree, plan) -> tuple:
-    """One instance's integer weights at a sample point, as (classes, bits,
-    off, d): each square class as (radicand, scale S, parts), its terms on
-    the simplex with a coefficient not 0 as (side, W, read key); the slot
-    bound bits; the first grid point (g, term, target degree pair) at which
-    a term whose target is off the simplex has a nonzero coefficient, or
-    None; and the per-degree part d.  A read's products X row are below
-    2^(bits(max |X|) + bits(max |row|)) in size, the first made once per
-    reader and sample point, the second once per table row (_Values.bits),
-    so bits is the largest bits(W) plus that over the instance's reads,
-    plus bits(T) for its T reads.
+    """One instance's integer weights at a sample point, as (classes, off,
+    d): each square class as (radicand, scale S, parts), its terms on the
+    simplex with a coefficient not 0 as (side, W, read key); the first grid
+    point (g, term, target degree pair) at which a term whose target is off
+    the simplex has a nonzero coefficient, or None; and the per-degree part
+    d.
 
     A P term's radicand is 1.  A Q term's is its per-degree square times
     1 / bigLambda of its target (_Values.norm), and its weight takes the
@@ -1580,7 +1513,7 @@ def _weigh(row, at, degree, plan) -> tuple:
     d = row.per_degree(at, m, n)
     q_plane = row.plane == "Q"
     classes, off = [], None
-    for idx, (side, sign, share, dm, dn, r, level, table, e, size, anywhere, outside) in enumerate(plan):
+    for idx, (side, sign, share, dm, dn, r, level, table, e, anywhere, outside) in enumerate(plan):
         if share is None:
             a, b, radicand = 1, 1, (1, 1)
         elif q_plane:
@@ -1598,37 +1531,29 @@ def _weigh(row, at, degree, plan) -> tuple:
             else:
                 den = table.den(mm, nn, level)
             if a:
-                den = nonzero(b * e * den, "the denominator of a term")
-                _join(classes, radicand, (side, sign * a, den, (r, mm, nn), size + table.bits(mm, nn, level)))
+                _join(classes, radicand, (side, sign * a, nonzero(b * e * den, "the denominator of a term"), (r, mm, nn)))
             bad = outside
         else:
             bad = anywhere
         if a and bad is not None and (off is None or bad < off[0]):
             off = (bad, idx, mm, nn)
-    out, bits, count = [], 0, 0
+    out = []
     for radicand, reads in classes:
-        scale = math.lcm(*(den for _, _, den, _, _ in reads))
-        parts = []
-        for side, a, den, key, size in reads:
-            weight = a * (scale // den)
-            parts.append((side, weight, key))
-            bits = max(bits, weight.bit_length() + size)
-        out.append((radicand, scale, parts))
-        count += len(parts)
-    return out, bits + count.bit_length(), off, d
+        scale = math.lcm(*(den for _, _, den, _ in reads))
+        out.append((radicand, scale, [(side, a * (scale // den), key) for side, a, den, key in reads]))
+    return out, off, d
 
 
 def _join(classes: list, radicand: tuple, read: tuple) -> None:
-    """Put read (side, a, den, key, size), a term a / den times
-    sqrt(radicand), into its square class among classes [(representative,
-    reads)]: the first whose representative R has radicand / R the square
-    of a rational u / v, rescaled to a u / (den v) times sqrt(R), or a new
-    class."""
+    """Put read (side, a, den, key), a term a / den times sqrt(radicand),
+    into its square class among classes [(representative, reads)]: the
+    first whose representative R has radicand / R the square of a rational
+    u / v, rescaled to a u / (den v) times sqrt(R), or a new class."""
     for rep, reads in classes:
         ratio = _root_ratio(radicand, rep)
         if ratio is not None:
-            side, a, den, key, size = read
-            reads.append((side, a * ratio[0], den * ratio[1], key, size))
+            side, a, den, key = read
+            reads.append((side, a * ratio[0], den * ratio[1], key))
             return
     classes.append((radicand, [read]))
 

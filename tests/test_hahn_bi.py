@@ -1515,65 +1515,6 @@ def test_zero_scale_reported_under_optimization(tmp_path):
 RELATION_CHECKS = [name for name in BI_CHECK_NAMES if name in bi_mod._RELATION_CHECKS]
 
 
-def run_under_optimization(tmp_path, body):
-    """The printed JSON of a script run under python -O with hahnkit on its path."""
-    script = tmp_path / "script.py"
-    script.write_text("import json\nimport hahnkit.hahn_bi as bi\nfrom hahnkit.numeric import Rat\n" + body)
-    src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-O", str(script)], env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout)
-
-
-@settings(max_examples=200, deadline=None)
-@given(nb=st.integers(1, 4), data=st.data())
-def test_slots_pack_and_decode(nb, data):
-    """pack is sum_g v_g 2^(B g) for slots below 2^(B-1) in size, and first
-    names the first slot where two packed sums differ with both values there,
-    a difference of 2^(B-1) in the top bit of a slot included."""
-    width = 8 * nb
-    top = (1 << (width - 1)) - 1
-    value = st.one_of(st.integers(-top, top), st.sampled_from([-top, top, 0, 1, -1]))
-    lhs = data.draw(st.lists(value, min_size=1, max_size=9), label="lhs")
-    rhs = data.draw(st.lists(value, min_size=len(lhs), max_size=len(lhs)), label="rhs")
-    slots = bi_mod._Slots(nb, len(lhs))
-    packed = [slots.pack(v) for v in (lhs, rhs)]
-    assert packed == [sum(v << (width * g) for g, v in enumerate(side)) for side in (lhs, rhs)]
-    first = next(((g, a, b) for g, (a, b) in enumerate(zip(lhs, rhs)) if a != b), None)
-    assert slots.first(*packed) == first
-
-
-@settings(max_examples=200, deadline=None)
-@given(nb=st.integers(1, 4), data=st.data())
-def test_slots_read_packs_the_materialized_read(nb, data):
-    """A read packed straight from its table row is pack of the
-    materialized products X row[where], for signed entries, where with
-    targets off the simplex (-1, read as 0) or None, and X None or given;
-    the read's bound bits(max |X|) + bits(max |row|) is at least the bit
-    length of every product."""
-    width = 8 * nb
-    low = (width - 1) // 2  # bits(X) + bits(row) <= width - 1
-    row = tuple(data.draw(st.lists(st.integers(-(2**low) + 1, 2**low - 1), min_size=1, max_size=9), label="row"))
-    where = data.draw(st.none() | st.lists(st.integers(-1, len(row) - 1), min_size=1, max_size=9), label="where")
-    count = len(row) if where is None else len(where)
-    high = width - 1 - low
-    factor = st.integers(-(2**high) + 1, 2**high - 1)
-    X = data.draw(st.none() | st.lists(factor, min_size=count, max_size=count), label="X")
-    values = list(row) if where is None else [row[w] if w >= 0 else 0 for w in where]
-    if X is not None:
-        values = [x * v for x, v in zip(X, values)]
-    slots = bi_mod._Slots(nb, count)
-    assert slots.read(row, where, X) == slots.pack(values)
-    bound = bi_mod._bit_size(row) + (0 if X is None else bi_mod._bit_size(X))
-    assert all(v.bit_length() <= bound for v in values)
-
-
-def test_slots_differ_in_the_top_bit_of_a_slot():
-    slots = bi_mod._Slots(1, 2)  # -127 + 128 and 1 + 128 first differ in bit 7
-    assert slots.first(slots.pack([-127, 5]), slots.pack([1, 5])) == (0, -127, 1)
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     r=st.tuples(st.integers(1, 10**40), st.integers(1, 10**40)),
@@ -1590,40 +1531,25 @@ def test_root_ratio_decides_square_classes(r, w, k):
     assert bi_mod._root_ratio((p, k * q), (p, q)) is None
 
 
-def test_undersized_slot_width_reported_under_optimization(tmp_path):
-    """Packed sides compared in slots too narrow for their sums could agree
-    where the grid points do not.  A slot width below the bound is a
-    reported failure of every relation row, never a pass, also under
-    python -O, where an assert would vanish."""
-    checks = run_under_optimization(tmp_path, (
-        "bi._slot_bytes = lambda bits: max(bits // 8 - 1, 1)\n"
-        "p = bi.BiParams(Rat(1, 2), Rat(-1, 2), Rat(3), 2)\n"
-        f"checks = [c for name in {RELATION_CHECKS!r} for c in bi.verify_bi(name, p).checks]\n"
-        "print(json.dumps([c.to_dict() for c in checks]))\n"
-    ))
-    assert len(checks) == 24
-    for c in checks:
-        assert c["status"] == "fail" and c["max_residual"] == "inf", c["name"]
-        assert "too narrow" in c["counterexample"]["lhs"], c["name"]
-
-
+@pytest.mark.parametrize("triple", [(Rat(1, 2), Rat(-1, 2), Rat(3)), LARGE_MAGNITUDE], ids=["base", "large-magnitude"])
 @pytest.mark.parametrize("name", ["recurrence-x1", "recurrence-x2"])
-def test_single_entry_tamper_at_last_point_and_sample(monkeypatch, name):
+def test_single_entry_tamper_at_last_point_and_sample(monkeypatch, name, triple):
     """One entry of one sample point's table is raised by 1: P_{0,0} at the
     last grid point, at the last sample point t = D_{0,0} of instance
     (0, 0).  The report names that grid point and t, with the sides
-    reference_terms gives there plus the terms that read the entry."""
+    reference_terms gives there plus the terms that read the entry, also
+    on the large-magnitude triple, whose table entries are huge."""
     N = 3
-    p = BiParams(Rat(1, 2), Rat(-1, 2), Rat(3), N)
+    p = BiParams(*triple, N)
     row = bi_mod._RELATIONS[name]
     top = bi_mod._sweep_degrees(row, [(0, 0)], N)[0]
-    triple = bi_mod._sweep_points(p, top)[top]
+    swept = bi_mod._sweep_points(p, top)[top]
     last = list(simplex_points(N, 2))[-1]
     honest = bi_mod._Values.row
 
     def tampered(self, m, n, level):
         values = honest(self, m, n, level)
-        if (self.a1, self.a2, self.a3) == triple and (m, n, level) == (0, 0, N):
+        if (self.a1, self.a2, self.a3) == swept and (m, n, level) == (0, 0, N):
             return values[:-1] + (values[-1] + self.den(0, 0, N),)
         return values
 
@@ -1728,15 +1654,16 @@ def test_values_clear_their_triple_once(monkeypatch):
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads the peak resident set (VmHWM) from /proc/self/status, which only Linux has")
 @pytest.mark.parametrize("name", ["normalized-lowering-float", "diff-L2"])
 def test_cap_peak_memory(name):
-    """At the cap, N = 25, the two checks with the largest peak memory each
-    peak below 100 MB in a fresh process (they peaked at 124 and 111.5 MB
-    while every read's products and every table of a check stayed alive
-    until the check ended)."""
+    """At the cap, MAX_BI_LEVEL, each of these two checks peaks below 100 MB
+    in a fresh process.  They peaked at 124 and 111.5 MB at N = 25 while
+    every read's products and every table of a check stayed alive until the
+    check ended; normalized-lowering-float is still the highest of the
+    sixteen."""
     script = (
         "import json\n"
         "import hahnkit.hahn_bi as bi\n"
         "from hahnkit.numeric import Rat\n"
-        f"report = bi.verify_bi({name!r}, bi.BiParams(Rat(1, 2), Rat(-1, 2), Rat(3), 25))\n"
+        f"report = bi.verify_bi({name!r}, bi.BiParams(Rat(1, 2), Rat(-1, 2), Rat(3), bi.MAX_BI_LEVEL))\n"
         "hwm = next(int(line.split()[1]) for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
         "print(json.dumps([report.passed, hwm]))\n"
     )
