@@ -1531,6 +1531,66 @@ def test_root_ratio_decides_square_classes(r, w, k):
     assert bi_mod._root_ratio((p, k * q), (p, q)) is None
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_read_materializes_the_row(data):
+    """A read is X_g row[where_g] at every grid point g, with row[-1] read
+    as 0 (a target off the simplex), the row itself for where None and a
+    factor 1 for X None; entries and factors of any size stay exact."""
+    entry = st.one_of(st.integers(-(10**6), 10**6), st.integers(-(2**300), 2**300))
+    row = tuple(data.draw(st.lists(entry, min_size=1, max_size=9), label="row"))
+    where = data.draw(st.none() | st.lists(st.integers(-1, len(row) - 1), min_size=1, max_size=9), label="where")
+    count = len(row) if where is None else len(where)
+    X = data.draw(st.none() | st.lists(entry, min_size=count, max_size=count), label="X")
+    values = list(row) if where is None else [row[w] if w >= 0 else 0 for w in where]
+    if X is not None:
+        values = [x * v for x, v in zip(X, values)]
+    assert list(bi_mod._read(row, where, X)) == values
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    r=st.tuples(st.integers(1, 10**20), st.integers(1, 10**20)),
+    w=st.tuples(st.integers(1, 10**6), st.integers(1, 10**6)),
+    a=st.integers(-(10**9), 10**9),
+    den=st.integers(1, 10**9),
+)
+def test_join_rescales_into_square_classes(r, w, a, den):
+    """A read whose radicand is r (u/v)^2 joins r's class as a u / (den v)
+    with its side and key kept; a radicand 2 r, or r over a square class
+    already present, opens a class of its own."""
+    (p, q), (u, v) = r, w
+    classes = []
+    bi_mod._join(classes, (p, q), (0, 1, 1, (0, 0, 0)))
+    bi_mod._join(classes, (p * u * u, q * v * v), (1, a, den, (2, 1, 0)))
+    ratio = Rat(u, v)
+    assert classes == [((p, q), [(0, 1, 1, (0, 0, 0)), (1, a * ratio.numerator, den * ratio.denominator, (2, 1, 0))])]
+    bi_mod._join(classes, (2 * p, q), (0, a, den, (1, 0, 0)))
+    assert [rep for rep, _ in classes] == [(p, q), (2 * p, q)]
+    assert classes[1][1] == [(0, a, den, (1, 0, 0))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_cleared_shares_over_one_denominator(data):
+    """A reader's shares X_g / e are its factor at each grid point, over the
+    lcm e of the factor's denominators; with the first grid point whose
+    share is not 0 and the first such whose target is off the simplex.  A
+    reader with no factor has share 1 everywhere."""
+    pairs = data.draw(st.lists(st.tuples(st.integers(-50, 50), st.integers(1, 12)), min_size=1, max_size=9), label="pairs")
+    xs = list(range(len(pairs)))  # grid point g's share is pairs[g]
+    outside = sorted(data.draw(st.sets(st.integers(0, len(xs) - 1)), label="outside"))
+    reader = bi_mod._Reader((0, 0, 0), 3, pairs.__getitem__, None, outside)
+    X, e, first, first_outside = bi_mod._cleared_shares(reader, xs)
+    assert e == math.lcm(*(den for _, den in pairs))
+    assert [Rat(v, e) for v in X] == [Rat(num, den) for num, den in pairs]
+    nonzero = [g for g, (num, _) in enumerate(pairs) if num]
+    assert first == next(iter(nonzero), None)
+    assert first_outside == next((g for g in nonzero if g in outside), None)
+    plain = reader._replace(factor=None)
+    assert bi_mod._cleared_shares(plain, xs) == (None, 1, 0, outside[0] if outside else None)
+
+
 @pytest.mark.parametrize("triple", [(Rat(1, 2), Rat(-1, 2), Rat(3)), LARGE_MAGNITUDE], ids=["base", "large-magnitude"])
 @pytest.mark.parametrize("name", ["recurrence-x1", "recurrence-x2"])
 def test_single_entry_tamper_at_last_point_and_sample(monkeypatch, name, triple):
