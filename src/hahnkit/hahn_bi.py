@@ -21,8 +21,10 @@ The checks run on Python ints.  A table holds the P values of a degree
 pair and level as integer numerators, the d = 2 rows of the simplex
 layer's ChainTable, over one denominator sigma, made once per degree pair
 and level; grid points and degree pairs both run in simplex_points(N, 2)
-order, and the weight is simplex_weight's.  Orthogonality (the Gram check
-of every d, simplex.gram_mismatch, against the closed-form norm
+order, a position in it is read from simplex_positions (a target off the
+simplex is no key), a point or degree pair passed in is checked by
+require_point, and the weight is simplex_weight's.  Orthogonality (the
+Gram check of every d, simplex.gram_mismatch, against the closed-form norm
 simplex.chain_norm) and symmetry compare integers and make rationals only
 to report a failure.  Every scale a comparison is multiplied by is shown
 nonzero first, since a zero one would make any identity hold.
@@ -115,7 +117,9 @@ from .simplex import (
     gram_pieces,
     overlap_floats,
     overlap_squares,
+    require_point,
     simplex_points,
+    simplex_positions,
     simplex_weight,
 )
 
@@ -123,7 +127,7 @@ from .simplex import (
 # on the fractions backend, timed in one fresh process per level, and whose
 # checks each peak below 100 MB (cost curve in the README); verify_bi refuses
 # a level above it.
-MAX_BI_LEVEL = 29
+MAX_BI_LEVEL = 30
 
 # The largest level at which the float and the exact overlap (overlap2) and
 # the chain factors with their product (oracle.chain_matrices) each fit in
@@ -171,13 +175,6 @@ class BiParams(_BiFields):
         }
 
 
-def _require_pair(pair, N: int, what: str) -> tuple[int, int]:
-    a, b = pair
-    if not (isinstance(a, int) and isinstance(b, int)) or a < 0 or b < 0 or a + b > N:
-        raise ValueError(f"{what} {pair!r} off the simplex of level {N}")
-    return a, b
-
-
 # ---------------------------------------------------------------------------
 # weight and the three polynomial normalizations
 
@@ -189,21 +186,21 @@ def weight2(g, p: BiParams):
 
     simplex_weight at d = 2.
     """
-    i, k = _require_pair(g, p.N, "grid point")
+    point = require_point(g, p.N, 2, "grid point")
     nums, den = simplex_weight((p.alpha1, p.alpha2, p.alpha3), p.N)
-    return Rat(nums[_index(i, k, p.N)], den)
+    return Rat(nums[simplex_positions(p.N, 2)[point]], den)
 
 
 def p2_eval(d, g, p: BiParams):
     """Unnormalized bivariate value, prefactor 1/(-N)_{m+n}."""
-    m, n = _require_pair(d, p.N, "degree pair")
-    i, k = _require_pair(g, p.N, "grid point")
+    m, n = require_point(d, p.N, 2, "degree pair")
+    i, k = require_point(g, p.N, 2, "grid point")
     return _Values(p.alpha1, p.alpha2, p.alpha3).p(m, n, i, k, p.N)
 
 
 def h2_eval(d, g, p: BiParams):
     """The factorial-rescaled normalization; read-only alias of P/(m! n!)."""
-    m, n = _require_pair(d, p.N, "degree pair")
+    m, n = require_point(d, p.N, 2, "degree pair")
     return p2_eval(d, g, p) / (factorial(m) * factorial(n))
 
 
@@ -214,14 +211,14 @@ def lambda2(d, p: BiParams):
 
 def bigLambda(d, p: BiParams):
     """Squared norm of the bare product chain: simplex.chain_norm at d = 2."""
-    m, n = _require_pair(d, p.N, "degree pair")
+    m, n = require_point(d, p.N, 2, "degree pair")
     return Rat(*chain_norm(cleared(p.alpha1, p.alpha2, p.alpha3), (m, n), p.N))
 
 
 def q2_eval(d, g, p: BiParams) -> RadicalScalar:
     """Orthonormal value (h.h)/sqrt(Lambda), exact radical form."""
-    m, n = _require_pair(d, p.N, "degree pair")
-    i, k = _require_pair(g, p.N, "grid point")
+    m, n = require_point(d, p.N, 2, "degree pair")
+    i, k = require_point(g, p.N, 2, "grid point")
     chains = ChainTable((p.alpha1, p.alpha2, p.alpha3))
     hh = Rat(chains.num((m, n), (i, k), p.N), chains.den((m, n)))
     return RadicalScalar(hh, 1 / bigLambda(d, p))
@@ -345,11 +342,12 @@ def _check_symmetry(p: BiParams) -> CheckResult:
     name = "symmetry"
     table = _Values(p.alpha1, p.alpha2, p.alpha3)
     swapped = _Values(p.alpha2, p.alpha1, p.alpha3)
-    for m, n in simplex_points(p.N, 2):
+    positions = simplex_positions(p.N, 2)
+    for m, n in positions:
         sign, den = (-1) ** m, table.den(m, n, p.N)
         lhs, rhs = table.row(m, n, p.N), swapped.row(m, n, p.N)
-        for g, (i, k) in enumerate(simplex_points(p.N, 2)):
-            twin = sign * rhs[_index(k, i, p.N)]
+        for (i, k), g in positions.items():
+            twin = sign * rhs[positions[k, i]]
             if lhs[g] != twin:
                 indices = {"degree": (m, n), "point": (i, k)}
                 return CheckResult.mismatch(name, indices, Rat(lhs[g], den), Rat(twin, den))
@@ -1136,7 +1134,7 @@ _RELATIONS.update({
 class _Check:
     """What one verify_bi call shares among its rows: the points of its
     sweep line, the value tables of one sample point, and a memo of the
-    coefficient formulas' units and limits, each made once and dropped with
+    coefficient formulas' units and roots, each made once and dropped with
     the call."""
 
     def __init__(self, p: BiParams):
@@ -1253,11 +1251,8 @@ class _At:
 
     def limit(self, fn, m, n, swap: bool) -> tuple:
         """A plain coefficient as an integer pair (num, den), fn giving one
-        value; made once per check."""
-        key = (fn, m, n, swap)
-        if key not in self.memo:
-            self.memo[key] = _limit(*self.leads(fn, m, n, swap))
-        return self.memo[key]
+        value; each is read once per check, so it is not kept."""
+        return _limit(*self.leads(fn, m, n, swap))
 
 
 def _sweep_degrees(row: _Relation, degrees, N: int) -> list:
@@ -1280,13 +1275,6 @@ def _sweep_degrees(row: _Relation, degrees, N: int) -> list:
         for t in row.lhs + row.rhs
     ]
     return [max(deg + max(m + dm + n + dn, 0) for deg, (dm, dn) in terms) for m, n in degrees]
-
-
-def _index(i: int, k: int, level: int) -> int:
-    """The position of (i, k) in simplex_points(level, 2), or -1 off the simplex."""
-    if i < 0 or k < 0 or i + k > level:
-        return -1
-    return k * (level + 1) - k * (k - 1) // 2 + i
 
 
 def _indices(m, n, i, k, t, target=None) -> dict:
@@ -1323,7 +1311,8 @@ def _readers(row: _Relation, grid: tuple, N: int) -> tuple:
             key = (term.params, N + term.level, term.point, term.factor)
             if key not in index:
                 level = N + term.level
-                where = [_index(i + term.point[0], k + term.point[1], level) for i, k in grid]
+                positions = simplex_positions(level, 2)
+                where = [positions.get((i + term.point[0], k + term.point[1]), -1) for i, k in grid]
                 outside = [g for g, w in enumerate(where) if w < 0]
                 identity = level == N + row.grid and term.point == (0, 0)
                 index[key] = len(readers)

@@ -31,7 +31,9 @@ from .simplex import (
     gram_entries,
     gram_mismatch,
     gram_pieces,
+    require_point,
     simplex_points,
+    simplex_positions,
     simplex_weight,
 )
 
@@ -82,25 +84,17 @@ class MultiParams(_MultiFields):
         }
 
 
-def _require_index(entries, p: MultiParams, what: str) -> tuple[int, ...]:
-    entries = tuple(entries)
-    ok = len(entries) == p.d and all(isinstance(e, int) and e >= 0 for e in entries)
-    if not ok or sum(entries) > p.N:
-        raise ValueError(f"{what} {entries!r} off the simplex of level {p.N}, d={p.d}")
-    return entries
-
-
 def mv_weight(i, p: MultiParams):
     """Multivariate hypergeometric weight at one grid point: simplex_weight."""
-    pts = _require_index(i, p, "grid point")
+    pts = require_point(i, p.N, p.d, "grid point")
     nums, den = simplex_weight(p.alphas, p.N)
-    return Rat(nums[tuple(simplex_points(p.N, p.d)).index(pts)], den)
+    return Rat(nums[simplex_positions(p.N, p.d)[pts]], den)
 
 
 def mv_p_eval(n, i, p: MultiParams):
     """Chain product of d univariate Hahn factors, exact rational value."""
-    degs = _require_index(n, p, "degree tuple")
-    pts = _require_index(i, p, "grid point")
+    degs = require_point(n, p.N, p.d, "degree tuple")
+    pts = require_point(i, p.N, p.d, "grid point")
     table = ChainTable(p.alphas)
     return Rat(table.num(degs, pts, p.N), table.den(degs))
 
@@ -108,7 +102,7 @@ def mv_p_eval(n, i, p: MultiParams):
 def mv_lambda(n, p: MultiParams):
     """Normalization sum_i w_i P_n(i)^2 as the Gram sum itself, not the
     closed form (simplex.chain_norm) that the orthogonality check reads."""
-    degs = _require_index(n, p, "degree tuple")
+    degs = require_point(n, p.N, p.d, "degree tuple")
     table = ChainTable(p.alphas)
     _, _, acc, scale = next(gram_entries(simplex_weight(p.alphas, p.N), (table.row(degs, p.N),), (table.den(degs),)))
     return Rat(acc, scale)

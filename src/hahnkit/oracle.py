@@ -30,6 +30,7 @@ from .numeric import Rat, RationalMatrix, format_rational
 from .reports import CheckResult, VerificationReport, _guarded
 from .simplex import (
     ChainTable, cleared, eigen_mismatch, gram_mismatch, gram_pieces, overlap_floats, overlap_squares, simplex_points,
+    simplex_positions,
 )
 
 # The largest level whose seven oracle checks fit in 60 s, criterion 03's
@@ -70,10 +71,9 @@ def build_operator(label: str, p: BiParams) -> tuple:
     entries: the distinct shifts of _shift_coeffs and the diagonal."""
     if label not in OPERATOR_LABELS:
         raise ValueError(f"unknown operator label {label!r}")
-    points = tuple(simplex_points(p.N, 2))
-    index = {g: t for t, g in enumerate(points)}
+    index = simplex_positions(p.N, 2)
     rows = []
-    for i, k in points:
+    for i, k in index:
         row = {}
         diag = Rat(0)
         coeffs = _shift_coeffs(label, Rat(i), Rat(k), p.alpha1, p.alpha2, p.alpha3, p.N)
@@ -367,9 +367,8 @@ def _check_chain_composition(p: BiParams) -> CheckResult:
     name = "chain-composition"
     weight, rows, dens, norms = gram_pieces((p.alpha1, p.alpha2, p.alpha3), p.N)
     first, second = ([overlap_squares(*block) for block in blocks] for blocks in _factor_blocks(p))
-    points = tuple(simplex_points(p.N, 2))
-    index = {g: t for t, g in enumerate(points)}
-    for a, (m, n) in enumerate(points):
+    index = simplex_positions(p.N, 2)
+    for (m, n), a in index.items():
         ((row, scale),) = overlap_squares(weight, rows[a : a + 1], dens[a : a + 1], norms[a : a + 1])
         tails, tail_scale = second[m][n]
         for q in range(p.N + 1):

@@ -4,17 +4,19 @@ The d-variable Hahn polynomials are a chain of univariate Hahn factors,
 orthogonal under one multivariate hypergeometric weight on the simplex
 i_1 + ... + i_d <= N; d = 1 and d = 2 are its first cases.  Here are the
 univariate kernel (eval_total and its parts), the cleared Jacobi
-expansion (jacobi_cleared), the one point ordering (simplex_points), the
-chain table (ChainTable), the weight (simplex_weight), the closed-form
-squared norm of a chain (chain_norm), the Gram sums (gram_entries) and their
-one comparison with that norm (gram_pieces, gram_mismatch), the overlap
-coefficients between the Cartesian and the orthonormal basis, as floats
-and as exact signed squares (overlap_floats, overlap_squares), the
-joint-eigenbasis certificate (eigen_mismatch), and the generating
-function (genfun_mismatch); hahn_uni, hahn_bi, hahn_multi and the oracle
-read them and decide every comparison on the integers crosswise.  The
-sparse polynomials of sparse_mul and sparse_sum, {exponent key:
-coefficient} in any ring, are the package's one polynomial form.
+expansion (jacobi_cleared), the one point ordering (simplex_points), its
+one position map (simplex_positions), the one check that a degree or grid
+tuple lies on the simplex (require_point), the chain table (ChainTable),
+the weight (simplex_weight), the closed-form squared norm of a chain
+(chain_norm), the Gram sums (gram_entries) and their one comparison with
+that norm (gram_pieces, gram_mismatch), the overlap coefficients between
+the Cartesian and the orthonormal basis, as floats and as exact signed
+squares (overlap_floats, overlap_squares), the joint-eigenbasis
+certificate (eigen_mismatch), and the generating function
+(genfun_mismatch); hahn_uni, hahn_bi, hahn_multi and the oracle read them
+and decide every comparison on the integers crosswise.  The sparse
+polynomials of sparse_mul and sparse_sum, {exponent key: coefficient} in
+any ring, are the package's one polynomial form.
 """
 from __future__ import annotations
 
@@ -149,6 +151,23 @@ def simplex_points(N: int, d: int):
             yield head + (last,)
 
 
+def simplex_positions(level: int, d: int) -> dict:
+    """Each point of simplex_points(level, d) mapped to its position there;
+    a point off the simplex is not a key."""
+    return {pt: g for g, pt in enumerate(simplex_points(level, d))}
+
+
+def require_point(entries, level: int, d: int, what: str) -> tuple:
+    """entries as a tuple, if they are d nonnegative ints summing to at most
+    level (a degree or grid tuple of simplex_points(level, d)); ValueError
+    otherwise."""
+    entries = tuple(entries)
+    ok = len(entries) == d and all(isinstance(e, int) and e >= 0 for e in entries)
+    if not ok or sum(entries) > level:
+        raise ValueError(f"{what} {entries!r} off the simplex of level {level}, d={d}")
+    return entries
+
+
 class ChainTable:
     """Chain values at one parameter tuple, as integers, filled as they are read.
 
@@ -157,9 +176,9 @@ class ChainTable:
     |i_<=k+1| - |n_<k|, where |i_<=d+1| is the level the value is read at;
     arguments and levels can leave the classical range.  The tuple is
     cleared to one denominator Q (cleared, as the function cleared gives
-    it), and each factor built with the univariate kernel: a coefficient
-    list and a line, the factor at |i_<=k| = 0..|i_<=k+1|, once per (k,
-    n_k, |n_<k|, |i_<=k+1|).  A head, the product of a degree prefix's
+    it), and each factor built with the univariate kernel: a line, the
+    factor at |i_<=k| = 0..|i_<=k+1| from its coefficient list, once per
+    (k, n_k, |n_<k|, |i_<=k+1|).  A head, the product of a degree prefix's
     factors over simplex_points(level, d), is made once per prefix and
     level from the prefix one shorter; a row is the head of its first d - 1
     degrees times its last factor's line read at each point's |i|.
@@ -172,7 +191,7 @@ class ChainTable:
         self.cleared = self.Q, cleared_alphas = cleared(*alphas)
         self._partial = list(accumulate(cleared_alphas, initial=0))
         self._beta = cleared_alphas[1:]
-        self._coeffs, self._lines, self._points, self._sums, self._heads, self._rows = {}, {}, {}, {}, {}, {}
+        self._lines, self._points, self._sums, self._heads, self._rows = {}, {}, {}, {}, {}
 
     def points(self, level: int) -> tuple:
         if level not in self._points:
@@ -183,13 +202,8 @@ class ChainTable:
         return math.prod(denominator(n, self.Q) for n in degs)
 
     def _coefficients(self, k: int, n: int, nsum: int, top: int) -> list:
-        key = (k, n, nsum, top)
-        coeffs = self._coeffs.get(key)
-        if coeffs is None:
-            Q = self.Q
-            alpha = Q * (2 * nsum + k) + self._partial[k + 1]
-            coeffs = self._coeffs[key] = hahn_coefficients(n, Q, alpha, self._beta[k], Q * (top - nsum))
-        return coeffs
+        Q = self.Q
+        return hahn_coefficients(n, Q, Q * (2 * nsum + k) + self._partial[k + 1], self._beta[k], Q * (top - nsum))
 
     def num(self, degs, pts, level: int) -> int:
         """The chain numerator at one point: the product of its d point sums."""

@@ -1,6 +1,7 @@
-"""The simplex table layer: its one weight against the retired forms, the
-overlap at every d, the eigen-certificate, and the layering that keeps its
-kernels in one module below the families."""
+"""The simplex table layer: its one position map and point check, its one
+weight against the retired forms, the overlap at every d, the
+eigen-certificate, and the layering that keeps its kernels in one module
+below the families."""
 import ast
 import pathlib
 
@@ -19,7 +20,9 @@ from hahnkit.simplex import (
     gram_pieces,
     overlap_floats,
     overlap_squares,
+    require_point,
     simplex_points,
+    simplex_positions,
     simplex_weight,
 )
 
@@ -38,6 +41,43 @@ def mv_weight_reference(i, alphas, N):
     for i_k, a_k in zip(full, alphas):
         out *= binomial_general(a_k + i_k, i_k)
     return out / binomial_general(sum(alphas) + N + len(alphas) - 1, N)
+
+
+class TestPositions:
+    @settings(max_examples=150, deadline=None)
+    @given(d=st.integers(1, 6), level=st.integers(0, 6), data=st.data())
+    def test_positions_are_the_enumeration_order(self, d, level, data):
+        points = list(simplex_points(level, d))
+        positions = simplex_positions(level, d)
+        assert list(positions.items()) == [(pt, g) for g, pt in enumerate(points)]
+        for pt in points:
+            assert require_point(list(pt), level, d, "point") == pt
+        # every point moved one unit along one axis, off the simplex or on it
+        pt = data.draw(st.sampled_from(points), label="point")
+        axis = data.draw(st.integers(0, d - 1), label="axis")
+        for step in (-1, 1):
+            moved = pt[:axis] + (pt[axis] + step,) + pt[axis + 1 :]
+            inside = moved[axis] >= 0 and sum(moved) <= level
+            assert (moved in positions) == inside, moved
+            if inside:
+                assert points[positions[moved]] == moved
+
+    @settings(max_examples=150, deadline=None)
+    @given(d=st.integers(1, 6), level=st.integers(0, 6), data=st.data())
+    def test_require_point_refuses_what_is_off_the_simplex(self, d, level, data):
+        pt = data.draw(st.sampled_from(list(simplex_points(level, d))), label="point")
+        axis = data.draw(st.integers(0, d - 1), label="axis")
+        bad = [
+            pt + (0,),
+            pt[:-1],
+            pt[:axis] + (-1,) + pt[axis + 1 :],
+            pt[:axis] + (Rat(pt[axis]),) + pt[axis + 1 :],
+            pt[:axis] + (float(pt[axis]),) + pt[axis + 1 :],
+            pt[:axis] + (pt[axis] + level + 1 - sum(pt),) + pt[axis + 1 :],
+        ]
+        for entries in bad:
+            with pytest.raises(ValueError, match=r"^degree tuple .* off the simplex of level"):
+                require_point(entries, level, d, "degree tuple")
 
 
 class TestSimplexWeight:
