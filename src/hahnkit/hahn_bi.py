@@ -11,15 +11,15 @@ relation is one row (_Relation): its degree and grid domains as level
 offsets, and its lhs and rhs terms, each a coefficient times the value at
 a shifted degree, grid point, parameter triple and level.  One runner
 checks every row, those on the P plane and those on the Q plane.  It reads
-values from tables (_Values), one per parameter triple, that a check fills
+values from tables (_Values), one per parameter triple, that a check makes
 as it reads and drops when it ends.  A term whose target leaves the
 simplex must have a zero coefficient; that proof obligation is checked like
 the residual, and a nonzero coefficient is reported as a failure naming
 the target.
 
-The checks run on Python ints.  A table holds the P values of a degree
+The checks run on Python ints.  A table gives the P values of a degree
 pair and level as integer numerators, the d = 2 rows of the simplex
-layer's ChainTable, over one denominator sigma, made once per degree pair
+layer's ChainTable, over one denominator sigma made once per degree pair
 and level; grid points and degree pairs both run in simplex_points(N, 2)
 order, a position in it is read from simplex_positions (a target off the
 simplex is no key), a point or degree pair passed in is checked by
@@ -34,10 +34,15 @@ together: at each t, every row whose sweep reaches t decides its instances
 (m, n) there in row order, on that point's tables, each built once for all
 the rows; after each row's pass, the tables no later pass at t reads are
 dropped, so at most one sample point's tables are alive, and only those
-still to be read.  A coefficient is a per-degree share times a per-point
-share, each an integer pair (numerator, denominator) made on the triple
-cleared to its denominator q: the per-point shares once per sample point,
-over one denominator per term, the per-degree ones once per instance.
+still to be read.  A table keeps no rows: a pass makes each row it reads
+once, at its first read there, together with every read of it that the
+pass's readers on that table and level still need, and drops the row at
+once; each read lives until the last instance that reads it, and a later
+pass that reads the row makes it again.  A coefficient is a per-degree
+share times a per-point share, each an integer pair (numerator,
+denominator) made on the triple cleared to its denominator q: the
+per-point shares once per sample point, over one denominator per term,
+the per-degree ones once per instance.
 Each side of an instance is then an integer vector, one entry per grid
 point, sum_j W_j (X_j row_j): the integer weight W_j of term j times the
 products of its per-point integers X_j and its table row, read straight
@@ -124,9 +129,10 @@ from .simplex import (
 )
 
 # The largest level whose sixteen checks fit in criterion 03's 60 s budget
-# on the fractions backend, timed in one fresh process per level, and whose
-# checks each peak below 100 MB (cost curve in the README); verify_bi refuses
-# a level above it.
+# on the fractions backend, timed in one fresh process per level (cost curve
+# in the README); verify_bi refuses a level above it.  Time sets it, not
+# memory: with each chain-table row dropped once its pass has made its reads,
+# the suite peaks near 42 MB at 30 and 44 MB at 31.
 MAX_BI_LEVEL = 30
 
 # The largest level at which the float and the exact overlap (overlap2) and
@@ -225,13 +231,14 @@ def q2_eval(d, g, p: BiParams) -> RadicalScalar:
 
 
 class _Values:
-    """Values of the family at one parameter triple, filled as they are read.
+    """Values of the family at one parameter triple, made as they are read.
 
     The chain is the nested product h_m(i; a1, a2; i+k) h_n(i+k-m;
     2m+a1+a2+1, a3; level-m), the d = 2 ChainTable: a genuine bivariate
     polynomial of total degree m + n, as the inner level i+k depends on the
     grid point.  P is the same integers over sigma = chains.den
-    (-level)_{m+n}.  row holds them over a whole grid, p makes a single
+    (-level)_{m+n}.  row makes them over a whole grid on each call (the
+    chain table keeps its heads and lines, not its rows), p makes a single
     rational, and norm gives what turns a row into the Q values.  triple is
     the chain table's cleared triple.
     """
@@ -254,7 +261,8 @@ class _Values:
         return sigma
 
     def row(self, m, n, level) -> tuple:
-        """The P numerators of degree pair (m, n) over simplex_points(level, 2)."""
+        """The P numerators of degree pair (m, n) over simplex_points(level, 2),
+        made on each call."""
         return self.chains.row((m, n), level)
 
     def p(self, m, n, i, k, level):
@@ -1394,11 +1402,13 @@ def _sample(row, check, t, grid, degrees, live, readers, terms) -> list:
     there, S times the class's part of each side at grid point g is the
     integer sum over its terms of W X_g row_g, W = a S / (b e sigma).  Each
     side of a class is that sum as an integer vector, one entry per grid
-    point: sum_j W_j (X_j row_j), each read X_j row_j made once per sample
-    point from its table row (_read) and dropped after the last instance
-    that reads it.  The two vectors are compared entry by entry; of an
-    instance, the class that differs at the first grid point, the first
-    such in term order, is reported, with both sides there.
+    point: sum_j W_j (X_j row_j).  A table row is made at its first read in
+    this pass, once, with every read X_j row_j of it (_read) that a reader
+    on its table and level still has uses for, and is dropped at once;
+    each read is dropped after the last instance that reads it.  The two
+    vectors are compared entry by entry; of an instance, the class that
+    differs at the first grid point, the first such in term order, is
+    reported, with both sides there.
     """
     try:
         at = check.at(t)
@@ -1420,7 +1430,10 @@ def _sample(row, check, t, grid, degrees, live, readers, terms) -> list:
         except ArithmeticError as err:
             events.append(((j, -1, t), err.with_traceback(None)))  # its frames would keep the tables alive
     uses = Counter(key for classes, *_ in weighed for _, _, parts in classes for _, _, key in parts)
-    reads, zero = {}, [0] * len(grid)  # the reads a later instance reads again
+    twins = {}  # the readers of one table and level
+    for r, reader in enumerate(readers):
+        twins.setdefault((reader.params, reader.level), []).append(r)
+    reads, zero = {}, [0] * len(grid)  # the reads an instance still to come reads
     for classes, off, d, j in weighed:
         if events and j > events[0][0][0]:
             break
@@ -1429,13 +1442,17 @@ def _sample(row, check, t, grid, degrees, live, readers, terms) -> list:
         for radicand, scale, parts in classes:
             sides = [None, None]
             for side, weight, key in parts:
-                read = reads.pop(key, None)
-                if read is None:
+                if key not in reads:  # the row's first read in this pass: make every read of it still to come
                     r, mm, nn = key
-                    read = _read(tables[r].row(mm, nn, readers[r].level), readers[r].where, shares[r][0])
+                    made = tables[r].row(mm, nn, readers[r].level)
+                    for twin in twins[readers[r].params, readers[r].level]:
+                        if uses[twin, mm, nn]:
+                            reads[twin, mm, nn] = _read(made, readers[twin].where, shares[twin][0])
+                    del made
+                read = reads[key]
                 uses[key] -= 1
-                if uses[key]:
-                    reads[key] = read
+                if not uses[key]:
+                    del reads[key]
                 acc = sides[side]
                 sides[side] = [weight * v for v in read] if acc is None else [s + weight * v for s, v in zip(acc, read)]
             lhs, rhs = (vector or zero for vector in sides)

@@ -169,7 +169,8 @@ def require_point(entries, level: int, d: int, what: str) -> tuple:
 
 
 class ChainTable:
-    """Chain values at one parameter tuple, as integers, filled as they are read.
+    """Chain values at one parameter tuple, as integers; the lines and heads
+    are kept as they are first read, the rows made afresh on each read.
 
     Factor k (from 1) is h_{n_k}(|i_<=k| - |n_<k|) with parameters
     (2|n_<k| + alpha_1 + ... + alpha_k + k - 1, alpha_{k+1}) and level
@@ -181,7 +182,8 @@ class ChainTable:
     (k, n_k, |n_<k|, |i_<=k+1|).  A head, the product of a degree prefix's
     factors over simplex_points(level, d), is made once per prefix and
     level from the prefix one shorter; a row is the head of its first d - 1
-    degrees times its last factor's line read at each point's |i|.
+    degrees times its last factor's line read at each point's |i|, one
+    product per point, and it lives only as long as its caller keeps it.
     num(degs, pts, level) / den(degs) is one value, its d point sums
     multiplied directly; at d = 1 row n is the univariate grid of h_n.
     """
@@ -191,7 +193,7 @@ class ChainTable:
         self.cleared = self.Q, cleared_alphas = cleared(*alphas)
         self._partial = list(accumulate(cleared_alphas, initial=0))
         self._beta = cleared_alphas[1:]
-        self._lines, self._points, self._sums, self._heads, self._rows = {}, {}, {}, {}, {}
+        self._lines, self._points, self._sums, self._heads = {}, {}, {}, {}
 
     def points(self, level: int) -> tuple:
         if level not in self._points:
@@ -251,17 +253,15 @@ class ChainTable:
         return head
 
     def row(self, degs, level: int) -> tuple:
-        """The numerators of degree tuple degs over simplex_points(level, d)."""
-        key = (degs, level)
-        row = self._rows.get(key)
-        if row is None:
-            isums = self._partial_sums(level)[-1]
-            line = self._line(self.d - 1, degs[-1], sum(degs[:-1]), level)
-            # A list first: tuple() of an iterator grows by resizing, and the
-            # freed rows then pile up on the tuple free lists (0.2 MB of peak
-            # on the uni sweep).
-            row = self._rows[key] = tuple([h * line[isum] for h, isum in zip(self._head(degs[:-1], level), isums)])
-        return row
+        """The numerators of degree tuple degs over simplex_points(level, d),
+        made on each call from the kept head and line; a row is not kept,
+        so a caller that reads it again makes it again."""
+        isums = self._partial_sums(level)[-1]
+        line = self._line(self.d - 1, degs[-1], sum(degs[:-1]), level)
+        # A list first: tuple() of an iterator grows by resizing, and the
+        # freed rows then pile up on the tuple free lists (0.2 MB of peak on
+        # the uni sweep).
+        return tuple([h * line[isum] for h, isum in zip(self._head(degs[:-1], level), isums)])
 
 
 def simplex_weight(alphas, N: int) -> tuple:

@@ -6,6 +6,7 @@ import pathlib
 import subprocess
 import sys
 import weakref
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -1692,6 +1693,35 @@ def test_no_up_m_table_alive_while_lower_n_runs(monkeypatch):
     assert any(tables for tables in seen)  # the tables lower-n reads are alive
 
 
+@pytest.mark.parametrize("triple", [(Rat(1, 2), Rat(-1, 2), Rat(3)), (Rat(0), Rat(0), Rat(0))])
+def test_each_row_made_once_per_pass(triple, monkeypatch):
+    """The runner makes a table row once for all the reads of a pass: each
+    relation row makes each (cleared triple, degree pair, level) at most
+    once, so a single-row check makes each at most once, and a check of
+    several rows at most once per row that reads its table: every read a
+    pass makes of a row comes from one make of it."""
+    p, made, passing = BiParams(*triple, 4), Counter(), []
+    honest_row, honest_sample = ChainTable.row, bi_mod._sample
+
+    def row(self, degs, level):
+        q, cleared = self.cleared
+        made[passing[-1], q, tuple(cleared), degs, level] += 1
+        return honest_row(self, degs, level)
+
+    def sample(relation, *args):
+        passing.append(relation.name)
+        return honest_sample(relation, *args)
+
+    monkeypatch.setattr(ChainTable, "row", row)
+    monkeypatch.setattr(bi_mod, "_sample", sample)
+    names = {name.split("[")[0] for name in bi_mod._RELATIONS}
+    for name in sorted(names):
+        made.clear()
+        assert verify_bi(name, p).passed, name
+        assert made, name
+        assert max(made.values()) == 1, (name, max(made, key=made.get))
+
+
 def test_values_clear_their_triple_once(monkeypatch):
     """A table clears its triple once, in its chain table, and reads the
     cleared triple from there, equal to clearing it again."""
@@ -1712,12 +1742,15 @@ def test_values_clear_their_triple_once(monkeypatch):
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads the peak resident set (VmHWM) from /proc/self/status, which only Linux has")
-@pytest.mark.parametrize("name", ["normalized-lowering-float", "structure"])
+@pytest.mark.parametrize("name", ["normalized-lowering-float", "structure", "genfun"])
 def test_cap_peak_memory(name):
-    """At the cap, MAX_BI_LEVEL, each of these two checks peaks below 100 MB
-    in a fresh process.  They are the two highest of the sixteen there,
-    one fresh process per check: normalized-lowering-float about 96 MB at
-    N = 30, structure about 63 MB."""
+    """At the cap, MAX_BI_LEVEL, each of these three checks peaks below
+    50 MB in a fresh process.  With each chain-table row made when a pass
+    first reads it and dropped at once, at N = 30 on one fresh process per
+    check: normalized-lowering-float about 27 MB, structure
+    about 25 MB and genfun about 40 MB (its sparse generating-function
+    polynomials, not rows); kept for the table's life, the rows took them
+    to about 96, 62 and 54 MB."""
     script = (
         "import json\n"
         "import hahnkit.hahn_bi as bi\n"
@@ -1732,7 +1765,7 @@ def test_cap_peak_memory(name):
     assert done.returncode == 0, done.stderr
     passed, hwm_kb = json.loads(done.stdout)
     assert passed
-    assert hwm_kb / 1024 < 100, f"{name} peaked at {hwm_kb / 1024:.1f} MB"
+    assert hwm_kb / 1024 < 50, f"{name} peaked at {hwm_kb / 1024:.1f} MB"
 
 
 def sweep_degree_per_instance(row, m, n, N):
