@@ -3,7 +3,7 @@ The oracle route: operators, the eigen-certificate, and the two-step chain
 ==========================================================================
 
 Instead of trusting the explicit polynomials, build the two difference
-operators as exact sparse rows and prove on integers that the chain table's
+operators from one formula as exact sparse integer rows and prove on integers that the chain table's
 rows are their joint eigenvectors.  Then factor the overlap matrix through
 the intermediate basis and realize the underlying su(1,1) ladder.
 """
@@ -21,18 +21,22 @@ from hahnkit.oracle import (
     su11_spectrum_check,
     verify_oracle,
 )
-from hahnkit.simplex import ChainTable, simplex_points
+from hahnkit.simplex import ChainTable, cleared, simplex_points
 
 p = BiParams(Rat(1, 2), Rat(-1, 2), 3, 3)
 
 # The first operator moves mass between the two coordinates at fixed
 # level; the second moves it between the surface and the interior.
-# Each row holds only its nonzero entries: at most 3 for L1, 7 for L2.
+# Both come from one formula, as Q times the operator on integers, Q the
+# parameters' common denominator (here 2).  Each row holds only its
+# nonzero entries: at most 3 for L1, 7 for L2.
 points = tuple(simplex_points(3, 2))
-row = build_operator("L1", p)[points.index((1, 1))]
+params = cleared(p.alpha1, p.alpha2, p.alpha3)
+Q = params[0]
+row = build_operator(1, params, p.N)[points.index((1, 1))]
 print("L1 row for grid point (1,1):")
 for c, value in row.items():
-    print(f"  coefficient of f{points[c]} = {format_rational(value)}")
+    print(f"  coefficient of f{points[c]} = {format_rational(Rat(value, Q))}")
 
 # The certificate: each chain-table row v satisfies L1 v = lambda1 v and
 # L2 v = lambda2 v exactly, and the eigenvalue pairs are pairwise distinct,
@@ -40,8 +44,8 @@ for c, value in row.items():
 # Here is L1 v = lambda1 v for degree (1,1), on the rationals.
 table = ChainTable((p.alpha1, p.alpha2, p.alpha3))
 v = [Rat(x, table.den((1, 1))) for x in table.row((1, 1), p.N)]
-L1v = [sum((a * v[c] for c, a in r.items()), Rat(0)) for r in build_operator("L1", p)]
-lam = eigenvalue("L1", (1, 1), p)
+L1v = [sum((Rat(a, Q) * v[c] for c, a in r.items()), Rat(0)) for r in build_operator(1, params, p.N)]
+lam = Rat(eigenvalue(1, (1, 1), params), Q)
 print("\nL1 v against lambda1 v at degree (1,1), lambda1 =", format_rational(lam))
 for g, lhs, x in zip(points, L1v, v):
     print(f"  {g}: {format_rational(lhs):>12} {format_rational(lam * x):>12}")

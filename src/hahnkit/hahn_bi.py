@@ -501,7 +501,7 @@ def _rec_coeffs_cleared(m: int, n: int, N: int, a1, a2, a3, q):
     return coeffs, u0 * u1 * u2 * v1 * v2 * v3
 
 
-def _l2_shift_coeffs(i, k, A1, A2, A3, N, q):
+def _l2_rates(i, k, A1, A2, A3, N, q):
     """q times the six off-diagonal coefficients of the second difference
     operator, keyed by grid displacement, on the triple cleared to its
     denominator q."""
@@ -902,7 +902,7 @@ def _second_difference(c, i, k):
     """The diagonal, then the six off-diagonal coefficients of the second
     difference operator, each over q."""
     q = c.q
-    omega = _l2_shift_coeffs(i, k, *c.scaled, c.N, q)
+    omega = _l2_rates(i, k, *c.scaled, c.N, q)
     return ((-sum(omega.values()), q),) + tuple((omega[s], q) for s in _L2_SHIFTS)
 
 

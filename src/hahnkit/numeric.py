@@ -12,6 +12,7 @@ package assumes.
 """
 from __future__ import annotations
 
+import decimal
 import math
 import re
 from typing import Iterable, Sequence, Union
@@ -52,11 +53,18 @@ def parse_rational(text: str) -> Rational:
     return Rat(text)
 
 
+def _digits(n) -> str:
+    """The decimal digits of an integer of any length: through decimal, as
+    str() of an int refuses beyond sys.get_int_max_str_digits(), a limit
+    that stays in force for parsing input."""
+    return str(decimal.Decimal(int(n)))
+
+
 def format_rational(value) -> str:
     value = Rat(value)
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return _digits(value.numerator)
+    return f"{_digits(value.numerator)}/{_digits(value.denominator)}"
 
 
 def rising(x: int, n: int, q: int = 1) -> int:

@@ -1,11 +1,16 @@
 """Independent verification plane for the two-variable family.
 
-Instead of evaluating explicit polynomials, this module builds the two
-difference operators as exact sparse rows over the simplex grid and
-certifies on ints that the ChainTable rows are their joint eigenbasis at
-the known eigenvalues (simplex.eigen_mismatch): as the eigenvalue pairs are
-pairwise distinct, that makes every joint eigenspace one line, spanned by
-its row.  The overlap matrix is factored through the intermediate
+Instead of evaluating explicit polynomials, this module builds the
+difference operators from the one formula of Iliev & Xu,
+
+    L_k = sum_{a != b <= k+1} i_a (i_b + alpha_b + 1) [E_{a->b} - 1],
+
+E_{a->b} the move i -> i - e_a + e_b and i_{d+1} = N - |i|, as sparse integer
+rows over the simplex grid, Q times L_k for the parameters' one denominator
+Q, and certifies on ints that the ChainTable rows are their joint eigenbasis
+at the known eigenvalues (simplex.eigen_mismatch): as the eigenvalue pairs
+are pairwise distinct, that makes every joint eigenspace one line, spanned
+by its row.  The overlap matrix is factored through the intermediate
 (cylindrical) basis, one product of two univariate overlaps per entry, and
 the underlying algebra is realized as truncated su(1,1) actions in a
 square-root-free basis.
@@ -16,13 +21,13 @@ blocks (_factor_blocks, each simplex.gram_pieces); chain-composition reads
 their overlaps as exact signed squares (simplex.overlap_squares), and
 chain_matrices the same overlaps as floats (simplex.overlap_floats).
 
-The operator coefficient tables are written out here on purpose, not
-imported from the evaluation module: the whole point of the oracle is that
-the two routes share nothing but the grid ordering and the candidate rows
-it certifies.
+The operator formula is the oracle's own, not imported from the evaluation
+module: the whole point of the oracle is that the two routes share nothing
+but the grid ordering and the candidate rows it certifies.
 """
 from __future__ import annotations
 
+from itertools import permutations
 from typing import NamedTuple
 
 from .hahn_bi import MAX_OVERLAP_LEVEL, BiParams
@@ -39,67 +44,49 @@ from .simplex import (
 # refuses a level above it.
 MAX_ORACLE_LEVEL = 63
 
-OPERATOR_LABELS = ("L1", "L2")
+
+def _rate(full, a, b, params) -> int:
+    """Q i_a (i_b + alpha_b + 1), the move a -> b at the full point
+    (i_1, ..., i_{d+1}) with params = (Q, A) = cleared(alphas)."""
+    Q, A = params
+    return full[a] * (Q * full[b] + A[b] + Q)
 
 
-def _shift_coeffs(label: str, i, k, a1, a2, a3, N):
-    """Off-diagonal coefficients keyed by grid displacement.
-
-    The diagonal is minus their sum, so constants are annihilated by
-    construction; every factor vanishes exactly where its shift would
-    leave the simplex.
-    """
-    if label == "L1":
-        return {
-            (-1, 1): i * (k + a2 + 1),
-            (1, -1): k * (i + a1 + 1),
-        }
-    return {
-        (1, 0): (i + a1 + 1) * (N - i - k),
-        (0, 1): (k + a2 + 1) * (N - i - k),
-        (-1, 0): i * (N - i - k + a3 + 1),
-        (0, -1): k * (N - i - k + a3 + 1),
-        (1, -1): k * (i + a1 + 1),
-        (-1, 1): i * (k + a2 + 1),
-    }
-
-
-def build_operator(label: str, p: BiParams) -> tuple:
-    """One difference operator as sparse rows: for each point of
-    simplex_points(N, 2), {column: entry} over its nonzero entries, columns
-    in the same order and ascending.  A row has at most 3 (L1) or 7 (L2)
-    entries: the distinct shifts of _shift_coeffs and the diagonal."""
-    if label not in OPERATOR_LABELS:
-        raise ValueError(f"unknown operator label {label!r}")
-    index = simplex_positions(p.N, 2)
+def build_operator(k: int, params, N: int) -> tuple:
+    """Q L_k as sparse integer rows: for each point of simplex_points(N, d),
+    d = len(A) - 1, {column: entry} over its nonzero entries, columns in the
+    same order and ascending.  The entry toward i - e_a + e_b, a != b <= k + 1,
+    is _rate, and the diagonal minus the row's sum: at most 3 entries for L1,
+    7 for L2.  A nonzero rate off the simplex raises ArithmeticError."""
+    Q, A = params
+    d = len(A) - 1
+    index = simplex_positions(N, d)
     rows = []
-    for i, k in index:
-        row = {}
-        diag = Rat(0)
-        coeffs = _shift_coeffs(label, Rat(i), Rat(k), p.alpha1, p.alpha2, p.alpha3, p.N)
-        for (di, dk), c in coeffs.items():
+    for point, r in index.items():
+        full = (*point, N - sum(point))
+        row, diag = {}, 0
+        for a, b in permutations(range(k + 1), 2):
+            c = _rate(full, a, b, params)
             diag -= c
-            target = (i + di, k + dk)
+            target = tuple(x - (j == a) + (j == b) for j, x in enumerate(full[:d]))
             if target in index:
                 row[index[target]] = c
             elif c != 0:
                 raise ArithmeticError(
-                    f"{label} coefficient {format_rational(c)} leaks off the "
-                    f"simplex at {(i, k)} toward {target}"
+                    f"L{k} coefficient {format_rational(Rat(c, Q))} leaks off the "
+                    f"simplex at {point} toward {target}"
                 )
-        row[index[(i, k)]] = diag
+        row[r] = diag
         rows.append({c: v for c, v in sorted(row.items()) if v})
     return tuple(rows)
 
 
-def eigenvalue(label: str, d, p: BiParams):
-    """Known spectrum: -m(m+a12+1) for L1, -(m+n)(m+n+a123+2) for L2."""
-    m, n = d
-    if label == "L1":
-        return -Rat(m) * (m + p.a12 + 1)
-    if label == "L2":
-        return -Rat(m + n) * (m + n + p.a123 + 2)
-    raise ValueError(f"unknown operator label {label!r}")
+def eigenvalue(k: int, degs, params) -> int:
+    """Q times L_k's eigenvalue at degree tuple degs: -s(s + alpha_1 + ... +
+    alpha_{k+1} + k), s = degs_1 + ... + degs_k."""
+    Q, A = params
+    s = sum(degs[:k])
+    return -s * (Q * s + sum(A[: k + 1]) + k * Q)
 
 
 def _combination(weights: dict, vectors: list) -> dict:
@@ -115,24 +102,22 @@ def _eigen_failure(p: BiParams) -> tuple:
     """The ChainTable rows of every degree pair, and the first failure of
     simplex.eigen_mismatch on them as the joint (L1, L2) eigenbasis, or None.
 
-    Each operator's rows and eigenvalues are cleared once, over one
-    denominator.  A failure is (indices, (A v)_row, lambda v_row), its
-    sides in units of the value row / ChainTable.den; a repeated eigenvalue
-    pair or a zero row raises ArithmeticError.
+    The operators' rows and eigenvalues are the table's own Q times the
+    rational ones.  A failure is (indices, (A v)_row, lambda v_row), its
+    sides read back over Q times the value row's ChainTable.den; a repeated
+    eigenvalue pair or a zero row raises ArithmeticError.
     """
     table = ChainTable((p.alpha1, p.alpha2, p.alpha3))
     degs = tuple(simplex_points(p.N, 2))
     candidates = {d: table.row(d, p.N) for d in degs}
-    operators, dens = {}, {}
-    for label in OPERATOR_LABELS:
-        rows, eigs = build_operator(label, p), [eigenvalue(label, d, p) for d in degs]
-        dens[label], ints = cleared(*eigs, *(v for row in rows for v in row.values()))
-        entries = iter(ints[len(eigs):])
-        operators[label] = [{c: next(entries) for c in row} for row in rows], ints[: len(eigs)]
+    operators = {
+        f"L{k}": (build_operator(k, table.cleared, p.N), [eigenvalue(k, d, table.cleared) for d in degs])
+        for k in (1, 2)
+    }
     bad = eigen_mismatch(operators, candidates)
     if bad is not None:
         label, d, r, lhs, rhs = bad
-        scale = dens[label] * table.den(d)
+        scale = table.Q * table.den(d)
         bad = {"operator": label, "degree": list(d), "row": r}, Rat(lhs, scale), Rat(rhs, scale)
     return candidates, bad
 
@@ -309,25 +294,29 @@ def su11_build(nu, nmax: int) -> Su11Module:
 
 def _check_annihilate_constants(p: BiParams) -> CheckResult:
     name = "annihilate-constants"
-    for label in OPERATOR_LABELS:
-        for g, row in zip(simplex_points(p.N, 2), build_operator(label, p)):
+    params = cleared(p.alpha1, p.alpha2, p.alpha3)
+    for k in (1, 2):
+        for g, row in zip(simplex_points(p.N, 2), build_operator(k, params, p.N)):
             value = sum(row.values())
             if value != 0:
-                return CheckResult.mismatch(name, {"label": label, "point": list(g)}, value, 0)
+                return CheckResult.mismatch(name, {"label": f"L{k}", "point": list(g)}, Rat(value, params[0]), 0)
     return CheckResult.exact_pass(name)
 
 
 def _check_commutation(p: BiParams) -> CheckResult:
-    """L1 L2 = L2 L1, compared row by row as sparse products; a failure
-    names the first defect in row-major order."""
+    """L1 L2 = L2 L1, compared row by row as sparse products of the integer
+    rows, Q^2 times the rational ones; a failure names the first defect in
+    row-major order."""
     name = "commutation"
-    l1, l2 = build_operator("L1", p), build_operator("L2", p)
+    params = cleared(p.alpha1, p.alpha2, p.alpha3)
+    l1, l2 = (build_operator(k, params, p.N) for k in (1, 2))
     for r, (row1, row2) in enumerate(zip(l1, l2)):
         left, right = _combination(row1, l2), _combination(row2, l1)
         bad = [c for c in left.keys() | right.keys() if left.get(c, 0) != right.get(c, 0)]
         if bad:
-            c = min(bad)
-            return CheckResult.mismatch(name, {"row": r, "col": c}, left.get(c, 0), right.get(c, 0))
+            c, scale = min(bad), params[0] ** 2
+            lhs, rhs = Rat(left.get(c, 0), scale), Rat(right.get(c, 0), scale)
+            return CheckResult.mismatch(name, {"row": r, "col": c}, lhs, rhs)
     return CheckResult.exact_pass(name)
 
 
@@ -419,15 +408,16 @@ def su11_spectrum_check(p: BiParams) -> VerificationReport:
     eigenvectors of the grid operators is the joint-eigenvectors check.
     """
     nu1, nu2, nu3 = ((a + 1) / 2 for a in (p.alpha1, p.alpha2, p.alpha3))
+    params = cleared(p.alpha1, p.alpha2, p.alpha3)
     checks = []
-    for name, label, nu_of, shift in (
-        ("casimir-first", "L1", lambda m, n: m + nu1 + nu2, p.a12 * (p.a12 + 2) / 4),
-        ("casimir-second", "L2", lambda m, n: m + n + nu1 + nu2 + nu3, (p.a123 + 1) * (p.a123 + 3) / 4),
+    for name, k, nu_of, shift in (
+        ("casimir-first", 1, lambda m, n: m + nu1 + nu2, p.a12 * (p.a12 + 2) / 4),
+        ("casimir-second", 2, lambda m, n: m + n + nu1 + nu2 + nu3, (p.a123 + 1) * (p.a123 + 3) / 4),
     ):
         check = CheckResult.exact_pass(name)
         for d in simplex_points(p.N, 2):
             nu = nu_of(*d)
-            lhs, rhs = nu * (nu - 1) - shift, -eigenvalue(label, d, p)
+            lhs, rhs = nu * (nu - 1) - shift, Rat(-eigenvalue(k, d, params), params[0])
             if lhs != rhs:
                 check = CheckResult.mismatch(name, {"degree": list(d)}, lhs, rhs)
                 break

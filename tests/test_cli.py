@@ -1,4 +1,5 @@
 """Front-end contract: flags, formats, exit codes, byte determinism."""
+import decimal
 import json
 import os
 import pathlib
@@ -38,6 +39,20 @@ class TestEval:
         assert payload["entries"] == [expected]
         assert payload["rows"] == ["1"] and payload["cols"] == ["2"]
         assert payload["mode"] == "exact"
+
+    def test_value_beyond_the_int_string_limit(self, capsys):
+        """At N = 900 the value's numerator has 4,549 digits, past the 4,300
+        that str() of an int allows by default; it is written whole."""
+        code, out, _ = run(
+            capsys, "eval", "--family", "hahn1", "--alpha", "1/2,7/3",
+            "--N", "900", "--degrees", "900", "--point", "3",
+        )
+        assert code == 0
+        (cell,) = json.loads(out)["entries"]
+        num, _, den = cell.partition("/")
+        assert len(num.lstrip("-")) == 4549
+        value = Rat(int(decimal.Decimal(num)), int(decimal.Decimal(den or "1")))
+        assert value == hahn_eval(900, 3, UniParams(Rat(1, 2), Rat(7, 3), 900))
 
     def test_hahn2_csv(self, capsys):
         code, out, _ = run(
@@ -300,16 +315,14 @@ class TestVerify:
         assert code == 2 and "unknown check" in err
 
     def test_fault_injection(self, capsys, monkeypatch):
-        orig = oracle_mod._shift_coeffs
+        orig = oracle_mod._rate
 
-        def tampered(label, i, k, a1, a2, a3, N):
-            out = orig(label, i, k, a1, a2, a3, N)
-            if label == "L2" and (i, k) == (1, 1):
-                out = dict(out)
-                out[(1, 0)] = out[(1, 0)] * 2
-            return out
+        def tampered(full, a, b, params):
+            # L2 at (1, 1) toward (2, 1), the move from i_3 to i_1, doubled
+            out = orig(full, a, b, params)
+            return 2 * out if full[:2] == (1, 1) and (a, b) == (2, 0) else out
 
-        monkeypatch.setattr(oracle_mod, "_shift_coeffs", tampered)
+        monkeypatch.setattr(oracle_mod, "_rate", tampered)
         code, out, _ = run(
             capsys, "verify", "--suite", "oracle", "--check", "joint-eigenvectors",
             "--alpha", "0,0,0", "--N", "3",

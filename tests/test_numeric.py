@@ -61,6 +61,14 @@ class TestRationalText:
         assert format_rational(Rat(8, 4)) == "2"
         assert format_rational(Rat(0)) == "0"
 
+    def test_format_beyond_the_int_string_limit(self):
+        # 5,001 and 4,401 digits, past the 4,300 that str() of an int allows
+        # by default; parsing keeps that limit
+        text = format_rational(Rat(-(10**5000), 3 * 10**4400 + 1))
+        assert text == "-1" + "0" * 5000 + "/3" + "0" * 4399 + "1"
+        with pytest.raises(ValueError):
+            parse_rational(text)
+
     @given(rationals)
     def test_round_trip(self, r):
         assert parse_rational(format_rational(r)) == r

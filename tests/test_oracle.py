@@ -23,7 +23,7 @@ from hahnkit.oracle import (
     su11_spectrum_check,
     verify_oracle,
 )
-from hahnkit.simplex import ChainTable, simplex_points
+from hahnkit.simplex import ChainTable, cleared, eigen_mismatch, simplex_points
 
 TRIPLES = [(0, 0, 0), (Rat(1, 2), Rat(-1, 2), 3), (Rat(7, 3), 1, Rat(1, 2))]
 # TRIPLES, three more, and the large-magnitude triple of the float plane's
@@ -34,6 +34,11 @@ DEFECT_TRIPLES = TRIPLES + [
     (0, Rat(1, 2), Rat(7, 3)),
     (Rat(999983, 1000003), Rat(-1, 999983), Rat(123456789, 1000)),
 ]
+
+
+def qa(p):
+    """The cleared parameter tuple (Q, A) of p, as build_operator reads it."""
+    return cleared(p.alpha1, p.alpha2, p.alpha3)
 
 
 def p_vector(d, p):
@@ -51,20 +56,33 @@ def apply(rows, vec):
 
 
 def dense_operator(label, p):
-    """The dense P x P build the sparse rows replaced, kept as their
-    reference: every entry filled, zeros included."""
+    """L1 or L2 as the dense P x P matrix of its hand-written displacement
+    table, every entry filled, zeros included: the reference that the one
+    formula of build_operator replaced.  The diagonal is minus the sum of the
+    off-diagonal coefficients, each of which vanishes where its shift would
+    leave the simplex."""
     points = tuple(simplex_points(p.N, 2))
     index = {g: t for t, g in enumerate(points)}
+    a1, a2, a3 = p.alpha1, p.alpha2, p.alpha3
     rows = []
     for i, k in points:
+        j = p.N - i - k
+        if label == "L1":
+            coeffs = {(-1, 1): i * (k + a2 + 1), (1, -1): k * (i + a1 + 1)}
+        else:
+            coeffs = {
+                (1, 0): (i + a1 + 1) * j,
+                (0, 1): (k + a2 + 1) * j,
+                (-1, 0): i * (j + a3 + 1),
+                (0, -1): k * (j + a3 + 1),
+                (1, -1): k * (i + a1 + 1),
+                (-1, 1): i * (k + a2 + 1),
+            }
         row = [Rat(0)] * len(points)
-        diag = Rat(0)
-        coeffs = oracle_mod._shift_coeffs(label, Rat(i), Rat(k), p.alpha1, p.alpha2, p.alpha3, p.N)
         for (di, dk), c in coeffs.items():
-            diag -= c
+            row[index[(i, k)]] -= c
             if (i + di, k + dk) in index:
                 row[index[(i + di, k + dk)]] += c
-        row[index[(i, k)]] += diag
         rows.append(row)
     return RationalMatrix(rows)
 
@@ -85,89 +103,121 @@ def dense_chain_product(first, second):
 
 class TestBuildOperator:
     def test_trivial_level(self):
-        assert build_operator("L1", BiParams(0, 0, 0, 0)) == ({},)
+        assert build_operator(1, qa(BiParams(0, 0, 0, 0)), 0) == ({},)
 
     def test_first_operator_hand_matrix(self):
         # N=1, alpha=0: rows (0,0),(1,0),(0,1)
-        rows = build_operator("L1", BiParams(0, 0, 0, 1))
+        rows = build_operator(1, qa(BiParams(0, 0, 0, 1)), 1)
         assert rows == ({}, {1: -1, 2: 1}, {1: 1, 2: -1})
         assert dense(rows) == RationalMatrix([[0, 0, 0], [0, -1, 1], [0, 1, -1]])
 
-    @pytest.mark.parametrize("label", ["L1", "L2"])
-    @pytest.mark.parametrize("triple", TRIPLES)
-    def test_rows_are_the_dense_build_nonzeros(self, label, triple):
+    # DEFECT_TRIPLES holds TRIPLES
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("triple", DEFECT_TRIPLES)
+    def test_rows_are_q_times_the_tables(self, k, triple):
         for N in range(7):
             p = BiParams(*triple, N)
-            want = tuple({c: v for c, v in enumerate(row) if v} for row in dense_operator(label, p).data)
-            rows = build_operator(label, p)
+            Q = qa(p)[0]
+            want = tuple({c: Q * v for c, v in enumerate(row) if v} for row in dense_operator(f"L{k}", p).data)
+            rows = build_operator(k, qa(p), N)
             assert rows == want
+            assert all(type(v) is int for row in rows for v in row.values())
             assert [list(row) for row in rows] == [sorted(row) for row in rows]
-            assert max(map(len, rows)) <= (3 if label == "L1" else 7)
+            assert max(map(len, rows)) <= (3 if k == 1 else 7)
+
+    @pytest.mark.parametrize("triple", DEFECT_TRIPLES)
+    def test_eigenvalues_are_q_times_the_known_spectrum(self, triple):
+        p = BiParams(*triple, 6)
+        Q = qa(p)[0]
+        for m, n in simplex_points(6, 2):
+            first, second = (eigenvalue(k, (m, n), qa(p)) for k in (1, 2))
+            assert type(first) is int and type(second) is int
+            assert first == Q * -(m * (m + p.a12 + 1))
+            assert second == Q * -((m + n) * (m + n + p.a123 + 2))
 
     def test_first_operator_eigenaction(self):
-        rows = build_operator("L1", BiParams(0, 0, 0, 1))
+        rows = build_operator(1, qa(BiParams(0, 0, 0, 1)), 1)
         assert apply(rows, [0, -1, 1]) == (0, 2, -2)
 
     def test_second_operator_spectrum_via_eigenbasis(self):
         p = BiParams(0, 0, 0, 1)
-        rows = build_operator("L2", p)
+        rows = build_operator(2, qa(p), 1)
         for d, eig in [((0, 0), 0), ((1, 0), -3), ((0, 1), -3)]:
             vec = p_vector(d, p)
             assert apply(rows, vec) == tuple(eig * v for v in vec)
 
-    @pytest.mark.parametrize("label", ["L1", "L2"])
+    @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("triple", TRIPLES)
-    def test_eigenaction_full_simplex(self, label, triple):
+    def test_eigenaction_full_simplex(self, k, triple):
         p = BiParams(*triple, 4)
-        rows = build_operator(label, p)
+        rows = build_operator(k, qa(p), 4)
         for d in simplex_points(4, 2):
             vec = p_vector(d, p)
-            eig = eigenvalue(label, d, p)
+            eig = eigenvalue(k, d, qa(p))
             assert apply(rows, vec) == tuple(eig * v for v in vec)
 
     def test_annihilates_constants(self):
         for triple in TRIPLES:
             p = BiParams(*triple, 3)
-            for label in ("L1", "L2"):
-                assert all(sum(row.values()) == 0 for row in build_operator(label, p))
+            for k in (1, 2):
+                assert all(sum(row.values()) == 0 for row in build_operator(k, qa(p), 3))
 
     def test_operators_commute(self):
         for triple in TRIPLES:
             p = BiParams(*triple, 4)
-            l1 = dense(build_operator("L1", p))
-            l2 = dense(build_operator("L2", p))
+            l1, l2 = (dense(build_operator(k, qa(p), 4)) for k in (1, 2))
             assert l1.matmul(l2) == l2.matmul(l1)
 
     def test_leak_off_the_simplex_raises(self, monkeypatch):
-        orig = oracle_mod._shift_coeffs
+        orig = oracle_mod._rate
 
-        def tampered(label, i, k, a1, a2, a3, N):
-            out = orig(label, i, k, a1, a2, a3, N)
-            if label == "L2" and (i, k) == (0, 2):
-                out = {**out, (0, 1): 5}  # toward (0, 3), off the level N = 2
-            return out
+        def tampered(full, a, b, params):
+            if full == (0, 2, 0) and (a, b) == (2, 1):
+                return 5  # toward (0, 3), off the level N = 2
+            return orig(full, a, b, params)
 
-        monkeypatch.setattr(oracle_mod, "_shift_coeffs", tampered)
+        monkeypatch.setattr(oracle_mod, "_rate", tampered)
         with pytest.raises(ArithmeticError, match=r"^L2 coefficient 5 leaks off the simplex at \(0, 2\) toward \(0, 3\)$"):
-            build_operator("L2", BiParams(0, 0, 0, 2))
+            build_operator(2, qa(BiParams(0, 0, 0, 2)), 2)
 
-    def test_rejects_unknown_label(self):
-        with pytest.raises(ValueError):
-            build_operator("L3", BiParams(0, 0, 0, 1))
-        with pytest.raises(ValueError):
-            eigenvalue("L3", (0, 0), BiParams(0, 0, 0, 1))
+    # one parameter tuple per d, each a tuple of the mv or uni suites
+    OTHER_D = [
+        ((Rat(1, 2), Rat(7, 3)), 12),
+        ((Rat(1, 2), 0, 3, Rat(7, 3)), 6),
+        ((Rat(1, 3), Rat(1, 2), 2, 0, Rat(-1, 2)), 5),
+        ((Rat(1, 2),) * 7, 3),
+    ]
+
+    @pytest.mark.parametrize("alphas, N", OTHER_D)
+    def test_the_formula_at_other_d(self, alphas, N):
+        """At d = 1, 3, 4 and 6 the ChainTable rows are joint eigenvectors of
+        L_1 .. L_d, certified on ints, and every pair of them commutes."""
+        table = ChainTable(alphas)
+        d = table.d
+        degs = tuple(simplex_points(N, d))
+        operators = {
+            k: (build_operator(k, table.cleared, N), [eigenvalue(k, m, table.cleared) for m in degs])
+            for k in range(1, d + 1)
+        }
+        assert eigen_mismatch(operators, {m: table.row(m, N) for m in degs}) is None
+        for j in range(1, d + 1):
+            for k in range(j + 1, d + 1):
+                first, second = operators[j][0], operators[k][0]
+                for row1, row2 in zip(first, second):
+                    left, right = oracle_mod._combination(row1, second), oracle_mod._combination(row2, first)
+                    assert {c: v for c, v in left.items() if v} == {c: v for c, v in right.items() if v}
 
 
 def stacked_joint_eigenvectors(p):
     """The dense route the nested solve replaced, kept as its reference: one
     kernel of the stacked 2P x P matrix [L1 - lambda1; L2 - lambda2] per
     degree pair, in simplex_points order."""
-    ops = {label: dense(build_operator(label, p)).data for label in ("L1", "L2")}
+    ops = {k: dense(build_operator(k, qa(p), p.N)).data for k in (1, 2)}
     out = {}
     for d in simplex_points(p.N, 2):
         rows = [
-            [a - eigenvalue(label, d, p) if r == c else a for c, a in enumerate(row)]
-            for label, matrix in ops.items()
+            [a - eigenvalue(k, d, qa(p)) if r == c else a for c, a in enumerate(row)]
+            for k, matrix in ops.items()
             for r, row in enumerate(matrix)
         ]
         basis = RationalMatrix(rows).nullspace()
@@ -184,7 +234,7 @@ class TestJointEigenvectors:
             assert list(joint_eigenvectors(p).items()) == list(stacked_joint_eigenvectors(p).items())
 
     def test_degenerate_spectrum_refused_before_any_solve(self, monkeypatch):
-        monkeypatch.setattr(oracle_mod, "eigenvalue", lambda label, d, p: Rat(0))
+        monkeypatch.setattr(oracle_mod, "eigenvalue", lambda k, degs, params: 0)
 
         def no_solve(self):
             raise AssertionError("a kernel was solved")
@@ -409,17 +459,32 @@ class TestVerifyOracle:
 
     @staticmethod
     def _tamper_l1_within_line(monkeypatch):
-        """L1 at (1, 1) toward (2, 0) gains 1: a fault on one line i + k = 2."""
-        orig = oracle_mod._shift_coeffs
+        """L1 at (1, 1) toward (2, 0) gains 1, Q on the integer rows: a fault
+        on one line i + k = 2.  The rate is the formula's one for that move,
+        so L2's entry there gains it too."""
+        orig = oracle_mod._rate
 
-        def tampered(label, i, k, a1, a2, a3, N):
-            out = orig(label, i, k, a1, a2, a3, N)
-            if label == "L1" and (i, k) == (1, 1):
-                out = dict(out)
-                out[(1, -1)] = out[(1, -1)] + 1
-            return out
+        def tampered(full, a, b, params):
+            out = orig(full, a, b, params)
+            return out + params[0] if full[:2] == (1, 1) and (a, b) == (1, 0) else out
 
-        monkeypatch.setattr(oracle_mod, "_shift_coeffs", tampered)
+        monkeypatch.setattr(oracle_mod, "_rate", tampered)
+
+    @staticmethod
+    def _raise_entry(monkeypatch, k, row, col, by):
+        """build_operator(k, ...) with by, Q * by on its integer rows, added at
+        (row, col): a fault that no rate of the formula can make."""
+        orig = oracle_mod.build_operator
+
+        def tampered(j, params, N):
+            rows = orig(j, params, N)
+            if j != k:
+                return rows
+            rows = list(rows)
+            rows[row] = {**rows[row], col: rows[row].get(col, 0) + by * params[0]}
+            return tuple(rows)
+
+        monkeypatch.setattr(oracle_mod, "build_operator", tampered)
 
     def test_fault_injection_reports_failure(self, monkeypatch):
         self._tamper_l1_within_line(monkeypatch)
@@ -430,18 +495,12 @@ class TestVerifyOracle:
         assert not eigen.passed
         assert eigen.checks[0].counterexample is not None
 
-    @staticmethod
-    def _tamper_l1_across_lines(monkeypatch):
-        """L1 at (1, 1) gains 1 toward (1, 2), off the line i + k = 2."""
-        orig = oracle_mod._shift_coeffs
-
-        def tampered(label, i, k, a1, a2, a3, N):
-            out = orig(label, i, k, a1, a2, a3, N)
-            if label == "L1" and (i, k) == (1, 1):
-                out = {**out, (0, 1): 1}
-            return out
-
-        monkeypatch.setattr(oracle_mod, "_shift_coeffs", tampered)
+    @classmethod
+    def _tamper_l1_across_lines(cls, monkeypatch):
+        """L1 at (1, 1) gains 1 toward (1, 2), off the line i + k = 2, and its
+        diagonal loses it; at N = 3 those are row 5's columns 8 and 5."""
+        cls._raise_entry(monkeypatch, 1, 5, 8, 1)
+        cls._raise_entry(monkeypatch, 1, 5, 5, -1)
 
     # the cross-line tamper at N = 3: L1 row 5, at (1, 1), reads P_{1,0}(1, 2)
     # = -1 from the line i + k = 3, where lambda P_{1,0}(1, 1) = 0
@@ -460,15 +519,14 @@ class TestVerifyOracle:
         assert verify_oracle("joint-eigenvectors", p).to_dict()["checks"] == [self.LINE_COUPLING]
 
     def test_l2_tamper_fails_joint_eigenvectors(self, monkeypatch):
-        orig = oracle_mod._shift_coeffs
+        orig = oracle_mod._rate
 
-        def tampered(label, i, k, a1, a2, a3, N):
-            out = orig(label, i, k, a1, a2, a3, N)
-            if label == "L2" and (i, k) == (1, 1):
-                out = {**out, (1, 0): out[(1, 0)] + 1}
-            return out
+        def tampered(full, a, b, params):
+            # the move from i_3 to i_1, L2's alone: 1 more, Q on the rows
+            out = orig(full, a, b, params)
+            return out + params[0] if full[:2] == (1, 1) and (a, b) == (2, 0) else out
 
-        monkeypatch.setattr(oracle_mod, "_shift_coeffs", tampered)
+        monkeypatch.setattr(oracle_mod, "_rate", tampered)
         p = BiParams(Rat(1, 2), Rat(-1, 2), 3, 3)
         # L1 holds everywhere; L2 row 5, at (1, 1), first feels the raised
         # entry toward (2, 1) at the first degree pair nonzero there
@@ -641,7 +699,7 @@ class TestVerifyOracle:
             assert report == [self.LINE_COUPLING]
             return
         if case == "degenerate":
-            monkeypatch.setattr(oracle_mod, "eigenvalue", lambda label, d, p: Rat(0))
+            monkeypatch.setattr(oracle_mod, "eigenvalue", lambda k, degs, params: 0)
             message = "degenerate joint spectrum: (0, 0) vs (1, 0)"
         else:
             self._tamper_table(monkeypatch, (1, 1), None)
@@ -678,8 +736,9 @@ class TestVerifyOracle:
             self._tamper_table(monkeypatch, d, last)
             check = verify_oracle("joint-eigenvectors", p).checks[0]
             assert check.counterexample["indices"] == {"operator": "L1", "degree": [N, 0], "row": last - 1}
-            entry = build_operator("L1", p)[last - 1][last]
-            assert check.max_residual == format_rational(entry / ChainTable((p.alpha1, p.alpha2, p.alpha3)).den(d))
+            table = ChainTable((p.alpha1, p.alpha2, p.alpha3))
+            entry = build_operator(1, table.cleared, N)[last - 1][last]
+            assert check.max_residual == format_rational(Rat(entry, table.Q * table.den(d)))
             with pytest.raises(ArithmeticError, match=rf"^L1 v != lambda v at degree \({N}, 0\), row {last - 1}: "):
                 joint_eigenvectors(p)
 
@@ -700,3 +759,24 @@ class TestVerifyOracle:
         check = verify_oracle("commutation", BiParams(0, 0, 0, 3)).checks[0]
         assert check.max_residual == "-2"
         assert check.counterexample == {"indices": {"row": 1, "col": 2}, "lhs": "-4", "rhs": "-2"}
+
+    # At Q = 2 a report that read the integer rows without their Q would
+    # show it: these are the reports of the rational operators.
+    def test_within_line_tamper_pinned_at_q_two(self, monkeypatch):
+        self._tamper_l1_within_line(monkeypatch)
+        p = BiParams(Rat(1, 2), Rat(-1, 2), 3, 3)
+        check = verify_oracle("commutation", p).checks[0]
+        assert check.max_residual == "-1"
+        assert check.counterexample == {"indices": {"row": 1, "col": 2}, "lhs": "-5/2", "rhs": "-3/2"}
+        check = verify_oracle("joint-eigenvectors", p).checks[0]
+        assert check.max_residual == "2"
+        assert check.counterexample == {
+            "indices": {"operator": "L1", "degree": [1, 0], "row": 5}, "lhs": "4", "rhs": "2",
+        }
+
+    def test_raised_diagonal_pinned_at_q_two(self, monkeypatch):
+        # L2's diagonal at (0, 1), row 4 at N = 3, raised by 1
+        self._raise_entry(monkeypatch, 2, 4, 4, 1)
+        check = verify_oracle("annihilate-constants", BiParams(Rat(1, 2), Rat(-1, 2), 3, 3)).checks[0]
+        assert check.max_residual == "1"
+        assert check.counterexample == {"indices": {"label": "L2", "point": [0, 1]}, "lhs": "1", "rhs": "0"}
