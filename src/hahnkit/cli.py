@@ -37,12 +37,12 @@ def _dot(entries) -> str:
     return ".".join(str(v) for v in entries)
 
 
-def _parse_alphas(text: str | None, count: int | None = None, what: str = "--alpha"):
+def _parse_alphas(text: str | None, count: int | None = None):
     if text is None:
-        raise ValueError(f"{what} is required")
+        raise ValueError("--alpha is required")
     values = tuple(parse_rational(tok) for tok in text.split(","))
     if count is not None and len(values) != count:
-        raise ValueError(f"{what} must list exactly {count} rationals")
+        raise ValueError(f"--alpha must list exactly {count} rationals")
     return values
 
 

@@ -145,9 +145,9 @@ def pfq_terminating(numerators: Iterable, denominators: Iterable, arg):
     Pochhammer vanishes inside the truncated range with no such partner makes
     the sum undefined and is rejected.
 
-    The package evaluates Hahn values by the division-free kernel in
-    hahn_uni, not through this sum; the tests hold that kernel against the
-    prefactored 3F2 computed here, an independent route.
+    The package evaluates Hahn values by the division-free kernel
+    simplex.eval_total, not through this sum; the tests hold that kernel
+    against the prefactored 3F2 computed here, an independent route.
     """
     nums = [Rat(a) for a in numerators]
     dens = [Rat(b) for b in denominators]

@@ -19,7 +19,11 @@ Each check does its work once: the certificate is joint-eigenvectors'
 alone, and the chain checks decide on the integer pieces of the factors'
 blocks (_factor_blocks, each simplex.gram_pieces); chain-composition reads
 their overlaps as exact signed squares (simplex.overlap_squares), and
-chain_matrices the same overlaps as floats (simplex.overlap_floats).
+chain_matrices the same overlaps as floats (simplex.overlap_floats).  A
+row of the d = 2 table is made where it is read and dropped after: the
+certificate and chain-composition each make one degree pair's row at a
+time, in simplex_points order, so the suite at MAX_ORACLE_LEVEL peaks at
+about 83 MB on the fractions backend, against 0.49 GB with every row held.
 
 The operator formula is the oracle's own, not imported from the evaluation
 module: the whole point of the oracle is that the two routes share nothing
@@ -34,8 +38,8 @@ from .hahn_bi import MAX_OVERLAP_LEVEL, BiParams
 from .numeric import Rat, RationalMatrix, format_rational
 from .reports import CheckResult, VerificationReport, _guarded
 from .simplex import (
-    ChainTable, cleared, eigen_mismatch, gram_mismatch, gram_pieces, overlap_floats, overlap_squares, simplex_points,
-    simplex_positions,
+    ChainTable, chain_norm, cleared, eigen_mismatch, gram_mismatch, gram_pieces, overlap_floats, overlap_squares,
+    simplex_points, simplex_positions, simplex_weight,
 )
 
 # The largest level whose seven oracle checks fit in 60 s, criterion 03's
@@ -98,9 +102,10 @@ def _combination(weights: dict, vectors: list) -> dict:
     return out
 
 
-def _eigen_failure(p: BiParams) -> tuple:
-    """The ChainTable rows of every degree pair, and the first failure of
-    simplex.eigen_mismatch on them as the joint (L1, L2) eigenbasis, or None.
+def _eigen_failure(p: BiParams, keep=lambda degs, row: row):
+    """The first failure of simplex.eigen_mismatch on the ChainTable rows as
+    the joint (L1, L2) eigenbasis, or None; each row is made once, in
+    simplex_points order, and certified as keep(degree pair, row) returns it.
 
     The operators' rows and eigenvalues are the table's own Q times the
     rational ones.  A failure is (indices, (A v)_row, lambda v_row), its
@@ -109,32 +114,32 @@ def _eigen_failure(p: BiParams) -> tuple:
     """
     table = ChainTable((p.alpha1, p.alpha2, p.alpha3))
     degs = tuple(simplex_points(p.N, 2))
-    candidates = {d: table.row(d, p.N) for d in degs}
     operators = {
         f"L{k}": (build_operator(k, table.cleared, p.N), [eigenvalue(k, d, table.cleared) for d in degs])
         for k in (1, 2)
     }
-    bad = eigen_mismatch(operators, candidates)
+    bad = eigen_mismatch(operators, degs, lambda d: keep(d, table.row(d, p.N)))
     if bad is not None:
         label, d, r, lhs, rhs = bad
         scale = table.Q * table.den(d)
         bad = {"operator": label, "degree": list(d), "row": r}, Rat(lhs, scale), Rat(rhs, scale)
-    return candidates, bad
+    return bad
 
 
 def joint_eigenvectors(p: BiParams) -> dict:
     """Generator of each joint (L1, L2) eigenspace, first nonzero entry 1,
-    keyed by degree pair: the ChainTable rows, certified first
-    (_eigen_failure).  Raises ArithmeticError if they fail."""
-    candidates, bad = _eigen_failure(p)
+    keyed by degree pair: the ChainTable rows that _eigen_failure certified.
+    Raises ArithmeticError if they fail."""
+    rows = {}
+    bad = _eigen_failure(p, rows.setdefault)
     if bad is not None:
         indices, lhs, rhs = bad
         raise ArithmeticError(
             f"{indices['operator']} v != lambda v at degree {tuple(indices['degree'])}, "
             f"row {indices['row']}: {format_rational(lhs)} vs {format_rational(rhs)}"
         )
-    leads = {d: next(v for v in row if v) for d, row in candidates.items()}
-    return {d: tuple(Rat(v, leads[d]) for v in row) for d, row in candidates.items()}
+    leads = {d: next(v for v in row if v) for d, row in rows.items()}
+    return {d: tuple(Rat(v, leads[d]) for v in row) for d, row in rows.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -195,42 +200,21 @@ def chain_matrices(p: BiParams) -> tuple[ChainMatrix, ChainMatrix]:
     )
 
 
-def chain_blocks(first: ChainMatrix, second: ChainMatrix) -> tuple:
-    """Each float factor's blocks, {key: (row indices, column indices)}, both
-    ascending.  first couples a grid point (i, k) only to the labels (m, q)
-    with q = i + k, and second couples (m, q) only to the degree pairs
-    (m, n), so the key is q for first and m for second (chain_product).
-
-    Raises ArithmeticError naming the first entry off the blocks, first
-    factor before second and row-major, that is not exactly 0.0.
-    """
-    out = []
-    for which, factor, row_key, col_key in (
-        ("first", first, sum, lambda c: c[1]),
-        ("second", second, lambda r: r[0], lambda c: c[0]),
-    ):
-        col_keys = [col_key(c) for c in factor.cols]
-        blocks = {}
-        for c, key in enumerate(col_keys):
-            blocks.setdefault(key, ([], []))[1].append(c)
-        for r, (g, row) in enumerate(zip(factor.rows, factor.entries)):
-            key = row_key(g)
-            blocks.setdefault(key, ([], []))[0].append(r)
-            for c, value in enumerate(row):
-                if value and col_keys[c] != key:
-                    raise ArithmeticError(
-                        f"the {which} chain factor is {value!r} off its blocks at row {g}, col {factor.cols[c]}"
-                    )
-        out.append(blocks)
-    return tuple(out)
-
-
 def chain_product(first: ChainMatrix, second: ChainMatrix) -> tuple:
-    """The overlap matrix first * second, one product per entry: by the
-    blocks of chain_blocks (which raises on an entry off them), the entry at
-    ((i, k), (m, n)) is first[(i, k), (m, i + k)] * second[(m, i + k), (m, n)],
-    or 0.0 when m > i + k."""
-    chain_blocks(first, second)
+    """The overlap matrix first * second, one product per entry: first
+    couples (i, k) only to the labels (m, i + k) and second (m, q) only to
+    the degree pairs (m, n), so entry ((i, k), (m, n)) is first[(i, k), (m,
+    i + k)] * second[(m, i + k), (m, n)], or 0.0 when m > i + k.  Raises
+    ArithmeticError at the first entry off those blocks, first factor before
+    second and row-major, that is not exactly 0.0."""
+    for which, factor, on_block in (
+        ("first", first, lambda g, c: sum(g) == c[1]),
+        ("second", second, lambda g, c: g[0] == c[0]),
+    ):
+        for g, row in zip(factor.rows, factor.entries):
+            for c, value in zip(factor.cols, row):
+                if value and not on_block(g, c):
+                    raise ArithmeticError(f"the {which} chain factor is {value!r} off its blocks at row {g}, col {c}")
     middle = {label: j for j, label in enumerate(first.cols)}
     out = []
     for (i, k), row in zip(first.rows, first.entries):
@@ -325,7 +309,7 @@ def _check_joint_eigenvectors(p: BiParams) -> CheckResult:
     eigenvalues, on ints; a failure names the operator, degree pair and row,
     with (A v)_row against lambda v_row."""
     name = "joint-eigenvectors"
-    bad = _eigen_failure(p)[1]
+    bad = _eigen_failure(p)
     return CheckResult.exact_pass(name) if bad is None else CheckResult.mismatch(name, *bad)
 
 
@@ -350,15 +334,18 @@ def _check_chain_composition(p: BiParams) -> CheckResult:
     second[(m, q), (m, n)], q = i + k, and against 0 for m > q.  Every
     radicand is positive (each parameter exceeds -1), so each side is
     compared as its signed square x|x| (simplex.overlap_squares of each
-    block, and of the d = 2 pieces one degree pair's row at a time, so no
-    more than one row of squares is held), which determines x, crosswise on
-    ints."""
+    block, and of the d = 2 system one degree pair at a time: its row, den
+    and chain_norm are made in the loop and its row dropped once squared, so
+    one row of squares is held), which determines x, crosswise on ints."""
     name = "chain-composition"
-    weight, rows, dens, norms = gram_pieces((p.alpha1, p.alpha2, p.alpha3), p.N)
+    alphas = p.alpha1, p.alpha2, p.alpha3
+    table, weight = ChainTable(alphas), simplex_weight(alphas, p.N)
     first, second = ([overlap_squares(*block) for block in blocks] for blocks in _factor_blocks(p))
     index = simplex_positions(p.N, 2)
-    for (m, n), a in index.items():
-        ((row, scale),) = overlap_squares(weight, rows[a : a + 1], dens[a : a + 1], norms[a : a + 1])
+    for m, n in index:
+        ((row, scale),) = overlap_squares(
+            weight, [table.row((m, n), p.N)], [table.den((m, n))], [chain_norm(table.cleared, (m, n), p.N)]
+        )
         tails, tail_scale = second[m][n]
         for q in range(p.N + 1):
             chain, left = [0] * (q + 1), 1  # the product vanishes for m > q

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from itertools import accumulate
 from operator import mul
 
@@ -193,12 +194,10 @@ class ChainTable:
         self.cleared = self.Q, cleared_alphas = cleared(*alphas)
         self._partial = list(accumulate(cleared_alphas, initial=0))
         self._beta = cleared_alphas[1:]
-        self._lines, self._points, self._sums, self._heads = {}, {}, {}, {}
+        self._lines, self._sums, self._heads = {}, {}, {}
 
     def points(self, level: int) -> tuple:
-        if level not in self._points:
-            self._points[level] = tuple(simplex_points(level, self.d))
-        return self._points[level]
+        return tuple(simplex_points(level, self.d))
 
     def den(self, degs) -> int:
         return math.prod(denominator(n, self.Q) for n in degs)
@@ -392,38 +391,44 @@ def overlap_squares(weight, rows, dens, norms) -> list:
     ]
 
 
-def eigen_mismatch(operators: dict, candidates: dict):
+def eigen_mismatch(operators: dict, labels, row):
     """The certificate that candidate rows are the joint eigenbasis of
     commuting operators, on ints.
 
     operators maps a name to (rows, eigenvalues): sparse rows, {column:
-    entry} per row, and one eigenvalue per label of candidates in its order,
-    all integers over one denominator of that operator's own, which A v =
-    lambda v drops.  candidates maps each label to its integer row.  As
+    entry} per row, and one eigenvalue per label of labels in its order, all
+    integers over one denominator of that operator's own, which A v = lambda
+    v drops.  row(label) makes the label's integer candidate row.  As
     eigenvectors of distinct eigenvalue tuples are independent, P nonzero
     candidates that pass span the space of dimension P, and each joint
     eigenspace is the line of its candidate.
 
     Raises ArithmeticError at two labels with one eigenvalue tuple, before
-    any row is applied, or at a zero candidate.  Returns None, or the first
-    failing (name, label, row, (A v)_row, lambda v_row), operators in their
-    order, then labels, then rows.
+    any row is made, or at the first zero candidate.  Each candidate is made
+    once, in label order, applied to every operator that could still fail
+    first, and dropped.  Returns None, or the first failing (name, label,
+    row, (A v)_row, lambda v_row), operators in their order, then labels,
+    then rows.
     """
+    labels, ops = tuple(labels), list(operators.items())
     seen = {}
-    for label, key in zip(candidates, zip(*(eigs for _, eigs in operators.values()))):
+    for label, key in zip(labels, zip(*(eigs for _, (_, eigs) in ops))):
         if key in seen:
             raise ArithmeticError(f"degenerate joint spectrum: {seen[key]} vs {label}")
         seen[key] = label
-    for label, vec in candidates.items():
+    first = None  # (operator position, failure) of the least (operator, label) failing so far
+    for j, label in enumerate(labels):
+        vec = row(label)
         if not any(vec):
             raise ArithmeticError(f"the candidate at {label} is zero")
-    for name, (rows, eigs) in operators.items():
-        for (label, vec), eig in zip(candidates.items(), eigs):
-            for r, row in enumerate(rows):
-                lhs, rhs = sum(a * vec[c] for c, a in row.items()), eig * vec[r]
-                if lhs != rhs:
-                    return name, label, r, lhs, rhs
-    return None
+        # at a later label only an earlier operator can fail first
+        for o, (name, (rows, eigs)) in enumerate(ops[: len(ops) if first is None else first[0]]):
+            sides = ((r, sum(a * vec[c] for c, a in cols.items()), eigs[j] * vec[r]) for r, cols in enumerate(rows))
+            bad = next((side for side in sides if side[1] != side[2]), None)
+            if bad is not None:
+                first = o, (name, label, *bad)
+                break
+    return None if first is None else first[1]
 
 
 def sparse_mul(f: dict, g: dict) -> dict:
@@ -466,8 +471,10 @@ def genfun_mismatch(alphas, N: int):
     alpha_k + k - 1 and E_k from _exponents.  With J cleared (jacobi_cleared),
     F_k = sum_i c_i (z_{k+1} - s_k)^i (s_k + z_{k+1})^(E_k - i) on ints; z^a
     is keyed sum_k a_k (N+1)^(k-1), and as the E_k sum to N no key carries.
-    Base products are made once per (k, i, E), expansions once per (k, m_k,
-    |m_<k|, E), the product of the factors before the last once per prefix.
+    Base products are made once per (k, i, E).  Each factor is expanded where
+    it is read: once per degree prefix shorter than d, whose product of
+    factors (its head) is kept, and the last once per (m_d, |m_<d|), kept
+    from its first reader to its last.
     Returns None when every side agrees crosswise, else the first failing
     (m, g, product side, grid side), the sides as rationals.
     """
@@ -489,22 +496,25 @@ def genfun_mismatch(alphas, N: int):
         minus, plus = powers[k]
         return sparse_mul(minus[i], plus[E - i])
 
-    @functools.cache
-    def expansion(k, n, nsum, E):
-        den, coeffs = jacobi_cleared(n, 2 * nsum + partial[k + 1] + k, alphas[k + 1])
-        return den, sparse_sum(coeffs.values(), [product(k, i, E) for i in coeffs])
+    def expansion(k, m, E):
+        """F_k of degree tuple m, as (den, poly)."""
+        den, coeffs = jacobi_cleared(m[k], 2 * sum(m[:k]) + partial[k + 1] + k, alphas[k + 1])
+        return den, sparse_sum(coeffs.values(), [product(k, i, E[k]) for i in coeffs])
 
-    heads = {((), ()): (1, {0: 1})}  # the product of the first k factors, with its denominator
+    heads = {(): (1, {0: 1})}  # per degree prefix shorter than d, where E_k = m_k: its factors' product and den
+    # F_d depends on (m_d, |m_<d|) alone (E_d = N - |m_<d|): kept from its first reader to its last
+    readers, lasts = Counter((m[-1], sum(m[:-1])) for m in points), {}
     for m in points:
-        E = _exponents(m, N)
-        for k in range(d):
-            prefix = m[: k + 1], E[: k + 1]
-            if prefix not in heads:  # always so for the whole m, which is not kept
-                den, poly = heads[m[:k], E[:k]]
-                f_den, f = expansion(k, m[k], sum(m[:k]), E[k])
-                den, poly = den * f_den, sparse_mul(poly, f)
-                if k < d - 1:
-                    heads[prefix] = den, poly
+        E, last = _exponents(m, N), (m[-1], sum(m[:-1]))
+        for k in range(d - 1):
+            if m[: k + 1] not in heads:
+                (den, head), (f_den, f) = heads[m[:k]], expansion(k, m, E)
+                heads[m[: k + 1]] = den * f_den, sparse_mul(head, f)
+        readers[last] -= 1
+        (den, head), (f_den, f) = heads[m[:-1]], lasts.pop(last, None) or expansion(d - 1, m, E)
+        if readers[last]:
+            lasts[last] = f_den, f
+        den, poly = den * f_den, sparse_mul(head, f)
         scale = rising(-N, sum(m)) * math.prod(fact[n] for n in m)
         row, row_den = table.row(m, N), nonzero(table.den(m), "the table denominator")
         for g, key, w, v in zip(points, keys, weights, row):

@@ -1482,6 +1482,79 @@ def test_exact_obligation_report_shape(monkeypatch):
     }
 
 
+def test_symmetry_failure_report_pinned(monkeypatch):
+    """Entry 1, at grid point (1, 0), of every (1, 0) row raised by 1: the
+    row's own value there against minus its swapped twin's at (0, 1)."""
+    honest = bi_mod._Values.row
+
+    def row(self, m, n, level):
+        out = honest(self, m, n, level)
+        return out[:1] + (out[1] + 1,) + out[2:] if (m, n) == (1, 0) else out
+
+    monkeypatch.setattr(bi_mod._Values, "row", row)
+    (result,) = verify_bi("symmetry", BiParams(Rat(1, 2), Rat(-1, 2), Rat(3), 3)).checks
+    assert result.to_dict() == {
+        "name": "symmetry",
+        "status": "fail",
+        "max_residual": "-1/12",
+        "counterexample": {"indices": {"degree": (1, 0), "point": (1, 0)}, "lhs": "-1/4", "rhs": "-1/6"},
+    }
+
+
+def test_q_plane_obligation_report_pinned(monkeypatch):
+    """The float obligation tamper of test_float_obligation_reported_under_
+    optimization, in this process: the coefficient toward the off-simplex
+    target is a surd, reported as its rational part with its radicand."""
+    honest = bi_mod._coef_delta
+
+    def tampered(m, n, N, a1, a2, a3, q):
+        radicand, bracket = honest(m, n, N, a1, a2, a3, q)
+        return radicand + (((q - m, 2 * q - m, 3 * q - m), ()),), bracket  # 6 at m = 0, 0 at m = 1..3
+
+    monkeypatch.setattr(bi_mod, "_coef_delta", tampered)
+    checks = verify_bi("normalized-structure-float", BiParams(Rat(1, 2), Rat(-1, 2), Rat(3), 3)).checks
+    target = {"degree": (-1, 1), "point": (0, 0)}
+    assert [c.to_dict() for c in checks] == [
+        {
+            "name": f"normalized-structure-float[{direction}-{var}]",
+            "status": "pass",
+            "max_residual": "0",
+        } if direction == "backward" else {
+            "name": f"normalized-structure-float[{direction}-{var}]",
+            "status": "fail",
+            "max_residual": lhs,
+            "counterexample": {
+                "indices": {"degree": (0, 0), "point": (0, 0), "target": target, "radicand": "6"},
+                "lhs": lhs,
+                "rhs": "0",
+            },
+        }
+        for var, lhs in (("i", "1"), ("k", "-1"))
+        for direction in ("forward", "backward")
+    ]
+
+
+def test_setup_arithmetic_error_report_pinned(monkeypatch):
+    """An ArithmeticError while a sample point's per-point shares are made
+    is the row's failure, its message the report, with residual "inf"."""
+    row = bi_mod._RELATIONS["diff-L2"]
+    honest = row.per_point
+
+    def per_point(c, i, k):
+        if (i, k) == (1, 0):
+            raise ZeroDivisionError("a per-point share divides by zero")
+        return honest(c, i, k)
+
+    monkeypatch.setitem(bi_mod._RELATIONS, "diff-L2", row._replace(per_point=per_point))
+    (result,) = verify_bi("diff-L2", BiParams(Rat(1, 2), Rat(-1, 2), Rat(3), 3)).checks
+    assert result.to_dict() == {
+        "name": "diff-L2",
+        "status": "fail",
+        "max_residual": "inf",
+        "counterexample": {"indices": {}, "lhs": "a per-point share divides by zero", "rhs": ""},
+    }
+
+
 def test_zero_scale_reported_under_optimization(tmp_path):
     """A zero denominator under an integer comparison would make every
     cleared identity hold vacuously.  It is a reported failure with residual
@@ -1748,9 +1821,10 @@ def test_cap_peak_memory(name):
     50 MB in a fresh process.  With each chain-table row made when a pass
     first reads it and dropped at once, at N = 30 on one fresh process per
     check: normalized-lowering-float about 27 MB, structure
-    about 25 MB and genfun about 40 MB (its sparse generating-function
-    polynomials, not rows); kept for the table's life, the rows took them
-    to about 96, 62 and 54 MB."""
+    about 25 MB and genfun about 30 MB (its sparse generating-function
+    polynomials, not rows; about 40 MB while every last factor's expansion
+    was cached for the whole call); kept for the table's life, the rows
+    took them to about 96, 62 and 54 MB."""
     script = (
         "import json\n"
         "import hahnkit.hahn_bi as bi\n"

@@ -13,7 +13,6 @@ from hahnkit.oracle import (
     ChainMatrix,
     Su11Module,
     build_operator,
-    chain_blocks,
     chain_matrices,
     chain_product,
     cylindrical_pairs,
@@ -199,7 +198,7 @@ class TestBuildOperator:
             k: (build_operator(k, table.cleared, N), [eigenvalue(k, m, table.cleared) for m in degs])
             for k in range(1, d + 1)
         }
-        assert eigen_mismatch(operators, {m: table.row(m, N) for m in degs}) is None
+        assert eigen_mismatch(operators, degs, lambda m: table.row(m, N)) is None
         for j in range(1, d + 1):
             for k in range(j + 1, d + 1):
                 first, second = operators[j][0], operators[k][0]
@@ -254,6 +253,30 @@ class TestJointEigenvectors:
         assert all(verify_oracle(name, BiParams(*triple, 6)).passed for name in ORACLE_CHECK_NAMES)
         for N in range(7):
             assert list(joint_eigenvectors(BiParams(*triple, N))) == list(simplex_points(N, 2))
+
+    @pytest.mark.parametrize("entry", ["check", "joint_eigenvectors"])
+    def test_each_row_made_once_in_simplex_points_order(self, monkeypatch, entry):
+        """The certificate makes each degree pair's ChainTable row once, in
+        simplex_points order, and joint_eigenvectors returns the rows it
+        made, over their first nonzero entries."""
+        honest, made = ChainTable.row, []
+
+        def spy(self, degs, level):
+            row = honest(self, degs, level)
+            made.append((degs, level, row))
+            return row
+
+        monkeypatch.setattr(ChainTable, "row", spy)
+        p = BiParams(Rat(1, 2), Rat(-1, 2), 3, 5)
+        if entry == "check":
+            assert verify_oracle("joint-eigenvectors", p).passed
+        else:
+            vecs = joint_eigenvectors(p)
+            lead = [next(v for v in row if v) for _, _, row in made]
+            assert list(vecs.items()) == [
+                (d, tuple(Rat(v, a) for v in row)) for (d, _, row), a in zip(made, lead)
+            ]
+        assert [(d, level) for d, level, _ in made] == [(d, 5) for d in simplex_points(5, 2)]
 
     def test_constant_member(self):
         vecs = joint_eigenvectors(BiParams(Rat(1, 2), 0, 3, 2))
@@ -332,13 +355,6 @@ class TestChain:
         )
         with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}$"):
             chain_product(factors["first"], factors["second"])
-
-    def test_blocks_hand_level(self):
-        first, second = chain_blocks(*chain_matrices(BiParams(0, 0, 0, 2)))
-        # grid (0,0),(1,0),(2,0),(0,1),(1,1),(0,2); labels (0,0),(0,1),(1,1),(0,2),(1,2),(2,2)
-        assert first == {0: ([0], [0]), 1: ([1, 3], [1, 2]), 2: ([2, 4, 5], [3, 4, 5])}
-        # degree pairs (0,0),(1,0),(2,0),(0,1),(1,1),(0,2)
-        assert second == {0: ([0, 1, 3], [0, 3, 5]), 1: ([2, 4], [1, 4]), 2: ([5], [2])}
 
     def test_level_above_the_overlap_cap_is_refused_before_any_block(self, monkeypatch):
         def no_blocks(*args):
@@ -419,6 +435,27 @@ class TestSpectrumCheck:
         monkeypatch.setattr(oracle_mod, "joint_eigenvectors", no_solve)
         monkeypatch.setattr(RationalMatrix, "nullspace", no_solve)
         assert verify_oracle("su11-spectrum", BiParams(Rat(1, 2), Rat(-1, 2), 3, 6)).passed
+
+    def test_failure_report_pinned(self, monkeypatch):
+        # L2's eigenvalue at (1, 1) one unit higher, Q on the integers: the
+        # three-factor Casimir value there against it
+        honest = oracle_mod.eigenvalue
+
+        def tampered(k, degs, params):
+            return honest(k, degs, params) + (params[0] if (k, degs) == (2, (1, 1)) else 0)
+
+        monkeypatch.setattr(oracle_mod, "eigenvalue", tampered)
+        report = verify_oracle("su11-spectrum", BiParams(Rat(1, 2), Rat(-1, 2), 3, 3)).to_dict()
+        assert report["status"] == "fail"
+        assert report["checks"] == [
+            {"name": "casimir-first", "status": "pass", "max_residual": "0"},
+            {
+                "name": "casimir-second",
+                "status": "fail",
+                "max_residual": "1",
+                "counterexample": {"indices": {"degree": [1, 1]}, "lhs": "14", "rhs": "13"},
+            },
+        ]
 
     def test_exact_residuals(self):
         report = su11_spectrum_check(BiParams(Rat(1, 2), Rat(7, 3), 0, 3))
@@ -517,6 +554,29 @@ class TestVerifyOracle:
         with pytest.raises(ArithmeticError, match=r"^L1 v != lambda v at degree \(1, 0\), row 5: -1 vs 0$"):
             joint_eigenvectors(p)
         assert verify_oracle("joint-eigenvectors", p).to_dict()["checks"] == [self.LINE_COUPLING]
+
+    # the cross-line L1 tamper with L2's first diagonal entry raised by 1:
+    # L2 fails at the first degree pair, (0, 0), which is made and applied
+    # first, but operators come before degree pairs, so L1 at (1, 0) is
+    # reported, as when every row was held at once
+    TWO_OPERATORS = [
+        ((0, 0, 0), {"max_residual": "-1", "lhs": "-1", "rhs": "0"}),
+        ((Rat(1, 2), Rat(-1, 2), 3), {"max_residual": "-3/2", "lhs": "1/2", "rhs": "2"}),
+    ]
+
+    @pytest.mark.parametrize("triple, report", TWO_OPERATORS)
+    def test_two_operators_failing_at_two_degrees_report_the_first_operator(self, monkeypatch, triple, report):
+        self._tamper_l1_across_lines(monkeypatch)
+        self._raise_entry(monkeypatch, 2, 0, 0, 1)
+        check = verify_oracle("joint-eigenvectors", BiParams(*triple, 3)).checks[0]
+        assert check.to_dict() == {
+            "name": "joint-eigenvectors",
+            "status": "fail",
+            "max_residual": report["max_residual"],
+            "counterexample": {
+                "indices": {"operator": "L1", "degree": [1, 0], "row": 5}, "lhs": report["lhs"], "rhs": report["rhs"],
+            },
+        }
 
     def test_l2_tamper_fails_joint_eigenvectors(self, monkeypatch):
         orig = oracle_mod._rate
@@ -620,29 +680,21 @@ class TestVerifyOracle:
         assert verify_oracle("chain-composition", self.CHAIN).checks[0].passed
         assert calls == [1] * points
 
-    @staticmethod
-    def _tamper_overlap(monkeypatch, d, g):
-        """The overlap's integer row of degree pair d (the d = 2 Gram pieces,
-        the one three-parameter call) reads one more at grid point g."""
-        honest = oracle_mod.gram_pieces
-        points = list(simplex_points(4, 2))
-
-        def pieces(alphas, level):
-            weight, rows, dens, norms = honest(alphas, level)
-            if len(alphas) == 3:
-                rows, t = list(rows), points.index(g)
-                row = rows[points.index(d)]
-                rows[points.index(d)] = row[:t] + (row[t] + 1,) + row[t + 1:]
-            return weight, rows, dens, norms
-
-        monkeypatch.setattr(oracle_mod, "gram_pieces", pieces)
+    @classmethod
+    def _tamper_overlap(cls, monkeypatch, d, g):
+        """The overlap's integer row of degree pair d (the oracle's d = 2
+        ChainTable row, which chain-composition makes in its loop) reads one
+        more at grid point g."""
+        cls._tamper_table(monkeypatch, d, list(simplex_points(4, 2)).index(g))
 
     def test_tampered_overlap_inside_the_blocks_fails_composition(self, monkeypatch):
         # m = 1 <= i + k = 3
         self._tamper_overlap(monkeypatch, (1, 2), (2, 1))
         check = verify_oracle("chain-composition", self.CHAIN).checks[0]
-        assert not check.passed and check.max_residual not in ("0", "inf")
-        assert check.counterexample["indices"] == {"point": [2, 1], "degrees": [1, 2]}
+        assert not check.passed and check.max_residual == "7681/5662310400"
+        assert check.counterexample == {
+            "indices": {"point": [2, 1], "degrees": [1, 2]}, "lhs": "14753281/5662310400", "rhs": "1/384",
+        }
         assert verify_oracle("chain-orthogonality", self.CHAIN).checks[0].max_residual == "0"
 
     def test_tampered_overlap_below_the_blocks_fails_composition(self, monkeypatch):

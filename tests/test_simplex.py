@@ -164,27 +164,59 @@ B = ([{1: 1}, {0: 1}], [1, -1])
 PAIR = {"even": (1, 1), "odd": (3, -3)}
 
 
+def made(candidates, calls):
+    """A row maker that reads candidates and records each label it makes."""
+
+    def row(label):
+        calls.append(label)
+        return candidates[label]
+
+    return row
+
+
 class TestEigenMismatch:
     def test_a_joint_eigenbasis_passes(self):
-        assert eigen_mismatch({"A": HALF_A, "B": B}, PAIR) is None
+        calls = []
+        assert eigen_mismatch({"A": HALF_A, "B": B}, PAIR, made(PAIR, calls)) is None
+        assert calls == ["even", "odd"]
 
     def test_a_wrong_entry_is_named(self):
         # B's row 1 reads 2 at column 0: B (1, 1) is (1, 2) against (1, 1),
         # and A, checked first, passes
         wrong = ([{1: 1}, {0: 2}], [1, -1])
-        assert eigen_mismatch({"A": HALF_A, "B": wrong}, PAIR) == ("B", "even", 1, 2, 1)
+        assert eigen_mismatch({"A": HALF_A, "B": wrong}, PAIR, PAIR.get) == ("B", "even", 1, 2, 1)
+
+    def test_the_first_operator_wins_over_the_first_label(self):
+        # A fails at "odd" alone (its eigenvalue there is 2, not 1) and B at
+        # "even" (its row 1 reads 2 at column 0).  "even" is made and applied
+        # first, but operators come before labels, so A at "odd" is reported,
+        # as when every row was held at once; each row is made once, in
+        # label order
+        a = (HALF_A[0], [3, 2])
+        b = ([{1: 1}, {0: 2}], [1, -1])
+        calls = []
+        assert eigen_mismatch({"A": a, "B": b}, PAIR, made(PAIR, calls)) == ("A", "odd", 0, 3, 6)
+        assert calls == ["even", "odd"]
 
     def test_a_zero_candidate_is_refused(self):
         with pytest.raises(ArithmeticError, match="^the candidate at odd is zero$"):
-            eigen_mismatch({"A": HALF_A, "B": B}, {"even": (1, 1), "odd": (0, 0)})
+            eigen_mismatch({"A": HALF_A, "B": B}, PAIR, {"even": (1, 1), "odd": (0, 0)}.get)
+
+    def test_a_zero_candidate_is_refused_after_a_failure(self):
+        # a failure at "even" does not hide the zero candidate after it
+        wrong = ([{1: 1}, {0: 2}], [1, -1])
+        with pytest.raises(ArithmeticError, match="^the candidate at odd is zero$"):
+            eigen_mismatch({"A": HALF_A, "B": wrong}, PAIR, {"even": (1, 1), "odd": (0, 0)}.get)
 
     def test_a_repeated_tuple_is_refused_before_any_row(self):
         # rows that would raise IndexError if applied
         off = ([{5: 1}, {5: 1}], [3, 3])
+        calls = []
         with pytest.raises(ArithmeticError, match="^degenerate joint spectrum: even vs odd$"):
-            eigen_mismatch({"A": off, "B": (off[0], [1, 1])}, PAIR)
+            eigen_mismatch({"A": off, "B": (off[0], [1, 1])}, PAIR, made(PAIR, calls))
+        assert calls == []
         # one operator apart is enough: A's repeated 3 is then a residual
-        assert eigen_mismatch({"A": (HALF_A[0], [3, 3]), "B": B}, PAIR) == ("A", "odd", 0, 3, 9)
+        assert eigen_mismatch({"A": (HALF_A[0], [3, 3]), "B": B}, PAIR, PAIR.get) == ("A", "odd", 0, 3, 9)
 
 
 # The modules whose underscore names stay their own.
